@@ -441,15 +441,13 @@ let bind_commands t interp dir =
 (* Filter execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_native filters msg =
-  let rec go = function
-    | [] -> Pass
-    | (_, filter) :: rest ->
-      (match filter msg with
-       | Pass -> go rest
-       | verdict -> verdict)
-  in
-  go filters
+let rec run_native filters msg =
+  match filters with
+  | [] -> Pass
+  | (_, filter) :: rest ->
+    (match filter msg with
+     | Pass -> run_native rest msg
+     | verdict -> verdict)
 
 let run_script t dir msg =
   let interp, script, guard =
@@ -552,7 +550,7 @@ let filter t dir msg =
      | V_hold qname ->
        stats.held <- stats.held + 1;
        Queue.add (msg, dir) (hold_queue t qname));
-    List.iter (continue t dir) copies
+    if dups > 0 then List.iter (continue t dir) copies
 
 (* ------------------------------------------------------------------ *)
 (* Stats snapshot                                                     *)

@@ -12,11 +12,21 @@ type 'a entry = {
 type 'a t = {
   mutable heap : 'a entry array;
   mutable len : int;
+  mutable high : int;  (* slots written since the last clear *)
   mutable next_seq : int;
   mutable live : int;
 }
 
-let create () = { heap = [||]; len = 0; next_seq = 0; live = 0 }
+let create () = { heap = [||]; len = 0; high = 0; next_seq = 0; live = 0 }
+
+let null_handle = { state = Fired }
+
+(* Filler for every slot outside the live heap.  Its value is never
+   read — only slots below [len] are — so one unit-valued entry serves
+   queues of every element type; what matters is that a filler slot
+   keeps nothing of a previous trial reachable. *)
+let inert_entry = { time = 0; seq = 0; h = null_handle; value = () }
+let inert () : 'a entry = Obj.magic inert_entry
 
 let is_empty t = t.live = 0
 let size t = t.live
@@ -50,45 +60,35 @@ let rec sift_down t i =
     sift_down t smallest
   end
 
-let grow t entry =
-  if Array.length t.heap = 0 then t.heap <- Array.make 16 entry
-  else if t.len >= Array.length t.heap then begin
-    let heap = Array.make (Array.length t.heap * 2) entry in
+(* Grow the backing array once to hold [extra] more entries (doubling,
+   so repeated batches stay amortised O(1) per entry). *)
+let ensure_capacity t extra =
+  let needed = t.len + extra in
+  if Array.length t.heap < needed then begin
+    let rec cap c = if c >= needed then c else cap (2 * c) in
+    let heap = Array.make (cap (Stdlib.max 16 (Array.length t.heap))) (inert ()) in
     Array.blit t.heap 0 heap 0 t.len;
     t.heap <- heap
-  end
+  end;
+  if needed > t.high then t.high <- needed
 
 let push t ~time value =
   let h = { state = Pending } in
   let entry = { time; seq = t.next_seq; h; value } in
   t.next_seq <- t.next_seq + 1;
-  grow t entry;
+  ensure_capacity t 1;
   t.heap.(t.len) <- entry;
   t.len <- t.len + 1;
   sift_up t (t.len - 1);
   t.live <- t.live + 1;
   h
 
-(* Grow the backing array once to hold [extra] more entries (doubling,
-   so repeated batches stay amortised O(1) per entry). *)
-let ensure_capacity t extra witness =
-  let needed = t.len + extra in
-  if Array.length t.heap < needed then begin
-    let rec cap c = if c >= needed then c else cap (2 * c) in
-    let heap = Array.make (cap (Stdlib.max 16 (Array.length t.heap))) witness in
-    Array.blit t.heap 0 heap 0 t.len;
-    t.heap <- heap
-  end
-
 let push_batch t items =
   match items with
   | [] -> []
-  | (time0, v0) :: _ ->
+  | _ :: _ ->
     let n = List.length items in
-    let witness =
-      { time = time0; seq = t.next_seq; h = { state = Pending }; value = v0 }
-    in
-    ensure_capacity t n witness;
+    ensure_capacity t n;
     let handles =
       List.map
         (fun (time, value) ->
@@ -198,14 +198,20 @@ let pop_until_k t ~until k =
    queue pushes without re-growing.  Surviving entries are marked
    Cancelled first: a handle retained across the clear must stay inert
    (a late [cancel] on it would otherwise corrupt the live count).
-   [next_seq] restarts at 0 — a cleared queue must order same-time
-   pushes exactly like a fresh one. *)
+   Every slot written since the last clear — live entries and the
+   popped or compacted-away ones left behind past [len] — is then
+   overwritten with the inert filler, so the old callbacks (and the
+   simulation they reach) can be collected.  [next_seq] restarts at 0 —
+   a cleared queue must order same-time pushes exactly like a fresh
+   one. *)
 let clear t =
   for i = 0 to t.len - 1 do
     let e = t.heap.(i) in
     if e.h.state = Pending then e.h.state <- Cancelled
   done;
+  Array.fill t.heap 0 t.high (inert ());
   t.len <- 0;
+  t.high <- 0;
   t.live <- 0;
   t.next_seq <- 0
 

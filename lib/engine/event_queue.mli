@@ -14,6 +14,11 @@ type handle
 
 val create : unit -> 'a t
 
+val null_handle : handle
+(** A handle that is never pending: cancelling it is a no-op.  A
+    placeholder for holders of an optional handle that should not box
+    it in an option. *)
+
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int
@@ -63,4 +68,5 @@ val clear : 'a t -> unit
     reused queue pushes without re-growing.  Handles retained across a
     clear become inert (as if cancelled), and the insertion sequence
     restarts at zero: a cleared queue orders subsequent pushes exactly
-    like a fresh {!create}. *)
+    like a fresh {!create}.  No slot keeps a value pushed before the
+    clear reachable, popped ones included. *)

@@ -93,6 +93,8 @@ let schedule t ~delay callback =
 
 let cancel t handle = Event_queue.cancel t.queue handle
 
+let null_handle = Event_queue.null_handle
+
 let pending t = Event_queue.size t.queue
 
 let step t =

@@ -93,6 +93,9 @@ val schedule_at : t -> time:Vtime.t -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 
+val null_handle : handle
+(** A handle that is never pending ({!Event_queue.null_handle}). *)
+
 val pending : t -> int
 
 val events : t -> int

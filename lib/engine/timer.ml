@@ -3,8 +3,8 @@ type t = {
   name : string;
   callback : unit -> unit;
   interval : Vtime.t option;  (* Some i for periodic timers *)
-  mutable handle : Sim.handle option;
-  mutable deadline : Vtime.t option;
+  mutable handle : Sim.handle;  (* Sim.null_handle while disarmed *)
+  mutable deadline : Vtime.t;  (* meaningful only while armed *)
   mutable fired : int;
   (* the closure handed to Sim.schedule, built once at creation so
      every re-arm schedules the same physical closure instead of
@@ -13,14 +13,18 @@ type t = {
   mutable self_fire : unit -> unit;
 }
 
+(* Armed-ness lives in the handle itself rather than in options, so a
+   re-arm allocates only the scheduled event. *)
+let is_armed t = t.handle != Sim.null_handle
+
 let disarm t =
-  (match t.handle with None -> () | Some h -> Sim.cancel t.sim h);
-  t.handle <- None;
-  t.deadline <- None
+  if is_armed t then begin
+    Sim.cancel t.sim t.handle;
+    t.handle <- Sim.null_handle
+  end
 
 let rec fire t =
-  t.handle <- None;
-  t.deadline <- None;
+  t.handle <- Sim.null_handle;
   t.fired <- t.fired + 1;
   (* Re-arm periodic timers before the callback so the callback may
      disarm or re-arm with a different phase. *)
@@ -31,12 +35,12 @@ let rec fire t =
 
 and arm t ~delay =
   disarm t;
-  t.deadline <- Some (Vtime.add (Sim.now t.sim) (Vtime.max delay Vtime.zero));
-  t.handle <- Some (Sim.schedule t.sim ~delay t.self_fire)
+  t.deadline <- Vtime.add (Sim.now t.sim) (Vtime.max delay Vtime.zero);
+  t.handle <- Sim.schedule t.sim ~delay t.self_fire
 
 let make sim ~name ~interval ~callback =
   let t =
-    { sim; name; callback; interval; handle = None; deadline = None;
+    { sim; name; callback; interval; handle = Sim.null_handle; deadline = Vtime.zero;
       fired = 0; self_fire = ignore }
   in
   t.self_fire <- (fun () -> fire t);
@@ -47,15 +51,11 @@ let create sim ~name ~callback = make sim ~name ~interval:None ~callback
 let create_periodic sim ~name ~interval ~callback =
   make sim ~name ~interval:(Some interval) ~callback
 
-let is_armed t = t.handle <> None
-
 let name t = t.name
 
-let deadline t = t.deadline
+let deadline t = if is_armed t then Some t.deadline else None
 
 let remaining t =
-  match t.deadline with
-  | None -> None
-  | Some d -> Some (Vtime.sub d (Sim.now t.sim))
+  if is_armed t then Some (Vtime.sub t.deadline (Sim.now t.sim)) else None
 
 let fired_count t = t.fired

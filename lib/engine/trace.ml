@@ -32,16 +32,13 @@ module Ivec = struct
   let reset v = v.len <- 0
 end
 
-(* Memo of the interned strings and index buckets resolved by the most
-   recent [record].  A protocol layer emits bursts of entries under one
-   (node, tag), so the common case skips all five hashtable lookups. *)
-type memo = {
-  m_node : string;
-  m_tag : string;
-  m_by_node : Ivec.t;
-  m_by_tag : Ivec.t;
-  m_by_node_tag : Ivec.t;
-}
+(* A few fixed memo slots, each holding the interned node and tag of a
+   recently recorded (node, tag) pair and its three index buckets.
+   Protocol layers record in bursts that cycle through a handful of
+   pairs (a message round trip alternates sender and receiver), so the
+   common case skips all five hashtable lookups.  A miss fills the next
+   free slot, then evicts round-robin. *)
+let memo_slots = 4
 
 type t = {
   mutable store : entry array;
@@ -50,29 +47,51 @@ type t = {
   by_node : (string, Ivec.t) Hashtbl.t;
   by_tag : (string, Ivec.t) Hashtbl.t;
   by_node_tag : (string * string, Ivec.t) Hashtbl.t;
-  mutable memo : memo option;
+  m_node : string array;
+  m_tag : string array;
+  m_by_node : Ivec.t array;
+  m_by_tag : Ivec.t array;
+  m_by_node_tag : Ivec.t array;
+  mutable m_used : int;  (* filled slots *)
+  mutable m_next : int;  (* next slot to evict once all are filled *)
 }
 
 let create () =
+  let no_bucket = Ivec.create () in
   { store = [||];
     len = 0;
     intern = Hashtbl.create 64;
     by_node = Hashtbl.create 16;
     by_tag = Hashtbl.create 64;
     by_node_tag = Hashtbl.create 64;
-    memo = None }
+    m_node = Array.make memo_slots "";
+    m_tag = Array.make memo_slots "";
+    m_by_node = Array.make memo_slots no_bucket;
+    m_by_tag = Array.make memo_slots no_bucket;
+    m_by_node_tag = Array.make memo_slots no_bucket;
+    m_used = 0;
+    m_next = 0 }
+
+(* Filler for every store slot at or past [len]: a cleared or grown
+   store must not keep an earlier trial's entries (their lazy details
+   capture messages and closures) reachable. *)
+let inert = { time = 0; node = ""; tag = ""; detail = Lazy.from_val ""; fields = [] }
 
 (* Capacity-preserving: the entry store, the intern table and every
    index bucket survive a clear so a reused trace records without
    reallocating.  An empty bucket is indistinguishable from a missing
-   one ([lookup] substitutes a fresh empty vector for absent keys), so
-   a cleared trace is observationally identical to [create ()]. *)
+   one ([lookup] substitutes a fresh empty vector for absent keys), and
+   the memo restarts empty with the same eviction order, so a cleared
+   trace is observationally identical to [create ()] and records with
+   the same allocation. *)
 let clear t =
+  Array.fill t.store 0 t.len inert;
   t.len <- 0;
   Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_node;
   Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_tag;
   Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_node_tag;
-  t.memo <- None
+  t.m_used <- 0;
+  t.m_next <- 0
 
 let intern t s =
   match Hashtbl.find_opt t.intern s with
@@ -89,35 +108,47 @@ let bucket tbl key =
     Hashtbl.add tbl key v;
     v
 
-let record_lazy ?(fields = []) t ~time ~node ~tag detail =
-  let m =
-    match t.memo with
-    | Some m when String.equal m.m_node node && String.equal m.m_tag tag -> m
-    | _ ->
-      let node = intern t node and tag = intern t tag in
-      let m =
-        { m_node = node;
-          m_tag = tag;
-          m_by_node = bucket t.by_node node;
-          m_by_tag = bucket t.by_tag tag;
-          m_by_node_tag = bucket t.by_node_tag (node, tag) }
-      in
-      t.memo <- Some m;
-      m
+let rec find_slot t node tag i =
+  if i >= t.m_used then -1
+  else if String.equal t.m_node.(i) node && String.equal t.m_tag.(i) tag then i
+  else find_slot t node tag (i + 1)
+
+let fill_slot t node tag =
+  let i =
+    if t.m_used < memo_slots then begin
+      t.m_used <- t.m_used + 1;
+      t.m_used - 1
+    end
+    else begin
+      let i = t.m_next in
+      t.m_next <- (i + 1) mod memo_slots;
+      i
+    end
   in
-  let e = { time; node = m.m_node; tag = m.m_tag; detail; fields } in
-  if Array.length t.store = 0 then t.store <- Array.make 64 e
-  else if t.len >= Array.length t.store then begin
-    let store = Array.make (Array.length t.store * 2) e in
+  let node = intern t node and tag = intern t tag in
+  t.m_node.(i) <- node;
+  t.m_tag.(i) <- tag;
+  t.m_by_node.(i) <- bucket t.by_node node;
+  t.m_by_tag.(i) <- bucket t.by_tag tag;
+  t.m_by_node_tag.(i) <- bucket t.by_node_tag (node, tag);
+  i
+
+let record_lazy ?(fields = []) t ~time ~node ~tag detail =
+  let slot =
+    match find_slot t node tag 0 with -1 -> fill_slot t node tag | slot -> slot
+  in
+  let e = { time; node = t.m_node.(slot); tag = t.m_tag.(slot); detail; fields } in
+  if t.len >= Array.length t.store then begin
+    let store = Array.make (Stdlib.max 64 (Array.length t.store * 2)) inert in
     Array.blit t.store 0 store 0 t.len;
     t.store <- store
   end;
-  t.store.(t.len) <- e;
   let i = t.len in
-  t.len <- t.len + 1;
-  Ivec.push m.m_by_node i;
-  Ivec.push m.m_by_tag i;
-  Ivec.push m.m_by_node_tag i
+  t.store.(i) <- e;
+  t.len <- i + 1;
+  Ivec.push t.m_by_node.(slot) i;
+  Ivec.push t.m_by_tag.(slot) i;
+  Ivec.push t.m_by_node_tag.(slot) i
 
 (* [Lazy.from_val] on a string returns the string itself (no wrapper
    block), so the strict path costs nothing over storing a plain

@@ -45,6 +45,14 @@ type collect = {
   mutable c_nacked : int list;
 }
 
+(* A one-entry cache of a rendered trace detail, keyed by the two ids
+   it mentions. *)
+type detail_memo = {
+  mutable m_origin : int;
+  mutable m_leader : int;
+  mutable m_text : string;  (* "" until first use *)
+}
+
 type t = {
   sim : Sim.t;
   node_name : string;
@@ -75,6 +83,8 @@ type t = {
          peer per interval would otherwise sprintf a fresh name each
          time *)
   mutable history : view list;  (* reversed *)
+  fwd_memo : detail_memo;  (* gmp.proclaim-fwd details, plain and looping *)
+  loop_memo : detail_memo;
 }
 
 let id t = t.self_id
@@ -93,9 +103,25 @@ let crown_prince t =
   | _ :: prince :: _ -> Some prince
   | _ -> None
 
-let name_of t peer_id = Hashtbl.find_opt t.names peer_id
-
 let record t tag detail = Sim.record t.sim ~node:t.node_name ~tag detail
+
+(* A proclaim-forwarding storm records one gmp.proclaim-fwd entry per
+   forwarded message, nearly always for the same (origin, leader) pair,
+   so each distinct detail is rendered once and its string shared by
+   every entry that carries it. *)
+let memo_detail m ~origin ~leader render =
+  if String.length m.m_text = 0 || m.m_origin <> origin || m.m_leader <> leader
+  then begin
+    m.m_origin <- origin;
+    m.m_leader <- leader;
+    m.m_text <- render origin leader
+  end;
+  m.m_text
+
+let fwd_detail origin leader = Printf.sprintf "origin=%d -> leader=%d" origin leader
+
+let loop_detail origin leader =
+  Printf.sprintf "origin=%d -> leader=%d (loop)" origin leader
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                             *)
@@ -172,23 +198,31 @@ let unset_expect_timers t =
 (* Message sending                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let proto_attr = ("proto", "gmp")
+let reliable_attr = (Rel_udp.reliable_attr, "1")
+
 let send t ?(reliable = true) ~dst_id (msg : Gmp_msg.t) =
-  match name_of t dst_id with
-  | None ->
+  match Hashtbl.find t.names dst_id with
+  | exception Not_found ->
     (* a message referenced an id outside the known universe (possible
        under byzantine corruption): log and drop rather than crash *)
     record t "gmp.unknown-peer" (Printf.sprintf "id=%d" dst_id)
-  | Some dst ->
+  | dst ->
     (* per-message = the campaign hot path: defer the describe/sprintf
        cost until something actually reads the entry, and only decorate
        the wire message when an MSC renderer is listening *)
     Sim.record_lazy t.sim ~node:t.node_name ~tag:"gmp.send"
       (lazy (Printf.sprintf "to=%s %s" dst (Gmp_msg.describe msg)));
-    let wire = Gmp_msg.to_message msg ~dst in
-    if Sim.want_labels t.sim then
-      Message.set_attr wire "msc.label" (Gmp_msg.describe msg);
-    if reliable then Message.set_attr wire Rel_udp.reliable_attr "1";
-    Layer.send_down (layer t) wire
+    (* built in one list, newest first, as successive [Message.set_attr]
+       calls would leave them: destination, [proto=gmp], then the
+       optional label and reliability request *)
+    let attrs = proto_attr :: [ (Pfi_netsim.Network.dst_attr, dst) ] in
+    let attrs =
+      if Sim.want_labels t.sim then ("msc.label", Gmp_msg.describe msg) :: attrs
+      else attrs
+    in
+    let attrs = if reliable then reliable_attr :: attrs else attrs in
+    Layer.send_down (layer t) (Message.create ~attrs (Gmp_msg.encode msg))
 
 let fresh_gid t =
   t.next_gid <- t.next_gid + 1;
@@ -442,7 +476,7 @@ and handle_proclaim t (m : Gmp_msg.t) =
            ~members:[ t.self_id ] ())
     else if originator <> t.current.leader then begin
       record t "gmp.proclaim-fwd"
-        (Printf.sprintf "origin=%d -> leader=%d" originator t.current.leader);
+        (memo_detail t.fwd_memo ~origin:originator ~leader:t.current.leader fwd_detail);
       send t ~dst_id:t.current.leader
         (Gmp_msg.make ~mtype:Gmp_msg.Proclaim ~origin:originator ~sender:t.self_id
            ~group_id:m.Gmp_msg.group_id ())
@@ -452,8 +486,8 @@ and handle_proclaim t (m : Gmp_msg.t) =
          straight back (the vicious cycle); sane code ignores it *)
       if t.config.bugs.proclaim_reply_to_sender then begin
         record t "gmp.proclaim-fwd"
-          (Printf.sprintf "origin=%d -> leader=%d (loop)" originator
-             t.current.leader);
+          (memo_detail t.loop_memo ~origin:originator ~leader:t.current.leader
+             loop_detail);
         send t ~dst_id:t.current.leader
           (Gmp_msg.make ~mtype:Gmp_msg.Proclaim ~origin:originator ~sender:t.self_id
              ~group_id:m.Gmp_msg.group_id ())
@@ -591,7 +625,9 @@ let create ~sim ~node ~id ~peers ?(config = default_config) () =
       timers = Hashtbl.create 16;
       callbacks = Hashtbl.create 16;
       expect_names = Hashtbl.create 8;
-      history = [] }
+      history = [];
+      fwd_memo = { m_origin = 0; m_leader = 0; m_text = "" };
+      loop_memo = { m_origin = 0; m_leader = 0; m_text = "" } }
   in
   let l =
     Layer.create ~name:"gmd" ~node

@@ -64,40 +64,60 @@ let mtype_of_code = function
   | 8 -> Some Dead
   | _ -> None
 
+(* Wire layout (big-endian): u8 type code, u16 origin, u16 sender,
+   u32 group id, u16 subject, u16 member count, count × u16 members —
+   13 + 2·count bytes.  Encode and decode work on one exact-size
+   [Bytes.t]; integer fields keep only their low 8/16/32 bits, exactly
+   as the {!Bytes_codec} writer would. *)
+let fixed_size = 13
+
+let set_u32 b off v =
+  Bytes.set_uint16_be b off ((v lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (off + 2) (v land 0xffff)
+
+let rec write_members b off = function
+  | [] -> ()
+  | m :: rest ->
+    Bytes.set_uint16_be b off (m land 0xffff);
+    write_members b (off + 2) rest
+
 let encode t =
-  let w = Bytes_codec.writer () in
-  Bytes_codec.u8 w (mtype_code t.mtype);
-  Bytes_codec.u16 w t.origin;
-  Bytes_codec.u16 w t.sender;
-  Bytes_codec.u32_of_int w t.group_id;
-  Bytes_codec.u16 w t.subject;
-  Bytes_codec.u16 w (List.length t.members);
-  List.iter (fun m -> Bytes_codec.u16 w m) t.members;
-  Bytes_codec.contents w
+  let count = List.length t.members in
+  let b = Bytes.create (fixed_size + (2 * count)) in
+  Bytes.set_uint8 b 0 (mtype_code t.mtype);
+  Bytes.set_uint16_be b 1 (t.origin land 0xffff);
+  Bytes.set_uint16_be b 3 (t.sender land 0xffff);
+  set_u32 b 5 t.group_id;
+  Bytes.set_uint16_be b 9 (t.subject land 0xffff);
+  Bytes.set_uint16_be b 11 (count land 0xffff);
+  write_members b fixed_size t.members;
+  b
 
+let rec read_members data i acc =
+  if i < 0 then acc
+  else read_members data (i - 1) (Bytes.get_uint16_be data (fixed_size + (2 * i)) :: acc)
+
+(* A short buffer is reported as truncated before the type code is
+   looked at, and bytes past the member list are ignored. *)
 let decode data =
-  match
-    let r = Bytes_codec.reader data in
-    let code = Bytes_codec.read_u8 r in
-    let origin = Bytes_codec.read_u16 r in
-    let sender = Bytes_codec.read_u16 r in
-    let group_id = Bytes_codec.read_u32_int r in
-    let subject = Bytes_codec.read_u16 r in
-    let count = Bytes_codec.read_u16 r in
-    let members = List.init count (fun _ -> Bytes_codec.read_u16 r) in
-    (code, origin, sender, group_id, subject, members)
-  with
-  | exception Bytes_codec.Truncated _ -> Error "gmp: truncated message"
-  | code, origin, sender, group_id, subject, members ->
-    (match mtype_of_code code with
-     | None -> Error (Printf.sprintf "gmp: unknown message type %d" code)
-     | Some mtype -> Ok { mtype; origin; sender; group_id; subject; members })
-
-let to_message t ~dst =
-  let msg = Message.create (encode t) in
-  Message.set_attr msg Pfi_netsim.Network.dst_attr dst;
-  Message.set_attr msg "proto" "gmp";
-  msg
+  let n = Bytes.length data in
+  if n < fixed_size then Error "gmp: truncated message"
+  else begin
+    let count = Bytes.get_uint16_be data 11 in
+    if n < fixed_size + (2 * count) then Error "gmp: truncated message"
+    else
+      let code = Bytes.get_uint8 data 0 in
+      match mtype_of_code code with
+      | None -> Error (Printf.sprintf "gmp: unknown message type %d" code)
+      | Some mtype ->
+        Ok
+          { mtype;
+            origin = Bytes.get_uint16_be data 1;
+            sender = Bytes.get_uint16_be data 3;
+            group_id = (Bytes.get_uint16_be data 5 lsl 16) lor Bytes.get_uint16_be data 7;
+            subject = Bytes.get_uint16_be data 9;
+            members = read_members data (count - 1) [] }
+  end
 
 let of_message msg = decode (Message.payload msg)
 

@@ -40,10 +40,6 @@ val mtype_of_code : int -> mtype option
 val encode : t -> Bytes.t
 val decode : Bytes.t -> (t, string) result
 
-val to_message : t -> dst:string -> Pfi_stack.Message.t
-(** Encodes into a network-addressed stack message (attribute
-    [proto=gmp]). *)
-
 val of_message : Pfi_stack.Message.t -> (t, string) result
 
 val describe : t -> string

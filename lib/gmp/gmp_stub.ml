@@ -13,34 +13,33 @@ let parse msg =
    fault filter inspects, so it validates the rel header in place and
    reads only the inner type code and member count instead of building
    the full {!Gmp_msg.t}.  Accept/reject is exactly [parse]'s: the
-   checksum check mirrors {!Rel_udp.unwrap}, and the inner packet is
+   checksum check is {!Rel_udp.inspect}'s, and the inner packet is
    typed only if {!Gmp_msg.decode} would succeed on it (fixed fields
    present, member list complete, known type code). *)
 let msg_type msg =
   let data = Message.payload msg in
-  match Rel_udp.inspect_header data with
-  | None -> "?"
-  | Some (kind, _) ->
-    if kind = Rel_udp.kind_ack then "RACK"
-    else if kind <> Rel_udp.kind_raw && kind <> Rel_udp.kind_data then "?"
+  let kind = Rel_udp.inspect_header data in
+  if kind < 0 then "?"
+  else if kind = Rel_udp.kind_ack then "RACK"
+  else if kind <> Rel_udp.kind_raw && kind <> Rel_udp.kind_data then "?"
+  else begin
+    (* inner layout: u8 code, u16 origin, u16 sender, u32 gid,
+       u16 subject, u16 count, count × u16 members = 13 + 2·count *)
+    let base = Rel_udp.header_size in
+    let inner_len = Bytes.length data - base in
+    if inner_len < 13 then "?"
     else begin
-      (* inner layout: u8 code, u16 origin, u16 sender, u32 gid,
-         u16 subject, u16 count, count × u16 members = 13 + 2·count *)
-      let base = Rel_udp.header_size in
-      let inner_len = Bytes.length data - base in
-      if inner_len < 13 then "?"
-      else begin
-        let count =
-          (Char.code (Bytes.get data (base + 11)) lsl 8)
-          lor Char.code (Bytes.get data (base + 12))
-        in
-        if inner_len < 13 + (2 * count) then "?"
-        else
-          match Gmp_msg.mtype_of_code (Char.code (Bytes.get data base)) with
-          | Some mtype -> Gmp_msg.mtype_to_string mtype
-          | None -> "?"
-      end
+      let count =
+        (Char.code (Bytes.get data (base + 11)) lsl 8)
+        lor Char.code (Bytes.get data (base + 12))
+      in
+      if inner_len < 13 + (2 * count) then "?"
+      else
+        match Gmp_msg.mtype_of_code (Char.code (Bytes.get data base)) with
+        | Some mtype -> Gmp_msg.mtype_to_string mtype
+        | None -> "?"
     end
+  end
 
 let describe msg =
   match parse msg with

@@ -12,7 +12,8 @@ type pending = {
   seq : int;
   dst : string;
   wire : Bytes.t;  (* encoded rel-data packet, ready to resend *)
-  attrs : (string * string) list;
+  wire_attrs : (string * string) list;
+      (* the attributes every transmitted copy carries, built once *)
   timer : Timer.t;
   mutable tries : int;
 }
@@ -25,96 +26,83 @@ type t = {
   mutable the_layer : Layer.t option;
   mutable next_seq : int;
   pending : (int, pending) Hashtbl.t;  (* by seq *)
-  seen : (string * int, unit) Hashtbl.t;  (* dedup of (src, seq) *)
+  src_ids : (string, int) Hashtbl.t;  (* peer name -> small id, for [seen] *)
+  seen : (int, unit) Hashtbl.t;  (* dedup of (src, seq), keyed by [seen_key] *)
   mutable gave_up : int;
 }
 
 let layer t = match t.the_layer with Some l -> l | None -> assert false
 
-(* 16-bit ones' complement over kind, seq and payload: the UDP checksum
-   this layer's real-world counterpart would have.  Corrupted packets
-   are dropped at unwrap, so fault-injected bit flips surface as loss,
-   not as garbage protocol input. *)
-let checksum ~kind ~seq payload =
+(* 16-bit ones' complement over kind, seq and payload bytes
+   [off, off + len) of [b]: the UDP checksum this layer's real-world
+   counterpart would have.  Corrupted packets are dropped on receipt, so
+   fault-injected bit flips surface as loss, not as garbage protocol
+   input. *)
+let checksum ~kind ~seq b off len =
   let sum = ref (kind + (seq land 0xffff) + ((seq lsr 16) land 0xffff)) in
-  Bytes.iter (fun ch -> sum := !sum + Char.code ch) payload;
+  for i = off to off + len - 1 do
+    sum := !sum + Char.code (Bytes.unsafe_get b i)
+  done;
   while !sum lsr 16 <> 0 do
     sum := (!sum land 0xffff) + (!sum lsr 16)
   done;
   lnot !sum land 0xffff
 
 let wrap ~kind ~seq payload =
-  let w = Bytes_codec.writer () in
-  Bytes_codec.u8 w kind;
-  Bytes_codec.u32_of_int w seq;
-  Bytes_codec.u16 w (checksum ~kind ~seq payload);
-  Bytes_codec.bytes w payload;
-  Bytes_codec.contents w
+  let n = Bytes.length payload in
+  let b = Bytes.create (header_size + n) in
+  Bytes.set_uint8 b 0 kind;
+  Bytes.set_uint16_be b 1 ((seq lsr 16) land 0xffff);
+  Bytes.set_uint16_be b 3 (seq land 0xffff);
+  Bytes.set_uint16_be b 5 (checksum ~kind ~seq payload 0 n);
+  Bytes.blit payload 0 b header_size n;
+  b
 
-let unwrap data =
-  if Bytes.length data < header_size then None
-  else begin
-    let r = Bytes_codec.reader data in
-    let kind = Bytes_codec.read_u8 r in
-    let seq = Bytes_codec.read_u32_int r in
-    let csum = Bytes_codec.read_u16 r in
-    let payload = Bytes_codec.read_rest r in
-    if checksum ~kind ~seq payload <> csum then None
-    else Some (kind, seq, payload)
-  end
+let header_seq data = (Bytes.get_uint16_be data 1 lsl 16) lor Bytes.get_uint16_be data 3
 
-let inspect data =
-  match unwrap data with
-  | None -> None
-  | Some (kind, seq, inner) ->
-    if kind = kind_raw then Some (`Raw, seq, inner)
-    else if kind = kind_data then Some (`Data, seq, inner)
-    else if kind = kind_ack then Some (`Ack, seq, inner)
-    else None
-
-(* Zero-allocation header validation for classification hot paths
-   (stub [msg_type] runs on every filtered message): same length and
-   checksum acceptance as {!unwrap}, but the checksum runs over the
-   payload bytes in place and nothing is copied out.  Returns the raw
-   (kind, seq) — the caller classifies the kind and may read the inner
-   payload directly at offset {!header_size}. *)
+(* Header validation in place: the kind byte of a packet that is long
+   enough and passes its checksum, or -1.  Nothing is allocated; the
+   sequence number is read with [header_seq] and the inner payload sits
+   at offset [header_size]. *)
 let inspect_header data =
   let n = Bytes.length data in
-  if n < header_size then None
+  if n < header_size then -1
   else begin
-    let kind = Char.code (Bytes.unsafe_get data 0) in
-    let seq =
-      (Char.code (Bytes.unsafe_get data 1) lsl 24)
-      lor (Char.code (Bytes.unsafe_get data 2) lsl 16)
-      lor (Char.code (Bytes.unsafe_get data 3) lsl 8)
-      lor Char.code (Bytes.unsafe_get data 4)
-    in
-    let csum =
-      (Char.code (Bytes.unsafe_get data 5) lsl 8)
-      lor Char.code (Bytes.unsafe_get data 6)
-    in
-    let sum = ref (kind + (seq land 0xffff) + ((seq lsr 16) land 0xffff)) in
-    for i = header_size to n - 1 do
-      sum := !sum + Char.code (Bytes.unsafe_get data i)
-    done;
-    while !sum lsr 16 <> 0 do
-      sum := (!sum land 0xffff) + (!sum lsr 16)
-    done;
-    if lnot !sum land 0xffff <> csum then None else Some (kind, seq)
+    let kind = Bytes.get_uint8 data 0 in
+    let csum = Bytes.get_uint16_be data 5 in
+    if checksum ~kind ~seq:(header_seq data) data header_size (n - header_size) <> csum
+    then -1
+    else kind
   end
+
+let inner data = Bytes.sub data header_size (Bytes.length data - header_size)
+
+let inspect data =
+  let kind = inspect_header data in
+  if kind = kind_raw then Some (`Raw, header_seq data, inner data)
+  else if kind = kind_data then Some (`Data, header_seq data, inner data)
+  else if kind = kind_ack then Some (`Ack, header_seq data, inner data)
+  else None
 
 let wrap_raw payload = wrap ~kind:kind_raw ~seq:0 payload
 
-let transmit t ~dst ~attrs wire =
-  let msg = Message.create (Bytes.copy wire) in
-  List.iter (fun (k, v) -> Message.set_attr msg k v) attrs;
-  Message.set_attr msg Pfi_netsim.Network.dst_attr dst;
-  Layer.send_down (layer t) msg
+(* What [Message.set_attr] applied to each of [attrs] in turn, then to
+   the destination, would leave on a fresh message. *)
+let wire_attrs ~dst attrs =
+  let set acc ((k, _) as kv) =
+    kv :: (if List.mem_assoc k acc then List.remove_assoc k acc else acc)
+  in
+  set
+    (List.fold_left set [] (List.remove_assoc Pfi_netsim.Network.dst_attr attrs))
+    (Pfi_netsim.Network.dst_attr, dst)
 
-let on_retry t seq () =
-  match Hashtbl.find_opt t.pending seq with
-  | None -> ()
-  | Some p ->
+let transmit t p =
+  Layer.send_down (layer t) (Message.create ~attrs:p.wire_attrs (Bytes.copy p.wire))
+
+let on_retry t seq =
+  match Hashtbl.find t.pending seq with
+  | exception Not_found -> ()
+  | p ->
     if p.tries >= t.max_retries then begin
       (* best effort exhausted: silently give up, like the original *)
       Hashtbl.remove t.pending seq;
@@ -124,70 +112,94 @@ let on_retry t seq () =
     end
     else begin
       p.tries <- p.tries + 1;
-      transmit t ~dst:p.dst ~attrs:p.attrs p.wire;
+      transmit t p;
       Timer.arm p.timer ~delay:t.retry_interval
     end
 
+let is_reliable msg =
+  match Message.find_attr msg reliable_attr with
+  | v -> String.equal v "1"
+  | exception Not_found -> false
+
 let on_push t msg =
   let dst =
-    match Message.get_attr msg Pfi_netsim.Network.dst_attr with
-    | Some d -> d
-    | None -> failwith "rel_udp: message has no destination"
+    match Message.find_attr msg Pfi_netsim.Network.dst_attr with
+    | d -> d
+    | exception Not_found -> failwith "rel_udp: message has no destination"
   in
-  let reliable = Message.get_attr msg reliable_attr = Some "1" in
-  if not reliable then begin
+  if not (is_reliable msg) then begin
     Message.set_payload msg (wrap ~kind:kind_raw ~seq:0 (Message.payload msg));
     Layer.send_down (layer t) msg
   end
   else begin
     t.next_seq <- t.next_seq + 1;
     let seq = t.next_seq in
-    let wire = wrap ~kind:kind_data ~seq (Message.payload msg) in
-    let attrs = List.remove_assoc Pfi_netsim.Network.dst_attr (Message.attrs msg) in
-    let timer =
-      Timer.create t.sim ~name:(Printf.sprintf "rel-%d" seq)
-        ~callback:(fun () -> on_retry t seq ())
+    let p =
+      { seq;
+        dst;
+        wire = wrap ~kind:kind_data ~seq (Message.payload msg);
+        wire_attrs = wire_attrs ~dst (Message.attrs msg);
+        timer = Timer.create t.sim ~name:"rel-retry" ~callback:(fun () -> on_retry t seq);
+        tries = 0 }
     in
-    let p = { seq; dst; wire; attrs; timer; tries = 0 } in
     Hashtbl.replace t.pending seq p;
-    transmit t ~dst ~attrs wire;
-    Timer.arm timer ~delay:t.retry_interval
+    transmit t p;
+    Timer.arm p.timer ~delay:t.retry_interval
   end
 
+(* (src, seq) folded into one int: a per-layer id for the peer name
+   above the 32-bit sequence number. *)
+let seen_key t src seq =
+  let id =
+    match Hashtbl.find t.src_ids src with
+    | id -> id
+    | exception Not_found ->
+      let id = Hashtbl.length t.src_ids in
+      Hashtbl.add t.src_ids src id;
+      id
+  in
+  (id lsl 32) lor seq
+
 let on_pop t msg =
-  match unwrap (Message.payload msg) with
-  | None -> ()  (* malformed: drop *)
-  | Some (kind, seq, inner) ->
+  let data = Message.payload msg in
+  let kind = inspect_header data in
+  if kind = kind_raw then begin
+    Message.set_payload msg (inner data);
+    Layer.deliver_up (layer t) msg
+  end
+  else if kind = kind_ack then begin
+    let seq = header_seq data in
+    match Hashtbl.find t.pending seq with
+    | p ->
+      Timer.disarm p.timer;
+      Hashtbl.remove t.pending seq
+    | exception Not_found -> ()
+  end
+  else if kind = kind_data then begin
+    let seq = header_seq data in
     let src =
-      Option.value (Message.get_attr msg Pfi_netsim.Network.src_attr) ~default:"?"
+      match Message.find_attr msg Pfi_netsim.Network.src_attr with
+      | s -> s
+      | exception Not_found -> "?"
     in
-    if kind = kind_raw then begin
-      Message.set_payload msg inner;
+    (* always (re-)acknowledge, deliver only the first copy *)
+    Layer.send_down (layer t)
+      (Message.create ~attrs:[ (Pfi_netsim.Network.dst_attr, src) ]
+         (wrap ~kind:kind_ack ~seq Bytes.empty));
+    let key = seen_key t src seq in
+    if not (Hashtbl.mem t.seen key) then begin
+      Hashtbl.replace t.seen key ();
+      Message.set_payload msg (inner data);
       Layer.deliver_up (layer t) msg
     end
-    else if kind = kind_ack then begin
-      match Hashtbl.find_opt t.pending seq with
-      | Some p ->
-        Timer.disarm p.timer;
-        Hashtbl.remove t.pending seq
-      | None -> ()
-    end
-    else if kind = kind_data then begin
-      (* always (re-)acknowledge, deliver only the first copy *)
-      let ack = Message.create (wrap ~kind:kind_ack ~seq Bytes.empty) in
-      Message.set_attr ack Pfi_netsim.Network.dst_attr src;
-      Layer.send_down (layer t) ack;
-      if not (Hashtbl.mem t.seen (src, seq)) then begin
-        Hashtbl.replace t.seen (src, seq) ();
-        Message.set_payload msg inner;
-        Layer.deliver_up (layer t) msg
-      end
-    end
+  end
+  (* anything else is malformed or of an unknown kind: drop *)
 
 let create ~sim ~node ?(retry_interval = Vtime.ms 500) ?(max_retries = 3) () =
   let t =
     { sim; node; retry_interval; max_retries; the_layer = None; next_seq = 0;
-      pending = Hashtbl.create 32; seen = Hashtbl.create 256; gave_up = 0 }
+      pending = Hashtbl.create 32; src_ids = Hashtbl.create 8;
+      seen = Hashtbl.create 256; gave_up = 0 }
   in
   let l =
     Layer.create ~name:"rel-udp" ~node

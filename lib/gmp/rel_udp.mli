@@ -45,12 +45,15 @@ val kind_data : int
 val kind_ack : int
 (** The wire kind bytes, for callers of {!inspect_header}. *)
 
-val inspect_header : Bytes.t -> (int * int) option
-(** Zero-allocation variant of {!inspect} for classification hot
+val inspect_header : Bytes.t -> int
+(** Allocation-free variant of {!inspect} for classification hot
     paths: validates the length and checksum in place (same acceptance
-    as {!inspect}) and returns the raw (kind, seq) without copying the
-    inner payload out.  The caller may read the payload directly at
-    offset {!header_size}.  None on malformed input. *)
+    as {!inspect}) and returns the raw kind byte (0–255), or [-1] on
+    malformed input.  Nothing is copied out: read the sequence number
+    with {!header_seq} and the inner payload at offset {!header_size}. *)
+
+val header_seq : Bytes.t -> int
+(** The sequence number of a packet {!inspect_header} accepted. *)
 
 val wrap_raw : Bytes.t -> Bytes.t
 (** Wraps a payload as an unreliable (raw) rel packet — for stubs that

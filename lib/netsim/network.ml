@@ -57,7 +57,8 @@ let partition t groups = t.groups <- Some groups
 let heal t = t.groups <- None
 let unplug t node = Hashtbl.replace t.unplugged node ()
 let replug t node = Hashtbl.remove t.unplugged node
-let is_unplugged t node = Hashtbl.mem t.unplugged node
+let is_unplugged t node =
+  Hashtbl.length t.unplugged > 0 && Hashtbl.mem t.unplugged node
 
 let sent_count t = t.sent
 let delivered_count t = t.delivered
@@ -112,13 +113,19 @@ let same_group t src dst =
     in
     find src = find dst
 
+(* The link tables are empty unless a test configures per-link
+   behaviour, so the per-transmission lookups skip them — and their
+   (src, dst) key tuples — entirely when they are. *)
+let link_find tbl ~src ~dst =
+  if Hashtbl.length tbl = 0 then None else Hashtbl.find_opt tbl (src, dst)
+
 let latency t ~src ~dst =
   let base =
-    match Hashtbl.find_opt t.latencies (src, dst) with
+    match link_find t.latencies ~src ~dst with
     | Some l -> l
     | None -> t.default_latency
   in
-  match Hashtbl.find_opt t.jitters (src, dst) with
+  match link_find t.jitters ~src ~dst with
   | None -> base
   | Some span ->
     let j = Rng.float t.rng (Vtime.to_sec_f span) in
@@ -145,21 +152,21 @@ let transmit t ~src ~dst msg =
       ~fields:
         [ ("src", src); ("dst", dst); ("len", string_of_int (Message.length msg)) ]
       (Printf.sprintf "to=%s len=%d" dst (Message.length msg));
-  if Hashtbl.mem t.unplugged src then drop t ~src ~dst msg "src-unplugged"
-  else if Hashtbl.mem t.unplugged dst then drop t ~src ~dst msg "dst-unplugged"
-  else if Hashtbl.mem t.blocked (src, dst) then drop t ~src ~dst msg "blocked"
+  if is_unplugged t src then drop t ~src ~dst msg "src-unplugged"
+  else if is_unplugged t dst then drop t ~src ~dst msg "dst-unplugged"
+  else if Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (src, dst) then drop t ~src ~dst msg "blocked"
   else if not (same_group t src dst) then drop t ~src ~dst msg "partitioned"
   else begin
     let lossy =
-      match Hashtbl.find_opt t.losses (src, dst) with
+      match link_find t.losses ~src ~dst with
       | Some rate -> Rng.bernoulli t.rng ~p:rate
       | None -> false
     in
     if lossy then drop t ~src ~dst msg "loss"
     else
-      match Hashtbl.find_opt t.devices dst with
-      | None -> drop t ~src ~dst msg "no-such-node"
-      | Some device ->
+      match Hashtbl.find t.devices dst with
+      | exception Not_found -> drop t ~src ~dst msg "no-such-node"
+      | device ->
         let delay = latency t ~src ~dst in
         let sent_at = Sim.now t.sim in
         let arrival = Vtime.add sent_at delay in
@@ -168,7 +175,7 @@ let transmit t ~src ~dst msg =
                (* the destination may have been unplugged in flight; the
                   MSC entry is only recorded here, once the outcome is
                   known, so dropped deliveries never render an arrow *)
-               if Hashtbl.mem t.unplugged dst then
+               if is_unplugged t dst then
                  drop t ~sent_at ~src ~dst msg "dst-unplugged"
                else begin
                  t.delivered <- t.delivered + 1;
@@ -192,9 +199,9 @@ let attach t ~node =
       { on_push =
           (fun _ msg ->
             let dst =
-              match Message.get_attr msg dst_attr with
-              | Some d -> d
-              | None -> failwith "network: message has no net.dst attribute"
+              match Message.find_attr msg dst_attr with
+              | d -> d
+              | exception Not_found -> failwith "network: message has no net.dst attribute"
             in
             if String.equal dst broadcast then
               List.iter

@@ -40,8 +40,17 @@ let peek t n =
 
 let get_attr t key = List.assoc_opt key t.attrs
 
+let find_attr t key = List.assoc key t.attrs
+
+(* [List.remove_assoc] rebuilds the list even when the key is absent,
+   which is the common case on the per-message path (a fresh wire
+   message gaining its destination, a delivery gaining its source), so
+   the copy is made only when there is something to remove. *)
 let set_attr t key value =
-  t.attrs <- (key, value) :: List.remove_assoc key t.attrs
+  let rest =
+    if List.mem_assoc key t.attrs then List.remove_assoc key t.attrs else t.attrs
+  in
+  t.attrs <- (key, value) :: rest
 
 let remove_attr t key = t.attrs <- List.remove_assoc key t.attrs
 

@@ -34,6 +34,11 @@ val peek : t -> int -> Bytes.t
 (** {1 Attributes} *)
 
 val get_attr : t -> string -> string option
+
+val find_attr : t -> string -> string
+(** {!get_attr} without the option box, for per-message lookups.
+    Raises [Not_found] if the attribute is absent. *)
+
 val set_attr : t -> string -> string -> unit
 val remove_attr : t -> string -> unit
 val attrs : t -> (string * string) list

@@ -485,6 +485,61 @@ let prop_trace_index_matches_scan =
           | _ -> false)
         queries)
 
+(* A cleared trace or event queue must not keep its previous entries
+   reachable: trial arenas reuse both for every trial a domain runs, so
+   a leftover slot would pin the last trial's lazy details, messages
+   and callbacks (and through them its whole simulation) until a later
+   trial happens to overwrite it. *)
+let collected_after_clear ~hold ~clear =
+  let w = Weak.create 1 in
+  (* the planted value is reachable only through what [hold] stores *)
+  let[@inline never] plant () =
+    let v = Bytes.make 64 'x' in
+    Weak.set w 0 (Some v);
+    hold v
+  in
+  plant ();
+  Gc.full_major ();
+  let held = Weak.check w 0 in
+  clear ();
+  Gc.full_major ();
+  (held, Weak.check w 0)
+
+let test_trace_clear_releases_entries () =
+  let tr = Trace.create () in
+  let held, after =
+    collected_after_clear
+      ~hold:(fun v ->
+        Trace.record tr ~time:Vtime.zero ~node:"n" ~tag:"before" "x";
+        Trace.record_lazy tr ~time:Vtime.zero ~node:"n" ~tag:"t"
+          (lazy (string_of_int (Bytes.length v))))
+      ~clear:(fun () -> Trace.clear tr)
+  in
+  Alcotest.(check bool) "held before the clear" true held;
+  Alcotest.(check bool) "collected after the clear" false after;
+  (* the trace itself stayed reachable throughout *)
+  Alcotest.(check int) "cleared" 0 (Trace.length tr)
+
+let test_queue_clear_releases_entries () =
+  List.iter
+    (fun pop ->
+      let q = Event_queue.create () in
+      let held, after =
+        collected_after_clear
+          ~hold:(fun v ->
+            ignore (Event_queue.push q ~time:(Vtime.sec 1) (fun () -> ignore (Bytes.length v)));
+            (* popping the only entry leaves its slot, now past the
+               live heap, still pointing at it *)
+            if pop then ignore (Event_queue.pop q))
+          ~clear:(fun () -> Event_queue.clear q)
+      in
+      let what = if pop then "popped" else "pending" in
+      Alcotest.(check bool) (what ^ ": held before the clear") true held;
+      Alcotest.(check bool) (what ^ ": collected after the clear") false after;
+      (* the queue itself stayed reachable throughout *)
+      Alcotest.(check bool) (what ^ ": cleared") true (Event_queue.is_empty q))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "vtime constructors" `Quick test_vtime_constructors;
@@ -504,6 +559,7 @@ let suite =
     Alcotest.test_case "queue peek" `Quick test_queue_peek;
     Alcotest.test_case "queue cancel compacts storage" `Quick test_queue_cancel_compacts;
     Alcotest.test_case "queue compaction keeps order" `Quick test_queue_compact_preserves_order;
+    Alcotest.test_case "queue clear releases entries" `Quick test_queue_clear_releases_entries;
     QCheck_alcotest.to_alcotest prop_queue_sorted;
     QCheck_alcotest.to_alcotest prop_queue_cancel_subset;
     Alcotest.test_case "sim clock advances" `Quick test_sim_clock_advances;
@@ -520,5 +576,6 @@ let suite =
     Alcotest.test_case "trace queries" `Quick test_trace_queries;
     Alcotest.test_case "trace fields roundtrip" `Quick test_trace_fields_roundtrip;
     Alcotest.test_case "trace jsonl export" `Quick test_trace_jsonl;
+    Alcotest.test_case "trace clear releases entries" `Quick test_trace_clear_releases_entries;
     QCheck_alcotest.to_alcotest prop_trace_index_matches_scan;
   ]

@@ -392,6 +392,42 @@ let test_gmp_stub_generate () =
       (Gmp_stub.stub.Stubs.msg_type msg)
   | None -> Alcotest.fail "generate failed"
 
+(* ------------------------------------------------------------------ *)
+(* The proclaim-forwarding storm trial                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The stock gmp-buggy campaign's send-side "delay each PROCLAIM by
+   1.5s" trial: after the filter clears at 300 s, the Table 7 loop runs
+   reliable PROCLAIMs back and forth until the horizon, so most of the
+   campaign's events — and allocation — happen here, on the plain
+   gmd -> rel_udp -> netsim path.  Its event and trace counts are pinned
+   to catch any change to what the trial does, and its minor-heap words
+   per fired event to catch the per-message path growing again: the
+   ceiling is 10% above the 103.4 words/event measured in the dev
+   profile (the release profile allocates about 4% less). *)
+let storm_words_per_event_ceiling = 113.8
+
+let test_storm_trial_counters () =
+  let open Pfi_testgen in
+  let ((module H : Harness_intf.HARNESS) as h) =
+    Gmp_harness.harness ~bugs:Gmd.all_bugs ()
+  in
+  let fault = Generator.Delay_each ("PROCLAIM", 1.5) in
+  let side = Campaign.Send_filter in
+  let seed = Campaign.trial_seed ~campaign_seed:H.default_seed ~side fault in
+  let w0 = Gc.minor_words () in
+  let o =
+    Campaign.run_trial h ~side ~horizon:H.default_horizon ~seed ~capture_trace:true fault
+  in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "sim events" 305_216 o.Campaign.sim_events;
+  Alcotest.(check int) "trace entries" 227_806
+    (match o.Campaign.trace with Some tr -> Trace.length tr | None -> -1);
+  let per_event = words /. float_of_int o.Campaign.sim_events in
+  if per_event > storm_words_per_event_ceiling then
+    Alcotest.failf "%.2f minor words per event, ceiling %.1f" per_event
+      storm_words_per_event_ceiling
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -411,6 +447,7 @@ let suite =
     Alcotest.test_case "self-death fixed" `Quick test_self_death_fixed;
     Alcotest.test_case "proclaim forwarding bug loops" `Quick test_proclaim_forwarding_bug_loops;
     Alcotest.test_case "proclaim forwarding fixed" `Quick test_proclaim_forwarding_fixed;
+    Alcotest.test_case "proclaim storm trial counters" `Quick test_storm_trial_counters;
     Alcotest.test_case "timer unset bug" `Quick test_timer_unset_bug;
     Alcotest.test_case "timer unset fixed" `Quick test_timer_unset_fixed;
     Alcotest.test_case "armed timers introspection" `Quick test_armed_timers_introspection;

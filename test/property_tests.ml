@@ -356,6 +356,46 @@ let trace_record_batch tr batch =
       Trace.record ~fields tr ~time:(Vtime.us t) ~node ~tag detail)
     batch
 
+(* The indexed queries, and the memo slots [record] resolves them
+   through, against a naive filter over [entries]: every (node?, tag?)
+   combination, including names that were never recorded. *)
+let trace_matches_naive tr =
+  let all = Trace.entries tr in
+  let indexed = List.mapi (fun i e -> (i, e)) all in
+  let opts a = None :: Some "absent" :: Array.to_list (Array.map Option.some a) in
+  let keep node tag (e : Trace.entry) =
+    (match node with Some n -> String.equal e.Trace.node n | None -> true)
+    && match tag with Some g -> String.equal e.Trace.tag g | None -> true
+  in
+  List.for_all
+    (fun node ->
+      List.for_all
+        (fun tag ->
+          let naive = List.filter (fun (_, e) -> keep node tag e) indexed in
+          let via_iter = ref [] and via_iteri = ref [] in
+          Trace.iter ?node ?tag (fun e -> via_iter := e :: !via_iter) tr;
+          Trace.iteri ?node ?tag (fun i e -> via_iteri := (i, e) :: !via_iteri) tr;
+          let same_as_naive same got =
+            List.compare_lengths got naive = 0 && List.for_all2 same (List.rev got) naive
+          in
+          same_as_naive (fun e (_, e') -> e == e') !via_iter
+          && same_as_naive (fun (i, e) (j, e') -> i = j && e == e') !via_iteri
+          && (match tag with
+              | Some tag -> Trace.count ?node ~tag tr = List.length naive
+              | None -> true)
+          &&
+          match (Trace.last ?node ?tag tr, List.rev naive) with
+          | None, [] -> true
+          | Some e, (_, e') :: _ -> e == e'
+          | _ -> false)
+        (opts trace_tags))
+    (opts trace_nodes)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
 let prop_trace_clear_reuse =
   QCheck.Test.make ~name:"cleared trace is byte-identical to a fresh one"
     ~count:200
@@ -404,9 +444,191 @@ let prop_trace_clear_reuse =
             (Trace.entries reused)
         | None -> true
       in
+      (* the memo restarts empty on every clear, so re-recording the
+         same batch costs the same words each time — what keeps a
+         warm campaign pass's allocation exact *)
+      let rerecord () =
+        minor_words_of (fun () ->
+            Trace.clear reused;
+            trace_record_batch reused second)
+      in
+      let w1 = rerecord () in
+      let w2 = rerecord () in
       Trace.to_jsonl reused = Trace.to_jsonl fresh
       && Trace.length reused = Trace.length fresh
-      && same_queries && same_last && intern_survives)
+      && same_queries && same_last && intern_survives
+      && trace_matches_naive reused && trace_matches_naive fresh
+      && w1 = w2)
+
+(* ------------------------------------------------------------------ *)
+(* Wire codecs against a Bytes_codec reference                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The GMP and rel-layer codecs as first written on the Buffer-backed
+   {!Bytes_codec} writer and bounds-checked reader.  The exact-size
+   codecs must produce and accept exactly what these do. *)
+module Ref_codec = struct
+  open Pfi_gmp
+
+  let encode (m : Gmp_msg.t) =
+    let w = Bytes_codec.writer () in
+    Bytes_codec.u8 w (Gmp_msg.mtype_code m.Gmp_msg.mtype);
+    Bytes_codec.u16 w m.Gmp_msg.origin;
+    Bytes_codec.u16 w m.Gmp_msg.sender;
+    Bytes_codec.u32_of_int w m.Gmp_msg.group_id;
+    Bytes_codec.u16 w m.Gmp_msg.subject;
+    Bytes_codec.u16 w (List.length m.Gmp_msg.members);
+    List.iter (fun v -> Bytes_codec.u16 w v) m.Gmp_msg.members;
+    Bytes_codec.contents w
+
+  let decode data =
+    match
+      let r = Bytes_codec.reader data in
+      let code = Bytes_codec.read_u8 r in
+      let origin = Bytes_codec.read_u16 r in
+      let sender = Bytes_codec.read_u16 r in
+      let group_id = Bytes_codec.read_u32_int r in
+      let subject = Bytes_codec.read_u16 r in
+      let count = Bytes_codec.read_u16 r in
+      let members = List.init count (fun _ -> Bytes_codec.read_u16 r) in
+      (code, origin, sender, group_id, subject, members)
+    with
+    | exception Bytes_codec.Truncated _ -> Error "gmp: truncated message"
+    | code, origin, sender, group_id, subject, members ->
+      (match Gmp_msg.mtype_of_code code with
+       | None -> Error (Printf.sprintf "gmp: unknown message type %d" code)
+       | Some mtype ->
+         Ok { Gmp_msg.mtype; origin; sender; group_id; subject; members })
+
+  let checksum ~kind ~seq payload =
+    let sum = ref (kind + (seq land 0xffff) + ((seq lsr 16) land 0xffff)) in
+    Bytes.iter (fun ch -> sum := !sum + Char.code ch) payload;
+    while !sum lsr 16 <> 0 do
+      sum := (!sum land 0xffff) + (!sum lsr 16)
+    done;
+    lnot !sum land 0xffff
+
+  let wrap ~kind ~seq payload =
+    let w = Bytes_codec.writer () in
+    Bytes_codec.u8 w kind;
+    Bytes_codec.u32_of_int w seq;
+    Bytes_codec.u16 w (checksum ~kind ~seq payload);
+    Bytes_codec.bytes w payload;
+    Bytes_codec.contents w
+
+  let unwrap data =
+    if Bytes.length data < Rel_udp.header_size then None
+    else begin
+      let r = Bytes_codec.reader data in
+      let kind = Bytes_codec.read_u8 r in
+      let seq = Bytes_codec.read_u32_int r in
+      let csum = Bytes_codec.read_u16 r in
+      let payload = Bytes_codec.read_rest r in
+      if checksum ~kind ~seq payload <> csum then None else Some (kind, seq, payload)
+    end
+
+  let inspect data =
+    match unwrap data with
+    | None -> None
+    | Some (kind, seq, inner) ->
+      if kind = 0 then Some (`Raw, seq, inner)
+      else if kind = 1 then Some (`Data, seq, inner)
+      else if kind = 2 then Some (`Ack, seq, inner)
+      else None
+end
+
+(* field values well outside the u16/u32 wire ranges, negative ones
+   included, next to in-range ones *)
+let wire_int_gen =
+  QCheck.Gen.(
+    oneof
+      [ int_bound 0xffff; int; int_range (-0x20000) 0x20000;
+        map (fun v -> v lor 0x1_0000_0000) (int_bound 0xffff_ffff) ])
+
+let gmp_msg_gen =
+  QCheck.Gen.(
+    oneofl
+      Pfi_gmp.Gmp_msg.
+        [ Heartbeat; Proclaim; Join; Membership_change; Mc_ack; Mc_nak; Commit; Dead ]
+    >>= fun mtype ->
+    quad wire_int_gen wire_int_gen wire_int_gen wire_int_gen
+    >>= fun (origin, sender, group_id, subject) ->
+    list_size (int_bound 6) wire_int_gen >>= fun members ->
+    return { Pfi_gmp.Gmp_msg.mtype; origin; sender; group_id; subject; members })
+
+let gmp_msg_print (m : Pfi_gmp.Gmp_msg.t) =
+  Printf.sprintf "%s origin=%d sender=%d gid=%d subject=%d members=[%s]"
+    (Pfi_gmp.Gmp_msg.mtype_to_string m.Pfi_gmp.Gmp_msg.mtype)
+    m.Pfi_gmp.Gmp_msg.origin m.Pfi_gmp.Gmp_msg.sender m.Pfi_gmp.Gmp_msg.group_id
+    m.Pfi_gmp.Gmp_msg.subject
+    (String.concat ";" (List.map string_of_int m.Pfi_gmp.Gmp_msg.members))
+
+let prop_encoders_match_reference =
+  QCheck.Test.make ~name:"gmp and rel encoders match the Bytes_codec reference"
+    ~count:500
+    (QCheck.make ~print:(fun (m, p) -> gmp_msg_print m ^ " payload=" ^ String.escaped p)
+       QCheck.Gen.(pair gmp_msg_gen (string_size ~gen:char (int_bound 24))))
+    (fun (m, payload) ->
+      let enc = Pfi_gmp.Gmp_msg.encode m in
+      let payload = Bytes.of_string payload in
+      Bytes.equal enc (Ref_codec.encode m)
+      && Bytes.equal (Pfi_gmp.Rel_udp.wrap_raw enc) (Ref_codec.wrap ~kind:0 ~seq:0 enc)
+      && Bytes.equal (Pfi_gmp.Rel_udp.wrap_raw payload)
+           (Ref_codec.wrap ~kind:0 ~seq:0 payload))
+
+(* Inputs for the decoders: arbitrary bytes, and encoded GMP messages,
+   bare or inside a rel packet of any kind byte and sequence number,
+   then truncated and/or with one bit flipped. *)
+let damaged_input_gen =
+  QCheck.Gen.(
+    let encoded =
+      gmp_msg_gen >>= fun m ->
+      let bare = Ref_codec.encode m in
+      oneof
+        [ return bare;
+          map2 (fun kind seq -> Ref_codec.wrap ~kind ~seq bare) (int_bound 3)
+            (int_bound 0xffff_ffff) ]
+    in
+    let damage b =
+      let n = Bytes.length b in
+      int_bound (max 0 (n - 1)) >>= fun cut ->
+      int_bound (max 0 ((8 * n) - 1)) >>= fun bit ->
+      oneofl [ `Keep; `Truncate; `Flip; `Both ] >>= fun how ->
+      let flip b =
+        let b = Bytes.copy b in
+        if Bytes.length b > 0 then begin
+          let i = bit / 8 mod Bytes.length b in
+          Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl (bit mod 8)))
+        end;
+        b
+      in
+      let truncate b = Bytes.sub b 0 (min cut (Bytes.length b)) in
+      return
+        (match how with
+         | `Keep -> b
+         | `Truncate -> truncate b
+         | `Flip -> flip b
+         | `Both -> truncate (flip b))
+    in
+    oneof
+      [ map Bytes.of_string (string_size ~gen:char (int_bound 40));
+        encoded >>= damage ])
+
+let prop_decoders_match_reference =
+  QCheck.Test.make ~name:"gmp and rel decoders match the reference on damaged input"
+    ~count:2000
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) damaged_input_gen)
+    (fun data ->
+      let total f = match f data with v -> Ok v | exception e -> Error e in
+      let header_ok =
+        match (total Pfi_gmp.Rel_udp.inspect_header, Ref_codec.unwrap data) with
+        | Ok kind, None -> kind = -1
+        | Ok kind, Some (k, seq, _) -> kind = k && Pfi_gmp.Rel_udp.header_seq data = seq
+        | Error _, _ -> false
+      in
+      total Pfi_gmp.Gmp_msg.decode = Ok (Ref_codec.decode data)
+      && total Pfi_gmp.Rel_udp.inspect = Ok (Ref_codec.inspect data)
+      && header_ok)
 
 let suite =
   [
@@ -419,4 +641,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_event_queue_model;
     QCheck_alcotest.to_alcotest prop_rng_int_uniform;
     QCheck_alcotest.to_alcotest prop_trace_clear_reuse;
+    QCheck_alcotest.to_alcotest prop_encoders_match_reference;
+    QCheck_alcotest.to_alcotest prop_decoders_match_reference;
   ]
