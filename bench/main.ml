@@ -1,56 +1,13 @@
-(* Regenerates every table and figure from the paper's evaluation
-   section, then (or on demand) runs Bechamel micro-benchmarks of the
-   tool's own machinery.
+(* Bechamel micro-benchmarks of the tool's own machinery: filter
+   evaluation, PFI traversal, the event queue, codecs, trace queries,
+   shrinking and repro serialization.
 
    Usage:
-     bench/main.exe              regenerate everything + micro-benchmarks
-     bench/main.exe table1       one artifact (table1..table8, figure4, exp5)
-     bench/main.exe micro        only the micro-benchmarks
-     bench/main.exe tables       all tables/figures, no micro-benchmarks
-     bench/main.exe scaling      campaign trials/sec at --jobs 1/2/4/8
-     bench/main.exe macro [OUT [SCENARIOS [MATRIX]]]
-                                 engine macro-benchmark: every stock
-                                 campaign at --jobs 1/2/4/8 plus the
-                                 .pfis corpus; writes BENCH_engine.json
-                                 (default OUT) and prints the table
-     bench/main.exe compare BASELINE NEW
-                                 regression gate: per-harness jobs=1
-                                 trials/sec and alloc deltas between two
-                                 macro-benchmark JSON files; exits 1 if
-                                 any harness regressed more than 20% *)
+     bench/main.exe [micro]
 
-open Pfi_experiments
-
-(* ------------------------------------------------------------------ *)
-(* Paper artifacts                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let artifacts : (string * (unit -> unit)) list =
-  [ ("table1", fun () -> Report.print (Tcp_experiments.table1 ()));
-    ("table2", fun () -> Report.print (Tcp_experiments.table2 ()));
-    ("figure4", fun () -> Report.print_figure (Tcp_experiments.figure4 ()));
-    ("table3", fun () -> Report.print (Tcp_experiments.table3 ()));
-    ("table4", fun () -> Report.print (Tcp_experiments.table4 ()));
-    ("exp5", fun () -> Report.print (Tcp_experiments.exp5_report ()));
-    ("table5", fun () -> Report.print (Gmp_experiments.table5 ()));
-    ("table6", fun () -> Report.print (Gmp_experiments.table6 ()));
-    ("table7", fun () -> Report.print (Gmp_experiments.table7 ()));
-    ("table8", fun () -> Report.print (Gmp_experiments.table8 ()));
-    ("ablation-karn", fun () -> Report.print (Ablations.table_karn ()));
-    ("ablation-counter", fun () -> Report.print (Ablations.table_counter ())) ]
-
-let run_artifact name =
-  match List.assoc_opt name artifacts with
-  | Some run ->
-    Printf.printf "== regenerating %s ==\n%!" name;
-    run ()
-  | None -> Printf.eprintf "unknown artifact %S\n" name
-
-let run_all_artifacts () = List.iter (fun (name, _) -> run_artifact name) artifacts
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks                                                   *)
-(* ------------------------------------------------------------------ *)
+   The repo benchmark (end-to-end and per-layer metrics with noise
+   bounds) is `sh perf/run.sh`; the paper's tables and figures come
+   from `pfi_run run`. *)
 
 open Bechamel
 open Toolkit
@@ -254,7 +211,7 @@ let micro_tests () =
     Test.make ~name:"repro artifact json encode+decode" (bench_repro_roundtrip ()) ]
 
 let run_micro () =
-  print_endline "\n== micro-benchmarks (Bechamel, ns/run via OLS) ==";
+  print_endline "== micro-benchmarks (Bechamel, ns/run via OLS) ==";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let instances = Instance.[ monotonic_clock ] in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -271,179 +228,9 @@ let run_micro () =
         (Test.elements test))
     (micro_tests ())
 
-(* ------------------------------------------------------------------ *)
-(* Parallel-executor scaling                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* wall-clock trials/sec of the abp-buggy campaign under the domain
-   executor at increasing worker counts.  The campaign is the same
-   deterministic workload at every width (same seed, same plan, same
-   byte output), so the only variable is the executor.  Speedups only
-   materialise with real cores: on a 1-CPU host every width runs at
-   sequential speed minus a little pool overhead. *)
-let run_scaling () =
-  let open Pfi_testgen in
-  Printf.printf
-    "\n== campaign scaling (abp-buggy, domain executor; %d core(s)) ==\n%!"
-    (Domain.recommended_domain_count ());
-  let (module H : Harness_intf.HARNESS) =
-    Option.get (Registry.find "abp-buggy")
-  in
-  let plan = Campaign.plan (module H : Harness_intf.HARNESS) in
-  let trials = List.length plan.Campaign.p_trials in
-  let time_at jobs =
-    let executor = Executor.of_jobs jobs in
-    let t0 = Unix.gettimeofday () in
-    let outcomes = (Campaign.run ~executor plan).Campaign.s_outcomes in
-    let dt = Unix.gettimeofday () -. t0 in
-    assert (List.length outcomes = trials);
-    (dt, Campaign.table outcomes)
-  in
-  (* warm-up run so allocation effects don't bias jobs=1 *)
-  ignore (time_at 1);
-  let base, base_summary = time_at 1 in
-  Printf.printf "  jobs=1  %6.2f s  %7.1f trials/sec  (baseline)\n%!" base
-    (float_of_int trials /. base);
-  List.iter
-    (fun jobs ->
-      let dt, summary = time_at jobs in
-      if not (String.equal summary base_summary) then
-        failwith
-          (Printf.sprintf "jobs=%d summary diverged from jobs=1" jobs);
-      Printf.printf "  jobs=%-2d %6.2f s  %7.1f trials/sec  (%.2fx)\n%!" jobs
-        dt
-        (float_of_int trials /. dt)
-        (base /. dt))
-    [ 2; 4; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* Engine macro-benchmark                                              *)
-(* ------------------------------------------------------------------ *)
-
-let run_macro args =
-  let out = match args with o :: _ -> o | [] -> "BENCH_engine.json" in
-  let scenario_dir =
-    match args with
-    | _ :: d :: _ -> d
-    | _ -> "test/scenarios"  (* the corpus, when run from the repo root *)
-  in
-  let matrix_spec =
-    match args with
-    | _ :: _ :: m :: _ -> m
-    | _ -> "test/matrix/registry_demo.pfim"
-  in
-  let bench = Engine_bench.run ~scenario_dir ~matrix_spec () in
-  Engine_bench.pp_summary Format.std_formatter bench;
-  Format.pp_print_flush Format.std_formatter ();
-  let oc = open_out out in
-  output_string oc (Engine_bench.to_string bench);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Compares two macro-benchmark JSON files (a committed baseline vs a
-   fresh run) on the numbers that are stable enough to gate on: per-
-   harness trials/sec at jobs=1 (parallel widths are scheduling- and
-   host-dependent) and allocated words per trial.  CI fails the build
-   when any harness loses more than [regression_threshold] of its
-   baseline throughput. *)
-
-let regression_threshold = 0.20
-
-let run_compare baseline_file new_file =
-  let module J = Pfi_testgen.Repro.Json in
-  let load file =
-    let ic = open_in_bin file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match J.parse s with
-    | Ok j -> j
-    | Error e -> failwith (Printf.sprintf "%s: parse error: %s" file e)
-  in
-  let campaigns j =
-    match J.member "campaigns" j with
-    | Some (J.List l) -> l
-    | _ -> failwith "no campaigns array"
-  in
-  let harness c = Option.bind (J.member "harness" c) J.to_str in
-  let tps1 c =
-    Option.bind (J.member "trials_per_sec" c) (fun o ->
-        Option.bind (J.member "1" o) J.to_float)
-  in
-  let alloc c = Option.bind (J.member "alloc_words_per_trial" c) J.to_float in
-  let base = load baseline_file and fresh = load new_file in
-  let fresh_by_name =
-    List.filter_map
-      (fun c -> Option.map (fun n -> (n, c)) (harness c))
-      (campaigns fresh)
-  in
-  Printf.printf "== bench compare: %s -> %s (jobs=1) ==\n" baseline_file
-    new_file;
-  Printf.printf "%-12s %12s %12s %8s   %14s %14s %8s\n" "harness"
-    "base tri/s" "new tri/s" "delta" "base w/tri" "new w/tri" "delta";
-  let failures = ref [] in
-  List.iter
-    (fun bc ->
-      match harness bc with
-      | None -> ()
-      | Some name ->
-        (match (List.assoc_opt name fresh_by_name, tps1 bc) with
-         | None, _ ->
-           failures := Printf.sprintf "%s: missing from %s" name new_file
-                       :: !failures
-         | Some nc, Some base_tps ->
-           let new_tps = Option.value (tps1 nc) ~default:0. in
-           let delta =
-             if base_tps > 0. then (new_tps -. base_tps) /. base_tps else 0.
-           in
-           let pct x = 100. *. x in
-           let alloc_cell v =
-             match v with Some a -> Printf.sprintf "%14.0f" a
-             | None -> Printf.sprintf "%14s" "-"
-           in
-           let alloc_delta =
-             match (alloc bc, alloc nc) with
-             | Some a, Some b when a > 0. ->
-               Printf.sprintf "%+7.1f%%" (pct ((b -. a) /. a))
-             | _ -> "       -"
-           in
-           Printf.printf "%-12s %12.1f %12.1f %+7.1f%%   %s %s %s\n" name
-             base_tps new_tps (pct delta)
-             (alloc_cell (alloc bc))
-             (alloc_cell (alloc nc))
-             alloc_delta;
-           if delta < -.regression_threshold then
-             failures :=
-               Printf.sprintf "%s: trials/sec regressed %.1f%% (limit %.0f%%)"
-                 name (pct (-.delta))
-                 (pct regression_threshold)
-               :: !failures
-         | Some _, None -> ()))
-    (campaigns base);
-  match List.rev !failures with
-  | [] -> Printf.printf "compare: OK (threshold %.0f%%)\n"
-            (100. *. regression_threshold)
-  | fs ->
-    List.iter (fun f -> Printf.printf "compare: FAIL: %s\n" f) fs;
-    exit 1
-
-(* ------------------------------------------------------------------ *)
-
 let () =
   match Array.to_list Sys.argv with
-  | [] | _ :: [] ->
-    run_all_artifacts ();
-    run_micro ()
-  | _ :: [ "micro" ] -> run_micro ()
-  | _ :: [ "tables" ] -> run_all_artifacts ()
-  | _ :: [ "scaling" ] -> run_scaling ()
-  | _ :: "macro" :: args -> run_macro args
-  | _ :: [ "compare"; baseline; fresh ] -> run_compare baseline fresh
-  | _ :: "compare" :: _ ->
-    prerr_endline "usage: bench/main.exe compare BASELINE NEW";
+  | [] | [ _ ] | [ _; "micro" ] -> run_micro ()
+  | _ ->
+    prerr_endline "usage: bench/main.exe [micro]";
     exit 2
-  | _ :: names -> List.iter run_artifact names

@@ -19,9 +19,22 @@ let number_start = function
   | '0' .. '9' | '+' | '-' | '.' | 'n' | 'N' | 'i' | 'I' -> true
   | _ -> false
 
+(* Bytes only OCaml's number syntax accepts: '_' digit separators, the
+   0o/0u prefixes and hex-float exponents.  The lexer below would split
+   such a string into several tokens, so it is not a number here. *)
+let ocaml_only = function
+  | '_' | 'o' | 'O' | 'u' | 'U' | 'p' | 'P' -> true
+  | _ -> false
+
+(* a plain loop: [String.exists] would allocate a closure per call on
+   the filter hot path *)
+let rec has_ocaml_only s i =
+  i < String.length s
+  && (ocaml_only (String.unsafe_get s i) || has_ocaml_only s (i + 1))
+
 let parse_number s =
   let s = String.trim s in
-  if s = "" || not (number_start s.[0]) then None
+  if s = "" || not (number_start s.[0]) || has_ocaml_only s 0 then None
   else
     match int_of_string_opt s with
     | Some i -> Some (Int i)

@@ -20,7 +20,7 @@
     numbering from 0 (see {!Pfi_engine.Event_queue.clear}), so a
     campaign run through arenas is byte-identical to one that builds
     every trial from nothing — the property [test/executor_tests.ml]
-    and the macro-benchmark's cross-jobs digest check both pin. *)
+    and the [perf/] benchmark's cross-width digest check both pin. *)
 
 open Pfi_engine
 

@@ -204,7 +204,7 @@ type summary = {
       (** the executor's accumulated scheduling counters, snapshotted
           after the trials ran — purely observational (never part of
           {!table} or any digest), surfaced by [pfi_run --stats] and
-          the macro-benchmark's timing section *)
+          the [perf/] benchmark's executor metrics *)
 }
 
 val run :

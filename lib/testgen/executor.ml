@@ -94,40 +94,21 @@ let make_sequential () =
 
 let sequential = make_sequential ()
 
-(* How a pooled worker sizes each claim. *)
-type schedule =
-  | Guided  (* shrinking claims: remaining / (2 * workers), floor 1 *)
-  | Fixed of int  (* constant chunk *)
-  | Derived  (* constant chunk sized from the input: n / (4 * jobs) *)
-
-let derived_chunk ~jobs n = max 1 (n / (4 * jobs))
-
 (* The shared work queue is just an atomic cursor over the input array:
    a worker claims a run of consecutive indexes per fetch-and-add and
    writes each result into its own slot, so the output order is the
    input order no matter which domain finishes when.  Slots are
    published to the caller by [Domain.join]'s happens-before edge. *)
-let pooled_map ~jobs ~schedule cell f items =
+let pooled_map ~jobs cell f items =
   let input = Array.of_list items in
   let n = Array.length input in
   if n = 0 then []  (* nothing to claim — spawn no domains at all *)
   else begin
-    let step =
-      match schedule with
-      | Fixed c -> Some (max 1 c)
-      | Derived -> Some (derived_chunk ~jobs n)
-      | Guided -> None
-    in
-    (* clamp the worker count (this domain + spawned) so no worker can
-       find the cursor already exhausted on its first claim: [jobs]
-       beyond the chunk count would only spawn idle domains.
+    (* clamp the worker count (this domain + spawned) to the item
+       count: [jobs] beyond it would only spawn idle domains.
        [exec_name]/[width] keep reporting the requested width — the
        clamp is per-map, the executor is not. *)
-    let nworkers =
-      match step with
-      | Some s -> min jobs ((n + s - 1) / s)
-      | None -> min jobs n
-    in
+    let nworkers = min jobs n in
     let results = Array.make n (Error Uninitialized) in
     let wstats = Array.make nworkers zero_ws in
     let cursor = Atomic.make 0 in
@@ -135,19 +116,13 @@ let pooled_map ~jobs ~schedule cell f items =
       let claims = ref 0 and items_run = ref 0 and busy = ref 0.0 in
       let continue = ref true in
       while !continue do
-        let take =
-          match step with
-          | Some s -> s
-          | None ->
-            (* guided self-scheduling: claim a fraction of the work
-               still unclaimed, so early claims are large (amortizing
-               the atomic) and tail claims shrink toward 1 (balancing
-               stragglers).  The pre-read is advisory — a stale value
-               only mis-sizes this claim; the [fetch_and_add] below is
-               the real allocation, so no index is ever handed out
-               twice or skipped. *)
-            max 1 ((n - Atomic.get cursor) / (2 * nworkers))
-        in
+        (* guided self-scheduling: claim a fraction of the work still
+           unclaimed, so early claims are large (amortizing the atomic)
+           and tail claims shrink toward 1 (balancing stragglers).  The
+           pre-read is advisory — a stale value only mis-sizes this
+           claim; the [fetch_and_add] below is the real allocation, so
+           no index is ever handed out twice or skipped. *)
+        let take = max 1 ((n - Atomic.get cursor) / (2 * nworkers)) in
         let lo = Atomic.fetch_and_add cursor take in
         if lo >= n then continue := false
         else begin
@@ -176,29 +151,14 @@ let pooled_map ~jobs ~schedule cell f items =
     Array.to_list results
   end
 
-let pooled ~exec_name ~jobs ~schedule =
+let domains ?jobs () =
+  let jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
+  let exec_name = Printf.sprintf "domains(%d)" jobs in
   let cell = ref (zero_stats exec_name) in
   { exec_name;
     width = jobs;
-    try_map = (fun f items -> pooled_map ~jobs ~schedule cell f items);
+    try_map = (fun f items -> pooled_map ~jobs cell f items);
     stats_cell = cell }
-
-let domains ?jobs () =
-  let jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
-  pooled ~exec_name:(Printf.sprintf "domains(%d)" jobs) ~jobs ~schedule:Guided
-
-let chunked ?jobs ?chunk () =
-  let jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
-  match chunk with
-  | Some c ->
-    let c = max 1 c in
-    pooled
-      ~exec_name:(Printf.sprintf "chunked(%d,%d)" jobs c)
-      ~jobs ~schedule:(Fixed c)
-  | None ->
-    pooled
-      ~exec_name:(Printf.sprintf "chunked(%d,auto)" jobs)
-      ~jobs ~schedule:Derived
 
 let of_jobs jobs = if jobs <= 1 then make_sequential () else domains ~jobs ()
 

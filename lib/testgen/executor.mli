@@ -5,8 +5,8 @@
     system from its own derived seed ({!Campaign.trial_seed}), so
     trials share no state and their verdicts cannot depend on execution
     order.  An executor decides only {e how} that list is mapped —
-    sequentially, across a pool of OCaml 5 domains, or in batches — and
-    always yields results in input order, so campaign summaries and
+    sequentially or across a pool of OCaml 5 domains — and always
+    yields results in input order, so campaign summaries and
     trace exports are byte-identical for any worker count.
 
     The type is a first-class record of a polymorphic mapping function,
@@ -93,21 +93,6 @@ val domains : ?jobs:int -> unit -> t
     the input array and the atomic cursor.  Runners must not rely
     on process-global hooks such as [Sim.set_create_hook] (see its
     documentation). *)
-
-val chunked : ?jobs:int -> ?chunk:int -> unit -> t
-(** Like {!domains}, but workers claim a {e constant} [chunk] of
-    consecutive trials per cursor operation.  When [chunk] is omitted
-    it is derived per map as [max 1 (n / (4 * jobs))] — four claims
-    per worker on average, enough batching to amortize dispatch while
-    still leaving tail slack — which is the sensible default when
-    trial costs are roughly uniform.  An explicit [chunk] pins the
-    batch size (useful for tests and very short trials).  With
-    [jobs = 1] this is {!sequential} plus batching. *)
-
-val derived_chunk : jobs:int -> int -> int
-(** The chunk {!chunked} derives for an [n]-item map when [chunk] is
-    omitted: [max 1 (n / (4 * jobs))].  Exposed so tests and tuning
-    experiments can pin the heuristic. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the runtime's estimate of

@@ -99,7 +99,12 @@ let parse_duration ~line tok =
     | "h" -> 3_600_000_000.0
     | _ -> err line tok "unknown duration unit (use us|ms|s|m|h)"
   in
-  Vtime.us (int_of_float (v *. mult_us))
+  let us = v *. mult_us in
+  (* [int_of_float] is unspecified past [max_int] (on x86-64 it yields
+     0), which would silently turn a huge duration into a zero one *)
+  if not (us < float_of_int Vtime.infinity) then
+    err line tok "duration out of range";
+  Vtime.us (int_of_float us)
 
 let parse_int ~line tok =
   match int_of_string_opt tok with

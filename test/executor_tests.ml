@@ -35,16 +35,21 @@ let test_domains_slow_trial_no_reorder () =
   Alcotest.(check (list int)) "slow first trial lands in slot 0" (items 16)
     (Executor.map (Executor.domains ~jobs:4 ()) slow (items 16))
 
-let test_chunked_matches_sequential () =
+(* guided claims at every width against the sequential map, over input
+   sizes below, at and well above the worker count *)
+let test_domains_match_sequential () =
   let f i = (i * 37) mod 11 in
-  let expected = Executor.map Executor.sequential f (items 33) in
   List.iter
-    (fun (jobs, chunk) ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunked jobs=%d chunk=%d" jobs chunk)
-        expected
-        (Executor.map (Executor.chunked ~jobs ~chunk ()) f (items 33)))
-    [ (1, 1); (1, 4); (2, 4); (4, 5); (4, 100) ]
+    (fun n ->
+      let expected = Executor.map Executor.sequential f (items n) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "domains jobs=%d n=%d" jobs n)
+            expected
+            (Executor.map (Executor.domains ~jobs ()) f (items n)))
+        [ 1; 2; 4; 8 ])
+    [ 0; 1; 7; 33; 100 ]
 
 let test_more_jobs_than_items () =
   Alcotest.(check (list int)) "jobs > items" (items 3)
@@ -96,21 +101,6 @@ let test_empty_map_spawns_nothing () =
   Alcotest.(check int) "no map recorded" 0 st.Executor.st_maps;
   Alcotest.(check (list int)) "still maps afterwards" (items 8)
     (Executor.map executor (fun i -> i) (items 8))
-
-(* the derived default chunk: `chunked ~jobs ()` sizes claims from the
-   input as n / (4*jobs), so it needs no hand-tuned chunk yet still
-   matches the sequential results *)
-let test_chunked_auto_derived () =
-  let executor = Executor.chunked ~jobs:4 () in
-  Alcotest.(check string) "auto name" "chunked(4,auto)"
-    (Executor.name executor);
-  let f i = (i * 37) mod 11 in
-  Alcotest.(check (list int)) "auto chunk matches sequential"
-    (List.map f (items 33))
-    (Executor.map executor f (items 33));
-  (* and the derived size itself: floor 1, else n/(4*jobs) *)
-  Alcotest.(check int) "derived floor" 1 (Executor.derived_chunk ~jobs:8 3);
-  Alcotest.(check int) "derived 64/(4*4)" 4 (Executor.derived_chunk ~jobs:4 64)
 
 (* scheduling stats: items are conserved across workers, worker 0 is
    the calling domain, and the spawn counter matches the clamp *)
@@ -165,8 +155,7 @@ let test_no_lost_trials_on_exception () =
               (i mod 3 = 1)
           | Error e -> raise e)
         results)
-    [ Executor.sequential; Executor.domains ~jobs:3 ();
-      Executor.chunked ~jobs:2 ~chunk:2 () ]
+    [ Executor.sequential; Executor.domains ~jobs:3 () ]
 
 let test_map_reraises_first_by_index () =
   (* item 2 fails; on a pool, item 7's failure may complete first, but
@@ -319,13 +308,11 @@ let suite =
       test_domains_in_order;
     Alcotest.test_case "slow trial does not reorder results" `Quick
       test_domains_slow_trial_no_reorder;
-    Alcotest.test_case "chunked executor matches sequential" `Quick
-      test_chunked_matches_sequential;
+    Alcotest.test_case "domain pool matches sequential" `Quick
+      test_domains_match_sequential;
     Alcotest.test_case "more workers than trials" `Quick test_more_jobs_than_items;
     Alcotest.test_case "empty map spawns no domains" `Quick
       test_empty_map_spawns_nothing;
-    Alcotest.test_case "chunked auto derives its chunk" `Quick
-      test_chunked_auto_derived;
     Alcotest.test_case "scheduling stats conserve items" `Quick
       test_stats_accounting;
     Alcotest.test_case "clamp: no idle domains when items < jobs" `Quick

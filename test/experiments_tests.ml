@@ -284,45 +284,21 @@ with newline" ]
     {|{"id":"Figure 0","title":"t","x_label":"x","y_label":"y","series":[{"label":"s","points":[[1,2.5],[2,64]]}]}|}
     (Report.figure_to_json fig)
 
-(* the engine macro-benchmark is a pure function of seeds and code once
-   wall-clock fields are stripped: two runs must serialise identically,
-   and the verdict digests must not depend on the worker count (checked
-   internally by Engine_bench.run, re-asserted here across runs) *)
-let test_engine_bench_deterministic () =
-  (* dune runs the suite from test/; tolerate a repo-root cwd too *)
-  let scenario_dir =
-    if Sys.file_exists "scenarios" then "scenarios" else "test/scenarios"
-  in
-  let matrix_spec =
-    if Sys.file_exists "matrix/tiny.pfim" then "matrix/tiny.pfim"
-    else "test/matrix/tiny.pfim"
-  in
-  let run () =
-    Engine_bench.run ~jobs:[ 1; 2 ] ~harnesses:[ "abp"; "abp-buggy" ]
-      ~scenario_dir ~matrix_spec ()
-  in
-  let a = run () and b = run () in
-  Alcotest.(check string) "identical JSON modulo timing fields"
-    (Engine_bench.to_string ~include_timing:false a)
-    (Engine_bench.to_string ~include_timing:false b);
-  Alcotest.(check bool) "scenario corpus was found and ran" true
-    (match a.Engine_bench.b_scenarios with
-     | Some sb -> sb.Engine_bench.sb_count > 0
-     | None -> false);
-  Alcotest.(check bool) "matrix expansion was benchmarked" true
-    (match a.Engine_bench.b_gen with
-     | Some gb -> gb.Engine_bench.gb_count > 0
-     | None -> false);
-  (* the timing-included document is still valid JSON *)
-  (match Pfi_testgen.Repro.Json.parse (Engine_bench.to_string a) with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "BENCH_engine.json does not parse: %s" e)
+(* every artifact is a pure function of seeds and code: regenerating a
+   TCP and a GMP table in one process must serialise identically *)
+let test_reports_deterministic () =
+  List.iter
+    (fun (name, table) ->
+      let a = Report.to_json (table ()) in
+      Alcotest.(check string) (name ^ " regenerates identically") a
+        (Report.to_json (table ())))
+    [ ("Table 1", Tcp_experiments.table1); ("Table 7", Gmp_experiments.table7) ]
 
 let suite =
   [
     Alcotest.test_case "report to_json" `Quick test_report_to_json;
-    Alcotest.test_case "engine macro-benchmark is deterministic" `Slow
-      test_engine_bench_deterministic;
+    Alcotest.test_case "reports regenerate identically" `Slow
+      test_reports_deterministic;
     Alcotest.test_case "table1: BSD vendors" `Slow test_table1_bsd;
     Alcotest.test_case "table1: Solaris" `Slow test_table1_solaris;
     Alcotest.test_case "table2: BSD adaptation (6.5/8/5 s)" `Slow test_table2_adaptation;

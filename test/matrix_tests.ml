@@ -170,7 +170,10 @@ let test_parse_errors () =
   check_matrix_error ~line:4 ~token:"inject" ~reason:"@TIME"
     (group_src "inject receive ACK bit=1");
   check_matrix_error ~line:4 ~token:"gravity"
-    (group_src "gravity well")
+    (group_src "gravity well");
+  check_matrix_error ~line:4 ~token:"99999999999999999999h"
+    ~reason:"out of range"
+    (group_src "horizon 99999999999999999999h")
 
 (* a wrong group line must surface at its .pfim line, not at a line of
    the assembled intermediate scenario text *)

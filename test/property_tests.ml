@@ -630,6 +630,96 @@ let prop_decoders_match_reference =
       && total Pfi_gmp.Rel_udp.inspect = Ok (Ref_codec.inspect data)
       && header_ok)
 
+(* The Guard fast path: a single-[if] filter on [msg_type cur_msg]
+   skips the interpreter whenever the type cannot equal the literal.
+   The same filter behind a no-op prefix command is guard-ineligible,
+   so it is always interpreted; both must deliver, drop, delay and
+   duplicate exactly the same messages at the same times. *)
+let guard_lit_gen =
+  QCheck.Gen.(
+    let head = "ABCDHKMPSTXY_" and tail = "ABCDHKMPSTXY_-0123456789" in
+    map2
+      (fun c rest -> String.make 1 c ^ rest)
+      (map (String.get head) (int_bound (String.length head - 1)))
+      (string_size ~gen:(map (String.get tail) (int_bound (String.length tail - 1)))
+         (int_bound 5)))
+
+(* message types relative to the literal: equal, near misses, numeric
+   lookalikes, and values carrying brace or backslash bytes *)
+let guard_type_gen lit =
+  QCheck.Gen.(
+    let n = String.length lit in
+    frequency
+      [ (3, return lit);
+        ( 4,
+          oneof
+            [ map (fun s -> lit ^ s) (oneofl [ "X"; "_"; " "; "0" ]);
+              map (fun s -> s ^ lit) (oneofl [ "X"; " "; "-" ]);
+              return (if n > 1 then String.sub lit 0 (n - 1) else lit ^ lit);
+              return (String.lowercase_ascii lit);
+              map
+                (fun i -> String.mapi (fun j c -> if j = i then 'Z' else c) lit)
+                (int_bound (n - 1)) ] );
+        (2, oneofl [ "0"; "1"; "1.0"; "-2"; "0x1F"; "1e3"; " 7"; "inf"; "nan" ]);
+        ( 2,
+          oneof
+            [ return (lit ^ "{"); return ("}" ^ lit); return ("{" ^ lit ^ "}");
+              return ("\\" ^ lit); return "a\\b" ] ) ])
+
+let guard_case_gen =
+  QCheck.Gen.(
+    guard_lit_gen >>= fun lit ->
+    oneofl [ "xDrop cur_msg"; "xDelay cur_msg 0.5"; "xDup cur_msg"; "" ]
+    >>= fun body ->
+    list_size (int_range 1 12) (guard_type_gen lit) >>= fun types ->
+    return (lit, body, types))
+
+let guard_filter lit body =
+  Printf.sprintf "if {[msg_type cur_msg] == \"%s\"} {%s}" lit body
+
+(* push one message per type through a send filter; the stub's
+   [msg_type] is the payload itself *)
+let guard_run filter types =
+  let open Pfi_engine in
+  let open Pfi_stack in
+  let module P = Pfi_core.Pfi_layer in
+  let sim = Sim.create ~seed:1L () in
+  let stub = { Pfi_core.Stubs.raw with Pfi_core.Stubs.msg_type = Message.to_string } in
+  let pfi = P.create ~sim ~node:"n" ~stub () in
+  let delivered = ref [] in
+  let sink =
+    Layer.create ~name:"sink" ~node:"n"
+      { on_push =
+          (fun _ m -> delivered := (Sim.now sim, Message.to_string m) :: !delivered);
+        on_pop = (fun _ _ -> ()) }
+  in
+  Layer.link ~upper:(P.layer pfi) ~lower:sink;
+  P.set_send_filter pfi filter;
+  match
+    List.iter (fun ty -> Layer.push (P.layer pfi) (Message.of_string ty)) types;
+    Sim.run sim
+  with
+  | () ->
+    let s = P.send_stats pfi in
+    Ok (List.rev !delivered, s.P.passed, s.P.dropped, s.P.delayed, s.P.duplicated)
+  | exception e -> Error (Printexc.to_string e)
+
+let prop_guard_matches_interpreter =
+  QCheck.Test.make ~name:"guard-skipped filter matches the interpreted filter"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (lit, body, types) ->
+         Printf.sprintf "filter=%s types=[%s]" (guard_filter lit body)
+           (String.concat "; " (List.map String.escaped types)))
+       guard_case_gen)
+    (fun (lit, body, types) ->
+      let filter = guard_filter lit body in
+      let compiled = Pfi_script.Interp.compile filter in
+      let interpreted = "set _g 0\n" ^ filter in
+      Pfi_script.Guard.analyze compiled <> None
+      && Pfi_script.Guard.analyze (Pfi_script.Interp.compile interpreted) = None
+      && guard_run filter types = guard_run interpreted types)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parser_total;
@@ -643,4 +733,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_trace_clear_reuse;
     QCheck_alcotest.to_alcotest prop_encoders_match_reference;
     QCheck_alcotest.to_alcotest prop_decoders_match_reference;
+    QCheck_alcotest.to_alcotest prop_guard_matches_interpreter;
   ]

@@ -207,7 +207,13 @@ let test_set_get () =
   check_eval "set returns value" "42" "set x 42";
   check_eval "set then read" "42" "set x 42\nset x";
   check_eval "dollar substitution" "42" "set x 42\nexpr {$x}";
-  check_eval "braces block substitution" "$x" "set x 42\nset y {$x}\nset y"
+  check_eval "braces block substitution" "$x" "set x 42\nset y {$x}\nset y";
+  (* OCaml-only number syntax is a string, not a number the expression
+     lexer would split apart *)
+  check_eval "underscore value compares as a string" "0"
+    "set x -_9\nexpr {$x == \"_9\"}";
+  check_eval "0o value compares as a string" "1"
+    "set x 0o17\nexpr {$x != 15}"
 
 let test_unset () =
   check_error "reading unset var fails" "set x 1\nunset x\nset x";
