@@ -169,6 +169,14 @@ let float_arg what s =
   | Some f -> f
   | None -> script_error "%s: expected number but got %S" what s
 
+(* [Vtime.of_sec_f] truncates through [int_of_float], which gives 0 for
+   NaN and past [max_int]: a delay out of range would fire at once. *)
+let delay_arg what s =
+  let secs = float_arg what s in
+  if not (secs *. 1e6 < float_of_int Vtime.infinity) then
+    script_error "%s: delay out of range: %S" what s;
+  Vtime.of_sec_f secs
+
 let int_arg what s =
   match int_of_string_opt s with
   | Some i -> i
@@ -261,8 +269,8 @@ let bind_commands t interp dir =
   r "xDelay" (fun _ args ->
       match args with
       | [ h; seconds ] ->
-        let s = float_arg "xDelay" seconds in
-        current_only "xDelay" h (fun ctx -> ctx.verdict <- V_delay (Vtime.of_sec_f s));
+        let delay = delay_arg "xDelay" seconds in
+        current_only "xDelay" h (fun ctx -> ctx.verdict <- V_delay delay);
         ""
       | _ -> script_error "usage: xDelay cur_msg seconds");
   r "xHold" (fun _ args ->
@@ -306,7 +314,7 @@ let bind_commands t interp dir =
     | [ h ] | [ h; _ ] ->
       let delay =
         match args with
-        | [ _; seconds ] -> Vtime.of_sec_f (float_arg name seconds)
+        | [ _; seconds ] -> delay_arg name seconds
         | _ -> Vtime.zero
       in
       let msg =
@@ -331,7 +339,7 @@ let bind_commands t interp dir =
   r "timer_set" (fun _ args ->
       match args with
       | [ name; seconds; script ] ->
-        let delay = Vtime.of_sec_f (float_arg "timer_set" seconds) in
+        let delay = delay_arg "timer_set" seconds in
         (match Hashtbl.find_opt t.timers name with
          | Some old -> Timer.disarm old
          | None -> ());

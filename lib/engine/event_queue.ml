@@ -1,230 +1,180 @@
-type state = Pending | Cancelled | Fired
-
-type handle = { mutable state : state }
-
-type 'a entry = {
-  time : Vtime.t;
-  seq : int;
-  h : handle;
-  value : 'a;
-}
+(* An indexed binary heap over flat arrays.  Heap order lives in three
+   [int] arrays: [times] and [seqs] hold the key of the entry at each
+   heap position and [slots] the slot that holds its value.  A slot
+   records the value, the entry's current heap position (so [cancel]
+   can find it) and a generation that advances whenever the slot is
+   freed.  A handle is the slot index tagged with the generation it was
+   issued under: once the entry fires, is cancelled or is cleared, the
+   generations differ and the handle is inert, even after the slot has
+   been reused.  Sifting moves only integers, and the one pointer array
+   is written twice per entry: when it is pushed and when its slot is
+   freed. *)
 
 type 'a t = {
-  mutable heap : 'a entry array;
-  mutable len : int;
-  mutable high : int;  (* slots written since the last clear *)
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable len : int;  (* pending entries: heap positions [0, len) *)
+  mutable values : 'a array;
+  mutable pos : int array;
+  mutable gens : int array;
+  mutable free : int array;  (* freed slots, a stack [nslots - len] deep *)
+  mutable nslots : int;  (* slots handed out since the last clear *)
   mutable next_seq : int;
-  mutable live : int;
 }
 
-let create () = { heap = [||]; len = 0; high = 0; next_seq = 0; live = 0 }
+type handle = int
 
-let null_handle = { state = Fired }
+(* 2^30 slots is beyond any queue that fits in memory; the remaining 32
+   bits of a non-negative int carry the generation. *)
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+let gen_mask = max_int lsr slot_bits
 
-(* Filler for every slot outside the live heap.  Its value is never
-   read — only slots below [len] are — so one unit-valued entry serves
-   queues of every element type; what matters is that a filler slot
-   keeps nothing of a previous trial reachable. *)
-let inert_entry = { time = 0; seq = 0; h = null_handle; value = () }
-let inert () : 'a entry = Obj.magic inert_entry
+let null_handle = -1
 
-let is_empty t = t.live = 0
-let size t = t.live
-let physical_size t = t.len
+(* Filler for every value slot that holds no pending entry.  It is never
+   read, so one immediate serves queues of every element type; what
+   matters is that a freed slot keeps nothing of its callback (or the
+   simulation it reaches) alive.  Being an immediate, it also keeps
+   [Array.make] from ever building a flat float array. *)
+let inert () : 'a = Obj.magic ()
 
-let entry_lt a b =
-  let c = Vtime.compare a.time b.time in
-  if c <> 0 then c < 0 else a.seq < b.seq
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; len = 0; values = [||]; pos = [||];
+    gens = [||]; free = [||]; nslots = 0; next_seq = 0 }
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
+let is_empty t = t.len = 0
+let size t = t.len
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_lt t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+let grow t =
+  let cap = Int.max 16 (2 * Array.length t.times) in
+  if cap - 1 > slot_mask then invalid_arg "Event_queue.push: too many pending events";
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.values <- extend t.values (inert ());
+  t.pos <- extend t.pos 0;
+  t.gens <- extend t.gens 0;
+  t.free <- extend t.free 0
+
+let place t i time seq slot =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot;
+  t.pos.(slot) <- i
+
+(* Whether the key (time, seq) orders before the entry at position [j].
+   Sequence numbers are unique, so keys never tie. *)
+let before t time seq j =
+  let tj = t.times.(j) in
+  time < tj || (time = tj && seq < t.seqs.(j))
+
+(* Both sifts carry the moving entry's key in registers and write it
+   once, at its final position. *)
+let rec sift_up t i time seq slot =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before t time seq parent then begin
+    place t i t.times.(parent) t.seqs.(parent) t.slots.(parent);
+    sift_up t parent time seq slot
+  end
+  else place t i time seq slot
+
+let rec sift_down t i time seq slot =
+  let l = (2 * i) + 1 in
+  if l >= t.len then place t i time seq slot
+  else begin
+    let r = l + 1 in
+    let c = if r < t.len && before t t.times.(r) t.seqs.(r) l then r else l in
+    if before t time seq c then place t i time seq slot
+    else begin
+      place t i t.times.(c) t.seqs.(c) t.slots.(c);
+      sift_down t c time seq slot
     end
   end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = i in
-  let smallest = if l < t.len && entry_lt t.heap.(l) t.heap.(smallest) then l else smallest in
-  let smallest = if r < t.len && entry_lt t.heap.(r) t.heap.(smallest) then r else smallest in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
-  end
-
-(* Grow the backing array once to hold [extra] more entries (doubling,
-   so repeated batches stay amortised O(1) per entry). *)
-let ensure_capacity t extra =
-  let needed = t.len + extra in
-  if Array.length t.heap < needed then begin
-    let rec cap c = if c >= needed then c else cap (2 * c) in
-    let heap = Array.make (cap (Stdlib.max 16 (Array.length t.heap))) (inert ()) in
-    Array.blit t.heap 0 heap 0 t.len;
-    t.heap <- heap
-  end;
-  if needed > t.high then t.high <- needed
 
 let push t ~time value =
-  let h = { state = Pending } in
-  let entry = { time; seq = t.next_seq; h; value } in
-  t.next_seq <- t.next_seq + 1;
-  ensure_capacity t 1;
-  t.heap.(t.len) <- entry;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1);
-  t.live <- t.live + 1;
-  h
-
-let push_batch t items =
-  match items with
-  | [] -> []
-  | _ :: _ ->
-    let n = List.length items in
-    ensure_capacity t n;
-    let handles =
-      List.map
-        (fun (time, value) ->
-          let h = { state = Pending } in
-          let entry = { time; seq = t.next_seq; h; value } in
-          t.next_seq <- t.next_seq + 1;
-          t.heap.(t.len) <- entry;
-          t.len <- t.len + 1;
-          h)
-        items
-    in
-    t.live <- t.live + n;
-    (* Appended entries sit past the old heap; sifting them up in append
-       order is exactly equivalent to sequential pushes (sift_up only
-       reads ancestors, and unsifted entries are never ancestors).  For
-       bulk loads a bottom-up heapify is O(len) instead of O(n log len);
-       either way pop order is fixed by the total (time, seq) order, so
-       the choice never shows through the interface. *)
-    if n < t.len / 4 then
-      for i = t.len - n to t.len - 1 do
-        sift_up t i
-      done
-    else
-      for i = (t.len / 2) - 1 downto 0 do
-        sift_down t i
-      done;
-    handles
-
-(* Rebuild the heap with only the pending entries.  Lazy reclamation
-   alone frees a cancelled entry only when it reaches the heap top, so
-   long-dated cancelled timers (re-armed retransmit timers, say) would
-   otherwise accumulate without bound. *)
-let compact t =
-  let dst = ref 0 in
-  for i = 0 to t.len - 1 do
-    let e = t.heap.(i) in
-    if e.h.state = Pending then begin
-      t.heap.(!dst) <- e;
-      incr dst
+  let slot =
+    if t.nslots > t.len then t.free.(t.nslots - t.len - 1)
+    else begin
+      if t.nslots = Array.length t.times then grow t;
+      let s = t.nslots in
+      t.nslots <- s + 1;
+      s
     end
-  done;
-  t.len <- !dst;
-  for i = (t.len / 2) - 1 downto 0 do
-    sift_down t i
-  done
+  in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  t.values.(slot) <- value;
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i time seq slot;
+  (t.gens.(slot) lsl slot_bits) lor slot
 
-let compact_threshold = 64
+(* Removes the entry at heap position [i]: the last entry fills the
+   hole and moves whichever way its key requires. *)
+let remove_at t i =
+  let last = t.len - 1 in
+  t.len <- last;
+  if i < last then begin
+    let time = t.times.(last) and seq = t.seqs.(last) and slot = t.slots.(last) in
+    if i > 0 && before t time seq ((i - 1) / 2) then sift_up t i time seq slot
+    else sift_down t i time seq slot
+  end
+
+(* Frees a slot whose entry has just left the heap. *)
+let release t slot =
+  t.values.(slot) <- inert ();
+  t.gens.(slot) <- (t.gens.(slot) + 1) land gen_mask;
+  t.free.(t.nslots - t.len - 1) <- slot
 
 let cancel t h =
-  match h.state with
-  | Pending ->
-    h.state <- Cancelled;
-    t.live <- t.live - 1;
-    if t.len >= compact_threshold && 2 * t.live < t.len then compact t
-  | Cancelled | Fired -> ()
-
-let pop_top t =
-  let top = t.heap.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.heap.(0) <- t.heap.(t.len);
-    sift_down t 0
-  end;
-  top
-
-(* Discard cancelled entries sitting at the top of the heap. *)
-let rec drain_dead t =
-  if t.len > 0 && t.heap.(0).h.state = Cancelled then begin
-    ignore (pop_top t);
-    drain_dead t
+  let slot = h land slot_mask in
+  if h >= 0 && slot < t.nslots && t.gens.(slot) = h lsr slot_bits then begin
+    remove_at t t.pos.(slot);
+    release t slot
   end
 
-let peek_time t =
-  drain_dead t;
-  if t.len = 0 then None else Some t.heap.(0).time
+let peek_time t = if t.len = 0 then None else Some t.times.(0)
+
+let take_top t =
+  let slot = t.slots.(0) in
+  let value = t.values.(slot) in
+  remove_at t 0;
+  release t slot;
+  value
 
 let pop t =
-  drain_dead t;
   if t.len = 0 then None
-  else begin
-    let top = pop_top t in
-    top.h.state <- Fired;
-    t.live <- t.live - 1;
-    Some (top.time, top.value)
-  end
+  else
+    let time = t.times.(0) in
+    Some (time, take_top t)
 
-(* Callback form of [pop_until]: passes the entry straight to [k]
-   instead of boxing it in [Some (time, value)].  The driving loop in
-   {!Sim.run} pops every scheduled event exactly once, so the saved
-   tuple allocation is per-event. *)
 let pop_until_k t ~until k =
-  drain_dead t;
-  if t.len = 0 then false
+  if t.len = 0 || t.times.(0) > until then false
   else begin
-    let top = t.heap.(0) in
-    if Vtime.(top.time > until) then false
-    else begin
-      ignore (pop_top t);
-      top.h.state <- Fired;
-      t.live <- t.live - 1;
-      k top.time top.value;
-      true
-    end
+    let time = t.times.(0) in
+    k time (take_top t);
+    true
   end
 
-(* Forget every entry while keeping the backing array, so a reused
-   queue pushes without re-growing.  Surviving entries are marked
-   Cancelled first: a handle retained across the clear must stay inert
-   (a late [cancel] on it would otherwise corrupt the live count).
-   Every slot written since the last clear — live entries and the
-   popped or compacted-away ones left behind past [len] — is then
-   overwritten with the inert filler, so the old callbacks (and the
-   simulation they reach) can be collected.  [next_seq] restarts at 0 —
-   a cleared queue must order same-time pushes exactly like a fresh
-   one. *)
+(* Pending entries are forgotten by advancing their slots' generations
+   (freed slots advanced theirs when they were freed), so every handle
+   issued before the clear is inert; their values are overwritten with
+   the filler.  Slots are then handed out again from 0 and [next_seq]
+   restarts at 0, so a cleared queue orders same-time pushes exactly
+   like a fresh one. *)
 let clear t =
   for i = 0 to t.len - 1 do
-    let e = t.heap.(i) in
-    if e.h.state = Pending then e.h.state <- Cancelled
+    let slot = t.slots.(i) in
+    t.values.(slot) <- inert ();
+    t.gens.(slot) <- (t.gens.(slot) + 1) land gen_mask
   done;
-  Array.fill t.heap 0 t.high (inert ());
   t.len <- 0;
-  t.high <- 0;
-  t.live <- 0;
+  t.nslots <- 0;
   t.next_seq <- 0
-
-let pop_until t ~until =
-  drain_dead t;
-  if t.len = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    if Vtime.(top.time > until) then None
-    else begin
-      ignore (pop_top t);
-      top.h.state <- Fired;
-      t.live <- t.live - 1;
-      Some (top.time, top.value)
-    end
-  end

@@ -95,17 +95,6 @@ let cancel t handle = Event_queue.cancel t.queue handle
 
 let null_handle = Event_queue.null_handle
 
-let pending t = Event_queue.size t.queue
-
-let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, callback) ->
-    t.clock <- time;
-    t.events <- t.events + 1;
-    callback ();
-    true
-
 let stop t = t.stopping <- true
 
 let run ?(until = Vtime.infinity) ?(max_events = 10_000_000) t =

@@ -7,7 +7,7 @@
 
 type t
 
-type handle
+type handle [@@immediate]
 (** A scheduled callback, for cancellation. *)
 
 type scratch
@@ -96,17 +96,12 @@ val cancel : t -> handle -> unit
 val null_handle : handle
 (** A handle that is never pending ({!Event_queue.null_handle}). *)
 
-val pending : t -> int
-
 val events : t -> int
 (** Callbacks fired over the simulation's lifetime (monotonic across
     {!run} calls).  The numerator of the engine benchmark's events/sec
     figure. *)
 
 (** {1 Running} *)
-
-val step : t -> bool
-(** Fires the single earliest event.  False if the queue was empty. *)
 
 val run : ?until:Vtime.t -> ?max_events:int -> t -> unit
 (** Runs until the queue is empty, the clock would pass [until], or

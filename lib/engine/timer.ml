@@ -13,8 +13,8 @@ type t = {
   mutable self_fire : unit -> unit;
 }
 
-(* Armed-ness lives in the handle itself rather than in options, so a
-   re-arm allocates only the scheduled event. *)
+(* Armed-ness lives in the handle itself rather than in options; the
+   handle is an immediate, so a re-arm allocates nothing. *)
 let is_armed t = t.handle != Sim.null_handle
 
 let disarm t =

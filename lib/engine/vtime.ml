@@ -19,14 +19,14 @@ let add = ( + )
 let sub = ( - )
 let mul t n = t * n
 let div t n = t / n
-let min : t -> t -> t = Stdlib.min
-let max : t -> t -> t = Stdlib.max
-let compare : t -> t -> int = Stdlib.compare
+let min = Int.min
+let max = Int.max
+let compare = Int.compare
 let ( < ) : t -> t -> bool = Stdlib.( < )
 let ( <= ) : t -> t -> bool = Stdlib.( <= )
 let ( > ) : t -> t -> bool = Stdlib.( > )
 let ( >= ) : t -> t -> bool = Stdlib.( >= )
-let equal : t -> t -> bool = Stdlib.( = )
+let equal = Int.equal
 
 let clamp ~lo ~hi t = min hi (max lo t)
 

@@ -57,7 +57,7 @@ type t = {
   sim : Sim.t;
   node_name : string;
   self_id : int;
-  names : (int, string) Hashtbl.t;
+  names : string Int_table.t;
   universe : int list;  (* every potential member, sorted, includes self *)
   config : config;
   mutable the_layer : Layer.t option;
@@ -76,9 +76,9 @@ type t = {
       (* everyone who has shared a committed view with us: the peers a
          leader re-proclaims to after losing them (a leader does not
          court strangers — they proclaim to us) *)
-  timers : (string, Timer.t) Hashtbl.t;
-  callbacks : (string, unit -> unit) Hashtbl.t;
-  expect_names : (int, string) Hashtbl.t;
+  timers : Timer.t String_table.t;
+  callbacks : (unit -> unit) String_table.t;
+  expect_names : string Int_table.t;
       (* memoized "expect_<id>" timer names: one heartbeat receive per
          peer per interval would otherwise sprintf a fresh name each
          time *)
@@ -138,45 +138,45 @@ let fire t timer_name =
         t.missed <- timer_name :: t.missed
     end
     else
-      match Hashtbl.find_opt t.callbacks timer_name with
+      match String_table.find_opt t.callbacks timer_name with
       | Some callback -> callback ()
       | None -> ()
   end
 
 let set_timer t timer_name ~delay callback =
-  Hashtbl.replace t.callbacks timer_name callback;
+  String_table.replace t.callbacks timer_name callback;
   let timer =
-    match Hashtbl.find_opt t.timers timer_name with
+    match String_table.find_opt t.timers timer_name with
     | Some timer -> timer
     | None ->
       let timer =
         Timer.create t.sim ~name:timer_name ~callback:(fun () -> fire t timer_name)
       in
-      Hashtbl.replace t.timers timer_name timer;
+      String_table.replace t.timers timer_name timer;
       timer
   in
   Timer.arm timer ~delay
 
 let disarm_timer t timer_name =
-  match Hashtbl.find_opt t.timers timer_name with
+  match String_table.find_opt t.timers timer_name with
   | Some timer -> Timer.disarm timer
   | None -> ()
 
 let disarm_all_timers t =
-  Hashtbl.iter (fun _ timer -> Timer.disarm timer) t.timers
+  String_table.iter (fun _ timer -> Timer.disarm timer) t.timers
 
 let armed_timers t =
-  Hashtbl.fold
+  String_table.fold
     (fun name timer acc -> if Timer.is_armed timer then name :: acc else acc)
     t.timers []
   |> List.sort compare
 
 let expect_timer_name t peer_id =
-  match Hashtbl.find_opt t.expect_names peer_id with
+  match Int_table.find_opt t.expect_names peer_id with
   | Some name -> name
   | None ->
     let name = Printf.sprintf "expect_%d" peer_id in
-    Hashtbl.add t.expect_names peer_id name;
+    Int_table.add t.expect_names peer_id name;
     name
 
 (* The unset-all-timeouts routine with the Table 8 bug: the NULL test is
@@ -202,7 +202,7 @@ let proto_attr = ("proto", "gmp")
 let reliable_attr = (Rel_udp.reliable_attr, "1")
 
 let send t ?(reliable = true) ~dst_id (msg : Gmp_msg.t) =
-  match Hashtbl.find t.names dst_id with
+  match Int_table.find t.names dst_id with
   | exception Not_found ->
     (* a message referenced an id outside the known universe (possible
        under byzantine corruption): log and drop rather than crash *)
@@ -254,7 +254,7 @@ let rec adopt_view t ~group_id ~members =
      expect timers of departed members are disarmed so they cannot fire
      stale *)
   set_timer t "hb_send" ~delay:t.config.hb_interval (fun () -> heartbeat_tick t);
-  Hashtbl.iter
+  String_table.iter
     (fun name timer ->
       if String.length name > 7 && String.sub name 0 7 = "expect_" then
         match int_of_string_opt (String.sub name 7 (String.length name - 7)) with
@@ -522,8 +522,8 @@ and handle_message t (m : Gmp_msg.t) =
          expect name is semantically constant (expect_expired on that
          peer), so once both tables hold the name a bare re-arm skips
          the closure allocation and the two table writes *)
-      match Hashtbl.find_opt t.timers name with
-      | Some timer when Hashtbl.mem t.callbacks name ->
+      match String_table.find_opt t.timers name with
+      | Some timer when String_table.mem t.callbacks name ->
         Timer.arm timer ~delay:t.config.hb_timeout
       | _ ->
         set_timer t name ~delay:t.config.hb_timeout
@@ -598,9 +598,9 @@ and handle_message t (m : Gmp_msg.t) =
 (* ------------------------------------------------------------------ *)
 
 let create ~sim ~node ~id ~peers ?(config = default_config) () =
-  let names = Hashtbl.create 8 in
-  Hashtbl.replace names id node;
-  List.iter (fun (name, peer_id) -> Hashtbl.replace names peer_id name) peers;
+  let names = Int_table.create 8 in
+  Int_table.replace names id node;
+  List.iter (fun (name, peer_id) -> Int_table.replace names peer_id name) peers;
   let universe = List.sort_uniq compare (id :: List.map snd peers) in
   let t =
     { sim;
@@ -622,9 +622,9 @@ let create ~sim ~node ~id ~peers ?(config = default_config) () =
       self_down = false;
       next_gid = 0;
       ever_members = [ id ];
-      timers = Hashtbl.create 16;
-      callbacks = Hashtbl.create 16;
-      expect_names = Hashtbl.create 8;
+      timers = String_table.create 16;
+      callbacks = String_table.create 16;
+      expect_names = Int_table.create 8;
       history = [];
       fwd_memo = { m_origin = 0; m_leader = 0; m_text = "" };
       loop_memo = { m_origin = 0; m_leader = 0; m_text = "" } }
@@ -658,7 +658,7 @@ let resume t =
   t.missed <- [];
   List.iter
     (fun timer_name ->
-      match Hashtbl.find_opt t.callbacks timer_name with
+      match String_table.find_opt t.callbacks timer_name with
       | Some callback -> callback ()
       | None -> ())
     missed

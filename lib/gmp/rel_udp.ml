@@ -25,9 +25,9 @@ type t = {
   max_retries : int;
   mutable the_layer : Layer.t option;
   mutable next_seq : int;
-  pending : (int, pending) Hashtbl.t;  (* by seq *)
-  src_ids : (string, int) Hashtbl.t;  (* peer name -> small id, for [seen] *)
-  seen : (int, unit) Hashtbl.t;  (* dedup of (src, seq), keyed by [seen_key] *)
+  pending : pending Int_table.t;  (* by seq *)
+  src_ids : int String_table.t;  (* peer name -> small id, for [seen] *)
+  seen : unit Int_table.t;  (* dedup of (src, seq), keyed by [seen_key] *)
   mutable gave_up : int;
 }
 
@@ -89,23 +89,20 @@ let wrap_raw payload = wrap ~kind:kind_raw ~seq:0 payload
 (* What [Message.set_attr] applied to each of [attrs] in turn, then to
    the destination, would leave on a fresh message. *)
 let wire_attrs ~dst attrs =
-  let set acc ((k, _) as kv) =
-    kv :: (if List.mem_assoc k acc then List.remove_assoc k acc else acc)
-  in
-  set
-    (List.fold_left set [] (List.remove_assoc Pfi_netsim.Network.dst_attr attrs))
+  Message.with_attr
+    (List.fold_left Message.with_attr [] attrs)
     (Pfi_netsim.Network.dst_attr, dst)
 
 let transmit t p =
   Layer.send_down (layer t) (Message.create ~attrs:p.wire_attrs (Bytes.copy p.wire))
 
 let on_retry t seq =
-  match Hashtbl.find t.pending seq with
+  match Int_table.find t.pending seq with
   | exception Not_found -> ()
   | p ->
     if p.tries >= t.max_retries then begin
       (* best effort exhausted: silently give up, like the original *)
-      Hashtbl.remove t.pending seq;
+      Int_table.remove t.pending seq;
       t.gave_up <- t.gave_up + 1;
       Sim.record t.sim ~node:t.node ~tag:"rel.give-up"
         (Printf.sprintf "seq=%d dst=%s" p.seq p.dst)
@@ -142,7 +139,7 @@ let on_push t msg =
         timer = Timer.create t.sim ~name:"rel-retry" ~callback:(fun () -> on_retry t seq);
         tries = 0 }
     in
-    Hashtbl.replace t.pending seq p;
+    Int_table.replace t.pending seq p;
     transmit t p;
     Timer.arm p.timer ~delay:t.retry_interval
   end
@@ -151,11 +148,11 @@ let on_push t msg =
    above the 32-bit sequence number. *)
 let seen_key t src seq =
   let id =
-    match Hashtbl.find t.src_ids src with
+    match String_table.find t.src_ids src with
     | id -> id
     | exception Not_found ->
-      let id = Hashtbl.length t.src_ids in
-      Hashtbl.add t.src_ids src id;
+      let id = String_table.length t.src_ids in
+      String_table.add t.src_ids src id;
       id
   in
   (id lsl 32) lor seq
@@ -169,10 +166,10 @@ let on_pop t msg =
   end
   else if kind = kind_ack then begin
     let seq = header_seq data in
-    match Hashtbl.find t.pending seq with
+    match Int_table.find t.pending seq with
     | p ->
       Timer.disarm p.timer;
-      Hashtbl.remove t.pending seq
+      Int_table.remove t.pending seq
     | exception Not_found -> ()
   end
   else if kind = kind_data then begin
@@ -187,8 +184,8 @@ let on_pop t msg =
       (Message.create ~attrs:[ (Pfi_netsim.Network.dst_attr, src) ]
          (wrap ~kind:kind_ack ~seq Bytes.empty));
     let key = seen_key t src seq in
-    if not (Hashtbl.mem t.seen key) then begin
-      Hashtbl.replace t.seen key ();
+    if not (Int_table.mem t.seen key) then begin
+      Int_table.replace t.seen key ();
       Message.set_payload msg (inner data);
       Layer.deliver_up (layer t) msg
     end
@@ -198,8 +195,8 @@ let on_pop t msg =
 let create ~sim ~node ?(retry_interval = Vtime.ms 500) ?(max_retries = 3) () =
   let t =
     { sim; node; retry_interval; max_retries; the_layer = None; next_seq = 0;
-      pending = Hashtbl.create 32; src_ids = Hashtbl.create 8;
-      seen = Hashtbl.create 256; gave_up = 0 }
+      pending = Int_table.create 32; src_ids = String_table.create 8;
+      seen = Int_table.create 256; gave_up = 0 }
   in
   let l =
     Layer.create ~name:"rel-udp" ~node
@@ -209,5 +206,5 @@ let create ~sim ~node ?(retry_interval = Vtime.ms 500) ?(max_retries = 3) () =
   t.the_layer <- Some l;
   t
 
-let pending_count t = Hashtbl.length t.pending
+let pending_count t = Int_table.length t.pending
 let give_up_count t = t.gave_up

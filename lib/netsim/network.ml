@@ -10,7 +10,7 @@ type link_key = string * string
 type t = {
   sim : Sim.t;
   rng : Rng.t;
-  devices : (string, Layer.t) Hashtbl.t;
+  devices : Layer.t String_table.t;
   mutable default_latency : Vtime.t;
   latencies : (link_key, Vtime.t) Hashtbl.t;
   jitters : (link_key, Vtime.t) Hashtbl.t;
@@ -28,7 +28,7 @@ type t = {
 let create ?(default_latency = Vtime.ms 1) sim =
   { sim;
     rng = Rng.split (Sim.rng sim);
-    devices = Hashtbl.create 16;
+    devices = String_table.create 16;
     default_latency;
     latencies = Hashtbl.create 16;
     jitters = Hashtbl.create 16;
@@ -45,7 +45,7 @@ let create ?(default_latency = Vtime.ms 1) sim =
 let sim t = t.sim
 
 let nodes t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.devices [])
+  List.sort String.compare (String_table.fold (fun k _ acc -> k :: acc) t.devices [])
 
 let set_default_latency t l = t.default_latency <- l
 let set_latency t ~src ~dst l = Hashtbl.replace t.latencies (src, dst) l
@@ -164,7 +164,7 @@ let transmit t ~src ~dst msg =
     in
     if lossy then drop t ~src ~dst msg "loss"
     else
-      match Hashtbl.find t.devices dst with
+      match String_table.find t.devices dst with
       | exception Not_found -> drop t ~src ~dst msg "no-such-node"
       | device ->
         let delay = latency t ~src ~dst in
@@ -192,7 +192,7 @@ let transmit t ~src ~dst msg =
   end
 
 let attach t ~node =
-  if Hashtbl.mem t.devices node then
+  if String_table.mem t.devices node then
     failwith (Printf.sprintf "network: node %s already attached" node);
   let device =
     Layer.create ~name:"device" ~node
@@ -212,5 +212,5 @@ let attach t ~node =
             else transmit t ~src:node ~dst msg);
         on_pop = (fun _ _ -> failwith "network device layer: nothing below") }
   in
-  Hashtbl.replace t.devices node device;
+  String_table.replace t.devices node device;
   device

@@ -38,21 +38,35 @@ let peek t n =
   let n = min n (Bytes.length t.payload) in
   Bytes.sub t.payload 0 n
 
-let get_attr t key = List.assoc_opt key t.attrs
+(* Attribute keys compare with [String.equal]; the association-list
+   functions of [List] would reach polymorphic compare on every
+   lookup. *)
+let rec assoc key = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if String.equal k key then v else assoc key rest
 
-let find_attr t key = List.assoc key t.attrs
+let rec mem key = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k key || mem key rest
 
-(* [List.remove_assoc] rebuilds the list even when the key is absent,
-   which is the common case on the per-message path (a fresh wire
-   message gaining its destination, a delivery gaining its source), so
-   the copy is made only when there is something to remove. *)
-let set_attr t key value =
-  let rest =
-    if List.mem_assoc key t.attrs then List.remove_assoc key t.attrs else t.attrs
-  in
-  t.attrs <- (key, value) :: rest
+let rec remove key = function
+  | [] -> []
+  | ((k, _) as kv) :: rest -> if String.equal k key then rest else kv :: remove key rest
 
-let remove_attr t key = t.attrs <- List.remove_assoc key t.attrs
+let get_attr t key = match assoc key t.attrs with v -> Some v | exception Not_found -> None
+
+let find_attr t key = assoc key t.attrs
+
+(* [remove] copies the list even when the key is absent, which is the
+   common case on the per-message path (a fresh wire message gaining its
+   destination, a delivery gaining its source), so the copy is made only
+   when there is something to remove. *)
+let with_attr attrs ((key, _) as kv) =
+  kv :: (if mem key attrs then remove key attrs else attrs)
+
+let set_attr t key value = t.attrs <- with_attr t.attrs (key, value)
+
+let remove_attr t key = t.attrs <- remove key t.attrs
 
 let attrs t = t.attrs
 

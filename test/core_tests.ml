@@ -513,6 +513,35 @@ let test_script_error_fails_loudly () =
     Alcotest.(check bool) "mentions the script" true
       (contains_substring m "filter script error")
 
+(* A delay in seconds whose microsecond count an [int] cannot hold (or
+   NaN) is a script error naming the command; [int_of_float] would turn
+   it into 0 and fire the delayed action at once. *)
+let test_delay_out_of_range () =
+  let run_filter script =
+    let sim, _net, a, b = setup () in
+    Pfi_layer.set_send_filter a.pfi script;
+    ignore (Sim.schedule sim ~delay:(Vtime.sec 5) (fun () -> send a ~dst:"b" "x"));
+    Sim.run ~until:(Vtime.hours 1) sim;
+    (a, b)
+  in
+  List.iter
+    (fun (cmd, script) ->
+      List.iter
+        (fun secs ->
+          match run_filter (script secs) with
+          | _ -> Alcotest.failf "%s: expected a script error" (script secs)
+          | exception Failure m ->
+            Alcotest.(check bool) (script secs ^ ": names the command") true
+              (contains_substring m (cmd ^ ": delay out of range")))
+        [ "1e13"; "1e300"; "inf"; "nan" ])
+    [ ("xDelay", fun s -> "xDelay cur_msg " ^ s);
+      ("inject_down", fun s -> "inject_down cur_msg " ^ s);
+      ("inject_up", fun s -> "inject_up cur_msg " ^ s);
+      ("timer_set", fun s -> "timer_set t " ^ s ^ " {set x 1}") ];
+  let a, b = run_filter "xDelay cur_msg 1e12" in
+  Alcotest.(check (list string)) "1e12 s is still a delay" [] (received_texts b);
+  Alcotest.(check int) "delay stat" 1 (Pfi_layer.send_stats a.pfi).Pfi_layer.delayed
+
 let suite =
   [
     Alcotest.test_case "default pass" `Quick test_default_pass;
@@ -549,4 +578,5 @@ let suite =
     Alcotest.test_case "verdict tracing" `Quick test_verdict_tracing;
     Alcotest.test_case "stats snapshot" `Quick test_stats_snapshot;
     Alcotest.test_case "script errors fail loudly" `Quick test_script_error_fails_loudly;
+    Alcotest.test_case "out-of-range delays are script errors" `Quick test_delay_out_of_range;
   ]

@@ -216,13 +216,12 @@ let prop_queue_cancel_subset =
       List.for_all (fun (_, cancelled) -> not cancelled) popped
       && List.length popped = List.length !keep)
 
-(* Cancelling most of a large queue must shrink its physical footprint:
-   a periodic arm/cancel pattern (every retransmission timer that gets
-   re-armed before firing) would otherwise accumulate cancelled entries
-   without bound. *)
-let test_queue_cancel_compacts () =
+(* A periodic arm/cancel pattern (every retransmission timer that gets
+   re-armed before firing) must not accumulate storage: cancel removes
+   the entry at once and the next push reuses its slot. *)
+let test_queue_cancel_bounded () =
   let q = Event_queue.create () in
-  let max_physical = ref 0 in
+  let first = ref 0 in
   for round = 0 to 99 do
     let handles =
       List.init 100 (fun i ->
@@ -230,22 +229,20 @@ let test_queue_cancel_compacts () =
     in
     (* cancel everything; a long-lived queue never fires these *)
     List.iter (fun h -> Event_queue.cancel q h) handles;
-    max_physical := max !max_physical (Event_queue.physical_size q)
+    let words = Obj.reachable_words (Obj.repr q) in
+    if round = 0 then first := words
+    else if words <> !first then
+      Alcotest.failf "round %d: %d reachable words, %d after the first round" round
+        words !first
   done;
-  Alcotest.(check int) "no live events" 0 (Event_queue.size q);
-  (* 10_000 events were pushed and cancelled; without compaction the
-     physical size ends at 10_000 *)
-  Alcotest.(check bool)
-    (Printf.sprintf "physical size stays bounded (max %d)" !max_physical)
-    true (!max_physical <= 256)
+  Alcotest.(check int) "no live events" 0 (Event_queue.size q)
 
-let test_queue_compact_preserves_order () =
+let test_queue_cancel_keeps_order () =
   let q = Event_queue.create () in
-  (* enough entries to cross the compaction threshold *)
   let handles =
     List.init 200 (fun i -> (i, Event_queue.push q ~time:(Vtime.us (1000 - i)) i))
   in
-  (* cancel the odd ones; triggers compaction part-way *)
+  (* removing the odd ones moves entries up and down through the heap *)
   List.iter (fun (i, h) -> if i mod 2 = 1 then Event_queue.cancel q h) handles;
   let rec drain acc =
     match Event_queue.pop q with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
@@ -253,6 +250,53 @@ let test_queue_compact_preserves_order () =
   let popped = drain [] in
   let expected = List.init 100 (fun i -> 198 - (2 * i)) in
   Alcotest.(check (list int)) "survivors pop in time order" expected popped
+
+(* A handle outlives its entry: cancelling it after the entry fired, or
+   after a clear, must not touch whatever entry now holds its slot. *)
+let test_queue_stale_handles () =
+  let pop_all q =
+    let rec go acc =
+      match Event_queue.pop q with None -> List.rev acc | Some (_, v) -> go (v :: acc)
+    in
+    go []
+  in
+  let q = Event_queue.create () in
+  let a = Event_queue.push q ~time:(Vtime.sec 1) "a" in
+  ignore (Event_queue.pop q);
+  ignore (Event_queue.push q ~time:(Vtime.sec 2) "b");
+  Event_queue.cancel q a;
+  Alcotest.(check (list string)) "fired handle leaves the slot's new entry" [ "b" ]
+    (pop_all q);
+  let c = Event_queue.push q ~time:(Vtime.sec 1) "c" in
+  Event_queue.clear q;
+  ignore (Event_queue.push q ~time:(Vtime.sec 2) "d");
+  Event_queue.cancel q c;
+  Alcotest.(check (list string)) "cleared handle leaves the slot's new entry" [ "d" ]
+    (pop_all q);
+  ignore (Event_queue.push q ~time:(Vtime.sec 3) "e");
+  Event_queue.cancel q Event_queue.null_handle;
+  Alcotest.(check (list string)) "null handle cancels nothing" [ "e" ] (pop_all q)
+
+(* The simulator pushes, pops and cancels once per event: once the
+   queue's arrays have grown, none of that may allocate. *)
+let test_queue_no_alloc () =
+  let q = Event_queue.create () in
+  let fired = ref 0 in
+  let k _ _ = incr fired in
+  let round () =
+    for i = 0 to 9_999 do
+      let h = Event_queue.push q ~time:(Vtime.us (i land 0xff)) i in
+      if i land 3 = 0 then Event_queue.cancel q h;
+      if i land 1 = 0 then ignore (Event_queue.pop_until_k q ~until:(Vtime.us 0x80) k)
+    done;
+    while Event_queue.pop_until_k q ~until:Vtime.infinity k do () done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "events fired" true (!fired > 0);
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                *)
@@ -528,13 +572,14 @@ let test_queue_clear_releases_entries () =
         collected_after_clear
           ~hold:(fun v ->
             ignore (Event_queue.push q ~time:(Vtime.sec 1) (fun () -> ignore (Bytes.length v)));
-            (* popping the only entry leaves its slot, now past the
-               live heap, still pointing at it *)
             if pop then ignore (Event_queue.pop q))
           ~clear:(fun () -> Event_queue.clear q)
       in
+      (* a pending entry is held until the clear; a popped one's slot is
+         freed by the pop itself *)
+      if pop then Alcotest.(check bool) "popped: collected right after the pop" false held
+      else Alcotest.(check bool) "pending: held before the clear" true held;
       let what = if pop then "popped" else "pending" in
-      Alcotest.(check bool) (what ^ ": held before the clear") true held;
       Alcotest.(check bool) (what ^ ": collected after the clear") false after;
       (* the queue itself stayed reachable throughout *)
       Alcotest.(check bool) (what ^ ": cleared") true (Event_queue.is_empty q))
@@ -557,8 +602,10 @@ let suite =
     Alcotest.test_case "queue cancel" `Quick test_queue_cancel;
     Alcotest.test_case "queue cancel after pop" `Quick test_queue_cancel_after_pop;
     Alcotest.test_case "queue peek" `Quick test_queue_peek;
-    Alcotest.test_case "queue cancel compacts storage" `Quick test_queue_cancel_compacts;
-    Alcotest.test_case "queue compaction keeps order" `Quick test_queue_compact_preserves_order;
+    Alcotest.test_case "queue cancel keeps storage bounded" `Quick test_queue_cancel_bounded;
+    Alcotest.test_case "queue cancel keeps order" `Quick test_queue_cancel_keeps_order;
+    Alcotest.test_case "queue stale handles stay inert" `Quick test_queue_stale_handles;
+    Alcotest.test_case "queue ops allocate nothing when warm" `Quick test_queue_no_alloc;
     Alcotest.test_case "queue clear releases entries" `Quick test_queue_clear_releases_entries;
     QCheck_alcotest.to_alcotest prop_queue_sorted;
     QCheck_alcotest.to_alcotest prop_queue_cancel_subset;

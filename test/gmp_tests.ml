@@ -403,9 +403,9 @@ let test_gmp_stub_generate () =
    gmd -> rel_udp -> netsim path.  Its event and trace counts are pinned
    to catch any change to what the trial does, and its minor-heap words
    per fired event to catch the per-message path growing again: the
-   ceiling is 10% above the 103.4 words/event measured in the dev
+   ceiling is 10% above the 91.5 words/event measured in the dev
    profile (the release profile allocates about 4% less). *)
-let storm_words_per_event_ceiling = 113.8
+let storm_words_per_event_ceiling = 100.6
 
 let test_storm_trial_counters () =
   let open Pfi_testgen in

@@ -187,10 +187,12 @@ let prop_abp_integrity =
 (* Event queue vs a sorted-list model                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Random push/cancel/pop sequences, interpreted both by the binary
-   heap and by a sorted association list.  Checks FIFO order at equal
-   times, cancellation semantics (including double-cancel and
-   cancel-after-pop no-ops) and the compaction bound on physical size. *)
+(* Random push/cancel/pop/clear sequences, interpreted both by the
+   binary heap and by a sorted association list.  Checks FIFO order at
+   equal times, cancellation semantics (including double-cancel,
+   cancel-after-pop and cancel-after-clear no-ops, whose slots may have
+   been reused) and that a cleared queue orders pushes like a fresh
+   one. *)
 let prop_event_queue_model =
   let interpret codes =
     let q = Event_queue.create () in
@@ -202,9 +204,6 @@ let prop_event_queue_model =
     let check_invariants () =
       expect (Event_queue.size q = List.length !model);
       expect (Event_queue.is_empty q = (!model = []));
-      expect
-        (Event_queue.physical_size q
-         <= max 64 ((2 * Event_queue.size q) + 2));
       match (Event_queue.peek_time q, !model) with
       | None, [] -> ()
       | Some t, (mt, _) :: _ -> expect (Vtime.equal t mt)
@@ -220,8 +219,8 @@ let prop_event_queue_model =
     in
     List.iter
       (fun code ->
-        (match code mod 10 with
-         | 0 | 1 | 2 | 3 ->
+        (match code mod 20 with
+         | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 ->
            (* push; many collisions at the same time to exercise FIFO *)
            let time = Vtime.sec (code mod 7) in
            let id = !next_id in
@@ -229,35 +228,20 @@ let prop_event_queue_model =
            let h = Event_queue.push q ~time id in
            handles := Array.append !handles [| (h, time, id) |];
            merge_into time id
-         | 4 | 5 ->
-           (* push_batch: 0-4 entries, observably = sequential pushes.
-              Sizes span both rebuild strategies (per-entry sift-up for
-              small batches, bottom-up heapify when the batch dominates
-              a small heap). *)
-           let k = (code / 10) mod 5 in
-           let items =
-             List.init k (fun i ->
-                 let time = Vtime.sec ((code + (3 * i)) mod 7) in
-                 let id = !next_id in
-                 incr next_id;
-                 (time, id))
-           in
-           let hs = Event_queue.push_batch q items in
-           expect (List.length hs = k);
-           List.iter2
-             (fun h (time, id) ->
-               handles := Array.append !handles [| (h, time, id) |];
-               merge_into time id)
-             hs items
-         | 6 | 7 ->
-           (* cancel an arbitrary past handle (live, popped or dead) *)
+         | 9 ->
+           (* clear: every earlier handle goes inert, and later pushes
+              order by push order alone, as in a fresh queue *)
+           Event_queue.clear q;
+           model := []
+         | 10 | 11 | 12 | 13 ->
+           (* cancel an arbitrary past handle (live, popped, cleared) *)
            if Array.length !handles > 0 then begin
              let h, _, id = !handles.(code mod Array.length !handles) in
              Event_queue.cancel q h;
              Event_queue.cancel q h (* double cancel is a no-op *);
              model := List.filter (fun (_, i) -> i <> id) !model
            end
-         | 8 ->
+         | 14 | 15 | 16 ->
            (match (Event_queue.pop q, !model) with
             | None, [] -> ()
             | Some (t, v), (mt, mid) :: rest ->
@@ -266,18 +250,22 @@ let prop_event_queue_model =
               model := rest
             | _ -> expect false)
          | _ ->
-           (* pop_until: pops the head iff it lies within the horizon,
-              removing nothing otherwise — the simulator's fused loop *)
+           (* pop_until_k: pops the head iff it lies within the horizon,
+              removing nothing otherwise — the simulator's loop *)
            let until = Vtime.sec (code mod 7) in
-           (match (Event_queue.pop_until q ~until, !model) with
-            | None, [] -> ()
-            | None, (mt, _) :: _ -> expect (Vtime.compare mt until > 0)
-            | Some (t, v), (mt, mid) :: rest ->
+           let popped = ref None in
+           let fired =
+             Event_queue.pop_until_k q ~until (fun t v -> popped := Some (t, v))
+           in
+           (match (fired, !popped, !model) with
+            | false, None, [] -> ()
+            | false, None, (mt, _) :: _ -> expect (Vtime.compare mt until > 0)
+            | true, Some (t, v), (mt, mid) :: rest ->
               expect (Vtime.compare mt until <= 0);
               expect (Vtime.equal t mt);
               expect (v = mid);
               model := rest
-            | Some _, [] -> expect false));
+            | _ -> expect false));
         check_invariants ())
       codes;
     (* drain: everything left must come out in model order *)
@@ -291,7 +279,7 @@ let prop_event_queue_model =
     !ok
   in
   QCheck.Test.make
-    ~name:"event queue (incl. push_batch/pop_until) agrees with a sorted-list model"
+    ~name:"event queue (incl. pop_until_k/clear) agrees with a sorted-list model"
     ~count:300
     QCheck.(list_of_size (QCheck.Gen.int_range 1 150) (int_range 0 1000))
     interpret
