@@ -1069,7 +1069,7 @@ let fuzz_cmd =
     "Coverage-guided fault fuzzing against a registry harness: mutate \
      fault scripts and injection schedules over the generated fault \
      lattice, keep inputs that reach new trace coverage ((node, tag) \
-     pairs, protocol-state transitions, oracle near-misses), and shrink \
+     pairs and their hit counts, protocol-state transitions), and shrink \
      plus deduplicate every service violation into a findings stream.  \
      Deterministic for a fixed $(b,--seed) and $(b,--budget): findings \
      are byte-identical for any $(b,--jobs) width."

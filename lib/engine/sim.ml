@@ -37,13 +37,16 @@ let set_default_seed seed = Atomic.set default_seed seed
    across trials, so a trial arena rebuilds a sim without re-growing
    either.  [create ?scratch] clears both, which restores the exact
    observable state of freshly-created ones — see Event_queue.clear and
-   Trace.clear for the equivalence arguments. *)
+   Trace.clear for the equivalence arguments.  The trace is a counting
+   one: a trial recycles a scratch only when nothing reads its entries
+   back after the run. *)
 type scratch = {
   sc_queue : (unit -> unit) Event_queue.t;
   sc_trace : Trace.t;
 }
 
-let scratch () = { sc_queue = Event_queue.create (); sc_trace = Trace.create () }
+let scratch () =
+  { sc_queue = Event_queue.create (); sc_trace = Trace.create_counting () }
 
 let create ?scratch ?seed () =
   let seed =

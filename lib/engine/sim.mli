@@ -12,11 +12,12 @@ type handle [@@immediate]
 
 type scratch
 (** Reusable backing storage for a simulation: an event heap and a
-    trace whose grown capacity (and intern table) survive across
-    simulations.  A trial arena allocates one per worker domain and
-    threads it through every {!create}, so back-to-back trials rebuild
-    their sims without re-growing either structure.  Not thread-safe:
-    a scratch belongs to one domain at a time. *)
+    counting trace ({!Trace.create_counting}) whose grown capacity (and
+    intern table) survive across simulations.  A trial arena allocates
+    one per worker domain and threads it through every {!create}, so
+    back-to-back trials rebuild their sims without re-growing either
+    structure.  Not thread-safe: a scratch belongs to one domain at a
+    time. *)
 
 val scratch : unit -> scratch
 
@@ -25,11 +26,14 @@ val create : ?scratch:scratch -> ?seed:int64 -> unit -> t
     front end changed it via {!set_default_seed}).
 
     [scratch] donates recycled backing storage: the scratch's queue and
-    trace are cleared and adopted by the new simulation, which is then
-    observationally identical to one built without [scratch] — cleared
-    structures behave exactly like fresh ones (see {!Event_queue.clear}
-    and {!Trace.clear}).  The previous owner of the scratch must be
-    dead (its queue handles become inert and its trace empties). *)
+    trace are cleared and adopted by the new simulation.  Its events,
+    clock and RNG are then identical to one built without [scratch]
+    (cleared structures behave exactly like fresh ones, see
+    {!Event_queue.clear} and {!Trace.clear}), but it records into a
+    counting trace: {!Trace.length}, {!Trace.count} and attached feeds
+    answer as before, and no entry can be read back.  The previous
+    owner of the scratch must be dead (its queue handles become inert
+    and its trace empties). *)
 
 val now : t -> Vtime.t
 

@@ -1,6 +1,8 @@
 (* Trace v2: a growable array of typed entries with per-(node, tag)
    offset indexes, so the analysis queries the experiment tables issue
-   dozens of times per run are O(matches) instead of O(log length). *)
+   dozens of times per run are O(matches) instead of O(log length).  A
+   counting trace keeps the same indexes as bare lengths and stores no
+   entry, for trials whose verdicts are decided by attached feeds. *)
 
 type entry = {
   time : Vtime.t;
@@ -12,7 +14,8 @@ type entry = {
 
 let detail e = Lazy.force e.detail
 
-(* growable vector of entry offsets — one per index bucket *)
+(* growable vector of entry offsets — one per index bucket.  A counting
+   trace only [bump]s, so its vectors keep a length and no array. *)
 module Ivec = struct
   type t = { mutable a : int array; mutable len : int }
 
@@ -27,50 +30,65 @@ module Ivec = struct
     v.a.(v.len) <- i;
     v.len <- v.len + 1
 
+  let bump v = v.len <- v.len + 1
   let get v i = v.a.(i)
   let length v = v.len
   let reset v = v.len <- 0
 end
 
+type feed = int -> entry -> unit
+
 (* A few fixed memo slots, each holding the interned node and tag of a
-   recently recorded (node, tag) pair and its three index buckets.
-   Protocol layers record in bursts that cycle through a handful of
-   pairs (a message round trip alternates sender and receiver), so the
-   common case skips all five hashtable lookups.  A miss fills the next
-   free slot, then evicts round-robin. *)
+   recently recorded (node, tag) pair, its three index buckets and the
+   attached feeds that want its tag.  Protocol layers record in bursts
+   that cycle through a handful of pairs (a message round trip
+   alternates sender and receiver), so the common case skips all five
+   hashtable lookups and the feed selection.  A miss fills the next free
+   slot, then evicts round-robin. *)
 let memo_slots = 4
 
 type t = {
+  stores : bool;  (* false: a counting trace *)
   mutable store : entry array;
   mutable len : int;
   intern : (string, string) Hashtbl.t;
   by_node : (string, Ivec.t) Hashtbl.t;
   by_tag : (string, Ivec.t) Hashtbl.t;
   by_node_tag : (string * string, Ivec.t) Hashtbl.t;
+  mutable feeds : (string list option * feed) list;  (* attach order *)
   m_node : string array;
   m_tag : string array;
   m_by_node : Ivec.t array;
   m_by_tag : Ivec.t array;
   m_by_node_tag : Ivec.t array;
+  m_feeds : feed array array;
   mutable m_used : int;  (* filled slots *)
   mutable m_next : int;  (* next slot to evict once all are filled *)
 }
 
-let create () =
+let no_feeds : feed array = [||]
+
+let make ~stores =
   let no_bucket = Ivec.create () in
-  { store = [||];
+  { stores;
+    store = [||];
     len = 0;
     intern = Hashtbl.create 64;
     by_node = Hashtbl.create 16;
     by_tag = Hashtbl.create 64;
     by_node_tag = Hashtbl.create 64;
+    feeds = [];
     m_node = Array.make memo_slots "";
     m_tag = Array.make memo_slots "";
     m_by_node = Array.make memo_slots no_bucket;
     m_by_tag = Array.make memo_slots no_bucket;
     m_by_node_tag = Array.make memo_slots no_bucket;
+    m_feeds = Array.make memo_slots no_feeds;
     m_used = 0;
     m_next = 0 }
+
+let create () = make ~stores:true
+let create_counting () = make ~stores:false
 
 (* Filler for every store slot at or past [len]: a cleared or grown
    store must not keep an earlier trial's entries (their lazy details
@@ -82,14 +100,18 @@ let inert = { time = 0; node = ""; tag = ""; detail = Lazy.from_val ""; fields =
    reallocating.  An empty bucket is indistinguishable from a missing
    one ([lookup] substitutes a fresh empty vector for absent keys), and
    the memo restarts empty with the same eviction order, so a cleared
-   trace is observationally identical to [create ()] and records with
-   the same allocation. *)
+   trace is observationally identical to a fresh one of its kind and
+   records with the same allocation.  Attached feeds are dropped, with
+   every memo reference to them, so they cannot keep an earlier trial's
+   entries reachable either. *)
 let clear t =
-  Array.fill t.store 0 t.len inert;
+  if t.stores then Array.fill t.store 0 t.len inert;
   t.len <- 0;
   Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_node;
   Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_tag;
   Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_node_tag;
+  t.feeds <- [];
+  Array.fill t.m_feeds 0 memo_slots no_feeds;
   t.m_used <- 0;
   t.m_next <- 0
 
@@ -107,6 +129,18 @@ let bucket tbl key =
     let v = Ivec.create () in
     Hashtbl.add tbl key v;
     v
+
+let feeds_for t tag =
+  match t.feeds with
+  | [] -> no_feeds
+  | feeds ->
+    Array.of_list
+      (List.filter_map
+         (fun (tags, f) ->
+           match tags with
+           | None -> Some f
+           | Some tags -> if List.exists (String.equal tag) tags then Some f else None)
+         feeds)
 
 let rec find_slot t node tag i =
   if i >= t.m_used then -1
@@ -131,24 +165,49 @@ let fill_slot t node tag =
   t.m_by_node.(i) <- bucket t.by_node node;
   t.m_by_tag.(i) <- bucket t.by_tag tag;
   t.m_by_node_tag.(i) <- bucket t.by_node_tag (node, tag);
+  t.m_feeds.(i) <- feeds_for t tag;
   i
+
+(* the memo caches each slot's feed selection, so a new feed empties it *)
+let attach t ~tags feed =
+  t.feeds <- t.feeds @ [ (tags, feed) ];
+  t.m_used <- 0;
+  t.m_next <- 0
 
 let record_lazy ?(fields = []) t ~time ~node ~tag detail =
   let slot =
     match find_slot t node tag 0 with -1 -> fill_slot t node tag | slot -> slot
   in
-  let e = { time; node = t.m_node.(slot); tag = t.m_tag.(slot); detail; fields } in
-  if t.len >= Array.length t.store then begin
-    let store = Array.make (Stdlib.max 64 (Array.length t.store * 2)) inert in
-    Array.blit t.store 0 store 0 t.len;
-    t.store <- store
-  end;
   let i = t.len in
-  t.store.(i) <- e;
   t.len <- i + 1;
-  Ivec.push t.m_by_node.(slot) i;
-  Ivec.push t.m_by_tag.(slot) i;
-  Ivec.push t.m_by_node_tag.(slot) i
+  let feeds = t.m_feeds.(slot) in
+  if t.stores then begin
+    let e = { time; node = t.m_node.(slot); tag = t.m_tag.(slot); detail; fields } in
+    if i >= Array.length t.store then begin
+      let store = Array.make (Stdlib.max 64 (Array.length t.store * 2)) inert in
+      Array.blit t.store 0 store 0 i;
+      t.store <- store
+    end;
+    t.store.(i) <- e;
+    Ivec.push t.m_by_node.(slot) i;
+    Ivec.push t.m_by_tag.(slot) i;
+    Ivec.push t.m_by_node_tag.(slot) i;
+    for k = 0 to Array.length feeds - 1 do
+      feeds.(k) i e
+    done
+  end
+  else begin
+    Ivec.bump t.m_by_node.(slot);
+    Ivec.bump t.m_by_tag.(slot);
+    Ivec.bump t.m_by_node_tag.(slot);
+    (* the entry exists only for the feeds that want its tag *)
+    if Array.length feeds > 0 then begin
+      let e = { time; node = t.m_node.(slot); tag = t.m_tag.(slot); detail; fields } in
+      for k = 0 to Array.length feeds - 1 do
+        feeds.(k) i e
+      done
+    end
+  end
 
 (* [Lazy.from_val] on a string returns the string itself (no wrapper
    block), so the strict path costs nothing over storing a plain
@@ -158,7 +217,16 @@ let record ?fields t ~time ~node ~tag detail =
 
 let length t = t.len
 
-let entries t = Array.to_list (Array.sub t.store 0 t.len)
+(* guards every query that reads entries back (the rest go through
+   [iter]): a counting trace has none to give, and answering "no
+   entries" would be a lie *)
+let stored t what =
+  if not t.stores then
+    invalid_arg ("Trace." ^ what ^ ": a counting trace stores no entries")
+
+let entries t =
+  stored t "entries";
+  Array.to_list (Array.sub t.store 0 t.len)
 
 (* the index bucket answering a (node?, tag?) query, if one applies;
    None means "every entry" *)
@@ -171,6 +239,7 @@ let lookup ?node ?tag t =
     Some (Option.value (Hashtbl.find_opt t.by_node_tag (n, g)) ~default:(Ivec.create ()))
 
 let iter ?node ?tag f t =
+  stored t "iter";
   match lookup ?node ?tag t with
   | None ->
     for i = 0 to t.len - 1 do
@@ -182,11 +251,13 @@ let iter ?node ?tag f t =
     done
 
 let get t i =
+  stored t "get";
   if i < 0 || i >= t.len then
     invalid_arg (Printf.sprintf "Trace.get: index %d out of bounds [0, %d)" i t.len);
   t.store.(i)
 
 let iteri ?node ?tag f t =
+  stored t "iteri";
   match lookup ?node ?tag t with
   | None ->
     for i = 0 to t.len - 1 do
@@ -219,6 +290,7 @@ let count ?node ~tag t =
   | None -> t.len
 
 let last ?node ?tag t =
+  stored t "last";
   match lookup ?node ?tag t with
   | None -> if t.len = 0 then None else Some t.store.(t.len - 1)
   | Some v ->
@@ -322,6 +394,7 @@ let entry_to_json ?extra e =
   Buffer.contents buf
 
 let to_jsonl ?extra ?node ?tag t =
+  stored t "to_jsonl";
   let buf = Buffer.create (256 * (t.len + 1)) in
   iter ?node ?tag
     (fun e ->

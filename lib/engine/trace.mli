@@ -2,13 +2,23 @@
 
     Every experiment in the paper reduces to "the receive filter script
     logged each packet with a timestamp".  [Trace.t] is that log: a flat,
-    append-only sequence of timestamped entries that analysis code queries
-    after the run.
+    append-only sequence of timestamped entries, numbered by recording
+    index.
 
-    Entries live in a growable array; node and tag strings are interned
-    and every entry offset is indexed per node, per tag, and per
-    [(node, tag)] pair, so {!find}, {!count}, {!timestamps}, {!intervals}
-    and {!last} cost O(matches) rather than a scan of the whole log.
+    A trace comes in one of two kinds.
+    - A {e storing} trace ({!create}) keeps every entry in a growable
+      array.  Node and tag strings are interned, and every entry offset
+      is indexed per node, per tag, and per [(node, tag)] pair, so
+      {!find}, {!count}, {!timestamps}, {!intervals} and {!last} cost
+      O(matches) rather than a scan of the whole log.
+    - A {e counting} trace ({!create_counting}) stores no entry.  It
+      keeps the recording index, {!length} and the per-node, per-tag
+      and per-pair counts that {!count} answers.  Every query that
+      reads entries back raises [Invalid_argument] on it.  Campaign
+      trials whose trace does not escape record into one: what they
+      need from the trace is decided while it is recorded, by
+      {!attach}ed feeds.
+
     Alongside the rendered [detail] string an entry may carry structured
     key/value [fields], which the JSONL exporter preserves so campaign
     artifacts can be compared mechanically. *)
@@ -33,6 +43,23 @@ val detail : entry -> string
 type t
 
 val create : unit -> t
+(** An empty storing trace. *)
+
+val create_counting : unit -> t
+(** An empty counting trace: it numbers and counts entries and feeds
+    them to {!attach}ed feeds, but stores none.  {!length} and {!count}
+    answer as on a storing trace that recorded the same entries;
+    {!entries}, {!find}, {!iter}, {!iteri}, {!get}, {!last},
+    {!timestamps}, {!intervals}, {!dump} and the JSONL export raise
+    [Invalid_argument]. *)
+
+val attach : t -> tags:string list option -> (int -> entry -> unit) -> unit
+(** [attach t ~tags feed] calls [feed i e] for each entry [e] recorded
+    into [t] from now on whose tag is in [tags] ([None]: every tag),
+    with its recording index [i], in recording order, right after the
+    entry is recorded.  Feeds run in attach order.  A counting trace
+    builds an entry record only when some feed wants its tag, and never
+    forces its detail itself.  {!clear} detaches every feed. *)
 
 val record :
   ?fields:(string * string) list ->
@@ -50,17 +77,20 @@ val record_lazy :
     that recorded it (or never). *)
 
 val clear : t -> unit
-(** Empties the trace while keeping its grown capacity: the entry
-    store, the string intern table and the index buckets all survive,
-    so a reused trace records without reallocating.  A cleared trace is
-    observationally identical to a fresh {!create} — same query
-    results, same {!to_jsonl} bytes for the same subsequent records —
-    which is what lets trial arenas recycle one trace across trials. *)
+(** Empties the trace and detaches its feeds while keeping its grown
+    capacity: the entry store, the string intern table and the index
+    buckets all survive, so a reused trace records without
+    reallocating.  A cleared trace is observationally identical to a
+    fresh one of its kind — same query results, same {!to_jsonl} bytes
+    for the same subsequent records — which is what lets trial arenas
+    recycle one trace across trials. *)
 
 val entries : t -> entry list
 (** In recording order. *)
 
 val length : t -> int
+(** Entries recorded so far: the next entry's recording index.
+    Answered by both kinds. *)
 
 val find : ?node:string -> ?tag:string -> t -> entry list
 (** Entries matching all the given criteria, in recording order.
@@ -86,7 +116,7 @@ val intervals : ?node:string -> tag:string -> t -> Vtime.t list
     exactly what the retransmission-interval tables report. *)
 
 val count : ?node:string -> tag:string -> t -> int
-(** O(1): the length of the index bucket. *)
+(** O(1): the length of the index bucket.  Answered by both kinds. *)
 
 val last : ?node:string -> ?tag:string -> t -> entry option
 (** O(1): the tail of the index bucket. *)

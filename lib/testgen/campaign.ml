@@ -62,12 +62,11 @@ let trial_seed ~campaign_seed ~side fault =
 
 type observer = {
   obs_traces : bool;
-  obs_oracles : Oracle.t list;
   obs_outcome : (trial -> outcome -> unit) option;
 }
 
-let observe ?(traces = false) ?(oracles = []) ?outcome () =
-  { obs_traces = traces; obs_oracles = oracles; obs_outcome = outcome }
+let observe ?(traces = false) ?outcome () =
+  { obs_traces = traces; obs_outcome = outcome }
 
 let silent = observe ()
 
@@ -130,11 +129,11 @@ let plan_of_trials ?seed ?horizon ?(control = false) ~trials
     p_control = control }
 
 let run_trial (module H : Harness_intf.HARNESS) ~side ~horizon ~seed
-    ?(capture_trace = false) ?(arena = true) ?script ?compiled ?(oracles = [])
-    ?arm fault =
+    ?(capture_trace = false) ?(arena = true) ?script ?compiled ?arm fault =
   (* the arena's trace/queue are recycled by the *next* trial on this
      domain, so they may back this trial only if its trace does not
-     escape into the outcome *)
+     escape into the outcome; its trace only counts, and the harness's
+     trace-derived checks run as monitors attached at build *)
   let scratch =
     if arena && not capture_trace then Some (Arena.scratch ()) else None
   in
@@ -164,12 +163,7 @@ let run_trial (module H : Harness_intf.HARNESS) ~side ~horizon ~seed
     Trace.count ~tag:"testgen.fault" trace + Trace.count ~tag:"pfi.log" trace
   in
   let verdict =
-    match H.check env with
-    | Error reason -> Violation reason
-    | Ok () ->
-      (match Oracle.check oracles trace with
-       | Ok () -> Tolerated
-       | Error reason -> Violation reason)
+    match H.check env with Error reason -> Violation reason | Ok () -> Tolerated
   in
   { fault;
     side;
@@ -189,16 +183,8 @@ let control_trial (module H : Harness_intf.HARNESS) ~observer ~horizon ~seed () 
   let env = H.build ~seed () in
   H.workload env;
   Sim.run ~until:horizon (H.sim env);
-  let checked =
-    match H.check env with
-    | Error _ as e -> e
-    | Ok () -> Oracle.check observer.obs_oracles (Sim.trace (H.sim env))
-  in
-  let trace =
-    if observer.obs_traces then Some (Sim.trace (H.sim env)) else None
-  in
-  match checked with
-  | Ok () -> trace
+  match H.check env with
+  | Ok () -> if observer.obs_traces then Some (Sim.trace (H.sim env)) else None
   | Error reason -> raise (Control_failure reason)
 
 let run ?(executor = Executor.sequential) ?(observe = silent) ?(arena = true)
@@ -218,7 +204,7 @@ let run ?(executor = Executor.sequential) ?(observe = silent) ?(arena = true)
           (module H : Harness_intf.HARNESS)
           ~side:tr.t_side ~horizon:plan.p_horizon ~seed:tr.t_seed
           ~capture_trace:observe.obs_traces ~arena ~compiled:tr.t_script
-          ~oracles:observe.obs_oracles ?arm:tr.t_arm tr.t_fault)
+          ?arm:tr.t_arm tr.t_fault)
       plan.p_trials
   in
   (match observe.obs_outcome with

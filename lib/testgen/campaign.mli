@@ -39,7 +39,9 @@ type outcome = {
   side : side;
   seed : int64;  (** the per-trial RNG seed the trial actually ran with *)
   verdict : verdict;
-  injected_events : int;  (** [testgen.fault] trace entries *)
+  injected_events : int;
+      (** [testgen.fault] plus [pfi.log] trace entries: the messages the
+          trial's filters logged as faulted *)
   sim_events : int;
       (** simulator callbacks fired by the trial ({!Sim.events}) — the
           engine benchmark's events/sec numerator *)
@@ -66,9 +68,9 @@ type trial = {
     needs to run the trial on a fresh system of its own. *)
 
 exception Control_failure of string
-(** The fault-free control trial violated the harness check or an
-    oracle (the carried string is its diagnostic) — the harness or
-    protocol is broken, so every fault verdict would be meaningless. *)
+(** The fault-free control trial violated the harness check (the
+    carried string is its diagnostic) — the harness or protocol is
+    broken, so every fault verdict would be meaningless. *)
 
 val side_name : side -> string
 (** ["send"], ["receive"] or ["both"] — the inverse of {!side_of_name}. *)
@@ -98,19 +100,17 @@ val trial_seed_of_key : campaign_seed:int64 -> side:side -> int64 -> int64
 (** {1 Observers}
 
     What a {!run} should watch, stated as data instead of threaded
-    optional arguments.  The CLI's [--trace-out], the scenario
-    checker's oracle rows and the fuzzer's coverage loop all consume
-    the same record. *)
+    optional arguments.  The CLI's [--trace-out], the scenario runner
+    and the fuzzer's coverage loop all consume the same record.  The
+    verdict itself is always the harness's [check]: every trace-derived
+    part of it is a monitor the harness attached at build, so whether
+    traces are kept never changes a verdict. *)
 
 type observer = {
   obs_traces : bool;
-      (** keep each trial sim's {!Trace.t} on its outcome (and the
-          control trial's trace on the summary) *)
-  obs_oracles : Oracle.t list;
-      (** extra conformance predicates evaluated over every trial
-          trace after the harness's own [check]; the first failing
-          oracle turns the verdict into a [Violation] carrying its
-          pointed diagnostic *)
+      (** keep each trial sim's stored {!Trace.t} on its outcome (and
+          the control trial's trace on the summary).  Off, trials
+          record into counting traces that store no entry. *)
   obs_outcome : (trial -> outcome -> unit) option;
       (** called once per trial, in canonical plan order, after all
           trials ran — streaming front ends (trace export, fuzz
@@ -119,15 +119,13 @@ type observer = {
 
 val observe :
   ?traces:bool ->
-  ?oracles:Oracle.t list ->
   ?outcome:(trial -> outcome -> unit) ->
   unit ->
   observer
-(** Observer constructor; all fields default to off/empty. *)
+(** Observer constructor; all fields default to off. *)
 
 val silent : observer
-(** [observe ()] — no traces, no extra oracles, no callback.  The
-    default for {!run}. *)
+(** [observe ()] — no traces, no callback.  The default for {!run}. *)
 
 (** {1 Plans} *)
 
@@ -174,7 +172,6 @@ val run_trial :
   Harness_intf.packed -> side:side -> horizon:Vtime.t -> seed:int64 ->
   ?capture_trace:bool -> ?arena:bool -> ?script:string ->
   ?compiled:Pfi_script.Ast.script ->
-  ?oracles:Oracle.t list ->
   ?arm:(Sim.t -> Pfi_core.Pfi_layer.t -> unit) ->
   Generator.fault -> outcome
 (** One isolated trial.  [script] overrides the generated filter text —
@@ -184,16 +181,20 @@ val run_trial :
     installs an already-compiled filter, the campaign hot path: {!plan}
     compiles each fault once and every trial shares the AST.  With
     neither, the generated source is compiled here.  [arm] is the
-    trial's {!trial.t_arm} hook.  [capture_trace] keeps the trial sim's
-    {!Trace.t} on the outcome (default false).  [oracles] are evaluated
-    after the harness's own [check].
+    trial's {!trial.t_arm} hook.  The verdict is the harness's [check];
+    [injected_events] is read with {!Trace.count}.  [capture_trace]
+    keeps the trial sim's stored {!Trace.t} on the outcome (default
+    false).
 
     [arena] (default true) lets the trial adopt this domain's
-    {!Arena} scratch — recycled trace/event-queue storage — instead of
-    allocating fresh backing arrays.  Recycling is observationally
-    invisible (verdicts, event counts and trace queries are identical),
-    and it is automatically disabled when [capture_trace] is set, since
-    a kept trace must outlive the trial. *)
+    {!Arena} scratch — recycled event-queue storage and a counting
+    trace — instead of allocating fresh backing arrays and a storing
+    trace.  The verdict, event count and injected-event count are
+    identical either way; only the stored entries are missing, and
+    nothing reads them.  It is automatically disabled when
+    [capture_trace] is set, since a kept trace must store its entries
+    and outlive the trial.  An [arm] hook on an arena trial sees a
+    counting trace. *)
 
 type summary = {
   s_outcomes : outcome list;  (** in plan order *)
@@ -211,15 +212,15 @@ val run :
   ?executor:Executor.t -> ?observe:observer -> ?arena:bool -> plan -> summary
 (** The single campaign entrypoint.  Runs the plan's control trial (if
     [p_control]) on the calling domain seeded with the campaign seed —
-    raising {!Control_failure} if the harness check or an observer
-    oracle rejects the fault-free system — then every planned trial
+    raising {!Control_failure} if the harness check rejects the
+    fault-free system — then every planned trial
     through the executor (default {!Executor.sequential}).  Outcomes
     come back in plan order for any executor; [obs_outcome] fires in
     that same order on the calling domain.  A trial whose runner raised
     re-raises after every other trial has completed.  [arena] is
     {!run_trial}'s flag (default true: trials reuse per-domain scratch
     whenever their traces are not kept; the control trial always
-    builds fresh). *)
+    builds fresh, with a storing trace). *)
 
 val table : outcome list -> string
 (** Human-readable table of outcomes. *)

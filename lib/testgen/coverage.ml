@@ -30,44 +30,6 @@ type features = int list (* sorted ascending, distinct *)
 let cardinality = List.length
 let feature_list fs = fs
 
-let match_count p trace =
-  let n = ref 0 in
-  Trace.iteri (fun _ e -> if Oracle.pattern_matches p e then incr n) trace;
-  !n
-
-let ordered_prefix ps trace =
-  let remaining = ref ps and n = ref 0 in
-  Trace.iteri
-    (fun _ e ->
-      match !remaining with
-      | [] -> ()
-      | p :: rest ->
-          if Oracle.pattern_matches p e then begin
-            remaining := rest;
-            incr n
-          end)
-    trace;
-  !n
-
-let rec oracle_features i prefix o trace acc =
-  let v = Oracle.eval o trace in
-  let acc =
-    Printf.sprintf "ov:%s%d:%b" prefix i v.Oracle.pass :: acc
-  in
-  match o with
-  | Oracle.Count (p, _, _) | Oracle.Never p | Oracle.Eventually p ->
-      Printf.sprintf "on:%s%d:%d" prefix i (hit_class (match_count p trace))
-      :: acc
-  | Oracle.Ordered ps ->
-      Printf.sprintf "op:%s%d:%d" prefix i (ordered_prefix ps trace) :: acc
-  | Oracle.Within _ -> acc
-  | Oracle.All os | Oracle.Any os ->
-      let prefix = Printf.sprintf "%s%d." prefix i in
-      List.fold_left
-        (fun (j, acc) o -> (j + 1, oracle_features j prefix o trace acc))
-        (0, acc) os
-      |> snd
-
 type scratch = {
   cs_counts : (string, int ref) Hashtbl.t;
   cs_seen : (string, unit) Hashtbl.t;
@@ -75,7 +37,7 @@ type scratch = {
 
 let scratch () = { cs_counts = Hashtbl.create 64; cs_seen = Hashtbl.create 16 }
 
-let features_of_trace ?scratch:sc ?(states = []) ?(oracles = []) trace =
+let features_of_trace ?scratch:sc ?(states = []) trace =
   let strings = ref [] in
   let add s = strings := s :: !strings in
   (* (node, tag) presence and hit-count classes.  [Hashtbl.clear] (not
@@ -117,8 +79,6 @@ let features_of_trace ?scratch:sc ?(states = []) ?(oracles = []) trace =
     | _ -> ()
   in
   transitions states;
-  (* oracle pass/fail and near-miss buckets *)
-  List.iteri (fun i o -> strings := oracle_features i "" o trace !strings) oracles;
   List.sort_uniq compare (List.rev_map bucket_of_string !strings)
 
 type t = Bytes.t

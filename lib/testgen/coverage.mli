@@ -4,9 +4,8 @@
     system do {e something new}.  For protocol implementations the
     paper's traces already carry that signal: which (node, tag) event
     classes fired and how often, which protocol-state transitions the
-    harness extractor saw ({!Harness_intf.HARNESS.state_of_trace}),
-    and how close each conformance oracle came to its bound.  This
-    module hashes those observations into a compact feature set
+    harness extractor saw ({!Harness_intf.HARNESS.state_of_trace}).
+    This module hashes those observations into a compact feature set
     (AFL-style: 2{^16} buckets, hit counts folded into log₂ classes)
     and accumulates them in a persistent corpus-wide bitmap, so "did
     this input reach new coverage?" is one {!merge} call.
@@ -42,7 +41,7 @@ val scratch : unit -> scratch
 
 val features_of_trace :
   ?scratch:scratch ->
-  ?states:string list -> ?oracles:Oracle.t list -> Trace.t -> features
+  ?states:string list -> Trace.t -> features
 (** Extracts:
     - one feature per distinct (node, tag) pair;
     - one per (node, tag, log₂-bucketed hit count) — so an input that
@@ -50,12 +49,9 @@ val features_of_trace :
       new behaviour;
     - from [states] (the harness state extractor's labels): one per
       distinct label and one per consecutive label pair (the
-      protocol-state {e transitions});
-    - from [oracles]: a pass/fail feature per oracle, plus a near-miss
-      bucket for the countable kinds ([Count]/[Never]/[Eventually]:
-      the log₂ bucket of the observed match count; [Ordered]: the
-      matched prefix length) — inputs that push an oracle {e closer}
-      to its bound read as progress before anything fails. *)
+      protocol-state {e transitions}).
+
+    The trace must be a storing one. *)
 
 val cardinality : features -> int
 (** Distinct buckets in the set. *)

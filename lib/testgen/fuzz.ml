@@ -294,8 +294,8 @@ let to_trial ~fuzz_seed input =
     (List.hd input.in_faults)
 
 let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
-    ?(budget = default_budget) ?(batch = 16) ?(oracles = [])
-    ?(shrink_budget = 150) ?on_finding (module H : Harness_intf.HARNESS) =
+    ?(budget = default_budget) ?(batch = 16) ?(shrink_budget = 150) ?on_finding
+    (module H : Harness_intf.HARNESS) =
   let horizon = H.default_horizon in
   let spec = H.spec and target = H.target in
   let bitmap = Coverage.create () in
@@ -308,7 +308,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
   let corpus = ref [] and corpus_n = ref 0 in
   let findings = ref [] in
   let execs = ref 0 and shrink_execs = ref 0 in
-  let observe = Campaign.observe ~traces:true ~oracles () in
+  let observe = Campaign.observe ~traces:true () in
   let run_state (st : Shrink.state) ~capture_trace =
     (* The horizon is frozen at the harness default: the oracles are
        calibrated to it, and under a halved horizon even a correct
@@ -331,7 +331,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
         ~seed:
           (Campaign.trial_seed ~campaign_seed:seed ~side:st.Shrink.side
              st.Shrink.fault)
-        ~capture_trace ~oracles st.Shrink.fault
+        ~capture_trace st.Shrink.fault
     end
   in
   (* re-run one (possibly multi-fault) input on the calling domain *)
@@ -342,9 +342,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
         ~trials:[ to_trial ~fuzz_seed:seed input ]
         (module H)
     in
-    let obs =
-      if capture_trace then observe else Campaign.observe ~oracles ()
-    in
+    let obs = if capture_trace then observe else Campaign.silent in
     match (Campaign.run ~observe:obs plan).Campaign.s_outcomes with
     | [ o ] -> o
     | _ -> assert false
@@ -468,7 +466,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
     in
     let feats =
       Coverage.features_of_trace ~scratch:cov_scratch
-        ~states:(H.state_of_trace trace) ~oracles trace
+        ~states:(H.state_of_trace trace) trace
     in
     if Coverage.merge bitmap feats > 0 then begin
       corpus := input :: !corpus;

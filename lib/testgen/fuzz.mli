@@ -125,7 +125,6 @@ val run :
   ?seed:int64 ->
   ?budget:int ->
   ?batch:int ->
-  ?oracles:Oracle.t list ->
   ?shrink_budget:int ->
   ?on_finding:(finding -> unit) ->
   Harness_intf.packed ->
@@ -135,9 +134,7 @@ val run :
     [seed] defaults to {!Campaign.default_seed}; [batch] (default 16)
     is the fixed candidate-batch size handed to the executor per
     generation — part of input identity derivation, not of scheduling,
-    so changing [executor] never changes the result.  [oracles] are
-    evaluated on every trial (and fed to coverage as near-miss signal)
-    in addition to the harness check.  [shrink_budget] (default 150)
-    caps {!Shrink.minimize} re-runs per finding.  [on_finding] streams
-    each deduplicated finding as it is confirmed, on the calling
-    domain. *)
+    so changing [executor] never changes the result.  [shrink_budget]
+    (default 150) caps {!Shrink.minimize} re-runs per finding.
+    [on_finding] streams each deduplicated finding as it is confirmed,
+    on the calling domain. *)

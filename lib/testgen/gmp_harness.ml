@@ -8,7 +8,15 @@ type env = {
   pfi : Pfi_core.Pfi_layer.t;  (* on n1: the faulty participant *)
   gmds : Gmd.t list;
   n : int;
+  monitors : Oracle.monitor list;  (* [trace_oracles], attached at build *)
 }
+
+(* the trace-level guarantees, stated as oracles rather than ad-hoc
+   Trace.count arithmetic: no spurious IN_TRANSITION timer may ever
+   fire, and proclaim forwarding must stay below storm level *)
+let trace_oracles =
+  [ Oracle.Never (Oracle.pattern ~tag:"gmp.spurious-timeout" ());
+    Oracle.Count (Oracle.pattern ~tag:"gmp.proclaim-fwd" (), Oracle.Le, 100) ]
 
 let default_horizon = Vtime.sec 450
 let fault_clear_at = Vtime.sec 300
@@ -34,6 +42,9 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
 
     let build ?scratch ~seed () =
       let sim = Sim.create ?scratch ~seed () in
+      (* decided while the trial records, so a counting trace serves *)
+      let monitors = List.map Oracle.monitor trace_oracles in
+      List.iter (fun m -> Oracle.attach m (Sim.trace sim)) monitors;
       let net = Network.create sim in
       let names = List.init n (fun i -> (Printf.sprintf "n%d" (i + 1), i + 1)) in
       let pfi_ref = ref None in
@@ -57,7 +68,7 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
             gmd)
           names
       in
-      { sim; pfi = Option.get !pfi_ref; gmds; n }
+      { sim; pfi = Option.get !pfi_ref; gmds; n; monitors }
 
     let sim env = env.sim
     let pfi env = env.pfi
@@ -73,13 +84,6 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
         (Sim.schedule env.sim ~delay:fault_clear_at (fun () ->
              Pfi_core.Pfi_layer.clear_send_filter env.pfi;
              Pfi_core.Pfi_layer.clear_receive_filter env.pfi))
-
-    (* the trace-level guarantees, stated as oracles rather than ad-hoc
-       Trace.count arithmetic: no spurious IN_TRANSITION timer may ever
-       fire, and proclaim forwarding must stay below storm level *)
-    let trace_oracles =
-      [ Oracle.Never (Oracle.pattern ~tag:"gmp.spurious-timeout" ());
-        Oracle.Count (Oracle.pattern ~tag:"gmp.proclaim-fwd" (), Oracle.Le, 100) ]
 
     let check env =
       let views = List.map Gmd.view env.gmds in
@@ -98,7 +102,7 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
                  && v.Gmd.members = first.Gmd.members)
                rest)
         then Error "daemons disagree on the final view"
-        else Oracle.check trace_oracles (Sim.trace env.sim)
+        else Oracle.check_monitors env.monitors (Sim.trace env.sim)
       | [] -> Error "no daemons"
 
     (* The GMP trajectory is the sequence of membership phases each

@@ -12,6 +12,10 @@
     - no proclaim storm ([gmp.proclaim-fwd] stays bounded — the
       forwarding loop of Table 7 trips this).
 
+    The two trace guarantees are {!Oracle.monitor}s attached to the sim's
+    trace at build, so they are decided while the trial records and a
+    counting trace serves as well as a stored one.
+
     With {!Pfi_gmp.Gmd.bugs} flags enabled, the campaign (or even its
     fault-free control trial, for the proclaim loop) rediscovers the
     paper's implanted defects. *)

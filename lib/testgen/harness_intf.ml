@@ -39,10 +39,13 @@ module type HARNESS = sig
   (** Fresh system for one trial (new Sim, network, stacks), seeded
       with the given per-trial RNG seed.  Must not capture or mutate
       state shared with other trials.  [scratch] is recycled backing
-      storage for the sim's trace and event queue (an {!Arena} hands
-      the campaign runner this domain's); implementations just forward
-      it to [Sim.create ?scratch ~seed ()] — adopting it changes
-      nothing observable, so a harness may also ignore it. *)
+      storage for the sim's event queue and trace (an {!Arena} hands
+      the campaign runner this domain's); implementations forward it
+      to [Sim.create ?scratch ~seed ()].  Adopting it selects a
+      counting trace ({!Trace.create_counting}), so every
+      trace-derived part of {!check} must be an {!Oracle.monitor}
+      attached here, before the first entry is recorded — then
+      {!check} answers the same with or without [scratch]. *)
 
   val sim : env -> Sim.t
   val pfi : env -> Pfi_core.Pfi_layer.t
@@ -52,7 +55,9 @@ module type HARNESS = sig
   (** Start the driver traffic. *)
 
   val check : env -> (unit, string) result
-  (** Service-guarantee oracle, evaluated after the horizon. *)
+  (** Service-guarantee oracle, evaluated after the horizon.  It may
+      read the trace's {!Trace.length} and {!Trace.count} and the
+      verdicts of monitors [build] attached, never stored entries. *)
 
   val state_of_trace : Trace.t -> string list
   (** The protocol-state trajectory a recorded trial trace witnessed,
@@ -61,7 +66,7 @@ module type HARNESS = sig
       compositions).  Fuzz coverage hashes consecutive label pairs into
       features; future vendor-matrix oracles read the same hook.
       Harnesses without a natural protocol FSM can use
-      {!default_state_of_trace}. *)
+      {!default_state_of_trace}.  Reads a storing trace. *)
 end
 
 type packed = (module HARNESS)

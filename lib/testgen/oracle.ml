@@ -41,27 +41,30 @@ let glob_match pat s =
   in
   go 0 0
 
-let value_matches ~exact pat v =
-  if has_wildcard pat then glob_match pat v
-  else if exact then String.equal pat v
-  else contains_sub v pat
+(* A pattern value's kind — exact, substring or glob — is decided once,
+   when the pattern is compiled, not per entry. *)
+let value_test ~exact pat =
+  if has_wildcard pat then glob_match pat
+  else if exact then String.equal pat
+  else fun v -> contains_sub v pat
 
-let pattern_matches p (e : Trace.entry) =
-  (match p.p_node with
-   | Some n -> value_matches ~exact:true n e.Trace.node
-   | None -> true)
-  && (match p.p_tag with
-      | Some g -> value_matches ~exact:true g e.Trace.tag
-      | None -> true)
-  && (match p.p_detail with
-      | Some d -> value_matches ~exact:false d (Trace.detail e)
-      | None -> true)
-  && List.for_all
-       (fun (k, v) ->
-         match List.assoc_opt k e.Trace.fields with
-         | Some actual -> value_matches ~exact:true v actual
-         | None -> false)
-       p.p_fields
+(* the entry test of a pattern; its detail is forced only when the
+   pattern constrains it and the node and tag already match *)
+let compile_pattern p =
+  let node = Option.map (value_test ~exact:true) p.p_node
+  and tag = Option.map (value_test ~exact:true) p.p_tag
+  and detail = Option.map (value_test ~exact:false) p.p_detail
+  and fields = List.map (fun (k, v) -> (k, value_test ~exact:true v)) p.p_fields in
+  fun (e : Trace.entry) ->
+    (match node with Some f -> f e.Trace.node | None -> true)
+    && (match tag with Some f -> f e.Trace.tag | None -> true)
+    && (match detail with Some f -> f (Trace.detail e) | None -> true)
+    && List.for_all
+         (fun (k, f) ->
+           match List.assoc_opt k e.Trace.fields with
+           | Some actual -> f actual
+           | None -> false)
+         fields
 
 let pattern_describe p =
   let atoms =
@@ -142,214 +145,231 @@ let entry_cite i (e : Trace.entry) =
     (Vtime.to_string e.Trace.time)
     e.Trace.node e.Trace.tag (Trace.detail e)
 
-(* the (node, tag) indexes apply when the pattern constrains them
-   exactly — a wildcarded node or tag can't use the exact-match index
-   and falls back to the full scan *)
-let indexable = function
-  | Some v when not (has_wildcard v) -> Some v
+let window_name a b =
+  Printf.sprintf "[%s, %s]" (Vtime.to_string a)
+    (if Vtime.equal b Vtime.infinity then "inf" else Vtime.to_string b)
+
+(* ------------------------------------------------------------------ *)
+(* Monitors                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A monitor is an oracle compiled to a closure fed one entry at a time,
+   in recording order, plus a finisher.  Each leaf keeps O(1) state:
+   the matches it must cite ([hit]s) and a count, never a list.  Entries
+   a leaf's pattern cannot match may be skipped ([tags]), since they
+   change no state. *)
+
+(* a cited match: its recording index ([-1] before the first one) and
+   its entry *)
+type hit = { mutable at : int; mutable entry : Trace.entry }
+
+let no_entry =
+  { Trace.time = Vtime.zero; node = ""; tag = ""; detail = Lazy.from_val ""; fields = [] }
+
+let hit () = { at = -1; entry = no_entry }
+
+let set h i e =
+  h.at <- i;
+  h.entry <- e
+
+let found h = h.at >= 0
+let cite h = entry_cite h.at h.entry
+let witness h = if found h then Some h.at else None
+
+type monitor = {
+  tags : string list option;
+      (* the tags every leaf pattern pins exactly; [None]: any tag *)
+  feed : int -> Trace.entry -> unit;
+  passes : unit -> bool;
+  verdict : int -> verdict;  (* given the trace length *)
+}
+
+let pattern_tags p =
+  match p.p_tag with
+  | Some g when not (has_wildcard g) -> Some [ g ]
   | _ -> None
 
-(* every (index, entry) matching [p] *)
-let matches_of p trace =
-  let acc = ref [] in
-  Trace.iteri ?node:(indexable p.p_node) ?tag:(indexable p.p_tag)
-    (fun i e -> if pattern_matches p e then acc := (i, e) :: !acc)
-    trace;
-  List.rev !acc
+let union_tags tagss =
+  if List.exists Option.is_none tagss then None
+  else Some (List.sort_uniq String.compare (List.concat_map Option.get tagss))
 
-(* ------------------------------------------------------------------ *)
-(* Allocation-light evaluation                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* [holds] mirrors [eval]'s pass/fail decision exactly (each arm below
-   restates the corresponding [eval] arm's condition) without building
-   the match lists, describe strings or verdict records — campaigns
-   evaluate oracles once per trial and only care about the boolean
-   until something fails, at which point [check] re-runs [eval] for
-   the diagnostic. *)
-
-let count_matches p trace =
-  let n = ref 0 in
-  Trace.iteri ?node:(indexable p.p_node) ?tag:(indexable p.p_tag)
-    (fun _ e -> if pattern_matches p e then incr n)
-    trace;
-  !n
-
-let exists_match p trace =
-  let found = ref false in
-  Trace.iteri ?node:(indexable p.p_node) ?tag:(indexable p.p_tag)
-    (fun _ e -> if (not !found) && pattern_matches p e then found := true)
-    trace;
-  !found
-
-let exists_in_window p a b trace =
-  let found = ref false in
-  Trace.iteri ?node:(indexable p.p_node) ?tag:(indexable p.p_tag)
-    (fun _ e ->
-      if
-        (not !found)
-        && Vtime.(e.Trace.time >= a && e.Trace.time <= b)
-        && pattern_matches p e
-      then found := true)
-    trace;
-  !found
-
-(* first match of [p] at a recording index strictly greater than
-   [after], or -1 — [Trace.iteri] visits in ascending index order *)
-let first_match_after p trace ~after =
-  let found = ref (-1) in
-  Trace.iteri ?node:(indexable p.p_node) ?tag:(indexable p.p_tag)
-    (fun i e ->
-      if !found < 0 && i > after && pattern_matches p e then found := i)
-    trace;
-  !found
-
-let rec holds o trace =
-  match o with
-  | Eventually p -> exists_match p trace
-  | Never p -> not (exists_match p trace)
-  | Within (p, a, b) -> exists_in_window p a b trace
-  | Ordered ps ->
-    let rec chase last_idx = function
-      | [] -> true
-      | p :: rest ->
-        let i = first_match_after p trace ~after:last_idx in
-        i >= 0 && chase i rest
-    in
-    chase (-1) ps
-  | Count (p, cmp, bound) -> compare_holds cmp (count_matches p trace) bound
-  | All ts -> List.for_all (fun o -> holds o trace) ts
-  | Any ts -> List.exists (fun o -> holds o trace) ts
-
-let rec eval oracle trace =
-  let oracle_str = describe oracle in
-  let verdict pass reason witness = { oracle = oracle_str; pass; reason; witness } in
+let rec monitor oracle =
+  let verdict pass reason witness =
+    { oracle = describe oracle; pass; reason; witness }
+  in
   match oracle with
   | Eventually p ->
-    (match matches_of p trace with
-     | (i, e) :: _ -> verdict true ("satisfied by " ^ entry_cite i e) (Some i)
-     | [] ->
-       verdict false
-         (Printf.sprintf "no entry matches %s (%d entries searched)"
-            (pattern_describe p) (Trace.length trace))
-         None)
+    let test = compile_pattern p and first = hit () in
+    { tags = pattern_tags p;
+      feed = (fun i e -> if (not (found first)) && test e then set first i e);
+      passes = (fun () -> found first);
+      verdict =
+        (fun length ->
+          if found first then verdict true ("satisfied by " ^ cite first) (witness first)
+          else
+            verdict false
+              (Printf.sprintf "no entry matches %s (%d entries searched)"
+                 (pattern_describe p) length)
+              None) }
   | Never p ->
-    (match matches_of p trace with
-     | [] -> verdict true "no entry matches the forbidden pattern" None
-     | (i, e) :: rest ->
-       verdict false
-         (Printf.sprintf "forbidden %s matched by %s%s" (pattern_describe p)
-            (entry_cite i e)
-            (match rest with
-             | [] -> ""
-             | _ -> Printf.sprintf " (and %d more)" (List.length rest)))
-         (Some i))
+    let test = compile_pattern p and first = hit () and n = ref 0 in
+    { tags = pattern_tags p;
+      feed =
+        (fun i e ->
+          if test e then begin
+            if not (found first) then set first i e;
+            incr n
+          end);
+      passes = (fun () -> not (found first));
+      verdict =
+        (fun _ ->
+          if not (found first) then
+            verdict true "no entry matches the forbidden pattern" None
+          else
+            verdict false
+              (Printf.sprintf "forbidden %s matched by %s%s" (pattern_describe p)
+                 (cite first)
+                 (if !n > 1 then Printf.sprintf " (and %d more)" (!n - 1) else ""))
+              (witness first)) }
   | Within (p, a, b) ->
-    let all = matches_of p trace in
-    let inside =
-      List.filter (fun (_, e) -> Vtime.(e.Trace.time >= a && e.Trace.time <= b)) all
-    in
-    let window =
-      Printf.sprintf "[%s, %s]" (Vtime.to_string a)
-        (if Vtime.equal b Vtime.infinity then "inf" else Vtime.to_string b)
-    in
-    (match (inside, all) with
-     | (i, e) :: _, _ ->
-       verdict true
-         (Printf.sprintf "satisfied in %s by %s" window (entry_cite i e))
-         (Some i)
-     | [], [] ->
-       verdict false
-         (Printf.sprintf "no entry matches %s at all (wanted one in %s)"
-            (pattern_describe p) window)
-         None
-     | [], (i, e) :: _ ->
-       verdict false
-         (Printf.sprintf
-            "no %s in %s; %d matches fall outside the window, first at %s"
-            (pattern_describe p) window (List.length all) (entry_cite i e))
-         (Some i))
+    let test = compile_pattern p and inside = hit () and first = hit ()
+    and n = ref 0 in
+    { tags = pattern_tags p;
+      feed =
+        (fun i e ->
+          if test e then begin
+            incr n;
+            if not (found first) then set first i e;
+            if
+              (not (found inside))
+              && Vtime.(e.Trace.time >= a && e.Trace.time <= b)
+            then set inside i e
+          end);
+      passes = (fun () -> found inside);
+      verdict =
+        (fun _ ->
+          if found inside then
+            verdict true
+              (Printf.sprintf "satisfied in %s by %s" (window_name a b) (cite inside))
+              (witness inside)
+          else if not (found first) then
+            verdict false
+              (Printf.sprintf "no entry matches %s at all (wanted one in %s)"
+                 (pattern_describe p) (window_name a b))
+              None
+          else
+            verdict false
+              (Printf.sprintf
+                 "no %s in %s; %d matches fall outside the window, first at %s"
+                 (pattern_describe p) (window_name a b) !n (cite first))
+              (witness first)) }
   | Ordered ps ->
-    let rec chase step last_idx = function
-      | [] ->
-        verdict true
-          (Printf.sprintf "all %d steps matched in order" (List.length ps))
-          (if last_idx < 0 then None else Some last_idx)
-      | p :: rest ->
-        let next =
-          (* first match strictly after the previous step's witness *)
-          List.find_opt (fun (i, _) -> i > last_idx) (matches_of p trace)
-        in
-        (match next with
-         | Some (i, _) -> chase (step + 1) i rest
-         | None ->
-           verdict false
-             (Printf.sprintf
-                "step %d/%d (%s) never matched %s" step (List.length ps)
-                (pattern_describe p)
-                (if last_idx < 0 then "anywhere"
-                 else
-                   Printf.sprintf "after %s"
-                     (entry_cite last_idx (Trace.get trace last_idx))))
-             (if last_idx < 0 then None else Some last_idx))
-    in
-    if ps = [] then verdict true "vacuously ordered (no steps)" None
-    else chase 1 (-1) ps
+    (* step [k] matches the first entry after step [k-1]'s witness *)
+    let steps = Array.of_list (List.map compile_pattern ps) in
+    let step = ref 0 and last = hit () in
+    { tags = union_tags (List.map pattern_tags ps);
+      feed =
+        (fun i e ->
+          if !step < Array.length steps && steps.(!step) e then begin
+            set last i e;
+            incr step
+          end);
+      passes = (fun () -> !step = Array.length steps);
+      verdict =
+        (fun _ ->
+          if ps = [] then verdict true "vacuously ordered (no steps)" None
+          else if !step = Array.length steps then
+            verdict true
+              (Printf.sprintf "all %d steps matched in order" (Array.length steps))
+              (witness last)
+          else
+            verdict false
+              (Printf.sprintf "step %d/%d (%s) never matched %s" (!step + 1)
+                 (Array.length steps)
+                 (pattern_describe (List.nth ps !step))
+                 (if found last then "after " ^ cite last else "anywhere"))
+              (witness last)) }
   | Count (p, cmp, bound) ->
-    let all = matches_of p trace in
-    let c = List.length all in
-    let witness =
-      match List.rev all with (i, _) :: _ -> Some i | [] -> None
-    in
-    if compare_holds cmp c bound then
-      verdict true
-        (Printf.sprintf "count(%s) = %d, %s %d holds" (pattern_describe p) c
-           (comparison_name cmp) bound)
-        witness
-    else
-      verdict false
-        (Printf.sprintf "count(%s) = %d, expected %s %d%s" (pattern_describe p)
-           c (comparison_name cmp) bound
-           (match List.rev all with
-            | (i, e) :: _ -> "; last match " ^ entry_cite i e
-            | [] -> ""))
-        witness
+    let test = compile_pattern p and n = ref 0 and last = hit () in
+    { tags = pattern_tags p;
+      feed =
+        (fun i e ->
+          if test e then begin
+            incr n;
+            set last i e
+          end);
+      passes = (fun () -> compare_holds cmp !n bound);
+      verdict =
+        (fun _ ->
+          if compare_holds cmp !n bound then
+            verdict true
+              (Printf.sprintf "count(%s) = %d, %s %d holds" (pattern_describe p) !n
+                 (comparison_name cmp) bound)
+              (witness last)
+          else
+            verdict false
+              (Printf.sprintf "count(%s) = %d, expected %s %d%s" (pattern_describe p)
+                 !n (comparison_name cmp) bound
+                 (if found last then "; last match " ^ cite last else ""))
+              (witness last)) }
   | All ts ->
-    let sub = List.map (fun t -> eval t trace) ts in
-    (match List.find_opt (fun v -> not v.pass) sub with
-     | Some bad ->
-       verdict false
-         (Printf.sprintf "sub-oracle %s failed: %s" bad.oracle bad.reason)
-         bad.witness
-     | None ->
-       verdict true
-         (Printf.sprintf "all %d sub-oracles hold" (List.length sub))
-         None)
+    let ms = List.map monitor ts in
+    { tags = union_tags (List.map (fun m -> m.tags) ms);
+      feed = (fun i e -> List.iter (fun m -> m.feed i e) ms);
+      passes = (fun () -> List.for_all (fun m -> m.passes ()) ms);
+      verdict =
+        (fun length ->
+          match List.find_opt (fun m -> not (m.passes ())) ms with
+          | Some bad ->
+            let bad = bad.verdict length in
+            verdict false
+              (Printf.sprintf "sub-oracle %s failed: %s" bad.oracle bad.reason)
+              bad.witness
+          | None ->
+            verdict true
+              (Printf.sprintf "all %d sub-oracles hold" (List.length ms))
+              None) }
   | Any ts ->
-    let sub = List.map (fun t -> eval t trace) ts in
-    (match List.find_opt (fun v -> v.pass) sub with
-     | Some good ->
-       verdict true
-         (Printf.sprintf "sub-oracle %s holds: %s" good.oracle good.reason)
-         good.witness
-     | None ->
-       verdict false
-         (Printf.sprintf "none of the %d sub-oracles hold (first: %s)"
-            (List.length sub)
-            (match sub with v :: _ -> v.reason | [] -> "empty any()"))
-         None)
+    let ms = List.map monitor ts in
+    { tags = union_tags (List.map (fun m -> m.tags) ms);
+      feed = (fun i e -> List.iter (fun m -> m.feed i e) ms);
+      passes = (fun () -> List.exists (fun m -> m.passes ()) ms);
+      verdict =
+        (fun length ->
+          match List.find_opt (fun m -> m.passes ()) ms with
+          | Some good ->
+            let good = good.verdict length in
+            verdict true
+              (Printf.sprintf "sub-oracle %s holds: %s" good.oracle good.reason)
+              good.witness
+          | None ->
+            verdict false
+              (Printf.sprintf "none of the %d sub-oracles hold (first: %s)"
+                 (List.length ms)
+                 (match ms with
+                  | m :: _ -> (m.verdict length).reason
+                  | [] -> "empty any()"))
+              None) }
 
-let eval_all oracles trace = List.map (fun o -> eval o trace) oracles
+let attach m trace = Trace.attach trace ~tags:m.tags m.feed
+let verdict m trace = m.verdict (Trace.length trace)
 
-let check oracles trace =
-  let rec go = function
-    | [] -> Ok ()
-    | o :: rest ->
-      (* boolean fast path first; the verdict (and all its strings) is
-         only built for the failing oracle *)
-      if holds o trace then go rest
-      else
-        let v = eval o trace in
-        Error (Printf.sprintf "oracle %s: %s" v.oracle v.reason)
-  in
-  go oracles
+let check_monitors monitors trace =
+  match List.find_opt (fun m -> not (m.passes ())) monitors with
+  | None -> Ok ()
+  | Some m ->
+    let v = verdict m trace in
+    Error (Printf.sprintf "oracle %s: %s" v.oracle v.reason)
+
+(* a stored trace's entries fed to a fresh monitor, through the tag
+   index when the monitor pins one tag *)
+let replay oracle trace =
+  let m = monitor oracle in
+  (match m.tags with
+   | Some [] -> ()
+   | Some [ tag ] -> Trace.iteri ~tag m.feed trace
+   | Some _ | None -> Trace.iteri m.feed trace);
+  m
+
+let eval oracle trace = verdict (replay oracle trace) trace
+let check oracles trace = check_monitors (List.map (fun o -> replay o trace) oracles) trace

@@ -116,6 +116,17 @@ let parse_float ~line tok =
   | Some f -> f
   | _ -> err line tok "expected a number"
 
+(* a delay in seconds must become a [Vtime]: the filter's [xDelay]
+   rejects one that does not, and at run time that error ends the
+   whole run instead of naming this line *)
+let parse_seconds ~line tok =
+  let s = parse_float ~line tok in
+  if Float.is_nan s || s < 0. then
+    err line tok "expected a non-negative number of seconds";
+  if not (s *. 1e6 < float_of_int Vtime.infinity) then
+    err line tok "delay out of range";
+  s
+
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -200,7 +211,7 @@ let parse_fault ~line ~spec toks =
   | "byzantine_mix" :: _ -> usage "byzantine_mix" "byzantine_mix P"
   | [ "delay_each"; t; s ] ->
     check_mtype ~line ~spec t;
-    Generator.Delay_each (t, parse_float ~line s)
+    Generator.Delay_each (t, parse_seconds ~line s)
   | "delay_each" :: _ -> usage "delay_each" "delay_each TYPE SECONDS"
   | [ "duplicate"; t ] -> check_mtype ~line ~spec t; Generator.Duplicate t
   | "duplicate" :: _ -> usage "duplicate" "duplicate TYPE"
@@ -890,20 +901,6 @@ let run ?seed ?(observe = Campaign.silent) sc =
             row_reason = v.Oracle.reason;
             row_witness = v.Oracle.witness })
       sc.sc_checks
-  in
-  (* observer oracles ride along as extra rows after the scenario's own
-     checks; line 0 marks them as caller-supplied, not file-borne *)
-  let rows =
-    rows
-    @ List.map
-        (fun o ->
-          let v = Oracle.eval o trace in
-          { row_line = 0;
-            row_desc = v.Oracle.oracle;
-            row_pass = v.Oracle.pass;
-            row_reason = v.Oracle.reason;
-            row_witness = v.Oracle.witness })
-        observe.Campaign.obs_oracles
   in
   let failures = List.filter (fun r -> not r.row_pass) rows in
   let res_outcome =

@@ -223,10 +223,9 @@ val run : ?seed:int64 -> ?observe:Campaign.observer -> t -> result
 
     [observe] (default {!Campaign.silent}) is the same observer record
     campaigns consume: [obs_traces] keeps the run's trace on
-    [res_trace], and each [obs_oracles] entry is evaluated over the
-    trace as an extra result row (line 0), after the scenario's own
-    [expect] rows.  [obs_outcome] does not apply (scenarios produce no
-    campaign outcome) and is ignored. *)
+    [res_trace].  [obs_outcome] does not apply (scenarios produce no
+    campaign outcome) and is ignored.  The run always records into a
+    storing trace, which the [expect] rows read. *)
 
 val passed : result -> bool
 (** True for {!Pass} and {!Xfail}. *)

@@ -564,6 +564,65 @@ let test_trace_clear_releases_entries () =
   (* the trace itself stayed reachable throughout *)
   Alcotest.(check int) "cleared" 0 (Trace.length tr)
 
+(* A counting trace answers [length] and [count] like a storing one,
+   hands each entry to the feeds that want its tag without forcing its
+   detail, refuses every query that reads entries back, and detaches
+   (and releases) its feeds on [clear]. *)
+let test_counting_trace () =
+  let forced = ref false in
+  let record tr =
+    Trace.record tr ~time:(Vtime.sec 1) ~node:"a" ~tag:"x" "one";
+    Trace.record_lazy tr ~time:(Vtime.sec 2) ~node:"b" ~tag:"y"
+      (lazy (forced := true; "two"));
+    Trace.record tr ~time:(Vtime.sec 3) ~node:"a" ~tag:"y" "three"
+  in
+  let stored = Trace.create () and counting = Trace.create_counting () in
+  let fed = ref [] and every = ref 0 in
+  Trace.attach counting ~tags:(Some [ "y" ]) (fun i e -> fed := (i, e.Trace.node) :: !fed);
+  Trace.attach counting ~tags:None (fun _ _ -> incr every);
+  record stored;
+  record counting;
+  List.iter
+    (fun tr ->
+      Alcotest.(check int) "length" 3 (Trace.length tr);
+      Alcotest.(check int) "count by tag" 2 (Trace.count ~tag:"y" tr);
+      Alcotest.(check int) "count by node and tag" 1 (Trace.count ~node:"a" ~tag:"y" tr);
+      Alcotest.(check int) "count of an absent tag" 0 (Trace.count ~tag:"z" tr))
+    [ stored; counting ];
+  Alcotest.(check (list (pair int string))) "tag feed" [ (1, "b"); (2, "a") ] (List.rev !fed);
+  Alcotest.(check int) "every-tag feed" 3 !every;
+  Alcotest.(check bool) "no detail forced" false !forced;
+  let refuses name f =
+    Alcotest.(check bool) (name ^ " raises") true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  refuses "entries" (fun () -> ignore (Trace.entries counting));
+  refuses "find" (fun () -> ignore (Trace.find ~tag:"y" counting));
+  refuses "iter" (fun () -> Trace.iter ignore counting);
+  refuses "iteri" (fun () -> Trace.iteri (fun _ _ -> ()) counting);
+  refuses "get" (fun () -> ignore (Trace.get counting 0));
+  refuses "last" (fun () -> ignore (Trace.last counting));
+  refuses "timestamps" (fun () -> ignore (Trace.timestamps ~tag:"y" counting));
+  refuses "intervals" (fun () -> ignore (Trace.intervals ~tag:"y" counting));
+  refuses "to_jsonl" (fun () -> ignore (Trace.to_jsonl counting));
+  Trace.clear counting;
+  record counting;
+  Alcotest.(check int) "recounted after clear" 3 (Trace.length counting);
+  Alcotest.(check int) "clear detached the tag feed" 2 (List.length !fed);
+  Alcotest.(check int) "clear detached the every-tag feed" 3 !every;
+  let held, after =
+    collected_after_clear
+      ~hold:(fun v ->
+        Trace.attach counting ~tags:None (fun _ _ -> ignore (Bytes.length v));
+        (* a recorded entry also caches the feed in the memo *)
+        Trace.record counting ~time:Vtime.zero ~node:"a" ~tag:"x" "four")
+      ~clear:(fun () -> Trace.clear counting)
+  in
+  Alcotest.(check bool) "feed held before the clear" true held;
+  Alcotest.(check bool) "feed collected after the clear" false after;
+  (* the trace itself stayed reachable throughout *)
+  Alcotest.(check int) "cleared" 0 (Trace.length counting)
+
 let test_queue_clear_releases_entries () =
   List.iter
     (fun pop ->
@@ -624,5 +683,7 @@ let suite =
     Alcotest.test_case "trace fields roundtrip" `Quick test_trace_fields_roundtrip;
     Alcotest.test_case "trace jsonl export" `Quick test_trace_jsonl;
     Alcotest.test_case "trace clear releases entries" `Quick test_trace_clear_releases_entries;
+    Alcotest.test_case "counting trace counts, feeds and refuses reads" `Quick
+      test_counting_trace;
     QCheck_alcotest.to_alcotest prop_trace_index_matches_scan;
   ]

@@ -402,12 +402,23 @@ let test_gmp_stub_generate () =
    campaign's events — and allocation — happen here, on the plain
    gmd -> rel_udp -> netsim path.  Its event and trace counts are pinned
    to catch any change to what the trial does, and its minor-heap words
-   per fired event to catch the per-message path growing again: the
-   ceiling is 10% above the 91.5 words/event measured in the dev
-   profile (the release profile allocates about 4% less). *)
-let storm_words_per_event_ceiling = 100.6
+   per fired event to catch the per-message path growing again.  It
+   runs twice: capturing its trace, as [--trace-out] does, and as a
+   plain campaign trial does, counting entries without storing them
+   while gmp's monitors decide the verdict.  Each ceiling is 10% above
+   the words/event measured in the dev profile (captured 86.6, lean
+   83.6; the release profile allocates about 4% less). *)
+let storm_words_per_event_ceiling = 95.2
+let lean_storm_words_per_event_ceiling = 91.9
 
-let test_storm_trial_counters () =
+(* the verdict both runs must reach, byte for byte: the recording index
+   a counting trace cites is the one the stored trace holds *)
+let storm_violation =
+  "oracle count(tag=gmp.proclaim-fwd) <= 100: count(tag=gmp.proclaim-fwd) = 75000, \
+   expected <= 100; last match #227804 @450.000s n2 gmp.proclaim-fwd \
+   \"origin=1 -> leader=1 (loop)\""
+
+let storm_trial ?arm ~capture_trace () =
   let open Pfi_testgen in
   let ((module H : Harness_intf.HARNESS) as h) =
     Gmp_harness.harness ~bugs:Gmd.all_bugs ()
@@ -416,17 +427,42 @@ let test_storm_trial_counters () =
   let side = Campaign.Send_filter in
   let seed = Campaign.trial_seed ~campaign_seed:H.default_seed ~side fault in
   let w0 = Gc.minor_words () in
-  let o =
-    Campaign.run_trial h ~side ~horizon:H.default_horizon ~seed ~capture_trace:true fault
-  in
+  let o = Campaign.run_trial h ~side ~horizon:H.default_horizon ~seed ~capture_trace ?arm fault in
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check int) "sim events" 305_216 o.Campaign.sim_events;
+  Alcotest.(check int) "injected events" 777 o.Campaign.injected_events;
+  (match o.Campaign.verdict with
+   | Campaign.Violation reason -> Alcotest.(check string) "verdict" storm_violation reason
+   | Campaign.Tolerated -> Alcotest.fail "the storm trial must violate");
+  (o, words /. float_of_int o.Campaign.sim_events)
+
+let check_ceiling per_event ceiling =
+  if per_event > ceiling then
+    Alcotest.failf "%.2f minor words per event, ceiling %.1f" per_event ceiling
+
+let test_storm_trial_counters () =
+  let o, per_event = storm_trial ~capture_trace:true () in
   Alcotest.(check int) "trace entries" 227_806
-    (match o.Campaign.trace with Some tr -> Trace.length tr | None -> -1);
-  let per_event = words /. float_of_int o.Campaign.sim_events in
-  if per_event > storm_words_per_event_ceiling then
-    Alcotest.failf "%.2f minor words per event, ceiling %.1f" per_event
-      storm_words_per_event_ceiling
+    (match o.Pfi_testgen.Campaign.trace with Some tr -> Trace.length tr | None -> -1);
+  check_ceiling per_event storm_words_per_event_ceiling
+
+let test_lean_storm_trial () =
+  let sim = ref None in
+  let o, per_event =
+    storm_trial ~arm:(fun s _ -> sim := Some s) ~capture_trace:false ()
+  in
+  Alcotest.(check bool) "no trace on the outcome" true (o.Pfi_testgen.Campaign.trace = None);
+  let trace = Sim.trace (Option.get !sim) in
+  Alcotest.(check int) "trace entries" 227_806 (Trace.length trace);
+  Alcotest.(check int) "proclaim-fwd entries" 75_000
+    (Trace.count ~tag:"gmp.proclaim-fwd" trace);
+  Alcotest.(check bool) "a counting trace refuses reads" true
+    (match Trace.find ~tag:"gmp.proclaim-fwd" trace with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  let words = Obj.reachable_words (Obj.repr trace) in
+  if words >= 10_000 then Alcotest.failf "the counting trace holds %d words" words;
+  check_ceiling per_event lean_storm_words_per_event_ceiling
 
 let suite =
   [
@@ -448,6 +484,7 @@ let suite =
     Alcotest.test_case "proclaim forwarding bug loops" `Quick test_proclaim_forwarding_bug_loops;
     Alcotest.test_case "proclaim forwarding fixed" `Quick test_proclaim_forwarding_fixed;
     Alcotest.test_case "proclaim storm trial counters" `Quick test_storm_trial_counters;
+    Alcotest.test_case "proclaim storm trial stores no trace" `Quick test_lean_storm_trial;
     Alcotest.test_case "timer unset bug" `Quick test_timer_unset_bug;
     Alcotest.test_case "timer unset fixed" `Quick test_timer_unset_fixed;
     Alcotest.test_case "armed timers introspection" `Quick test_armed_timers_introspection;

@@ -708,6 +708,124 @@ let prop_guard_matches_interpreter =
       && Pfi_script.Guard.analyze (Pfi_script.Interp.compile interpreted) = None
       && guard_run filter types = guard_run interpreted types)
 
+(* ------------------------------------------------------------------ *)
+(* Oracle monitors: online, stored and reference evaluation agree      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random oracles over all seven constructors (nested [All]/[Any]),
+   with exact and wildcard node/tag values, substring and glob details
+   and field atoms, judged over random traces (the empty one included)
+   three ways: by a monitor attached to a counting trace while the
+   entries are recorded, by a monitor attached to a storing trace, by
+   [Oracle.eval] on the stored trace — all against the tree-walking
+   reference evaluator.  Recording into the counting trace must force
+   no detail unless the oracle has a detail pattern.  The counting
+   trace is recycled across cases, so [Trace.clear] must also detach
+   the previous case's monitor. *)
+
+module Oracle = Pfi_testgen.Oracle
+
+let mon_nodes = [| "alice"; "bob"; "n1" |]
+let mon_tags = [| "abp.out"; "abp.deliver"; "gmp.view"; "x" |]
+let mon_details = [| "msg-00"; "msg-01 bit=1"; "garbage"; "" |]
+
+let oracle_gen =
+  let open QCheck.Gen in
+  let value exact wild = oneof [ oneofa exact; oneofa wild ] in
+  let pat =
+    map
+      (fun (node, tag, detail, fields) -> { Oracle_reference.node; tag; detail; fields })
+      (quad
+         (opt (value mon_nodes [| "*"; "a*"; "*b"; "n*1" |]))
+         (opt (value mon_tags [| "*"; "abp.*"; "*deliver"; "gmp*w" |]))
+         (opt (oneofa [| "msg"; "bit=1"; "-0"; ""; "msg-*"; "*1"; "*arb*" |]))
+         (oneof
+            [ return [];
+              map2 (fun k v -> [ (k, v) ]) (oneofa [| "bit"; "k" |])
+                (oneofa [| "0"; "1"; "*"; "ab" |]) ]))
+  in
+  let vtime = map Vtime.sec (int_bound 12) in
+  let leaf =
+    oneof
+      [ map (fun p -> Oracle_reference.Eventually p) pat;
+        map (fun p -> Oracle_reference.Never p) pat;
+        map3
+          (fun p a w ->
+            Oracle_reference.Within
+              (p, a, match w with None -> Vtime.infinity | Some w -> Vtime.add a w))
+          pat vtime (opt vtime);
+        map (fun ps -> Oracle_reference.Ordered ps) (list_size (int_bound 3) pat);
+        map3
+          (fun p c n -> Oracle_reference.Count (p, c, n))
+          pat (oneofl Oracle.[ Lt; Le; Eq; Ne; Ge; Gt ]) (int_bound 5) ]
+  in
+  sized_size (int_bound 3)
+    (fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (3, leaf);
+               (1, map (fun ts -> Oracle_reference.All ts) (list_size (int_bound 3) (self (depth - 1))));
+               (1, map (fun ts -> Oracle_reference.Any ts) (list_size (int_bound 3) (self (depth - 1)))) ]))
+
+let mon_trace_gen =
+  QCheck.Gen.(
+    list_size (int_bound 25)
+      (quad (int_bound 3) (int_bound 3) (int_bound 3) (pair (int_bound 3) (opt (int_bound 1)))))
+
+(* details forced so far, by anyone *)
+let mon_forced = ref 0
+
+let mon_record tr entries =
+  ignore
+    (List.fold_left
+       (fun time (dt, ni, ti, (di, bit)) ->
+         let time = Vtime.add time (Vtime.sec dt) in
+         let detail = mon_details.(di) in
+         let fields = match bit with Some b -> [ ("bit", string_of_int b) ] | None -> [] in
+         Trace.record_lazy ~fields tr ~time ~node:mon_nodes.(ni mod 3) ~tag:mon_tags.(ti)
+           (lazy (incr mon_forced; detail));
+         time)
+       Vtime.zero entries)
+
+let rec reads_details = function
+  | Oracle_reference.Eventually p | Never p | Within (p, _, _) | Count (p, _, _) ->
+    p.Oracle_reference.detail <> None
+  | Ordered ps -> List.exists (fun p -> p.Oracle_reference.detail <> None) ps
+  | All ts | Any ts -> List.exists reads_details ts
+
+let recycled_counting = Trace.create_counting ()
+
+let prop_monitors_match_reference =
+  QCheck.Test.make ~name:"online monitors agree with the reference evaluator" ~count:1000
+    (QCheck.make
+       ~print:(fun (o, es) ->
+         Printf.sprintf "%s over %d entries"
+           (Oracle.describe (Oracle_reference.to_oracle o))
+           (List.length es))
+       (QCheck.Gen.pair oracle_gen mon_trace_gen))
+    (fun (ref_oracle, entries) ->
+      let oracle = Oracle_reference.to_oracle ref_oracle in
+      let counting = recycled_counting in
+      Trace.clear counting;
+      let online = Oracle.monitor oracle in
+      Oracle.attach online counting;
+      let forced0 = !mon_forced in
+      mon_record counting entries;
+      (* recording forces a detail only for a detail pattern *)
+      let lazy_enough = reads_details ref_oracle || !mon_forced = forced0 in
+      let stored = Trace.create () in
+      let attached = Oracle.monitor oracle in
+      Oracle.attach attached stored;
+      mon_record stored entries;
+      let expected = Oracle_reference.eval ref_oracle stored in
+      let agree (v : Oracle.verdict) = v = expected in
+      lazy_enough
+      && agree (Oracle.verdict online counting)
+      && agree (Oracle.verdict attached stored)
+      && agree (Oracle.eval oracle stored)
+      && Oracle.check_monitors [ online ] counting = Oracle.check [ oracle ] stored)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parser_total;
@@ -722,4 +840,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_encoders_match_reference;
     QCheck_alcotest.to_alcotest prop_decoders_match_reference;
     QCheck_alcotest.to_alcotest prop_guard_matches_interpreter;
+    QCheck_alcotest.to_alcotest prop_monitors_match_reference;
   ]
