@@ -7,7 +7,7 @@
 
    The repo benchmark (end-to-end and per-layer metrics with noise
    bounds) is `sh perf/run.sh`; the paper's tables and figures come
-   from `pfi_run run`. *)
+   from the conformance catalogs, `pfi_run matrix [tcp|paper]`. *)
 
 open Bechamel
 open Toolkit

@@ -1,7 +1,6 @@
 (* pfi-run: command-line front end to the PFI reproduction.
 
-   - `pfi-run list`                what can be regenerated
-   - `pfi-run run table1 ...`      regenerate paper artifacts
+   - `pfi-run list`                the conformance catalogs and harnesses
    - `pfi-run repl`                interactive script REPL (the filter
                                    language, with a sample TCP segment bound)
    - `pfi-run msc`                 the paper's Section 4.1 ladder diagram
@@ -22,6 +21,10 @@
                                    mutate fault scripts/schedules, keep
                                    coverage-increasing inputs, shrink and
                                    dedupe violations into findings
+   - `pfi-run matrix [tcp|paper]`  run a conformance catalog: every row
+                                   checks one paper result (--report
+                                   writes EXPERIMENTS_tcp.md or
+                                   EXPERIMENTS_paper.md)
    - `pfi-run help [<cmd>]`        the normalized option table
 
    Every subcommand draws its flags from one option-spec table (Copts
@@ -29,7 +32,6 @@
    same thing everywhere they appear. *)
 
 open Cmdliner
-open Pfi_experiments
 
 (* ------------------------------------------------------------------ *)
 (* The common option-spec table                                       *)
@@ -46,10 +48,12 @@ module Copts = struct
     { flag = "seed";
       docv = "SEED";
       doc =
-        "Root RNG seed.  For $(b,campaign) this is the campaign seed \
-         per-trial seeds are derived from; for $(b,replay) and $(b,shrink) \
-         it overrides the artifact's recorded seed; elsewhere it replaces \
-         the default simulator seed." }
+        "Root RNG seed.  For $(b,campaign) and $(b,matrix) this is the \
+         campaign seed per-trial and per-row seeds are derived from; for \
+         $(b,replay) and $(b,shrink) it overrides the artifact's recorded \
+         seed; for $(b,check) it overrides each scenario's seed; for \
+         $(b,fuzz) it seeds the fuzzer; for $(b,repl) it seeds the \
+         REPL's simulator." }
 
   let trace_out =
     { flag = "trace-out";
@@ -152,7 +156,8 @@ module Copts = struct
       doc =
         "Build every trial with the $(docv) profile while keeping each \
          row's own vendor expectations — the wrong-knob negative control, \
-         so mismatched rows are expected to FAIL." }
+         so mismatched rows are expected to FAIL.  Vendor-matrix \
+         ($(b,tcp)) rows only: with $(b,paper) it exits 2." }
 
   (* which subcommand carries which options — the single source the
      Cmdliner terms and `pfi_run help <cmd>` are both generated from.
@@ -160,14 +165,12 @@ module Copts = struct
      are silently ignored) but are flagged in help output and slated
      for removal. *)
   let commands =
-    [ ("list", "", "List regenerable artifacts and harnesses.",
+    [ ("list", "", "List the conformance catalogs and campaign harnesses.",
        [ json ], []);
-      ("run", "ARTIFACT...", "Regenerate one or more paper artifacts.",
-       [ seed; trace_out; json ], []);
       ("repl", "", "Interactive REPL over the filter scripting language.",
        [ seed ], []);
       ("msc", "", "Print the paper's global-error-counter ladder diagram.",
-       [ seed; trace_out; json ], []);
+       [ trace_out; json ], []);
       ("campaign", "TARGET", "Run a generated fault-injection campaign.",
        [ seed; trace_out; json; jobs; repro_dir; stats ], []);
       ("shrink", "FILE", "Minimize a violating repro artifact.",
@@ -186,9 +189,10 @@ module Copts = struct
         schedules, keep inputs that reach new trace coverage, minimize and \
         deduplicate every violation into a findings stream.",
        [ seed; trace_out; json; jobs; budget; corpus; stats ], []);
-      ("matrix", "",
-       "Run the vendor conformance matrix: re-discover the paper's TCP \
-        quirk tables from traces.",
+      ("matrix", "[CATALOG]",
+       "Run a conformance catalog, $(b,tcp) (default: the vendor matrix \
+        that re-discovers the paper's TCP quirk tables from traces) or \
+        $(b,paper) (every other paper result).",
        [ seed; json; jobs; report; profile ], []) ]
 
   (* Cmdliner terms, generated from the specs *)
@@ -290,32 +294,23 @@ let help_cmd =
   Cmd.v (Cmd.info "help" ~doc) Term.(const help_table $ cmd)
 
 (* ------------------------------------------------------------------ *)
-(* Paper artifacts                                                    *)
+(* Conformance catalogs and the inventory                             *)
 (* ------------------------------------------------------------------ *)
 
-type output =
-  | Table of Report.t
-  | Figure of Report.figure
+let catalogs =
+  [ ("tcp",
+     "TCP vendor quirk matrix, paper Tables 1-4 (EXPERIMENTS_tcp.md)",
+     Pfi_testgen.Conformance.catalog);
+    ("paper",
+     "the other paper results: Tables 2-8, Figure 4, Experiment 5, \
+      ablations (EXPERIMENTS_paper.md)",
+     Pfi_testgen.Paper.catalog) ]
 
-let artifacts : (string * string * (unit -> output)) list =
-  [ ("table1", "TCP retransmission timeouts", fun () -> Table (Tcp_experiments.table1 ()));
-    ("table2", "TCP RTO with delayed ACKs", fun () -> Table (Tcp_experiments.table2 ()));
-    ( "figure4",
-      "retransmission timeout series",
-      fun () -> Figure (Tcp_experiments.figure4 ()) );
-    ("table3", "TCP keep-alive", fun () -> Table (Tcp_experiments.table3 ()));
-    ("table4", "TCP zero-window probes", fun () -> Table (Tcp_experiments.table4 ()));
-    ("exp5", "TCP reordering", fun () -> Table (Tcp_experiments.exp5_report ()));
-    ("table5", "GMP packet interruption", fun () -> Table (Gmp_experiments.table5 ()));
-    ("table6", "GMP network partitions", fun () -> Table (Gmp_experiments.table6 ()));
-    ("table7", "GMP proclaim forwarding", fun () -> Table (Gmp_experiments.table7 ()));
-    ("table8", "GMP timer test", fun () -> Table (Gmp_experiments.table8 ()));
-    ( "ablation-karn",
-      "ablation: Karn sampling on/off",
-      fun () -> Table (Ablations.table_karn ()) );
-    ( "ablation-counter",
-      "ablation: retry accounting policy",
-      fun () -> Table (Ablations.table_counter ()) ) ]
+let open_trace_out path =
+  try open_out path
+  with Sys_error m ->
+    Printf.eprintf "cannot open trace output: %s\n" m;
+    exit 1
 
 let json_str s = Pfi_testgen.Repro.Json.Str s
 let json_print tree = print_endline (Pfi_testgen.Repro.Json.to_string tree)
@@ -326,8 +321,8 @@ let list_ json =
       (fun (name, desc, _) ->
         json_print
           (Pfi_testgen.Repro.Json.Obj
-             [ ("artifact", json_str name); ("description", json_str desc) ]))
-      artifacts;
+             [ ("catalog", json_str name); ("description", json_str desc) ]))
+      catalogs;
     List.iter
       (fun entry ->
         json_print
@@ -338,10 +333,10 @@ let list_ json =
       Pfi_testgen.Registry.entries
   end
   else begin
-    print_endline "paper artifacts (pfi_run run <name>):";
+    print_endline "conformance catalogs (pfi_run matrix <name>):";
     List.iter
       (fun (name, desc, _) -> Printf.printf "  %-16s %s\n" name desc)
-      artifacts;
+      catalogs;
     print_endline "campaign harnesses (pfi_run campaign <name>):";
     List.iter
       (fun entry ->
@@ -352,92 +347,15 @@ let list_ json =
   end
 
 let list_cmd =
-  let doc = "List the paper artifacts and campaign harnesses." in
+  let doc = "List the conformance catalogs and campaign harnesses." in
   Cmd.v (Cmd.info "list" ~doc) Term.(const list_ $ Copts.json_term)
-
-(* While [f] runs, capture every simulation it creates (experiment
-   generators build their sims internally) and let it flush their traces
-   as JSONL to [trace_out].  The flush callback takes extra key/value
-   pairs spliced into every line, so each exported entry says which
-   artifact and which sim it came from.
-
-   Single-domain only (see Sim.set_create_hook): the hook appends to a
-   shared list, which is exactly why parallel campaigns use per-trial
-   trace capture on campaign outcomes instead of this helper. *)
-let with_trace_capture trace_out f =
-  match trace_out with
-  | None -> f (fun _extra -> ())
-  | Some path ->
-    let oc =
-      try open_out path
-      with Sys_error m ->
-        Printf.eprintf "cannot open trace output: %s\n" m;
-        exit 1
-    in
-    let sims = ref [] in
-    Pfi_engine.Sim.set_create_hook (Some (fun sim -> sims := sim :: !sims));
-    let flush extra =
-      List.iteri
-        (fun i sim ->
-          Pfi_engine.Trace.output_jsonl
-            ~extra:(extra @ [ ("sim", string_of_int i) ])
-            oc
-            (Pfi_engine.Sim.trace sim))
-        (List.rev !sims);
-      sims := []
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Pfi_engine.Sim.set_create_hook None;
-        close_out oc)
-      (fun () -> f flush)
-
-let apply_default_seed seed =
-  match seed with
-  | Some s -> Pfi_engine.Sim.set_default_seed s
-  | None -> ()
-
-let run_one ~json ~flush name =
-  match List.find_opt (fun (n, _, _) -> n = name) artifacts with
-  | None ->
-    Printf.eprintf "unknown artifact %S (try `pfi_run list`)\n" name;
-    exit 1
-  | Some (_, desc, gen) ->
-    if not json then Printf.printf "== %s: %s ==\n%!" name desc;
-    let out = gen () in
-    flush [ ("artifact", name) ];
-    (match (out, json) with
-     | Table t, false -> Report.print t
-     | Table t, true -> print_endline (Report.to_json t)
-     | Figure f, false -> Report.print_figure f
-     | Figure f, true -> print_endline (Report.figure_to_json f))
-
-let run_cmd =
-  let doc = "Regenerate one or more paper artifacts (or `all`)." in
-  let names =
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"ARTIFACT")
-  in
-  let run names json trace_out seed =
-    apply_default_seed seed;
-    let names =
-      if List.mem "all" names then List.map (fun (n, _, _) -> n) artifacts
-      else names
-    in
-    with_trace_capture trace_out (fun flush ->
-        List.iter (run_one ~json ~flush) names)
-  in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const run $ names $ Copts.json_term $ Copts.trace_out_term
-      $ Copts.seed_term)
 
 (* A REPL over the filter scripting language, with a sample TCP segment
    bound as cur_msg so msg_* commands can be explored interactively. *)
 let repl seed =
-  apply_default_seed seed;
   let open Pfi_engine in
   let open Pfi_stack in
-  let sim = Sim.create () in
+  let sim = Sim.create ?seed () in
   let pfi =
     Pfi_core.Pfi_layer.create ~sim ~node:"repl" ~stub:Pfi_tcp.Tcp_stub.stub ()
   in
@@ -489,61 +407,66 @@ let repl_cmd =
 
 (* Re-runs the Solaris global-error-counter experiment with MSC
    recording on and prints the ladder diagram the paper draws in §4.1
-   (m1 retransmitted six times, its delayed ACK, then m2 three times). *)
-let msc seed trace_out json =
-  apply_default_seed seed;
+   (m1 retransmitted six times, its delayed ACK, then m2 three times).
+   [--trace-out] exports the run's one simulation. *)
+let msc trace_out json =
   let open Pfi_engine in
   let open Pfi_core in
-  with_trace_capture trace_out (fun flush ->
-      let rig = Tcp_rig.make ~profile:Pfi_tcp.Profile.solaris_23 () in
-      Pfi_netsim.Network.set_msc_enabled rig.Tcp_rig.net true;
-      let vconn, _xc = Tcp_rig.connect rig in
-      Pfi_layer.set_receive_filter rig.Tcp_rig.pfi
-        {|
+  let open Pfi_testgen in
+  let oc = Option.map open_trace_out trace_out in
+  let rig = Tcp_rig.make ~profile:Pfi_tcp.Profile.solaris_23 () in
+  Pfi_netsim.Network.set_msc_enabled rig.Tcp_rig.net true;
+  let vconn, _xc = Tcp_rig.connect rig in
+  Pfi_layer.set_receive_filter rig.Tcp_rig.pfi
+    {|
 if {![info exists count]} { set count 0 }
 incr count
 if {$count == 31} { peer_set delay_next_ack 1 }
 if {$count > 31} { xDrop cur_msg }
 |};
-      Pfi_layer.set_send_filter rig.Tcp_rig.pfi
-        {|
+  Pfi_layer.set_send_filter rig.Tcp_rig.pfi
+    {|
 if {![info exists delay_next_ack]} { set delay_next_ack 0 }
 if {$delay_next_ack == 1 && [msg_type cur_msg] == "ACK"} {
   set delay_next_ack 0
   xDelay cur_msg 35.0
 }
 |};
-      let t_filter = Sim.now rig.Tcp_rig.sim in
-      Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every:(Vtime.ms 400)
-        ~count:32;
-      Sim.run ~until:(Vtime.hours 1) rig.Tcp_rig.sim;
-      (* show only the interesting tail: from shortly before the drop phase *)
-      let events =
-        List.filter
-          (fun e ->
-            Vtime.(e.Pfi_netsim.Msc.time >= Vtime.add t_filter (Vtime.sec 12)))
-          (Pfi_netsim.Msc.events (Sim.trace rig.Tcp_rig.sim))
-      in
-      if json then
-        Trace.output_jsonl ~extra:[ ("artifact", "msc") ] ~tag:"msc" stdout
-          (Sim.trace rig.Tcp_rig.sim)
-      else begin
-        print_endline
-          "Message sequence chart: the Solaris global-error-counter discovery";
-        print_endline
-          "(m1's ACK delayed 35 s; X marks messages the PFI layer or network \
-           dropped)\n";
-        Pfi_netsim.Msc.render ~nodes:[ Tcp_rig.vendor_node; Tcp_rig.xk_node ]
-          Format.std_formatter events
-      end;
-      flush [ ("artifact", "msc") ])
+  let t_filter = Sim.now rig.Tcp_rig.sim in
+  Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every:(Vtime.ms 400)
+    ~count:32;
+  Sim.run ~until:(Vtime.hours 1) rig.Tcp_rig.sim;
+  let trace = Sim.trace rig.Tcp_rig.sim in
+  (* show only the interesting tail: from shortly before the drop phase *)
+  let events =
+    List.filter
+      (fun e ->
+        Vtime.(e.Pfi_netsim.Msc.time >= Vtime.add t_filter (Vtime.sec 12)))
+      (Pfi_netsim.Msc.events trace)
+  in
+  if json then
+    Trace.output_jsonl ~extra:[ ("artifact", "msc") ] ~tag:"msc" stdout trace
+  else begin
+    print_endline
+      "Message sequence chart: the Solaris global-error-counter discovery";
+    print_endline
+      "(m1's ACK delayed 35 s; X marks messages the PFI layer or network \
+       dropped)\n";
+    Pfi_netsim.Msc.render ~nodes:[ Tcp_rig.vendor_node; Tcp_rig.xk_node ]
+      Format.std_formatter events
+  end;
+  Option.iter
+    (fun oc ->
+      Trace.output_jsonl ~extra:[ ("artifact", "msc"); ("sim", "0") ] oc trace;
+      close_out oc)
+    oc
 
 let msc_cmd =
   let doc =
     "Print the paper's global-error-counter ladder diagram (regenerated)."
   in
   Cmd.v (Cmd.info "msc" ~doc)
-    Term.(const msc $ Copts.seed_term $ Copts.trace_out_term $ Copts.json_term)
+    Term.(const msc $ Copts.trace_out_term $ Copts.json_term)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection campaigns, repro artifacts, shrinking and replay   *)
@@ -565,12 +488,6 @@ let mkdir_p dir =
     end
   in
   go dir
-
-let open_trace_out path =
-  try open_out path
-  with Sys_error m ->
-    Printf.eprintf "cannot open trace output: %s\n" m;
-    exit 1
 
 let verdict_json = function
   | Pfi_testgen.Campaign.Tolerated -> json_str "tolerated"
@@ -1456,13 +1373,12 @@ let gen_cmd =
 (* Vendor conformance matrix                                          *)
 (* ------------------------------------------------------------------ *)
 
-let matrix seed jobs json report profile =
+let matrix catalog seed jobs json report profile =
   let open Pfi_testgen in
   let seed = Option.value seed ~default:Campaign.default_seed in
   let executor = Executor.of_jobs jobs in
   let rep =
-    try Conformance.run ~executor ~seed ?profile_override:profile
-          (Conformance.catalog ())
+    try Conformance.run ~executor ~seed ?profile_override:profile (catalog ())
     with Invalid_argument m ->
       Printf.eprintf "matrix: %s\n" m;
       exit 2
@@ -1494,19 +1410,28 @@ let matrix seed jobs json report profile =
 
 let matrix_cmd =
   let doc =
-    "Run the vendor conformance matrix — the flagship campaign that \
-     re-discovers the paper's TCP quirk tables from traces.  Every catalog \
-     row (retransmission exhaustion, retry accounting, keep-alive, \
-     zero-window probing, plus handshake/teardown lifecycle rows, each \
-     crossed with all four vendor profiles) runs as one fault-injection \
-     trial, and an oracle re-measures the quirk from the recorded trace \
-     against the paper's value.  Exit 1 if any row fails.  The report is \
-     byte-identical for any $(b,--jobs) width."
+    "Run a conformance catalog: every row runs one fault-injection trial \
+     and checks what it measures against the paper's value.  The default \
+     $(b,tcp) catalog is the vendor matrix that re-discovers the paper's \
+     TCP quirk tables from traces (retransmission exhaustion, retry \
+     accounting, keep-alive, zero-window probing, plus handshake/teardown \
+     lifecycle rows, each crossed with all four vendor profiles); \
+     $(b,paper) holds every other paper result (Tables 2-8, Figure 4, \
+     Experiment 5 and the ablations).  Exit 1 if any row fails.  The \
+     report is byte-identical for any $(b,--jobs) width."
+  in
+  let catalog =
+    Arg.(
+      value
+      & pos 0 (enum (List.map (fun (name, _, rows) -> (name, rows)) catalogs))
+          Pfi_testgen.Conformance.catalog
+      & info [] ~docv:"CATALOG"
+          ~doc:"The catalog to run: $(b,tcp) (the default) or $(b,paper).")
   in
   Cmd.v (Cmd.info "matrix" ~doc)
     Term.(
-      const matrix $ Copts.seed_term $ Copts.jobs_term $ Copts.json_term
-      $ Copts.report_term $ Copts.profile_term)
+      const matrix $ catalog $ Copts.seed_term $ Copts.jobs_term
+      $ Copts.json_term $ Copts.report_term $ Copts.profile_term)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))
@@ -1519,5 +1444,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ list_cmd; run_cmd; repl_cmd; msc_cmd; campaign_cmd; shrink_cmd;
+          [ list_cmd; repl_cmd; msc_cmd; campaign_cmd; shrink_cmd;
             replay_cmd; check_cmd; gen_cmd; fuzz_cmd; matrix_cmd; help_cmd ]))

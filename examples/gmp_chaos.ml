@@ -5,7 +5,7 @@
 
 open Pfi_engine
 open Pfi_gmp
-open Pfi_experiments
+open Pfi_testgen
 
 let show rig label =
   Printf.printf "%-28s" label;

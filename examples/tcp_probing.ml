@@ -10,7 +10,7 @@
 open Pfi_engine
 open Pfi_core
 open Pfi_tcp
-open Pfi_experiments
+open Pfi_testgen
 
 let () =
   let profile = Profile.sunos_413 in

@@ -62,16 +62,3 @@ let exponential t ~mean =
     if u > 0.0 then u else nonzero ()
   in
   -.mean *. log (nonzero ())
-
-let geometric t ~p =
-  assert (p > 0.0 && p <= 1.0);
-  let rec loop n = if bernoulli t ~p then n else loop (n + 1) in
-  loop 0
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

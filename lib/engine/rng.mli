@@ -42,9 +42,3 @@ val normal : t -> mean:float -> std:float -> float
 (** Box–Muller transform. *)
 
 val exponential : t -> mean:float -> float
-
-val geometric : t -> p:float -> int
-(** Number of failures before the first success; [0 < p <= 1]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

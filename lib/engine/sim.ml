@@ -12,26 +12,6 @@ type t = {
 
 exception Stop
 
-(* Observability plumbing for front ends (e.g. `pfi_run --trace-out`):
-   experiment generators build their simulations internally, so a CLI
-   that wants every trace registers a hook here before running them.
-   The cell is atomic so a concurrently running domain reads a
-   well-defined value, but the hook itself runs on whichever domain
-   calls [create] — installing a hook that mutates shared state is only
-   sound while all sims are created on one domain (see the .mli).
-   Parallel campaign execution (Pfi_testgen.Executor.domains) does not
-   use this hook: trial traces are captured per-Sim instead. *)
-let creation_hook : (t -> unit) option Atomic.t = Atomic.make None
-
-let set_create_hook hook = Atomic.set creation_hook hook
-
-(* Process-wide fallback seed for [create ?seed:None], settable by front
-   ends so a CLI `--seed` reaches simulations that experiment generators
-   build internally.  Same single-domain caveat as the creation hook. *)
-let default_seed : int64 Atomic.t = Atomic.make 1L
-
-let set_default_seed seed = Atomic.set default_seed seed
-
 (* Reusable backing storage for a simulation: the event heap and the
    trace keep their grown capacity (and the trace its intern table)
    across trials, so a trial arena rebuilds a sim without re-growing
@@ -48,10 +28,7 @@ type scratch = {
 let scratch () =
   { sc_queue = Event_queue.create (); sc_trace = Trace.create_counting () }
 
-let create ?scratch ?seed () =
-  let seed =
-    match seed with Some s -> s | None -> Atomic.get default_seed
-  in
+let create ?scratch ?(seed = 1L) () =
   let queue, trace =
     match scratch with
     | None -> (Event_queue.create (), Trace.create ())
@@ -60,17 +37,13 @@ let create ?scratch ?seed () =
       Trace.clear sc.sc_trace;
       (sc.sc_queue, sc.sc_trace)
   in
-  let t =
-    { queue;
-      clock = Vtime.zero;
-      root_rng = Rng.create ~seed;
-      trace;
-      stopping = false;
-      events = 0;
-      want_labels = false }
-  in
-  (match Atomic.get creation_hook with Some f -> f t | None -> ());
-  t
+  { queue;
+    clock = Vtime.zero;
+    root_rng = Rng.create ~seed;
+    trace;
+    stopping = false;
+    events = 0;
+    want_labels = false }
 
 let now t = t.clock
 let rng t = t.root_rng

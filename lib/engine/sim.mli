@@ -22,8 +22,7 @@ type scratch
 val scratch : unit -> scratch
 
 val create : ?scratch:scratch -> ?seed:int64 -> unit -> t
-(** [seed] defaults to the process-wide default seed ([1L] unless a
-    front end changed it via {!set_default_seed}).
+(** [seed] defaults to [1L].
 
     [scratch] donates recycled backing storage: the scratch's queue and
     trace are cleared and adopted by the new simulation.  Its events,
@@ -65,26 +64,6 @@ val set_want_labels : t -> bool -> unit
     no renderer attached (campaign trials) skip that cost entirely. *)
 
 val want_labels : t -> bool
-
-val set_create_hook : ((t -> unit) option) -> unit
-(** Process-wide hook invoked on every {!create} — lets a front end
-    capture the simulations (and hence traces) that experiment
-    generators build internally.  Pass [None] to uninstall.  Not for
-    library code.
-
-    {b Single-domain use only.}  The hook runs on whichever domain
-    calls {!create}; the registration cell is atomic, but a hook that
-    mutates shared state (the usual use: appending to a list of sims)
-    is only sound while every simulation is created on one domain.
-    Parallel campaign execution deliberately bypasses it — trial traces
-    are carried on campaign outcomes instead
-    ([Pfi_testgen.Campaign.outcome.trace]). *)
-
-val set_default_seed : int64 -> unit
-(** Process-wide default for [create ?seed:None] (initially [1L]) —
-    lets a front end's [--seed] reach simulations that experiment
-    generators build internally.  Front ends only; same single-domain
-    caveat as {!set_create_hook}. *)
 
 (** {1 Scheduling} *)
 

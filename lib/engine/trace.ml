@@ -412,19 +412,3 @@ let output_jsonl ?extra ?node ?tag oc t =
       Buffer.add_char buf '\n';
       Buffer.output_buffer oc buf)
     t
-
-(* ------------------------------------------------------------------ *)
-(* Pretty printing                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let pp_entry ppf e =
-  Format.fprintf ppf "[%a] %-12s %-24s %s" Vtime.pp e.time e.node e.tag
-    (Lazy.force e.detail);
-  match e.fields with
-  | [] -> ()
-  | fields ->
-    Format.fprintf ppf " {%s}"
-      (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) fields))
-
-let dump ppf t =
-  iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) t

@@ -145,9 +145,3 @@ val to_jsonl :
 val output_jsonl :
   ?extra:(string * string) list -> ?node:string -> ?tag:string ->
   out_channel -> t -> unit
-
-(** {1 Pretty printing} *)
-
-val pp_entry : Format.formatter -> entry -> unit
-
-val dump : Format.formatter -> t -> unit

@@ -98,11 +98,6 @@ let layer t = match t.the_layer with Some l -> l | None -> assert false
 let is_leader t =
   t.ph = Normal && t.current.leader = t.self_id && not t.self_down
 
-let crown_prince t =
-  match t.current.members with
-  | _ :: prince :: _ -> Some prince
-  | _ -> None
-
 let record t tag detail = Sim.record t.sim ~node:t.node_name ~tag detail
 
 (* A proclaim-forwarding storm records one gmp.proclaim-fwd entry per

@@ -89,9 +89,6 @@ val id : t -> int
 val node : t -> string
 val view : t -> view
 val phase : t -> phase
-val is_leader : t -> bool
-val crown_prince : t -> int option
-(** Second-lowest member id, next in line for leadership. *)
 
 val self_marked_down : t -> bool
 (** True only in the buggy self-death state. *)

@@ -1,7 +1,5 @@
 open Pfi_engine
 
-let label_attr = "msc.label"
-
 type event = {
   time : Vtime.t;
   arrival : Vtime.t option;

@@ -5,12 +5,9 @@
     module regenerates such diagrams: when {!Network.set_msc_enabled} is
     on, every transmission records an [msc] trace entry carrying source,
     destination, arrival time and a label (protocols may set the
-    {!label_attr} message attribute; otherwise the payload size is
+    ["msc.label"] message attribute; otherwise the payload size is
     shown); {!render} lays the entries out as a two-column ladder, or as
     "src -> dst" event lines for wider topologies. *)
-
-val label_attr : string
-(** ["msc.label"]: set on a message to control how it appears. *)
 
 type event = {
   time : Pfi_engine.Vtime.t;  (** transmission time *)

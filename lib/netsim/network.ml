@@ -11,9 +11,8 @@ type t = {
   sim : Sim.t;
   rng : Rng.t;
   devices : Layer.t String_table.t;
-  mutable default_latency : Vtime.t;
+  default_latency : Vtime.t;
   latencies : (link_key, Vtime.t) Hashtbl.t;
-  jitters : (link_key, Vtime.t) Hashtbl.t;
   losses : (link_key, float) Hashtbl.t;
   blocked : (link_key, unit) Hashtbl.t;
   mutable groups : string list list option;  (* current partition *)
@@ -31,7 +30,6 @@ let create ?(default_latency = Vtime.ms 1) sim =
     devices = String_table.create 16;
     default_latency;
     latencies = Hashtbl.create 16;
-    jitters = Hashtbl.create 16;
     losses = Hashtbl.create 16;
     blocked = Hashtbl.create 16;
     groups = None;
@@ -47,9 +45,7 @@ let sim t = t.sim
 let nodes t =
   List.sort String.compare (String_table.fold (fun k _ acc -> k :: acc) t.devices [])
 
-let set_default_latency t l = t.default_latency <- l
 let set_latency t ~src ~dst l = Hashtbl.replace t.latencies (src, dst) l
-let set_jitter t ~src ~dst span = Hashtbl.replace t.jitters (src, dst) span
 let set_loss t ~src ~dst rate = Hashtbl.replace t.losses (src, dst) rate
 let block t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
 let unblock t ~src ~dst = Hashtbl.remove t.blocked (src, dst)
@@ -120,16 +116,9 @@ let link_find tbl ~src ~dst =
   if Hashtbl.length tbl = 0 then None else Hashtbl.find_opt tbl (src, dst)
 
 let latency t ~src ~dst =
-  let base =
-    match link_find t.latencies ~src ~dst with
-    | Some l -> l
-    | None -> t.default_latency
-  in
-  match link_find t.jitters ~src ~dst with
-  | None -> base
-  | Some span ->
-    let j = Rng.float t.rng (Vtime.to_sec_f span) in
-    Vtime.add base (Vtime.of_sec_f j)
+  match link_find t.latencies ~src ~dst with
+  | Some l -> l
+  | None -> t.default_latency
 
 (* [sent_at] defaults to now; delivery-time drops pass the original send
    time so the MSC entry lines up with the transmission it records. *)

@@ -40,11 +40,7 @@ val broadcast : string
 
 (** {1 Link properties} *)
 
-val set_default_latency : t -> Pfi_engine.Vtime.t -> unit
 val set_latency : t -> src:string -> dst:string -> Pfi_engine.Vtime.t -> unit
-val set_jitter : t -> src:string -> dst:string -> Pfi_engine.Vtime.t -> unit
-(** Adds uniform random jitter in [0, span] to each transmission on the
-    link (drawn from the simulation's RNG). *)
 
 val set_loss : t -> src:string -> dst:string -> float -> unit
 (** Probabilistic loss rate in [0, 1] for the directed link. *)

@@ -82,9 +82,6 @@ let var_exists t name = Hashtbl.mem (var_table t name) name
 let set_global t name value = Hashtbl.replace t.globals name value
 let get_global t name = Hashtbl.find_opt t.globals name
 
-let push_frame t =
-  t.frames <- { locals = Hashtbl.create 8; global_links = [] } :: t.frames
-
 let pop_frame t =
   match t.frames with
   | [] -> ()
@@ -111,7 +108,6 @@ let command_names t =
   List.sort_uniq compare names
 
 let define_proc t name proc = Hashtbl.replace t.procs name proc
-let find_proc t name = Hashtbl.find_opt t.procs name
 let proc_names t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.procs [])
 

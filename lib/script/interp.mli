@@ -90,8 +90,6 @@ val errorf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** {1 Frames} *)
 
-val push_frame : t -> unit
-val pop_frame : t -> unit
 val mark_global : t -> string -> unit
 (** Links a name in the current frame to the global frame ([global]). *)
 
@@ -100,7 +98,6 @@ val mark_global : t -> string -> unit
 type proc = { params : (string * string option) list; varargs : bool; body : Ast.script }
 
 val define_proc : t -> string -> proc -> unit
-val find_proc : t -> string -> proc option
 val proc_names : t -> string list
 
 val output : t -> string -> unit

@@ -60,13 +60,6 @@ let insert_below target layer =
   | Some lower -> link ~upper:layer ~lower
   | None -> layer.below <- None
 
-let insert_above target layer =
-  let old_upper = target.above in
-  link ~upper:layer ~lower:target;
-  match old_upper with
-  | Some upper -> link ~upper ~lower:layer
-  | None -> layer.above <- None
-
 let remove t =
   (match (t.above, t.below) with
    | Some upper, Some lower -> link ~upper ~lower

@@ -57,7 +57,5 @@ val insert_below : t -> t -> unit
     [target] — the paper's "PFI layer sits directly between the TCP layer
     and the IP layer". *)
 
-val insert_above : t -> t -> unit
-
 val remove : t -> unit
 (** Unsplices a layer, relinking its neighbours. *)

@@ -8,16 +8,36 @@ type check = {
   ck_pass : bool;
 }
 
-(* One catalog entry: the trial configuration (a fully-parameterized
-   tcp harness plus fault/script/side/horizon) and the oracle that
-   re-measures the quirk from the trial trace.  The oracle closes over
-   the row's own vendor profile, so [run ~profile_override] keeps the
-   expectations while swapping the system under test. *)
+(* A report section.  Vendor sections render under the tcp catalog's
+   header, paper sections under the paper catalog's. *)
+type section = {
+  sec_key : string;
+  sec_title : string;
+  sec_blurb : string;
+  sec_paper : bool;
+}
+
+(* One catalog entry.  A vendor row's trial is a fully-parameterized tcp
+   harness plus fault/script/side/horizon, and its oracle re-measures
+   the quirk from the trial trace; the oracle closes over the row's own
+   vendor profile, so [run ~profile_override] keeps the expectations
+   while swapping the system under test.  A paper row's trial builds
+   its own testbed from the row seed and returns its checks. *)
 type row = {
   row_id : string;
-  row_section : string;
-  row_profile : Profile.t;
+  row_section : section;
+  row_slug : string;
+  row_subject : string;  (** display name: the vendor, or a paper row's case *)
   row_quirk : string;
+  row_trial : trial;
+}
+
+and trial =
+  | Vendor of vendor_trial
+  | Paper of (int64 -> check list)
+
+and vendor_trial = {
+  cfg_profile : Profile.t;
   cfg_phase : Tcp_harness.phase;
   cfg_chunks : int;
   cfg_keepalive : bool;
@@ -31,12 +51,12 @@ type row = {
           delayed fault window keep-alive rows need (the harness heals
           filters at 3 min, so a probe-drop must arrive later) *)
   cfg_horizon : Vtime.t;
-  row_oracle : Campaign.outcome -> Trace.t -> check list;
+  cfg_oracle : Campaign.outcome -> Trace.t -> check list;
 }
 
 let row_id r = r.row_id
-let row_section r = r.row_section
-let row_vendor r = Profile.slug r.row_profile
+let row_section r = r.row_section.sec_key
+let row_vendor r = r.row_slug
 
 (* ------------------------------------------------------------------ *)
 (* Trace measurement helpers                                          *)
@@ -378,19 +398,14 @@ let teardown_oracle (_ : Profile.t) outcome trace =
 (* The catalog                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type section_meta = {
-  sec_key : string;
-  sec_title : string;
-  sec_blurb : string;
-}
-
-let sections =
+let vendor_sections =
   [ { sec_key = "rexmt";
       sec_title = "Retransmission exhaustion (paper Table 1)";
       sec_blurb =
         "A single DATA segment is stalled forever — every outgoing DATA is \
          dropped below the client's transport with no heal — and the \
-         retransmission machinery runs to exhaustion." };
+         retransmission machinery runs to exhaustion.";
+      sec_paper = false };
     { sec_key = "counter";
       sec_title = "Retry accounting across messages (paper Table 2, \xc2\xa74.1)";
       sec_blurb =
@@ -398,32 +413,37 @@ let sections =
          is delayed 35 s, the rest vanish — the paper's \
          global-error-counter rig.  Two messages stall in sequence; the \
          second one's retry budget reveals whether timeouts are counted \
-         per message or in one global error counter." };
+         per message or in one global error counter.";
+      sec_paper = false };
     { sec_key = "keepalive";
       sec_title = "Keep-alive probing (paper Table 3)";
       sec_blurb =
         "The connection idles with keep-alive enabled; after the transfer \
          (and the harness's fault-heal point) a send-side filter swallows \
-         every probe, so the probe schedule runs to exhaustion." };
+         every probe, so the probe schedule runs to exhaustion.";
+      sec_paper = false };
     { sec_key = "zerowin";
       sec_title = "Zero-window probing (paper Table 4)";
       sec_blurb =
         "The server stops consuming, its advertised window closes, and \
          the client's persist timer probes the closed window — backing \
-         off to a vendor-specific ceiling, forever." };
+         off to a vendor-specific ceiling, forever.";
+      sec_paper = false };
     { sec_key = "handshake";
       sec_title = "Connection establishment under SYN loss";
       sec_blurb =
         "Beyond the paper's tables: the first two SYNs of an active open \
          are dropped, exercising the SYN_SENT retransmission leg of the \
-         10-state FSM." };
+         10-state FSM.";
+      sec_paper = false };
     { sec_key = "teardown";
       sec_title = "Orderly release under FIN duplication";
       sec_blurb =
         "Beyond the paper's tables: the client's FIN is duplicated during \
          an orderly close; the duplicate must not derail the FIN_WAIT_1 \
          \xe2\x86\x92 FIN_WAIT_2 \xe2\x86\x92 TIME_WAIT walk, and the 2MSL \
-         wait must expire on its own." } ]
+         wait must expire on its own.";
+      sec_paper = false } ]
 
 let plural n = if n = 1 then "" else "s"
 
@@ -431,20 +451,24 @@ let mk ~section ~(p : Profile.t) ~quirk ?(phase = Tcp_harness.Stream)
     ?(chunks = 12) ?(keepalive = false) ?(server_reads = true) ?(heal = true)
     ?(side = Campaign.Send_filter) ?script ?arm ~horizon ~oracle fault =
   { row_id = section ^ "/" ^ Profile.slug p;
-    row_section = section;
-    row_profile = p;
+    row_section = List.find (fun s -> s.sec_key = section) vendor_sections;
+    row_slug = Profile.slug p;
+    row_subject = p.Profile.name;
     row_quirk = quirk;
-    cfg_phase = phase;
-    cfg_chunks = chunks;
-    cfg_keepalive = keepalive;
-    cfg_server_reads = server_reads;
-    cfg_heal = heal;
-    cfg_side = side;
-    cfg_fault = fault;
-    cfg_script = script;
-    cfg_arm = arm;
-    cfg_horizon = horizon;
-    row_oracle = oracle p }
+    row_trial =
+      Vendor
+        { cfg_profile = p;
+          cfg_phase = phase;
+          cfg_chunks = chunks;
+          cfg_keepalive = keepalive;
+          cfg_server_reads = server_reads;
+          cfg_heal = heal;
+          cfg_side = side;
+          cfg_fault = fault;
+          cfg_script = script;
+          cfg_arm = arm;
+          cfg_horizon = horizon;
+          cfg_oracle = oracle p } }
 
 let rexmt_row (p : Profile.t) =
   mk ~section:"rexmt" ~p
@@ -515,6 +539,17 @@ let catalog () =
 let golden_catalog () =
   [ rexmt_row Profile.sunos_413; rexmt_row Profile.solaris_23 ]
 
+let paper_section ~key ~title ~blurb =
+  { sec_key = key; sec_title = title; sec_blurb = blurb; sec_paper = true }
+
+let paper_row ~section ~slug ~subject ~quirk measure =
+  { row_id = section.sec_key ^ "/" ^ slug;
+    row_section = section;
+    row_slug = slug;
+    row_subject = subject;
+    row_quirk = quirk;
+    row_trial = Paper measure }
+
 (* ------------------------------------------------------------------ *)
 (* Running                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -532,6 +567,7 @@ type result = {
 type report = {
   rep_seed : int64;
   rep_profile_override : string option;
+  rep_sections : section list;
   rep_results : result list;
 }
 
@@ -545,15 +581,19 @@ let fnv64 s =
     0xcbf29ce484222325L s
 
 let row_seed ~seed row =
-  Campaign.trial_seed_of_key ~campaign_seed:seed ~side:row.cfg_side
-    (fnv64 row.row_id)
+  let side =
+    match row.row_trial with
+    | Vendor v -> v.cfg_side
+    | Paper _ -> Campaign.Send_filter
+  in
+  Campaign.trial_seed_of_key ~campaign_seed:seed ~side (fnv64 row.row_id)
 
-let run_row ~seed ~override row =
-  let profile = Option.value override ~default:row.row_profile in
+let run_vendor ~seed ~override v =
+  let profile = Option.value override ~default:v.cfg_profile in
   let harness =
-    Tcp_harness.harness ~chunk_count:row.cfg_chunks ~profile
-      ~phase:row.cfg_phase ~keepalive:row.cfg_keepalive
-      ~server_reads:row.cfg_server_reads ~heal:row.cfg_heal ()
+    Tcp_harness.harness ~chunk_count:v.cfg_chunks ~profile
+      ~phase:v.cfg_phase ~keepalive:v.cfg_keepalive
+      ~server_reads:v.cfg_server_reads ~heal:v.cfg_heal ()
   in
   let arm =
     Option.map
@@ -561,23 +601,29 @@ let run_row ~seed ~override row =
         ignore
           (Sim.schedule sim ~delay:at (fun () ->
                Pfi_core.Pfi_layer.set_send_filter pfi src)))
-      row.cfg_arm
+      v.cfg_arm
   in
-  let res_seed = row_seed ~seed row in
   let outcome =
-    Campaign.run_trial harness ~side:row.cfg_side ~horizon:row.cfg_horizon
-      ~seed:res_seed ~capture_trace:true ?script:row.cfg_script ?arm
-      row.cfg_fault
+    Campaign.run_trial harness ~side:v.cfg_side ~horizon:v.cfg_horizon ~seed
+      ~capture_trace:true ?script:v.cfg_script ?arm v.cfg_fault
   in
   let trace =
     match outcome.Campaign.trace with
     | Some t -> t
     | None -> assert false (* capture_trace:true *)
   in
-  let checks = row.row_oracle outcome trace in
+  v.cfg_oracle outcome trace
+
+let run_row ~seed ~override row =
+  let res_seed = row_seed ~seed row in
+  let checks =
+    match row.row_trial with
+    | Vendor v -> run_vendor ~seed:res_seed ~override v
+    | Paper measure -> measure res_seed
+  in
   { res_id = row.row_id;
-    res_section = row.row_section;
-    res_vendor = row.row_profile.Profile.name;
+    res_section = row.row_section.sec_key;
+    res_vendor = row.row_subject;
     res_quirk = row.row_quirk;
     res_seed;
     res_checks = checks;
@@ -588,6 +634,10 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
   let override =
     Option.map
       (fun name ->
+        if List.exists (fun r -> r.row_section.sec_paper) rows then
+          invalid_arg
+            "Conformance.run: a profile override applies to the tcp catalog \
+             only";
         match Profile.find name with
         | Some p -> p
         | None ->
@@ -595,8 +645,16 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
       profile_override
   in
   let results = Executor.map executor (run_row ~seed ~override) rows in
+  let sections =
+    List.fold_left
+      (fun acc r ->
+        if List.exists (fun s -> s.sec_key = r.row_section.sec_key) acc then acc
+        else r.row_section :: acc)
+      [] rows
+  in
   { rep_seed = seed;
     rep_profile_override = profile_override;
+    rep_sections = List.rev sections;
     rep_results = results }
 
 let passed rep =
@@ -619,49 +677,74 @@ let check_counts rep =
 let to_markdown rep =
   let b = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "# TCP vendor conformance matrix\n\n";
-  add
-    "Re-discovers the paper's vendor quirk tables from traces: each row \
-     below runs one\nfault-injection trial against one vendor profile and \
-     measures the quirk from the\nrecorded trace alone (the service \
-     verdict is ignored — most quirks only manifest\nwhile the service \
-     guarantee is failing).\n\n";
-  add
-    "Regenerate with `pfi_run matrix --report <file>`.  Campaign seed %Ld; \
-     the report\nis byte-identical for any `--jobs` width.\n\n"
-    rep.rep_seed;
-  (match rep.rep_profile_override with
-   | None -> ()
-   | Some p ->
-     add
-       "> **Profile override:** every trial ran against `%s` while keeping \
-        each row's\n> own vendor expectations — a negative control, so \
-        failures below are expected.\n\n"
-       p);
+  let header paper =
+    if paper then begin
+      add
+        "# Paper artifacts: Tables 2\xe2\x80\x938, Figure 4, Experiment 5 and \
+         the ablations\n\n";
+      add
+        "Re-measures every paper result the TCP vendor matrix \
+         (EXPERIMENTS_tcp.md) does not:\neach row below builds the paper's \
+         own testbed (Figure 3 for TCP, Figure 5 for GMP),\ninstalls its \
+         filter scripts, and checks what it measures against the paper's \
+         value.\n\n";
+      add
+        "Regenerate with `pfi_run matrix paper --report <file>`.  Campaign \
+         seed %Ld; the\nreport is byte-identical for any `--jobs` width.\n\n"
+        rep.rep_seed
+    end
+    else begin
+      add "# TCP vendor conformance matrix\n\n";
+      add
+        "Re-discovers the paper's vendor quirk tables from traces: each row \
+         below runs one\nfault-injection trial against one vendor profile and \
+         measures the quirk from the\nrecorded trace alone (the service \
+         verdict is ignored — most quirks only manifest\nwhile the service \
+         guarantee is failing).\n\n";
+      add
+        "Regenerate with `pfi_run matrix --report <file>`.  Campaign seed %Ld; \
+         the report\nis byte-identical for any `--jobs` width.\n\n"
+        rep.rep_seed;
+      match rep.rep_profile_override with
+      | None -> ()
+      | Some p ->
+        add
+          "> **Profile override:** every trial ran against `%s` while keeping \
+           each row's\n> own vendor expectations — a negative control, so \
+           failures below are expected.\n\n"
+          p
+    end
+  in
+  let section sec =
+    let results =
+      List.filter (fun r -> r.res_section = sec.sec_key) rep.rep_results
+    in
+    add "## %s\n\n%s\n\n" sec.sec_title sec.sec_blurb;
+    List.iter
+      (fun r -> add "- **%s** — %s\n" r.res_vendor r.res_quirk)
+      results;
+    add "\n| %s | Check | Paper | Measured | Verdict |\n"
+      (if sec.sec_paper then "Subject" else "Vendor");
+    add "|---|---|---|---|---|\n";
+    List.iter
+      (fun r ->
+        List.iter
+          (fun c ->
+            add "| %s | %s | %s | %s | %s |\n" r.res_vendor c.ck_label
+              c.ck_paper c.ck_measured
+              (if c.ck_pass then "pass" else "**FAIL**"))
+          r.res_checks)
+      results;
+    add "\n"
+  in
   List.iter
-    (fun sec ->
-      let results =
-        List.filter (fun r -> r.res_section = sec.sec_key) rep.rep_results
-      in
-      if results <> [] then begin
-        add "## %s\n\n%s\n\n" sec.sec_title sec.sec_blurb;
-        List.iter
-          (fun r -> add "- **%s** — %s\n" r.res_vendor r.res_quirk)
-          results;
-        add "\n| Vendor | Check | Paper | Measured | Verdict |\n";
-        add "|---|---|---|---|---|\n";
-        List.iter
-          (fun r ->
-            List.iter
-              (fun c ->
-                add "| %s | %s | %s | %s | %s |\n" r.res_vendor c.ck_label
-                  c.ck_paper c.ck_measured
-                  (if c.ck_pass then "pass" else "**FAIL**"))
-              r.res_checks)
-          results;
-        add "\n"
-      end)
-    sections;
+    (fun paper ->
+      match List.filter (fun s -> s.sec_paper = paper) rep.rep_sections with
+      | [] -> ()
+      | secs ->
+        header paper;
+        List.iter section secs)
+    [ false; true ];
   let cp, ct = check_counts rep in
   add "**%d/%d rows pass (%d/%d checks).**\n" (passed rep) (total rep) cp ct;
   Buffer.contents b

@@ -1,5 +1,5 @@
-(** The vendor conformance matrix: re-discovering the paper's TCP
-    quirk tables from traces.
+(** The conformance catalogs: re-measuring the paper's results from
+    fault-injection trials, one row per result.
 
     The paper's central claim is that script-driven fault injection
     below an unmodified transport re-discovers each vendor's
@@ -8,21 +8,30 @@
     times off a global error counter and closes silently, SunOS pads
     keep-alive probes with a garbage byte, the zero-window probe
     ceiling is 60 s on BSD stacks but 56 s on Solaris, and so on.
-    This module states every such quirk as a {!row} of a declarative
-    catalog: one fault-injection trial configuration (vendor profile,
-    workload phase, failure model, filter side) plus an oracle that
-    measures the quirk from the recorded {!Pfi_engine.Trace.t} alone —
-    the verdict of the trial's service oracle is deliberately ignored,
-    because most quirks only manifest while the service guarantee is
-    being violated.
+    This module states every such result as a {!row} of a declarative
+    catalog, with {!check}s that pair the paper's value with the
+    measured one.  There are two catalogs:
 
-    {!run} executes a catalog through {!Campaign.run_trial} on any
-    {!Executor.t}; per-row seeds are pure functions of the campaign
-    seed and the row id, and results come back in catalog order, so
-    the rendered report ({!to_markdown}, {!to_json}) is byte-identical
-    for any [--jobs] width.  [EXPERIMENTS_tcp.md] is the committed
-    rendering of the full {!catalog}; the CLI regenerates it with
-    [pfi_run matrix --report EXPERIMENTS_tcp.md]. *)
+    - the {b tcp} vendor matrix ({!catalog}): one fault-injection trial
+      configuration per row (vendor profile, workload phase, failure
+      model, filter side) plus an oracle that measures the quirk from
+      the recorded {!Pfi_engine.Trace.t} alone — the verdict of the
+      trial's service oracle is deliberately ignored, because most
+      quirks only manifest while the service guarantee is being
+      violated;
+    - the {b paper} catalog ({!Paper.catalog}): the results the vendor
+      matrix lacks (Table 2 and Figure 4, the Solaris retry probe,
+      the remaining columns of Tables 3 and 4, Experiment 5, GMP Tables
+      5–8 and the ablations), each row running the paper's own testbed
+      ({!Tcp_rig}, {!Gmp_rig}) via {!paper_row}.
+
+    {!run} executes rows of either catalog on any {!Executor.t};
+    per-row seeds are pure functions of the campaign seed and the row
+    id, and results come back in catalog order, so the rendered report
+    ({!to_markdown}, {!to_json}) is byte-identical for any [--jobs]
+    width.  [EXPERIMENTS_tcp.md] and [EXPERIMENTS_paper.md] are the
+    committed renderings of the two catalogs; the CLI regenerates them
+    with [pfi_run matrix [tcp|paper] --report FILE]. *)
 
 (** {1 Checks and rows} *)
 
@@ -34,25 +43,33 @@ type check = {
 }
 (** One cell pair of a quirk table: paper value vs measured value. *)
 
+val check : string -> paper:string -> measured:string -> check
+(** Passes when the two cells are equal. *)
+
+val check_int : string -> paper:int -> measured:int -> check
+
+val check_at_least : string -> floor:int -> measured:int -> check
+(** Paper cell ["FLOOR or more"]; passes when [measured >= floor]. *)
+
 type row
-(** One catalog entry: a trial configuration plus the trace oracle
-    that re-measures the vendor quirk.  Oracles bake in the {e row}
-    vendor's expected values, so running a row against a different
-    profile ({!run}'s [profile_override]) makes its checks fail — the
-    negative control that proves the matrix actually discriminates
-    between vendors. *)
+(** One catalog entry: a trial plus the oracle that measures its
+    result.  Vendor-row oracles bake in the {e row} vendor's expected
+    values, so running a row against a different profile ({!run}'s
+    [profile_override]) makes its checks fail — the negative control
+    that proves the matrix actually discriminates between vendors. *)
 
 val row_id : row -> string
-(** Stable identifier, ["SECTION/VENDOR-SLUG"] (e.g.
-    ["rexmt/sunos-4.1.3"]).  Unique within {!catalog}; the per-row
-    trial seed is derived from it. *)
+(** Stable identifier, ["SECTION/SLUG"] (e.g. ["rexmt/sunos-4.1.3"]).
+    Unique within a catalog; the per-row trial seed is derived from
+    it. *)
 
 val row_section : row -> string
-(** Section key: ["rexmt"], ["counter"], ["keepalive"], ["zerowin"],
-    ["handshake"] or ["teardown"]. *)
+(** Section key: for the vendor matrix ["rexmt"], ["counter"],
+    ["keepalive"], ["zerowin"], ["handshake"] or ["teardown"]. *)
 
 val row_vendor : row -> string
-(** The vendor profile's {!Pfi_tcp.Profile.slug}. *)
+(** The row's slug: for a vendor row, the vendor profile's
+    {!Pfi_tcp.Profile.slug}. *)
 
 val catalog : unit -> row list
 (** The full matrix: every section crossed with all four paper
@@ -65,12 +82,37 @@ val golden_catalog : unit -> row list
     Solaris 2.3) small enough for golden tests yet still covering both
     vendor families. *)
 
+(** {2 Paper rows} *)
+
+type section
+(** A titled section of a report. *)
+
+val paper_section : key:string -> title:string -> blurb:string -> section
+(** A section of the paper catalog; it renders under that catalog's
+    header. *)
+
+val paper_row :
+  section:section -> slug:string -> subject:string -> quirk:string ->
+  (int64 -> check list) -> row
+(** A paper-catalog row with id ["KEY/SLUG"].  [subject] names what it
+    runs against (a vendor, or a GMP test case) and [quirk] states the
+    result in one line.  The function is the trial: given the derived
+    row seed, it builds its testbed, runs it and returns the checks. *)
+
+(** {2 Trace measurement helpers} *)
+
+val kv : string -> string -> string option
+(** [kv detail key]: the value of [key] in a ["k=v k=v"] trace detail. *)
+
+val monotone_nondecreasing : Pfi_engine.Vtime.t list -> bool
+
 (** {1 Running} *)
 
 type result = {
   res_id : string;
   res_section : string;
-  res_vendor : string;  (** display name, e.g. ["SunOS 4.1.3"] *)
+  res_vendor : string;
+      (** display name, e.g. ["SunOS 4.1.3"] or ["timer test, buggy"] *)
   res_quirk : string;  (** one-line statement of the quirk under test *)
   res_seed : int64;  (** the derived per-row trial seed *)
   res_checks : check list;
@@ -80,20 +122,22 @@ type result = {
 type report = {
   rep_seed : int64;  (** campaign seed the row seeds derive from *)
   rep_profile_override : string option;
+  rep_sections : section list;  (** in order of first appearance *)
   rep_results : result list;  (** catalog order *)
 }
 
 val run :
   ?executor:Executor.t -> ?seed:int64 -> ?profile_override:string ->
   row list -> report
-(** Runs every row as an isolated {!Campaign.run_trial} with trace
-    capture, maps rows through the executor (default
-    {!Executor.sequential}), and evaluates each row's oracle over its
-    trace.  [seed] defaults to {!Campaign.default_seed}.
-    [profile_override] builds every harness with the named profile
-    ({!Pfi_tcp.Profile.find} name or slug) {e while keeping each row's
-    own expectations} — the wrong-knob negative control.  Raises
-    [Invalid_argument] on an unknown override name. *)
+(** Runs every row as an isolated trial — a vendor row as one
+    {!Campaign.run_trial} with trace capture whose oracle reads the
+    trace, a paper row through its own function — mapping rows through
+    the executor (default {!Executor.sequential}).  [seed] defaults to
+    {!Campaign.default_seed}.  [profile_override] builds every vendor
+    harness with the named profile ({!Pfi_tcp.Profile.find} name or
+    slug) {e while keeping each row's own expectations} — the wrong-knob
+    negative control.  Raises [Invalid_argument] on an unknown override
+    name, or on an override given with paper rows. *)
 
 val passed : report -> int
 (** Rows whose every check passed. *)
@@ -106,9 +150,10 @@ val check_counts : report -> int * int
 (** {1 Reports} *)
 
 val to_markdown : report -> string
-(** The quirk-table report: one markdown table per section with
-    paper-value / measured-value / verdict columns.  Deterministic —
-    same report, same bytes — and independent of executor width. *)
+(** The quirk-table report: the catalog's header, then one markdown
+    table per section with paper-value / measured-value / verdict
+    columns.  Deterministic — same report, same bytes — and independent
+    of executor width. *)
 
 val to_json : report -> Repro.Json.t
 (** Machine-readable form (format ["pfi-conformance/1"]): campaign

@@ -90,9 +90,8 @@ val domains : ?jobs:int -> unit -> t
 
     Safe because each trial builds its own fresh [Sim]/stack from its
     descriptor seed: workers share only the read-only runner closure,
-    the input array and the atomic cursor.  Runners must not rely
-    on process-global hooks such as [Sim.set_create_hook] (see its
-    documentation). *)
+    the input array and the atomic cursor.  Runners must not write
+    process-global state. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the runtime's estimate of

@@ -7,7 +7,6 @@ open Pfi_gmp
 type node = {
   gmd : Gmd.t;
   pfi : Pfi_layer.t;
-  rel : Rel_udp.t;
 }
 
 type t = {
@@ -36,7 +35,7 @@ let make ?(n = 3) ?(config = Gmd.default_config) ?(seed = 77L) () =
         let rel = Rel_udp.create ~sim ~node:name () in
         let device = Network.attach net ~node:name in
         Layer.stack [ Gmd.layer gmd; Rel_udp.layer rel; Pfi_layer.layer pfi; device ];
-        (name, { gmd; pfi; rel }))
+        (name, { gmd; pfi }))
       ids
   in
   Pfi_layer.connect (List.map (fun (_, gn) -> gn.pfi) nodes);
@@ -56,4 +55,3 @@ let start t ?names ~stagger () =
     names
 
 let members t name = (Gmd.view (t.node name).gmd).Gmd.members
-let leader t name = (Gmd.view (t.node name).gmd).Gmd.leader

@@ -12,7 +12,6 @@ open Pfi_gmp
 type node = {
   gmd : Gmd.t;
   pfi : Pfi_core.Pfi_layer.t;
-  rel : Rel_udp.t;
 }
 
 type t = {
@@ -30,7 +29,4 @@ val start : t -> ?names:string list -> stagger:Vtime.t -> unit -> unit
     [stagger] apart, beginning at the current simulation time. *)
 
 val members : t -> string -> int list
-val leader : t -> string -> int
-
-val name_of_id : int -> string
-(** [name_of_id 3 = "compsun3"]. *)
+(** Members of the named daemon's current view. *)

@@ -1,9 +1,13 @@
-(* The vendor conformance matrix: golden reports over the two-row
-   subset, jobs-width parity over the full catalog, the wrong-knob
-   negative control, the committed EXPERIMENTS_tcp.md artifact, and a
-   qcheck state-machine property that every tcp.state transition
-   observed under random fault schedules stays inside the RFC 793
-   relation. *)
+(* The conformance catalogs.  The vendor matrix: golden reports over
+   the two-row subset, jobs-width parity over the full catalog, the
+   wrong-knob negative control, the committed EXPERIMENTS_tcp.md
+   artifact, and a qcheck state-machine property that every tcp.state
+   transition observed under random fault schedules stays inside the
+   RFC 793 relation.  The paper catalog: its shape, the committed
+   EXPERIMENTS_paper.md artifact, jobs-width and seed behaviour, and the
+   GMP buggy/fixed negative control.  [experiments_suite] names each
+   paper experiment's headline findings and asserts the row checks that
+   measure them. *)
 
 open Pfi_engine
 open Pfi_tcp
@@ -77,10 +81,14 @@ let test_jobs_parity () =
     (Repro.Json.to_string (Conformance.to_json seq))
     (Repro.Json.to_string (Conformance.to_json par))
 
+(* both catalogs at the default seed, run once and shared *)
+let tcp_report = lazy (Conformance.run (Conformance.catalog ()))
+let paper_report = lazy (Conformance.run (Paper.catalog ()))
+
 (* the committed artifact is exactly what `pfi_run matrix --report`
    regenerates at the default seed *)
 let test_committed_artifact () =
-  let rep = Conformance.run (Conformance.catalog ()) in
+  let rep = Lazy.force tcp_report in
   Alcotest.(check int)
     "every catalog row re-discovers its quirk" (Conformance.total rep)
     (Conformance.passed rep);
@@ -131,6 +139,222 @@ let test_unknown_override () =
       ignore
         (Conformance.run ~profile_override:"plan-9"
            (Conformance.golden_catalog ())))
+
+(* ------------------------------------------------------------------ *)
+(* The paper catalog                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let paper_sections =
+  [ "table2"; "retry"; "keepalive-acked"; "zerowin-unanswered"; "exp5";
+    "table5"; "table6"; "table7"; "table8"; "ablation-karn" ]
+
+let test_paper_shape () =
+  let rows = Paper.catalog () in
+  let ids = List.map Conformance.row_id rows in
+  Alcotest.(check int)
+    "row ids are unique" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids));
+  let sections =
+    List.fold_left
+      (fun acc r ->
+        let s = Conformance.row_section r in
+        if List.mem s acc then acc else acc @ [ s ])
+      [] rows
+  in
+  Alcotest.(check (list string))
+    "every section has rows, in report order" paper_sections sections
+
+let test_paper_artifact () =
+  let rep = Lazy.force paper_report in
+  Alcotest.(check int)
+    "every paper row passes" (Conformance.total rep) (Conformance.passed rep);
+  check_golden ~path:(Filename.concat ".." "EXPERIMENTS_paper.md")
+    (Conformance.to_markdown rep)
+
+let find_result rep id =
+  match
+    List.find_opt (fun r -> r.Conformance.res_id = id) rep.Conformance.rep_results
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "no row %s" id
+
+(* each buggy/fixed pair both passes and disagrees on some check's paper
+   value: the rows assert the bug's presence and its absence *)
+let test_gmp_negative_control () =
+  let rep = Lazy.force paper_report in
+  List.iter
+    (fun (buggy, fixed) ->
+      let b = find_result rep buggy and f = find_result rep fixed in
+      Alcotest.(check bool) (buggy ^ " passes") true b.Conformance.res_pass;
+      Alcotest.(check bool) (fixed ^ " passes") true f.Conformance.res_pass;
+      let paper_of r label =
+        List.find_map
+          (fun c ->
+            if c.Conformance.ck_label = label then Some c.Conformance.ck_paper
+            else None)
+          r.Conformance.res_checks
+      in
+      Alcotest.(check bool)
+        (buggy ^ " and " ^ fixed ^ " expect different values")
+        true
+        (List.exists
+           (fun c ->
+             match paper_of f c.Conformance.ck_label with
+             | Some v -> v <> c.Conformance.ck_paper
+             | None -> false)
+           b.Conformance.res_checks))
+    [ ("table5/self-death-buggy", "table5/self-death-fixed");
+      ("table7/proclaim-buggy", "table7/proclaim-fixed");
+      ("table8/timer-buggy", "table8/timer-fixed") ]
+
+let test_paper_override_rejected () =
+  Alcotest.check_raises "a profile override needs vendor rows"
+    (Invalid_argument
+       "Conformance.run: a profile override applies to the tcp catalog only")
+    (fun () ->
+      ignore (Conformance.run ~profile_override:"solaris-2.3" (Paper.catalog ())))
+
+(* --seed reaches every paper row: the derived row seeds change, the
+   seed-sensitive Karn row measures different samples, and every row
+   still passes *)
+let test_paper_seed () =
+  let base = Lazy.force paper_report in
+  let other = Conformance.run ~seed:3L (Paper.catalog ()) in
+  Alcotest.(check int)
+    "every row passes at --seed 3" (Conformance.total other)
+    (Conformance.passed other);
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool)
+        (a.Conformance.res_id ^ " seed differs") true
+        (a.Conformance.res_seed <> b.Conformance.res_seed))
+    base.Conformance.rep_results other.Conformance.rep_results;
+  let cells rep =
+    List.map
+      (fun c -> c.Conformance.ck_measured)
+      (find_result rep "ablation-karn/xkernel-lossy").Conformance.res_checks
+  in
+  Alcotest.(check bool)
+    "the Karn row's measured cells differ" true
+    (List.for_all2 ( <> ) (cells base) (cells other))
+
+(* ------------------------------------------------------------------ *)
+(* The paper experiments' headline findings                           *)
+(* ------------------------------------------------------------------ *)
+
+(* which row checks assert each finding: [(catalog, row id, labels)],
+   where no labels means every check of the row *)
+let findings =
+  let bsd = [ "sunos-4.1.3"; "aix-3.2.3"; "next-mach" ] in
+  let vendors = bsd @ [ "solaris-2.3" ] in
+  let rows cat prefix suffix labels slugs =
+    List.map (fun v -> (cat, prefix ^ v ^ suffix, labels)) slugs
+  in
+  [ ("table1: BSD vendors", rows `Tcp "rexmt/" "" [] bsd);
+    ("table1: Solaris", rows `Tcp "rexmt/" "" [] [ "solaris-2.3" ]);
+    ( "table2: BSD adaptation (6.5/8/5 s)",
+      rows `Paper "table2/" "-3s" [ "first retransmission" ] bsd );
+    ( "table2: 8 s delays",
+      rows `Paper "table2/" "-8s" [ "first retransmission" ] bsd );
+    ( "table2: Solaris no adaptation",
+      rows `Paper "table2/solaris-2.3" "" [] [ "-3s"; "-8s" ] );
+    ("table2: global counter 6+3", [ (`Paper, "retry/solaris-2.3-global", []) ]);
+    ( "figure4: backoff shape",
+      rows `Tcp "rexmt/" "" [ "backoff trend" ] vendors
+      @ rows `Paper "table2/" "-3s" [ "interval series (Figure 4)" ] vendors
+      @ rows `Paper "table2/" "-8s" [ "interval series (Figure 4)" ] vendors );
+    ("table3: BSD keepalive", rows `Tcp "keepalive/" "" [] bsd);
+    ("table3: Solaris keepalive", rows `Tcp "keepalive/" "" [] [ "solaris-2.3" ]);
+    ( "table3: ACKed keepalive repeats",
+      rows `Paper "keepalive-acked/" "" [] vendors );
+    ( "table4: probe interval caps",
+      rows `Tcp "zerowin/" "" [ "probe-interval ceiling" ] vendors );
+    ( "table4: probing is indefinite",
+      rows `Paper "zerowin-unanswered/" "" [] vendors );
+    ( "table4: two-day unplug",
+      [ (`Paper, "zerowin-unanswered/sunos-4.1.3-unplug", []) ] );
+    ("exp5: all vendors queue", rows `Paper "exp5/" "" [] vendors);
+    ( "table5: self-death bug",
+      rows `Paper "table5/self-death-" "" [] [ "buggy"; "fixed" ] );
+    ("table5: kick/rejoin cycle", [ (`Paper, "table5/kick-cycle", []) ]);
+    ("table5: ACK drop", [ (`Paper, "table5/mc-ack-drop", []) ]);
+    ("table5: COMMIT drop", [ (`Paper, "table5/commit-drop", []) ]);
+    ("table6: partition oscillation", [ (`Paper, "table6/partition", []) ]);
+    ("table6: leader/crown-prince", [ (`Paper, "table6/separation", []) ]);
+    ( "table7: proclaim forwarding",
+      rows `Paper "table7/proclaim-" "" [] [ "buggy"; "fixed" ] );
+    ("table8: timer test", rows `Paper "table8/timer-" "" [] [ "buggy"; "fixed" ]);
+    ("ablation: Karn sampling", [ (`Paper, "ablation-karn/xkernel-lossy", []) ]);
+    ( "ablation: counter policy",
+      rows `Paper "retry/solaris-2.3-" ""
+        [ "m2 retransmissions before the connection died" ]
+        [ "global"; "per-segment" ] ) ]
+
+let assert_finding refs () =
+  List.iter
+    (fun (cat, id, labels) ->
+      let rep =
+        Lazy.force (match cat with `Tcp -> tcp_report | `Paper -> paper_report)
+      in
+      let r = find_result rep id in
+      let checks =
+        if labels = [] then r.Conformance.res_checks
+        else
+          List.filter
+            (fun c -> List.mem c.Conformance.ck_label labels)
+            r.Conformance.res_checks
+      in
+      Alcotest.(check int)
+        (id ^ " has the named checks")
+        (if labels = [] then List.length r.Conformance.res_checks
+         else List.length labels)
+        (List.length checks);
+      List.iter
+        (fun c ->
+          if not c.Conformance.ck_pass then
+            Alcotest.failf "%s: %s: paper %s, measured %s" id
+              c.Conformance.ck_label c.Conformance.ck_paper
+              c.Conformance.ck_measured)
+        checks)
+    refs
+
+(* a report's JSON form is one self-contained object with every cell
+   escaped *)
+let test_report_to_json () =
+  let section = Conformance.paper_section ~key:"s" ~title:"t" ~blurb:"b" in
+  let row =
+    Conformance.paper_row ~section ~slug:"x" ~subject:{|quote " and \ slash|}
+      ~quirk:"note\nwith newline" (fun _ ->
+        [ Conformance.check "c" ~paper:"1" ~measured:"2" ])
+  in
+  Alcotest.(check string) "escaped, self-contained object"
+    ({|{"format":"pfi-conformance/1","campaign_seed":"7","profile_override":null,|}
+    ^ {|"rows_total":1,"rows_passed":0,"checks_total":1,"checks_passed":0,|}
+    ^ {|"rows":[{"id":"s/x","section":"s","vendor":"quote \" and \\ slash",|}
+    ^ {|"quirk":"note\nwith newline","seed":"4758204728046338263","pass":false,|}
+    ^ {|"checks":[{"check":"c","paper":"1","measured":"2","pass":false}]}]}|})
+    (Repro.Json.to_line (Conformance.to_json (Conformance.run ~seed:7L [ row ])))
+
+(* the paper catalog regenerates byte-identically, sequentially and on
+   four domains *)
+let test_paper_regenerates () =
+  let seq = Lazy.force paper_report in
+  let par = Conformance.run ~executor:(Executor.of_jobs 4) (Paper.catalog ()) in
+  Alcotest.(check string)
+    "markdown is byte-identical at jobs 1 and 4"
+    (Conformance.to_markdown seq) (Conformance.to_markdown par);
+  Alcotest.(check string)
+    "json is byte-identical at jobs 1 and 4"
+    (Repro.Json.to_string (Conformance.to_json seq))
+    (Repro.Json.to_string (Conformance.to_json par))
+
+let experiments_suite =
+  Alcotest.test_case "report to_json" `Quick test_report_to_json
+  :: Alcotest.test_case "reports regenerate identically" `Quick
+       test_paper_regenerates
+  :: List.map
+       (fun (name, refs) -> Alcotest.test_case name `Quick (assert_finding refs))
+       findings
 
 (* ------------------------------------------------------------------ *)
 (* RFC 793 state-machine property                                     *)
@@ -229,4 +453,13 @@ let suite =
       test_negative_override;
     Alcotest.test_case "unknown profile override is rejected" `Quick
       test_unknown_override;
+    Alcotest.test_case "paper catalog: unique ids, every section present"
+      `Quick test_paper_shape;
+    Alcotest.test_case "committed EXPERIMENTS_paper.md matches regeneration"
+      `Quick test_paper_artifact;
+    Alcotest.test_case "GMP buggy/fixed rows are a negative control" `Quick
+      test_gmp_negative_control;
+    Alcotest.test_case "profile override is rejected for paper rows" `Quick
+      test_paper_override_rejected;
+    Alcotest.test_case "--seed reaches every paper row" `Quick test_paper_seed;
     QCheck_alcotest.to_alcotest prop_fsm_transitions ]

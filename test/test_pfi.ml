@@ -12,7 +12,7 @@ let () =
       ("fuzz", Fuzz_tests.suite);
       ("executor", Executor_tests.suite);
       ("repro", Repro_tests.suite);
-      ("experiments", Experiments_tests.suite);
+      ("experiments", Conformance_tests.experiments_suite);
       ("scenario", Scenario_tests.suite);
       ("matrix", Matrix_tests.suite);
       ("cli-golden", Cli_golden_tests.suite);
