@@ -52,11 +52,9 @@ type t = {
   mutable queue : string list;  (* unsent messages, oldest first *)
   mutable outstanding : string option;  (* frame awaiting its ACK *)
   mutable send_bit : int;
-  mutable sent : int;
   (* receiver side *)
   mutable expect_bit : int;
   mutable rev_delivered : string list;
-  mutable deliver_cb : string -> unit;
 }
 
 let layer t = match t.the_layer with Some l -> l | None -> assert false
@@ -79,7 +77,6 @@ let start_next_frame t =
   | None, next :: rest ->
     t.queue <- rest;
     t.outstanding <- Some next;
-    t.sent <- t.sent + 1;
     Sim.record t.sim ~node:t.node ~tag:"abp.out"
       (Printf.sprintf "MSG bit=%d %s" t.send_bit next);
     transmit t ~kind:kind_msg ~bit:t.send_bit (Bytes.of_string next);
@@ -103,8 +100,7 @@ let handle_frame t (kind, bit, payload) =
       t.expect_bit <- 1 - t.expect_bit;
       let text = Bytes.to_string payload in
       t.rev_delivered <- text :: t.rev_delivered;
-      Sim.record t.sim ~node:t.node ~tag:"abp.deliver" text;
-      t.deliver_cb text
+      Sim.record t.sim ~node:t.node ~tag:"abp.deliver" text
     end
   end
 
@@ -112,8 +108,8 @@ let create ~sim ~node ~peer ?(retransmit_every = Vtime.ms 500)
     ?(bug_ignore_ack_bit = false) () =
   let t =
     { sim; node; peer; bug_ignore_ack_bit; retransmit_every; the_layer = None;
-      rexmt = None; queue = []; outstanding = None; send_bit = 0; sent = 0;
-      expect_bit = 0; rev_delivered = []; deliver_cb = (fun _ -> ()) }
+      rexmt = None; queue = []; outstanding = None; send_bit = 0;
+      expect_bit = 0; rev_delivered = [] }
   in
   t.rexmt <-
     Some
@@ -141,9 +137,7 @@ let send t text =
   t.queue <- t.queue @ [ text ];
   start_next_frame t
 
-let on_deliver t cb = t.deliver_cb <- cb
 let delivered t = List.rev t.rev_delivered
-let sent_count t = t.sent
 
 let unacked t =
   List.length t.queue + match t.outstanding with Some _ -> 1 | None -> 0

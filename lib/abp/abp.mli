@@ -33,12 +33,9 @@ val layer : t -> Pfi_stack.Layer.t
 val send : t -> string -> unit
 (** Queues one application message for reliable delivery to the peer. *)
 
-val on_deliver : t -> (string -> unit) -> unit
-
 val delivered : t -> string list
 (** Everything delivered to the application, oldest first. *)
 
-val sent_count : t -> int
 val unacked : t -> int
 (** Queued + in-flight messages not yet acknowledged. *)
 

@@ -42,7 +42,7 @@ type t = {
   sim : Sim.t;
   node_name : string;
   mutable the_layer : Layer.t option;  (* tied after creation *)
-  mutable stub : Stubs.t;
+  stub : Stubs.t;
   bb : Blackboard.t;
   send_interp : Interp.t;
   recv_interp : Interp.t;
@@ -72,13 +72,8 @@ let layer t =
   | Some l -> l
   | None -> assert false
 
-let node t = t.node_name
 let sim t = t.sim
-let stub t = t.stub
-let set_stub t stub = t.stub <- stub
 let blackboard t = t.bb
-let send_interp t = t.send_interp
-let receive_interp t = t.recv_interp
 let send_stats t = t.send_stats
 let receive_stats t = t.recv_stats
 let set_trace_verdicts t on = t.trace_verdicts <- on

@@ -36,10 +36,7 @@ val create :
     created unless one is shared in. *)
 
 val layer : t -> Layer.t
-val node : t -> string
 val sim : t -> Sim.t
-val stub : t -> Stubs.t
-val set_stub : t -> Stubs.t -> unit
 val blackboard : t -> Blackboard.t
 
 val connect : t list -> unit
@@ -83,9 +80,6 @@ val set_receive_filter_compiled : t -> Pfi_script.Ast.script -> unit
 
 val clear_send_filter : t -> unit
 val clear_receive_filter : t -> unit
-
-val send_interp : t -> Pfi_script.Interp.t
-val receive_interp : t -> Pfi_script.Interp.t
 
 val eval_in : t -> [ `Send | `Receive ] -> string -> string
 (** Evaluates a script in one of the filter interpreters outside any

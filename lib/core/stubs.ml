@@ -34,7 +34,4 @@ let find_exn protocol =
   | Some stub -> stub
   | None -> failwith (Printf.sprintf "no packet stub registered for protocol %S" protocol)
 
-let registered () =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) registry [])
-
 let () = register raw

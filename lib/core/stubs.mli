@@ -41,4 +41,3 @@ val raw : t
 val register : t -> unit
 val find : string -> t option
 val find_exn : string -> t
-val registered : unit -> string list

@@ -3,7 +3,6 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = seed }
-let copy t = { state = t.state }
 
 (* splitmix64 finalizer: Steele, Lea & Flood, "Fast splittable
    pseudorandom number generators" (OOPSLA 2014). *)
@@ -11,6 +10,11 @@ let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let fnv1a64 s =
+  String.fold_left
+    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    0xcbf29ce484222325L s
 
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -13,8 +13,6 @@ val create : seed:int64 -> t
 val split : t -> t
 (** Derives an independent generator; the parent advances. *)
 
-val copy : t -> t
-
 (** {1 Raw draws} *)
 
 val bits64 : t -> int64
@@ -42,3 +40,17 @@ val normal : t -> mean:float -> std:float -> float
 (** Box–Muller transform. *)
 
 val exponential : t -> mean:float -> float
+
+(** {1 Hashing}
+
+    The two mixers every derived seed in the repo is built from: a
+    campaign's per-trial seeds, a matrix's per-scenario seeds, a
+    conformance row's seed, fault identity and fuzz coverage buckets. *)
+
+val mix : int64 -> int64
+(** The splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014) that
+    {!bits64} applies to each state: a bijection that spreads every
+    input bit over the whole word. *)
+
+val fnv1a64 : string -> int64
+(** FNV-1a, 64-bit, over the string's bytes. *)

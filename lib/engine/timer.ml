@@ -51,7 +51,6 @@ let create sim ~name ~callback = make sim ~name ~interval:None ~callback
 let create_periodic sim ~name ~interval ~callback =
   make sim ~name ~interval:(Some interval) ~callback
 
-let name t = t.name
 
 let deadline t = if is_armed t then Some t.deadline else None
 

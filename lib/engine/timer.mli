@@ -23,8 +23,6 @@ val disarm : t -> unit
 
 val is_armed : t -> bool
 
-val name : t -> string
-
 val deadline : t -> Vtime.t option
 (** Absolute time of the next firing, if armed. *)
 

@@ -87,8 +87,6 @@ type t = {
   loop_memo : detail_memo;
 }
 
-let id t = t.self_id
-let node t = t.node_name
 let view t = t.current
 let phase t = t.ph
 let self_marked_down t = t.self_down

@@ -85,8 +85,6 @@ val resume : t -> unit
 
 (** {1 Introspection} *)
 
-val id : t -> int
-val node : t -> string
 val view : t -> view
 val phase : t -> phase
 

@@ -20,7 +20,6 @@ type t = {
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable trace_enabled : bool;
   mutable msc_enabled : bool;
 }
 
@@ -37,7 +36,6 @@ let create ?(default_latency = Vtime.ms 1) sim =
     sent = 0;
     delivered = 0;
     dropped = 0;
-    trace_enabled = false;
     msc_enabled = false }
 
 let sim t = t.sim
@@ -59,19 +57,11 @@ let is_unplugged t node =
 let sent_count t = t.sent
 let delivered_count t = t.delivered
 let dropped_count t = t.dropped
-let set_trace_enabled t flag = t.trace_enabled <- flag
 let set_msc_enabled t flag =
   t.msc_enabled <- flag;
   (* protocol layers only format msc.label decorations when a renderer
      is listening (see Sim.set_want_labels) *)
   Sim.set_want_labels t.sim flag
-
-(* Callers must check [t.trace_enabled] BEFORE building the fields list
-   and detail string: tracing is off in campaign trials, and eagerly
-   formatting per-transmission details that are then thrown away was
-   measurable across a whole campaign. *)
-let trace ?fields t ~node ~tag detail =
-  if t.trace_enabled then Sim.record ?fields t.sim ~node ~tag detail
 
 (* One entry per transmission, carrying everything the MSC renderer
    needs (see Msc.parse_entry for the format).  [time] is the send
@@ -122,39 +112,27 @@ let latency t ~src ~dst =
 
 (* [sent_at] defaults to now; delivery-time drops pass the original send
    time so the MSC entry lines up with the transmission it records. *)
-let drop ?sent_at t ~src ~dst msg reason =
+let drop ?sent_at t ~src ~dst msg =
   t.dropped <- t.dropped + 1;
   let sent_at = match sent_at with Some time -> time | None -> Sim.now t.sim in
-  msc_record t ~time:sent_at ~src ~dst ~arrival:None msg;
-  if t.trace_enabled then
-    trace t ~node:src ~tag:"net.drop"
-      ~fields:
-        [ ("src", src); ("dst", dst);
-          ("len", string_of_int (Message.length msg)); ("reason", reason) ]
-      (Printf.sprintf "to=%s reason=%s %s" dst reason (Message.hex ~max_bytes:8 msg))
+  msc_record t ~time:sent_at ~src ~dst ~arrival:None msg
 
 (* Transmit one copy of [msg] from [src] to the single node [dst]. *)
 let transmit t ~src ~dst msg =
   t.sent <- t.sent + 1;
-  if t.trace_enabled then
-    trace t ~node:src ~tag:"net.send"
-      ~fields:
-        [ ("src", src); ("dst", dst); ("len", string_of_int (Message.length msg)) ]
-      (Printf.sprintf "to=%s len=%d" dst (Message.length msg));
-  if is_unplugged t src then drop t ~src ~dst msg "src-unplugged"
-  else if is_unplugged t dst then drop t ~src ~dst msg "dst-unplugged"
-  else if Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (src, dst) then drop t ~src ~dst msg "blocked"
-  else if not (same_group t src dst) then drop t ~src ~dst msg "partitioned"
+  if is_unplugged t src || is_unplugged t dst then drop t ~src ~dst msg
+  else if Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (src, dst) then drop t ~src ~dst msg
+  else if not (same_group t src dst) then drop t ~src ~dst msg
   else begin
     let lossy =
       match link_find t.losses ~src ~dst with
       | Some rate -> Rng.bernoulli t.rng ~p:rate
       | None -> false
     in
-    if lossy then drop t ~src ~dst msg "loss"
+    if lossy then drop t ~src ~dst msg
     else
       match String_table.find t.devices dst with
-      | exception Not_found -> drop t ~src ~dst msg "no-such-node"
+      | exception Not_found -> drop t ~src ~dst msg
       | device ->
         let delay = latency t ~src ~dst in
         let sent_at = Sim.now t.sim in
@@ -164,18 +142,11 @@ let transmit t ~src ~dst msg =
                (* the destination may have been unplugged in flight; the
                   MSC entry is only recorded here, once the outcome is
                   known, so dropped deliveries never render an arrow *)
-               if is_unplugged t dst then
-                 drop t ~sent_at ~src ~dst msg "dst-unplugged"
+               if is_unplugged t dst then drop t ~sent_at ~src ~dst msg
                else begin
                  t.delivered <- t.delivered + 1;
                  msc_record t ~time:sent_at ~src ~dst ~arrival:(Some arrival) msg;
                  Message.set_attr msg src_attr src;
-                 if t.trace_enabled then
-                   trace t ~node:dst ~tag:"net.deliver"
-                     ~fields:
-                       [ ("src", src); ("dst", dst);
-                         ("len", string_of_int (Message.length msg)) ]
-                     (Printf.sprintf "from=%s len=%d" src (Message.length msg));
                  Layer.deliver_up device msg
                end))
   end

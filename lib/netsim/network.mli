@@ -24,8 +24,6 @@ val attach : t -> node:string -> Pfi_stack.Layer.t
 (** Creates, registers and returns the device layer for [node].
     @raise Failure if the node is already attached. *)
 
-val nodes : t -> string list
-
 (** {1 Addressing attributes} *)
 
 val dst_attr : string
@@ -72,10 +70,6 @@ val is_unplugged : t -> string -> bool
 val sent_count : t -> int
 val delivered_count : t -> int
 val dropped_count : t -> int
-
-val set_trace_enabled : t -> bool -> unit
-(** When on, every send/deliver/drop is recorded in the simulation
-    trace under tags [net.send] / [net.deliver] / [net.drop]. *)
 
 val set_msc_enabled : t -> bool -> unit
 (** When on, every transmission records an [msc] trace entry for

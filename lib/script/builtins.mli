@@ -14,7 +14,3 @@
 
 val install : Interp.t -> unit
 
-val max_loop_iterations : int
-(** [while]/[for] raise {!Interp.Script_error} beyond this many
-    iterations — a filter script runs inside a simulator event, where a
-    runaway loop would hang the whole experiment. *)

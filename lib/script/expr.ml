@@ -421,5 +421,3 @@ let eval src =
   v
 
 let eval_to_string src = to_string (eval src)
-
-let eval_to_bool src = truthy (eval src)

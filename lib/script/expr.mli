@@ -2,7 +2,7 @@
     the conditions of [if]/[while]/[for].
 
     Operates on a fully substituted expression string (variable and
-    command substitution have already happened; see {!Interp.subst_expr}).
+    command substitution have already happened; see {!Interp.eval_expr}).
     Supports the C-like operator set of Tcl's [expr]: arithmetic with
     integer/float promotion, hex literals, comparisons (numeric when both
     sides parse as numbers, lexicographic otherwise), [eq]/[ne] string
@@ -21,11 +21,6 @@ val eval : string -> value
 
 val eval_to_string : string -> string
 (** Evaluates and renders the result as Tcl would print it. *)
-
-val eval_to_bool : string -> bool
-(** Evaluates and coerces to a boolean: a number is true iff non-zero;
-    the words true/false, yes/no, on/off are accepted.  Anything else
-    raises {!Error}. *)
 
 val to_string : value -> string
 val truthy : value -> bool

@@ -99,8 +99,6 @@ let mark_global t name =
 (* ------------------------------------------------------------------ *)
 
 let register t name fn = Hashtbl.replace t.commands name fn
-let unregister t name = Hashtbl.remove t.commands name
-let has_command t name = Hashtbl.mem t.commands name || Hashtbl.mem t.procs name
 
 let command_names t =
   let names = Hashtbl.fold (fun k _ acc -> k :: acc) t.commands [] in

@@ -36,17 +36,9 @@ val compile : string -> Ast.script
 
 val eval_compiled : t -> Ast.script -> string
 
-val call : t -> string -> string list -> string
-(** Invokes a command or proc by name with pre-expanded arguments. *)
-
 val subst_string : t -> string -> string
 (** Performs [$var], [\[cmd\]] and backslash substitution on a string
     without word splitting (Tcl's [subst]). *)
-
-val subst_expr : t -> string -> string
-(** Like {!subst_string} but substituted non-numeric values are
-    brace-quoted so they read back as single string literals inside
-    {!Expr} — used for [expr] and control-flow conditions. *)
 
 val eval_expr : t -> string -> Expr.value
 val eval_expr_bool : t -> string -> bool
@@ -70,8 +62,6 @@ val get_global : t -> string -> string option
 val register : t -> string -> (t -> string list -> string) -> unit
 (** Registering over an existing name replaces it. *)
 
-val unregister : t -> string -> unit
-val has_command : t -> string -> bool
 val command_names : t -> string list
 
 (** {1 Control-flow internals}

@@ -13,9 +13,6 @@ val of_list : string list -> string
 (** Renders elements back to list syntax, brace-quoting where needed.
     [to_list (of_list l) = l] for all [l]. *)
 
-val quote_element : string -> string
-(** Quotes a single element so it survives a round trip. *)
-
 val index : string -> int -> string option
 val length : string -> int
 val append : string -> string -> string

@@ -68,4 +68,3 @@ let read_rest r =
   read_bytes r n
 
 let remaining r = Bytes.length r.data - r.pos
-let pos r = r.pos

@@ -33,4 +33,3 @@ val read_u32_int : reader -> int
 val read_bytes : reader -> int -> Bytes.t
 val read_rest : reader -> Bytes.t
 val remaining : reader -> int
-val pos : reader -> int

@@ -14,11 +14,6 @@ and handlers = {
 let create ~name ~node handlers =
   { layer_name = name; node_name = node; handlers; above = None; below = None }
 
-let name t = t.layer_name
-let node t = t.node_name
-let above t = t.above
-let below t = t.below
-
 let push t msg = t.handlers.on_push t msg
 let pop t msg = t.handlers.on_pop t msg
 

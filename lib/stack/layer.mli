@@ -20,12 +20,6 @@ val create : name:string -> node:string -> handlers -> t
 val passthrough : name:string -> node:string -> unit -> t
 (** Forwards in both directions unchanged. *)
 
-val name : t -> string
-val node : t -> string
-
-val above : t -> t option
-val below : t -> t option
-
 (** {1 Moving messages}
 
     These are what layer handler bodies call to continue a message's

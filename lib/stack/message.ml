@@ -95,6 +95,3 @@ let hex ?(max_bytes = 32) t =
   done;
   if Bytes.length t.payload > n then Buffer.add_string buf " ...";
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "msg#%d[%dB] %s" t.id (Bytes.length t.payload) (hex ~max_bytes:16 t)

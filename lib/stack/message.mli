@@ -63,5 +63,3 @@ val xor_byte : t -> offset:int -> mask:int -> t
 
 val hex : ?max_bytes:int -> t -> string
 (** Hex dump of the payload for logs. *)
-
-val pp : Format.formatter -> t -> unit

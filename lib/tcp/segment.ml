@@ -136,5 +136,3 @@ let kind t =
 let describe t =
   Printf.sprintf "%s %d>%d seq=%d ack=%d win=%d len=%d" (kind t) t.src_port
     t.dst_port t.seq t.ack t.window (len t)
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

@@ -44,15 +44,11 @@ val seq_span : t -> int
 
 (** {1 Wire codec} *)
 
-val header_size : int
-
 val encode : t -> Bytes.t
 
 val decode : Bytes.t -> (t, string) result
 (** Fails on short input or checksum mismatch (corrupted segments are
     reported, not silently mangled — receivers drop them). *)
-
-val checksum_valid : Bytes.t -> bool
 
 (** {1 Messages} *)
 
@@ -71,4 +67,3 @@ val kind : t -> string
     ["DATA"], ["ACK"] (pure ack), ["OTHER"]. *)
 
 val describe : t -> string
-val pp : Format.formatter -> t -> unit

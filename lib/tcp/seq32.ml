@@ -18,5 +18,3 @@ let ge a b = diff a b >= 0
 
 let in_window t ~base ~size =
   size > 0 && of_int (t - base) < size
-
-let max a b = if ge a b then a else b

@@ -23,5 +23,3 @@ val ge : t -> t -> bool
 
 val in_window : t -> base:t -> size:int -> bool
 (** Whether [t] lies in [base, base + size) on the circle. *)
-
-val max : t -> t -> t

@@ -107,8 +107,6 @@ and t = {
 }
 
 let layer t = match t.the_layer with Some l -> l | None -> assert false
-let node t = t.node_name
-let profile t = t.prof
 
 let record t tag detail = Sim.record t.sim ~node:t.node_name ~tag detail
 
@@ -874,8 +872,6 @@ let read c n =
     send_pure_ack c;
   chunk
 
-let pending_receive c = String.length c.recvq
-
 let set_auto_consume c flag = c.auto_consume <- flag
 
 let set_keepalive c flag =
@@ -906,7 +902,6 @@ let state c = c.state
 let on_state_change c cb = c.on_state_cb <- cb
 let on_data c cb = c.on_data_cb <- cb
 let local_port c = c.local_port
-let remote c = (c.remote_node, c.remote_port)
 let snd_una c = c.snd_una
 let snd_nxt c = c.snd_nxt
 let rcv_nxt c = c.rcv_nxt
@@ -916,10 +911,8 @@ let congestion_window c = c.cwnd
 let slow_start_threshold c = c.ssthresh
 let current_rto c = effective_rto c
 let srtt c = if c.have_rtt then Some (Vtime.us (int_of_float c.srtt)) else None
-let backoff_shift c = c.backoff
 let error_counter c = c.error_counter
 let total_retransmits c = c.total_retransmits
-let keepalive_probes_sent c = c.keepalive_probes
 let close_reason c = c.close_reason
 
 let segment_retries c =

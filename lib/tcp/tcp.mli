@@ -41,8 +41,6 @@ val create : sim:Sim.t -> node:string -> profile:Profile.t -> unit -> t
     {!Pfi_netsim.Network.dst_attr}. *)
 
 val layer : t -> Pfi_stack.Layer.t
-val node : t -> string
-val profile : t -> Profile.t
 
 (** {1 Connections} *)
 
@@ -74,9 +72,6 @@ val read : conn -> int -> string
 (** Consumes up to [n] bytes from the receive buffer, re-opening the
     advertised window (sends a window update if the window was closed). *)
 
-val pending_receive : conn -> int
-(** Bytes sitting unconsumed in the receive buffer. *)
-
 val set_auto_consume : conn -> bool -> unit
 (** Off: received data accumulates until {!read} — the advertised
     window shrinks and eventually closes. *)
@@ -86,7 +81,6 @@ val set_keepalive : conn -> bool -> unit
 (** {1 Introspection (for experiments and tests)} *)
 
 val local_port : conn -> int
-val remote : conn -> string * int
 val snd_una : conn -> int
 val snd_nxt : conn -> int
 val rcv_nxt : conn -> int
@@ -99,14 +93,12 @@ val current_rto : conn -> Vtime.t
     that the next retransmission timer will use. *)
 
 val srtt : conn -> Vtime.t option
-val backoff_shift : conn -> int
 val error_counter : conn -> int
 (** Solaris-style global counter (always maintained; only consulted for
     the give-up decision when the profile enables it). *)
 
 val segment_retries : conn -> int
 val total_retransmits : conn -> int
-val keepalive_probes_sent : conn -> int
 val close_reason : conn -> string option
 (** Why the connection reached [Closed] (e.g. ["rexmt-exhausted"],
     ["keepalive-exhausted"], ["reset-received"], ["user-abort"]). *)

@@ -101,10 +101,3 @@ let harness ?(message_count = 20) ?(bug_ignore_ack_bit = false) () :
       in
       List.rev labels
   end)
-
-let run_campaign ?bug_ignore_ack_bit ?seed ?executor () =
-  let summary =
-    Campaign.run ?executor
-      (Campaign.plan ?seed (harness ?bug_ignore_ack_bit ()))
-  in
-  summary.Campaign.s_outcomes

@@ -16,11 +16,3 @@ val harness :
 val default_horizon : Pfi_engine.Vtime.t
 (** Comfortably enough for the workload to finish under every campaign
     fault (120 s of virtual time). *)
-
-val run_campaign :
-  ?bug_ignore_ack_bit:bool -> ?seed:int64 -> ?executor:Executor.t -> unit ->
-  Campaign.outcome list
-(** The full generated campaign against ABP ({!Spec.abp}), both filter
-    sides.  [seed] is the campaign seed per-trial seeds are derived
-    from (default {!Campaign.default_seed}); [executor] picks the trial
-    execution strategy (default {!Executor.sequential}). *)

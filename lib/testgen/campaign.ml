@@ -40,33 +40,22 @@ let side_of_name = function
 let default_seed = 31L
 let all_sides = [ Send_filter; Receive_filter; Both_filters ]
 
-(* splitmix64 finalizer (Steele, Lea & Flood) — the same mixer Rng uses,
-   applied here to fold campaign seed, fault identity and side into one
-   well-distributed per-trial seed. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
 let side_code = function
   | Send_filter -> 0x51L
   | Receive_filter -> 0x52L
   | Both_filters -> 0x53L
 
+(* splitmix64's finalizer folds campaign seed, fault identity and side
+   into one well-distributed per-trial seed *)
 let trial_seed_of_key ~campaign_seed ~side key =
-  mix64 (Int64.add (mix64 (Int64.add campaign_seed key)) (side_code side))
+  Rng.mix (Int64.add (Rng.mix (Int64.add campaign_seed key)) (side_code side))
 
 let trial_seed ~campaign_seed ~side fault =
   trial_seed_of_key ~campaign_seed ~side (Generator.fault_key fault)
 
-type observer = {
-  obs_traces : bool;
-  obs_outcome : (trial -> outcome -> unit) option;
-}
+type observer = { obs_traces : bool }
 
-let observe ?(traces = false) ?outcome () =
-  { obs_traces = traces; obs_outcome = outcome }
+let observe ?(traces = false) () = { obs_traces = traces }
 
 let silent = observe ()
 
@@ -87,8 +76,7 @@ let trial ?arm ?script ~seed ~side fault =
   { t_fault = fault; t_side = side; t_seed = seed; t_script = script;
     t_arm = arm }
 
-let plan ?(sides = all_sides) ?seed ?horizon ?(control = true)
-    (module H : Harness_intf.HARNESS) =
+let plan ?(sides = all_sides) ?seed ?horizon (module H : Harness_intf.HARNESS) =
   let seed = Option.value seed ~default:H.default_seed in
   let horizon = Option.value horizon ~default:H.default_horizon in
   let faults = Generator.campaign ~target:H.target H.spec in
@@ -118,15 +106,14 @@ let plan ?(sides = all_sides) ?seed ?horizon ?(control = true)
     p_trials = trials;
     p_horizon = horizon;
     p_seed = seed;
-    p_control = control }
+    p_control = true }
 
-let plan_of_trials ?seed ?horizon ?(control = false) ~trials
-    (module H : Harness_intf.HARNESS) =
+let plan_of_trials ?seed ?horizon ~trials (module H : Harness_intf.HARNESS) =
   { p_harness = (module H : Harness_intf.HARNESS);
     p_trials = trials;
     p_horizon = Option.value horizon ~default:H.default_horizon;
     p_seed = Option.value seed ~default:H.default_seed;
-    p_control = control }
+    p_control = false }
 
 let run_trial (module H : Harness_intf.HARNESS) ~side ~horizon ~seed
     ?(capture_trace = false) ?(arena = true) ?script ?compiled ?arm fault =
@@ -207,9 +194,6 @@ let run ?(executor = Executor.sequential) ?(observe = silent) ?(arena = true)
           ?arm:tr.t_arm tr.t_fault)
       plan.p_trials
   in
-  (match observe.obs_outcome with
-   | Some f -> List.iter2 f plan.p_trials outcomes
-   | None -> ());
   { s_outcomes = outcomes;
     s_control_trace = control_trace;
     s_exec = Executor.stats executor }

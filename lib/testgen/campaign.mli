@@ -80,10 +80,6 @@ val side_of_name : string -> side option
 val default_seed : int64
 (** Campaign seed used when none is given (31). *)
 
-val all_sides : side list
-(** Send, receive, both — the default campaign side set, in canonical
-    order. *)
-
 val trial_seed : campaign_seed:int64 -> side:side -> Generator.fault -> int64
 (** The per-trial seed: splitmix64-mixed from the campaign seed, the
     fault's {!Generator.fault_key} and the side.  Pure, so a recorded
@@ -111,21 +107,13 @@ type observer = {
       (** keep each trial sim's stored {!Trace.t} on its outcome (and
           the control trial's trace on the summary).  Off, trials
           record into counting traces that store no entry. *)
-  obs_outcome : (trial -> outcome -> unit) option;
-      (** called once per trial, in canonical plan order, after all
-          trials ran — streaming front ends (trace export, fuzz
-          feedback) hang here.  Runs on the calling domain. *)
 }
 
-val observe :
-  ?traces:bool ->
-  ?outcome:(trial -> outcome -> unit) ->
-  unit ->
-  observer
-(** Observer constructor; all fields default to off. *)
+val observe : ?traces:bool -> unit -> observer
+(** Observer constructor; [traces] defaults to off. *)
 
 val silent : observer
-(** [observe ()] — no traces, no callback.  The default for {!run}. *)
+(** [observe ()] — no traces.  The default for {!run}. *)
 
 (** {1 Plans} *)
 
@@ -139,25 +127,25 @@ type plan = {
 }
 
 val plan :
-  ?sides:side list -> ?seed:int64 -> ?horizon:Vtime.t -> ?control:bool ->
+  ?sides:side list -> ?seed:int64 -> ?horizon:Vtime.t ->
   Harness_intf.packed -> plan
 (** The stock campaign plan: every generated fault
     ({!Generator.campaign} over the harness spec and target) on every
-    requested side (default {!all_sides}), each with its derived
-    {!trial_seed}.  Each fault's filter script is compiled once and
-    shared by every (side, executor-domain) trial that runs it.
-    Defaults: the harness's [default_seed] and [default_horizon];
-    [control] defaults to [true].  Summaries, trace exports and repro
-    artifacts follow the plan's trial order regardless of which
+    requested side (default send, receive, both — the canonical order),
+    each with its derived {!trial_seed}, after a control trial.  Each
+    fault's filter script is compiled once and shared by every (side,
+    executor-domain) trial that runs it.  Defaults: the harness's
+    [default_seed] and [default_horizon].  Summaries, trace exports and
+    repro artifacts follow the plan's trial order regardless of which
     executor ran the trials. *)
 
 val plan_of_trials :
-  ?seed:int64 -> ?horizon:Vtime.t -> ?control:bool ->
-  trials:trial list -> Harness_intf.packed -> plan
+  ?seed:int64 -> ?horizon:Vtime.t -> trials:trial list ->
+  Harness_intf.packed -> plan
 (** A plan over an explicit trial list — the fuzzer's entrypoint
-    (mutated inputs are not the stock fault set).  [control] defaults
-    to [false]: callers evaluating many small batches against one
-    harness don't want a control trial per batch. *)
+    (mutated inputs are not the stock fault set).  It runs no control
+    trial: callers evaluating many small batches against one harness
+    don't want a control trial per batch. *)
 
 val trial :
   ?arm:(Sim.t -> Pfi_core.Pfi_layer.t -> unit) ->
@@ -215,8 +203,7 @@ val run :
     raising {!Control_failure} if the harness check rejects the
     fault-free system — then every planned trial
     through the executor (default {!Executor.sequential}).  Outcomes
-    come back in plan order for any executor; [obs_outcome] fires in
-    that same order on the calling domain.  A trial whose runner raised
+    come back in plan order for any executor.  A trial whose runner raised
     re-raises after every other trial has completed.  [arena] is
     {!run_trial}'s flag (default true: trials reuse per-domain scratch
     whenever their traces are not kept; the control trial always

@@ -571,22 +571,15 @@ type report = {
   rep_results : result list;
 }
 
-(* FNV-1a over the row id: the fault identity alone does not identify a
-   row (several rows share Drop_all DATA), so the per-row seed is keyed
-   on the id instead *)
-let fnv64 s =
-  let prime = 0x100000001b3L in
-  String.fold_left
-    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) prime)
-    0xcbf29ce484222325L s
-
+(* the fault identity alone does not identify a row (several rows
+   share Drop_all DATA), so the per-row seed is keyed on the id *)
 let row_seed ~seed row =
   let side =
     match row.row_trial with
     | Vendor v -> v.cfg_side
     | Paper _ -> Campaign.Send_filter
   in
-  Campaign.trial_seed_of_key ~campaign_seed:seed ~side (fnv64 row.row_id)
+  Campaign.trial_seed_of_key ~campaign_seed:seed ~side (Rng.fnv1a64 row.row_id)
 
 let run_vendor ~seed ~override v =
   let profile = Option.value override ~default:v.cfg_profile in

@@ -2,18 +2,7 @@ open Pfi_engine
 
 let map_bits = 65536
 
-(* FNV-1a 64-bit, the same construction Generator.fault_key uses. *)
-let hash64 s =
-  let offset_basis = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
-let bucket_of_string s = Int64.to_int (hash64 s) land (map_bits - 1)
+let bucket_of_string s = Int64.to_int (Rng.fnv1a64 s) land (map_bits - 1)
 
 (* AFL-style log2 classes: exact for 0..3, then powers of two, capped. *)
 let hit_class n =

@@ -16,14 +16,6 @@
 
 open Pfi_engine
 
-val map_bits : int
-(** Size of the feature space: 65536 buckets. *)
-
-val hash64 : string -> int64
-(** FNV-1a 64-bit over the string — the same construction
-    {!Generator.fault_key} uses for fault identity, exposed so the
-    fuzzer can derive input keys from canonical input text. *)
-
 (** {1 Feature extraction} *)
 
 type features

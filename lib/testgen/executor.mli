@@ -54,12 +54,8 @@ type t = {
           in its slot; every other item is still executed — no trial is
           lost to a sibling's exception. *)
   stats_cell : stats ref;
-      (** where [try_map] accumulates its {!stats}; custom strategies
-          plug in [ref (zero_stats name)] and may leave it untouched *)
+      (** where [try_map] accumulates its {!stats} *)
 }
-
-val zero_stats : string -> stats
-(** Fresh all-zero counters carrying the given executor name. *)
 
 val stats : t -> stats
 (** The executor's accumulated lifetime counters. *)

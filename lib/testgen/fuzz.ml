@@ -19,7 +19,7 @@ let canonical input =
   ^ String.concat "+" (List.map Generator.canonical input.in_faults)
   ^ clear
 
-let input_key input = Coverage.hash64 (canonical input)
+let input_key input = Rng.fnv1a64 (canonical input)
 
 let trial_seed ~fuzz_seed input =
   Campaign.trial_seed_of_key ~campaign_seed:fuzz_seed ~side:input.in_side
@@ -181,25 +181,16 @@ let normalise_digits s =
     s;
   Buffer.contents b
 
-let kind_slug = function
-  | Generator.Drop_all t -> "drop_all:" ^ t
-  | Generator.Drop_after (t, _) -> "drop_after:" ^ t
-  | Generator.Drop_first (t, _) -> "drop_first:" ^ t
-  | Generator.Drop_nth (t, _) -> "drop_nth:" ^ t
-  | Generator.Drop_fraction (t, _) -> "drop_fraction:" ^ t
-  | Generator.Omission_all _ -> "omission_all"
-  | Generator.Byzantine_mix _ -> "byzantine_mix"
-  | Generator.Delay_each (t, _) -> "delay_each:" ^ t
-  | Generator.Corrupt (t, _) -> "corrupt:" ^ t
-  | Generator.Duplicate t -> "duplicate:" ^ t
-  | Generator.Reorder t -> "reorder:" ^ t
-  | Generator.Inject_spurious (m, _) -> "inject_spurious:" ^ m.Spec.mtype
+(* the fault's kind and message type, parameters stripped *)
+let slug fault =
+  let v = Generator.view fault in
+  String.concat ":" (v.Generator.kind :: Option.to_list v.Generator.mtype)
 
 let signature_of ~side ~faults ~reason =
   (* fault slugs are sorted: a fault *set* triggers the failure, and
      two mutation orders reaching the same set are the same finding *)
   Campaign.side_name side ^ "|"
-  ^ String.concat "+" (List.sort compare (List.map kind_slug faults))
+  ^ String.concat "+" (List.sort compare (List.map slug faults))
   ^ "|" ^ normalise_digits reason
 
 (* --- findings --------------------------------------------------------- *)
@@ -293,9 +284,15 @@ let to_trial ~fuzz_seed input =
     ~side:input.in_side
     (List.hd input.in_faults)
 
+(* candidates per generation: part of input identity derivation, not
+   of scheduling, so the executor width never changes a result *)
+let batch = 16
+
+(* {!Shrink.minimize} re-runs per finding *)
+let shrink_budget = 150
+
 let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
-    ?(budget = default_budget) ?(batch = 16) ?(shrink_budget = 150) ?on_finding
-    (module H : Harness_intf.HARNESS) =
+    ?(budget = default_budget) (module H : Harness_intf.HARNESS) =
   let horizon = H.default_horizon in
   let spec = H.spec and target = H.target in
   let bitmap = Coverage.create () in
@@ -483,8 +480,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
           let fd = reduce input reason in
           if not (Hashtbl.mem sigs fd.fd_signature) then begin
             Hashtbl.add sigs fd.fd_signature ();
-            findings := fd :: !findings;
-            Option.iter (fun f -> f fd) on_finding
+            findings := fd :: !findings
           end
         end
   in

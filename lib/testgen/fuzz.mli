@@ -16,7 +16,7 @@
     smallest known trigger.
 
     Determinism: the whole run is a pure function of (harness, seed,
-    budget, batch).  Candidate batches are drawn sequentially from
+    budget).  Candidate batches are drawn sequentially from
     per-candidate splitmix64 streams, trial seeds derive from
     {!Campaign.trial_seed_of_key} over the input's canonical text, and
     coverage/finding folds follow canonical batch order — so any
@@ -42,7 +42,8 @@ val canonical : input -> string
     input identity for dedupe and for {!input_key}. *)
 
 val input_key : input -> int64
-(** {!Coverage.hash64} of {!canonical} — what trial seeds derive from. *)
+(** {!Pfi_engine.Rng.fnv1a64} of {!canonical} — what trial seeds derive
+    from. *)
 
 val max_faults : int
 (** Splicing cap on [in_faults] (3). *)
@@ -124,17 +125,12 @@ val run :
   ?executor:Executor.t ->
   ?seed:int64 ->
   ?budget:int ->
-  ?batch:int ->
-  ?shrink_budget:int ->
-  ?on_finding:(finding -> unit) ->
   Harness_intf.packed ->
   result
 (** Runs the fuzzing loop until [budget] (default {!default_budget})
     executions are spent or mutation stops producing unseen inputs.
-    [seed] defaults to {!Campaign.default_seed}; [batch] (default 16)
-    is the fixed candidate-batch size handed to the executor per
-    generation — part of input identity derivation, not of scheduling,
-    so changing [executor] never changes the result.  [shrink_budget]
-    (default 150) caps {!Shrink.minimize} re-runs per finding.
-    [on_finding] streams each deduplicated finding as it is confirmed,
-    on the calling domain. *)
+    [seed] defaults to {!Campaign.default_seed}.  Each generation hands
+    the executor a fixed batch of 16 candidates — part of input
+    identity derivation, not of scheduling, so changing [executor]
+    never changes the result — and each finding's {!Shrink.minimize}
+    descent is capped at 150 re-runs. *)

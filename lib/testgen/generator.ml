@@ -12,6 +12,191 @@ type fault =
   | Reorder of string
   | Inject_spurious of Spec.message * string
 
+(* ------------------------------------------------------------------ *)
+(* The fault vocabulary: one typed view per fault, one validating     *)
+(* constructor, and every encoding a fold over the view               *)
+(* ------------------------------------------------------------------ *)
+
+type param =
+  | Count of int
+  | Probability of float
+  | Seconds of float
+  | Dst of string
+
+let param_key = function
+  | Count _ -> "n"
+  | Probability _ -> "p"
+  | Seconds _ -> "seconds"
+  | Dst _ -> "dst"
+
+type view = {
+  kind : string;
+  mtype : string option;
+  params : param list;
+  fabricated : Spec.message option;
+}
+
+let view fault =
+  let v kind mtype params = { kind; mtype; params; fabricated = None } in
+  match fault with
+  | Drop_all t -> v "drop_all" (Some t) []
+  | Drop_after (t, n) -> v "drop_after" (Some t) [ Count n ]
+  | Drop_first (t, n) -> v "drop_first" (Some t) [ Count n ]
+  | Drop_nth (t, n) -> v "drop_nth" (Some t) [ Count n ]
+  | Drop_fraction (t, p) -> v "drop_fraction" (Some t) [ Probability p ]
+  | Omission_all p -> v "omission_all" None [ Probability p ]
+  | Byzantine_mix p -> v "byzantine_mix" None [ Probability p ]
+  | Delay_each (t, s) -> v "delay_each" (Some t) [ Seconds s ]
+  | Duplicate t -> v "duplicate" (Some t) []
+  | Corrupt (t, p) -> v "corrupt" (Some t) [ Probability p ]
+  | Reorder t -> v "reorder" (Some t) []
+  | Inject_spurious (m, dst) ->
+    { (v "inject_spurious" (Some m.Spec.mtype) [ Dst dst ]) with
+      fabricated = Some m }
+
+(* each kind's syntax, in the order error messages list them *)
+let shapes =
+  [ ("drop_all", (true, []));
+    ("drop_after", (true, [ "n" ]));
+    ("drop_first", (true, [ "n" ]));
+    ("drop_nth", (true, [ "n" ]));
+    ("drop_fraction", (true, [ "p" ]));
+    ("omission_all", (false, [ "p" ]));
+    ("byzantine_mix", (false, [ "p" ]));
+    ("delay_each", (true, [ "seconds" ]));
+    ("duplicate", (true, []));
+    ("corrupt", (true, [ "p" ]));
+    ("reorder", (true, []));
+    ("inject_spurious", (true, [ "dst" ])) ]
+
+let shape kind = List.assoc_opt kind shapes
+
+let unknown_kind () =
+  Printf.sprintf "unknown fault kind (expected %s)"
+    (String.concat ", " (List.map fst shapes))
+
+let unknown_mtype spec =
+  Printf.sprintf "unknown message type for protocol %s (expected one of %s)"
+    spec.Spec.protocol
+    (String.concat ", " (Spec.message_types spec))
+
+let find_stateless spec t =
+  match Spec.find_message spec t with
+  | Some m when m.Spec.stateless -> Ok m
+  | Some _ ->
+    Error "message type is stateful — only stateless messages can be fabricated"
+  | None -> Error (unknown_mtype spec)
+
+(* a delay in seconds must become a [Vtime]: the filter's [xDelay]
+   rejects one that does not, and at run time that error would end the
+   whole run instead of naming the input that asked for it *)
+let check_param kind = function
+  | Count n when n < 0 -> Error ("n", "expected a non-negative integer")
+  | Count n when n < 1 && kind = "drop_nth" ->
+    Error ("n", "drop_nth period must be at least 1")
+  | Probability p when not (p >= 0. && p <= 1.) ->
+    Error ("p", "expected a probability in [0, 1]")
+  | Seconds s when Float.is_nan s || s < 0. ->
+    Error ("seconds", "expected a non-negative number of seconds")
+  | Seconds s when not (s *. 1e6 < float_of_int Pfi_engine.Vtime.infinity) ->
+    Error ("seconds", "delay out of range")
+  | _ -> Ok ()
+
+let of_view ~spec { kind; mtype; params; fabricated = _ } =
+  let ( let* ) = Result.bind in
+  let* () =
+    match (shape kind, mtype) with
+    | None, _ -> Error ("kind", unknown_kind ())
+    | Some (true, _), None -> Error ("mtype", "missing message type")
+    | Some (true, _), Some t when Spec.find_message spec t = None ->
+      Error ("mtype", unknown_mtype spec)
+    | Some _, _ -> Ok ()
+  in
+  let* () =
+    List.fold_left
+      (fun acc p -> Result.bind acc (fun () -> check_param kind p))
+      (Ok ()) params
+  in
+  let t = Option.value mtype ~default:"" in
+  match (kind, params) with
+  | "drop_all", [] -> Ok (Drop_all t)
+  | "drop_after", [ Count n ] -> Ok (Drop_after (t, n))
+  | "drop_first", [ Count n ] -> Ok (Drop_first (t, n))
+  | "drop_nth", [ Count n ] -> Ok (Drop_nth (t, n))
+  | "drop_fraction", [ Probability p ] -> Ok (Drop_fraction (t, p))
+  | "omission_all", [ Probability p ] -> Ok (Omission_all p)
+  | "byzantine_mix", [ Probability p ] -> Ok (Byzantine_mix p)
+  | "delay_each", [ Seconds s ] -> Ok (Delay_each (t, s))
+  | "duplicate", [] -> Ok (Duplicate t)
+  | "corrupt", [ Probability p ] -> Ok (Corrupt (t, p))
+  | "reorder", [] -> Ok (Reorder t)
+  | "inject_spurious", [ Dst dst ] ->
+    (match find_stateless spec t with
+     | Ok m -> Ok (Inject_spurious (m, dst))
+     | Error reason -> Error ("mtype", reason))
+  | _ -> Error ("kind", kind ^ " given the wrong parameters")
+
+(* Shortest decimal that reads back to the exact float, falling back to
+   the hex-float form (%h) [float_of_string] also accepts. *)
+let float_to_string f =
+  let s = Printf.sprintf "%.12g" f in
+  if float_of_string_opt s = Some f then s else Printf.sprintf "%h" f
+
+let tokens fault =
+  let v = view fault in
+  let word = function
+    | Count n -> string_of_int n
+    | Probability x | Seconds x -> float_to_string x
+    | Dst d -> d
+  in
+  (v.kind :: Option.to_list v.mtype) @ List.map word v.params
+
+let of_tokens ~spec = function
+  | [] -> Error ("fault", "missing fault specification")
+  | kind :: words ->
+    (match shape kind with
+     | None -> Error (kind, unknown_kind ())
+     | Some (named, keys) ->
+       let fields = (if named then [ "mtype" ] else []) @ keys in
+       if List.compare_lengths fields words <> 0 then
+         let upper = function "mtype" -> "TYPE" | k -> String.uppercase_ascii k in
+         Error (kind, "usage: " ^ String.concat " " (kind :: List.map upper fields))
+       else
+         let at = List.combine fields words in
+         let param key =
+           let tok = List.assoc key at in
+           let number conv wrap what =
+             Option.to_result ~none:(tok, what) (Option.map wrap (conv tok))
+           in
+           match key with
+           | "n" -> number int_of_string_opt (fun n -> Count n) "expected an integer"
+           | "p" -> number float_of_string_opt (fun p -> Probability p) "expected a number"
+           | "seconds" -> number float_of_string_opt (fun s -> Seconds s) "expected a number"
+           | _ -> Ok (Dst tok)
+         in
+         let ( let* ) = Result.bind in
+         let* params =
+           List.fold_right
+             (fun key acc ->
+               let* p = param key in
+               Result.map (fun ps -> p :: ps) acc)
+             keys (Ok [])
+         in
+         Result.map_error
+           (fun (field, reason) ->
+             (Option.value (List.assoc_opt field at) ~default:kind, reason))
+           (of_view ~spec
+              { kind; mtype = List.assoc_opt "mtype" at; params; fabricated = None }))
+
+(* the precision the script templates below print parameters with
+   ([chance %.4f], [xDelay %.3f]) *)
+let round_probability p = Float.round (p *. 10000.) /. 10000.
+let round_seconds s = Float.round (s *. 1000.) /. 1000.
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                          *)
+(* ------------------------------------------------------------------ *)
+
 let describe = function
   | Drop_all t -> Printf.sprintf "drop all %s" t
   | Drop_after (t, n) -> Printf.sprintf "drop %s after %d" t n
@@ -31,38 +216,28 @@ let describe = function
 (* A canonical rendering of the fault used only for identity: unlike
    [describe] it keeps full float precision, so two faults that differ
    in the fourth decimal (as shrinking produces) never collide. *)
-let canonical = function
-  | Drop_all t -> Printf.sprintf "drop_all/%s" t
-  | Drop_after (t, n) -> Printf.sprintf "drop_after/%s/%d" t n
-  | Drop_first (t, n) -> Printf.sprintf "drop_first/%s/%d" t n
-  | Drop_nth (t, n) -> Printf.sprintf "drop_nth/%s/%d" t n
-  | Drop_fraction (t, p) -> Printf.sprintf "drop_fraction/%s/%h" t p
-  | Omission_all p -> Printf.sprintf "omission_all/%h" p
-  | Byzantine_mix p -> Printf.sprintf "byzantine_mix/%h" p
-  | Delay_each (t, s) -> Printf.sprintf "delay_each/%s/%h" t s
-  | Duplicate t -> Printf.sprintf "duplicate/%s" t
-  | Corrupt (t, p) -> Printf.sprintf "corrupt/%s/%h" t p
-  | Reorder t -> Printf.sprintf "reorder/%s" t
-  | Inject_spurious (m, dst) ->
-    Printf.sprintf "inject_spurious/%s/%s/%s" m.Spec.mtype dst
-      (String.concat ";"
-         (List.map (fun (k, v) -> k ^ "=" ^ v) m.Spec.gen_args))
+let canonical fault =
+  let v = view fault in
+  let word = function
+    | Count n -> string_of_int n
+    | Probability x | Seconds x -> Printf.sprintf "%h" x
+    | Dst d -> d
+  in
+  let gen_args =
+    match v.fabricated with
+    | None -> []
+    | Some m ->
+      [ String.concat ";" (List.map (fun (k, a) -> k ^ "=" ^ a) m.Spec.gen_args) ]
+  in
+  String.concat "/"
+    ((v.kind :: Option.to_list v.mtype) @ List.map word v.params @ gen_args)
 
 (* FNV-1a over the canonical rendering: the fault's *identity*, not its
    position in the campaign list.  Deriving per-trial RNG seeds from
    this key means adding, removing or reordering faults in a campaign
    can never change the seed — and hence the verdict — of any other
    trial. *)
-let fault_key fault =
-  let fnv_offset = 0xcbf29ce484222325L and fnv_prime = 0x100000001b3L in
-  let s = canonical fault in
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
+let fault_key fault = Pfi_engine.Rng.fnv1a64 (canonical fault)
 
 (* Message types leak into generated Tcl {e variable} names (n_DATA,
    d_DATA, q_DATA).  A [$name] reference only scans alphanumerics and

@@ -4,7 +4,11 @@
     renders it as a filter script in the PFI scripting language, and
     {!campaign} enumerates a systematic fault set for a specification —
     every message type crossed with every applicable fault class, in
-    the severity order of the §2.2 failure models. *)
+    the severity order of the §2.2 failure models.
+
+    This module is also the one place that knows the fault vocabulary:
+    each kind's parameters, their legal ranges and their encodings
+    (see {!section-vocabulary}). *)
 
 type fault =
   | Drop_all of string  (** drop every message of the type (link crash) *)
@@ -27,6 +31,85 @@ type fault =
   | Inject_spurious of Spec.message * string
       (** fabricate a stateless message addressed to the given node on
           every passing message (probe) *)
+
+(** {1:vocabulary The fault vocabulary}
+
+    Every fault has one typed {!view}: its kind, its message type and
+    its parameters in canonical order.  Each encoding of a fault is one
+    fold over that view — the identity string {!canonical} (and with it
+    {!fault_key} and every trial seed), the [.pfis]/[.pfim] words
+    {!tokens}, the repro-artifact JSON fields ([Repro.fault_to_json]) and
+    the fuzz signature slug — and every reader builds its fault through
+    the one validating constructor {!of_view}.  So [.pfis], [.pfim] and
+    repro JSON accept exactly the same faults, and reject an
+    out-of-range one where they read it. *)
+
+type param =
+  | Count of int
+      (** JSON key ["n"]: a message count (at least 0) or, for
+          [drop_nth], a period (at least 1) *)
+  | Probability of float  (** ["p"]: finite, in \[0, 1\] *)
+  | Seconds of float
+      (** ["seconds"]: a delay — finite, at least 0, and below
+          {!Pfi_engine.Vtime.infinity} once converted to microseconds *)
+  | Dst of string
+      (** ["dst"]: the node a fabricated message is addressed to *)
+
+val param_key : param -> string
+(** The parameter's JSON key: ["n"], ["p"], ["seconds"] or ["dst"]. *)
+
+type view = {
+  kind : string;
+      (** ["drop_all"] … ["inject_spurious"]: the [.pfis] keyword and
+          the JSON ["kind"] *)
+  mtype : string option;
+      (** [None] for the all-types kinds [omission_all] and
+          [byzantine_mix] *)
+  params : param list;  (** canonical order *)
+  fabricated : Spec.message option;
+      (** [inject_spurious]'s message.  Written out, never read:
+          {!of_view} takes the message from the harness spec. *)
+}
+
+val view : fault -> view
+
+val shape : string -> (bool * string list) option
+(** A kind's syntax: whether it names a message type, and its
+    parameters' keys in canonical order.  [None] for an unknown kind. *)
+
+val of_view : spec:Spec.t -> view -> (fault, string * string) result
+(** The one validating constructor.  It checks the message type against
+    [spec] ([inject_spurious] must name a stateless type) and every
+    parameter against its range (see {!param}).  [Error (field,
+    reason)] names the offending field: ["kind"], ["mtype"] or a
+    parameter key. *)
+
+val tokens : fault -> string list
+(** The [.pfis]/[.pfim] spelling: kind, message type, then the
+    parameters ({!float_to_string} for floats), e.g.
+    [["drop_fraction"; "MSG"; "0.4"]]. *)
+
+val of_tokens : spec:Spec.t -> string list -> (fault, string * string) result
+(** Reads {!tokens} through {!of_view}; [Error (token, reason)] names
+    the offending word. *)
+
+val find_stateless : Spec.t -> string -> (Spec.message, string) result
+(** The spec's message of that type, which must be stateless: the rule
+    for every message the PFI layer fabricates ([inject_spurious], a
+    scenario's [inject]). *)
+
+val float_to_string : float -> string
+(** Shortest decimal that reads back to the exact float, falling back
+    to the [%h] hex-float form (which [float_of_string] also accepts). *)
+
+val round_probability : float -> float
+(** A probability at the precision the generated scripts print it
+    ([%.4f]). *)
+
+val round_seconds : float -> float
+(** A delay at the precision the generated scripts print it ([%.3f]). *)
+
+(** {1 Rendering} *)
 
 val describe : fault -> string
 

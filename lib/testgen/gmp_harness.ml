@@ -145,10 +145,3 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
       in
       List.rev labels
   end)
-
-let run_campaign ?bugs ?seed ?executor () =
-  match
-    Campaign.run ?executor (Campaign.plan ?seed (harness ?bugs ()))
-  with
-  | summary -> Ok summary.Campaign.s_outcomes
-  | exception Campaign.Control_failure reason -> Error reason

@@ -26,14 +26,3 @@ val harness : ?bugs:Pfi_gmp.Gmd.bugs -> unit -> Harness_intf.packed
     ["n2"]. *)
 
 val default_horizon : Pfi_engine.Vtime.t
-
-val default_seed : int64
-(** The GMP campaign seed (57) — kept distinct from
-    {!Campaign.default_seed} so the two stock campaigns do not share
-    trial seeds. *)
-
-val run_campaign :
-  ?bugs:Pfi_gmp.Gmd.bugs -> ?seed:int64 -> ?executor:Executor.t -> unit ->
-  (Campaign.outcome list, string) result
-(** [Error reason] when even the fault-free control trial violates the
-    oracle (which is itself a finding when bugs are implanted). *)

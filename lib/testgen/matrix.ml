@@ -331,7 +331,7 @@ let sweep_values ~line tok =
       if v > hi +. (step *. 1e-9) then List.rev acc
       else begin
         guard_count (k + 1);
-        go (k + 1) (Scenario.float_to_string v :: acc)
+        go (k + 1) (Generator.float_to_string v :: acc)
       end
     in
     go 0 []
@@ -385,26 +385,14 @@ let expand_sweeps ~line toks =
 (* Seeds and names                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
-             0x100000001b3L)
-    s;
-  !h
-
-let splitmix64 x =
-  let open Int64 in
-  let z = add x 0x9e3779b97f4a7c15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
 (* positive 63-bit seed derived from the matrix seed and the scenario
-   name — stable across runs, distinct across the corpus *)
+   name — stable across runs, distinct across the corpus: the first
+   draw of a generator seeded with both *)
 let derive_seed base name =
-  Int64.shift_right_logical (splitmix64 (Int64.logxor base (fnv64 name))) 1
+  let open Pfi_engine in
+  Int64.shift_right_logical
+    (Rng.bits64 (Rng.create ~seed:(Int64.logxor base (Rng.fnv1a64 name))))
+    1
 
 let sanitize s =
   String.map

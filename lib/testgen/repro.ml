@@ -265,106 +265,57 @@ end
 (* Fault <-> JSON                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let fault_to_json (fault : Generator.fault) : Json.t =
-  let open Json in
-  match fault with
-  | Generator.Drop_all t -> Obj [ ("kind", Str "drop_all"); ("mtype", Str t) ]
-  | Generator.Drop_after (t, n) ->
-    Obj [ ("kind", Str "drop_after"); ("mtype", Str t); ("n", Int n) ]
-  | Generator.Drop_first (t, n) ->
-    Obj [ ("kind", Str "drop_first"); ("mtype", Str t); ("n", Int n) ]
-  | Generator.Drop_nth (t, n) ->
-    Obj [ ("kind", Str "drop_nth"); ("mtype", Str t); ("n", Int n) ]
-  | Generator.Drop_fraction (t, p) ->
-    Obj [ ("kind", Str "drop_fraction"); ("mtype", Str t); ("p", Float p) ]
-  | Generator.Omission_all p -> Obj [ ("kind", Str "omission_all"); ("p", Float p) ]
-  | Generator.Byzantine_mix p ->
-    Obj [ ("kind", Str "byzantine_mix"); ("p", Float p) ]
-  | Generator.Delay_each (t, s) ->
-    Obj [ ("kind", Str "delay_each"); ("mtype", Str t); ("seconds", Float s) ]
-  | Generator.Duplicate t -> Obj [ ("kind", Str "duplicate"); ("mtype", Str t) ]
-  | Generator.Corrupt (t, p) ->
-    Obj [ ("kind", Str "corrupt"); ("mtype", Str t); ("p", Float p) ]
-  | Generator.Reorder t -> Obj [ ("kind", Str "reorder"); ("mtype", Str t) ]
-  | Generator.Inject_spurious (m, dst) ->
-    Obj
-      [ ("kind", Str "inject_spurious");
-        ("mtype", Str m.Spec.mtype);
-        ("stateless", Bool m.Spec.stateless);
-        ("gen_args", Obj (List.map (fun (k, v) -> (k, Str v)) m.Spec.gen_args));
-        ("dst", Str dst) ]
-
-let fault_of_json (j : Json.t) : (Generator.fault, string) result =
-  let open Json in
-  let str key = Option.bind (member key j) to_str in
-  let int key = Option.bind (member key j) to_int in
-  let flt key = Option.bind (member key j) to_float in
-  let need what = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "fault: missing or ill-typed %S" what)
+(* one fold over the fault's view each way; which faults are legal is
+   [Generator.of_view]'s call *)
+let fault_to_json fault =
+  let v = Generator.view fault in
+  let param = function
+    | Generator.Count n -> Json.Int n
+    | Generator.Probability x | Generator.Seconds x -> Json.Float x
+    | Generator.Dst d -> Json.Str d
   in
+  Json.Obj
+    ((("kind", Json.Str v.Generator.kind)
+     :: List.map (fun t -> ("mtype", Json.Str t)) (Option.to_list v.Generator.mtype))
+    @ (match v.Generator.fabricated with
+       | None -> []
+       | Some m ->
+         [ ("stateless", Json.Bool m.Spec.stateless);
+           ( "gen_args",
+             Json.Obj (List.map (fun (k, a) -> (k, Json.Str a)) m.Spec.gen_args) ) ])
+    @ List.map (fun p -> (Generator.param_key p, param p)) v.Generator.params)
+
+let fault_of_json ~spec j =
   let ( let* ) = Result.bind in
-  let* kind = need "kind" (str "kind") in
-  match kind with
-  | "drop_all" ->
-    let* t = need "mtype" (str "mtype") in
-    Ok (Generator.Drop_all t)
-  | "drop_after" ->
-    let* t = need "mtype" (str "mtype") in
-    let* n = need "n" (int "n") in
-    Ok (Generator.Drop_after (t, n))
-  | "drop_first" ->
-    let* t = need "mtype" (str "mtype") in
-    let* n = need "n" (int "n") in
-    Ok (Generator.Drop_first (t, n))
-  | "drop_nth" ->
-    let* t = need "mtype" (str "mtype") in
-    let* n = need "n" (int "n") in
-    Ok (Generator.Drop_nth (t, n))
-  | "drop_fraction" ->
-    let* t = need "mtype" (str "mtype") in
-    let* p = need "p" (flt "p") in
-    Ok (Generator.Drop_fraction (t, p))
-  | "omission_all" ->
-    let* p = need "p" (flt "p") in
-    Ok (Generator.Omission_all p)
-  | "byzantine_mix" ->
-    let* p = need "p" (flt "p") in
-    Ok (Generator.Byzantine_mix p)
-  | "delay_each" ->
-    let* t = need "mtype" (str "mtype") in
-    let* s = need "seconds" (flt "seconds") in
-    Ok (Generator.Delay_each (t, s))
-  | "duplicate" ->
-    let* t = need "mtype" (str "mtype") in
-    Ok (Generator.Duplicate t)
-  | "corrupt" ->
-    let* t = need "mtype" (str "mtype") in
-    let* p = need "p" (flt "p") in
-    Ok (Generator.Corrupt (t, p))
-  | "reorder" ->
-    let* t = need "mtype" (str "mtype") in
-    Ok (Generator.Reorder t)
-  | "inject_spurious" ->
-    let* t = need "mtype" (str "mtype") in
-    let* dst = need "dst" (str "dst") in
-    let stateless =
-      match member "stateless" j with Some (Bool b) -> b | _ -> true
-    in
-    let* gen_args =
-      match member "gen_args" j with
-      | Some (Obj fields) ->
-        let rec conv acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, Str v) :: rest -> conv ((k, v) :: acc) rest
-          | (k, _) :: _ -> Error (Printf.sprintf "fault: gen_args.%s not a string" k)
-        in
-        conv [] fields
-      | None -> Ok []
-      | Some _ -> Error "fault: gen_args not an object"
-    in
-    Ok (Generator.Inject_spurious ({ Spec.mtype = t; stateless; gen_args }, dst))
-  | other -> Error (Printf.sprintf "fault: unknown kind %S" other)
+  let field key conv =
+    match Option.bind (Json.member key j) conv with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "fault: missing or ill-typed %S" key)
+  in
+  let param key =
+    field key (fun v ->
+        match key with
+        | "n" -> Option.map (fun n -> Generator.Count n) (Json.to_int v)
+        | "p" -> Option.map (fun p -> Generator.Probability p) (Json.to_float v)
+        | "seconds" -> Option.map (fun s -> Generator.Seconds s) (Json.to_float v)
+        | _ -> Option.map (fun d -> Generator.Dst d) (Json.to_str v))
+  in
+  let* kind = field "kind" Json.to_str in
+  let named, keys = Option.value (Generator.shape kind) ~default:(false, []) in
+  let* mtype =
+    if named then Result.map Option.some (field "mtype" Json.to_str) else Ok None
+  in
+  let* params =
+    List.fold_right
+      (fun key acc ->
+        let* p = param key in
+        Result.map (fun ps -> p :: ps) acc)
+      keys (Ok [])
+  in
+  Result.map_error
+    (fun (field, reason) -> Printf.sprintf "fault.%s: %s" field reason)
+    (Generator.of_view ~spec
+       { Generator.kind; mtype; params; fabricated = None })
 
 (* ------------------------------------------------------------------ *)
 (* The artifact                                                       *)
@@ -481,8 +432,10 @@ let side_of_member j key =
   | Some side -> Ok side
   | None -> Error (Printf.sprintf "artifact: unknown side %S" name)
 
-let step_of_json j =
-  let* fault = Result.bind (need "fault" (Json.member "fault" j)) fault_of_json in
+let step_of_json ~spec j =
+  let* fault =
+    Result.bind (need "fault" (Json.member "fault" j)) (fault_of_json ~spec)
+  in
   let* side = side_of_member j "side" in
   let* horizon_us = int64_of_member j "horizon_us" in
   let* seed = int64_of_member j "seed" in
@@ -507,9 +460,19 @@ let of_string (s : string) : (t, string) result =
              version current_version)
   else
     let* harness = need "harness" (str "harness") in
+    let* spec =
+      match Registry.find harness with
+      | Some packed -> Ok (Harness_intf.spec packed)
+      | None ->
+        Error
+          (Printf.sprintf "artifact: unknown harness %S (expected one of %s)"
+             harness (String.concat ", " Registry.names))
+    in
     let* protocol = need "protocol" (str "protocol") in
     let* target = need "target" (str "target") in
-    let* fault = Result.bind (need "fault" (Json.member "fault" j)) fault_of_json in
+    let* fault =
+      Result.bind (need "fault" (Json.member "fault" j)) (fault_of_json ~spec)
+    in
     let* side = side_of_member j "side" in
     let* horizon_us = int64_of_member j "horizon_us" in
     let* seed = int64_of_member j "seed" in
@@ -528,7 +491,8 @@ let of_string (s : string) : (t, string) result =
       | Some (Json.List steps) ->
         let rec conv acc = function
           | [] -> Ok (List.rev acc)
-          | s :: rest -> Result.bind (step_of_json s) (fun s -> conv (s :: acc) rest)
+          | s :: rest ->
+            Result.bind (step_of_json ~spec s) (fun s -> conv (s :: acc) rest)
         in
         conv [] steps
       | Some _ -> Error "artifact: shrink_trajectory not a list"

@@ -46,7 +46,16 @@ module Json : sig
 end
 
 val fault_to_json : Generator.fault -> Json.t
-val fault_of_json : Json.t -> (Generator.fault, string) result
+(** [{"kind", "mtype", …parameters}]: a fold over {!Generator.view},
+    each parameter under its {!Generator.param_key}.  An
+    [inject_spurious] fault also writes its message's ["stateless"] and
+    ["gen_args"] (before ["dst"]); the reader takes both from the spec. *)
+
+val fault_of_json : spec:Spec.t -> Json.t -> (Generator.fault, string) result
+(** Reads {!fault_to_json} through {!Generator.of_view}, so the message
+    type must be one of [spec]'s and every parameter in range; the
+    error names the field, e.g. ["fault.n: drop_nth period must be at
+    least 1"]. *)
 
 (** One accepted step of a shrink run: the smaller state and the
     violation that kept it. *)
@@ -87,6 +96,9 @@ val to_json : t -> string
 (** Deterministic, newline-terminated. *)
 
 val of_string : string -> (t, string) result
+(** Checks field types and, through {!fault_of_json} against the
+    recorded harness's spec, every fault (the artifact's and each
+    shrink step's). *)
 
 val save : string -> t -> unit
 val load : string -> (t, string) result

@@ -111,22 +111,6 @@ let parse_int ~line tok =
   | Some n when n >= 0 -> n
   | _ -> err line tok "expected a non-negative integer"
 
-let parse_float ~line tok =
-  match float_of_string_opt tok with
-  | Some f -> f
-  | _ -> err line tok "expected a number"
-
-(* a delay in seconds must become a [Vtime]: the filter's [xDelay]
-   rejects one that does not, and at run time that error ends the
-   whole run instead of naming this line *)
-let parse_seconds ~line tok =
-  let s = parse_float ~line tok in
-  if Float.is_nan s || s < 0. then
-    err line tok "expected a non-negative number of seconds";
-  if not (s *. 1e6 < float_of_int Vtime.infinity) then
-    err line tok "delay out of range";
-  s
-
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -174,67 +158,6 @@ let parse_pattern ~line ~directive atoms =
 (* ------------------------------------------------------------------ *)
 (* Fault specifications                                               *)
 (* ------------------------------------------------------------------ *)
-
-let check_mtype ~line ~spec tok =
-  if not (List.mem tok (Spec.message_types spec)) then
-    err line tok
-      (Printf.sprintf "unknown message type for protocol %s (expected one of %s)"
-         spec.Spec.protocol
-         (String.concat ", " (Spec.message_types spec)))
-
-let parse_fault ~line ~spec toks =
-  let usage kind shape = err line kind ("usage: fault [send|receive|both] " ^ shape) in
-  match toks with
-  | [ "drop_all"; t ] -> check_mtype ~line ~spec t; Generator.Drop_all t
-  | "drop_all" :: _ -> usage "drop_all" "drop_all TYPE"
-  | [ "drop_after"; t; n ] ->
-    check_mtype ~line ~spec t;
-    Generator.Drop_after (t, parse_int ~line n)
-  | "drop_after" :: _ -> usage "drop_after" "drop_after TYPE N"
-  | [ "drop_first"; t; n ] ->
-    check_mtype ~line ~spec t;
-    Generator.Drop_first (t, parse_int ~line n)
-  | "drop_first" :: _ -> usage "drop_first" "drop_first TYPE N"
-  | [ "drop_nth"; t; n ] ->
-    check_mtype ~line ~spec t;
-    let k = parse_int ~line n in
-    if k < 1 then err line n "drop_nth period must be at least 1";
-    Generator.Drop_nth (t, k)
-  | "drop_nth" :: _ -> usage "drop_nth" "drop_nth TYPE N"
-  | [ "drop_fraction"; t; p ] ->
-    check_mtype ~line ~spec t;
-    Generator.Drop_fraction (t, parse_float ~line p)
-  | "drop_fraction" :: _ -> usage "drop_fraction" "drop_fraction TYPE P"
-  | [ "omission_all"; p ] -> Generator.Omission_all (parse_float ~line p)
-  | "omission_all" :: _ -> usage "omission_all" "omission_all P"
-  | [ "byzantine_mix"; p ] -> Generator.Byzantine_mix (parse_float ~line p)
-  | "byzantine_mix" :: _ -> usage "byzantine_mix" "byzantine_mix P"
-  | [ "delay_each"; t; s ] ->
-    check_mtype ~line ~spec t;
-    Generator.Delay_each (t, parse_seconds ~line s)
-  | "delay_each" :: _ -> usage "delay_each" "delay_each TYPE SECONDS"
-  | [ "duplicate"; t ] -> check_mtype ~line ~spec t; Generator.Duplicate t
-  | "duplicate" :: _ -> usage "duplicate" "duplicate TYPE"
-  | [ "corrupt"; t; p ] ->
-    check_mtype ~line ~spec t;
-    Generator.Corrupt (t, parse_float ~line p)
-  | "corrupt" :: _ -> usage "corrupt" "corrupt TYPE P"
-  | [ "reorder"; t ] -> check_mtype ~line ~spec t; Generator.Reorder t
-  | "reorder" :: _ -> usage "reorder" "reorder TYPE"
-  | [ "inject_spurious"; t; dst ] ->
-    (match Spec.find_message spec t with
-     | Some m when m.Spec.stateless -> Generator.Inject_spurious (m, dst)
-     | Some _ ->
-       err line t
-         "message type is stateful — only stateless messages can be fabricated"
-     | None -> check_mtype ~line ~spec t; assert false)
-  | "inject_spurious" :: _ -> usage "inject_spurious" "inject_spurious TYPE DST"
-  | kind :: _ ->
-    err line kind
-      "unknown fault kind (expected drop_all, drop_after, drop_first, \
-       drop_nth, drop_fraction, omission_all, byzantine_mix, delay_each, \
-       duplicate, corrupt, reorder or inject_spurious)"
-  | [] -> err line "fault" "missing fault specification"
 
 (* [fault S A + B + C] is sugar for three fault directives on side [S]:
    split the token list on standalone "+" tokens *)
@@ -439,7 +362,10 @@ let parse ?(name = "scenario") src =
            if List.mem "+" ftoks then split_on_plus ~line ftoks else [ ftoks ]
          in
          List.iter
-           (fun g -> faults := (side, parse_fault ~line ~spec g) :: !faults)
+           (fun g ->
+             match Generator.of_tokens ~spec g with
+             | Ok fault -> faults := (side, fault) :: !faults
+             | Error (tok, reason) -> err line tok reason)
            groups
        | "inject" ->
          let at =
@@ -458,14 +384,10 @@ let parse ?(name = "scenario") src =
               | _ -> err line side_tok "inject side must be send or receive"
             in
             let msg =
-              match Spec.find_message spec mtype with
-              | Some m -> m
-              | None -> check_mtype ~line ~spec mtype; assert false
+              match Generator.find_stateless spec mtype with
+              | Ok m -> m
+              | Error reason -> err line mtype reason
             in
-            if not msg.Spec.stateless then
-              err line mtype
-                "message type is stateful — only stateless messages can be \
-                 fabricated by the PFI layer";
             let dst, kv_toks =
               match List.rev args with
               | dst :: "to" :: rargs -> (Some dst, List.rev rargs)
@@ -565,12 +487,6 @@ let duration_to_string t =
   else if us mod 1_000 = 0 then string_of_int (us / 1_000) ^ "ms"
   else string_of_int us ^ "us"
 
-(* Shortest decimal that reads back to the exact float, falling back to
-   the hex-float form (%h) [float_of_string] also accepts. *)
-let float_to_string f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string_opt s = Some f then s else Printf.sprintf "%h" f
-
 (* a token the tokenizer will hand back unchanged *)
 let plain_token tok =
   tok <> "" && tok <> ";" && tok <> "+"
@@ -606,32 +522,6 @@ let pattern_atoms ~what p =
     let atoms = String.split_on_char ' ' s in
     List.iter (require_plain (what ^ " pattern atom")) atoms;
     s
-
-let fault_tokens fault =
-  let f = float_to_string in
-  let nat what n =
-    if n < 0 then
-      invalid_arg
-        (Printf.sprintf "Scenario.to_string: negative %s count %d" what n);
-    string_of_int n
-  in
-  match fault with
-  | Generator.Drop_all t -> [ "drop_all"; t ]
-  | Generator.Drop_after (t, n) -> [ "drop_after"; t; nat "drop_after" n ]
-  | Generator.Drop_first (t, n) -> [ "drop_first"; t; nat "drop_first" n ]
-  | Generator.Drop_nth (t, n) ->
-    if n < 1 then
-      invalid_arg "Scenario.to_string: drop_nth period must be at least 1";
-    [ "drop_nth"; t; string_of_int n ]
-  | Generator.Drop_fraction (t, p) -> [ "drop_fraction"; t; f p ]
-  | Generator.Omission_all p -> [ "omission_all"; f p ]
-  | Generator.Byzantine_mix p -> [ "byzantine_mix"; f p ]
-  | Generator.Delay_each (t, s) -> [ "delay_each"; t; f s ]
-  | Generator.Duplicate t -> [ "duplicate"; t ]
-  | Generator.Corrupt (t, p) -> [ "corrupt"; t; f p ]
-  | Generator.Reorder t -> [ "reorder"; t ]
-  | Generator.Inject_spurious (m, dst) ->
-    [ "inject_spurious"; m.Spec.mtype; dst ]
 
 let check_to_line chk =
   match chk.chk_expect with
@@ -712,8 +602,22 @@ let to_string sc =
   Option.iter (require_plain "phase") sc.sc_phase;
   require_plain_words "scenario name" sc.sc_name;
   Option.iter (require_plain_words "xfail substring") sc.sc_xfail;
+  (* a fault prints only if it re-reads as itself: in range, and named
+     by this harness's spec *)
   List.iter
-    (fun (_, fault) -> List.iter (require_plain "fault token") (fault_tokens fault))
+    (fun (_, fault) ->
+      (match Generator.of_view ~spec (Generator.view fault) with
+       | Ok f when f = fault -> ()
+       | Ok _ ->
+         invalid_arg
+           (Printf.sprintf
+              "Scenario.to_string: fault %S does not match the harness spec"
+              (Generator.describe fault))
+       | Error (field, reason) ->
+         invalid_arg
+           (Printf.sprintf "Scenario.to_string: fault %S: %s: %s"
+              (Generator.describe fault) field reason));
+      List.iter (require_plain "fault token") (Generator.tokens fault))
     sc.sc_faults;
   (* an injection only re-parses to the same record if its argument list
      starts with the spec's generation arguments, in spec order — which
@@ -751,14 +655,12 @@ let to_string sc =
   List.iter
     (fun (side, fault) ->
       line "fault %s %s" (Campaign.side_name side)
-        (String.concat " " (fault_tokens fault)))
+        (String.concat " " (Generator.tokens fault)))
     sc.sc_faults;
   List.iter (fun inj -> line "%s" (injection_to_line inj)) sc.sc_injections;
   List.iter (fun chk -> line "%s" (check_to_line chk)) sc.sc_checks;
   Option.iter (fun s -> line "xfail %s" s) sc.sc_xfail;
   Buffer.contents buf
-
-let print ppf sc = Format.pp_print_string ppf (to_string sc)
 
 let strip_lines sc =
   { sc with

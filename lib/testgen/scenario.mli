@@ -48,7 +48,14 @@
       [drop_nth T N], [drop_fraction T P], [omission_all P],
       [byzantine_mix P], [delay_each T SECONDS], [duplicate T],
       [corrupt T P], [reorder T], [inject_spurious T DST] — exactly
-      {!Generator.fault}.
+      {!Generator.fault}.  [T] must be a message type of the harness
+      spec (a stateless one for [inject_spurious]); a count [N] is at
+      least 0 (at least 1 for [drop_nth]); a probability [P] is in
+      \[0, 1\]; [SECONDS] is at least 0 and below
+      {!Pfi_engine.Vtime.infinity} once in microseconds.  [.pfis],
+      [.pfim] and repro JSON share this one validator
+      ({!Generator.of_view}), so a fault out of range is an error naming
+      its line and word.
     - [@T inject send|receive MTYPE [k=v ...] [to NODE]] — fabricate a
       stateless message through the harness stub at virtual time [T] and
       introduce it below ([send], addressed to [NODE], default the
@@ -144,13 +151,13 @@ val load : string -> t
     to [sc].  Generated corpora ({!Matrix}) are emitted through it, so
     generation is a print→parse round trip over the same AST.  Raises
     [Invalid_argument] for scenarios the concrete syntax cannot express:
-    unknown harnesses, unconstrained or [All]/[Any] oracles, empty
+    unknown harnesses, faults {!Generator.of_view} rejects for the
+    harness spec, unconstrained or [All]/[Any] oracles, empty
     [ordered] steps, tokens containing whitespace or [#], injection
     argument lists that do not start with the spec's generation
     arguments. *)
 
 val to_string : t -> string
-val print : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
 (** Structural equality ignoring the recorded source-line numbers
@@ -162,10 +169,6 @@ val duration_to_string : Pfi_engine.Vtime.t -> string
     that divides the time exactly, guaranteed to re-parse to the same
     {!Pfi_engine.Vtime.t}.  Raises [Invalid_argument] on negative or
     infinite times. *)
-
-val float_to_string : float -> string
-(** Shortest decimal that reads back to the exact float, falling back
-    to the [%h] hex-float form (which the parser also accepts). *)
 
 (** {1 Lexical helpers}
 
@@ -223,9 +226,8 @@ val run : ?seed:int64 -> ?observe:Campaign.observer -> t -> result
 
     [observe] (default {!Campaign.silent}) is the same observer record
     campaigns consume: [obs_traces] keeps the run's trace on
-    [res_trace].  [obs_outcome] does not apply (scenarios produce no
-    campaign outcome) and is ignored.  The run always records into a
-    storing trace, which the [expect] rows read. *)
+    [res_trace].  The run always records into a storing trace, which
+    the [expect] rows read. *)
 
 val passed : result -> bool
 (** True for {!Pass} and {!Xfail}. *)

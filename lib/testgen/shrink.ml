@@ -55,13 +55,10 @@ let size st = fault_cost st.fault + side_cost st.side + horizon_cost st.horizon
 (* The candidate lattice                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* round to the precision the script templates print (%.4f / %.3f), so
-   the shrunk parameter and the script it generates agree exactly *)
-let round4 x = Float.round (x *. 10000.) /. 10000.
-let round3 x = Float.round (x *. 1000.) /. 1000.
-
+(* round to the precision the script templates print, so the shrunk
+   parameter and the script it generates agree exactly *)
 let halve_probability p =
-  let p' = round4 (p /. 2.) in
+  let p' = Generator.round_probability (p /. 2.) in
   if p' >= min_probability && p' < p then [ p' ] else []
 
 let fault_candidates ~(spec : Spec.t) fault =
@@ -93,7 +90,7 @@ let fault_candidates ~(spec : Spec.t) fault =
   | Generator.Omission_all p ->
     List.map (fun p' -> Generator.Omission_all p') (halve_probability p)
   | Generator.Delay_each (t, s) ->
-    let s' = round3 (s /. 2.) in
+    let s' = Generator.round_seconds (s /. 2.) in
     if s' >= min_delay && s' < s then [ Generator.Delay_each (t, s') ] else []
   | Generator.Byzantine_mix p ->
     (* decompose into the constituents first (always a big cost drop),

@@ -37,15 +37,6 @@ type state = {
   horizon : Vtime.t;
 }
 
-val min_horizon : Vtime.t
-(** 1 s. *)
-
-val min_probability : float
-(** 0.01. *)
-
-val min_delay : float
-(** 1 ms. *)
-
 val size : state -> int
 (** The documented shrink-size metric (see the module preamble). *)
 

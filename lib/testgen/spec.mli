@@ -23,8 +23,6 @@ type t = {
 val message :
   ?stateless:bool -> ?gen_args:(string * string) list -> string -> message
 
-val make : protocol:string -> message list -> t
-
 val message_types : t -> string list
 
 val find_message : t -> string -> message option

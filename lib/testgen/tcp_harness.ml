@@ -16,8 +16,6 @@ let phase_of_string = function
   | "close" -> Some Close
   | _ -> None
 
-let all_phases = [ Handshake; Stream; Close ]
-
 type env = {
   sim : Sim.t;
   pfi : Pfi_core.Pfi_layer.t;  (* on the client, between TCP and IP *)

@@ -13,8 +13,6 @@
     assassination) exercise the full 10-state FSM rather than a
     pre-warmed stream. *)
 
-open Pfi_engine
-
 type phase =
   | Handshake
       (** the active open happens inside the workload, i.e. {e under}
@@ -23,8 +21,10 @@ type phase =
       (** (default) the connection is opened at build time and the
           fault window covers the established data stream *)
   | Close
-      (** like [Stream], plus an orderly client close at {!close_at};
-          the server closes back from CLOSE_WAIT, so the client walks
+      (** like [Stream], plus an orderly client close at one simulated
+          minute — after the default stream drains, before the filters
+          clear, so teardown faults act on live filters; the server
+          closes back from CLOSE_WAIT, so the client walks
           FIN_WAIT_1 / FIN_WAIT_2 / TIME_WAIT and the check demands
           the teardown completed via TIME_WAIT expiry *)
 
@@ -33,22 +33,8 @@ val phase_name : phase -> string
     {!phase_of_string}. *)
 
 val phase_of_string : string -> phase option
-val all_phases : phase list
 
 type env
-
-val default_horizon : Vtime.t
-(** 10 simulated minutes. *)
-
-val fault_clear_at : Vtime.t
-(** Filters installed by a campaign or scenario are cleared here (3
-    simulated minutes), making every fault a transient outage (unless
-    the harness was built with [~heal:false]). *)
-
-val close_at : Vtime.t
-(** When the [Close] phase's client close is issued (1 simulated
-    minute — after the default stream drains, before the filters
-    clear, so teardown faults act on live filters). *)
 
 val harness :
   ?chunk_count:int ->
@@ -66,6 +52,8 @@ val harness :
     keep-alive timer.  [server_reads] (default true) wires the
     server's receive callback; false leaves received data unconsumed
     so the advertised window closes — the zero-window-probe lever.
-    [heal] (default true) clears the fault filters at
-    {!fault_clear_at}; false keeps the fault active to the horizon
-    (exhaustion experiments). *)
+    [heal] (default true) clears the fault filters installed by a
+    campaign or scenario at three simulated minutes, making every fault
+    a transient outage; false keeps the fault active to the horizon
+    (exhaustion experiments).  The default horizon is ten simulated
+    minutes. *)

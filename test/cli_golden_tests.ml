@@ -117,6 +117,53 @@ let test_check_manifest_jobs_parity () =
     "check --manifest --json is byte-identical at --jobs 1 and 4" (run "1")
     (run "4")
 
+(* ------------------------------------------------------------------ *)
+(* Artifacts whose fault is out of range fail where they are read      *)
+(* ------------------------------------------------------------------ *)
+
+(* exit code and combined output, for runs expected to fail *)
+let run_cli_status args =
+  let out = Filename.temp_file "pfi_cli" ".out" in
+  let code =
+    Sys.command (Filename.quote_command (exe ()) args ~stdout:out ~stderr:out)
+  in
+  let text = read_file out in
+  Sys.remove out;
+  (code, text)
+
+let test_bad_artifact_is_a_load_error () =
+  let golden =
+    read_file (Filename.concat (test_dir "golden") "tiny_abp_repro.expected.json")
+  in
+  let open Pfi_testgen.Repro.Json in
+  List.iter
+    (fun fault ->
+      let artifact =
+        match parse golden with
+        | Ok (Obj fields) ->
+          Obj (List.map (fun (k, v) -> if k = "fault" then (k, Obj fault) else (k, v)) fields)
+        | _ -> Alcotest.fail "the golden repro artifact does not parse"
+      in
+      let path = Filename.temp_file "pfi_bad_repro" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc (to_string artifact);
+          close_out oc;
+          List.iter
+            (fun verb ->
+              let code, text = run_cli_status [ verb; path ] in
+              Alcotest.(check int) (verb ^ " exits 1") 1 code;
+              let prefix = "cannot load repro artifact " ^ path in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s names the load error: %S" verb text)
+                true
+                (String.starts_with ~prefix text))
+            [ "shrink"; "replay" ]))
+    [ [ ("kind", Str "drop_nth"); ("mtype", Str "MSG"); ("n", Int 0) ];
+      [ ("kind", Str "delay_each"); ("mtype", Str "MSG"); ("seconds", Float 1e13) ] ]
+
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
     Alcotest.test_case "pfi_run help matches the golden table" `Quick
@@ -131,4 +178,6 @@ let suite =
     Alcotest.test_case "pfi_run gen is deterministic across runs" `Quick
       test_gen_tiny_deterministic;
     Alcotest.test_case "check --manifest output is jobs-invariant" `Slow
-      test_check_manifest_jobs_parity ]
+      test_check_manifest_jobs_parity;
+    Alcotest.test_case "shrink/replay reject an out-of-range fault on load"
+      `Quick test_bad_artifact_is_a_load_error ]

@@ -197,7 +197,11 @@ let test_sweep_errors () =
   check_matrix_error ~line:4 ~token:"1s..5s" ~reason:"/STEP"
     (group_src "@sweep 1s..5s inject receive ACK bit=1");
   check_matrix_error ~line:4 ~token:"1..2000" ~reason:"limit 1000"
-    (group_src "fault drop_first MSG sweep 1..2000")
+    (group_src "fault drop_first MSG sweep 1..2000");
+  (* a swept value out of its parameter's range fails at the sweep's
+     line, naming the value *)
+  check_matrix_error ~line:4 ~token:"1.5" ~reason:"probability"
+    (group_src "fault drop_fraction MSG sweep 0.5..1.5/0.5")
 
 let test_sweep_semantics () =
   (* explicit integer step *)
@@ -302,6 +306,29 @@ let tcp_rst_message =
      Option.get
        (Spec.find_message (Harness_intf.spec packed) "RST"))
 
+(* every fault kind, on the abp harness's message types, parameters in
+   range *)
+let gen_fault =
+  let open QCheck.Gen in
+  let mtype = oneofl [ "MSG"; "ACK" ] in
+  let prob = map (fun n -> float_of_int n /. 100.) (int_range 0 100) in
+  let secs = map (fun n -> float_of_int n /. 10.) (int_range 0 50) in
+  oneof
+    [ map (fun t -> Generator.Drop_all t) mtype;
+      map2 (fun t n -> Generator.Drop_after (t, n)) mtype (int_range 0 10);
+      map2 (fun t n -> Generator.Drop_first (t, n)) mtype (int_range 0 10);
+      map2 (fun t n -> Generator.Drop_nth (t, n)) mtype (int_range 1 10);
+      map2 (fun t p -> Generator.Drop_fraction (t, p)) mtype prob;
+      map (fun p -> Generator.Omission_all p) prob;
+      map (fun p -> Generator.Byzantine_mix p) prob;
+      map2 (fun t s -> Generator.Delay_each (t, s)) mtype secs;
+      map (fun t -> Generator.Duplicate t) mtype;
+      map2 (fun t p -> Generator.Corrupt (t, p)) mtype prob;
+      map (fun t -> Generator.Reorder t) mtype;
+      map
+        (fun dst -> Generator.Inject_spurious (Lazy.force abp_ack_message, dst))
+        (oneofl [ "bob"; "carol" ]) ]
+
 let gen_scenario =
   let open QCheck.Gen in
   let word =
@@ -313,30 +340,9 @@ let gen_scenario =
     string_size ~gen:(oneofl [ 'a'; 'm'; 's'; 'g'; '0'; '1'; '*'; '-' ])
       (int_range 1 6)
   in
-  let mtype = oneofl [ "MSG"; "ACK" ] in
-  let prob = map (fun n -> float_of_int n /. 100.) (int_range 0 100) in
-  let secs = map (fun n -> float_of_int n /. 10.) (int_range 0 50) in
   let vtime = map Vtime.us (int_range 0 600_000_000) in
   let side = oneofl [ Campaign.Send_filter; Campaign.Receive_filter;
                       Campaign.Both_filters ] in
-  let fault =
-    oneof
-      [ map (fun t -> Generator.Drop_all t) mtype;
-        map2 (fun t n -> Generator.Drop_after (t, n)) mtype (int_range 0 10);
-        map2 (fun t n -> Generator.Drop_first (t, n)) mtype (int_range 0 10);
-        map2 (fun t n -> Generator.Drop_nth (t, n)) mtype (int_range 1 10);
-        map2 (fun t p -> Generator.Drop_fraction (t, p)) mtype prob;
-        map (fun p -> Generator.Omission_all p) prob;
-        map (fun p -> Generator.Byzantine_mix p) prob;
-        map2 (fun t s -> Generator.Delay_each (t, s)) mtype secs;
-        map (fun t -> Generator.Duplicate t) mtype;
-        map2 (fun t p -> Generator.Corrupt (t, p)) mtype prob;
-        map (fun t -> Generator.Reorder t) mtype;
-        map
-          (fun dst ->
-            Generator.Inject_spurious (Lazy.force abp_ack_message, dst))
-          (oneofl [ "bob"; "carol" ]) ]
-  in
   let pattern =
     (* at least one atom, so the pattern stays printable *)
     let atom =
@@ -474,7 +480,7 @@ let gen_scenario =
        (tup7 name
           (opt (int_range (-1000) 1000))
           (opt vtime)
-          (list_size (int_range 0 3) (pair side fault))
+          (list_size (int_range 0 3) (pair side gen_fault))
           (list_size (int_range 0 3) injection)
           (list_size (int_range 0 5) check)
           (opt name))

@@ -86,7 +86,11 @@ let test_run_trial_script_override () =
 (* ------------------------------------------------------------------ *)
 
 let test_campaign_summary_deterministic () =
-  let run () = Campaign.table (Abp_harness.run_campaign ~bug_ignore_ack_bit:true ()) in
+  let run () =
+    Campaign.table
+      (Campaign.run (Campaign.plan (Abp_harness.harness ~bug_ignore_ack_bit:true ())))
+        .Campaign.s_outcomes
+  in
   Alcotest.(check string) "byte-identical summaries" (run ()) (run ())
 
 let test_campaign_traces_deterministic () =
@@ -173,17 +177,30 @@ let test_json_number_precision () =
 (* ------------------------------------------------------------------ *)
 
 let test_fault_json_roundtrip () =
+  let roundtrip spec fault =
+    match Repro.fault_of_json ~spec (Repro.fault_to_json fault) with
+    | Ok fault' ->
+      Alcotest.(check bool)
+        (Printf.sprintf "roundtrip %s" (Generator.describe fault))
+        true (fault = fault')
+    | Error e ->
+      Alcotest.failf "fault %S does not roundtrip: %s"
+        (Generator.describe fault) e
+  in
   List.iter
-    (fun fault ->
-      match Repro.fault_of_json (Repro.fault_to_json fault) with
-      | Ok fault' ->
-        Alcotest.(check bool)
-          (Printf.sprintf "roundtrip %s" (Generator.describe fault))
-          true (fault = fault')
-      | Error e ->
-        Alcotest.failf "fault %S does not roundtrip: %s"
-          (Generator.describe fault) e)
-    (all_campaign_faults ())
+    (fun spec -> List.iter (roundtrip spec) (Generator.campaign spec))
+    [ Spec.abp; Spec.tcp; Spec.gmp ];
+  (* the stock campaigns never use drop_all, drop_after or drop_nth:
+     every kind comes from the scenario round-trip's fault generator *)
+  let faults =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 20 |]) ~n:300
+      Matrix_tests.gen_fault
+  in
+  List.iter (roundtrip Spec.abp) faults;
+  Alcotest.(check int) "every kind round-tripped" 12
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun f -> (Generator.view f).Generator.kind) faults)))
 
 let sample_artifact () =
   let fault = Generator.Byzantine_mix 0.25 in
@@ -227,6 +244,15 @@ let test_artifact_file_roundtrip () =
       | Ok a' -> Alcotest.(check bool) "file roundtrip" true (a = a')
       | Error e -> Alcotest.failf "load failed: %s" e)
 
+(* the sample artifact's JSON with its fault object swapped out *)
+let artifact_with_fault fault =
+  match Repro.Json.parse (Repro.to_json (sample_artifact ())) with
+  | Ok (Repro.Json.Obj fields) ->
+    Repro.Json.to_string
+      (Repro.Json.Obj
+         (List.map (fun (k, v) -> if k = "fault" then (k, fault) else (k, v)) fields))
+  | _ -> Alcotest.fail "the sample artifact does not parse"
+
 let test_artifact_rejects_bad_input () =
   (match Repro.of_string "{\"version\": 999}" with
    | Error _ -> ()
@@ -234,9 +260,28 @@ let test_artifact_rejects_bad_input () =
   (match Repro.of_string "{\"harness\": \"abp\"}" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "accepted an artifact without a version");
-  match Repro.of_string "not json at all" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted garbage"
+  (match Repro.of_string "not json at all" with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "accepted garbage");
+  (* out-of-range parameters and a message type the abp spec lacks are
+     rejected where they are read, naming the field *)
+  let open Repro.Json in
+  List.iter
+    (fun (field, fault) ->
+      match Repro.of_string (artifact_with_fault (Obj fault)) with
+      | Ok _ -> Alcotest.failf "accepted a fault with a bad %s" field
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %s" e field)
+          true
+          (String.starts_with ~prefix:field e))
+    [ ("fault.n", [ ("kind", Str "drop_nth"); ("mtype", Str "MSG"); ("n", Int 0) ]);
+      ("fault.n", [ ("kind", Str "drop_after"); ("mtype", Str "MSG"); ("n", Int (-5)) ]);
+      ( "fault.seconds",
+        [ ("kind", Str "delay_each"); ("mtype", Str "MSG"); ("seconds", Float 1e13) ] );
+      ( "fault.p",
+        [ ("kind", Str "drop_fraction"); ("mtype", Str "MSG"); ("p", Float 7.5) ] );
+      ("fault.mtype", [ ("kind", Str "drop_all"); ("mtype", Str "DATA") ]) ]
 
 let test_artifact_filename () =
   let a = sample_artifact () in

@@ -279,6 +279,15 @@ let test_parse_errors () =
     (fun secs ->
       check_parse_error ~line:2 ~token:secs ("run abp\nfault send delay_each MSG " ^ secs))
     [ "1e13"; "nan"; "-5" ];
+  (* probabilities must be in [0, 1], like every other fault parameter
+     range checked where the fault is read *)
+  List.iter
+    (fun (spec, bad) ->
+      check_parse_error ~line:2 ~token:bad ("run abp\nfault send " ^ spec ^ " " ^ bad))
+    [ ("drop_fraction MSG", "nan");
+      ("corrupt MSG", "7.5");
+      ("byzantine_mix", "-3");
+      ("omission_all", "1.01") ];
   (match (Scenario.parse "run abp\nfault send delay_each MSG 1.5").Scenario.sc_faults with
    | [ (_, Generator.Delay_each ("MSG", 1.5)) ] -> ()
    | _ -> Alcotest.fail "delay_each MSG 1.5 did not parse as a 1.5 s delay");
