@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks of the tool's own machinery: filter
-   evaluation, PFI traversal, the event queue, codecs, trace queries,
-   shrinking and repro serialization.
+   evaluation, PFI traversal, the event queue, codecs, shrinking and
+   repro serialization.
 
    Usage:
      bench/main.exe [micro]
@@ -108,40 +108,6 @@ let bench_sim_events () =
       done;
       Sim.run sim)
 
-(* a trace shaped like a real campaign log: a few nodes, a few dozen
-   tags, 50k entries — the size where the indexed queries start paying *)
-let bench_trace () =
-  let open Pfi_engine in
-  let trace = Trace.create () in
-  for i = 0 to 49_999 do
-    Trace.record trace ~time:(Vtime.us i)
-      ~node:(Printf.sprintf "node%d" (i mod 4))
-      ~tag:(Printf.sprintf "tag%d" (i mod 24))
-      "detail"
-  done;
-  trace
-
-(* indexed count/find via the per-(node, tag) offset buckets *)
-let bench_trace_indexed () =
-  let trace = bench_trace () in
-  Staged.stage (fun () ->
-      ignore (Pfi_engine.Trace.count ~node:"node1" ~tag:"tag13" trace);
-      ignore (Pfi_engine.Trace.find ~node:"node1" ~tag:"tag13" trace))
-
-(* the pre-index implementation: materialise all entries and filter *)
-let bench_trace_scan () =
-  let trace = bench_trace () in
-  Staged.stage (fun () ->
-      let matches =
-        List.filter
-          (fun e ->
-            String.equal e.Pfi_engine.Trace.node "node1"
-            && String.equal e.Pfi_engine.Trace.tag "tag13")
-          (Pfi_engine.Trace.entries trace)
-      in
-      ignore (List.length matches);
-      ignore matches)
-
 (* the shrink machinery itself (no simulations): candidate-lattice
    enumeration for a compound fault, and a full greedy descent against a
    synthetic always-violating oracle — the fixed overhead `pfi_run
@@ -204,8 +170,6 @@ let micro_tests () =
     Test.make ~name:"gmp message encode+decode" (bench_gmp_codec ());
     Test.make ~name:"expr evaluation" (bench_expr ());
     Test.make ~name:"simulator: 10 events scheduled+run" (bench_sim_events ());
-    Test.make ~name:"trace query, indexed (50k entries)" (bench_trace_indexed ());
-    Test.make ~name:"trace query, legacy scan (50k entries)" (bench_trace_scan ());
     Test.make ~name:"shrink: candidate enumeration" (bench_shrink_candidates ());
     Test.make ~name:"shrink: full descent, synthetic oracle" (bench_shrink_descent ());
     Test.make ~name:"repro artifact json encode+decode" (bench_repro_roundtrip ()) ]

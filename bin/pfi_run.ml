@@ -1377,8 +1377,9 @@ let matrix catalog seed jobs json report profile =
   let open Pfi_testgen in
   let seed = Option.value seed ~default:Campaign.default_seed in
   let executor = Executor.of_jobs jobs in
+  let _, _, rows = List.find (fun (name, _, _) -> String.equal name catalog) catalogs in
   let rep =
-    try Conformance.run ~executor ~seed ?profile_override:profile (catalog ())
+    try Conformance.run ~executor ~seed ?profile_override:profile (rows ())
     with Invalid_argument m ->
       Printf.eprintf "matrix: %s\n" m;
       exit 2
@@ -1423,8 +1424,7 @@ let matrix_cmd =
   let catalog =
     Arg.(
       value
-      & pos 0 (enum (List.map (fun (name, _, rows) -> (name, rows)) catalogs))
-          Pfi_testgen.Conformance.catalog
+      & pos 0 (enum (List.map (fun (name, _, _) -> (name, name)) catalogs)) "tcp"
       & info [] ~docv:"CATALOG"
           ~doc:"The catalog to run: $(b,tcp) (the default) or $(b,paper).")
   in

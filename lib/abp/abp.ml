@@ -113,7 +113,7 @@ let create ~sim ~node ~peer ?(retransmit_every = Vtime.ms 500)
   in
   t.rexmt <-
     Some
-      (Timer.create_periodic sim ~name:"abp-rexmt" ~interval:retransmit_every
+      (Timer.create_periodic sim ~interval:retransmit_every
          ~callback:(fun () ->
            match t.outstanding with
            | Some payload ->

@@ -339,7 +339,7 @@ let bind_commands t interp dir =
          | Some old -> Timer.disarm old
          | None -> ());
         let timer =
-          Timer.create t.sim ~name ~callback:(fun () -> ignore (Interp.eval interp script))
+          Timer.create t.sim ~callback:(fun () -> ignore (Interp.eval interp script))
         in
         Hashtbl.replace t.timers name timer;
         Timer.arm timer ~delay;

@@ -13,7 +13,7 @@ type t = {
 exception Stop
 
 (* Reusable backing storage for a simulation: the event heap and the
-   trace keep their grown capacity (and the trace its intern table)
+   trace keep their grown capacity (and the trace its per-pair records)
    across trials, so a trial arena rebuilds a sim without re-growing
    either.  [create ?scratch] clears both, which restores the exact
    observable state of freshly-created ones — see Event_queue.clear and

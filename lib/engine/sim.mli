@@ -13,7 +13,7 @@ type handle [@@immediate]
 type scratch
 (** Reusable backing storage for a simulation: an event heap and a
     counting trace ({!Trace.create_counting}) whose grown capacity (and
-    intern table) survive across simulations.  A trial arena allocates
+    per-pair records) survive across simulations.  A trial arena allocates
     one per worker domain and threads it through every {!create}, so
     back-to-back trials rebuild their sims without re-growing either
     structure.  Not thread-safe: a scratch belongs to one domain at a

@@ -1,6 +1,5 @@
 type t = {
   sim : Sim.t;
-  name : string;
   callback : unit -> unit;
   interval : Vtime.t option;  (* Some i for periodic timers *)
   mutable handle : Sim.handle;  (* Sim.null_handle while disarmed *)
@@ -38,18 +37,18 @@ and arm t ~delay =
   t.deadline <- Vtime.add (Sim.now t.sim) (Vtime.max delay Vtime.zero);
   t.handle <- Sim.schedule t.sim ~delay t.self_fire
 
-let make sim ~name ~interval ~callback =
+let make sim ~interval ~callback =
   let t =
-    { sim; name; callback; interval; handle = Sim.null_handle; deadline = Vtime.zero;
+    { sim; callback; interval; handle = Sim.null_handle; deadline = Vtime.zero;
       fired = 0; self_fire = ignore }
   in
   t.self_fire <- (fun () -> fire t);
   t
 
-let create sim ~name ~callback = make sim ~name ~interval:None ~callback
+let create sim ~callback = make sim ~interval:None ~callback
 
-let create_periodic sim ~name ~interval ~callback =
-  make sim ~name ~interval:(Some interval) ~callback
+let create_periodic sim ~interval ~callback =
+  make sim ~interval:(Some interval) ~callback
 
 
 let deadline t = if is_armed t then Some t.deadline else None

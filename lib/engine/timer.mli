@@ -1,18 +1,18 @@
-(** Restartable named timers on top of {!Sim}.
+(** Restartable timers on top of {!Sim}.
 
     Protocol code manipulates timers constantly (the GMP timer-test
     experiment is entirely about which timers are armed in which state), so
-    timers are first-class: they carry a name, can be re-armed, disarmed
-    and inspected, and can repeat. *)
+    timers are first-class: they can be re-armed, disarmed and inspected,
+    and can repeat. *)
 
 type t
 
-val create : Sim.t -> name:string -> callback:(unit -> unit) -> t
+val create : Sim.t -> callback:(unit -> unit) -> t
 (** A one-shot timer, initially disarmed.  Arming an armed timer replaces
     the previous deadline. *)
 
 val create_periodic :
-  Sim.t -> name:string -> interval:Vtime.t -> callback:(unit -> unit) -> t
+  Sim.t -> interval:Vtime.t -> callback:(unit -> unit) -> t
 (** Fires every [interval] once armed, until disarmed. *)
 
 val arm : t -> delay:Vtime.t -> unit

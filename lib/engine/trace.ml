@@ -1,8 +1,7 @@
-(* Trace v2: a growable array of typed entries with per-(node, tag)
-   offset indexes, so the analysis queries the experiment tables issue
-   dozens of times per run are O(matches) instead of O(log length).  A
-   counting trace keeps the same indexes as bare lengths and stores no
-   entry, for trials whose verdicts are decided by attached feeds. *)
+(* An append-only entry store, a count per (node, tag) pair, and the
+   attached feeds.  Nothing is indexed: the queries that read entries
+   back scan the store, and only cold, post-hoc readers issue them —
+   campaign verdicts are decided by feeds while the trial records. *)
 
 type entry = {
   time : Vtime.t;
@@ -14,76 +13,46 @@ type entry = {
 
 let detail e = Lazy.force e.detail
 
-(* growable vector of entry offsets — one per index bucket.  A counting
-   trace only [bump]s, so its vectors keep a length and no array. *)
-module Ivec = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = [||]; len = 0 }
-
-  let push v i =
-    if v.len = Array.length v.a then begin
-      let a = Array.make (if v.len = 0 then 8 else v.len * 2) 0 in
-      Array.blit v.a 0 a 0 v.len;
-      v.a <- a
-    end;
-    v.a.(v.len) <- i;
-    v.len <- v.len + 1
-
-  let bump v = v.len <- v.len + 1
-  let get v i = v.a.(i)
-  let length v = v.len
-  let reset v = v.len <- 0
-end
-
 type feed = int -> entry -> unit
 
-(* A few fixed memo slots, each holding the interned node and tag of a
-   recently recorded (node, tag) pair, its three index buckets and the
-   attached feeds that want its tag.  Protocol layers record in bursts
-   that cycle through a handful of pairs (a message round trip
-   alternates sender and receiver), so the common case skips all five
-   hashtable lookups and the feed selection.  A miss fills the next free
-   slot, then evicts round-robin. *)
+(* One record per (node, tag) pair the trace has recorded: the strings
+   its entries share, its count since the last clear, and the attached
+   feeds its tag selects (current while the pair sits in the memo). *)
+type pair = {
+  p_node : string;
+  p_tag : string;
+  mutable p_count : int;
+  mutable p_feeds : feed array;
+}
+
+(* A few fixed memo slots point at recently recorded pairs.  Protocol
+   layers record in bursts that cycle through a handful of pairs (a
+   message round trip alternates sender and receiver), so the common
+   case skips the hashtable lookup and the feed selection.  A miss
+   fills the next free slot, then evicts round-robin. *)
 let memo_slots = 4
 
 type t = {
   stores : bool;  (* false: a counting trace *)
   mutable store : entry array;
   mutable len : int;
-  intern : (string, string) Hashtbl.t;
-  by_node : (string, Ivec.t) Hashtbl.t;
-  by_tag : (string, Ivec.t) Hashtbl.t;
-  by_node_tag : (string * string, Ivec.t) Hashtbl.t;
+  pairs : (string * string, pair) Hashtbl.t;
   mutable feeds : (string list option * feed) list;  (* attach order *)
-  m_node : string array;
-  m_tag : string array;
-  m_by_node : Ivec.t array;
-  m_by_tag : Ivec.t array;
-  m_by_node_tag : Ivec.t array;
-  m_feeds : feed array array;
+  memo : pair array;
   mutable m_used : int;  (* filled slots *)
-  mutable m_next : int;  (* next slot to evict once all are filled *)
+  mutable m_next : int;  (* next slot to fill *)
 }
 
 let no_feeds : feed array = [||]
 
 let make ~stores =
-  let no_bucket = Ivec.create () in
+  let no_pair = { p_node = ""; p_tag = ""; p_count = 0; p_feeds = no_feeds } in
   { stores;
     store = [||];
     len = 0;
-    intern = Hashtbl.create 64;
-    by_node = Hashtbl.create 16;
-    by_tag = Hashtbl.create 64;
-    by_node_tag = Hashtbl.create 64;
+    pairs = Hashtbl.create 64;
     feeds = [];
-    m_node = Array.make memo_slots "";
-    m_tag = Array.make memo_slots "";
-    m_by_node = Array.make memo_slots no_bucket;
-    m_by_tag = Array.make memo_slots no_bucket;
-    m_by_node_tag = Array.make memo_slots no_bucket;
-    m_feeds = Array.make memo_slots no_feeds;
+    memo = Array.make memo_slots no_pair;
     m_used = 0;
     m_next = 0 }
 
@@ -95,40 +64,25 @@ let create_counting () = make ~stores:false
    capture messages and closures) reachable. *)
 let inert = { time = 0; node = ""; tag = ""; detail = Lazy.from_val ""; fields = [] }
 
-(* Capacity-preserving: the entry store, the intern table and every
-   index bucket survive a clear so a reused trace records without
-   reallocating.  An empty bucket is indistinguishable from a missing
-   one ([lookup] substitutes a fresh empty vector for absent keys), and
-   the memo restarts empty with the same eviction order, so a cleared
-   trace is observationally identical to a fresh one of its kind and
-   records with the same allocation.  Attached feeds are dropped, with
-   every memo reference to them, so they cannot keep an earlier trial's
-   entries reachable either. *)
+(* Capacity-preserving: the entry store and the pair records survive a
+   clear, so a reused trace records without reallocating.  A pair with
+   a zero count is indistinguishable from a missing one, and the memo
+   restarts empty with the same eviction order, so a cleared trace is
+   observationally identical to a fresh one of its kind, and records a
+   given batch with the same allocation after every clear.  Attached
+   feeds are dropped, with every pair's reference to them, so they
+   cannot keep an earlier trial's entries reachable either. *)
 let clear t =
   if t.stores then Array.fill t.store 0 t.len inert;
   t.len <- 0;
-  Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_node;
-  Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_tag;
-  Hashtbl.iter (fun _ v -> Ivec.reset v) t.by_node_tag;
+  Hashtbl.iter
+    (fun _ p ->
+      p.p_count <- 0;
+      p.p_feeds <- no_feeds)
+    t.pairs;
   t.feeds <- [];
-  Array.fill t.m_feeds 0 memo_slots no_feeds;
   t.m_used <- 0;
   t.m_next <- 0
-
-let intern t s =
-  match Hashtbl.find_opt t.intern s with
-  | Some canonical -> canonical
-  | None ->
-    Hashtbl.add t.intern s s;
-    s
-
-let bucket tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-    let v = Ivec.create () in
-    Hashtbl.add tbl key v;
-    v
 
 let feeds_for t tag =
   match t.feeds with
@@ -142,31 +96,27 @@ let feeds_for t tag =
            | Some tags -> if List.exists (String.equal tag) tags then Some f else None)
          feeds)
 
-let rec find_slot t node tag i =
-  if i >= t.m_used then -1
-  else if String.equal t.m_node.(i) node && String.equal t.m_tag.(i) tag then i
-  else find_slot t node tag (i + 1)
-
 let fill_slot t node tag =
-  let i =
-    if t.m_used < memo_slots then begin
-      t.m_used <- t.m_used + 1;
-      t.m_used - 1
-    end
-    else begin
-      let i = t.m_next in
-      t.m_next <- (i + 1) mod memo_slots;
-      i
-    end
+  let p =
+    match Hashtbl.find_opt t.pairs (node, tag) with
+    | Some p -> p
+    | None ->
+      let p = { p_node = node; p_tag = tag; p_count = 0; p_feeds = no_feeds } in
+      Hashtbl.add t.pairs (node, tag) p;
+      p
   in
-  let node = intern t node and tag = intern t tag in
-  t.m_node.(i) <- node;
-  t.m_tag.(i) <- tag;
-  t.m_by_node.(i) <- bucket t.by_node node;
-  t.m_by_tag.(i) <- bucket t.by_tag tag;
-  t.m_by_node_tag.(i) <- bucket t.by_node_tag (node, tag);
-  t.m_feeds.(i) <- feeds_for t tag;
-  i
+  p.p_feeds <- feeds_for t tag;
+  t.memo.(t.m_next) <- p;
+  t.m_next <- (t.m_next + 1) mod memo_slots;
+  if t.m_used < memo_slots then t.m_used <- t.m_used + 1;
+  p
+
+let rec pair t node tag k =
+  if k >= t.m_used then fill_slot t node tag
+  else
+    let p = t.memo.(k) in
+    if String.equal p.p_node node && String.equal p.p_tag tag then p
+    else pair t node tag (k + 1)
 
 (* the memo caches each slot's feed selection, so a new feed empties it *)
 let attach t ~tags feed =
@@ -175,38 +125,25 @@ let attach t ~tags feed =
   t.m_next <- 0
 
 let record_lazy ?(fields = []) t ~time ~node ~tag detail =
-  let slot =
-    match find_slot t node tag 0 with -1 -> fill_slot t node tag | slot -> slot
-  in
+  let p = pair t node tag 0 in
   let i = t.len in
   t.len <- i + 1;
-  let feeds = t.m_feeds.(slot) in
-  if t.stores then begin
-    let e = { time; node = t.m_node.(slot); tag = t.m_tag.(slot); detail; fields } in
-    if i >= Array.length t.store then begin
-      let store = Array.make (Stdlib.max 64 (Array.length t.store * 2)) inert in
-      Array.blit t.store 0 store 0 i;
-      t.store <- store
+  p.p_count <- p.p_count + 1;
+  let feeds = p.p_feeds in
+  (* a counting trace builds the entry only for the feeds that want it *)
+  if t.stores || Array.length feeds > 0 then begin
+    let e = { time; node = p.p_node; tag = p.p_tag; detail; fields } in
+    if t.stores then begin
+      if i >= Array.length t.store then begin
+        let store = Array.make (Stdlib.max 64 (Array.length t.store * 2)) inert in
+        Array.blit t.store 0 store 0 i;
+        t.store <- store
+      end;
+      t.store.(i) <- e
     end;
-    t.store.(i) <- e;
-    Ivec.push t.m_by_node.(slot) i;
-    Ivec.push t.m_by_tag.(slot) i;
-    Ivec.push t.m_by_node_tag.(slot) i;
     for k = 0 to Array.length feeds - 1 do
       feeds.(k) i e
     done
-  end
-  else begin
-    Ivec.bump t.m_by_node.(slot);
-    Ivec.bump t.m_by_tag.(slot);
-    Ivec.bump t.m_by_node_tag.(slot);
-    (* the entry exists only for the feeds that want its tag *)
-    if Array.length feeds > 0 then begin
-      let e = { time; node = t.m_node.(slot); tag = t.m_tag.(slot); detail; fields } in
-      for k = 0 to Array.length feeds - 1 do
-        feeds.(k) i e
-      done
-    end
   end
 
 (* [Lazy.from_val] on a string returns the string itself (no wrapper
@@ -217,9 +154,17 @@ let record ?fields t ~time ~node ~tag detail =
 
 let length t = t.len
 
-(* guards every query that reads entries back (the rest go through
-   [iter]): a counting trace has none to give, and answering "no
-   entries" would be a lie *)
+let count ?node ~tag t =
+  match node with
+  | Some node ->
+    (match Hashtbl.find_opt t.pairs (node, tag) with Some p -> p.p_count | None -> 0)
+  | None ->
+    Hashtbl.fold
+      (fun _ p n -> if String.equal p.p_tag tag then n + p.p_count else n)
+      t.pairs 0
+
+(* guards every query that reads entries back: a counting trace has
+   none to give, and answering "no entries" would be a lie *)
 let stored t what =
   if not t.stores then
     invalid_arg ("Trace." ^ what ^ ": a counting trace stores no entries")
@@ -228,74 +173,23 @@ let entries t =
   stored t "entries";
   Array.to_list (Array.sub t.store 0 t.len)
 
-(* the index bucket answering a (node?, tag?) query, if one applies;
-   None means "every entry" *)
-let lookup ?node ?tag t =
-  match (node, tag) with
-  | None, None -> None
-  | Some n, None -> Some (Option.value (Hashtbl.find_opt t.by_node n) ~default:(Ivec.create ()))
-  | None, Some g -> Some (Option.value (Hashtbl.find_opt t.by_tag g) ~default:(Ivec.create ()))
-  | Some n, Some g ->
-    Some (Option.value (Hashtbl.find_opt t.by_node_tag (n, g)) ~default:(Ivec.create ()))
-
-let iter ?node ?tag f t =
-  stored t "iter";
-  match lookup ?node ?tag t with
-  | None ->
-    for i = 0 to t.len - 1 do
-      f t.store.(i)
-    done
-  | Some v ->
-    for i = 0 to Ivec.length v - 1 do
-      f t.store.(Ivec.get v i)
-    done
-
-let get t i =
-  stored t "get";
-  if i < 0 || i >= t.len then
-    invalid_arg (Printf.sprintf "Trace.get: index %d out of bounds [0, %d)" i t.len);
-  t.store.(i)
-
-let iteri ?node ?tag f t =
+let iteri f t =
   stored t "iteri";
-  match lookup ?node ?tag t with
-  | None ->
-    for i = 0 to t.len - 1 do
-      f i t.store.(i)
-    done
-  | Some v ->
-    for i = 0 to Ivec.length v - 1 do
-      let j = Ivec.get v i in
-      f j t.store.(j)
-    done
+  for i = 0 to t.len - 1 do
+    f i t.store.(i)
+  done
+
+let matches ?node ?tag e =
+  (match node with Some n -> String.equal e.node n | None -> true)
+  && match tag with Some g -> String.equal e.tag g | None -> true
 
 let find ?node ?tag t =
+  stored t "find";
   let acc = ref [] in
-  iter ?node ?tag (fun e -> acc := e :: !acc) t;
-  List.rev !acc
-
-let timestamps ?node ~tag t =
-  List.map (fun e -> e.time) (find ?node ~tag t)
-
-let intervals ?node ~tag t =
-  let rec diffs = function
-    | a :: (b :: _ as rest) -> Vtime.sub b a :: diffs rest
-    | [ _ ] | [] -> []
-  in
-  diffs (timestamps ?node ~tag t)
-
-let count ?node ~tag t =
-  match lookup ?node ~tag t with
-  | Some v -> Ivec.length v
-  | None -> t.len
-
-let last ?node ?tag t =
-  stored t "last";
-  match lookup ?node ?tag t with
-  | None -> if t.len = 0 then None else Some t.store.(t.len - 1)
-  | Some v ->
-    let n = Ivec.length v in
-    if n = 0 then None else Some t.store.(Ivec.get v (n - 1))
+  for i = t.len - 1 downto 0 do
+    if matches ?node ?tag t.store.(i) then acc := t.store.(i) :: !acc
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* JSONL export                                                       *)
@@ -393,22 +287,26 @@ let entry_to_json ?extra e =
   add_entry_json ?extra buf e;
   Buffer.contents buf
 
-let to_jsonl ?extra ?node ?tag t =
+(* appends each entry with [tag] (every entry without one) to [buf] as
+   one line, calling [flush buf] after each *)
+let add_jsonl ?extra ?tag buf flush t =
   stored t "to_jsonl";
+  for i = 0 to t.len - 1 do
+    if matches ?tag t.store.(i) then begin
+      add_entry_json ?extra buf t.store.(i);
+      Buffer.add_char buf '\n';
+      flush buf
+    end
+  done
+
+let to_jsonl ?extra t =
   let buf = Buffer.create (256 * (t.len + 1)) in
-  iter ?node ?tag
-    (fun e ->
-      add_entry_json ?extra buf e;
-      Buffer.add_char buf '\n')
-    t;
+  add_jsonl ?extra buf ignore t;
   Buffer.contents buf
 
-let output_jsonl ?extra ?node ?tag oc t =
-  let buf = Buffer.create 256 in
-  iter ?node ?tag
-    (fun e ->
-      Buffer.clear buf;
-      add_entry_json ?extra buf e;
-      Buffer.add_char buf '\n';
-      Buffer.output_buffer oc buf)
+let output_jsonl ?extra ?tag oc t =
+  add_jsonl ?extra ?tag (Buffer.create 256)
+    (fun buf ->
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf)
     t

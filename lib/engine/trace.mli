@@ -6,18 +6,18 @@
     index.
 
     A trace comes in one of two kinds.
-    - A {e storing} trace ({!create}) keeps every entry in a growable
-      array.  Node and tag strings are interned, and every entry offset
-      is indexed per node, per tag, and per [(node, tag)] pair, so
-      {!find}, {!count}, {!timestamps}, {!intervals} and {!last} cost
-      O(matches) rather than a scan of the whole log.
-    - A {e counting} trace ({!create_counting}) stores no entry.  It
-      keeps the recording index, {!length} and the per-node, per-tag
-      and per-pair counts that {!count} answers.  Every query that
-      reads entries back raises [Invalid_argument] on it.  Campaign
-      trials whose trace does not escape record into one: what they
-      need from the trace is decided while it is recorded, by
+    - A {e storing} trace ({!create}) keeps every entry.  The queries
+      that read entries back ({!entries}, {!find}, {!iteri} and the
+      JSONL export) scan the whole log: only cold, post-hoc readers
+      issue them.
+    - A {e counting} trace ({!create_counting}) stores no entry.  Every
+      query that reads entries back raises [Invalid_argument] on it.
+      Campaign trials whose trace does not escape record into one: what
+      they need from the trace is decided while it is recorded, by
       {!attach}ed feeds.
+
+    Both kinds keep the recording index ({!length}) and a count per
+    [(node, tag)] pair ({!count}).
 
     Alongside the rendered [detail] string an entry may carry structured
     key/value [fields], which the JSONL exporter preserves so campaign
@@ -49,8 +49,7 @@ val create_counting : unit -> t
 (** An empty counting trace: it numbers and counts entries and feeds
     them to {!attach}ed feeds, but stores none.  {!length} and {!count}
     answer as on a storing trace that recorded the same entries;
-    {!entries}, {!find}, {!iter}, {!iteri}, {!get}, {!last},
-    {!timestamps}, {!intervals}, {!dump} and the JSONL export raise
+    {!entries}, {!find}, {!iteri} and the JSONL export raise
     [Invalid_argument]. *)
 
 val attach : t -> tags:string list option -> (int -> entry -> unit) -> unit
@@ -78,48 +77,29 @@ val record_lazy :
 
 val clear : t -> unit
 (** Empties the trace and detaches its feeds while keeping its grown
-    capacity: the entry store, the string intern table and the index
-    buckets all survive, so a reused trace records without
-    reallocating.  A cleared trace is observationally identical to a
-    fresh one of its kind — same query results, same {!to_jsonl} bytes
-    for the same subsequent records — which is what lets trial arenas
-    recycle one trace across trials. *)
-
-val entries : t -> entry list
-(** In recording order. *)
+    capacity (the entry store and the per-pair records), so a reused
+    trace records without reallocating.  A cleared trace is
+    observationally identical to a fresh one of its kind — same query
+    results, same {!to_jsonl} bytes for the same subsequent records —
+    which is what lets trial arenas recycle one trace across trials. *)
 
 val length : t -> int
 (** Entries recorded so far: the next entry's recording index.
     Answered by both kinds. *)
 
-val find : ?node:string -> ?tag:string -> t -> entry list
-(** Entries matching all the given criteria, in recording order.
-    An index lookup: O(matches). *)
-
-val iter : ?node:string -> ?tag:string -> (entry -> unit) -> t -> unit
-(** Like {!find} without materialising the list. *)
-
-val get : t -> int -> entry
-(** Entry by recording index, [0 <= i < length t].  O(1); raises
-    [Invalid_argument] out of range.  Recording indexes are what oracle
-    verdicts cite as witnesses. *)
-
-val iteri : ?node:string -> ?tag:string -> (int -> entry -> unit) -> t -> unit
-(** Like {!iter}, passing each entry's global recording index (not its
-    position within the filtered bucket), so callers can cite entries
-    stably whatever criteria they filtered by. *)
-
-val timestamps : ?node:string -> tag:string -> t -> Vtime.t list
-
-val intervals : ?node:string -> tag:string -> t -> Vtime.t list
-(** Successive differences of {!timestamps}: the gaps between events —
-    exactly what the retransmission-interval tables report. *)
-
 val count : ?node:string -> tag:string -> t -> int
-(** O(1): the length of the index bucket.  Answered by both kinds. *)
+(** Entries recorded with [tag] (and [node]): a sum of per-pair counts.
+    Answered by both kinds. *)
 
-val last : ?node:string -> ?tag:string -> t -> entry option
-(** O(1): the tail of the index bucket. *)
+val entries : t -> entry list
+(** In recording order. *)
+
+val find : ?node:string -> ?tag:string -> t -> entry list
+(** Entries matching all the given criteria, in recording order. *)
+
+val iteri : (int -> entry -> unit) -> t -> unit
+(** Every entry in recording order, with its recording index — what
+    oracle verdicts cite as witnesses. *)
 
 (** {1 JSONL export}
 
@@ -138,10 +118,10 @@ val add_json_string : Buffer.t -> string -> unit
 
 val entry_to_json : ?extra:(string * string) list -> entry -> string
 
-val to_jsonl :
-  ?extra:(string * string) list -> ?node:string -> ?tag:string -> t -> string
-(** Every (matching) entry, each line terminated by ['\n']. *)
+val to_jsonl : ?extra:(string * string) list -> t -> string
+(** Every entry, each line terminated by ['\n']. *)
 
 val output_jsonl :
-  ?extra:(string * string) list -> ?node:string -> ?tag:string ->
-  out_channel -> t -> unit
+  ?extra:(string * string) list -> ?tag:string -> out_channel -> t -> unit
+(** {!to_jsonl} of the entries with [tag] (default: every entry),
+    written to the channel. *)

@@ -142,9 +142,7 @@ let set_timer t timer_name ~delay callback =
     match String_table.find_opt t.timers timer_name with
     | Some timer -> timer
     | None ->
-      let timer =
-        Timer.create t.sim ~name:timer_name ~callback:(fun () -> fire t timer_name)
-      in
+      let timer = Timer.create t.sim ~callback:(fun () -> fire t timer_name) in
       String_table.replace t.timers timer_name timer;
       timer
   in

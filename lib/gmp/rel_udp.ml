@@ -136,7 +136,7 @@ let on_push t msg =
         dst;
         wire = wrap ~kind:kind_data ~seq (Message.payload msg);
         wire_attrs = wire_attrs ~dst (Message.attrs msg);
-        timer = Timer.create t.sim ~name:"rel-retry" ~callback:(fun () -> on_retry t seq);
+        timer = Timer.create t.sim ~callback:(fun () -> on_retry t seq);
         tries = 0 }
     in
     Int_table.replace t.pending seq p;

@@ -253,13 +253,14 @@ let transmit_inflight c (s : inflight) ~retransmission =
   if retransmission then begin
     s.if_rexmits <- s.if_rexmits + 1;
     c.total_retransmits <- c.total_retransmits + 1;
-    (* Karn: a retransmitted segment can no longer be timed.  Without
-       Karn sampling the (ambiguous) measurement is kept — the pre-Karn
-       estimator corruption the ablation bench shows. *)
-    if c.tcp.prof.Profile.karn_sampling then
-      (match c.timing with
-       | Some (end_seq, _) when Seq32.le end_seq (if_end s) -> c.timing <- None
-       | _ -> ());
+    (* Karn: once anything is retransmitted, no segment in flight can
+       be timed — a later segment is ACKed only after the hole fills, so
+       its sample would include the retransmission wait.  4.4BSD clears
+       [t_rtt] on every retransmission, by timeout or fast retransmit,
+       and both come through here.  Without Karn sampling the
+       (ambiguous) measurement is kept — the pre-Karn estimator
+       corruption the ablation bench shows. *)
+    if c.tcp.prof.Profile.karn_sampling then c.timing <- None;
     record c.tcp "tcp.retransmit"
       (Printf.sprintf "port=%d seq=%d n=%d rto=%s" c.local_port s.if_seq
          s.if_rexmits (Vtime.to_string (effective_rto c)))
@@ -458,14 +459,12 @@ let make_conn t ~local_port ~remote_node ~remote_port ~state =
       have_rtt = false;
       backoff = 0;
       timing = None;
-      rexmt_timer = Timer.create t.sim ~name:"rexmt" ~callback:(with_conn on_rexmt_timeout);
-      persist_timer = Timer.create t.sim ~name:"persist" ~callback:(with_conn on_persist_timeout);
-      delack_timer =
-        Timer.create t.sim ~name:"delack" ~callback:(with_conn on_delack_timeout);
-      keepalive_timer =
-        Timer.create t.sim ~name:"keepalive" ~callback:(with_conn on_keepalive_timeout);
+      rexmt_timer = Timer.create t.sim ~callback:(with_conn on_rexmt_timeout);
+      persist_timer = Timer.create t.sim ~callback:(with_conn on_persist_timeout);
+      delack_timer = Timer.create t.sim ~callback:(with_conn on_delack_timeout);
+      keepalive_timer = Timer.create t.sim ~callback:(with_conn on_keepalive_timeout);
       time_wait_timer =
-        Timer.create t.sim ~name:"time_wait"
+        Timer.create t.sim
           ~callback:
             (with_conn (fun c ->
                  drop_connection c ~reason:"time-wait-done" ~send_rst:false));

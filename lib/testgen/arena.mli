@@ -2,11 +2,11 @@
 
     A campaign trial builds a whole simulated system, runs it for a few
     thousand virtual events and throws it away.  The event queue's heap
-    array and the trace's indexes and string-intern table are protocol-
+    array and the trace's per-[(node, tag)] records are protocol-
     independent, so one {!Pfi_engine.Sim.scratch} per executor domain
     can back every trial that domain runs: {!Pfi_engine.Sim.create}
     clears the recycled structures back to their observable empty state
-    (capacity and interned strings are retained, which is the point).
+    (capacity and pair records are retained, which is the point).
     The scratch trace is a counting one: it stores no entry at all, so
     a trial's trace is no garbage either.
 

@@ -116,14 +116,12 @@ let plan_of_trials ?seed ?horizon ~trials (module H : Harness_intf.HARNESS) =
     p_control = false }
 
 let run_trial (module H : Harness_intf.HARNESS) ~side ~horizon ~seed
-    ?(capture_trace = false) ?(arena = true) ?script ?compiled ?arm fault =
+    ?(capture_trace = false) ?script ?compiled ?arm fault =
   (* the arena's trace/queue are recycled by the *next* trial on this
      domain, so they may back this trial only if its trace does not
      escape into the outcome; its trace only counts, and the harness's
      trace-derived checks run as monitors attached at build *)
-  let scratch =
-    if arena && not capture_trace then Some (Arena.scratch ()) else None
-  in
+  let scratch = if capture_trace then None else Some (Arena.scratch ()) in
   let env = H.build ?scratch ~seed () in
   let pfi = H.pfi env in
   (* precedence: explicit source bytes (replay installs the recorded
@@ -174,8 +172,7 @@ let control_trial (module H : Harness_intf.HARNESS) ~observer ~horizon ~seed () 
   | Ok () -> if observer.obs_traces then Some (Sim.trace (H.sim env)) else None
   | Error reason -> raise (Control_failure reason)
 
-let run ?(executor = Executor.sequential) ?(observe = silent) ?(arena = true)
-    plan =
+let run ?(executor = Executor.sequential) ?(observe = silent) plan =
   let (module H : Harness_intf.HARNESS) = plan.p_harness in
   let control_trace =
     if plan.p_control then
@@ -190,7 +187,7 @@ let run ?(executor = Executor.sequential) ?(observe = silent) ?(arena = true)
         run_trial
           (module H : Harness_intf.HARNESS)
           ~side:tr.t_side ~horizon:plan.p_horizon ~seed:tr.t_seed
-          ~capture_trace:observe.obs_traces ~arena ~compiled:tr.t_script
+          ~capture_trace:observe.obs_traces ~compiled:tr.t_script
           ?arm:tr.t_arm tr.t_fault)
       plan.p_trials
   in

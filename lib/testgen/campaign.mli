@@ -158,7 +158,7 @@ val trial :
 
 val run_trial :
   Harness_intf.packed -> side:side -> horizon:Vtime.t -> seed:int64 ->
-  ?capture_trace:bool -> ?arena:bool -> ?script:string ->
+  ?capture_trace:bool -> ?script:string ->
   ?compiled:Pfi_script.Ast.script ->
   ?arm:(Sim.t -> Pfi_core.Pfi_layer.t -> unit) ->
   Generator.fault -> outcome
@@ -174,15 +174,12 @@ val run_trial :
     keeps the trial sim's stored {!Trace.t} on the outcome (default
     false).
 
-    [arena] (default true) lets the trial adopt this domain's
-    {!Arena} scratch — recycled event-queue storage and a counting
-    trace — instead of allocating fresh backing arrays and a storing
-    trace.  The verdict, event count and injected-event count are
-    identical either way; only the stored entries are missing, and
-    nothing reads them.  It is automatically disabled when
-    [capture_trace] is set, since a kept trace must store its entries
-    and outlive the trial.  An [arm] hook on an arena trial sees a
-    counting trace. *)
+    A trial whose trace is not kept adopts this domain's {!Arena}
+    scratch — recycled event-queue storage and a counting trace —
+    instead of allocating fresh backing arrays and a storing trace.
+    The verdict, event count and injected-event count are identical
+    either way; only the stored entries are missing, and nothing reads
+    them.  An [arm] hook on such a trial sees a counting trace. *)
 
 type summary = {
   s_outcomes : outcome list;  (** in plan order *)
@@ -197,17 +194,17 @@ type summary = {
 }
 
 val run :
-  ?executor:Executor.t -> ?observe:observer -> ?arena:bool -> plan -> summary
+  ?executor:Executor.t -> ?observe:observer -> plan -> summary
 (** The single campaign entrypoint.  Runs the plan's control trial (if
     [p_control]) on the calling domain seeded with the campaign seed —
     raising {!Control_failure} if the harness check rejects the
     fault-free system — then every planned trial
     through the executor (default {!Executor.sequential}).  Outcomes
     come back in plan order for any executor.  A trial whose runner raised
-    re-raises after every other trial has completed.  [arena] is
-    {!run_trial}'s flag (default true: trials reuse per-domain scratch
-    whenever their traces are not kept; the control trial always
-    builds fresh, with a storing trace). *)
+    re-raises after every other trial has completed.  Trials reuse
+    per-domain scratch whenever their traces are not kept (see
+    {!run_trial}); the control trial always builds fresh, with a
+    storing trace. *)
 
 val table : outcome list -> string
 (** Human-readable table of outcomes. *)

@@ -361,14 +361,15 @@ let check_monitors monitors trace =
     let v = verdict m trace in
     Error (Printf.sprintf "oracle %s: %s" v.oracle v.reason)
 
-(* a stored trace's entries fed to a fresh monitor, through the tag
-   index when the monitor pins one tag *)
+(* a stored trace's entries fed to a fresh monitor in one pass, each
+   only if the monitor declares its tag *)
 let replay oracle trace =
   let m = monitor oracle in
   (match m.tags with
    | Some [] -> ()
-   | Some [ tag ] -> Trace.iteri ~tag m.feed trace
-   | Some _ | None -> Trace.iteri m.feed trace);
+   | Some tags ->
+     Trace.iteri (fun i e -> if List.mem e.Trace.tag tags then m.feed i e) trace
+   | None -> Trace.iteri m.feed trace);
   m
 
 let eval oracle trace = verdict (replay oracle trace) trace

@@ -81,7 +81,7 @@ type verdict = {
       (** pointed diagnostic: which entry satisfied or violated the
           oracle, or why no entry could *)
   witness : int option;
-      (** recording index of the deciding entry ({!Trace.get}); the
+      (** recording index of the deciding entry ({!Trace.iteri}); the
           satisfying match on pass, the violating or nearest-miss entry
           on failure when one exists *)
 }

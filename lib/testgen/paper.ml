@@ -67,7 +67,9 @@ if {$dropping == 1} {
    port, do not count.) *)
 let rst_at_close rig =
   let times tag =
-    Trace.timestamps ~node:Tcp_rig.vendor_node ~tag (Sim.trace rig.Tcp_rig.sim)
+    List.map
+      (fun e -> e.Trace.time)
+      (Trace.find ~node:Tcp_rig.vendor_node ~tag (Sim.trace rig.Tcp_rig.sim))
   in
   let closes = times "tcp.closed" in
   List.exists (fun t -> List.exists (Vtime.equal t) closes) (times "tcp.rst-sent")
@@ -261,8 +263,9 @@ let keepalive_acked_row p =
       Tcp.set_keepalive vconn true;
       Sim.run ~until:(Vtime.sec 120_000) rig.Tcp_rig.sim;
       let probes =
-        Trace.timestamps ~node:Tcp_rig.xk_node ~tag:"exp.ka"
-          (Sim.trace rig.Tcp_rig.sim)
+        List.map
+          (fun e -> e.Trace.time)
+          (Trace.find ~node:Tcp_rig.xk_node ~tag:"exp.ka" (Sim.trace rig.Tcp_rig.sim))
       in
       let intervals = Tcp_rig.intervals probes in
       let idle = p.Profile.keepalive_idle in

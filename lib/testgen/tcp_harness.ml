@@ -168,8 +168,8 @@ let harness ?(chunk_count = 12) ?(profile = Profile.xkernel)
         | None -> d
       in
       let labels = ref [] in
-      Trace.iter
-        (fun (e : Trace.entry) ->
+      Trace.iteri
+        (fun _ (e : Trace.entry) ->
           let label =
             if String.equal e.tag "tcp.state" then
               Some (e.node ^ ":" ^ strip_port (Trace.detail e))

@@ -65,6 +65,20 @@ let test_help_matrix () =
 (* manifest are pinned byte-for-byte, and generation is deterministic  *)
 (* ------------------------------------------------------------------ *)
 
+(* every verb renders its own man page.  The verbs are read off
+   `pfi_run help`, so a new one is covered without editing this list. *)
+let test_every_verb_help () =
+  let verbs =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "pfi_run" :: verb :: _ -> Some verb
+        | _ -> None)
+      (String.split_on_char '\n' (run_cli [ "help" ]))
+  in
+  Alcotest.(check bool) "help lists matrix" true (List.mem "matrix" verbs);
+  List.iter (fun verb -> ignore (run_cli [ verb; "--help=plain" ])) ("help" :: verbs)
+
 let test_dir path = Filename.concat (Filename.dirname Sys.executable_name) path
 
 let fresh_dir tag =
@@ -173,6 +187,7 @@ let suite =
     Alcotest.test_case "pfi_run help gen golden" `Quick test_help_gen;
     Alcotest.test_case "pfi_run help fuzz golden" `Quick test_help_fuzz;
     Alcotest.test_case "pfi_run help matrix golden" `Quick test_help_matrix;
+    Alcotest.test_case "every verb's --help=plain exits 0" `Quick test_every_verb_help;
     Alcotest.test_case "pfi_run gen tiny corpus matches the goldens" `Quick
       test_gen_tiny_golden;
     Alcotest.test_case "pfi_run gen is deterministic across runs" `Quick

@@ -229,14 +229,19 @@ let test_paper_seed () =
         (a.Conformance.res_id ^ " seed differs") true
         (a.Conformance.res_seed <> b.Conformance.res_seed))
     base.Conformance.rep_results other.Conformance.rep_results;
-  let cells rep =
-    List.map
-      (fun c -> c.Conformance.ck_measured)
-      (find_result rep "ablation-karn/xkernel-lossy").Conformance.res_checks
+  (* with Karn sampling on, every sub-trial's srtt settles on the 200 ms
+     path delay whatever the seed; without it, the seed moves the
+     RTO-inflated samples *)
+  let cell rep label =
+    (List.find
+       (fun c -> c.Conformance.ck_label = label)
+       (find_result rep "ablation-karn/xkernel-lossy").Conformance.res_checks)
+      .Conformance.ck_measured
   in
-  Alcotest.(check bool)
-    "the Karn row's measured cells differ" true
-    (List.for_all2 ( <> ) (cells base) (cells other))
+  Alcotest.(check string) "the Karn-on cell is the same at both seeds"
+    (cell base "srtt, Karn sampling on") (cell other "srtt, Karn sampling on");
+  Alcotest.(check bool) "the Karn-off cell differs" true
+    (cell base "srtt, Karn sampling off" <> cell other "srtt, Karn sampling off")
 
 (* ------------------------------------------------------------------ *)
 (* The paper experiments' headline findings                           *)

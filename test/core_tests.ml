@@ -493,7 +493,7 @@ let test_stats_snapshot () =
   Sim.run sim;
   ignore (received_texts b);
   Pfi_layer.record_stats_snapshot a.pfi;
-  match Trace.last ~node:"a" ~tag:"pfi.stats" (Sim.trace sim) with
+  match Trace_lists.last ~node:"a" ~tag:"pfi.stats" (Sim.trace sim) with
   | None -> Alcotest.fail "expected a pfi.stats entry"
   | Some e ->
     let field k = Option.value (List.assoc_opt k e.Trace.fields) ~default:"?" in

@@ -371,7 +371,7 @@ let test_sim_trace () =
 let test_timer_one_shot () =
   let sim = Sim.create () in
   let fired = ref [] in
-  let t = Timer.create sim ~name:"t" ~callback:(fun () -> fired := Sim.now sim :: !fired) in
+  let t = Timer.create sim ~callback:(fun () -> fired := Sim.now sim :: !fired) in
   Alcotest.(check bool) "starts disarmed" false (Timer.is_armed t);
   Timer.arm t ~delay:(Vtime.sec 3);
   Alcotest.(check bool) "armed" true (Timer.is_armed t);
@@ -383,7 +383,7 @@ let test_timer_one_shot () =
 let test_timer_rearm_replaces () =
   let sim = Sim.create () in
   let fired = ref [] in
-  let t = Timer.create sim ~name:"t" ~callback:(fun () -> fired := Sim.now sim :: !fired) in
+  let t = Timer.create sim ~callback:(fun () -> fired := Sim.now sim :: !fired) in
   Timer.arm t ~delay:(Vtime.sec 3);
   Timer.arm t ~delay:(Vtime.sec 10);
   Sim.run sim;
@@ -392,7 +392,7 @@ let test_timer_rearm_replaces () =
 let test_timer_disarm () =
   let sim = Sim.create () in
   let fired = ref 0 in
-  let t = Timer.create sim ~name:"t" ~callback:(fun () -> incr fired) in
+  let t = Timer.create sim ~callback:(fun () -> incr fired) in
   Timer.arm t ~delay:(Vtime.sec 3);
   Timer.disarm t;
   Sim.run sim;
@@ -402,7 +402,7 @@ let test_timer_periodic () =
   let sim = Sim.create () in
   let fired = ref [] in
   let t =
-    Timer.create_periodic sim ~name:"hb" ~interval:(Vtime.sec 2) ~callback:(fun () ->
+    Timer.create_periodic sim ~interval:(Vtime.sec 2) ~callback:(fun () ->
         fired := Sim.now sim :: !fired)
   in
   Timer.arm t ~delay:(Vtime.sec 1);
@@ -416,7 +416,7 @@ let test_timer_periodic () =
 
 let test_timer_deadline_remaining () =
   let sim = Sim.create () in
-  let t = Timer.create sim ~name:"t" ~callback:(fun () -> ()) in
+  let t = Timer.create sim ~callback:(fun () -> ()) in
   Timer.arm t ~delay:(Vtime.sec 5);
   Alcotest.(check bool) "deadline" true (Timer.deadline t = Some (Vtime.sec 5));
   Alcotest.(check bool) "remaining" true (Timer.remaining t = Some (Vtime.sec 5))
@@ -435,11 +435,11 @@ let test_trace_queries () =
   Alcotest.(check int) "count node a tag x" 2 (Trace.count ~node:"a" ~tag:"x" tr);
   Alcotest.(check (list check_vt)) "timestamps"
     [ Vtime.sec 1; Vtime.sec 2; Vtime.sec 8 ]
-    (Trace.timestamps ~tag:"x" tr);
+    (Trace_lists.timestamps ~tag:"x" tr);
   Alcotest.(check (list check_vt)) "intervals"
     [ Vtime.sec 1; Vtime.sec 6 ]
-    (Trace.intervals ~tag:"x" tr);
-  (match Trace.last ~tag:"x" tr with
+    (Trace_lists.intervals ~tag:"x" tr);
+  (match Trace_lists.last ~tag:"x" tr with
    | Some e -> Alcotest.(check string) "last detail" "4" (Trace.detail e)
    | None -> Alcotest.fail "expected a last entry");
   Trace.clear tr;
@@ -480,7 +480,8 @@ let test_trace_jsonl () =
   Alcotest.(check string) "extra pairs after t_us"
     {|{"t_us":3,"run":"r1","node":"n","tag":"t","detail":"d"}|} with_extra
 
-(* the indexed queries must agree with a naive scan of the full log *)
+(* [find] and the per-pair counts must agree with a naive filter of the
+   full log *)
 let prop_trace_index_matches_scan =
   let gen_entry =
     QCheck.Gen.(
@@ -516,17 +517,12 @@ let prop_trace_index_matches_scan =
       in
       List.for_all
         (fun (node, tag) ->
-          let indexed = Trace.find ?node ?tag tr in
           let scanned = scan ?node ?tag () in
-          indexed = scanned
-          && (match tag with
-              | Some tag -> Trace.count ?node ~tag tr = List.length scanned
-              | None -> true)
+          Trace.find ?node ?tag tr = scanned
           &&
-          match (Trace.last ?node ?tag tr, List.rev scanned) with
-          | None, [] -> true
-          | Some e, e' :: _ -> e == e'
-          | _ -> false)
+          match tag with
+          | Some tag -> Trace.count ?node ~tag tr = List.length scanned
+          | None -> true)
         queries)
 
 (* A cleared trace or event queue must not keep its previous entries
@@ -598,12 +594,7 @@ let test_counting_trace () =
   in
   refuses "entries" (fun () -> ignore (Trace.entries counting));
   refuses "find" (fun () -> ignore (Trace.find ~tag:"y" counting));
-  refuses "iter" (fun () -> Trace.iter ignore counting);
   refuses "iteri" (fun () -> Trace.iteri (fun _ _ -> ()) counting);
-  refuses "get" (fun () -> ignore (Trace.get counting 0));
-  refuses "last" (fun () -> ignore (Trace.last counting));
-  refuses "timestamps" (fun () -> ignore (Trace.timestamps ~tag:"y" counting));
-  refuses "intervals" (fun () -> ignore (Trace.intervals ~tag:"y" counting));
   refuses "to_jsonl" (fun () -> ignore (Trace.to_jsonl counting));
   Trace.clear counting;
   record counting;

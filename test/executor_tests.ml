@@ -228,25 +228,26 @@ let check_jobs_invariant name =
 let test_campaign_jobs_invariant_abp () = check_jobs_invariant "abp-buggy"
 let test_campaign_jobs_invariant_gmp () = check_jobs_invariant "gmp-buggy"
 
-(* the trial arena (per-domain scratch reuse, on by default) must be
-   observationally invisible: the same campaign with recycling disabled
-   produces the same bytes, and the arena actually served trials *)
+(* the trial arena (per-domain scratch reuse for every trial whose
+   trace is not kept) must be observationally invisible: the same
+   campaign keeping its traces, so building every trial fresh with a
+   storing trace, produces the same bytes, and the arena actually
+   served trials *)
 let test_campaign_arena_invisible () =
   let entry =
     match Registry.find "gmp-buggy" with
     | Some e -> e
     | None -> Alcotest.fail "no registry entry gmp-buggy"
   in
-  let table ~arena =
-    Campaign.table
-      (Campaign.run ~arena (Campaign.plan entry)).Campaign.s_outcomes
+  let table observe =
+    Campaign.table (Campaign.run ~observe (Campaign.plan entry)).Campaign.s_outcomes
   in
   let served0 = Arena.trials_served () in
-  let reused = table ~arena:true in
+  let reused = table (Campaign.observe ()) in
   Alcotest.(check bool) "arena served this campaign's trials" true
     (Arena.trials_served () - served0 > 0);
   Alcotest.(check string) "fresh-build bytes == reused-arena bytes"
-    (table ~arena:false) reused
+    (table (Campaign.observe ~traces:true ())) reused
 
 (* parallel trace capture: the per-outcome traces must also be
    independent of the worker count *)

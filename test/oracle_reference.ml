@@ -87,15 +87,9 @@ let entry_cite i (e : Trace.entry) =
     (Vtime.to_string e.Trace.time)
     e.Trace.node e.Trace.tag (Trace.detail e)
 
-(* the (node, tag) indexes apply when the pattern constrains them
-   exactly *)
-let indexable = function Some v when not (has_wildcard v) -> Some v | _ -> None
-
 let matches_of p trace =
   let acc = ref [] in
-  Trace.iteri ?node:(indexable p.node) ?tag:(indexable p.tag)
-    (fun i e -> if pattern_matches p e then acc := (i, e) :: !acc)
-    trace;
+  Trace.iteri (fun i e -> if pattern_matches p e then acc := (i, e) :: !acc) trace;
   List.rev !acc
 
 let compare_holds (cmp : Oracle.comparison) a b =
@@ -172,7 +166,7 @@ let rec eval oracle trace : Oracle.verdict =
                 (if last_idx < 0 then "anywhere"
                  else
                    Printf.sprintf "after %s"
-                     (entry_cite last_idx (Trace.get trace last_idx))))
+                     (entry_cite last_idx (Trace_lists.get trace last_idx))))
              (if last_idx < 0 then None else Some last_idx))
     in
     if ps = [] then verdict true "vacuously ordered (no steps)" None

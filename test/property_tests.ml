@@ -46,6 +46,87 @@ let prop_expr_no_crash =
       | exception _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Input readers on mutated bytes                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Each reader of an input format, the committed inputs it is fed, and
+   its documented failure: [Scenario.Parse_error] for the text formats,
+   [Error _] for the others.  Any other exception escapes the property
+   and fails it. *)
+let input_readers =
+  lazy
+    (let path p = Filename.concat (Filename.dirname Sys.executable_name) p in
+     let read p = In_channel.with_open_bin (path p) In_channel.input_all in
+     let files dir ext =
+       Sys.readdir (path dir) |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ext)
+       |> List.sort String.compare
+       |> List.map (fun f -> read (Filename.concat dir f))
+     in
+     let parses parse s =
+       match parse s with _ -> () | exception Pfi_testgen.Scenario.Parse_error _ -> ()
+     in
+     let segment =
+       Segment.encode
+         (Segment.make ~payload:(Bytes.of_string "mutate me") ~src_port:1234 ~dst_port:80
+            ~seq:(Seq32.of_int 100) ~ack:(Seq32.of_int 200) ~flags:Segment.flag_ack
+            ~window:4096 ())
+     in
+     [| ("Scenario.parse", files "scenarios" ".pfis", parses (fun s -> Pfi_testgen.Scenario.parse s));
+        ("Matrix.parse", files "matrix" ".pfim", parses Pfi_testgen.Matrix.parse);
+        ( "Repro.of_string",
+          [ read "golden/tiny_abp_repro.expected.json" ],
+          fun s -> ignore (Pfi_testgen.Repro.of_string s : (_, string) result) );
+        ( "Segment.decode",
+          [ Bytes.to_string segment ],
+          fun s -> ignore (Segment.decode (Bytes.of_string s) : (_, string) result) ) |])
+
+(* one to four byte flips, inserts, deletes and block moves *)
+let mutate_gen src =
+  let open QCheck.Gen in
+  let splice s i cut ins =
+    String.sub s 0 i ^ ins ^ String.sub s (i + cut) (String.length s - i - cut)
+  in
+  let once s =
+    let n = String.length s in
+    if n = 0 then map (String.make 1) char
+    else
+      int_bound (n - 1) >>= fun i ->
+      oneof
+        [ map (fun c -> splice s i 1 (String.make 1 c)) char;
+          map (splice s i 0) (string_size ~gen:char (int_range 1 8));
+          map (fun len -> splice s i (min len (n - i)) "") (int_range 1 16);
+          ( int_range 1 (n - i) >>= fun len ->
+            let rest = splice s i len "" in
+            map
+              (fun j -> splice rest j 0 (String.sub s i len))
+              (int_bound (String.length rest)) ) ]
+  in
+  int_range 1 4 >>= fun k ->
+  let rec go k s = if k = 0 then return s else once s >>= go (k - 1) in
+  go k src
+
+let prop_readers_total_on_mutations =
+  let gen st =
+    let readers = Lazy.force input_readers in
+    let r = QCheck.Gen.int_bound (Array.length readers - 1) st in
+    let _, inputs, _ = readers.(r) in
+    let src = QCheck.Gen.oneofl inputs st in
+    (r, mutate_gen src st)
+  in
+  QCheck.Test.make ~name:"input readers are total on mutated committed inputs"
+    ~count:10_000
+    (QCheck.make
+       ~print:(fun (r, s) ->
+         let name, _, _ = (Lazy.force input_readers).(r) in
+         Printf.sprintf "%s %S" name s)
+       gen)
+    (fun (r, s) ->
+      let _, _, read = (Lazy.force input_readers).(r) in
+      read s;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* TCP end-to-end integrity under a byzantine channel                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -335,8 +416,8 @@ let trace_batch_gen =
 let trace_record_batch tr batch =
   List.iter
     (fun (t, ni, ti, detail) ->
-      (* fresh string copies, so any sharing observed in the recorded
-         entries is the recorder's interning, not ours *)
+      (* fresh string copies, as a caller building names at run time
+         passes them *)
       let copy s = String.sub s 0 (String.length s) in
       let node = copy trace_nodes.(ni mod Array.length trace_nodes) in
       let tag = copy trace_tags.(ti mod Array.length trace_tags) in
@@ -344,40 +425,36 @@ let trace_record_batch tr batch =
       Trace.record ~fields tr ~time:(Vtime.us t) ~node ~tag detail)
     batch
 
-(* The indexed queries, and the memo slots [record] resolves them
-   through, against a naive filter over [entries]: every (node?, tag?)
-   combination, including names that were never recorded. *)
+(* [find], [iteri] and the per-pair counts, and the memo slots [record]
+   resolves pairs through, against a naive filter over [entries]: every
+   (node?, tag?) combination, including names that were never
+   recorded. *)
 let trace_matches_naive tr =
   let all = Trace.entries tr in
-  let indexed = List.mapi (fun i e -> (i, e)) all in
+  let via_iteri = ref [] in
+  Trace.iteri (fun i e -> via_iteri := (i, e) :: !via_iteri) tr;
   let opts a = None :: Some "absent" :: Array.to_list (Array.map Option.some a) in
   let keep node tag (e : Trace.entry) =
     (match node with Some n -> String.equal e.Trace.node n | None -> true)
     && match tag with Some g -> String.equal e.Trace.tag g | None -> true
   in
-  List.for_all
-    (fun node ->
-      List.for_all
-        (fun tag ->
-          let naive = List.filter (fun (_, e) -> keep node tag e) indexed in
-          let via_iter = ref [] and via_iteri = ref [] in
-          Trace.iter ?node ?tag (fun e -> via_iter := e :: !via_iter) tr;
-          Trace.iteri ?node ?tag (fun i e -> via_iteri := (i, e) :: !via_iteri) tr;
-          let same_as_naive same got =
-            List.compare_lengths got naive = 0 && List.for_all2 same (List.rev got) naive
-          in
-          same_as_naive (fun e (_, e') -> e == e') !via_iter
-          && same_as_naive (fun (i, e) (j, e') -> i = j && e == e') !via_iteri
-          && (match tag with
-              | Some tag -> Trace.count ?node ~tag tr = List.length naive
-              | None -> true)
-          &&
-          match (Trace.last ?node ?tag tr, List.rev naive) with
-          | None, [] -> true
-          | Some e, (_, e') :: _ -> e == e'
-          | _ -> false)
-        (opts trace_tags))
-    (opts trace_nodes)
+  List.compare_lengths !via_iteri all = 0
+  && List.for_all2 (fun (i, e) (j, e') -> i = j && e == e')
+       (List.rev !via_iteri) (List.mapi (fun i e -> (i, e)) all)
+  && List.for_all
+       (fun node ->
+         List.for_all
+           (fun tag ->
+             let naive = List.filter (keep node tag) all in
+             let found = Trace.find ?node ?tag tr in
+             List.compare_lengths found naive = 0
+             && List.for_all2 ( == ) found naive
+             &&
+             match tag with
+             | Some tag -> Trace.count ?node ~tag tr = List.length naive
+             | None -> true)
+           (opts trace_tags))
+       (opts trace_nodes)
 
 let minor_words_of f =
   let w0 = Gc.minor_words () in
@@ -391,11 +468,6 @@ let prop_trace_clear_reuse =
     (fun (first, second) ->
       let reused = Trace.create () in
       trace_record_batch reused first;
-      let pre_node =
-        match Trace.entries reused with
-        | e :: _ -> Some e.Trace.node
-        | [] -> None
-      in
       Trace.clear reused;
       let fresh = Trace.create () in
       trace_record_batch reused second;
@@ -409,28 +481,17 @@ let prop_trace_clear_reuse =
                  (fun tag ->
                    Trace.count ~node ~tag reused
                    = Trace.count ~node ~tag fresh
-                   && Trace.timestamps ~node ~tag reused
-                      = Trace.timestamps ~node ~tag fresh)
+                   && Trace_lists.timestamps ~node ~tag reused
+                      = Trace_lists.timestamps ~node ~tag fresh)
                  trace_tags)
           trace_nodes
       in
       let same_last =
-        match (Trace.last reused, Trace.last fresh) with
+        match (Trace_lists.last reused, Trace_lists.last fresh) with
         | None, None -> true
         | Some a, Some b ->
           a.Trace.time = b.Trace.time && Trace.detail a = Trace.detail b
         | _ -> false
-      in
-      (* the intern table survives the clear: a node name recorded
-         before the clear and again after it is the same physical
-         string, even though the caller passed a fresh copy *)
-      let intern_survives =
-        match pre_node with
-        | Some n ->
-          List.for_all
-            (fun (e : Trace.entry) -> e.Trace.node <> n || e.Trace.node == n)
-            (Trace.entries reused)
-        | None -> true
       in
       (* the memo restarts empty on every clear, so re-recording the
          same batch costs the same words each time — what keeps a
@@ -444,7 +505,7 @@ let prop_trace_clear_reuse =
       let w2 = rerecord () in
       Trace.to_jsonl reused = Trace.to_jsonl fresh
       && Trace.length reused = Trace.length fresh
-      && same_queries && same_last && intern_survives
+      && same_queries && same_last
       && trace_matches_naive reused && trace_matches_naive fresh
       && w1 = w2)
 
@@ -841,4 +902,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decoders_match_reference;
     QCheck_alcotest.to_alcotest prop_guard_matches_interpreter;
     QCheck_alcotest.to_alcotest prop_monitors_match_reference;
+    QCheck_alcotest.to_alcotest prop_readers_total_on_mutations;
   ]

@@ -188,7 +188,7 @@ let test_retransmission_backoff_and_reset () =
     (Tcp.close_reason conn);
   Alcotest.(check int) "12 retransmissions (BSD)" 12 (Tcp.total_retransmits conn);
   (* retransmission intervals double and plateau *)
-  let intervals = Trace.intervals ~node:"client" ~tag:"tcp.retransmit" (Sim.trace sim) in
+  let intervals = Trace_lists.intervals ~node:"client" ~tag:"tcp.retransmit" (Sim.trace sim) in
   let rec nondecreasing = function
     | a :: (b :: _ as rest) -> Vtime.(a <= b) && nondecreasing rest
     | [ _ ] | [] -> true
@@ -296,7 +296,7 @@ let test_zero_window_and_persist () =
   let probes = Trace.count ~node:"client" ~tag:"tcp.persist-probe" (Sim.trace sim) in
   Alcotest.(check bool) "probing continues indefinitely" true (probes >= 20);
   let intervals =
-    Trace.intervals ~node:"client" ~tag:"tcp.persist-probe" (Sim.trace sim)
+    Trace_lists.intervals ~node:"client" ~tag:"tcp.persist-probe" (Sim.trace sim)
   in
   (match List.rev intervals with
    | last :: _ ->
@@ -322,13 +322,13 @@ let test_keepalive_bsd () =
   Sim.run ~until:(Vtime.sec 9000) sim;
   let probes = Trace.count ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
   Alcotest.(check int) "9 probes total (first + 8 retries)" 9 probes;
-  let stamps = Trace.timestamps ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
+  let stamps = Trace_lists.timestamps ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
   (match stamps with
    | first :: _ ->
      Alcotest.(check bool) "first probe at ~7200 s" true
        Vtime.(first >= Vtime.sec 7200 && first < Vtime.sec 7205)
    | [] -> Alcotest.fail "no probes");
-  let intervals = Trace.intervals ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
+  let intervals = Trace_lists.intervals ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
   List.iter
     (fun i -> Alcotest.(check bool) "75 s apart" true (Vtime.equal i (Vtime.sec 75)))
     intervals;
@@ -346,7 +346,7 @@ let test_keepalive_acked_repeats () =
   Alcotest.(check bool) "several probes over 8 h" true (probes >= 3);
   Alcotest.(check string) "still established" "ESTABLISHED"
     (Tcp.state_to_string (Tcp.state conn));
-  let intervals = Trace.intervals ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
+  let intervals = Trace_lists.intervals ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
   List.iter
     (fun i ->
       Alcotest.(check bool) "~7200 s apart" true
@@ -360,7 +360,7 @@ let test_keepalive_solaris () =
   Tcp.set_keepalive conn true;
   Network.unplug net "server";
   Sim.run ~until:(Vtime.sec 8000) sim;
-  let stamps = Trace.timestamps ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
+  let stamps = Trace_lists.timestamps ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
   (match stamps with
    | first :: _ ->
      Alcotest.(check bool) "first probe at ~6752 s (spec violation)" true
