@@ -160,40 +160,37 @@ module Copts = struct
          ($(b,tcp)) rows only: with $(b,paper) it exits 2." }
 
   (* which subcommand carries which options — the single source the
-     Cmdliner terms and `pfi_run help <cmd>` are both generated from.
-     The last field lists deprecation notes: forms that still parse (or
-     are silently ignored) but are flagged in help output and slated
-     for removal. *)
+     Cmdliner terms and `pfi_run help <cmd>` are both generated from *)
   let commands =
     [ ("list", "", "List the conformance catalogs and campaign harnesses.",
-       [ json ], []);
+       [ json ]);
       ("repl", "", "Interactive REPL over the filter scripting language.",
-       [ seed ], []);
+       [ seed ]);
       ("msc", "", "Print the paper's global-error-counter ladder diagram.",
-       [ trace_out; json ], []);
+       [ trace_out; json ]);
       ("campaign", "TARGET", "Run a generated fault-injection campaign.",
-       [ seed; trace_out; json; jobs; repro_dir; stats ], []);
+       [ seed; trace_out; json; jobs; repro_dir; stats ]);
       ("shrink", "FILE", "Minimize a violating repro artifact.",
-       [ seed; trace_out; json; jobs; output; max_trials ], []);
+       [ seed; trace_out; json; jobs; output; max_trials ]);
       ("replay", "FILE", "Deterministically re-execute a repro artifact.",
-       [ seed; trace_out; json ], []);
+       [ seed; trace_out; json ]);
       ("check", "FILE...",
        "Run packetdrill-style scenario conformance scripts (*.pfis).",
-       [ seed; trace_out; json; jobs; manifest ], []);
+       [ seed; trace_out; json; jobs; manifest ]);
       ("gen", "SPEC",
        "Expand a *.pfim scenario-matrix spec into a .pfis corpus with a \
         JSON manifest.",
-       [ output; json; limit ], []);
+       [ output; json; limit ]);
       ("fuzz", "HARNESS",
        "Coverage-guided fault fuzzing: mutate fault scripts and injection \
         schedules, keep inputs that reach new trace coverage, minimize and \
         deduplicate every violation into a findings stream.",
-       [ seed; trace_out; json; jobs; budget; corpus; stats ], []);
+       [ seed; trace_out; json; jobs; budget; corpus; stats ]);
       ("matrix", "[CATALOG]",
        "Run a conformance catalog, $(b,tcp) (default: the vendor matrix \
         that re-discovers the paper's TCP quirk tables from traces) or \
         $(b,paper) (every other paper result).",
-       [ seed; json; jobs; report; profile ], []) ]
+       [ seed; json; jobs; report; profile ]) ]
 
   (* Cmdliner terms, generated from the specs *)
   let flag_term spec = Arg.(value & flag & info [ spec.flag ] ~doc:spec.doc)
@@ -261,7 +258,7 @@ let help_table cmd =
     go 0;
     Buffer.contents buf
   in
-  let print_one (name, args, doc, opts, deprecations) =
+  let print_one (name, args, doc, opts) =
     let usage = if args = "" then name else name ^ " " ^ args in
     Printf.printf "pfi_run %s\n  %s\n" usage (plain doc);
     List.iter
@@ -272,16 +269,13 @@ let help_table cmd =
         in
         Printf.printf "    %-22s %s\n" lhs (plain ~docv:o.docv o.doc))
       opts;
-    List.iter
-      (fun note -> Printf.printf "    deprecated: %s\n" (plain note))
-      deprecations;
     print_newline ()
   in
   match cmd with
   | None -> List.iter print_one Copts.commands
   | Some name ->
     (match
-       List.find_opt (fun (n, _, _, _, _) -> n = name) Copts.commands
+       List.find_opt (fun (n, _, _, _) -> n = name) Copts.commands
      with
      | Some entry -> print_one entry
      | None ->
@@ -751,6 +745,14 @@ let replay_cmd =
 let shrink file out max_trials seed jobs trace_out json =
   let open Pfi_testgen in
   let artifact = load_artifact file in
+  (* shrinking minimizes [fault] and runs each candidate's generated
+     filter, so an artifact whose script is anything else would shrink
+     into trials that do not reproduce it *)
+  if artifact.Repro.script <> Generator.script_of_fault artifact.Repro.fault then begin
+    Printf.eprintf
+      "cannot shrink %s: its script is not the generated filter of its fault\n" file;
+    exit 1
+  end;
   let (module H : Harness_intf.HARNESS) =
     registry_entry artifact.Repro.harness
   in

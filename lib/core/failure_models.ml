@@ -37,38 +37,37 @@ let describe = function
 let apply pfi model =
   let sim = Pfi_layer.sim pfi in
   let rng = Rng.split (Sim.rng sim) in
-  let label = describe model in
   match model with
   | Process_crash { at } ->
     let crashed () = Vtime.(Sim.now sim >= at) in
     let filter _msg : Pfi_layer.native_action = if crashed () then Drop else Pass in
-    Pfi_layer.add_native_send pfi ~label filter;
-    Pfi_layer.add_native_receive pfi ~label filter
+    Pfi_layer.add_native_send pfi filter;
+    Pfi_layer.add_native_receive pfi filter
   | Link_crash { at } ->
     let filter _msg : Pfi_layer.native_action =
       if Vtime.(Sim.now sim >= at) then Drop else Pass
     in
-    Pfi_layer.add_native_send pfi ~label filter
+    Pfi_layer.add_native_send pfi filter
   | Send_omission { p } ->
-    Pfi_layer.add_native_send pfi ~label (fun _ ->
+    Pfi_layer.add_native_send pfi (fun _ ->
         if Rng.bernoulli rng ~p then Pfi_layer.Drop else Pfi_layer.Pass)
   | Receive_omission { p } ->
-    Pfi_layer.add_native_receive pfi ~label (fun _ ->
+    Pfi_layer.add_native_receive pfi (fun _ ->
         if Rng.bernoulli rng ~p then Pfi_layer.Drop else Pfi_layer.Pass)
   | General_omission { p_send; p_recv } ->
-    Pfi_layer.add_native_send pfi ~label (fun _ ->
+    Pfi_layer.add_native_send pfi (fun _ ->
         if Rng.bernoulli rng ~p:p_send then Pfi_layer.Drop else Pfi_layer.Pass);
-    Pfi_layer.add_native_receive pfi ~label (fun _ ->
+    Pfi_layer.add_native_receive pfi (fun _ ->
         if Rng.bernoulli rng ~p:p_recv then Pfi_layer.Drop else Pfi_layer.Pass)
   | Timing { mean; std } ->
     let delayed () =
       let d = Rng.normal rng ~mean ~std in
       Vtime.of_sec_f (Float.max 0.0 d)
     in
-    Pfi_layer.add_native_send pfi ~label (fun _ -> Pfi_layer.Delay (delayed ()));
-    Pfi_layer.add_native_receive pfi ~label (fun _ -> Pfi_layer.Delay (delayed ()))
+    Pfi_layer.add_native_send pfi (fun _ -> Pfi_layer.Delay (delayed ()));
+    Pfi_layer.add_native_receive pfi (fun _ -> Pfi_layer.Delay (delayed ()))
   | Byzantine { corrupt_p; reorder_p; duplicate_p } ->
-    Pfi_layer.add_native_send pfi ~label (fun msg ->
+    Pfi_layer.add_native_send pfi (fun msg ->
         if Rng.bernoulli rng ~p:corrupt_p && Message.length msg > 0 then
           ignore
             (Message.corrupt_byte msg ~offset:(Rng.int rng (Message.length msg)));

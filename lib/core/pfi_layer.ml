@@ -48,13 +48,8 @@ type t = {
   recv_interp : Interp.t;
   mutable send_script : Ast.script option;
   mutable recv_script : Ast.script option;
-  (* static skip-guards extracted from the scripts (see {!Guard}): when
-     a script is a single [if {[msg_type cur_msg] == "TYPE"} {...}],
-     messages of any other type bypass the interpreter entirely *)
-  mutable send_guard : Guard.t option;
-  mutable recv_guard : Guard.t option;
-  mutable native_send : (string * (Message.t -> native_action)) list;
-  mutable native_recv : (string * (Message.t -> native_action)) list;
+  mutable native_send : (Message.t -> native_action) list;
+  mutable native_recv : (Message.t -> native_action) list;
   handles : (string, Message.t) Hashtbl.t;
   mutable next_handle : int;
   holds : (string, (Message.t * direction) Queue.t) Hashtbl.t;
@@ -447,31 +442,19 @@ let bind_commands t interp dir =
 let rec run_native filters msg =
   match filters with
   | [] -> Pass
-  | (_, filter) :: rest ->
+  | filter :: rest ->
     (match filter msg with
      | Pass -> run_native rest msg
      | verdict -> verdict)
 
 let run_script t dir msg =
-  let interp, script, guard =
+  let interp, script =
     match dir with
-    | Send -> (t.send_interp, t.send_script, t.send_guard)
-    | Receive -> (t.recv_interp, t.recv_script, t.recv_guard)
+    | Send -> (t.send_interp, t.send_script)
+    | Receive -> (t.recv_interp, t.recv_script)
   in
   match script with
   | None -> V_pass, 0
-  | Some _
-    when (match guard with
-          | Some g ->
-            (* [msg_type] resolves to the stub before any proc lookup
-               (commands shadow procs), so evaluating it here is
-               exactly what the interpreter would do — and when the
-               type cannot match the expected literal, the single-[if]
-               script provably leaves the verdict untouched *)
-            Guard.value_may_skip (t.stub.Stubs.msg_type msg)
-              ~expect:g.Guard.g_expect
-          | None -> false) ->
-    (V_pass, 0)
   | Some compiled ->
     let ctx = { dir; cur = msg; verdict = V_pass; dups = 0 } in
     let saved = t.ctx in
@@ -594,8 +577,6 @@ let create ~sim ~node ?(name = "pfi") ?(stub = Stubs.raw) ?blackboard () =
       recv_interp = Script.create ();
       send_script = None;
       recv_script = None;
-      send_guard = None;
-      recv_guard = None;
       native_send = [];
       native_recv = [];
       handles = Hashtbl.create 16;
@@ -623,42 +604,21 @@ let create ~sim ~node ?(name = "pfi") ?(stub = Stubs.raw) ?blackboard () =
   Interp.set_global t.recv_interp "pfi_node" node;
   t
 
-(* a guard engages only for the one command the layer can evaluate
-   natively: the stub's [msg_type] on the in-flight message *)
-let guard_of script =
-  match Guard.analyze script with
-  | Some g when g.Guard.g_cmd = "msg_type" && g.Guard.g_arg = "cur_msg" ->
-    Some g
-  | _ -> None
-
-let set_send_filter_compiled t script =
-  t.send_script <- Some script;
-  t.send_guard <- guard_of script
-
-let set_receive_filter_compiled t script =
-  t.recv_script <- Some script;
-  t.recv_guard <- guard_of script
+let set_send_filter_compiled t script = t.send_script <- Some script
+let set_receive_filter_compiled t script = t.recv_script <- Some script
 
 let set_send_filter t src = set_send_filter_compiled t (Interp.compile src)
 let set_receive_filter t src = set_receive_filter_compiled t (Interp.compile src)
 
-let clear_send_filter t =
-  t.send_script <- None;
-  t.send_guard <- None
-
-let clear_receive_filter t =
-  t.recv_script <- None;
-  t.recv_guard <- None
+let clear_send_filter t = t.send_script <- None
+let clear_receive_filter t = t.recv_script <- None
 
 let eval_in t side src =
   let interp = match side with `Send -> t.send_interp | `Receive -> t.recv_interp in
   Interp.eval interp src
 
-let add_native_send t ?(label = "native") filter =
-  t.native_send <- t.native_send @ [ (label, filter) ]
-
-let add_native_receive t ?(label = "native") filter =
-  t.native_recv <- t.native_recv @ [ (label, filter) ]
+let add_native_send t filter = t.native_send <- t.native_send @ [ filter ]
+let add_native_receive t filter = t.native_recv <- t.native_recv @ [ filter ]
 
 let clear_native_filters t =
   t.native_send <- [];

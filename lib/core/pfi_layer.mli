@@ -76,7 +76,8 @@ val set_send_filter_compiled : t -> Pfi_script.Ast.script -> unit
 val set_receive_filter_compiled : t -> Pfi_script.Ast.script -> unit
 (** Install an already-compiled filter, skipping the parse — campaign
     trials compile each fault script once ({!Pfi_script.Interp.compile})
-    and share the AST across every trial that uses the fault. *)
+    and share the code, with the nested parts it compiles as it runs,
+    across every trial that uses the fault. *)
 
 val clear_send_filter : t -> unit
 val clear_receive_filter : t -> unit
@@ -96,8 +97,8 @@ type native_action =
   | Drop
   | Delay of Vtime.t
 
-val add_native_send : t -> ?label:string -> (Message.t -> native_action) -> unit
-val add_native_receive : t -> ?label:string -> (Message.t -> native_action) -> unit
+val add_native_send : t -> (Message.t -> native_action) -> unit
+val add_native_receive : t -> (Message.t -> native_action) -> unit
 val clear_native_filters : t -> unit
 
 (** {1 Host-side injection} *)

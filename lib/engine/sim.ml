@@ -73,7 +73,10 @@ let null_handle = Event_queue.null_handle
 
 let stop t = t.stopping <- true
 
-let run ?(until = Vtime.infinity) ?(max_events = 10_000_000) t =
+(* a runaway backstop: a run that fires this many callbacks fails *)
+let max_events = 10_000_000
+
+let run ?(until = Vtime.infinity) t =
   t.stopping <- false;
   (* one continuation for the whole run: the callback form of pop saves
      the [Some (time, callback)] box on every fired event *)

@@ -86,10 +86,10 @@ val events : t -> int
 
 (** {1 Running} *)
 
-val run : ?until:Vtime.t -> ?max_events:int -> t -> unit
-(** Runs until the queue is empty, the clock would pass [until], or
-    [max_events] callbacks have fired (a runaway backstop; default
-    10,000,000).  Events scheduled exactly at [until] still fire. *)
+val run : ?until:Vtime.t -> t -> unit
+(** Runs until the queue is empty or the clock would pass [until].
+    Events scheduled exactly at [until] still fire.  A run that fires
+    10,000,000 callbacks fails (a runaway backstop). *)
 
 exception Stop
 

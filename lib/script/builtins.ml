@@ -59,32 +59,35 @@ let cmd_subst t = function
 (* Expressions and control flow                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* These take their arguments as bodies (see {!Interp.register_bodies}):
+   [b.text] is an argument's value, and [eval_body], [eval_cond] and
+   [body_list] reach its compiled forms. *)
+
+let texts args = List.map (fun (b : Ast.body) -> b.text) args
+
 let cmd_expr t args =
   match args with
   | [] -> arity "expr" "arg ?arg ...?"
-  | args -> Expr.to_string (eval_expr t (String.concat " " args))
+  | [ b ] -> Expr.to_string (eval_expr t b)
+  | args -> Expr.to_string (eval_expr t (Ast.body (String.concat " " (texts args))))
 
-let cmd_if t args =
-  (* if cond ?then? body ?elseif cond ?then? body?* ?else? ?body? *)
-  let rec go = function
-    | cond :: rest -> begin
-      let rest = match rest with "then" :: r -> r | r -> r in
-      match rest with
-      | body :: rest ->
-        if eval_expr_bool t cond then eval t body
-        else begin
-          match rest with
-          | [] -> ""
-          | "elseif" :: rest -> go rest
-          | "else" :: [ body ] -> eval t body
-          | [ body ] -> eval t body
-          | _ -> arity "if" "cond ?then? body ?elseif cond body ...? ?else body?"
-        end
-      | [] -> arity "if" "cond ?then? body"
-    end
+(* if cond ?then? body ?elseif cond ?then? body?* ?else? ?body? *)
+let rec cmd_if t = function
+  | cond :: rest -> begin
+    let rest = match rest with { Ast.text = "then"; _ } :: r -> r | r -> r in
+    match rest with
+    | body :: rest ->
+      if eval_cond t cond then eval_body t body
+      else begin
+        match rest with
+        | [] -> ""
+        | { Ast.text = "elseif"; _ } :: rest -> cmd_if t rest
+        | [ { Ast.text = "else"; _ }; body ] | [ body ] -> eval_body t body
+        | _ -> arity "if" "cond ?then? body ?elseif cond body ...? ?else body?"
+      end
     | [] -> arity "if" "cond ?then? body"
-  in
-  go args
+  end
+  | [] -> arity "if" "cond ?then? body"
 
 (* filter scripts run inside a simulator event: a runaway loop would
    hang the whole experiment, so loops are capped *)
@@ -102,9 +105,9 @@ let guarded_loop name body =
 let cmd_while t = function
   | [ cond; body ] ->
     guarded_loop "while" (fun step ->
-        while eval_expr_bool t cond do
+        while eval_cond t cond do
           step ();
-          match eval t body with
+          match eval_body t body with
           | _ -> ()
           | exception Continue_exn -> ()
         done);
@@ -113,14 +116,14 @@ let cmd_while t = function
 
 let cmd_for t = function
   | [ init; cond; next; body ] ->
-    ignore (eval t init);
+    ignore (eval_body t init);
     guarded_loop "for" (fun step ->
-        while eval_expr_bool t cond do
+        while eval_cond t cond do
           step ();
-          (match eval t body with
+          (match eval_body t body with
            | _ -> ()
            | exception Continue_exn -> ());
-          ignore (eval t next)
+          ignore (eval_body t next)
         done);
     ""
   | _ -> arity "for" "start test next command"
@@ -129,12 +132,12 @@ let cmd_foreach t = function
   | [ var; list; body ] ->
     (try
        List.iter
-         (fun element ->
-           set_var t var element;
-           match eval t body with
+         (fun (element : Ast.body) ->
+           set_var t var.Ast.text element.text;
+           match eval_body t body with
            | _ -> ()
            | exception Continue_exn -> ())
-         (Tcl_list.to_list list)
+         (body_list list)
      with Break_exn -> ());
     ""
   | _ -> arity "foreach" "varName list command"
@@ -161,10 +164,10 @@ let cmd_catch t = function
   | [ script ] | [ script; _ ] as args ->
     let store result =
       match args with
-      | [ _; var ] -> set_var t var result
+      | [ _; var ] -> set_var t var.Ast.text result
       | _ -> ()
     in
-    (match eval t script with
+    (match eval_body t script with
      | result -> store result; "0"
      | exception Script_error msg -> store msg; "1"
      | exception Return_exn v -> store v; "2"
@@ -174,10 +177,12 @@ let cmd_catch t = function
 
 let cmd_eval t = function
   | [] -> arity "eval" "arg ?arg ...?"
-  | args -> eval t (String.concat " " args)
+  | [ b ] -> eval_body t b
+  | args -> eval t (String.concat " " (texts args))
 
 let cmd_proc t = function
   | [ name; params; body ] ->
+    let name = name.Ast.text and params = params.Ast.text in
     let param_list = Tcl_list.to_list params in
     let rec build acc = function
       | [] -> (List.rev acc, false)
@@ -189,7 +194,7 @@ let cmd_proc t = function
          | _ -> errorf "bad parameter specification %S in proc %S" p name)
     in
     let params, varargs = build [] param_list in
-    define_proc t name { params; varargs; body = compile body };
+    define_proc t name { params; varargs; body = body_script body };
     ""
   | _ -> arity "proc" "name args body"
 
@@ -211,19 +216,19 @@ let rec glob_match pattern p s_str s =
 let cmd_switch t args =
   let glob, args =
     match args with
-    | "-glob" :: rest -> (true, rest)
-    | "--" :: rest -> (false, rest)
+    | { Ast.text = "-glob"; _ } :: rest -> (true, rest)
+    | { Ast.text = "--"; _ } :: rest -> (false, rest)
     | rest -> (false, rest)
   in
   let value, clauses =
     match args with
-    | [ value; block ] -> (value, Tcl_list.to_list block)
-    | value :: rest when List.length rest >= 2 -> (value, rest)
+    | [ value; block ] -> (value.Ast.text, body_list block)
+    | value :: rest when List.length rest >= 2 -> (value.Ast.text, rest)
     | _ -> arity "switch" "?-glob? string {pattern body ?pattern body ...?}"
   in
   let rec pairs = function
     | [] -> []
-    | pattern :: body :: rest -> (pattern, body) :: pairs rest
+    | (pattern : Ast.body) :: body :: rest -> (pattern.text, body) :: pairs rest
     | [ _ ] -> errorf "switch: extra pattern with no body"
   in
   let matches pattern =
@@ -232,7 +237,7 @@ let cmd_switch t args =
   in
   let rec go = function
     | [] -> ""
-    | (pattern, body) :: rest -> if matches pattern then eval t body else go rest
+    | (pattern, body) :: rest -> if matches pattern then eval_body t body else go rest
   in
   go (pairs clauses)
 
@@ -473,25 +478,26 @@ let cmd_info t = function
 
 let install t =
   let r name fn = register t name fn in
+  let rb name fn = register_bodies t name fn in
   r "set" cmd_set;
   r "unset" cmd_unset;
   r "incr" cmd_incr;
   r "append" cmd_append;
   r "global" cmd_global;
   r "subst" cmd_subst;
-  r "expr" cmd_expr;
-  r "if" cmd_if;
-  r "while" cmd_while;
-  r "for" cmd_for;
-  r "foreach" cmd_foreach;
+  rb "expr" cmd_expr;
+  rb "if" cmd_if;
+  rb "while" cmd_while;
+  rb "for" cmd_for;
+  rb "foreach" cmd_foreach;
   r "break" cmd_break;
   r "continue" cmd_continue;
   r "return" cmd_return;
   r "error" cmd_error;
-  r "catch" cmd_catch;
-  r "eval" cmd_eval;
-  r "switch" cmd_switch;
-  r "proc" cmd_proc;
+  rb "catch" cmd_catch;
+  rb "eval" cmd_eval;
+  rb "switch" cmd_switch;
+  rb "proc" cmd_proc;
   r "list" cmd_list;
   r "lindex" cmd_lindex;
   r "llength" cmd_llength;

@@ -87,9 +87,10 @@ type token =
   | Lparen
   | Rparen
   | Comma
+  | Slot of int  (* where substituted value [i] goes, in a template *)
   | End
 
-type lexer = { src : string; mutable pos : int; mutable tok : token }
+type lexer = { src : string; mutable pos : int }
 
 let is_digit ch = ch >= '0' && ch <= '9'
 let is_ident_char ch =
@@ -172,12 +173,9 @@ let scan_token lx =
     | ch -> fail "unexpected character %C in expression" ch
   end
 
-let next lx = lx.tok <- scan_token lx
-
-let make_lexer src =
-  let lx = { src; pos = 0; tok = End } in
-  next lx;
-  lx
+(* ------------------------------------------------------------------ *)
+(* Arithmetic                                                         *)
+(* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic                                                         *)
@@ -320,49 +318,105 @@ let call_function name args =
          first rest)
   | _ -> fail "unknown function %s" name
 
-let rec parse_primary lx =
-  match lx.tok with
-  | Num v -> next lx; v
-  | Quoted s -> next lx; Str s
-  | Ident name ->
-    next lx;
-    if lx.tok = Lparen then begin
-      next lx;
-      let args = ref [] in
-      if lx.tok <> Rparen then begin
-        args := [ parse_expr lx 0 ];
-        while lx.tok = Comma do
-          next lx;
-          args := parse_expr lx 0 :: !args
-        done
-      end;
-      (match lx.tok with
-       | Rparen -> next lx
-       | _ -> fail "expected ) after arguments of %s" name);
-      call_function name (List.rev !args)
-    end
-    else
-      (* bare identifiers evaluate as strings (true/false/yes/no included) *)
-      Str name
-  | Lparen ->
-    next lx;
-    let v = parse_expr lx 0 in
-    (match lx.tok with
-     | Rparen -> next lx; v
-     | _ -> fail "expected closing parenthesis")
-  | Op "-" ->
-    next lx;
-    (match coerce_num "unary -" (parse_unary lx) with
+let unary op v =
+  match op with
+  | "-" ->
+    (match coerce_num "unary -" v with
      | Int i -> Int (-i)
      | Float f -> Float (-.f)
      | Str _ -> assert false)
-  | Op "+" -> next lx; coerce_num "unary +" (parse_unary lx)
-  | Op "!" -> next lx; bool_val (not (truthy (parse_unary lx)))
-  | Op "~" ->
-    next lx;
-    (match coerce_num "~" (parse_unary lx) with
+  | "+" -> coerce_num "unary +" v
+  | "!" -> bool_val (not (truthy v))
+  | _ ->
+    (match coerce_num "~" v with
      | Int i -> Int (lnot i)
      | _ -> fail "~ requires an integer operand")
+
+(* ------------------------------------------------------------------ *)
+(* Parse trees                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type node =
+  | Value of value
+  | Hole of int  (* substituted value [i] *)
+  | Unary of string * node
+  | Binary of string * node * node
+  | Cond of node * node * node
+  | Call of string * node list
+
+(* Operands evaluate left to right, and every one evaluates: [&&], [||]
+   and [?:] only choose among values, as when text is read in one pass. *)
+let rec eval_node holes = function
+  | Value v -> v
+  | Hole i -> holes.(i)
+  | Unary (op, e) -> unary op (eval_node holes e)
+  | Binary (("&&" | "||") as op, a, b) ->
+    let l = truthy (eval_node holes a) in
+    let r = eval_node holes b in
+    bool_val (if op = "&&" then l && truthy r else l || truthy r)
+  | Binary (op, a, b) ->
+    let a = eval_node holes a in
+    let b = eval_node holes b in
+    apply_binop op a b
+  | Cond (c, a, b) ->
+    let c = truthy (eval_node holes c) in
+    let a = eval_node holes a in
+    let b = eval_node holes b in
+    if c then a else b
+  | Call (name, args) -> call_function name (List.map (eval_node holes) args)
+
+(* ------------------------------------------------------------------ *)
+(* Parser: precedence climbing                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One parser serves both uses.  Reading text ([eager]), every node is
+   folded to its value as soon as it is built, so a value's error comes
+   before any syntax error further right, exactly where a one-pass
+   evaluator raises it.  Reading a template, it builds the tree. *)
+type parser = { mutable tok : token; advance : unit -> token; eager : bool }
+
+let next p = p.tok <- p.advance ()
+
+let fold p n = if p.eager then Value (eval_node [||] n) else n
+
+(* [&&], [||] and [?:] test their left operand before the parser reads
+   on *)
+let test p n = if p.eager then ignore (truthy (eval_node [||] n))
+
+let rec parse_primary p =
+  match p.tok with
+  | Num v -> next p; Value v
+  | Quoted s -> next p; Value (Str s)
+  | Slot i -> next p; Hole i
+  | Ident name ->
+    next p;
+    if p.tok = Lparen then begin
+      next p;
+      let args = ref [] in
+      if p.tok <> Rparen then begin
+        args := [ parse_expr p 0 ];
+        while p.tok = Comma do
+          next p;
+          args := parse_expr p 0 :: !args
+        done
+      end;
+      (match p.tok with
+       | Rparen -> next p
+       | _ -> fail "expected ) after arguments of %s" name);
+      fold p (Call (name, List.rev !args))
+    end
+    else
+      (* bare identifiers evaluate as strings (true/false/yes/no included) *)
+      Value (Str name)
+  | Lparen ->
+    next p;
+    let v = parse_expr p 0 in
+    (match p.tok with
+     | Rparen -> next p; v
+     | _ -> fail "expected closing parenthesis")
+  | Op ("-" | "+" | "!" | "~" as op) ->
+    next p;
+    fold p (Unary (op, parse_primary p))
   | End -> fail "unexpected end of expression"
   | tok ->
     let show = function
@@ -370,54 +424,109 @@ let rec parse_primary lx =
     in
     fail "unexpected token %s in expression" (show tok)
 
-and parse_unary lx = parse_primary lx
-
-and parse_expr lx min_prec =
-  let lhs = ref (parse_unary lx) in
+and parse_expr p min_prec =
+  let lhs = ref (parse_primary p) in
   let continue = ref true in
   while !continue do
-    match lx.tok with
+    match p.tok with
     | Op "?" when min_prec <= 1 ->
-      next lx;
-      let cond = truthy !lhs in
-      let then_v = parse_expr lx 0 in
-      (match lx.tok with
-       | Op ":" -> next lx
+      next p;
+      test p !lhs;
+      let then_v = parse_expr p 0 in
+      (match p.tok with
+       | Op ":" -> next p
        | _ -> fail "expected : in conditional expression");
-      let else_v = parse_expr lx 1 in
-      lhs := if cond then then_v else else_v
+      let else_v = parse_expr p 1 in
+      lhs := fold p (Cond (!lhs, then_v, else_v))
     | Op op ->
       (match binop_prec op with
        | Some prec when prec >= min_prec ->
-         next lx;
-         (* short-circuit for the boolean connectives *)
-         if op = "&&" then begin
-           let lhs_true = truthy !lhs in
-           let rhs = parse_expr lx (prec + 1) in
-           lhs := bool_val (lhs_true && truthy rhs)
-         end
-         else if op = "||" then begin
-           let lhs_true = truthy !lhs in
-           let rhs = parse_expr lx (prec + 1) in
-           lhs := bool_val (lhs_true || truthy rhs)
-         end
-         else begin
-           (* ** is right-associative *)
-           let next_min = if op = "**" then prec else prec + 1 in
-           let rhs = parse_expr lx next_min in
-           lhs := apply_binop op !lhs rhs
-         end
+         next p;
+         if op = "&&" || op = "||" then test p !lhs;
+         (* ** is right-associative *)
+         let rhs = parse_expr p (if op = "**" then prec else prec + 1) in
+         lhs := fold p (Binary (op, !lhs, rhs))
        | _ -> continue := false)
     | _ -> continue := false
   done;
   !lhs
 
-let eval src =
-  let lx = make_lexer src in
-  let v = parse_expr lx 0 in
-  (match lx.tok with
-   | End -> ()
-   | _ -> fail "trailing tokens in expression %S" src);
-  v
+(* the whole token stream as one expression *)
+let parse_all p src =
+  next p;
+  let root = parse_expr p 0 in
+  if p.tok <> End then fail "trailing tokens in expression %S" src;
+  root
 
-let eval_to_string src = to_string (eval src)
+let eval src =
+  let lx = { src; pos = 0 } in
+  let p = { tok = End; advance = (fun () -> scan_token lx); eager = true } in
+  eval_node [||] (parse_all p src)
+
+(* ------------------------------------------------------------------ *)
+(* Templates: substitute-then-parse, parsed once                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A template parses the text around the substitutions once, each one
+   an operand (a [Slot]).  That is how the re-parse reads a value that
+   lexes as one operand in place: digits and dots, or a non-number
+   without braces.  For any other value the text is built and parsed. *)
+type template = { segments : string array; tree : node option }
+
+exception Not_operand
+
+let operand v =
+  match parse_number v with
+  | Some n when String.for_all (function '0' .. '9' | '.' -> true | _ -> false) v -> n
+  | None when not (String.exists (fun c -> c = '{' || c = '}') v) -> Str v
+  | _ -> raise Not_operand
+
+let substitute t values =
+  let buf = Buffer.create 32 in
+  Array.iteri
+    (fun i seg ->
+      Buffer.add_string buf seg;
+      if i < Array.length values then
+        let v = values.(i) in
+        Buffer.add_string buf
+          (match parse_number v with Some _ -> v | None -> "{" ^ v ^ "}"))
+    t.segments;
+  Buffer.contents buf
+
+(* A template that parses has an operator, a parenthesis, a comma or an
+   end on both sides of every slot (two operands side by side do not
+   parse), so no operand above can merge with the text around it. *)
+let template segments =
+  let segments = Array.of_list segments in
+  let holes = Array.length segments - 1 in
+  let tokens = ref [] in
+  let lex i seg =
+    let lx = { src = seg; pos = 0 } in
+    let rec go () =
+      match scan_token lx with
+      | End -> ()
+      | tok -> tokens := tok :: !tokens; go ()
+    in
+    go ();
+    if i < holes then tokens := Slot i :: !tokens
+  in
+  let advance () =
+    match !tokens with
+    | tok :: rest -> tokens := rest; tok
+    | [] -> End
+  in
+  let tree =
+    match
+      Array.iteri lex segments;
+      tokens := List.rev !tokens;
+      parse_all { tok = End; advance; eager = false } ""
+    with
+    | root -> Some root
+    | exception Error _ -> None
+  in
+  { segments; tree }
+
+let eval_template t values =
+  match (t.tree, Array.map operand values) with
+  | Some root, operands -> eval_node operands root
+  | None, _ | (exception Not_operand) -> eval (substitute t values)

@@ -20,41 +20,17 @@ type frame = {
 type t = {
   globals : (string, string) Hashtbl.t;
   mutable frames : frame list;  (* innermost first *)
-  commands : (string, t -> string list -> string) Hashtbl.t;
+  commands : (string, command) Hashtbl.t;
   procs : (string, proc) Hashtbl.t;
   mutable out : string -> unit;
   mutable depth : int;
-  (* Interpreter-local compilation caches.  Filter scripts evaluate the
-     same handful of source strings (if/while bodies, expr conditions)
-     once per message, so parsing is memoized per interpreter: the keys
-     are the immutable source strings themselves and the parsed ASTs are
-     never mutated.  Per-interpreter (not global) so parallel campaign
-     domains never contend on a shared table. *)
-  script_cache : (string, Ast.script) Hashtbl.t;
-  token_cache : (string, Ast.token list) Hashtbl.t;
-  (* [Expr.eval] is a pure function of the substituted expression
-     string, so its result is cacheable too: type-dispatch conditions
-     like [{ACK} == "MSG"] take only a few distinct substituted forms
-     per trial.  Random-valued substitutions would grow the table
-     without bound, hence the flush. *)
-  expr_cache : (string, Expr.value) Hashtbl.t;
 }
 
+and command =
+  | Values of (t -> string list -> string)
+  | Bodies of (t -> Ast.body list -> string)
+
 let max_depth = 500
-
-(* Flushing at a size cap keeps the caches O(1) for the pathological
-   case (a script synthesizing unbounded distinct source strings) while
-   costing nothing in the common case of a fixed script set. *)
-let max_cache_entries = 1024
-
-let cached tbl key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-    let v = compute key in
-    if Hashtbl.length tbl >= max_cache_entries then Hashtbl.reset tbl;
-    Hashtbl.add tbl key v;
-    v
 
 (* ------------------------------------------------------------------ *)
 (* Variables                                                          *)
@@ -69,9 +45,9 @@ let var_table t name =
 let get_var t name = Hashtbl.find_opt (var_table t name) name
 
 let get_var_exn t name =
-  match get_var t name with
-  | Some v -> v
-  | None -> errorf "can't read %S: no such variable" name
+  match Hashtbl.find (var_table t name) name with
+  | v -> v
+  | exception Not_found -> errorf "can't read %S: no such variable" name
 
 let set_var t name value = Hashtbl.replace (var_table t name) name value
 
@@ -98,7 +74,8 @@ let mark_global t name =
 (* Commands and procs                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let register t name fn = Hashtbl.replace t.commands name fn
+let register t name fn = Hashtbl.replace t.commands name (Values fn)
+let register_bodies t name fn = Hashtbl.replace t.commands name (Bodies fn)
 
 let command_names t =
   let names = Hashtbl.fold (fun k _ acc -> k :: acc) t.commands [] in
@@ -114,47 +91,89 @@ let set_output t fn = t.out <- fn
 let get_output t = t.out
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation                                                         *)
+(* Compiled parts                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let compile = Parser.parse
 
-let rec expand_tokens t tokens =
-  match tokens with
-  (* singleton fast paths: almost every word is one token (the command
-     name, a plain argument, a lone [$var] or [cmd] substitution), and
-     none of those need a Buffer *)
-  | [] -> ""
-  | [ Ast.Lit s ] -> s
-  | [ Ast.Var_ref name ] -> get_var_exn t name
-  | [ Ast.Cmd_sub script ] -> eval t script
-  | tokens ->
-    let buf = Buffer.create 32 in
-    List.iter
-      (fun token ->
-        match token with
-        | Ast.Lit s -> Buffer.add_string buf s
-        | Ast.Var_ref name -> Buffer.add_string buf (get_var_exn t name)
-        | Ast.Cmd_sub script -> Buffer.add_string buf (eval t script))
-      tokens;
-    Buffer.contents buf
+(* Each accessor returns the body's compiled form for its role, parsing
+   and storing it on first use (see {!Ast} on sharing across domains). *)
+let body_script (b : Ast.body) =
+  match b.code with
+  | Script s -> s
+  | _ ->
+    let s = Parser.parse b.text in
+    b.code <- Script s;
+    s
+
+let body_list (b : Ast.body) =
+  match b.code with
+  | List l -> l
+  | _ ->
+    let l = List.map Ast.body (Tcl_list.to_list b.text) in
+    b.code <- List l;
+    l
+
+let compile_expr src =
+  let rec split seg segs holes = function
+    | [] -> (List.rev (seg :: segs), holes)
+    | Ast.Lit s :: rest -> split (seg ^ s) segs holes rest
+    | hole :: rest -> split "" (seg :: segs) (hole :: holes) rest
+  in
+  let segs, holes = split "" [] [] (Parser.tokenize src) in
+  { Ast.holes = Array.of_list (List.rev holes); template = Expr.template segs }
+
+let body_expr (b : Ast.body) =
+  match b.code with
+  | Expr e -> e
+  | _ ->
+    let e = compile_expr b.text in
+    b.code <- Expr e;
+    e
+
+(* ------------------------------------------------------------------ *)
+(* Evaluation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let rec subst t = function
+  | Ast.Lit s -> s
+  | Ast.Var_ref name -> get_var_exn t name
+  | Ast.Cmd_sub b -> eval_body t b
 
 and expand_word t = function
-  | Ast.Braced s -> s
-  | Ast.Tokens tokens -> expand_tokens t tokens
+  | Ast.Const b -> b.text
+  | Ast.Tokens [ token ] -> subst t token
+  | Ast.Tokens tokens ->
+    let buf = Buffer.create 32 in
+    List.iter (fun token -> Buffer.add_string buf (subst t token)) tokens;
+    Buffer.contents buf
 
-and eval_command t words =
-  match List.map (expand_word t) words with
+(* Arguments expand left to right: to values for a host command, to
+   bodies for a [Bodies] command — a constant word's own, whose compiled
+   forms outlive the call, or a fresh one around a substituted value. *)
+and values t = function
+  | [] -> []
+  | word :: rest -> let v = expand_word t word in v :: values t rest
+
+and bodies t = function
+  | [] -> []
+  | Ast.Const b :: rest -> b :: bodies t rest
+  | word :: rest -> let b = Ast.body (expand_word t word) in b :: bodies t rest
+
+(* Names resolve through the table on every call, commands before
+   procs; a host [register] over a [Bodies] builtin replaces it. *)
+and eval_command t = function
   | [] -> ""
-  | name :: args -> call t name args
-
-and call t name args =
-  match Hashtbl.find_opt t.commands name with
-  | Some fn -> fn t args
-  | None ->
-    (match Hashtbl.find_opt t.procs name with
-     | Some proc -> call_proc t name proc args
-     | None -> errorf "invalid command name %S" name)
+  | name :: args ->
+    let name = expand_word t name in
+    (match Hashtbl.find t.commands name with
+     | Values fn -> fn t (values t args)
+     | Bodies fn -> fn t (bodies t args)
+     | exception Not_found ->
+       let args = values t args in
+       (match Hashtbl.find t.procs name with
+        | proc -> call_proc t name proc args
+        | exception Not_found -> errorf "invalid command name %S" name))
 
 and call_proc t name proc args =
   if t.depth >= max_depth then errorf "too many nested proc calls (%s)" name;
@@ -202,80 +221,41 @@ and call_proc t name proc args =
   | exception Return_exn v -> finish (); v
   | exception e -> finish (); raise e
 
-and eval_script t script =
-  List.fold_left (fun _ command -> eval_command t command) "" script
+and eval_script t = function
+  | [] -> ""
+  | [ command ] -> eval_command t command
+  | command :: rest -> ignore (eval_command t command); eval_script t rest
 
-(* [eval] is the per-message workhorse: control-flow commands ([if],
-   [while], ...) receive their bodies as unparsed braced strings and
-   evaluate them through here every time they run, so the parse is
-   memoized on the source string. *)
-and eval t src = eval_script t (cached t.script_cache src Parser.parse)
+and eval_body t b = eval_script t (body_script b)
 
 let eval_compiled = eval_script
 
-(* ------------------------------------------------------------------ *)
-(* Substitution helpers                                               *)
-(* ------------------------------------------------------------------ *)
+let eval t src = eval_script t (Parser.parse src)
 
-let tokenized t src = cached t.token_cache src Parser.tokenize
+let subst_string t src =
+  expand_word t (Ast.Tokens (Parser.tokenize src))
 
-let subst_string t src = expand_tokens t (tokenized t src)
-
-(* For expr: substituted values that are not numeric literals are
-   brace-quoted so the expression lexer reads them as string literals
-   (mirrors Tcl, where expr re-parses $vars itself). *)
-let quote_value v =
-  match Expr.parse_number v with
-  | Some _ -> v
-  | None -> "{" ^ v ^ "}"
-
-let subst_expr t src =
-  match tokenized t src with
-  (* shape fast paths: filter conditions are one or two tokens
-     ([msg_type cur_msg] == "TYPE", $var == 1, a bare literal), which
-     need a single concatenation instead of a Buffer *)
-  | [] -> ""
-  | [ Ast.Lit s ] -> s
-  | [ Ast.Var_ref name ] -> quote_value (get_var_exn t name)
-  | [ Ast.Cmd_sub script ] -> quote_value (eval t script)
-  | [ Ast.Cmd_sub script; Ast.Lit s ] -> quote_value (eval t script) ^ s
-  | [ Ast.Lit s; Ast.Cmd_sub script ] -> s ^ quote_value (eval t script)
-  | [ Ast.Var_ref name; Ast.Lit s ] -> quote_value (get_var_exn t name) ^ s
-  | [ Ast.Lit s; Ast.Var_ref name ] -> s ^ quote_value (get_var_exn t name)
-  | tokens ->
-    let buf = Buffer.create 32 in
-    List.iter
-      (fun token ->
-        match token with
-        | Ast.Lit s -> Buffer.add_string buf s
-        | Ast.Var_ref name ->
-          Buffer.add_string buf (quote_value (get_var_exn t name))
-        | Ast.Cmd_sub script ->
-          Buffer.add_string buf (quote_value (eval t script)))
-      tokens;
-    Buffer.contents buf
-
-let eval_expr t src =
-  match cached t.expr_cache (subst_expr t src) Expr.eval with
+(* Substitutes every hole, left to right, before evaluating: no operand
+   of [&&], [||] or [?:] skips its substitutions. *)
+let eval_expr t b =
+  let e = body_expr b in
+  match Expr.eval_template e.template (Array.map (subst t) e.holes) with
   | v -> v
   | exception Expr.Error msg -> error msg
 
-let eval_expr_bool t src =
-  match Expr.truthy (eval_expr t src) with
-  | b -> b
+let eval_cond t b =
+  match Expr.truthy (eval_expr t b) with
+  | truth -> truth
   | exception Expr.Error msg -> error msg
 
 (* ------------------------------------------------------------------ *)
 (* Creation                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(output = print_string) () =
+let create () =
   { globals = Hashtbl.create 64;
     frames = [];
     commands = Hashtbl.create 64;
     procs = Hashtbl.create 16;
-    out = output;
-    depth = 0;
-    script_cache = Hashtbl.create 32;
-    token_cache = Hashtbl.create 32;
-    expr_cache = Hashtbl.create 64 }
+    out = print_string;
+    depth = 0 }

@@ -15,9 +15,9 @@ exception Script_error of string
     mismatch, [error] command).  Catchable from script code via
     [catch]. *)
 
-val create : ?output:(string -> unit) -> unit -> t
-(** [output] receives everything [puts] prints; defaults to [stdout].
-    The interpreter starts with {e no} commands registered; use
+val create : unit -> t
+(** [puts] prints to [stdout] until {!set_output} swaps the sink.  The
+    interpreter starts with {e no} commands registered; use
     {!Script.create} for one with the standard library installed. *)
 
 val set_output : t -> (string -> unit) -> unit
@@ -28,11 +28,12 @@ val get_output : t -> string -> unit
 (** {1 Evaluation} *)
 
 val eval : t -> string -> string
-(** Parses and evaluates a script; the result is the result of its last
+(** Compiles and runs a script; the result is the result of its last
     command (the empty string for an empty script). *)
 
 val compile : string -> Ast.script
-(** Parse once; useful for per-message filter scripts. *)
+(** {!Parser.parse}: nested parts compile on first evaluation, into the
+    code itself, which any interpreter on any domain may run. *)
 
 val eval_compiled : t -> Ast.script -> string
 
@@ -40,8 +41,20 @@ val subst_string : t -> string -> string
 (** Performs [$var], [\[cmd\]] and backslash substitution on a string
     without word splitting (Tcl's [subst]). *)
 
-val eval_expr : t -> string -> Expr.value
-val eval_expr_bool : t -> string -> bool
+(** {1 Compiled parts}
+
+    How control-flow commands use their arguments: each accessor parses a
+    body for its role on first use and stores the result in the body. *)
+
+val body_script : Ast.body -> Ast.script
+val body_list : Ast.body -> Ast.body list
+val eval_body : t -> Ast.body -> string
+
+val eval_expr : t -> Ast.body -> Expr.value
+(** Substitutes every [$var] and [\[cmd\]], left to right, then
+    evaluates (see {!Expr.template}). *)
+
+val eval_cond : t -> Ast.body -> bool
 
 (** {1 Variables} *)
 
@@ -60,7 +73,13 @@ val get_global : t -> string -> string option
 (** {1 Commands} *)
 
 val register : t -> string -> (t -> string list -> string) -> unit
-(** Registering over an existing name replaces it. *)
+(** Registering over an existing name replaces it.  Names resolve on
+    every call, and commands shadow procs. *)
+
+val register_bodies : t -> string -> (t -> Ast.body list -> string) -> unit
+(** A command that takes its arguments as bodies, for control flow: a
+    constant word's own body, whose compiled forms outlive the call, or
+    a fresh body around a substituted value. *)
 
 val command_names : t -> string list
 

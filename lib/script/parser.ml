@@ -161,7 +161,7 @@ let scan_tokens c ~stop ~escapes =
         loop ()
       | '[' ->
         flush ();
-        tokens := Ast.Cmd_sub (scan_bracket c) :: !tokens;
+        tokens := Ast.Cmd_sub (Ast.body (scan_bracket c)) :: !tokens;
         loop ()
       | ch -> Buffer.add_char buf ch; loop ()
     end
@@ -180,12 +180,19 @@ let scan_quoted c =
 let scan_bare c =
   scan_tokens c ~stop:(fun ch -> is_word_space ch || is_command_end ch) ~escapes:true
 
+(* a quoted or bare word without substitution is as constant as a
+   braced one *)
+let word_of_tokens = function
+  | [] -> Ast.Const (Ast.body "")
+  | [ Ast.Lit s ] -> Ast.Const (Ast.body s)
+  | tokens -> Ast.Tokens tokens
+
 (* One word; the cursor sits on a non-separator character. *)
 let scan_word c =
   match peek c with
-  | '{' -> advance c; Ast.Braced (scan_braced c)
-  | '"' -> advance c; Ast.Tokens (scan_quoted c)
-  | _ -> Ast.Tokens (scan_bare c)
+  | '{' -> advance c; Ast.Const (Ast.body (scan_braced c))
+  | '"' -> advance c; word_of_tokens (scan_quoted c)
+  | _ -> word_of_tokens (scan_bare c)
 
 let skip_word_spaces c =
   let rec loop () =
@@ -248,31 +255,3 @@ let parse src =
 let tokenize src =
   let c = { src; pos = 0 } in
   scan_tokens c ~stop:(fun _ -> false) ~escapes:true
-
-let parse_command_words src =
-  let c = { src; pos = 0 } in
-  let words = ref [] in
-  let rec loop () =
-    skip_word_spaces c;
-    if (not (eof c)) && not (is_command_end (peek c)) then begin
-      let start = c.pos in
-      (match peek c with
-       | '{' -> advance c; ignore (scan_braced c)
-       | '"' -> advance c; ignore (scan_quoted c)
-       | _ -> ignore (scan_bare c));
-      let raw = String.sub c.src start (c.pos - start) in
-      (* strip one level of brace/quote wrapping *)
-      let stripped =
-        let n = String.length raw in
-        if n >= 2
-           && ((raw.[0] = '{' && raw.[n - 1] = '}')
-               || (raw.[0] = '"' && raw.[n - 1] = '"'))
-        then String.sub raw 1 (n - 2)
-        else raw
-      in
-      words := stripped :: !words;
-      loop ()
-    end
-  in
-  loop ();
-  List.rev !words

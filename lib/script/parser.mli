@@ -20,19 +20,18 @@ exception Parse_error of string
 (** Raised on malformed input (unbalanced braces, brackets or quotes). *)
 
 val parse : string -> Ast.script
-(** Splits a whole script into commands. *)
+(** Splits a whole script into commands.  Nested parts (bodies, [expr]
+    arguments, [\[...\]] substitutions) stay text until evaluation
+    compiles them; see {!Ast}. *)
 
 val parse_count : unit -> int
 (** Number of {!parse} calls so far in this process (all domains).
     Monotonic; meant for regression tests that pin how often a hot path
     re-parses source text — campaign trials must compile each fault
-    script once per campaign, not once per trial. *)
+    script once per campaign, not once per trial, and a compiled script
+    parses each nested body at most once. *)
 
 val tokenize : string -> Ast.token list
 (** Scans a whole string into a substitution token sequence without any
     word splitting — used to substitute inside [expr] strings and by the
     [subst] command. *)
-
-val parse_command_words : string -> string list
-(** Parses a single command line into raw word strings with {e no}
-    substitution applied — used by tooling and tests. *)

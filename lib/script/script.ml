@@ -1,5 +1,5 @@
-let create ?output () =
-  let t = Interp.create ?output () in
+let create () =
+  let t = Interp.create () in
   Builtins.install t;
   t
 

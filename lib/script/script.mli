@@ -6,7 +6,7 @@
       ignore (Script.eval interp "set x 41; expr {$x + 1}")  (* "42" *)
     ]} *)
 
-val create : ?output:(string -> unit) -> unit -> Interp.t
+val create : unit -> Interp.t
 
 val eval : Interp.t -> string -> string
 (** Re-export of {!Interp.eval}. *)

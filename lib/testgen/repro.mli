@@ -9,6 +9,11 @@
     byte-for-byte (`pfi_run replay`) or to minimize it (`pfi_run
     shrink`, which appends its trajectory to the artifact).
 
+    [replay] runs [script]; [shrink] minimizes [fault], running each
+    candidate's {!Generator.script_of_fault}.  So [shrink] refuses an
+    artifact whose [script] is not the generated filter of its [fault];
+    every artifact the tool writes has that script.
+
     The JSON format is versioned ([version] field, currently 1) and
     read back by a small self-contained parser ({!Json}) — no external
     JSON library is involved.  64-bit values (seeds, the horizon in

@@ -178,6 +178,33 @@ let test_bad_artifact_is_a_load_error () =
     [ [ ("kind", Str "drop_nth"); ("mtype", Str "MSG"); ("n", Int 0) ];
       [ ("kind", Str "delay_each"); ("mtype", Str "MSG"); ("seconds", Float 1e13) ] ]
 
+(* [replay] runs an artifact's script but [shrink] regenerates it from the
+   fault, so [shrink] refuses an artifact whose script was edited *)
+let test_shrink_refuses_edited_script () =
+  let golden =
+    read_file (Filename.concat (test_dir "golden") "tiny_abp_repro.expected.json")
+  in
+  let open Pfi_testgen.Repro.Json in
+  let artifact =
+    match parse golden with
+    | Ok (Obj fields) ->
+      Obj (List.map (fun (k, v) -> if k = "script" then (k, Str "error boom") else (k, v)) fields)
+    | _ -> Alcotest.fail "the golden repro artifact does not parse"
+  in
+  let path = Filename.temp_file "pfi_edited_repro" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc (to_string artifact);
+      close_out oc;
+      let code, text = run_cli_status [ "shrink"; path ] in
+      Alcotest.(check int) "shrink exits 1" 1 code;
+      Alcotest.(check string) "shrink names the mismatch"
+        (Printf.sprintf
+           "cannot shrink %s: its script is not the generated filter of its fault\n" path)
+        text)
+
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
     Alcotest.test_case "pfi_run help matches the golden table" `Quick
@@ -195,4 +222,6 @@ let suite =
     Alcotest.test_case "check --manifest output is jobs-invariant" `Slow
       test_check_manifest_jobs_parity;
     Alcotest.test_case "shrink/replay reject an out-of-range fault on load"
-      `Quick test_bad_artifact_is_a_load_error ]
+      `Quick test_bad_artifact_is_a_load_error;
+    Alcotest.test_case "shrink refuses an artifact whose script was edited"
+      `Quick test_shrink_refuses_edited_script ]

@@ -679,12 +679,12 @@ let prop_decoders_match_reference =
       && total Pfi_gmp.Rel_udp.inspect = Ok (Ref_codec.inspect data)
       && header_ok)
 
-(* The Guard fast path: a single-[if] filter on [msg_type cur_msg]
-   skips the interpreter whenever the type cannot equal the literal.
-   The same filter behind a no-op prefix command is guard-ineligible,
-   so it is always interpreted; both must deliver, drop, delay and
-   duplicate exactly the same messages at the same times. *)
-let guard_lit_gen =
+(* ------------------------------------------------------------------ *)
+(* Compiled filters agree with the reference evaluator                *)
+(* ------------------------------------------------------------------ *)
+
+(* message-type literals a filter tests for *)
+let type_lit_gen =
   QCheck.Gen.(
     let head = "ABCDHKMPSTXY_" and tail = "ABCDHKMPSTXY_-0123456789" in
     map2
@@ -695,7 +695,7 @@ let guard_lit_gen =
 
 (* message types relative to the literal: equal, near misses, numeric
    lookalikes, and values carrying brace or backslash bytes *)
-let guard_type_gen lit =
+let type_gen lit =
   QCheck.Gen.(
     let n = String.length lit in
     frequency
@@ -715,59 +715,141 @@ let guard_type_gen lit =
             [ return (lit ^ "{"); return ("}" ^ lit); return ("{" ^ lit ^ "}");
               return ("\\" ^ lit); return "a\\b" ] ) ])
 
-let guard_case_gen =
+(* Random filters in the shape of the generated fault scripts and the
+   paper's: type tests, [elseif]/[else] arms, [&&]/[||] with [chance],
+   [info exists]/[incr] counters, bounded loops, [catch] around [error],
+   and a proc.  Variables: [t] (the type), [n] (a counter), [iD]/[jD]/[vD]
+   (loop variables, one set per nesting depth D, so no inner loop resets
+   an outer one), [total] (the proc's), [seen], [err]. *)
+let filter_gen lit =
   QCheck.Gen.(
-    guard_lit_gen >>= fun lit ->
-    oneofl [ "xDrop cur_msg"; "xDelay cur_msg 0.5"; "xDup cur_msg"; "" ]
-    >>= fun body ->
-    list_size (int_range 1 12) (guard_type_gen lit) >>= fun types ->
-    return (lit, body, types))
+    let num = oneofl [ "0"; "1"; "2"; "3"; "1.0"; "-2"; "0x1F"; "1e3" ] in
+    let cond =
+      oneof
+        [ return (Printf.sprintf "[msg_type cur_msg] == \"%s\"" lit);
+          return (Printf.sprintf "[msg_type cur_msg] != \"%s\"" lit);
+          return (Printf.sprintf "$t == \"%s\"" lit);
+          map (Printf.sprintf "[msg_type cur_msg] == %s") num;
+          map (Printf.sprintf "$t < %s") num;
+          map
+            (fun p -> Printf.sprintf "[msg_type cur_msg] == \"%s\" && [chance %s] == 1" lit p)
+            (oneofl [ "0.3"; "0.5"; "0.9" ]);
+          map
+            (fun p -> Printf.sprintf "[chance %s] == 1 || $t == \"%s\"" p lit)
+            (oneofl [ "0.2"; "0.6" ]);
+          map (Printf.sprintf "$n > %s") num;
+          map (Printf.sprintf "$n %% %s == 0") (oneofl [ "2"; "3" ]);
+          map (Printf.sprintf "$n+1 > %s") num;
+          map (Printf.sprintf "-$n < %s") num;
+          return "![info exists seen]";
+          (* substitutions glued to their neighbours re-parse the text *)
+          return (Printf.sprintf "\"$t\" == \"%s\"" lit);
+          return "${n}0 > 20";
+          return "$n.5 > 2";
+          return "$n$n > 11";
+          return "$t + 1 > 0";
+          return "$n > 1 ? [chance 0.5] : 0" ]
+    in
+    let verdict =
+      oneofl
+        [ "xDrop cur_msg"; "xDelay cur_msg 0.5"; "xDup cur_msg"; ""; "note $t";
+          "note [expr {$n * 2}]"; "bump 2"; "set seen 1" ]
+    in
+    let rec stmt depth =
+      if depth = 0 then verdict
+      else
+        let sub = stmts (depth - 1) in
+        frequency
+          [ (3, verdict);
+            (3, map2 (Printf.sprintf "if {%s} {\n%s\n}") cond sub);
+            ( 2,
+              map3
+                (fun (c1, b1) (c2, b2) b3 ->
+                  Printf.sprintf "if {%s} {\n%s\n} elseif {%s} {\n%s\n} else {\n%s\n}"
+                    c1 b1 c2 b2 b3)
+                (pair cond sub) (pair cond sub) sub );
+            ( 1,
+              map2
+                (fun k body ->
+                  Printf.sprintf
+                    "set i%d 0\nwhile {$i%d < %d} {\nincr i%d\nif {$i%d == 2} continue\n%s\n}"
+                    depth depth k depth depth body)
+                (int_bound 3) sub );
+            ( 1,
+              map2
+                (fun k body ->
+                  Printf.sprintf
+                    "for {set j%d 0} {$j%d < %d} {incr j%d} {\n%s\nif {$j%d > 1} break\n}"
+                    depth depth k depth body depth)
+                (int_bound 4) sub );
+            ( 1,
+              map2
+                (fun list body -> Printf.sprintf "foreach v%d {%s} {\n%s\n}" depth list body)
+                (oneofl [ ""; "a"; "a {b c} d" ]) sub );
+            (1, map (Printf.sprintf "catch {\n%s\nerror boom\n} err") sub);
+            (1, return "error \"filter failed\"") ]
+    and stmts depth =
+      map (String.concat "\n") (list_size (int_range 1 3) (stmt depth))
+    in
+    map
+      (Printf.sprintf
+         "proc bump {k} { global total; incr total $k }\n\
+          set t [msg_type cur_msg]\n\
+          if {![info exists n]} { set n 0 }\n\
+          incr n\n\
+          %s")
+      (stmts 2))
 
-let guard_filter lit body =
-  Printf.sprintf "if {[msg_type cur_msg] == \"%s\"} {%s}" lit body
+let differential_case_gen =
+  QCheck.Gen.(
+    type_lit_gen >>= fun lit ->
+    filter_gen lit >>= fun filter ->
+    list_size (int_range 1 8) (type_gen lit) >>= fun types ->
+    return (filter, types))
 
-(* push one message per type through a send filter; the stub's
-   [msg_type] is the payload itself *)
-let guard_run filter types =
-  let open Pfi_engine in
-  let open Pfi_stack in
-  let module P = Pfi_core.Pfi_layer in
-  let sim = Sim.create ~seed:1L () in
-  let stub = { Pfi_core.Stubs.raw with Pfi_core.Stubs.msg_type = Message.to_string } in
-  let pfi = P.create ~sim ~node:"n" ~stub () in
-  let delivered = ref [] in
-  let sink =
-    Layer.create ~name:"sink" ~node:"n"
-      { on_push =
-          (fun _ m -> delivered := (Sim.now sim, Message.to_string m) :: !delivered);
-        on_pop = (fun _ _ -> ()) }
+(* Runs [filter] once per message type in a fresh interpreter whose host
+   commands stand in for the PFI layer: [msg_type] answers the type,
+   verdicts and [note]s are logged per message, and [chance] draws from
+   a generator seeded alike for both runs.  The first error ends the run,
+   as it ends a trial. *)
+let differential_run run types =
+  let open Pfi_script in
+  let t = Script.create () in
+  let log = ref [] and draws = ref [] and cur = ref "" in
+  let rng = Random.State.make [| 7 |] in
+  let record what _ args = log := (!cur, what, args) :: !log; "" in
+  Interp.register t "msg_type" (fun _ _ -> !cur);
+  List.iter
+    (fun v -> Interp.register t v (record v))
+    [ "xDrop"; "xDelay"; "xDup"; "note" ];
+  Interp.register t "chance" (fun _ args ->
+      let p = float_of_string (List.hd args) in
+      let hit = Random.State.float rng 1.0 < p in
+      draws := hit :: !draws;
+      if hit then "1" else "0");
+  let error =
+    match List.iter (fun ty -> cur := ty; ignore (run t)) types with
+    | () -> None
+    | exception Interp.Script_error msg -> Some msg
   in
-  Layer.link ~upper:(P.layer pfi) ~lower:sink;
-  P.set_send_filter pfi filter;
-  match
-    List.iter (fun ty -> Layer.push (P.layer pfi) (Message.of_string ty)) types;
-    Sim.run sim
-  with
-  | () ->
-    let s = P.send_stats pfi in
-    Ok (List.rev !delivered, s.P.passed, s.P.dropped, s.P.delayed, s.P.duplicated)
-  | exception e -> Error (Printexc.to_string e)
+  let globals =
+    List.map (fun v -> (v, Interp.get_global t v))
+      [ "t"; "n"; "i1"; "i2"; "j1"; "j2"; "v1"; "v2"; "total"; "seen"; "err" ]
+  in
+  (List.rev !log, List.rev !draws, error, globals)
 
-let prop_guard_matches_interpreter =
-  QCheck.Test.make ~name:"guard-skipped filter matches the interpreted filter"
-    ~count:500
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~name:"compiled filters match the reference evaluator"
+    ~count:500 ~long_factor:20
     (QCheck.make
-       ~print:(fun (lit, body, types) ->
-         Printf.sprintf "filter=%s types=[%s]" (guard_filter lit body)
+       ~print:(fun (filter, types) ->
+         Printf.sprintf "filter=\n%s\ntypes=[%s]" filter
            (String.concat "; " (List.map String.escaped types)))
-       guard_case_gen)
-    (fun (lit, body, types) ->
-      let filter = guard_filter lit body in
+       differential_case_gen)
+    (fun (filter, types) ->
       let compiled = Pfi_script.Interp.compile filter in
-      let interpreted = "set _g 0\n" ^ filter in
-      Pfi_script.Guard.analyze compiled <> None
-      && Pfi_script.Guard.analyze (Pfi_script.Interp.compile interpreted) = None
-      && guard_run filter types = guard_run interpreted types)
+      differential_run (fun t -> Pfi_script.Interp.eval_compiled t compiled) types
+      = differential_run (fun t -> Interp_reference.eval t filter) types)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle monitors: online, stored and reference evaluation agree      *)
@@ -900,7 +982,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_trace_clear_reuse;
     QCheck_alcotest.to_alcotest prop_encoders_match_reference;
     QCheck_alcotest.to_alcotest prop_decoders_match_reference;
-    QCheck_alcotest.to_alcotest prop_guard_matches_interpreter;
+    QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
     QCheck_alcotest.to_alcotest prop_monitors_match_reference;
     QCheck_alcotest.to_alcotest prop_readers_total_on_mutations;
   ]

@@ -50,16 +50,23 @@ let test_parse_error_locations () =
   check_parse_error_location "line counting" ~line:4 ~excerpt:"unclosed"
     "set a 1\nset b 2\nset c 3\nputs \"unclosed"
 
+(* a word without substitution parses to a constant holding its text *)
 let test_parse_words () =
-  Alcotest.(check (list string)) "plain words"
-    [ "set"; "x"; "42" ]
-    (Parser.parse_command_words "set x 42");
+  let words src =
+    match Parser.parse src with
+    | [ command ] ->
+      List.map
+        (function Ast.Const b -> b.Ast.text | Ast.Tokens _ -> Alcotest.fail "substitution")
+        command
+    | _ -> Alcotest.fail "expected one command"
+  in
+  Alcotest.(check (list string)) "plain words" [ "set"; "x"; "42" ] (words "set x 42");
   Alcotest.(check (list string)) "braced word"
     [ "if"; "$x == 1"; "puts hi" ]
-    (Parser.parse_command_words "if {$x == 1} {puts hi}");
+    (words "if {$x == 1} {puts hi}");
   Alcotest.(check (list string)) "quoted word"
     [ "puts"; "hello world" ]
-    (Parser.parse_command_words {|puts "hello world"|})
+    (words {|puts "hello world"|})
 
 let test_parse_commands () =
   Alcotest.(check int) "newline separated" 2 (List.length (Parser.parse "set a 1\nset b 2"));
@@ -70,7 +77,7 @@ let test_parse_commands () =
 
 let test_parse_nested_braces () =
   match Parser.parse "proc f {x} { if {$x} { puts a } }" with
-  | [ [ _; _; _; Ast.Braced body ] ] ->
+  | [ [ _; _; _; Ast.Const { text = body; _ } ] ] ->
     Alcotest.(check string) "nested braces kept verbatim" " if {$x} { puts a } " body
   | _ -> Alcotest.fail "unexpected parse shape"
 
@@ -93,7 +100,7 @@ let test_backslash_continuation () =
 (* ------------------------------------------------------------------ *)
 
 let check_expr msg expected src =
-  Alcotest.(check string) msg expected (Expr.eval_to_string src)
+  Alcotest.(check string) msg expected (Expr.to_string (Expr.eval src))
 
 let test_expr_arith () =
   check_expr "add" "3" "1 + 2";
@@ -164,7 +171,7 @@ let prop_expr_matches_reference =
           let q = if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q in
           (Printf.sprintf "%d / %d" a b, q)
       in
-      Expr.eval_to_string src = string_of_int expected)
+      Expr.to_string (Expr.eval src) = string_of_int expected)
 
 (* ------------------------------------------------------------------ *)
 (* Tcl_list                                                           *)
@@ -411,6 +418,116 @@ if {$type == $ACK} {
   Alcotest.(check bool) "ACK dropped" true !dropped;
   Alcotest.(check string) "banner printed" "receive filter: " out
 
+(* ------------------------------------------------------------------ *)
+(* Differential corpus recorded from tclsh 8.6                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [tcl/corpus.jsonl] holds each case's script with the output and the
+   result (or error) tclsh 8.6 gave it; [tcl/gen_corpus.tcl] records it.
+   The subset must print the same and return the same, or raise
+   [Script_error] where Tcl failed.  A case marked as a divergence pins
+   the subset's current answer instead of Tcl's. *)
+let test_tcl_corpus () =
+  let module Json = Pfi_testgen.Repro.Json in
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "tcl/corpus.jsonl"
+  in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let field case name = Option.bind (Json.member name case) Json.to_str in
+  let get case name = Option.get (field case name) in
+  let run script =
+    let interp = Script.create () in
+    let buf = Buffer.create 64 in
+    Interp.set_output interp (Buffer.add_string buf);
+    let outcome =
+      match Interp.eval interp script with
+      | v -> Ok v
+      | exception Interp.Script_error _ -> Error ()
+    in
+    (Buffer.contents buf, outcome)
+  in
+  let failures =
+    List.filter_map
+      (fun line ->
+        let case = Result.get_ok (Json.parse line) in
+        let expected =
+          match Json.member "divergence" case with
+          | None ->
+            ( get case "output",
+              match field case "result" with Some r -> Ok r | None -> Error () )
+          | Some _ ->
+            ( Option.value (field case "subset_output") ~default:(get case "output"),
+              match field case "subset_result" with
+              | Some r -> Ok r
+              | None -> Error () )
+        in
+        let got = run (get case "script") in
+        if got = expected then None
+        else
+          let show (out, outcome) =
+            Printf.sprintf "output %S, %s" out
+              (match outcome with Ok r -> Printf.sprintf "result %S" r | Error () -> "error")
+          in
+          Some
+            (Printf.sprintf "%s: expected %s, got %s" (get case "id")
+               (show expected) (show got)))
+      lines
+  in
+  Alcotest.(check int) "corpus cases" 293 (List.length lines);
+  Alcotest.(check (list string)) "cases disagreeing with the corpus" [] failures
+
+(* A compiled script parses each nested part at most once, however many
+   interpreters run it and however often.  The filter below has seven
+   nested scripts: [msg_type cur_msg], [chance 0.5] (inside an [expr]),
+   [expr {$n + 1}], and the bodies of the outer [if], its [elseif], the
+   inner [if] and the inner [else].  Its [expr] arguments are tokenized,
+   never parsed as scripts. *)
+let test_nested_parts_parse_once () =
+  let compiled =
+    Interp.compile
+      {|set t [msg_type cur_msg]
+if {$t == "ACK"} {
+  if {[chance 0.5] == 1} { xDrop cur_msg } else { set x [expr {$n + 1}] }
+} elseif {$t == "MSG"} { incr n }|}
+  in
+  let before = Parser.parse_count () in
+  for interp = 1 to 2 do
+    let t = Script.create () in
+    let msgs = ref 0 and draws = ref 0 in
+    Interp.register t "msg_type" (fun _ _ ->
+        incr msgs;
+        [| "ACK"; "MSG"; "NAK" |].(!msgs mod 3));
+    Interp.register t "chance" (fun _ _ -> incr draws; string_of_int (!draws mod 2));
+    Interp.register t "xDrop" (fun _ _ -> "");
+    Interp.set_global t "n" "0";
+    for _ = 1 to 100 do ignore (Interp.eval_compiled t compiled) done;
+    Alcotest.(check bool)
+      (Printf.sprintf "interpreter %d ran every branch" interp)
+      true
+      (Interp.get_global t "x" <> None && Interp.get_global t "n" <> Some "0")
+  done;
+  let parses = Parser.parse_count () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d parses for 7 nested parts" parses)
+    true (parses <= 7)
+
+(* Names resolve on every call: a host command registered over [if]
+   replaces the stock one, even in code whose [if] bodies are already
+   compiled. *)
+let test_register_over_if () =
+  let t = Script.create () in
+  let compiled = Interp.compile "if {1} {set x stock}" in
+  Alcotest.(check string) "stock if" "stock" (Interp.eval_compiled t compiled);
+  Interp.register t "if" (fun _ args -> "host: " ^ String.concat "|" args);
+  Alcotest.(check string) "host if runs" "host: 1|set x stock"
+    (Interp.eval_compiled t compiled);
+  Alcotest.(check string) "host if runs in fresh code" "host: 0|set x 2"
+    (Script.eval t "if {0} {set x 2}")
+
 let suite =
   [
     Alcotest.test_case "parse words" `Quick test_parse_words;
@@ -453,4 +570,9 @@ let suite =
     Alcotest.test_case "paper example script runs" `Quick test_paper_example_script;
     Alcotest.test_case "parse errors name line and excerpt" `Quick
       test_parse_error_locations;
+    Alcotest.test_case "tclsh 8.6 corpus agrees" `Quick test_tcl_corpus;
+    Alcotest.test_case "nested parts parse once per compiled script" `Quick
+      test_nested_parts_parse_once;
+    Alcotest.test_case "a command registered over if runs" `Quick
+      test_register_over_if;
   ]
