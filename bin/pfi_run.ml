@@ -940,17 +940,26 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
    | None -> ()
    | Some path ->
      let oc = open_trace_out path in
+     (* findings keep no trace: each finding's trial runs once more *)
      List.iteri
        (fun i (fd : Fuzz.finding) ->
-         match fd.Fuzz.fd_trace with
-         | Some trace ->
-           Pfi_engine.Trace.output_jsonl
-             ~extra:
-               [ ("fuzz", H.name);
-                 ("finding", fd.Fuzz.fd_signature);
-                 ("sim", string_of_int i) ]
-             oc trace
-         | None -> ())
+         let tr = Fuzz.finding_trial fd in
+         let rerun =
+           Campaign.run_trial
+             (module H : Harness_intf.HARNESS)
+             ~side:tr.Campaign.t_side ~horizon:fd.Fuzz.fd_horizon
+             ~seed:tr.Campaign.t_seed ~capture_trace:true
+             ~compiled:tr.Campaign.t_script ?arm:tr.Campaign.t_arm
+             tr.Campaign.t_fault
+         in
+         Option.iter
+           (Pfi_engine.Trace.output_jsonl
+              ~extra:
+                [ ("fuzz", H.name);
+                  ("finding", fd.Fuzz.fd_signature);
+                  ("sim", string_of_int i) ]
+              oc)
+           rerun.Campaign.trace)
        res.Fuzz.r_findings;
      close_out oc);
   match corpus_dir with

@@ -465,7 +465,7 @@ let run_script t dir msg =
      | exception e ->
        finish ();
        (match e with
-        | Interp.Script_error msg ->
+        | Interp.Script_error msg | Parser.Parse_error msg ->
           failwith
             (Printf.sprintf "PFI %s/%s filter script error: %s" t.node_name
                (dir_name dir) msg)

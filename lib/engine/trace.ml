@@ -163,6 +163,14 @@ let count ?node ~tag t =
       (fun _ p n -> if String.equal p.p_tag tag then n + p.p_count else n)
       t.pairs 0
 
+(* a cleared trace keeps its pair records at count 0: those are pairs
+   it has not recorded *)
+let fold_pairs f t init =
+  Hashtbl.fold
+    (fun _ p acc ->
+      if p.p_count = 0 then acc else f ~node:p.p_node ~tag:p.p_tag p.p_count acc)
+    t.pairs init
+
 (* guards every query that reads entries back: a counting trace has
    none to give, and answering "no entries" would be a lie *)
 let stored t what =

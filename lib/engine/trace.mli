@@ -91,6 +91,11 @@ val count : ?node:string -> tag:string -> t -> int
 (** Entries recorded with [tag] (and [node]): a sum of per-pair counts.
     Answered by both kinds. *)
 
+val fold_pairs : (node:string -> tag:string -> int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Folds over every [(node, tag)] pair recorded since the last
+    {!clear}, with its count, in no specified order.  Answered by both
+    kinds. *)
+
 val entries : t -> entry list
 (** In recording order. *)
 

@@ -169,7 +169,7 @@ let cmd_catch t = function
     in
     (match eval_body t script with
      | result -> store result; "0"
-     | exception Script_error msg -> store msg; "1"
+     | exception (Script_error msg | Parser.Parse_error msg) -> store msg; "1"
      | exception Return_exn v -> store v; "2"
      | exception Break_exn -> store ""; "3"
      | exception Continue_exn -> store ""; "4")

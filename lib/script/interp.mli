@@ -13,7 +13,9 @@ type t
 exception Script_error of string
 (** A runtime script error (unknown command, unset variable, arity
     mismatch, [error] command).  Catchable from script code via
-    [catch]. *)
+    [catch], which also traps a {!Parser.Parse_error} raised while the
+    script it guards runs (a dynamic [eval] of malformed text, a
+    malformed list). *)
 
 val create : unit -> t
 (** [puts] prints to [stdout] until {!set_output} swaps the sink.  The

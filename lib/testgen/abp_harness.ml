@@ -80,24 +80,12 @@ let harness ?(message_count = 20) ?(bug_ignore_ack_bit = false) () :
        A healthy run reads 0,1,0,1,...; a stuck bit (the implanted
        ignore-ack-bit bug under duplication) shows up as a short
        trajectory that stops alternating. *)
-    let state_of_trace trace =
-      let bit_of e =
-        let d = Trace.detail e in
-        match String.index_opt d '=' with
-        | Some i when i + 1 < String.length d ->
-          Some (Printf.sprintf "send-bit=%c" d.[i + 1])
-        | _ -> None
-      in
-      let labels =
-        List.fold_left
-          (fun acc e ->
-            match bit_of e with
-            | Some label when (match acc with
-                               | prev :: _ -> not (String.equal prev label)
-                               | [] -> true) -> label :: acc
-            | _ -> acc)
-          []
-          (Trace.find ~tag:"abp.out" trace)
-      in
-      List.rev labels
+    let state_tags = [ "abp.out" ]
+
+    let state_label e =
+      let d = Trace.detail e in
+      match String.index_opt d '=' with
+      | Some i when i + 1 < String.length d ->
+        Some (Printf.sprintf "send-bit=%c" d.[i + 1])
+      | _ -> None
   end)

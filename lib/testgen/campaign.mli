@@ -21,10 +21,11 @@
     domain pool) with byte-identical results: outcomes always come
     back in canonical {!plan} order, whatever the worker count.
 
-    There is one entrypoint: build a {!plan} (either the stock
-    generated fault set via {!plan}, or an explicit trial list via
-    {!plan_of_trials} — the fuzzer's path), choose what to observe
-    with an {!observer}, and {!run} it. *)
+    There is one entrypoint for a whole campaign: build a {!plan}
+    (either the stock generated fault set via {!plan}, or an explicit
+    trial list via {!plan_of_trials}), choose what to observe with an
+    {!observer}, and {!run} it.  The fuzzer and the shrinker run their
+    trials one by one through {!run_trial}. *)
 
 open Pfi_engine
 
@@ -142,10 +143,8 @@ val plan :
 val plan_of_trials :
   ?seed:int64 -> ?horizon:Vtime.t -> trials:trial list ->
   Harness_intf.packed -> plan
-(** A plan over an explicit trial list — the fuzzer's entrypoint
-    (mutated inputs are not the stock fault set).  It runs no control
-    trial: callers evaluating many small batches against one harness
-    don't want a control trial per batch. *)
+(** A plan over an explicit trial list, such as a fuzz corpus (mutated
+    inputs are not the stock fault set).  It runs no control trial. *)
 
 val trial :
   ?arm:(Sim.t -> Pfi_core.Pfi_layer.t -> unit) ->

@@ -19,56 +19,44 @@ type features = int list (* sorted ascending, distinct *)
 let cardinality = List.length
 let feature_list fs = fs
 
-type scratch = {
-  cs_counts : (string, int ref) Hashtbl.t;
-  cs_seen : (string, unit) Hashtbl.t;
-}
+type scratch = { cs_seen : (string, unit) Hashtbl.t }
 
-let scratch () = { cs_counts = Hashtbl.create 64; cs_seen = Hashtbl.create 16 }
+let scratch () = { cs_seen = Hashtbl.create 16 }
 
 let features_of_trace ?scratch:sc ?(states = []) trace =
-  let strings = ref [] in
-  let add s = strings := s :: !strings in
-  (* (node, tag) presence and hit-count classes.  [Hashtbl.clear] (not
-     [reset]) keeps the grown bucket arrays, which is the point of the
-     scratch: the fuzzer extracts features from thousands of similar
-     traces on one domain. *)
-  let counts, seen_state =
+  (* (node, tag) presence and hit-count classes, straight from the
+     trace's per-pair counts: no entry is read *)
+  let strings =
+    Trace.fold_pairs
+      (fun ~node ~tag n acc ->
+        let key = node ^ "\x00" ^ tag in
+        ("nt:" ^ key) :: Printf.sprintf "hc:%s:%d" key (hit_class n) :: acc)
+      trace []
+  in
+  (* protocol-state labels and consecutive transitions.  [Hashtbl.clear]
+     (not [reset]) keeps a scratch's grown bucket array. *)
+  let seen_state =
     match sc with
     | Some s ->
-        Hashtbl.clear s.cs_counts;
         Hashtbl.clear s.cs_seen;
-        (s.cs_counts, s.cs_seen)
-    | None -> (Hashtbl.create 64, Hashtbl.create 16)
+        s.cs_seen
+    | None -> Hashtbl.create 16
   in
-  Trace.iteri
-    (fun _ (e : Trace.entry) ->
-      let key = e.node ^ "\x00" ^ e.tag in
-      match Hashtbl.find_opt counts key with
-      | Some r -> incr r
-      | None ->
-          Hashtbl.add counts key (ref 1);
-          add ("nt:" ^ key))
-    trace;
-  Hashtbl.iter
-    (fun key r -> add (Printf.sprintf "hc:%s:%d" key (hit_class !r)))
-    counts;
-  (* protocol-state labels and consecutive transitions *)
-  List.iter
-    (fun lbl ->
-      if not (Hashtbl.mem seen_state lbl) then begin
-        Hashtbl.add seen_state lbl ();
-        add ("st:" ^ lbl)
-      end)
-    states;
-  let rec transitions = function
-    | a :: (b :: _ as rest) ->
-        add ("tr:" ^ a ^ "=>" ^ b);
-        transitions rest
-    | _ -> ()
+  let strings =
+    List.fold_left
+      (fun acc lbl ->
+        if Hashtbl.mem seen_state lbl then acc
+        else begin
+          Hashtbl.add seen_state lbl ();
+          ("st:" ^ lbl) :: acc
+        end)
+      strings states
   in
-  transitions states;
-  List.sort_uniq compare (List.rev_map bucket_of_string !strings)
+  let rec transitions acc = function
+    | a :: (b :: _ as rest) -> transitions (("tr:" ^ a ^ "=>" ^ b) :: acc) rest
+    | _ -> acc
+  in
+  List.sort_uniq compare (List.rev_map bucket_of_string (transitions strings states))
 
 type t = Bytes.t
 

@@ -1,10 +1,12 @@
-(** Coverage signal for fault fuzzing, extracted from recorded traces.
+(** Coverage signal for fault fuzzing, read off a trial's trace.
 
     A fuzzer needs to know whether a mutated fault script made the
     system do {e something new}.  For protocol implementations the
     paper's traces already carry that signal: which (node, tag) event
-    classes fired and how often, which protocol-state transitions the
-    harness extractor saw ({!Harness_intf.HARNESS.state_of_trace}).
+    classes fired and how often — the per-pair counts every trace
+    keeps, counting ones included ({!Trace.fold_pairs}) — and which
+    protocol-state transitions the harness's labeler saw
+    ({!Harness_intf.HARNESS.state_label}, fed live or replayed).
     This module hashes those observations into a compact feature set
     (AFL-style: 2{^16} buckets, hit counts folded into log₂ classes)
     and accumulates them in a persistent corpus-wide bitmap, so "did
@@ -22,12 +24,10 @@ type features
 (** The deduplicated feature-bucket set of one trace. *)
 
 type scratch
-(** Reusable working tables for {!features_of_trace}: the extraction
-    needs a hit-count table and a seen-label set per call, and a fuzz
-    run extracts features from thousands of traces on one domain, so
-    passing one scratch keeps the (grown) tables instead of
-    re-allocating them.  Cleared on entry; the result is identical
-    with or without one.  Not shareable between domains. *)
+(** A reusable seen-label set for {!features_of_trace}, so extracting
+    features from many traces on one domain keeps its (grown) table
+    instead of re-allocating it.  Cleared on entry; the result is
+    identical with or without one.  Not shareable between domains. *)
 
 val scratch : unit -> scratch
 
@@ -39,11 +39,12 @@ val features_of_trace :
     - one per (node, tag, log₂-bucketed hit count) — so an input that
       makes a known event class fire 10× more often still counts as
       new behaviour;
-    - from [states] (the harness state extractor's labels): one per
+    - from [states] (the harness's state trajectory): one per
       distinct label and one per consecutive label pair (the
       protocol-state {e transitions}).
 
-    The trace must be a storing one. *)
+    The first two come from the trace's per-pair counts, so a counting
+    trace serves as well as a storing one: no entry is read. *)
 
 val cardinality : features -> int
 (** Distinct buckets in the set. *)

@@ -207,7 +207,6 @@ type finding = {
   fd_minimized : bool;
   fd_shrink_trials : int;
   fd_injected_events : int;
-  fd_trace : Trace.t option;
 }
 
 let finding_json ~harness fd =
@@ -266,7 +265,8 @@ type result = {
   r_findings : finding list;
 }
 
-let to_trial ~fuzz_seed input =
+(* the trial an input runs as, with the given per-trial seed *)
+let trial_of ~seed input =
   let source =
     String.concat "\n" (List.map Generator.script_of_fault input.in_faults)
   in
@@ -280,9 +280,37 @@ let to_trial ~fuzz_seed input =
                Pfi_core.Pfi_layer.clear_receive_filter pfi)))
       input.in_clear
   in
-  Campaign.trial ?arm ~script:compiled ~seed:(trial_seed ~fuzz_seed input)
-    ~side:input.in_side
+  Campaign.trial ?arm ~script:compiled ~seed ~side:input.in_side
     (List.hd input.in_faults)
+
+let trial ~fuzz_seed input = trial_of ~seed:(trial_seed ~fuzz_seed input) input
+
+(* every fuzz trial runs to the harness's default horizon *)
+let run_trial h (tr : Campaign.trial) =
+  Campaign.run_trial h ~side:tr.Campaign.t_side
+    ~horizon:(Harness_intf.default_horizon h) ~seed:tr.Campaign.t_seed
+    ~compiled:tr.Campaign.t_script ?arm:tr.Campaign.t_arm tr.Campaign.t_fault
+
+(* The features are read off the arena's counting trace as soon as the
+   run returns, before this domain's arena serves its next trial. *)
+let execute h (tr : Campaign.trial) =
+  let fed = ref None in
+  let arm sim pfi =
+    let trace = Sim.trace sim in
+    fed := Some (trace, Harness_intf.attach_states h trace);
+    Option.iter (fun arm -> arm sim pfi) tr.Campaign.t_arm
+  in
+  let outcome = run_trial h { tr with Campaign.t_arm = Some arm } in
+  match !fed with
+  | Some (trace, states) ->
+      (outcome, Coverage.features_of_trace ~states:(states ()) trace)
+  | None -> assert false (* run_trial always arms *)
+
+let finding_trial fd =
+  trial_of ~seed:fd.fd_seed
+    (if fd.fd_minimized then
+       { in_side = fd.fd_side; in_faults = [ fd.fd_fault ]; in_clear = None }
+     else fd.fd_input)
 
 (* candidates per generation: part of input identity derivation, not
    of scheduling, so the executor width never changes a result *)
@@ -295,18 +323,15 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
     ?(budget = default_budget) (module H : Harness_intf.HARNESS) =
   let horizon = H.default_horizon in
   let spec = H.spec and target = H.target in
+  let h = (module H : Harness_intf.HARNESS) in
   let bitmap = Coverage.create () in
-  (* feature extraction runs on the calling domain only ([process] is
-     sequential), so one scratch serves the whole run *)
-  let cov_scratch = Coverage.scratch () in
   let seen = Hashtbl.create 256 in (* canonical text of every scheduled input *)
   let presigs = Hashtbl.create 16 in (* raw-input signatures already reduced *)
   let sigs = Hashtbl.create 16 in (* minimized signatures already reported *)
   let corpus = ref [] and corpus_n = ref 0 in
   let findings = ref [] in
   let execs = ref 0 and shrink_execs = ref 0 in
-  let observe = Campaign.observe ~traces:true () in
-  let run_state (st : Shrink.state) ~capture_trace =
+  let run_state (st : Shrink.state) =
     (* The horizon is frozen at the harness default: the oracles are
        calibrated to it, and under a halved horizon even a correct
        implementation misses its delivery target, so every
@@ -322,27 +347,17 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
         Campaign.trace = None }
     else begin
       incr shrink_execs;
-      Campaign.run_trial
-        (module H)
-        ~side:st.Shrink.side ~horizon:st.Shrink.horizon
+      Campaign.run_trial h ~side:st.Shrink.side ~horizon:st.Shrink.horizon
         ~seed:
           (Campaign.trial_seed ~campaign_seed:seed ~side:st.Shrink.side
              st.Shrink.fault)
-        ~capture_trace st.Shrink.fault
+        st.Shrink.fault
     end
   in
   (* re-run one (possibly multi-fault) input on the calling domain *)
-  let run_input input ~capture_trace =
+  let run_input input =
     incr shrink_execs;
-    let plan =
-      Campaign.plan_of_trials ~seed ~horizon
-        ~trials:[ to_trial ~fuzz_seed:seed input ]
-        (module H)
-    in
-    let obs = if capture_trace then observe else Campaign.silent in
-    match (Campaign.run ~observe:obs plan).Campaign.s_outcomes with
-    | [ o ] -> o
-    | _ -> assert false
+    run_trial h (trial ~fuzz_seed:seed input)
   in
   (* Reduction: strip the clear window, greedily drop faults from the
      set while the violation persists, then — if a single fault remains
@@ -355,7 +370,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
     let set_trials = ref 0 in
     let violates inp =
       incr set_trials;
-      match (run_input inp ~capture_trace:false).Campaign.verdict with
+      match (run_input inp).Campaign.verdict with
       | Campaign.Violation r -> Some r
       | Campaign.Tolerated -> None
     in
@@ -387,7 +402,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
     in
     let input, reason = drop_one input reason in
     let set_finding () =
-      let final = run_input input ~capture_trace:true in
+      let final = run_input input in
       let fd_reason =
         match final.Campaign.verdict with
         | Campaign.Violation r -> r
@@ -405,8 +420,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
         fd_reason;
         fd_minimized = false;
         fd_shrink_trials = !set_trials;
-        fd_injected_events = final.Campaign.injected_events;
-        fd_trace = final.Campaign.trace }
+        fd_injected_events = final.Campaign.injected_events }
     in
     (* the Shrink descent replays through the stock single-fault trial
        machinery (Campaign.trial_seed), so re-probe the surviving fault
@@ -415,7 +429,7 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
       match input.in_faults with
       | [ f ] when input.in_clear = None -> (
           let st = { Shrink.fault = f; side = input.in_side; horizon } in
-          match (run_state st ~capture_trace:false).Campaign.verdict with
+          match (run_state st).Campaign.verdict with
           | Campaign.Violation r -> Some (st, r)
           | Campaign.Tolerated -> None)
       | _ -> None
@@ -425,15 +439,13 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
     | Some (st0, r0) ->
         let st_min, r_min, trials =
           match
-            Shrink.minimize ~max_trials:shrink_budget ~spec
-              ~run:(run_state ~capture_trace:false)
-              st0
+            Shrink.minimize ~max_trials:shrink_budget ~spec ~run:run_state st0
           with
           | Ok rep ->
               (rep.Shrink.minimized, rep.Shrink.final_reason, rep.Shrink.trials)
           | Error _ -> (st0, r0, 0)
         in
-        let final = run_state st_min ~capture_trace:true in
+        let final = run_state st_min in
         let fd_reason =
           match final.Campaign.verdict with
           | Campaign.Violation r -> r
@@ -451,20 +463,10 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
           fd_reason;
           fd_minimized = true;
           fd_shrink_trials = !set_trials + trials;
-          fd_injected_events = final.Campaign.injected_events;
-          fd_trace = final.Campaign.trace }
+          fd_injected_events = final.Campaign.injected_events }
   in
-  let process input (outcome : Campaign.outcome) =
+  let process input ((outcome : Campaign.outcome), feats) =
     incr execs;
-    let trace =
-      match outcome.Campaign.trace with
-      | Some t -> t
-      | None -> Trace.create () (* unreachable: observer asks for traces *)
-    in
-    let feats =
-      Coverage.features_of_trace ~scratch:cov_scratch
-        ~states:(H.state_of_trace trace) trace
-    in
     if Coverage.merge bitmap feats > 0 then begin
       corpus := input :: !corpus;
       incr corpus_n
@@ -485,10 +487,8 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
         end
   in
   let eval_batch inputs =
-    let trials = List.map (to_trial ~fuzz_seed:seed) inputs in
-    let plan = Campaign.plan_of_trials ~seed ~horizon ~trials (module H) in
-    let outcomes = (Campaign.run ~executor ~observe plan).Campaign.s_outcomes in
-    List.iter2 process inputs outcomes
+    let trials = List.map (trial ~fuzz_seed:seed) inputs in
+    List.iter2 process inputs (Executor.map executor (execute h) trials)
   in
   let schedule input =
     let key = canonical input in

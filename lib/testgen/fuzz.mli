@@ -61,6 +61,26 @@ val mutate :
     from a random corpus donor (capped at {!max_faults}), fault drop,
     or clear-window jitter. *)
 
+(** {1 Executions} *)
+
+val trial : fuzz_seed:int64 -> input -> Campaign.trial
+(** The campaign trial an input runs as: its faults' filters
+    concatenated on its side, a filter-clearing arming hook at its
+    window end, and the seed {!Campaign.trial_seed_of_key} derives from
+    {!input_key}. *)
+
+val execute :
+  Harness_intf.packed -> Campaign.trial -> Campaign.outcome * Coverage.features
+(** One fuzz execution, as a batch runs it on an executor worker: the
+    trial, at the harness's default horizon, on this domain's arena (a
+    counting trace), with the harness's state feed
+    ({!Harness_intf.attach_states}) attached by a wrapper around its
+    arming hook — after build, before the workload.  Its features are
+    read off the trace's pair counts and that feed as soon as the run
+    returns.  They equal {!Coverage.features_of_trace} of the same
+    trial captured, with [~states] from {!Harness_intf.state_of_trace},
+    because no harness records a state-tag entry during build. *)
+
 (** {1 Failure signatures} *)
 
 val signature_of :
@@ -91,7 +111,6 @@ type finding = {
           self-contained single-fault repro (shrunk, windowless) *)
   fd_shrink_trials : int;
   fd_injected_events : int;
-  fd_trace : Trace.t option;  (** the repro trial's trace *)
 }
 
 val finding_json : harness:string -> finding -> Repro.Json.t
@@ -104,6 +123,12 @@ val repro_of_finding :
 (** A replayable {!Repro} artifact for a minimized finding ([None] when
     [fd_minimized] is false: multi-fault windowed inputs are carried in
     the findings stream only). *)
+
+val finding_trial : finding -> Campaign.trial
+(** The trial a finding reports, run to [fd_horizon]: its minimized
+    single fault, or else its reduced input, window included, with
+    [fd_seed].  Findings keep no trace: [pfi_run fuzz --trace-out]
+    re-runs this trial with a storing trace to export one. *)
 
 (** {1 Running} *)
 
@@ -133,4 +158,11 @@ val run :
     the executor a fixed batch of 16 candidates — part of input
     identity derivation, not of scheduling, so changing [executor]
     never changes the result — and each finding's {!Shrink.minimize}
-    descent is capped at 150 re-runs. *)
+    descent is capped at 150 re-runs.
+
+    No trial keeps a trace.  A batch trial records into its worker's
+    arena counting trace with the harness's state feed
+    ({!Harness_intf.attach_states}) attached from its arming hook, and
+    the worker reads its {!Coverage} features off that trace as soon
+    as the run returns; reductions run on the calling domain, also on
+    its arena. *)

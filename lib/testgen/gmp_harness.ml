@@ -18,6 +18,22 @@ let trace_oracles =
   [ Oracle.Never (Oracle.pattern ~tag:"gmp.spurious-timeout" ());
     Oracle.Count (Oracle.pattern ~tag:"gmp.proclaim-fwd" (), Oracle.Le, 100) ]
 
+(* "gid=417 leader=1 ..." -> "gid=* leader=1 ...": the group id is a
+   fresh counter, so two otherwise-identical state trajectories must not
+   hash differently *)
+let normalise_gid d =
+  match String.index_opt d '=' with
+  | Some i when i >= 3 && String.sub d (i - 3) 3 = "gid" ->
+    let j = ref (i + 1) in
+    while
+      !j < String.length d
+      && (match d.[!j] with '0' .. '9' | '-' -> true | _ -> false)
+    do
+      incr j
+    done;
+    String.sub d 0 (i + 1) ^ "*" ^ String.sub d !j (String.length d - !j)
+  | _ -> d
+
 let default_horizon = Vtime.sec 450
 let fault_clear_at = Vtime.sec 300
 let default_seed = 57L
@@ -111,37 +127,8 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
        IN_TRANSITION entries.  Fuzz coverage distinguishes e.g. a run
        that re-formed the full group from one that fragmented into
        singletons. *)
-    let state_of_trace trace =
-      (* "gid=417 leader=1 ..." -> "gid=* leader=1 ...": the group id is
-         a fresh counter, so two otherwise-identical trajectories must
-         not hash differently *)
-      let normalise_gid d =
-        match String.index_opt d '=' with
-        | Some i when i >= 3 && String.sub d (i - 3) 3 = "gid" ->
-          let j = ref (i + 1) in
-          while
-            !j < String.length d
-            && (match d.[!j] with '0' .. '9' | '-' -> true | _ -> false)
-          do
-            incr j
-          done;
-          String.sub d 0 (i + 1) ^ "*"
-          ^ String.sub d !j (String.length d - !j)
-        | _ -> d
-      in
-      let labels =
-        List.fold_left
-          (fun acc (e : Trace.entry) ->
-            match e.tag with
-            | "gmp.view" | "gmp.transition" | "gmp.singleton" ->
-              let label =
-                e.node ^ ":" ^ e.tag ^ " " ^ normalise_gid (Trace.detail e)
-              in
-              (match acc with
-               | prev :: _ when String.equal prev label -> acc
-               | _ -> label :: acc)
-            | _ -> acc)
-          [] (Trace.entries trace)
-      in
-      List.rev labels
+    let state_tags = [ "gmp.view"; "gmp.transition"; "gmp.singleton" ]
+
+    let state_label (e : Trace.entry) =
+      Some (e.node ^ ":" ^ e.tag ^ " " ^ normalise_gid (Trace.detail e))
   end)

@@ -59,32 +59,57 @@ module type HARNESS = sig
       read the trace's {!Trace.length} and {!Trace.count} and the
       verdicts of monitors [build] attached, never stored entries. *)
 
-  val state_of_trace : Trace.t -> string list
-  (** The protocol-state trajectory a recorded trial trace witnessed,
-      as human-readable labels in occurrence order (e.g. TCP
-      ["SYN_SENT -> ESTABLISHED"], ABP send-bit alternations, GMP view
-      compositions).  Fuzz coverage hashes consecutive label pairs into
-      features; future vendor-matrix oracles read the same hook.
-      Harnesses without a natural protocol FSM can use
-      {!default_state_of_trace}.  Reads a storing trace. *)
+  val state_tags : string list
+  (** The trace tags whose entries {!state_label} labels. *)
+
+  val state_label : Trace.entry -> string option
+  (** The protocol-state label an entry with one of {!state_tags}
+      witnesses, if any: human-readable (e.g. a TCP
+      ["client:SYN_SENT -> ESTABLISHED"], an ABP send bit, a GMP view
+      composition).  The trial's state {e trajectory} is the sequence
+      of these labels in recording order, consecutive repeats
+      collapsed; fuzz coverage hashes its labels and consecutive pairs
+      into features.  It is read two ways: live, by a feed
+      ({!attach_states}) that the fuzzer attaches after [build] and
+      before the workload, or replayed over a storing trace
+      ({!state_of_trace}).  So [build] must record no entry with a
+      state tag: the live feed would miss it. *)
 end
 
 type packed = (module HARNESS)
 
-let default_state_of_trace trace =
-  (* generic fallback: the sequence of distinct "node:tag" steps, with
-     consecutive repeats collapsed so a burst of identical events is
-     one state visit rather than many *)
-  let labels =
-    List.fold_left
-      (fun acc (e : Trace.entry) ->
-        let label = e.node ^ ":" ^ e.tag in
-        match acc with
-        | prev :: _ when String.equal prev label -> acc
-        | _ -> label :: acc)
-      [] (Trace.entries trace)
+let rec mem_tag tag = function
+  | t :: rest -> String.equal t tag || mem_tag tag rest
+  | [] -> false
+
+(* The one trajectory rule both readers share: [feed] labels each
+   entry with a state tag, and a label equal to the previous one is the
+   same state visit, so a burst of identical events counts once. *)
+let trajectory (module H : HARNESS) =
+  let labels = ref [] in
+  let feed _ (e : Trace.entry) =
+    if mem_tag e.tag H.state_tags then
+      match (H.state_label e, !labels) with
+      | Some label, prev :: _ when String.equal prev label -> ()
+      | Some label, acc -> labels := label :: acc
+      | None, _ -> ()
   in
-  List.rev labels
+  (feed, fun () -> List.rev !labels)
+
+(** The state trajectory a storing trace recorded: {!HARNESS.state_label}
+    replayed over its entries. *)
+let state_of_trace h trace =
+  let feed, states = trajectory h in
+  Trace.iteri feed trace;
+  states ()
+
+(** Attaches a live state feed to [trace], of either kind, and returns
+    the reader of the trajectory it has seen so far.  Attached before
+    the workload starts, it sees what {!state_of_trace} would. *)
+let attach_states ((module H : HARNESS) as h) trace =
+  let feed, states = trajectory h in
+  Trace.attach trace ~tags:(Some H.state_tags) feed;
+  states
 
 let name (module H : HARNESS) = H.name
 let description (module H : HARNESS) = H.description
@@ -92,4 +117,3 @@ let spec (module H : HARNESS) = H.spec
 let target (module H : HARNESS) = H.target
 let default_horizon (module H : HARNESS) = H.default_horizon
 let default_seed (module H : HARNESS) = H.default_seed
-let state_of_trace (module H : HARNESS) trace = H.state_of_trace trace

@@ -151,28 +151,26 @@ let minimize ?(max_trials = 1000) ?(executor = Executor.sequential) ~spec ~run
     let steps = ref [] in
     (* One descent round: scan the ordered candidate list in batches of
        the executor's width, accepting the first candidate — in
-       candidate order, not completion order — that still violates.
-       With a sequential executor (width 1) this is exactly the classic
-       one-at-a-time greedy scan, trial count included; a parallel
-       executor evaluates whole batches, so it may spend a few more
-       trials than the sequential descent, but the accepted trajectory
-       is identical as long as the budget does not bind. *)
+       candidate order, not completion order — that still violates.  A
+       batch is charged only up to and including that candidate: what
+       the one-at-a-time scan would have run.  So the trial count, and
+       with it where the budget binds, is the same at every width. *)
     let rec scan cands =
       if !trials >= max_trials then None
       else
         match split_at (min executor.Executor.width (max_trials - !trials)) cands with
         | [], _ -> None
         | batch, rest ->
-          trials := !trials + List.length batch;
           let outcomes = Executor.map executor run batch in
-          let hit =
-            List.find_map
-              (fun (cand, (o : Campaign.outcome)) ->
-                match o.Campaign.verdict with
-                | Campaign.Violation r -> Some (cand, r)
-                | Campaign.Tolerated -> None)
-              (List.combine batch outcomes)
+          let rec first k = function
+            | [] -> (k, None)
+            | (cand, (o : Campaign.outcome)) :: more -> (
+              match o.Campaign.verdict with
+              | Campaign.Violation r -> (k + 1, Some (cand, r))
+              | Campaign.Tolerated -> first (k + 1) more)
           in
+          let charged, hit = first 0 (List.combine batch outcomes) in
+          trials := !trials + charged;
           (match hit with Some _ -> hit | None -> scan rest)
     in
     let rec go st reason =

@@ -56,7 +56,9 @@ type report = {
   final_reason : string;  (** oracle message of the minimized state *)
   initial_size : int;
   steps : step list;  (** accepted states, in order *)
-  trials : int;  (** re-runs spent, accepted or not *)
+  trials : int;
+      (** re-runs charged, accepted or not: the ones a sequential scan
+          makes *)
 }
 
 val minimize :
@@ -72,8 +74,8 @@ val minimize :
     [executor] (default {!Executor.sequential}) evaluates the
     independent candidates of each descent round in parallel, in
     batches of its width; acceptance always goes to the first violating
-    candidate in candidate order, so the accepted trajectory — and
-    hence the minimized state — is the same for any worker count
-    whenever the trial budget does not bind.  A parallel run may spend
-    more of the budget per round (it evaluates whole batches where the
-    sequential scan stops at the first violation). *)
+    candidate in candidate order, and a batch is charged only the
+    candidates up to and including it — the ones a sequential scan
+    would have run.  So the accepted trajectory, the minimized state
+    and [trials] are the same for any worker count, whether or not the
+    budget binds. *)

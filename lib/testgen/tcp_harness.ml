@@ -37,6 +37,13 @@ let default_seed = Campaign.default_seed
 let chunk i =
   String.init (1 + (i * 37) mod 180) (fun j -> Char.chr (97 + ((i + j) mod 26)))
 
+(* "port=N rest" -> "rest": state labels must not depend on the
+   ephemeral port *)
+let strip_port d =
+  match String.index_opt d ' ' with
+  | Some i -> String.sub d (i + 1) (String.length d - i - 1)
+  | None -> d
+
 let conn_exn env =
   match env.conn with
   | Some c -> c
@@ -161,29 +168,12 @@ let harness ?(chunk_count = 12) ?(profile = Profile.xkernel)
        Terminal [tcp.closed] reasons ride along so teardown outcomes
        (time-wait-done vs reset-received vs rexmt-exhausted) are
        distinct coverage states. *)
-    let state_of_trace trace =
-      let strip_port d =
-        match String.index_opt d ' ' with
-        | Some i -> String.sub d (i + 1) (String.length d - i - 1)
-        | None -> d
-      in
-      let labels = ref [] in
-      Trace.iteri
-        (fun _ (e : Trace.entry) ->
-          let label =
-            if String.equal e.tag "tcp.state" then
-              Some (e.node ^ ":" ^ strip_port (Trace.detail e))
-            else if String.equal e.tag "tcp.closed" then
-              (* "port=N reason=R" -> "node:closed reason=R" *)
-              Some (e.node ^ ":closed " ^ strip_port (Trace.detail e))
-            else None
-          in
-          match label with
-          | None -> ()
-          | Some label -> (
-              match !labels with
-              | prev :: _ when String.equal prev label -> ()
-              | _ -> labels := label :: !labels))
-        trace;
-      List.rev !labels
+    let state_tags = [ "tcp.state"; "tcp.closed" ]
+
+    let state_label (e : Trace.entry) =
+      if String.equal e.tag "tcp.state" then
+        Some (e.node ^ ":" ^ strip_port (Trace.detail e))
+      else
+        (* "port=N reason=R" -> "node:closed reason=R" *)
+        Some (e.node ^ ":closed " ^ strip_port (Trace.detail e))
   end)

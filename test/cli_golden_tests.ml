@@ -205,6 +205,30 @@ let test_shrink_refuses_edited_script () =
            "cannot shrink %s: its script is not the generated filter of its fault\n" path)
         text)
 
+(* ------------------------------------------------------------------ *)
+(* `fuzz --trace-out` exports each finding's trial trace               *)
+(* ------------------------------------------------------------------ *)
+
+(* pinned by length and MD5: three combination findings (abp-buggy),
+   and one minimized single-fault finding (gmp-buggy) *)
+let test_fuzz_trace_out_pinned () =
+  List.iter
+    (fun (args, bytes, md5) ->
+      let path = Filename.temp_file "pfi_fuzz_trace" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          ignore (run_cli (("fuzz" :: args) @ [ "--trace-out"; path ]));
+          let text = read_file path in
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ ": bytes") bytes (String.length text);
+          Alcotest.(check string) (what ^ ": MD5") md5
+            (Digest.to_hex (Digest.string text))))
+    [ ([ "abp-buggy"; "--seed"; "1"; "--budget"; "120" ], 50_552,
+       "89a691586c28d1a85d4c2a29cacc4bee");
+      ([ "gmp-buggy"; "--seed"; "4"; "--budget"; "16" ], 196_409,
+       "d9466c4a12798fb68a41dcb3bcddcd42") ]
+
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
     Alcotest.test_case "pfi_run help matches the golden table" `Quick
@@ -224,4 +248,6 @@ let suite =
     Alcotest.test_case "shrink/replay reject an out-of-range fault on load"
       `Quick test_bad_artifact_is_a_load_error;
     Alcotest.test_case "shrink refuses an artifact whose script was edited"
-      `Quick test_shrink_refuses_edited_script ]
+      `Quick test_shrink_refuses_edited_script;
+    Alcotest.test_case "fuzz --trace-out exports pinned finding traces" `Quick
+      test_fuzz_trace_out_pinned ]

@@ -303,6 +303,54 @@ let test_shrink_executor_same_trajectory () =
     (List.map (fun s -> s.Shrink.state) seq.Shrink.steps
     = List.map (fun s -> s.Shrink.state) par.Shrink.steps)
 
+(* a batch is charged only up to its first violating candidate, so the
+   report — trial count included — is the same at every width, also
+   when the budget binds mid-descent *)
+let test_shrink_charges_sequential_trials () =
+  let st0 =
+    { Shrink.fault = Generator.Byzantine_mix 0.25;
+      Shrink.side = Campaign.Both_filters;
+      Shrink.horizon = Pfi_engine.Vtime.sec 120 }
+  in
+  (* violates while the fault keeps an omission component and the
+     horizon stays above 8 s, so accepts and rejects interleave *)
+  let run (st : Shrink.state) =
+    { Campaign.fault = st.Shrink.fault;
+      Campaign.side = st.Shrink.side;
+      Campaign.seed = 0L;
+      Campaign.verdict =
+        (match st.Shrink.fault with
+         | (Generator.Byzantine_mix _ | Generator.Omission_all _)
+           when Pfi_engine.Vtime.(st.Shrink.horizon > sec 8) ->
+           Campaign.Violation "synthetic"
+         | _ -> Campaign.Tolerated);
+      Campaign.injected_events = 0;
+      Campaign.sim_events = 0;
+      Campaign.trace = None }
+  in
+  let minimize ~max_trials jobs =
+    match
+      Shrink.minimize ~max_trials ~executor:(Executor.of_jobs jobs)
+        ~spec:Spec.abp ~run st0
+    with
+    | Ok r -> (r.Shrink.minimized, List.map (fun s -> s.Shrink.state) r.Shrink.steps, r.Shrink.trials)
+    | Error e -> Alcotest.failf "minimize failed: %s" e
+  in
+  let _, _, unbounded = minimize ~max_trials:1000 1 in
+  Alcotest.(check bool) "the descent rejects candidates" true (unbounded > 8);
+  for max_trials = 1 to unbounded do
+    let ((_, _, trials) as seq) = minimize ~max_trials 1 in
+    Alcotest.(check bool)
+      (Printf.sprintf "budget %d holds" max_trials)
+      true (trials <= max_trials);
+    for jobs = 2 to 4 do
+      Alcotest.(check bool)
+        (Printf.sprintf "budget %d: jobs %d reports what jobs 1 does" max_trials jobs)
+        true
+        (minimize ~max_trials jobs = seq)
+    done
+  done
+
 let suite =
   [ Alcotest.test_case "sequential maps in order" `Quick test_sequential_in_order;
     Alcotest.test_case "domain pool preserves input order" `Quick
@@ -332,4 +380,6 @@ let suite =
     Alcotest.test_case "per-trial traces byte-identical at jobs 4" `Slow
       test_campaign_traces_jobs_invariant;
     Alcotest.test_case "parallel shrink keeps the sequential trajectory" `Quick
-      test_shrink_executor_same_trajectory ]
+      test_shrink_executor_same_trajectory;
+    Alcotest.test_case "shrink charges the same trials at every width" `Quick
+      test_shrink_charges_sequential_trials ]

@@ -84,19 +84,49 @@ let test_coverage_hit_classes () =
   Alcotest.(check (list int)) "8 vs 9 occurrences same log2 class"
     (Coverage.feature_list f8) (Coverage.feature_list f9)
 
+(* a cleared (arena) trace keeps its pair records at count 0; those
+   pairs are not recorded, so they add no feature *)
+let test_coverage_cleared_pairs_add_nothing () =
+  let record t (node, tag) = Trace.record t ~time:Vtime.zero ~node ~tag "" in
+  let reused = Trace.create_counting () in
+  List.iter (record reused) [ ("n1", "a"); ("n2", "b"); ("n2", "b"); ("n3", "c") ];
+  Trace.clear reused;
+  record reused ("n1", "a");
+  let fresh = Trace.create_counting () in
+  record fresh ("n1", "a");
+  let pairs t =
+    Trace.fold_pairs (fun ~node ~tag n acc -> (node, tag, n) :: acc) t []
+  in
+  Alcotest.(check (list (triple string string int))) "only the recorded pair"
+    [ ("n1", "a", 1) ] (pairs reused);
+  Alcotest.(check (list int)) "same features as a fresh trace"
+    (Coverage.feature_list (Coverage.features_of_trace fresh))
+    (Coverage.feature_list (Coverage.features_of_trace reused))
+
 (* ------------------------------------------------------------------ *)
 (* State trajectories                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_default_state_of_trace_collapses_repeats () =
+(* every harness's labels go through one collapse rule: here a
+   node:tag labeler over two of three tags *)
+let test_trajectory_collapses_repeats () =
+  let (module A) = harness "abp" in
+  let node_tag : Harness_intf.packed =
+    (module struct
+      include A
+
+      let state_tags = [ "a"; "b" ]
+      let state_label (e : Trace.entry) = Some (e.node ^ ":" ^ e.tag)
+    end)
+  in
   let t =
     trace_of
       [ (1, "n1", "a", ""); (2, "n1", "a", ""); (3, "n2", "b", "");
-        (4, "n1", "a", "") ]
+        (4, "n3", "c", ""); (5, "n2", "b", ""); (6, "n1", "a", "") ]
   in
   Alcotest.(check (list string)) "collapsed node:tag steps"
     [ "n1:a"; "n2:b"; "n1:a" ]
-    (Harness_intf.default_state_of_trace t)
+    (Harness_intf.state_of_trace node_tag t)
 
 let test_abp_state_of_trace_alternations () =
   let h = harness "abp" in
@@ -305,8 +335,10 @@ let suite =
       test_coverage_merge_counts;
     Alcotest.test_case "hit counts bucket by log2 class" `Quick
       test_coverage_hit_classes;
+    Alcotest.test_case "cleared trace's zero-count pairs add no features" `Quick
+      test_coverage_cleared_pairs_add_nothing;
     Alcotest.test_case "default trajectory collapses repeats" `Quick
-      test_default_state_of_trace_collapses_repeats;
+      test_trajectory_collapses_repeats;
     Alcotest.test_case "abp trajectory is the send-bit alternation" `Quick
       test_abp_state_of_trace_alternations;
     Alcotest.test_case "signatures collapse digit runs" `Quick

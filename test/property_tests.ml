@@ -969,6 +969,59 @@ let prop_monitors_match_reference =
       && agree (Oracle.eval oracle stored)
       && Oracle.check_monitors [ online ] counting = Oracle.check [ oracle ] stored)
 
+(* ------------------------------------------------------------------ *)
+(* Fuzz coverage: live features equal the stored trace's              *)
+(* ------------------------------------------------------------------ *)
+
+(* A fuzz execution reads its features live: pair counts of its arena's
+   counting trace, and a state feed attached after build.  They must
+   equal the features of the same trial captured, read back from its
+   stored entries — which holds only while no harness records a
+   state-tag entry during build, before the feed is attached. *)
+let prop_live_features_match_stored =
+  let open Pfi_testgen in
+  let harnesses = Array.of_list Registry.entries in
+  (* a registry harness and an input [steps] mutations away from one of
+     its seed-corpus inputs *)
+  let input_of (hi, seed, steps) =
+    let h = harnesses.(hi) in
+    let spec = Harness_intf.spec h and target = Harness_intf.target h in
+    let horizon = Harness_intf.default_horizon h in
+    let corpus = Array.of_list (Fuzz.seed_corpus ~spec) in
+    let rng = Rng.create ~seed:(Int64.of_int seed) in
+    let rec walk input k =
+      if k = 0 then input
+      else walk (Fuzz.mutate rng ~spec ~target ~horizon ~corpus input) (k - 1)
+    in
+    (h, walk corpus.(Rng.int rng (Array.length corpus)) steps)
+  in
+  let print case =
+    let h, input = input_of case in
+    Harness_intf.name h ^ " " ^ Fuzz.canonical input
+  in
+  QCheck.Test.make ~name:"live fuzz features equal the stored trace's" ~count:50
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple
+           (int_bound (Array.length harnesses - 1))
+           (int_bound 1_000_000) (int_bound 6)))
+    (fun case ->
+      let h, input = input_of case in
+      let tr = Fuzz.trial ~fuzz_seed:31L input in
+      let live_outcome, live = Fuzz.execute h tr in
+      let captured =
+        Campaign.run_trial h ~side:tr.Campaign.t_side
+          ~horizon:(Harness_intf.default_horizon h) ~seed:tr.Campaign.t_seed
+          ~capture_trace:true ~compiled:tr.Campaign.t_script
+          ?arm:tr.Campaign.t_arm tr.Campaign.t_fault
+      in
+      let t = Option.get captured.Campaign.trace in
+      let stored =
+        Coverage.features_of_trace ~states:(Harness_intf.state_of_trace h t) t
+      in
+      live_outcome.Campaign.verdict = captured.Campaign.verdict
+      && Coverage.feature_list live = Coverage.feature_list stored)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parser_total;
@@ -985,4 +1038,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
     QCheck_alcotest.to_alcotest prop_monitors_match_reference;
     QCheck_alcotest.to_alcotest prop_readers_total_on_mutations;
+    QCheck_alcotest.to_alcotest prop_live_features_match_stored;
   ]

@@ -477,7 +477,7 @@ let test_tcl_corpus () =
                (show expected) (show got)))
       lines
   in
-  Alcotest.(check int) "corpus cases" 293 (List.length lines);
+  Alcotest.(check int) "corpus cases" 297 (List.length lines);
   Alcotest.(check (list string)) "cases disagreeing with the corpus" [] failures
 
 (* A compiled script parses each nested part at most once, however many

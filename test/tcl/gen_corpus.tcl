@@ -128,6 +128,14 @@ case catch-break-code {catch {break}}
 case catch-continue-code {catch {continue}}
 case catch-error-in-proc {proc f {} {error inner}; catch f m; set m}
 case catch-unknown-command {catch {no_such_command_xyz}}
+case catch-eval-parse-error {catch {eval "\{"}}
+case catch-eval-parse-error-message {catch {eval "\{"} m; set m} \
+    -subset [list result "line 1: unterminated {...} word (at \"\{\")"] \
+    -why "the subset's parser words its parse errors itself"
+case catch-list-parse-error {catch {foreach x "\{" {}}}
+case catch-list-parse-error-message {catch {foreach x "\{" {}} m; set m} \
+    -subset {result {unbalanced braces in list}} \
+    -why "the subset's list reader words its parse errors itself"
 case error-message {error boom}
 case error-extra-arguments {catch {error boom info} m; set m}
 case unknown-command-errors {no_such_command_xyz}
