@@ -300,11 +300,26 @@ let catalogs =
       ablations (EXPERIMENTS_paper.md)",
      Pfi_testgen.Paper.catalog) ]
 
-let open_trace_out path =
-  try open_out path
-  with Sys_error m ->
-    Printf.eprintf "cannot open trace output: %s\n" m;
-    exit 1
+(* --trace-out FILE, for every verb that takes it: the file opens
+   before anything runs (or the verb exits 1), and the returned
+   exporter later hands [write] each trace to keep, in a deterministic
+   order, with the origin key/values stamped on its JSONL lines *)
+let trace_sink trace_out =
+  let oc =
+    Option.map
+      (fun path ->
+        try open_out path
+        with Sys_error m ->
+          Printf.eprintf "cannot open trace output: %s\n" m;
+          exit 1)
+      trace_out
+  in
+  fun export ->
+    Option.iter
+      (fun oc ->
+        export (fun extra trace -> Pfi_engine.Trace.output_jsonl ~extra oc trace);
+        close_out oc)
+      oc
 
 let json_str s = Pfi_testgen.Repro.Json.Str s
 let json_print tree = print_endline (Pfi_testgen.Repro.Json.to_string tree)
@@ -407,7 +422,7 @@ let msc trace_out json =
   let open Pfi_engine in
   let open Pfi_core in
   let open Pfi_testgen in
-  let oc = Option.map open_trace_out trace_out in
+  let export_traces = trace_sink trace_out in
   let rig = Tcp_rig.make ~profile:Pfi_tcp.Profile.solaris_23 () in
   Pfi_netsim.Network.set_msc_enabled rig.Tcp_rig.net true;
   let vconn, _xc = Tcp_rig.connect rig in
@@ -449,11 +464,7 @@ if {$delay_next_ack == 1 && [msg_type cur_msg] == "ACK"} {
     Pfi_netsim.Msc.render ~nodes:[ Tcp_rig.vendor_node; Tcp_rig.xk_node ]
       Format.std_formatter events
   end;
-  Option.iter
-    (fun oc ->
-      Trace.output_jsonl ~extra:[ ("artifact", "msc"); ("sim", "0") ] oc trace;
-      close_out oc)
-    oc
+  export_traces (fun write -> write [ ("artifact", "msc"); ("sim", "0") ] trace)
 
 let msc_cmd =
   let doc =
@@ -570,86 +581,75 @@ let campaign which trace_out repro_dir seed jobs json stats =
   let (module H : Harness_intf.HARNESS) = registry_entry which in
   let campaign_seed = Option.value seed ~default:H.default_seed in
   let executor = Executor.of_jobs jobs in
-  let oc = Option.map open_trace_out trace_out in
+  let export_traces = trace_sink trace_out in
   let arena0 = Arena.trials_served () in
   let alloc0 = alloc_words_now () in
-  (match
-     Campaign.run ~executor
-       ~observe:(Campaign.observe ~traces:(oc <> None) ())
-       (Campaign.plan ~seed:campaign_seed (module H : Harness_intf.HARNESS))
-   with
-   | exception Campaign.Control_failure reason ->
-     (* only the dedicated control-trial exception: a Failure raised by
-        some faulted trial (e.g. a script error) must propagate as the
-        error it is, not masquerade as a control-trial diagnosis *)
-     if json then
-       json_print
-         (Repro.Json.Obj [ ("control_failure", json_str reason) ])
-     else
-       Printf.printf "the fault-free control trial already fails: %s\n" reason
-   | summary ->
-     let alloc_words = alloc_words_now () -. alloc0 in
-     let outcomes = summary.Campaign.s_outcomes in
-     if json then begin
-       List.iter (fun o -> json_print (outcome_json o)) outcomes;
-       json_print
-         (Repro.Json.Obj
-            [ ("trials", Repro.Json.Int (List.length outcomes));
-              ("violations",
-               Repro.Json.Int (List.length (Campaign.violations outcomes)));
-              ("executor", json_str (Executor.name executor)) ])
-     end
-     else print_string (Campaign.table outcomes);
-     if stats then begin
-       let trials = List.length outcomes + 1 (* + control *) in
-       let arena_trials = Arena.trials_served () - arena0 in
-       let st = summary.Campaign.s_exec in
-       if json then
-         json_print (exec_stats_json st ~alloc_words ~trials ~arena_trials)
-       else print_exec_stats st ~alloc_words ~trials ~arena_trials
-     end;
-     (* the trace export walks control + trials in canonical order, so
-        the JSONL bytes are independent of the worker count too *)
-     (match oc with
-      | None -> ()
-      | Some oc ->
-        let extra i =
-          [ ("campaign", which); ("sim", string_of_int i) ]
-        in
-        (match summary.Campaign.s_control_trace with
-         | Some trace ->
-           Pfi_engine.Trace.output_jsonl ~extra:(extra 0) oc trace
-         | None -> ());
+  match
+    Campaign.run ~executor
+      ~observe:(Campaign.observe ~traces:(trace_out <> None) ())
+      (Campaign.plan ~seed:campaign_seed (module H : Harness_intf.HARNESS))
+  with
+  | exception Campaign.Control_failure reason ->
+    (* only the dedicated control-trial exception: a Failure raised by
+       some faulted trial (e.g. a script error) must propagate as the
+       error it is, not masquerade as a control-trial diagnosis *)
+    if json then
+      json_print
+        (Repro.Json.Obj [ ("control_failure", json_str reason) ])
+    else
+      Printf.printf "the fault-free control trial already fails: %s\n" reason
+  | summary ->
+    let alloc_words = alloc_words_now () -. alloc0 in
+    let outcomes = summary.Campaign.s_outcomes in
+    if json then begin
+      List.iter (fun o -> json_print (outcome_json o)) outcomes;
+      json_print
+        (Repro.Json.Obj
+           [ ("trials", Repro.Json.Int (List.length outcomes));
+             ("violations",
+              Repro.Json.Int (List.length (Campaign.violations outcomes)));
+             ("executor", json_str (Executor.name executor)) ])
+    end
+    else print_string (Campaign.table outcomes);
+    if stats then begin
+      let trials = List.length outcomes + 1 (* + control *) in
+      let arena_trials = Arena.trials_served () - arena0 in
+      let st = summary.Campaign.s_exec in
+      if json then
+        json_print (exec_stats_json st ~alloc_words ~trials ~arena_trials)
+      else print_exec_stats st ~alloc_words ~trials ~arena_trials
+    end;
+    (* the trace export walks control + trials in canonical order, so
+       the JSONL bytes are independent of the worker count too *)
+    export_traces (fun write ->
+        let extra i = [ ("campaign", which); ("sim", string_of_int i) ] in
+        Option.iter (write (extra 0)) summary.Campaign.s_control_trace;
         List.iteri
           (fun i (o : Campaign.outcome) ->
-            match o.Campaign.trace with
-            | Some trace ->
-              Pfi_engine.Trace.output_jsonl ~extra:(extra (i + 1)) oc trace
-            | None -> ())
+            Option.iter (write (extra (i + 1))) o.Campaign.trace)
           outcomes);
-     (match repro_dir with
-      | None -> ()
-      | Some dir ->
-        mkdir_p dir;
-        let bad = Campaign.violations outcomes in
-        List.iteri
-          (fun i outcome ->
-            let artifact =
-              Repro.of_outcome ~harness:H.name ~protocol:H.spec.Spec.protocol
-                ~target:H.target ~horizon:H.default_horizon ~campaign_seed
-                outcome
-            in
-            let path =
-              Filename.concat dir (Repro.filename ~index:(i + 1) artifact)
-            in
-            Repro.save path artifact;
-            if json then
-              json_print (Repro.Json.Obj [ ("repro", json_str path) ])
-            else Printf.printf "repro artifact: %s\n" path)
-          bad;
-        if bad = [] && not json then
-          Printf.printf "no violations — no repro artifacts written\n"));
-  Option.iter close_out oc
+    (match repro_dir with
+     | None -> ()
+     | Some dir ->
+       mkdir_p dir;
+       let bad = Campaign.violations outcomes in
+       List.iteri
+         (fun i outcome ->
+           let artifact =
+             Repro.of_outcome ~harness:H.name ~protocol:H.spec.Spec.protocol
+               ~target:H.target ~horizon:H.default_horizon ~campaign_seed
+               outcome
+           in
+           let path =
+             Filename.concat dir (Repro.filename ~index:(i + 1) artifact)
+           in
+           Repro.save path artifact;
+           if json then
+             json_print (Repro.Json.Obj [ ("repro", json_str path) ])
+           else Printf.printf "repro artifact: %s\n" path)
+         bad;
+       if bad = [] && not json then
+         Printf.printf "no violations — no repro artifacts written\n")
 
 let campaign_cmd =
   let doc =
@@ -688,21 +688,19 @@ let replay file trace_out seed json =
     registry_entry artifact.Repro.harness
   in
   let seed = Option.value seed ~default:artifact.Repro.seed in
+  let export_traces = trace_sink trace_out in
   let outcome =
-    Campaign.run_trial
+    Campaign.run_trial ~capture_trace:(trace_out <> None)
       (module H : Harness_intf.HARNESS)
-      ~side:artifact.Repro.side ~horizon:artifact.Repro.horizon ~seed
-      ~capture_trace:(trace_out <> None) ~script:artifact.Repro.script
-      artifact.Repro.fault
+      ~horizon:artifact.Repro.horizon
+      (Campaign.trial
+         ~script:(Pfi_script.Interp.compile artifact.Repro.script)
+         ~seed ~side:artifact.Repro.side artifact.Repro.fault)
   in
-  (match (trace_out, outcome.Campaign.trace) with
-   | Some path, Some trace ->
-     let oc = open_trace_out path in
-     Pfi_engine.Trace.output_jsonl
-       ~extra:[ ("replay", Filename.basename file); ("sim", "0") ]
-       oc trace;
-     close_out oc
-   | _ -> ());
+  export_traces (fun write ->
+      Option.iter
+        (write [ ("replay", Filename.basename file); ("sim", "0") ])
+        outcome.Campaign.trace);
   let reproduced = outcome.Campaign.verdict = artifact.Repro.verdict in
   if json then
     json_print
@@ -758,14 +756,15 @@ let shrink file out max_trials seed jobs trace_out json =
   in
   let campaign_seed = Option.value seed ~default:artifact.Repro.campaign_seed in
   let executor = Executor.of_jobs jobs in
+  let export_traces = trace_sink trace_out in
   let trial_seed (st : Shrink.state) =
     Campaign.trial_seed ~campaign_seed ~side:st.Shrink.side st.Shrink.fault
   in
   let run ?capture_trace (st : Shrink.state) =
-    Campaign.run_trial
+    Campaign.run_trial ?capture_trace
       (module H : Harness_intf.HARNESS)
-      ~side:st.Shrink.side ~horizon:st.Shrink.horizon ~seed:(trial_seed st)
-      ?capture_trace st.Shrink.fault
+      ~horizon:st.Shrink.horizon
+      (Campaign.trial ~seed:(trial_seed st) ~side:st.Shrink.side st.Shrink.fault)
   in
   let st0 =
     { Shrink.fault = artifact.Repro.fault;
@@ -821,17 +820,10 @@ let shrink file out max_trials seed jobs trace_out json =
         report.Shrink.trials
     end;
     (* the minimized trial's own trace, re-executed once more *)
-    (match trace_out with
-     | None -> ()
-     | Some path ->
-       (match (run ~capture_trace:true minimized).Campaign.trace with
-        | Some trace ->
-          let oc = open_trace_out path in
-          Pfi_engine.Trace.output_jsonl
-            ~extra:[ ("shrink", Filename.basename file); ("sim", "0") ]
-            oc trace;
-          close_out oc
-        | None -> ()));
+    export_traces (fun write ->
+        Option.iter
+          (write [ ("shrink", Filename.basename file); ("sim", "0") ])
+          (run ~capture_trace:true minimized).Campaign.trace);
     let trajectory =
       List.map
         (fun (step : Shrink.step) ->
@@ -884,6 +876,7 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
   let fuzz_seed = Option.value seed ~default:Campaign.default_seed in
   let budget = Option.value budget ~default:Fuzz.default_budget in
   let executor = Executor.of_jobs jobs in
+  let export_traces = trace_sink trace_out in
   let arena0 = Arena.trials_served () in
   let alloc0 = alloc_words_now () in
   let res =
@@ -936,32 +929,20 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
       json_print (exec_stats_json st ~alloc_words ~trials ~arena_trials)
     else print_exec_stats st ~alloc_words ~trials ~arena_trials
   end;
-  (match trace_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_trace_out path in
-     (* findings keep no trace: each finding's trial runs once more *)
-     List.iteri
-       (fun i (fd : Fuzz.finding) ->
-         let tr = Fuzz.finding_trial fd in
-         let rerun =
-           Campaign.run_trial
-             (module H : Harness_intf.HARNESS)
-             ~side:tr.Campaign.t_side ~horizon:fd.Fuzz.fd_horizon
-             ~seed:tr.Campaign.t_seed ~capture_trace:true
-             ~compiled:tr.Campaign.t_script ?arm:tr.Campaign.t_arm
-             tr.Campaign.t_fault
-         in
-         Option.iter
-           (Pfi_engine.Trace.output_jsonl
-              ~extra:
-                [ ("fuzz", H.name);
-                  ("finding", fd.Fuzz.fd_signature);
-                  ("sim", string_of_int i) ]
-              oc)
-           rerun.Campaign.trace)
-       res.Fuzz.r_findings;
-     close_out oc);
+  (* findings keep no trace: each finding's trial runs once more *)
+  export_traces (fun write ->
+      List.iteri
+        (fun i (fd : Fuzz.finding) ->
+          Option.iter
+            (write
+               [ ("fuzz", H.name);
+                 ("finding", fd.Fuzz.fd_signature);
+                 ("sim", string_of_int i) ])
+            (Campaign.run_trial ~capture_trace:true
+               (module H : Harness_intf.HARNESS)
+               ~horizon:fd.Fuzz.fd_horizon (Fuzz.finding_trial fd))
+              .Campaign.trace)
+        res.Fuzz.r_findings);
   match corpus_dir with
   | None -> ()
   | Some dir ->
@@ -1027,21 +1008,22 @@ let scenario_row_json (r : Pfi_testgen.Scenario.row) =
        | Some i -> Repro.Json.Int i
        | None -> Repro.Json.Null) ]
 
-let scenario_result_json file (r : Pfi_testgen.Scenario.result) =
+let scenario_result_json ?(extra = []) file (r : Pfi_testgen.Scenario.result) =
   let open Pfi_testgen in
   Repro.Json.Obj
-    [ ("file", json_str file);
-      ("scenario", json_str r.Scenario.res_scenario);
-      ("harness", json_str r.Scenario.res_harness);
-      ("seed", json_str (Int64.to_string r.Scenario.res_seed));
-      ("horizon_us",
-       json_str (Int64.to_string (Pfi_engine.Vtime.to_us r.Scenario.res_horizon)));
-      ("outcome", json_str (Scenario.outcome_name r.Scenario.res_outcome));
-      ("xfail",
-       (match r.Scenario.res_xfail with
-        | Some s -> json_str s
-        | None -> Repro.Json.Null));
-      ("checks", Repro.Json.List (List.map scenario_row_json r.Scenario.res_rows)) ]
+    ([ ("file", json_str file);
+       ("scenario", json_str r.Scenario.res_scenario);
+       ("harness", json_str r.Scenario.res_harness);
+       ("seed", json_str (Int64.to_string r.Scenario.res_seed));
+       ("horizon_us",
+        json_str (Int64.to_string (Pfi_engine.Vtime.to_us r.Scenario.res_horizon)));
+       ("outcome", json_str (Scenario.outcome_name r.Scenario.res_outcome));
+       ("xfail",
+        (match r.Scenario.res_xfail with
+         | Some s -> json_str s
+         | None -> Repro.Json.Null));
+       ("checks", Repro.Json.List (List.map scenario_row_json r.Scenario.res_rows)) ]
+    @ extra)
 
 let print_scenario_result file (r : Pfi_testgen.Scenario.result) =
   let open Pfi_testgen in
@@ -1070,98 +1052,99 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* load + run every scenario file through Executor.of_jobs; results come
-   back in input order, so everything printed from them is byte-identical
-   for any worker count *)
-let run_scenario_files ~executor ~capture ?seed files =
-  let open Pfi_testgen in
-  let observe = Campaign.observe ~traces:capture () in
-  Executor.map executor
-    (fun file ->
-      match Scenario.load file with
-      | sc -> Ok (Scenario.run ?seed ~observe sc)
-      | exception Scenario.Parse_error e ->
-        Error (Scenario.error_message ~file e)
-      | exception Sys_error m -> Error m)
-    files
+(* a per-file error line: {"file", "error"} in JSON, [text] otherwise *)
+let file_error ~json file msg text =
+  if json then
+    json_print
+      (Pfi_testgen.Repro.Json.Obj [ ("file", json_str file); ("error", json_str msg) ])
+  else print_string text
 
-let dump_scenario_traces trace_out results =
-  match trace_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_trace_out path in
-    List.iteri
-      (fun i res ->
-        match res with
-        | Ok ({ Pfi_testgen.Scenario.res_trace = Some trace; _ } as r) ->
-          Pfi_engine.Trace.output_jsonl
-            ~extra:
-              [ ("scenario", r.Pfi_testgen.Scenario.res_scenario);
-                ("sim", string_of_int i) ]
-            oc trace
-        | _ -> ())
-      results;
-    close_out oc
-
-(* scenarios are independent, so they run through Executor.of_jobs like
-   campaign trials; results print in input order, so stdout (ASCII or
-   JSON) is byte-identical for any worker count *)
-let check_files files trace_out seed jobs json =
+(* Both check modes run every scenario file through Executor.of_jobs
+   (results come back in input order, so the output is byte-identical
+   at any width) and share this per-result loop.  [judge file r] is a
+   mode's own verdict on a loaded result: extra JSON fields, whether it
+   fails the run whatever its outcome, and what to print after it.
+   Returns (failed, xfailed, load errors). *)
+let report_scenarios ~json ~trace_out ~jobs ?seed ~judge files =
   let open Pfi_testgen in
-  let executor = Executor.of_jobs jobs in
+  let observe = Campaign.observe ~traces:(trace_out <> None) () in
+  let export_traces = trace_sink trace_out in
   let results =
-    run_scenario_files ~executor ~capture:(trace_out <> None) ?seed files
+    Executor.map (Executor.of_jobs jobs)
+      (fun file ->
+        match Scenario.load file with
+        | sc -> Ok (Scenario.run ?seed ~observe sc)
+        | exception Scenario.Parse_error e ->
+          Error (Scenario.error_message ~file e)
+        | exception Sys_error m -> Error m)
+      files
   in
-  let failed = ref 0 and xfailed = ref 0 in
-  (* a corpus must not shadow a scenario: two files carrying the same
-     scenario name is an error even when both pass *)
-  let names = Hashtbl.create 16 in
+  let failed = ref 0 and xfailed = ref 0 and errors = ref 0 in
   List.iter2
     (fun file res ->
       match res with
       | Error msg ->
         incr failed;
-        if json then
-          json_print
-            (Repro.Json.Obj [ ("file", json_str file); ("error", json_str msg) ])
-        else Printf.printf "%s: PARSE ERROR\n  %s\n" file msg
+        incr errors;
+        file_error ~json file msg
+          (Printf.sprintf "%s: PARSE ERROR\n  %s\n" file msg)
       | Ok r ->
-        let dup = Hashtbl.find_opt names r.Scenario.res_scenario in
-        if dup = None then Hashtbl.add names r.Scenario.res_scenario file;
-        if dup <> None || not (Scenario.passed r) then incr failed;
+        let extra, fails, after = judge file r in
+        if fails || not (Scenario.passed r) then incr failed;
         if r.Scenario.res_outcome = Scenario.Xfail then incr xfailed;
-        if json then json_print (scenario_result_json file r)
+        if json then json_print (scenario_result_json ~extra file r)
         else print_scenario_result file r;
-        (match dup with
-         | None -> ()
-         | Some prior ->
-           if json then
-             json_print
-               (Repro.Json.Obj
-                  [ ("file", json_str file);
-                    ("error",
-                     json_str
-                       (Printf.sprintf
-                          "duplicate scenario name %S (already used by %s)"
-                          r.Scenario.res_scenario prior)) ])
-           else
-             Printf.printf
-               "%s: DUPLICATE scenario name %S (already used by %s)\n" file
-               r.Scenario.res_scenario prior))
+        after ())
     files results;
+  export_traces (fun write ->
+      List.iteri
+        (fun i res ->
+          match res with
+          | Ok ({ Scenario.res_trace = Some trace; _ } as r) ->
+            write
+              [ ("scenario", r.Scenario.res_scenario); ("sim", string_of_int i) ]
+              trace
+          | _ -> ())
+        results);
+  (!failed, !xfailed, !errors)
+
+let check_files files trace_out seed jobs json =
+  let open Pfi_testgen in
+  (* a corpus must not shadow a scenario: two files carrying the same
+     scenario name is an error even when both pass *)
+  let names = Hashtbl.create 16 in
+  let judge file (r : Scenario.result) =
+    let name = r.Scenario.res_scenario in
+    match Hashtbl.find_opt names name with
+    | None ->
+      Hashtbl.add names name file;
+      ([], false, ignore)
+    | Some prior ->
+      ( [],
+        true,
+        fun () ->
+          file_error ~json file
+            (Printf.sprintf "duplicate scenario name %S (already used by %s)"
+               name prior)
+            (Printf.sprintf
+               "%s: DUPLICATE scenario name %S (already used by %s)\n" file
+               name prior) )
+  in
+  let failed, xfailed, _ =
+    report_scenarios ~json ~trace_out ~jobs ?seed ~judge files
+  in
   if json then
     json_print
       (Repro.Json.Obj
          [ ("scenarios", Repro.Json.Int (List.length files));
-           ("failed", Repro.Json.Int !failed);
-           ("xfailed", Repro.Json.Int !xfailed) ])
+           ("failed", Repro.Json.Int failed);
+           ("xfailed", Repro.Json.Int xfailed) ])
   else
     Printf.printf "-- %d scenarios: %d passed, %d failed (%d expected failures)\n"
       (List.length files)
-      (List.length files - !failed)
-      !failed !xfailed;
-  dump_scenario_traces trace_out results;
-  if !failed > 0 then exit 1
+      (List.length files - failed)
+      failed xfailed;
+  if failed > 0 then exit 1
 
 (* run a generated corpus against its manifest: verify the corpus bytes
    first (the digest pins them), then require every scenario to land on
@@ -1210,64 +1193,42 @@ let check_manifest mpath trace_out seed jobs json =
       (fun (me : Matrix.manifest_entry) -> Filename.concat dir me.Matrix.me_file)
       mf.Matrix.mf_entries
   in
-  let executor = Executor.of_jobs jobs in
-  let results =
-    run_scenario_files ~executor ~capture:(trace_out <> None) ?seed files
+  let entries = List.combine files mf.Matrix.mf_entries in
+  let mismatched = ref 0 in
+  let judge file (r : Scenario.result) =
+    let want = (List.assoc file entries).Matrix.me_expected in
+    let outcome = Scenario.outcome_name r.Scenario.res_outcome in
+    let matched = outcome = want in
+    if not matched then incr mismatched;
+    ( [ ("expected", json_str want); ("matched", Repro.Json.Bool matched) ],
+      false,
+      fun () ->
+        if not (json || matched) then
+          Printf.printf "  MISMATCH: manifest expects %s, got %s\n" want
+            outcome )
   in
-  let failed = ref 0 and xfailed = ref 0 and mismatched = ref 0 in
-  List.iter2
-    (fun ((me : Matrix.manifest_entry), file) res ->
-      match res with
-      | Error msg ->
-        incr failed;
-        incr mismatched;
-        if json then
-          json_print
-            (Repro.Json.Obj [ ("file", json_str file); ("error", json_str msg) ])
-        else Printf.printf "%s: PARSE ERROR\n  %s\n" file msg
-      | Ok r ->
-        let outcome = Scenario.outcome_name r.Scenario.res_outcome in
-        let matched = outcome = me.Matrix.me_expected in
-        if not (Scenario.passed r) then incr failed;
-        if r.Scenario.res_outcome = Scenario.Xfail then incr xfailed;
-        if not matched then incr mismatched;
-        if json then begin
-          match scenario_result_json file r with
-          | Repro.Json.Obj fields ->
-            json_print
-              (Repro.Json.Obj
-                 (fields
-                 @ [ ("expected", json_str me.Matrix.me_expected);
-                     ("matched", Repro.Json.Bool matched) ]))
-          | other -> json_print other
-        end
-        else begin
-          print_scenario_result file r;
-          if not matched then
-            Printf.printf "  MISMATCH: manifest expects %s, got %s\n"
-              me.Matrix.me_expected outcome
-        end)
-    (List.combine mf.Matrix.mf_entries files)
-    results;
+  let failed, xfailed, errors =
+    report_scenarios ~json ~trace_out ~jobs ?seed ~judge files
+  in
+  let mismatched = !mismatched + errors in
   if json then
     json_print
       (Repro.Json.Obj
          [ ("manifest", json_str mpath);
            ("matrix", json_str mf.Matrix.mf_matrix);
            ("scenarios", Repro.Json.Int (List.length files));
-           ("failed", Repro.Json.Int !failed);
-           ("xfailed", Repro.Json.Int !xfailed);
-           ("mismatches", Repro.Json.Int !mismatched);
+           ("failed", Repro.Json.Int failed);
+           ("xfailed", Repro.Json.Int xfailed);
+           ("mismatches", Repro.Json.Int mismatched);
            ("corpus_digest", json_str digest) ])
   else
     Printf.printf
       "-- corpus %s: %d scenarios: %d passed, %d failed (%d expected \
        failures), %d manifest mismatches\n"
       mf.Matrix.mf_matrix (List.length files)
-      (List.length files - !failed)
-      !failed !xfailed !mismatched;
-  dump_scenario_traces trace_out results;
-  if !failed > 0 || !mismatched > 0 then exit 1
+      (List.length files - failed)
+      failed xfailed mismatched;
+  if failed > 0 || mismatched > 0 then exit 1
 
 let check files trace_out seed jobs json manifest =
   match (manifest, files) with

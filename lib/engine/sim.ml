@@ -15,32 +15,31 @@ exception Stop
 (* Reusable backing storage for a simulation: the event heap and the
    trace keep their grown capacity (and the trace its per-pair records)
    across trials, so a trial arena rebuilds a sim without re-growing
-   either.  [create ?scratch] clears both, which restores the exact
+   either.  [clear_scratch] empties both, which restores the exact
    observable state of freshly-created ones — see Event_queue.clear and
-   Trace.clear for the equivalence arguments.  The trace is a counting
-   one: a trial recycles a scratch only when nothing reads its entries
-   back after the run. *)
+   Trace.clear for the equivalence arguments.  [create] adopts a
+   scratch as it is, so feeds attached to its trace beforehand see
+   every entry the new sim records. *)
 type scratch = {
   sc_queue : (unit -> unit) Event_queue.t;
   sc_trace : Trace.t;
 }
 
-let scratch () =
-  { sc_queue = Event_queue.create (); sc_trace = Trace.create_counting () }
+let scratch ?(stores = false) () =
+  { sc_queue = Event_queue.create ();
+    sc_trace = (if stores then Trace.create () else Trace.create_counting ()) }
 
-let create ?scratch ?(seed = 1L) () =
-  let queue, trace =
-    match scratch with
-    | None -> (Event_queue.create (), Trace.create ())
-    | Some sc ->
-      Event_queue.clear sc.sc_queue;
-      Trace.clear sc.sc_trace;
-      (sc.sc_queue, sc.sc_trace)
-  in
-  { queue;
+let scratch_trace sc = sc.sc_trace
+
+let clear_scratch sc =
+  Event_queue.clear sc.sc_queue;
+  Trace.clear sc.sc_trace
+
+let create ?(scratch = scratch ~stores:true ()) ?(seed = 1L) () =
+  { queue = scratch.sc_queue;
     clock = Vtime.zero;
     root_rng = Rng.create ~seed;
-    trace;
+    trace = scratch.sc_trace;
     stopping = false;
     events = 0;
     want_labels = false }

@@ -11,28 +11,32 @@ type handle [@@immediate]
 (** A scheduled callback, for cancellation. *)
 
 type scratch
-(** Reusable backing storage for a simulation: an event heap and a
-    counting trace ({!Trace.create_counting}) whose grown capacity (and
-    per-pair records) survive across simulations.  A trial arena allocates
-    one per worker domain and threads it through every {!create}, so
-    back-to-back trials rebuild their sims without re-growing either
-    structure.  Not thread-safe: a scratch belongs to one domain at a
-    time. *)
+(** Backing storage for a simulation: an event heap and a trace.  A
+    trial arena keeps one counting scratch per worker domain and
+    threads it through every {!create}, so back-to-back trials rebuild
+    their sims without re-growing either structure.  Not thread-safe: a
+    scratch belongs to one domain at a time. *)
 
-val scratch : unit -> scratch
+val scratch : ?stores:bool -> unit -> scratch
+(** An empty scratch: its trace stores entries when [stores], and only
+    counts them ({!Trace.create_counting}) by default. *)
+
+val scratch_trace : scratch -> Trace.t
+(** The trace a sim over the scratch will record into: feeds attached
+    before {!create} see every entry, from the first. *)
+
+val clear_scratch : scratch -> unit
+(** Empties the queue and trace in place, keeping their capacity and
+    detaching the trace's feeds ({!Event_queue.clear}, {!Trace.clear}),
+    so the scratch is observationally fresh.  The previous owner of the
+    scratch must be dead. *)
 
 val create : ?scratch:scratch -> ?seed:int64 -> unit -> t
-(** [seed] defaults to [1L].
-
-    [scratch] donates recycled backing storage: the scratch's queue and
-    trace are cleared and adopted by the new simulation.  Its events,
-    clock and RNG are then identical to one built without [scratch]
-    (cleared structures behave exactly like fresh ones, see
-    {!Event_queue.clear} and {!Trace.clear}), but it records into a
-    counting trace: {!Trace.length}, {!Trace.count} and attached feeds
-    answer as before, and no entry can be read back.  The previous
-    owner of the scratch must be dead (its queue handles become inert
-    and its trace empties). *)
+(** [seed] defaults to [1L]; [scratch] to a fresh storing one, which
+    the sim adopts as it is.  Over a fresh or cleared scratch the
+    events, clock and RNG are identical to a sim built without one; a
+    counting trace answers {!Trace.length}, {!Trace.count} and attached
+    feeds, and reads back no entry. *)
 
 val now : t -> Vtime.t
 

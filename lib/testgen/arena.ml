@@ -20,6 +20,7 @@ let get () = Domain.DLS.get key
 let scratch () =
   let a = get () in
   a.arena_trials <- a.arena_trials + 1;
+  Sim.clear_scratch a.arena_scratch;
   a.arena_scratch
 
 let trials_served () = (get ()).arena_trials

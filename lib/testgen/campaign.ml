@@ -94,11 +94,8 @@ let plan ?(sides = all_sides) ?seed ?horizon (module H : Harness_intf.HARNESS) =
       (fun side ->
         List.map
           (fun (fault, script) ->
-            { t_fault = fault;
-              t_side = side;
-              t_seed = trial_seed ~campaign_seed:seed ~side fault;
-              t_script = script;
-              t_arm = None })
+            trial ~script ~seed:(trial_seed ~campaign_seed:seed ~side fault)
+              ~side fault)
           compiled)
       sides
   in
@@ -115,48 +112,47 @@ let plan_of_trials ?seed ?horizon ~trials (module H : Harness_intf.HARNESS) =
     p_seed = Option.value seed ~default:H.default_seed;
     p_control = false }
 
-let run_trial (module H : Harness_intf.HARNESS) ~side ~horizon ~seed
-    ?(capture_trace = false) ?script ?compiled ?arm fault =
-  (* the arena's trace/queue are recycled by the *next* trial on this
-     domain, so they may back this trial only if its trace does not
-     escape into the outcome; its trace only counts, and the harness's
-     trace-derived checks run as monitors attached at build *)
-  let scratch = if capture_trace then None else Some (Arena.scratch ()) in
-  let env = H.build ?scratch ~seed () in
-  let pfi = H.pfi env in
-  (* precedence: explicit source bytes (replay installs the recorded
-     script even if generator templates changed) > an already-compiled
-     campaign script > compiling the generated source here *)
-  let compiled =
-    match (script, compiled) with
-    | Some src, _ -> Pfi_script.Interp.compile src
-    | None, Some c -> c
-    | None, None -> Pfi_script.Interp.compile (Generator.script_of_fault fault)
+let install pfi (side, script) =
+  match side with
+  | Send_filter -> Pfi_core.Pfi_layer.set_send_filter_compiled pfi script
+  | Receive_filter -> Pfi_core.Pfi_layer.set_receive_filter_compiled pfi script
+  | Both_filters ->
+    Pfi_core.Pfi_layer.set_send_filter_compiled pfi script;
+    Pfi_core.Pfi_layer.set_receive_filter_compiled pfi script
+
+let exec ?(capture_trace = false) ?arm (module H : Harness_intf.HARNESS)
+    ~horizon ~seed ~filters feed =
+  (* an exported trace escapes the trial, so it must store its entries;
+     any other trial records into this domain's arena, which the next
+     trial here clears, so its reader runs before this returns *)
+  let scratch =
+    if capture_trace then Sim.scratch ~stores:true () else Arena.scratch ()
   in
-  (match side with
-   | Send_filter -> Pfi_core.Pfi_layer.set_send_filter_compiled pfi compiled
-   | Receive_filter -> Pfi_core.Pfi_layer.set_receive_filter_compiled pfi compiled
-   | Both_filters ->
-     Pfi_core.Pfi_layer.set_send_filter_compiled pfi compiled;
-     Pfi_core.Pfi_layer.set_receive_filter_compiled pfi compiled);
-  (match arm with Some f -> f (H.sim env) pfi | None -> ());
+  let read = feed (Sim.scratch_trace scratch) in
+  let env = H.build ~scratch ~seed () in
+  let sim = H.sim env and pfi = H.pfi env in
+  List.iter (install pfi) filters;
+  Option.iter (fun arm -> arm sim pfi) arm;
   H.workload env;
-  let sim = H.sim env in
   Sim.run ~until:horizon sim;
-  let trace = Sim.trace sim in
-  let injected_events =
-    Trace.count ~tag:"testgen.fault" trace + Trace.count ~tag:"pfi.log" trace
-  in
   let verdict =
     match H.check env with Error reason -> Violation reason | Ok () -> Tolerated
   in
-  { fault;
-    side;
-    seed;
-    verdict;
-    injected_events;
-    sim_events = Sim.events sim;
-    trace = (if capture_trace then Some trace else None) }
+  read verdict sim
+
+let run_trial ?(capture_trace = false) h ~horizon tr =
+  exec ~capture_trace ?arm:tr.t_arm h ~horizon ~seed:tr.t_seed
+    ~filters:[ (tr.t_side, tr.t_script) ]
+    (fun _ verdict sim ->
+      let trace = Sim.trace sim in
+      { fault = tr.t_fault;
+        side = tr.t_side;
+        seed = tr.t_seed;
+        verdict;
+        injected_events =
+          Trace.count ~tag:"testgen.fault" trace + Trace.count ~tag:"pfi.log" trace;
+        sim_events = Sim.events sim;
+        trace = (if capture_trace then Some trace else None) })
 
 type summary = {
   s_outcomes : outcome list;
@@ -164,31 +160,24 @@ type summary = {
   s_exec : Executor.stats;
 }
 
-let control_trial (module H : Harness_intf.HARNESS) ~observer ~horizon ~seed () =
-  let env = H.build ~seed () in
-  H.workload env;
-  Sim.run ~until:horizon (H.sim env);
-  match H.check env with
-  | Ok () -> if observer.obs_traces then Some (Sim.trace (H.sim env)) else None
-  | Error reason -> raise (Control_failure reason)
+let control_trial h ~observer ~horizon ~seed =
+  let capture_trace = observer.obs_traces in
+  exec ~capture_trace h ~horizon ~seed ~filters:[] (fun _ verdict sim ->
+      match verdict with
+      | Tolerated -> if capture_trace then Some (Sim.trace sim) else None
+      | Violation reason -> raise (Control_failure reason))
 
 let run ?(executor = Executor.sequential) ?(observe = silent) plan =
-  let (module H : Harness_intf.HARNESS) = plan.p_harness in
   let control_trace =
     if plan.p_control then
-      control_trial
-        (module H : Harness_intf.HARNESS)
-        ~observer:observe ~horizon:plan.p_horizon ~seed:plan.p_seed ()
+      control_trial plan.p_harness ~observer:observe ~horizon:plan.p_horizon
+        ~seed:plan.p_seed
     else None
   in
   let outcomes =
     Executor.map executor
-      (fun tr ->
-        run_trial
-          (module H : Harness_intf.HARNESS)
-          ~side:tr.t_side ~horizon:plan.p_horizon ~seed:tr.t_seed
-          ~capture_trace:observe.obs_traces ~compiled:tr.t_script
-          ?arm:tr.t_arm tr.t_fault)
+      (run_trial ~capture_trace:observe.obs_traces plan.p_harness
+         ~horizon:plan.p_horizon)
       plan.p_trials
   in
   { s_outcomes = outcomes;

@@ -24,8 +24,10 @@
     There is one entrypoint for a whole campaign: build a {!plan}
     (either the stock generated fault set via {!plan}, or an explicit
     trial list via {!plan_of_trials}), choose what to observe with an
-    {!observer}, and {!run} it.  The fuzzer and the shrinker run their
-    trials one by one through {!run_trial}. *)
+    {!observer}, and {!run} it.  The shrinker and [replay] run their
+    trials one by one through {!run_trial}.  Every harness trial in
+    the library — campaign, control, fuzz, scenario and vendor-row —
+    is built by one function, {!exec}. *)
 
 open Pfi_engine
 
@@ -97,11 +99,11 @@ val trial_seed_of_key : campaign_seed:int64 -> side:side -> int64 -> int64
 (** {1 Observers}
 
     What a {!run} should watch, stated as data instead of threaded
-    optional arguments.  The CLI's [--trace-out], the scenario runner
-    and the fuzzer's coverage loop all consume the same record.  The
-    verdict itself is always the harness's [check]: every trace-derived
-    part of it is a monitor the harness attached at build, so whether
-    traces are kept never changes a verdict. *)
+    optional arguments.  The CLI's [--trace-out] and the scenario runner
+    consume the same record.  The verdict itself is always the
+    harness's [check]: every trace-derived part of it is a monitor the
+    harness attached at build, so whether traces are kept never changes
+    a verdict. *)
 
 type observer = {
   obs_traces : bool;
@@ -155,30 +157,30 @@ val trial :
 
 (** {1 Running} *)
 
-val run_trial :
-  Harness_intf.packed -> side:side -> horizon:Vtime.t -> seed:int64 ->
-  ?capture_trace:bool -> ?script:string ->
-  ?compiled:Pfi_script.Ast.script ->
-  ?arm:(Sim.t -> Pfi_core.Pfi_layer.t -> unit) ->
-  Generator.fault -> outcome
-(** One isolated trial.  [script] overrides the generated filter text —
-    replay installs the recorded script bytes rather than regenerating
-    them, so an artifact stays reproducible even if the generator's
-    templates later change.  [compiled] (used when [script] is absent)
-    installs an already-compiled filter, the campaign hot path: {!plan}
-    compiles each fault once and every trial shares the AST.  With
-    neither, the generated source is compiled here.  [arm] is the
-    trial's {!trial.t_arm} hook.  The verdict is the harness's [check];
-    [injected_events] is read with {!Trace.count}.  [capture_trace]
-    keeps the trial sim's stored {!Trace.t} on the outcome (default
-    false).
+val exec :
+  ?capture_trace:bool -> ?arm:(Sim.t -> Pfi_core.Pfi_layer.t -> unit) ->
+  Harness_intf.packed -> horizon:Vtime.t -> seed:int64 ->
+  filters:(side * Pfi_script.Ast.script) list ->
+  (Trace.t -> verdict -> Sim.t -> 'a) -> 'a
+(** The one function that builds a harness trial.  It takes this
+    domain's {!Arena} scratch (a fresh storing one when [capture_trace],
+    default false, asks for a trace to export) and calls [feed] on its
+    trace before [build] records anything — tcp's [build] records the
+    client's SYN as entry #0.  It then builds the harness with [seed],
+    installs each filter on its side, runs [arm] and the workload to
+    [horizon], and returns what the reader [feed] returned makes of the
+    harness's [check] and the finished sim.  The reader runs before
+    [exec] returns, so every verdict comes off this trial's trace before
+    the domain's next trial clears the arena; it may return the trace
+    itself only when [capture_trace]. *)
 
-    A trial whose trace is not kept adopts this domain's {!Arena}
-    scratch — recycled event-queue storage and a counting trace —
-    instead of allocating fresh backing arrays and a storing trace.
-    The verdict, event count and injected-event count are identical
-    either way; only the stored entries are missing, and nothing reads
-    them.  An [arm] hook on such a trial sees a counting trace. *)
+val run_trial :
+  ?capture_trace:bool -> Harness_intf.packed -> horizon:Vtime.t -> trial ->
+  outcome
+(** One trial through {!exec}: its script on its side, its arming hook,
+    its seed.  [injected_events] is read with {!Trace.count}.
+    [capture_trace] keeps the stored {!Trace.t} on the outcome (default
+    false); the verdict and counts are identical either way. *)
 
 type summary = {
   s_outcomes : outcome list;  (** in plan order *)
@@ -200,10 +202,9 @@ val run :
     fault-free system — then every planned trial
     through the executor (default {!Executor.sequential}).  Outcomes
     come back in plan order for any executor.  A trial whose runner raised
-    re-raises after every other trial has completed.  Trials reuse
-    per-domain scratch whenever their traces are not kept (see
-    {!run_trial}); the control trial always builds fresh, with a
-    storing trace. *)
+    re-raises after every other trial has completed.  Every trial, the
+    control included, records into per-domain scratch unless the
+    observer keeps traces (see {!exec}). *)
 
 val table : outcome list -> string
 (** Human-readable table of outcomes. *)

@@ -19,9 +19,9 @@ type section = {
 
 (* One catalog entry.  A vendor row's trial is a fully-parameterized tcp
    harness plus fault/script/side/horizon, and its oracle re-measures
-   the quirk from the trial trace; the oracle closes over the row's own
-   vendor profile, so [run ~profile_override] keeps the expectations
-   while swapping the system under test.  A paper row's trial builds
+   the quirk from the client's trace entries; the oracle closes over the
+   row's own vendor profile, so [run ~profile_override] keeps the
+   expectations while swapping the system under test.  A paper row's trial builds
    its own testbed from the row seed and returns its checks. *)
 type row = {
   row_id : string;
@@ -51,7 +51,8 @@ and vendor_trial = {
           delayed fault window keep-alive rows need (the harness heals
           filters at 3 min, so a probe-drop must arrive later) *)
   cfg_horizon : Vtime.t;
-  cfg_oracle : Campaign.outcome -> Trace.t -> check list;
+  cfg_oracle : Campaign.verdict -> (string -> Trace.entry list) -> check list;
+      (** reads the client's entries by tag ({!collect_client}) *)
 }
 
 let row_id r = r.row_id
@@ -81,7 +82,20 @@ let kv_int e key =
   | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
   | None -> 0
 
-let client tag trace = Trace.find ~node:"client" ~tag trace
+(* The client entries the quirk oracles read, by tag in recording
+   order, collected by a feed attached before build.  Asking for
+   another tag is a bug: [List.assoc] raises. *)
+let client_tags =
+  [ "tcp.retransmit"; "tcp.closed"; "tcp.rst-sent"; "tcp.keepalive-probe";
+    "tcp.in"; "tcp.out"; "tcp.persist-probe"; "tcp.state" ]
+
+let collect_client trace =
+  let cells = List.map (fun tag -> (tag, ref [])) client_tags in
+  Trace.attach trace ~tags:(Some client_tags) (fun _ (e : Trace.entry) ->
+      if String.equal e.node "client" then
+        let cell = List.assoc e.tag cells in
+        cell := e :: !cell);
+  fun tag -> List.rev !(List.assoc tag cells)
 
 let gaps entries =
   let rec go = function
@@ -102,26 +116,25 @@ let last = function [] -> None | l -> Some (List.nth l (List.length l - 1))
 
 (* "did the give-up send a RST?" — the engine records tcp.rst-sent at
    the same timestamp as the terminal tcp.closed *)
-let failure_action trace =
-  match client "tcp.closed" trace with
+let failure_action client =
+  match client "tcp.closed" with
   | [] -> "still open"
   | closed :: _ ->
     if
       List.exists
         (fun e -> Vtime.equal e.Trace.time closed.Trace.time)
-        (client "tcp.rst-sent" trace)
+        (client "tcp.rst-sent")
     then "RST"
     else "silent close"
 
-let close_reason trace =
-  match client "tcp.closed" trace with
+let close_reason client =
+  match client "tcp.closed" with
   | [] -> "none"
   | e :: _ -> kv_exn e "reason"
 
 let rst_name b = if b then "RST" else "silent close"
 
-let service_measured (o : Campaign.outcome) =
-  match o.Campaign.verdict with
+let service_measured = function
   | Campaign.Tolerated -> "intact"
   | Campaign.Violation d -> "violated: " ^ d
 
@@ -152,8 +165,8 @@ let check_at_least label ~floor ~measured =
 (* paper Table 1: exhaust the retransmission machinery on one stalled
    segment and read off the retry budget, the backoff shape and the
    give-up behaviour *)
-let rexmt_oracle (p : Profile.t) _outcome trace =
-  let rx = client "tcp.retransmit" trace in
+let rexmt_oracle (p : Profile.t) _verdict client =
+  let rx = client "tcp.retransmit" in
   let retries = List.fold_left (fun acc e -> max acc (kv_int e "n")) 0 rx in
   let rx_gaps = gaps rx in
   [ check_int "retransmissions before giving up"
@@ -168,9 +181,9 @@ let rexmt_oracle (p : Profile.t) _outcome trace =
          | Some g -> Vtime.to_string g
          | None -> "no retransmissions");
     check "failure action" ~paper:(rst_name p.Profile.rst_on_timeout)
-      ~measured:(failure_action trace);
+      ~measured:(failure_action client);
     check "close reason" ~paper:"rexmt-exhausted"
-      ~measured:(close_reason trace) ]
+      ~measured:(close_reason client) ]
 
 (* paper Table 2 / §4.1: three ACKs pass, the fourth is delayed 35 s,
    the rest vanish — two messages stall in sequence, and the second
@@ -186,7 +199,7 @@ if {[msg_type cur_msg] == "ACK"} {
 }
 |}
 
-let counter_oracle (p : Profile.t) _outcome trace =
+let counter_oracle (p : Profile.t) _verdict client =
   (* per-stalled-message retry counts, in first-stall order *)
   let groups : (string * int ref) list ref = ref [] in
   List.iter
@@ -195,7 +208,7 @@ let counter_oracle (p : Profile.t) _outcome trace =
       match List.assoc_opt seq !groups with
       | Some cell -> cell := max !cell n
       | None -> groups := !groups @ [ (seq, ref n) ])
-    (client "tcp.retransmit" trace);
+    (client "tcp.retransmit");
   let accounting =
     match !groups with
     | [ (_, m1); (_, m2) ] ->
@@ -215,15 +228,15 @@ let counter_oracle (p : Profile.t) _outcome trace =
          else "per-message (an ACK resets the count)")
       ~measured:accounting;
     check "failure action" ~paper:(rst_name p.Profile.rst_on_timeout)
-      ~measured:(failure_action trace);
+      ~measured:(failure_action client);
     check "close reason" ~paper:"rexmt-exhausted"
-      ~measured:(close_reason trace) ]
+      ~measured:(close_reason client) ]
 
 (* paper Table 3: idle threshold, probe schedule, probe payload (the
    SunOS garbage byte) and the give-up behaviour, measured while every
    probe is swallowed by a send-side filter *)
-let keepalive_oracle (p : Profile.t) _outcome trace =
-  let probes = client "tcp.keepalive-probe" trace in
+let keepalive_oracle (p : Profile.t) _verdict client =
+  let probes = client "tcp.keepalive-probe" in
   let idle =
     match probes with
     | [] -> "no probes"
@@ -233,7 +246,7 @@ let keepalive_oracle (p : Profile.t) _outcome trace =
       let before =
         List.filter
           (fun e -> Vtime.(e.Trace.time < first.Trace.time))
-          (client "tcp.in" trace)
+          (client "tcp.in")
       in
       (match last before with
        | Some e -> Vtime.to_string (Vtime.sub first.Trace.time e.Trace.time)
@@ -255,7 +268,7 @@ let keepalive_oracle (p : Profile.t) _outcome trace =
       match
         List.find_opt
           (fun e -> Vtime.equal e.Trace.time first.Trace.time)
-          (client "tcp.out" trace)
+          (client "tcp.out")
       with
       | None -> "probe not emitted"
       | Some e ->
@@ -284,15 +297,15 @@ let keepalive_oracle (p : Profile.t) _outcome trace =
          else "bare ACK")
       ~measured:payload;
     check "failure action" ~paper:(rst_name p.Profile.keepalive_rst_on_fail)
-      ~measured:(failure_action trace);
+      ~measured:(failure_action client);
     check "close reason" ~paper:"keepalive-exhausted"
-      ~measured:(close_reason trace) ]
+      ~measured:(close_reason client) ]
 
 (* paper Table 4: the server stops consuming, the window shuts, and
    the persist timer's probe interval backs off to a vendor ceiling —
    and never gives up *)
-let zerowin_oracle (p : Profile.t) _outcome trace =
-  let probes = client "tcp.persist-probe" trace in
+let zerowin_oracle (p : Profile.t) _verdict client =
+  let probes = client "tcp.persist-probe" in
   [ check "probe-interval ceiling"
       ~paper:(Vtime.to_string p.Profile.persist_max)
       ~measured:
@@ -308,19 +321,19 @@ let zerowin_oracle (p : Profile.t) _outcome trace =
       ~measured:(List.length probes);
     check "gives up?" ~paper:"probes forever"
       ~measured:
-        (match client "tcp.closed" trace with
+        (match client "tcp.closed" with
          | [] -> "probes forever"
          | e :: _ -> "closes (" ^ kv_exn e "reason" ^ ")") ]
 
 (* beyond the paper's tables: the 10-state FSM's opening leg — both
    initial SYNs are dropped, the handshake must complete off the
    retransmission timer *)
-let handshake_oracle (_ : Profile.t) outcome trace =
+let handshake_oracle (_ : Profile.t) verdict client =
   let retries =
     List.fold_left
       (fun acc e -> max acc (kv_int e "n"))
       0
-      (client "tcp.retransmit" trace)
+      (client "tcp.retransmit")
   in
   [ check_int "SYN retransmissions" ~paper:2 ~measured:retries;
     check "connection established" ~paper:"yes"
@@ -332,16 +345,16 @@ let handshake_oracle (_ : Profile.t) outcome trace =
                let d = Trace.detail e in
                String.length d >= 11
                && String.sub d (String.length d - 11) 11 = "ESTABLISHED")
-             (client "tcp.state" trace)
+             (client "tcp.state")
          then "yes"
          else "no");
     check "stream delivered" ~paper:"intact"
-      ~measured:(service_measured outcome) ]
+      ~measured:(service_measured verdict) ]
 
 (* beyond the paper's tables: orderly release — the FSM walk through
    FIN_WAIT_1/FIN_WAIT_2/TIME_WAIT must survive a duplicated FIN, and
    the 2MSL wait must expire on its own *)
-let teardown_oracle (_ : Profile.t) outcome trace =
+let teardown_oracle (_ : Profile.t) verdict client =
   let transitions =
     List.map
       (fun e ->
@@ -350,7 +363,7 @@ let teardown_oracle (_ : Profile.t) outcome trace =
         match String.index_opt d ' ' with
         | Some i -> String.sub d (i + 1) (String.length d - i - 1)
         | None -> d)
-      (client "tcp.state" trace)
+      (client "tcp.state")
   in
   let walk =
     match transitions with
@@ -376,7 +389,7 @@ let teardown_oracle (_ : Profile.t) outcome trace =
         && String.sub d (String.length d - String.length suffix)
              (String.length suffix)
            = suffix)
-      (client "tcp.state" trace)
+      (client "tcp.state")
   in
   let msl2 =
     match (state_time "-> TIME_WAIT", state_time "TIME_WAIT -> CLOSED") with
@@ -390,9 +403,9 @@ let teardown_oracle (_ : Profile.t) outcome trace =
          -> CLOSED"
       ~measured:walk;
     check "2MSL wait" ~paper:(Vtime.to_string (Vtime.minutes 1)) ~measured:msl2;
-    check "close reason" ~paper:"time-wait-done" ~measured:(close_reason trace);
+    check "close reason" ~paper:"time-wait-done" ~measured:(close_reason client);
     check "stream delivered" ~paper:"intact"
-      ~measured:(service_measured outcome) ]
+      ~measured:(service_measured verdict) ]
 
 (* ------------------------------------------------------------------ *)
 (* The catalog                                                        *)
@@ -596,16 +609,15 @@ let run_vendor ~seed ~override v =
                Pfi_core.Pfi_layer.set_send_filter pfi src)))
       v.cfg_arm
   in
-  let outcome =
-    Campaign.run_trial harness ~side:v.cfg_side ~horizon:v.cfg_horizon ~seed
-      ~capture_trace:true ?script:v.cfg_script ?arm v.cfg_fault
+  let script =
+    Pfi_script.Interp.compile
+      (Option.value v.cfg_script ~default:(Generator.script_of_fault v.cfg_fault))
   in
-  let trace =
-    match outcome.Campaign.trace with
-    | Some t -> t
-    | None -> assert false (* capture_trace:true *)
-  in
-  v.cfg_oracle outcome trace
+  Campaign.exec ?arm harness ~horizon:v.cfg_horizon ~seed
+    ~filters:[ (v.cfg_side, script) ]
+    (fun trace ->
+      let client = collect_client trace in
+      fun verdict _ -> v.cfg_oracle verdict client)
 
 let run_row ~seed ~override row =
   let res_seed = row_seed ~seed row in

@@ -15,7 +15,7 @@
     - the {b tcp} vendor matrix ({!catalog}): one fault-injection trial
       configuration per row (vendor profile, workload phase, failure
       model, filter side) plus an oracle that measures the quirk from
-      the recorded {!Pfi_engine.Trace.t} alone — the verdict of the
+      the client's trace entries alone — the verdict of the
       trial's service oracle is deliberately ignored, because most
       quirks only manifest while the service guarantee is being
       violated;
@@ -130,8 +130,9 @@ val run :
   ?executor:Executor.t -> ?seed:int64 -> ?profile_override:string ->
   row list -> report
 (** Runs every row as an isolated trial — a vendor row as one
-    {!Campaign.run_trial} with trace capture whose oracle reads the
-    trace, a paper row through its own function — mapping rows through
+    {!Campaign.exec} trial whose oracle reads the client's entries that
+    a feed attached before build collected, a paper row through its own
+    function — mapping rows through
     the executor (default {!Executor.sequential}).  [seed] defaults to
     {!Campaign.default_seed}.  [profile_override] builds every vendor
     harness with the named profile ({!Pfi_tcp.Profile.find} name or

@@ -286,25 +286,11 @@ let trial_of ~seed input =
 let trial ~fuzz_seed input = trial_of ~seed:(trial_seed ~fuzz_seed input) input
 
 (* every fuzz trial runs to the harness's default horizon *)
-let run_trial h (tr : Campaign.trial) =
-  Campaign.run_trial h ~side:tr.Campaign.t_side
-    ~horizon:(Harness_intf.default_horizon h) ~seed:tr.Campaign.t_seed
-    ~compiled:tr.Campaign.t_script ?arm:tr.Campaign.t_arm tr.Campaign.t_fault
-
-(* The features are read off the arena's counting trace as soon as the
-   run returns, before this domain's arena serves its next trial. *)
 let execute h (tr : Campaign.trial) =
-  let fed = ref None in
-  let arm sim pfi =
-    let trace = Sim.trace sim in
-    fed := Some (trace, Harness_intf.attach_states h trace);
-    Option.iter (fun arm -> arm sim pfi) tr.Campaign.t_arm
-  in
-  let outcome = run_trial h { tr with Campaign.t_arm = Some arm } in
-  match !fed with
-  | Some (trace, states) ->
-      (outcome, Coverage.features_of_trace ~states:(states ()) trace)
-  | None -> assert false (* run_trial always arms *)
+  Campaign.exec h ~horizon:(Harness_intf.default_horizon h) ~seed:tr.t_seed
+    ~filters:[ (tr.t_side, tr.t_script) ] ?arm:tr.t_arm (fun trace ->
+      let states = Harness_intf.attach_states h trace in
+      fun verdict _ -> (verdict, Coverage.features_of_trace ~states:(states ()) trace))
 
 let finding_trial fd =
   trial_of ~seed:fd.fd_seed
@@ -347,17 +333,18 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
         Campaign.trace = None }
     else begin
       incr shrink_execs;
-      Campaign.run_trial h ~side:st.Shrink.side ~horizon:st.Shrink.horizon
-        ~seed:
-          (Campaign.trial_seed ~campaign_seed:seed ~side:st.Shrink.side
-             st.Shrink.fault)
-        st.Shrink.fault
+      Campaign.run_trial h ~horizon:st.Shrink.horizon
+        (Campaign.trial
+           ~seed:
+             (Campaign.trial_seed ~campaign_seed:seed ~side:st.Shrink.side
+                st.Shrink.fault)
+           ~side:st.Shrink.side st.Shrink.fault)
     end
   in
   (* re-run one (possibly multi-fault) input on the calling domain *)
   let run_input input =
     incr shrink_execs;
-    run_trial h (trial ~fuzz_seed:seed input)
+    Campaign.run_trial h ~horizon (trial ~fuzz_seed:seed input)
   in
   (* Reduction: strip the clear window, greedily drop faults from the
      set while the violation persists, then — if a single fault remains
@@ -465,13 +452,13 @@ let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
           fd_shrink_trials = !set_trials + trials;
           fd_injected_events = final.Campaign.injected_events }
   in
-  let process input ((outcome : Campaign.outcome), feats) =
+  let process input (verdict, feats) =
     incr execs;
     if Coverage.merge bitmap feats > 0 then begin
       corpus := input :: !corpus;
       incr corpus_n
     end;
-    match outcome.Campaign.verdict with
+    match verdict with
     | Campaign.Tolerated -> ()
     | Campaign.Violation reason ->
         let presig =

@@ -70,16 +70,15 @@ val trial : fuzz_seed:int64 -> input -> Campaign.trial
     {!input_key}. *)
 
 val execute :
-  Harness_intf.packed -> Campaign.trial -> Campaign.outcome * Coverage.features
+  Harness_intf.packed -> Campaign.trial -> Campaign.verdict * Coverage.features
 (** One fuzz execution, as a batch runs it on an executor worker: the
-    trial, at the harness's default horizon, on this domain's arena (a
-    counting trace), with the harness's state feed
-    ({!Harness_intf.attach_states}) attached by a wrapper around its
-    arming hook — after build, before the workload.  Its features are
-    read off the trace's pair counts and that feed as soon as the run
-    returns.  They equal {!Coverage.features_of_trace} of the same
-    trial captured, with [~states] from {!Harness_intf.state_of_trace},
-    because no harness records a state-tag entry during build. *)
+    trial through {!Campaign.exec}, at the harness's default horizon,
+    on this domain's arena (a counting trace), with the harness's state
+    feed ({!Harness_intf.attach_states}) attached before [build].  Its
+    features are read off the trace's pair counts and that feed as soon
+    as the run returns.  They equal {!Coverage.features_of_trace} of
+    the same trial captured, with [~states] from
+    {!Harness_intf.state_of_trace}. *)
 
 (** {1 Failure signatures} *)
 
@@ -162,7 +161,8 @@ val run :
 
     No trial keeps a trace.  A batch trial records into its worker's
     arena counting trace with the harness's state feed
-    ({!Harness_intf.attach_states}) attached from its arming hook, and
+    ({!Harness_intf.attach_states}) attached before [build] (see
+    {!execute}), and
     the worker reads its {!Coverage} features off that trace as soon
     as the run returns; reductions run on the calling domain, also on
     its arena. *)

@@ -9,7 +9,7 @@
 
     The environment type is existential, so harnesses travel as packed
     modules ({!packed}): {!Registry.find} hands one straight to
-    {!Campaign.run} / {!Campaign.run_trial} with no per-call-site
+    {!Campaign.run} / {!Campaign.exec} with no per-call-site
     re-wrapping.  [build] must return a completely fresh system (new
     [Sim], network, stacks) sharing nothing with sibling trials —
     that isolation is what lets {!Executor.domains} run trials on
@@ -38,14 +38,15 @@ module type HARNESS = sig
   val build : ?scratch:Sim.scratch -> seed:int64 -> unit -> env
   (** Fresh system for one trial (new Sim, network, stacks), seeded
       with the given per-trial RNG seed.  Must not capture or mutate
-      state shared with other trials.  [scratch] is recycled backing
-      storage for the sim's event queue and trace (an {!Arena} hands
-      the campaign runner this domain's); implementations forward it
-      to [Sim.create ?scratch ~seed ()].  Adopting it selects a
-      counting trace ({!Trace.create_counting}), so every
-      trace-derived part of {!check} must be an {!Oracle.monitor}
-      attached here, before the first entry is recorded — then
-      {!check} answers the same with or without [scratch]. *)
+      state shared with other trials.  [scratch] is the backing storage
+      for the sim's event queue and trace ({!Campaign.exec} passes this
+      domain's {!Arena} scratch, or a storing one when the trace is
+      exported); implementations forward it to
+      [Sim.create ?scratch ~seed ()].  Its trace may be a counting one
+      ({!Trace.create_counting}), so every trace-derived part of
+      {!check} must be an {!Oracle.monitor} that [build] attaches to
+      the new sim's trace — then {!check} answers the same over either
+      kind of trace. *)
 
   val sim : env -> Sim.t
   val pfi : env -> Pfi_core.Pfi_layer.t
@@ -70,10 +71,9 @@ module type HARNESS = sig
       of these labels in recording order, consecutive repeats
       collapsed; fuzz coverage hashes its labels and consecutive pairs
       into features.  It is read two ways: live, by a feed
-      ({!attach_states}) that the fuzzer attaches after [build] and
-      before the workload, or replayed over a storing trace
-      ({!state_of_trace}).  So [build] must record no entry with a
-      state tag: the live feed would miss it. *)
+      ({!attach_states}) that the fuzzer attaches to the trial's trace
+      before [build], or replayed over a storing trace
+      ({!state_of_trace}). *)
 end
 
 type packed = (module HARNESS)
@@ -105,7 +105,7 @@ let state_of_trace h trace =
 
 (** Attaches a live state feed to [trace], of either kind, and returns
     the reader of the trajectory it has seen so far.  Attached before
-    the workload starts, it sees what {!state_of_trace} would. *)
+    the trace's first entry, it sees what {!state_of_trace} would. *)
 let attach_states ((module H : HARNESS) as h) trace =
   let feed, states = trajectory h in
   Trace.attach trace ~tags:(Some H.state_tags) feed;

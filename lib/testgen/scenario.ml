@@ -751,58 +751,58 @@ let run ?seed ?(observe = Campaign.silent) sc =
     | None -> Option.value sc.sc_seed ~default:H.default_seed
   in
   let horizon = Option.value sc.sc_horizon ~default:H.default_horizon in
-  let env = H.build ~seed () in
-  let sim = H.sim env and pfi = H.pfi env in
-  let side_script side =
-    sc.sc_faults
-    |> List.filter (fun (s, _) -> s = side || s = Campaign.Both_filters)
-    |> List.map (fun (_, f) -> Generator.script_of_fault f)
-    |> String.concat "\n"
+  let filters =
+    List.filter_map
+      (fun side ->
+        sc.sc_faults
+        |> List.filter (fun (s, _) -> s = side || s = Campaign.Both_filters)
+        |> List.map (fun (_, f) -> Generator.script_of_fault f)
+        |> function
+        | [] -> None
+        | scripts ->
+          Some (side, Pfi_script.Interp.compile (String.concat "\n" scripts)))
+      [ Campaign.Send_filter; Campaign.Receive_filter ]
   in
-  (match side_script Campaign.Send_filter with
-   | "" -> ()
-   | s -> Pfi_core.Pfi_layer.set_send_filter pfi s);
-  (match side_script Campaign.Receive_filter with
-   | "" -> ()
-   | s -> Pfi_core.Pfi_layer.set_receive_filter pfi s);
-  List.iter
-    (fun inj ->
-      ignore
-        (Sim.schedule_at sim ~time:inj.inj_at (fun () ->
-             ignore
-               (Pfi_core.Pfi_layer.eval_in pfi
-                  (match inj.inj_side with `Send -> `Send | `Receive -> `Receive)
-                  (injection_script inj)))))
-    sc.sc_injections;
-  H.workload env;
-  Sim.run ~until:horizon sim;
-  let trace = Sim.trace sim in
-  let rows =
-    List.map
-      (fun chk ->
-        match chk.chk_expect with
-        | Service ->
-          (match H.check env with
-           | Ok () ->
-             { row_line = chk.chk_line;
-               row_desc = "service";
-               row_pass = true;
-               row_reason = "service guarantee holds";
-               row_witness = None }
-           | Error reason ->
-             { row_line = chk.chk_line;
-               row_desc = "service";
-               row_pass = false;
-               row_reason = reason;
-               row_witness = None })
-        | Trace_oracle o ->
-          let v = Oracle.eval o trace in
-          { row_line = chk.chk_line;
-            row_desc = v.Oracle.oracle;
-            row_pass = v.Oracle.pass;
-            row_reason = v.Oracle.reason;
-            row_witness = v.Oracle.witness })
-      sc.sc_checks
+  let arm sim pfi =
+    List.iter
+      (fun inj ->
+        ignore
+          (Sim.schedule_at sim ~time:inj.inj_at (fun () ->
+               ignore
+                 (Pfi_core.Pfi_layer.eval_in pfi inj.inj_side
+                    (injection_script inj)))))
+      sc.sc_injections
+  in
+  let row chk desc pass reason witness =
+    { row_line = chk.chk_line; row_desc = desc; row_pass = pass;
+      row_reason = reason; row_witness = witness }
+  in
+  (* each [expect] oracle is a monitor attached before build, so it
+     judges every entry the trial records, #0 included; the rows are
+     read before the arena serves another trial *)
+  let rows, res_trace =
+    Campaign.exec ~capture_trace:observe.Campaign.obs_traces ~arm packed
+      ~horizon ~seed ~filters (fun trace ->
+        let judges =
+          List.map
+            (fun chk ->
+              match chk.chk_expect with
+              | Trace_oracle o ->
+                let m = Oracle.monitor o in
+                Oracle.attach m trace;
+                fun _ ->
+                  let v = Oracle.verdict m trace in
+                  row chk v.oracle v.pass v.reason v.witness
+              | Service -> (
+                function
+                | Campaign.Tolerated ->
+                  row chk "service" true "service guarantee holds" None
+                | Campaign.Violation reason -> row chk "service" false reason None))
+            sc.sc_checks
+        in
+        fun service sim ->
+          ( List.map (fun judge -> judge service) judges,
+            if observe.Campaign.obs_traces then Some (Sim.trace sim) else None ))
   in
   let failures = List.filter (fun r -> not r.row_pass) rows in
   let res_outcome =
@@ -825,6 +825,6 @@ let run ?seed ?(observe = Campaign.silent) sc =
     res_rows = rows;
     res_xfail = sc.sc_xfail;
     res_outcome;
-    res_trace = (if observe.Campaign.obs_traces then Some trace else None) }
+    res_trace }
 
 let passed r = match r.res_outcome with Pass | Xfail -> true | Fail | Xpass -> false

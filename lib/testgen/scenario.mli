@@ -218,16 +218,19 @@ type result = {
 }
 
 val run : ?seed:int64 -> ?observe:Campaign.observer -> t -> result
-(** Builds the harness system (seed priority: argument, then the
-    scenario's [seed] directive, then the harness default), installs the
-    fault scripts, schedules the injections, starts the workload, runs
-    to the horizon and evaluates every [expect].  Deterministic: the
-    result is a pure function of (scenario, seed).
+(** Runs the scenario as one {!Campaign.exec} trial (seed priority:
+    argument, then the scenario's [seed] directive, then the harness
+    default): each side's fault scripts installed as one filter, the
+    injections scheduled by its arming hook, the workload run to the
+    horizon.  Every trace [expect] is an {!Oracle.monitor} attached
+    before the harness is built, so it judges every entry the trial
+    records; [expect service] reads the harness's [check].
+    Deterministic: the result is a pure function of (scenario, seed).
 
     [observe] (default {!Campaign.silent}) is the same observer record
-    campaigns consume: [obs_traces] keeps the run's trace on
-    [res_trace].  The run always records into a storing trace, which
-    the [expect] rows read. *)
+    campaigns consume: [obs_traces] keeps the run's stored trace on
+    [res_trace].  Without it the run records into this domain's arena
+    counting trace, and every row is the same. *)
 
 val passed : result -> bool
 (** True for {!Pass} and {!Xfail}. *)

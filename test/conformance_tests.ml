@@ -424,10 +424,11 @@ let prop_fsm_transitions =
         Tcp_harness.harness ~chunk_count:6 ~profile ~phase:fsm_phases.(p) ()
       in
       let outcome =
-        Campaign.run_trial harness ~side:fsm_sides.(s)
+        Campaign.run_trial ~capture_trace:true harness
           ~horizon:(Vtime.minutes 10)
-          ~seed:(Int64.of_int (1000 + seed))
-          ~capture_trace:true fsm_faults.(f)
+          (Campaign.trial
+             ~seed:(Int64.of_int (1000 + seed))
+             ~side:fsm_sides.(s) fsm_faults.(f))
       in
       let trace =
         match outcome.Campaign.trace with Some t -> t | None -> assert false

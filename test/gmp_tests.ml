@@ -427,7 +427,10 @@ let storm_trial ?arm ~capture_trace () =
   let side = Campaign.Send_filter in
   let seed = Campaign.trial_seed ~campaign_seed:H.default_seed ~side fault in
   let w0 = Gc.minor_words () in
-  let o = Campaign.run_trial h ~side ~horizon:H.default_horizon ~seed ~capture_trace ?arm fault in
+  let o =
+    Campaign.run_trial ~capture_trace h ~horizon:H.default_horizon
+      (Campaign.trial ?arm ~seed ~side fault)
+  in
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check int) "sim events" 305_216 o.Campaign.sim_events;
   Alcotest.(check int) "injected events" 777 o.Campaign.injected_events;

@@ -1008,18 +1008,16 @@ let prop_live_features_match_stored =
     (fun case ->
       let h, input = input_of case in
       let tr = Fuzz.trial ~fuzz_seed:31L input in
-      let live_outcome, live = Fuzz.execute h tr in
+      let live_verdict, live = Fuzz.execute h tr in
       let captured =
-        Campaign.run_trial h ~side:tr.Campaign.t_side
-          ~horizon:(Harness_intf.default_horizon h) ~seed:tr.Campaign.t_seed
-          ~capture_trace:true ~compiled:tr.Campaign.t_script
-          ?arm:tr.Campaign.t_arm tr.Campaign.t_fault
+        Campaign.run_trial ~capture_trace:true h
+          ~horizon:(Harness_intf.default_horizon h) tr
       in
       let t = Option.get captured.Campaign.trace in
       let stored =
         Coverage.features_of_trace ~states:(Harness_intf.state_of_trace h t) t
       in
-      live_outcome.Campaign.verdict = captured.Campaign.verdict
+      live_verdict = captured.Campaign.verdict
       && Coverage.feature_list live = Coverage.feature_list stored)
 
 let suite =

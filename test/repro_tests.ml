@@ -57,8 +57,9 @@ let test_trial_seed_pure_and_sensitive () =
 let test_outcome_records_seed () =
   let h = Abp_harness.harness ~message_count:3 () in
   let o =
-    Campaign.run_trial h ~side:Campaign.Send_filter ~horizon:(Vtime.sec 30)
-      ~seed:9876543210L (Generator.Duplicate "MSG")
+    Campaign.run_trial h ~horizon:(Vtime.sec 30)
+      (Campaign.trial ~seed:9876543210L ~side:Campaign.Send_filter
+         (Generator.Duplicate "MSG"))
   in
   Alcotest.(check int64) "seed recorded" 9876543210L o.Campaign.seed
 
@@ -67,16 +68,18 @@ let test_run_trial_script_override () =
   let fault = Generator.Drop_all "MSG" in
   let seed = 11L in
   let with_fault =
-    Campaign.run_trial h ~side:Campaign.Send_filter ~horizon:(Vtime.sec 60)
-      ~seed fault
+    Campaign.run_trial h ~horizon:(Vtime.sec 60)
+      (Campaign.trial ~seed ~side:Campaign.Send_filter fault)
   in
   Alcotest.(check bool) "dropping every MSG violates" true
     (with_fault.Campaign.verdict <> Campaign.Tolerated);
   (* same fault on record, but the installed script is a no-op: the
      override, not the fault, decides what runs *)
   let overridden =
-    Campaign.run_trial h ~side:Campaign.Send_filter ~horizon:(Vtime.sec 60)
-      ~seed ~script:"# recorded no-op" fault
+    Campaign.run_trial h ~horizon:(Vtime.sec 60)
+      (Campaign.trial
+         ~script:(Pfi_script.Interp.compile "# recorded no-op")
+         ~seed ~side:Campaign.Send_filter fault)
   in
   Alcotest.(check bool) "override script is what actually runs" true
     (overridden.Campaign.verdict = Campaign.Tolerated)
@@ -444,11 +447,12 @@ let shrink_via_registry (module H : Harness_intf.HARNESS) st0 =
   let run (st : Shrink.state) =
     Campaign.run_trial
       (module H : Harness_intf.HARNESS)
-      ~side:st.Shrink.side ~horizon:st.Shrink.horizon
-      ~seed:
-        (Campaign.trial_seed ~campaign_seed:H.default_seed
-           ~side:st.Shrink.side st.Shrink.fault)
-      st.Shrink.fault
+      ~horizon:st.Shrink.horizon
+      (Campaign.trial
+         ~seed:
+           (Campaign.trial_seed ~campaign_seed:H.default_seed
+              ~side:st.Shrink.side st.Shrink.fault)
+         ~side:st.Shrink.side st.Shrink.fault)
   in
   Shrink.minimize ~spec:H.spec ~run st0
 
@@ -469,7 +473,8 @@ let check_shrinks_and_replays ~name st0 =
     let replay () =
       Campaign.run_trial
         (module H : Harness_intf.HARNESS)
-        ~side:st.Shrink.side ~horizon:st.Shrink.horizon ~seed st.Shrink.fault
+        ~horizon:st.Shrink.horizon
+        (Campaign.trial ~seed ~side:st.Shrink.side st.Shrink.fault)
     in
     let first = replay () in
     let second = replay () in
@@ -525,9 +530,10 @@ let tiny_abp_outcomes () =
   let campaign_seed = 7L in
   List.map
     (fun (side, fault) ->
-      Campaign.run_trial h ~side ~horizon
-        ~seed:(Campaign.trial_seed ~campaign_seed ~side fault)
-        fault)
+      Campaign.run_trial h ~horizon
+        (Campaign.trial
+           ~seed:(Campaign.trial_seed ~campaign_seed ~side fault)
+           ~side fault))
     [ (Campaign.Send_filter, Generator.Drop_first ("MSG", 2));
       (Campaign.Receive_filter, Generator.Duplicate "ACK");
       (* a guaranteed violation, so the golden pins that row format too *)

@@ -442,6 +442,38 @@ let test_scenario_run_deterministic () =
   let r3 = Scenario.run ~seed:99L sc in
   Alcotest.(check int64) "seed override" 99L r3.Scenario.res_seed
 
+(* tcp's stream-phase build opens the connection, so the client's SYN
+   is recorded as entry #0 before [build] returns: an [expect] monitor
+   judges it only if it was attached before build.  Whether the trace
+   is stored or only counted must not change a row. *)
+let test_stream_syn_is_entry_zero () =
+  let sc =
+    Scenario.parse ~name:"stream syn"
+      "run tcp\nphase stream\nexpect node=client tag=tcp.out detail~SYN within 0s\n"
+  in
+  let counted = Scenario.run sc in
+  let stored = Scenario.run ~observe:(Campaign.observe ~traces:true ()) sc in
+  (match counted.Scenario.res_rows with
+   | [ row ] ->
+     Alcotest.(check bool) "row passes" true row.Scenario.row_pass;
+     Alcotest.(check (option int)) "witness is entry #0" (Some 0)
+       row.Scenario.row_witness;
+     Alcotest.(check string) "reason"
+       "satisfied in [0us, 0us] by #0 @0us client tcp.out \"SYN 32769>80 \
+        seq=64000 ack=0 win=4096 len=0\""
+       row.Scenario.row_reason
+   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+  Alcotest.(check bool) "no trace kept by default" true
+    (counted.Scenario.res_trace = None);
+  Alcotest.(check bool) "same rows with the trace stored" true
+    (counted.Scenario.res_rows = stored.Scenario.res_rows);
+  match stored.Scenario.res_trace with
+  | Some trace ->
+    let first = List.hd (Trace.entries trace) in
+    Alcotest.(check string) "stored entry #0 is the client's SYN"
+      "client tcp.out" (first.Trace.node ^ " " ^ first.Trace.tag)
+  | None -> Alcotest.fail "observer kept no trace"
+
 let suite =
   [ Alcotest.test_case "oracle: eventually" `Quick test_eventually;
     Alcotest.test_case "oracle: never cites the forbidden entry" `Quick test_never;
@@ -468,6 +500,8 @@ let suite =
       test_parse_relative_times;
     Alcotest.test_case "scenario: multi-fault '+' sequences" `Quick
       test_parse_multi_fault;
+    Alcotest.test_case "scenario: stream-phase SYN is judged from entry #0"
+      `Quick test_stream_syn_is_entry_zero;
     Alcotest.test_case "scenario: matrix-era syntax errors" `Quick
       test_parse_errors_extensions;
     Alcotest.test_case "corpus scenarios survive print→parse" `Quick

@@ -206,8 +206,9 @@ let test_campaign_parse_count () =
   let outcome =
     Campaign.run_trial
       (module H : Harness_intf.HARNESS)
-      ~side:Campaign.Send_filter ~horizon:(Vtime.sec 30) ~seed:7L ~compiled
-      (Generator.Drop_all "MSG")
+      ~horizon:(Vtime.sec 30)
+      (Campaign.trial ~script:compiled ~seed:7L ~side:Campaign.Send_filter
+         (Generator.Drop_all "MSG"))
   in
   Alcotest.(check int) "running a precompiled trial parses nothing" 0
     (Pfi_script.Parser.parse_count () - before_run);
