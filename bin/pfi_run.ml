@@ -1160,18 +1160,15 @@ let check_manifest mpath trace_out seed jobs json =
   in
   let dir = Filename.dirname mpath in
   let digest =
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun (me : Matrix.manifest_entry) ->
-        Buffer.add_string buf me.Matrix.me_file;
-        Buffer.add_char buf '\n';
-        match read_file (Filename.concat dir me.Matrix.me_file) with
-        | text -> Buffer.add_string buf text
-        | exception Sys_error m ->
-          Printf.eprintf "cannot read corpus file: %s\n" m;
-          exit 1)
-      mf.Matrix.mf_entries;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    Matrix.corpus_digest
+      (List.map
+         (fun (me : Matrix.manifest_entry) ->
+           match read_file (Filename.concat dir me.Matrix.me_file) with
+           | text -> (me.Matrix.me_file, text)
+           | exception Sys_error m ->
+             Printf.eprintf "cannot read corpus file: %s\n" m;
+             exit 1)
+         mf.Matrix.mf_entries)
   in
   if digest <> mf.Matrix.mf_corpus_digest then begin
     if json then
@@ -1280,15 +1277,13 @@ let gen spec_path out json limit =
       Printf.eprintf "cannot read matrix spec: %s\n" m;
       exit 1
   in
-  let entries =
-    try Matrix.expand ?limit (Matrix.parse src)
+  let m, entries =
+    try
+      let m = Matrix.parse src in
+      (m, Matrix.expand ?limit m)
     with Scenario.Parse_error e ->
       Printf.eprintf "%s\n" (Scenario.error_message ~file:spec_path e);
       exit 1
-  in
-  let m =
-    (* re-parse is cheap and keeps [entries] the single expansion *)
-    Matrix.parse src
   in
   mkdir_p out;
   List.iter
@@ -1310,6 +1305,10 @@ let gen spec_path out json limit =
     List.length
       (List.filter (fun (e : Matrix.entry) -> e.Matrix.e_expected = p) entries)
   in
+  let digest =
+    Matrix.corpus_digest
+      (List.map (fun (e : Matrix.entry) -> (e.Matrix.e_file, e.Matrix.e_text)) entries)
+  in
   if json then
     json_print
       (Repro.Json.Obj
@@ -1319,13 +1318,12 @@ let gen spec_path out json limit =
            ("count", Repro.Json.Int (List.length entries));
            ("pass", Repro.Json.Int (count "pass"));
            ("xfail", Repro.Json.Int (count "xfail"));
-           ("corpus_digest", json_str (Matrix.corpus_digest entries)) ])
+           ("corpus_digest", json_str digest) ])
   else
     Printf.printf
       "generated %d scenarios (%d pass, %d xfail) from %s into %s\n\
       \  corpus digest %s\n"
-      (List.length entries) (count "pass") (count "xfail") spec_path out
-      (Matrix.corpus_digest entries)
+      (List.length entries) (count "pass") (count "xfail") spec_path out digest
 
 let gen_cmd =
   let doc =

@@ -25,9 +25,13 @@ let toy_stub =
     fields = (fun _ -> []) }
 
 let () =
-  (* 1. a simulation and a network *)
+  (* 1. a simulation and a network; a feed keeps what the filter logs
+        as messages pass *)
   let sim = Sim.create ~seed:42L () in
   let net = Network.create sim in
+  let dropped = ref [] in
+  Trace.attach (Sim.trace sim) ~tags:(Some [ "quickstart.dropped" ]) (fun _ e ->
+      dropped := e :: !dropped);
 
   (* 2. two nodes; the sender gets a PFI layer between its application
         (driver) and the network device *)
@@ -78,6 +82,4 @@ if {$type == "ACK"} {
   Printf.printf "PFI send filter: %d passed, %d dropped\n"
     stats.Pfi_layer.passed stats.Pfi_layer.dropped;
   print_endline "trace of dropped messages:";
-  List.iter
-    (fun e -> Printf.printf "  %s\n" (Trace.detail e))
-    (Trace.find ~tag:"quickstart.dropped" (Sim.trace sim))
+  List.iter (fun e -> Printf.printf "  %s\n" (Trace.detail e)) (List.rev !dropped)

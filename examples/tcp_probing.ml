@@ -17,7 +17,14 @@ let () =
   Printf.printf "=== probing %s ===\n\n" profile.Profile.name;
 
   (* --- 1. retransmission schedule under total silence ------------- *)
-  let rig = Tcp_rig.make ~profile () in
+  (* a counting scratch: the filter's drop log is read by a collector
+     attached before the rig records anything *)
+  let scratch = Sim.scratch () in
+  let logged =
+    Conformance.collect (Sim.scratch_trace scratch) ~node:Tcp_rig.xk_node
+      ~tags:[ "exp.drop" ]
+  in
+  let rig = Tcp_rig.make ~profile ~scratch () in
   let vconn, _xc = Tcp_rig.connect rig in
   Pfi_layer.set_receive_filter rig.Tcp_rig.pfi
     {|
@@ -30,7 +37,14 @@ if {$count > 30} {
 |};
   Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every:(Vtime.ms 400) ~count:60;
   Sim.run ~until:(Vtime.hours 1) rig.Tcp_rig.sim;
-  let entries = Tcp_rig.drop_log rig ~tag:"exp.drop" in
+  let entries =
+    List.filter_map
+      (fun e ->
+        Option.map
+          (fun seq -> (seq, e.Trace.time))
+          (int_of_string_opt (String.trim (Trace.detail e))))
+      (logged "exp.drop")
+  in
   let seq, times = Tcp_rig.busiest_seq entries in
   Printf.printf "dropped segment seq=%d was (re)transmitted %d times:\n" seq
     (List.length times);
@@ -45,7 +59,12 @@ if {$count > 30} {
        (Sim.trace rig.Tcp_rig.sim));
 
   (* --- 2. spurious-ACK injection ----------------------------------- *)
-  let rig2 = Tcp_rig.make ~profile () in
+  let scratch2 = Sim.scratch () in
+  let probes =
+    Conformance.collect (Sim.scratch_trace scratch2) ~node:Tcp_rig.xk_node
+      ~tags:[ "probe.injected" ]
+  in
+  let rig2 = Tcp_rig.make ~profile ~scratch:scratch2 () in
   let vconn2, xc2 = Tcp_rig.connect rig2 in
   ignore xc2;
   (* generate an ACK claiming data the x-Kernel never received; the
@@ -68,7 +87,7 @@ if {[msg_type cur_msg] == "DATA" && ![info exists probed]} {
   print_endline "spurious-ACK probe (acknowledging data never sent):";
   List.iter
     (fun e -> Printf.printf "  injected: %s\n" (Trace.detail e))
-    (Trace.find ~tag:"probe.injected" (Sim.trace rig2.Tcp_rig.sim));
+    (probes "probe.injected");
   Printf.printf
     "  vendor ignored the out-of-range ACK and stayed %s (snd_una=%d)\n"
     (Tcp.state_to_string (Tcp.state vconn2))

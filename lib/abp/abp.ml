@@ -207,5 +207,3 @@ let stub =
           [ ("kind", if k = kind_msg then "MSG" else "ACK");
             ("bit", string_of_int bit);
             ("len", string_of_int (Bytes.length payload)) ]) }
-
-let () = Pfi_core.Stubs.register stub

@@ -41,7 +41,7 @@ val unacked : t -> int
 
 (** {1 Packet stub}
 
-    Registered under protocol name ["abp"]; types ["MSG"]/["ACK"],
+    Protocol name ["abp"]; types ["MSG"]/["ACK"],
     fields [bit], [kind], [len]; generates stateless ACK frames (and
     MSG frames, which the campaign uses as spurious injections). *)
 

@@ -22,16 +22,3 @@ let raw =
         | Some data -> Some (Message.of_string data)
         | None -> None);
     fields = (fun msg -> [ ("len", string_of_int (Message.length msg)) ]) }
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-
-let register stub = Hashtbl.replace registry stub.protocol stub
-
-let find protocol = Hashtbl.find_opt registry protocol
-
-let find_exn protocol =
-  match find protocol with
-  | Some stub -> stub
-  | None -> failwith (Printf.sprintf "no packet stub registered for protocol %S" protocol)
-
-let () = register raw

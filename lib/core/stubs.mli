@@ -4,9 +4,10 @@
     recognising a message's type, describing it for logs, reading and
     writing header fields, and generating fresh packets of a given type.
     "The packet stubs are written by people who know the packet formats
-    of the target protocol" — here each protocol library exports one and
-    registers it so filter scripts can work with symbolic names instead
-    of byte offsets. *)
+    of the target protocol" — here each protocol library exports one,
+    so filter scripts can work with symbolic names instead of byte
+    offsets.  A stub is a value: a PFI layer is created with the one
+    it uses ({!Pfi_layer.create}[ ~stub]), and no table names them. *)
 
 type t = {
   protocol : string;
@@ -35,9 +36,3 @@ type t = {
 val raw : t
 (** Fallback stub for unknown protocols: type ["RAW"], hex description,
     no fields, generates from a ["data"] argument. *)
-
-(** {1 Registry} *)
-
-val register : t -> unit
-val find : string -> t option
-val find_exn : string -> t

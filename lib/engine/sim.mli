@@ -33,10 +33,12 @@ val clear_scratch : scratch -> unit
 
 val create : ?scratch:scratch -> ?seed:int64 -> unit -> t
 (** [seed] defaults to [1L]; [scratch] to a fresh storing one, which
-    the sim adopts as it is.  Over a fresh or cleared scratch the
-    events, clock and RNG are identical to a sim built without one; a
-    counting trace answers {!Trace.length}, {!Trace.count} and attached
-    feeds, and reads back no entry. *)
+    the sim adopts as it is.  Whatever builds a trial's sim — a
+    harness's [build], a paper testbed's [make] — takes [?scratch] and
+    forwards it here.  Over a fresh or cleared scratch the events,
+    clock and RNG are identical to a sim built without one; a counting
+    trace answers {!Trace.length}, {!Trace.count} and attached feeds,
+    and reads back no entry. *)
 
 val now : t -> Vtime.t
 

@@ -1,7 +1,7 @@
 (* An append-only entry store, a count per (node, tag) pair, and the
-   attached feeds.  Nothing is indexed: the queries that read entries
-   back scan the store, and only cold, post-hoc readers issue them —
-   campaign verdicts are decided by feeds while the trial records. *)
+   attached feeds.  Nothing is indexed: verdicts are decided by feeds
+   while a run records, and the store is read back only whole, by
+   export and the MSC renderer. *)
 
 type entry = {
   time : Vtime.t;
@@ -171,8 +171,8 @@ let fold_pairs f t init =
       if p.p_count = 0 then acc else f ~node:p.p_node ~tag:p.p_tag p.p_count acc)
     t.pairs init
 
-(* guards every query that reads entries back: a counting trace has
-   none to give, and answering "no entries" would be a lie *)
+(* guards the two readers of the store: a counting trace has no
+   entries to give, and answering "no entries" would be a lie *)
 let stored t what =
   if not t.stores then
     invalid_arg ("Trace." ^ what ^ ": a counting trace stores no entries")
@@ -180,24 +180,6 @@ let stored t what =
 let entries t =
   stored t "entries";
   Array.to_list (Array.sub t.store 0 t.len)
-
-let iteri f t =
-  stored t "iteri";
-  for i = 0 to t.len - 1 do
-    f i t.store.(i)
-  done
-
-let matches ?node ?tag e =
-  (match node with Some n -> String.equal e.node n | None -> true)
-  && match tag with Some g -> String.equal e.tag g | None -> true
-
-let find ?node ?tag t =
-  stored t "find";
-  let acc = ref [] in
-  for i = t.len - 1 downto 0 do
-    if matches ?node ?tag t.store.(i) then acc := t.store.(i) :: !acc
-  done;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* JSONL export                                                       *)
@@ -300,8 +282,9 @@ let entry_to_json ?extra e =
 let add_jsonl ?extra ?tag buf flush t =
   stored t "to_jsonl";
   for i = 0 to t.len - 1 do
-    if matches ?tag t.store.(i) then begin
-      add_entry_json ?extra buf t.store.(i);
+    let e = t.store.(i) in
+    if Option.fold tag ~none:true ~some:(String.equal e.tag) then begin
+      add_entry_json ?extra buf e;
       Buffer.add_char buf '\n';
       flush buf
     end

@@ -6,15 +6,12 @@
     index.
 
     A trace comes in one of two kinds.
-    - A {e storing} trace ({!create}) keeps every entry.  The queries
-      that read entries back ({!entries}, {!find}, {!iteri} and the
-      JSONL export) scan the whole log: only cold, post-hoc readers
-      issue them.
-    - A {e counting} trace ({!create_counting}) stores no entry.  Every
-      query that reads entries back raises [Invalid_argument] on it.
-      Campaign trials whose trace does not escape record into one: what
-      they need from the trace is decided while it is recorded, by
-      {!attach}ed feeds.
+    - A {e storing} trace ({!create}) keeps every entry, for the readers
+      of a whole log after its run: the JSONL export, and {!entries}.
+    - A {e counting} trace ({!create_counting}) stores no entry; both
+      readers raise [Invalid_argument] on it.  Every trial whose trace
+      is not exported records into one: what it needs from the trace is
+      decided while it is recorded, by {!attach}ed feeds.
 
     Both kinds keep the recording index ({!length}) and a count per
     [(node, tag)] pair ({!count}).
@@ -49,8 +46,7 @@ val create_counting : unit -> t
 (** An empty counting trace: it numbers and counts entries and feeds
     them to {!attach}ed feeds, but stores none.  {!length} and {!count}
     answer as on a storing trace that recorded the same entries;
-    {!entries}, {!find}, {!iteri} and the JSONL export raise
-    [Invalid_argument]. *)
+    {!entries} and the JSONL export raise [Invalid_argument]. *)
 
 val attach : t -> tags:string list option -> (int -> entry -> unit) -> unit
 (** [attach t ~tags feed] calls [feed i e] for each entry [e] recorded
@@ -97,14 +93,8 @@ val fold_pairs : (node:string -> tag:string -> int -> 'a -> 'a) -> t -> 'a -> 'a
     kinds. *)
 
 val entries : t -> entry list
-(** In recording order. *)
-
-val find : ?node:string -> ?tag:string -> t -> entry list
-(** Entries matching all the given criteria, in recording order. *)
-
-val iteri : (int -> entry -> unit) -> t -> unit
-(** Every entry in recording order, with its recording index — what
-    oracle verdicts cite as witnesses. *)
+(** Every entry, in recording order: an entry's position is its
+    recording index, what oracle verdicts cite as witnesses. *)
 
 (** {1 JSONL export}
 

@@ -136,5 +136,3 @@ let stub =
     set_field;
     generate;
     fields }
-
-let register () = Pfi_core.Stubs.register stub

@@ -11,5 +11,3 @@
     packets) for probing. *)
 
 val stub : Pfi_core.Stubs.t
-
-val register : unit -> unit

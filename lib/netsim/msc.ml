@@ -12,50 +12,21 @@ let parse_arrival = function
   | Some "-" | None -> None
   | Some us -> Option.map Vtime.us (int_of_string_opt us)
 
-(* legacy detail format written by Network before structured fields:
-   "dst=<dst> arrival=<us|-> | <label>" *)
-let parse_detail (e : Trace.entry) =
-  let detail = Trace.detail e in
-  match String.index_opt detail '|' with
-  | None -> None
-  | Some bar ->
-    let head = String.trim (String.sub detail 0 bar) in
-    let label =
-      String.trim
-        (String.sub detail (bar + 1) (String.length detail - bar - 1))
-    in
-    let fields =
-      List.filter_map
-        (fun token ->
-          match String.index_opt token '=' with
-          | Some i ->
-            Some
-              ( String.sub token 0 i,
-                String.sub token (i + 1) (String.length token - i - 1) )
-          | None -> None)
-        (String.split_on_char ' ' head)
-    in
-    (match List.assoc_opt "dst" fields with
-     | None -> None
-     | Some dst ->
-       let arrival = parse_arrival (List.assoc_opt "arrival" fields) in
-       Some { time = e.Trace.time; arrival; src = e.Trace.node; dst; label })
-
-(* entries recorded by Trace v2 carry the same data as structured
-   fields, which take precedence over the rendered detail string *)
+(* [Network.msc_record] stores a transmission's data as structured
+   fields; its detail string is for human readers *)
 let parse_entry (e : Trace.entry) =
   match List.assoc_opt "dst" e.Trace.fields with
-  | Some dst ->
+  | Some dst when String.equal e.Trace.tag "msc" ->
     Some
       { time = e.Trace.time;
         arrival = parse_arrival (List.assoc_opt "arrival" e.Trace.fields);
         src = e.Trace.node;
         dst;
         label = Option.value (List.assoc_opt "label" e.Trace.fields) ~default:"" }
-  | None -> parse_detail e
+  | _ -> None
 
 let events ?between trace =
-  let all = List.filter_map parse_entry (Trace.find ~tag:"msc" trace) in
+  let all = List.filter_map parse_entry (Trace.entries trace) in
   (* delivered transmissions are recorded when they land, so the raw
      trace order is arrival order; the ladder reads in send order *)
   let all = List.stable_sort (fun a b -> Vtime.compare a.time b.time) all in

@@ -1,22 +1,12 @@
 type t = {
-  id : int;
   mutable payload : Bytes.t;
   mutable attrs : (string * string) list;
 }
 
-(* Atomic so ids stay unique when trials run on concurrent domains
-   (Pfi_testgen.Executor.domains).  Ids are process-unique, never
-   recorded in traces or verdicts, so the allocation order being
-   scheduling-dependent cannot leak into campaign output. *)
-let next_id = Atomic.make 0
-
-let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
-
-let create ?(attrs = []) payload = { id = fresh_id (); payload; attrs }
+let create ?(attrs = []) payload = { payload; attrs }
 
 let of_string s = create (Bytes.of_string s)
 
-let id t = t.id
 let payload t = t.payload
 let set_payload t b = t.payload <- b
 let length t = Bytes.length t.payload
@@ -70,7 +60,7 @@ let remove_attr t key = t.attrs <- remove key t.attrs
 
 let attrs t = t.attrs
 
-let copy t = { id = fresh_id (); payload = Bytes.copy t.payload; attrs = t.attrs }
+let copy t = { payload = Bytes.copy t.payload; attrs = t.attrs }
 
 let corrupt_byte t ~offset =
   if offset >= 0 && offset < Bytes.length t.payload then begin

@@ -4,15 +4,13 @@
     pushes its header on the way down and strips it on the way up, in the
     x-Kernel style.  Attributes are out-of-band metadata (message type
     tags, trace annotations) that recognition stubs and filter scripts
-    read and write; they never appear on the wire. *)
+    read and write; they never appear on the wire.  A message carries
+    no identifier: nothing global is touched to make or copy one. *)
 
 type t
 
 val create : ?attrs:(string * string) list -> Bytes.t -> t
 val of_string : string -> t
-
-val id : t -> int
-(** Unique per process; survives header push/pop but {e not} {!copy}. *)
 
 val payload : t -> Bytes.t
 val set_payload : t -> Bytes.t -> unit
@@ -53,7 +51,8 @@ val with_attr : (string * string) list -> string * string -> (string * string) l
 (** {1 Fault-injection helpers} *)
 
 val copy : t -> t
-(** Deep copy with a fresh id — message duplication. *)
+(** Deep copy of the payload, sharing the attribute list — message
+    duplication. *)
 
 val corrupt_byte : t -> offset:int -> t
 (** Flips all bits of one payload byte in place (returns the same

@@ -7,11 +7,6 @@
     re-encodes and re-checksums the segment); [msg_gen] builds
     stateless segments — e.g. a spurious ACK:
 
-    {[ msg_gen type ACK sport 2000 dport 80 seq 5 ack 1234 window 4096 ]}
-
-    The stub registers itself under protocol name ["tcp"]. *)
+    {[ msg_gen type ACK sport 2000 dport 80 seq 5 ack 1234 window 4096 ]} *)
 
 val stub : Pfi_core.Stubs.t
-
-val register : unit -> unit
-(** Idempotent. *)

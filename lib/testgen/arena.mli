@@ -15,7 +15,9 @@
     concurrent executor workers each get their own scratch and never
     contend.  {!Campaign.exec}, the one harness-trial runner, adopts it
     for every trial whose trace is not exported, and reads every
-    verdict off it before returning.
+    verdict off it before returning; each paper-catalog row
+    ({!Paper}) passes it to its testbed and reads the testbed before
+    it takes the next one.
 
     Reuse is invisible in every outcome by construction: a cleared
     trace answers every query exactly like a fresh one of its kind (see

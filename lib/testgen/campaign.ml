@@ -167,7 +167,7 @@ let control_trial h ~observer ~horizon ~seed =
       | Tolerated -> if capture_trace then Some (Sim.trace sim) else None
       | Violation reason -> raise (Control_failure reason))
 
-let run ?(executor = Executor.sequential) ?(observe = silent) plan =
+let run ?(executor = Executor.of_jobs 1) ?(observe = silent) plan =
   let control_trace =
     if plan.p_control then
       control_trial plan.p_harness ~observer:observe ~horizon:plan.p_horizon

@@ -200,7 +200,7 @@ val run :
     [p_control]) on the calling domain seeded with the campaign seed —
     raising {!Control_failure} if the harness check rejects the
     fault-free system — then every planned trial
-    through the executor (default {!Executor.sequential}).  Outcomes
+    through the executor (default a fresh {!Executor.of_jobs}[ 1]).  Outcomes
     come back in plan order for any executor.  A trial whose runner raised
     re-raises after every other trial has completed.  Every trial, the
     control included, records into per-domain scratch unless the

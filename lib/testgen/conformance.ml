@@ -17,42 +17,21 @@ type section = {
   sec_paper : bool;
 }
 
-(* One catalog entry.  A vendor row's trial is a fully-parameterized tcp
-   harness plus fault/script/side/horizon, and its oracle re-measures
-   the quirk from the client's trace entries; the oracle closes over the
-   row's own vendor profile, so [run ~profile_override] keeps the
-   expectations while swapping the system under test.  A paper row's trial builds
-   its own testbed from the row seed and returns its checks. *)
+(* One catalog entry of either catalog.  Its trial runs on this
+   domain's arena from the profile override and the derived row seed,
+   reads what it measures from collectors attached before its testbed
+   is built, and returns its checks.  A vendor row's oracle closes over
+   the row's own profile, so [run ~profile_override] keeps the
+   expectations while swapping the system under test; a paper row
+   ignores the override ([run] refuses one). *)
 type row = {
   row_id : string;
   row_section : section;
   row_slug : string;
   row_subject : string;  (** display name: the vendor, or a paper row's case *)
   row_quirk : string;
-  row_trial : trial;
-}
-
-and trial =
-  | Vendor of vendor_trial
-  | Paper of (int64 -> check list)
-
-and vendor_trial = {
-  cfg_profile : Profile.t;
-  cfg_phase : Tcp_harness.phase;
-  cfg_chunks : int;
-  cfg_keepalive : bool;
-  cfg_server_reads : bool;
-  cfg_heal : bool;
-  cfg_side : Campaign.side;
-  cfg_fault : Generator.fault;
-  cfg_script : string option;  (** overrides the fault's filter *)
-  cfg_arm : (Vtime.t * string) option;
-      (** install this send-filter source at this virtual time — the
-          delayed fault window keep-alive rows need (the harness heals
-          filters at 3 min, so a probe-drop must arrive later) *)
-  cfg_horizon : Vtime.t;
-  cfg_oracle : Campaign.verdict -> (string -> Trace.entry list) -> check list;
-      (** reads the client's entries by tag ({!collect_client}) *)
+  row_side : Campaign.side;  (** keys the row seed: its filter's side *)
+  row_trial : Profile.t option -> int64 -> check list;
 }
 
 let row_id r = r.row_id
@@ -82,20 +61,21 @@ let kv_int e key =
   | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
   | None -> 0
 
-(* The client entries the quirk oracles read, by tag in recording
-   order, collected by a feed attached before build.  Asking for
-   another tag is a bug: [List.assoc] raises. *)
-let client_tags =
-  [ "tcp.retransmit"; "tcp.closed"; "tcp.rst-sent"; "tcp.keepalive-probe";
-    "tcp.in"; "tcp.out"; "tcp.persist-probe"; "tcp.state" ]
-
-let collect_client trace =
-  let cells = List.map (fun tag -> (tag, ref [])) client_tags in
-  Trace.attach trace ~tags:(Some client_tags) (fun _ (e : Trace.entry) ->
-      if String.equal e.node "client" then
+(* [node]'s entries with one of [tags], by tag in recording order,
+   kept by a feed.  Asking for another tag is a bug: [List.assoc]
+   raises. *)
+let collect trace ~node ~tags =
+  let cells = List.map (fun tag -> (tag, ref [])) tags in
+  Trace.attach trace ~tags:(Some tags) (fun _ (e : Trace.entry) ->
+      if String.equal e.node node then
         let cell = List.assoc e.tag cells in
         cell := e :: !cell);
   fun tag -> List.rev !(List.assoc tag cells)
+
+(* the client entries the quirk oracles read *)
+let client_tags =
+  [ "tcp.retransmit"; "tcp.closed"; "tcp.rst-sent"; "tcp.keepalive-probe";
+    "tcp.in"; "tcp.out"; "tcp.persist-probe"; "tcp.state" ]
 
 let gaps entries =
   let rec go = function
@@ -460,28 +440,45 @@ let vendor_sections =
 
 let plural n = if n = 1 then "" else "s"
 
+(* A vendor row: one {!Campaign.exec} trial of a tcp harness built with
+   the override (or [p]), whose oracle reads the client's collected
+   entries.  [script] overrides the fault's filter; [arm] installs a
+   send filter at a virtual time — the delayed fault window keep-alive
+   rows need (the harness heals filters at 3 min, so a probe-drop must
+   arrive later). *)
 let mk ~section ~(p : Profile.t) ~quirk ?(phase = Tcp_harness.Stream)
     ?(chunks = 12) ?(keepalive = false) ?(server_reads = true) ?(heal = true)
     ?(side = Campaign.Send_filter) ?script ?arm ~horizon ~oracle fault =
+  let trial override seed =
+    let profile = Option.value override ~default:p in
+    let harness =
+      Tcp_harness.harness ~chunk_count:chunks ~profile ~phase ~keepalive
+        ~server_reads ~heal ()
+    in
+    let arm =
+      Option.map
+        (fun (at, src) sim pfi ->
+          ignore
+            (Sim.schedule sim ~delay:at (fun () ->
+                 Pfi_core.Pfi_layer.set_send_filter pfi src)))
+        arm
+    in
+    let script =
+      Pfi_script.Interp.compile
+        (Option.value script ~default:(Generator.script_of_fault fault))
+    in
+    Campaign.exec ?arm harness ~horizon ~seed ~filters:[ (side, script) ]
+      (fun trace ->
+        let client = collect trace ~node:"client" ~tags:client_tags in
+        fun verdict _ -> oracle p verdict client)
+  in
   { row_id = section ^ "/" ^ Profile.slug p;
     row_section = List.find (fun s -> s.sec_key = section) vendor_sections;
     row_slug = Profile.slug p;
     row_subject = p.Profile.name;
     row_quirk = quirk;
-    row_trial =
-      Vendor
-        { cfg_profile = p;
-          cfg_phase = phase;
-          cfg_chunks = chunks;
-          cfg_keepalive = keepalive;
-          cfg_server_reads = server_reads;
-          cfg_heal = heal;
-          cfg_side = side;
-          cfg_fault = fault;
-          cfg_script = script;
-          cfg_arm = arm;
-          cfg_horizon = horizon;
-          cfg_oracle = oracle p } }
+    row_side = side;
+    row_trial = trial }
 
 let rexmt_row (p : Profile.t) =
   mk ~section:"rexmt" ~p
@@ -561,7 +558,8 @@ let paper_row ~section ~slug ~subject ~quirk measure =
     row_slug = slug;
     row_subject = subject;
     row_quirk = quirk;
-    row_trial = Paper measure }
+    row_side = Campaign.Send_filter;
+    row_trial = (fun _ seed -> measure seed) }
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                            *)
@@ -586,46 +584,12 @@ type report = {
 
 (* the fault identity alone does not identify a row (several rows
    share Drop_all DATA), so the per-row seed is keyed on the id *)
-let row_seed ~seed row =
-  let side =
-    match row.row_trial with
-    | Vendor v -> v.cfg_side
-    | Paper _ -> Campaign.Send_filter
-  in
-  Campaign.trial_seed_of_key ~campaign_seed:seed ~side (Rng.fnv1a64 row.row_id)
-
-let run_vendor ~seed ~override v =
-  let profile = Option.value override ~default:v.cfg_profile in
-  let harness =
-    Tcp_harness.harness ~chunk_count:v.cfg_chunks ~profile
-      ~phase:v.cfg_phase ~keepalive:v.cfg_keepalive
-      ~server_reads:v.cfg_server_reads ~heal:v.cfg_heal ()
-  in
-  let arm =
-    Option.map
-      (fun (at, src) sim pfi ->
-        ignore
-          (Sim.schedule sim ~delay:at (fun () ->
-               Pfi_core.Pfi_layer.set_send_filter pfi src)))
-      v.cfg_arm
-  in
-  let script =
-    Pfi_script.Interp.compile
-      (Option.value v.cfg_script ~default:(Generator.script_of_fault v.cfg_fault))
-  in
-  Campaign.exec ?arm harness ~horizon:v.cfg_horizon ~seed
-    ~filters:[ (v.cfg_side, script) ]
-    (fun trace ->
-      let client = collect_client trace in
-      fun verdict _ -> v.cfg_oracle verdict client)
-
 let run_row ~seed ~override row =
-  let res_seed = row_seed ~seed row in
-  let checks =
-    match row.row_trial with
-    | Vendor v -> run_vendor ~seed:res_seed ~override v
-    | Paper measure -> measure res_seed
+  let res_seed =
+    Campaign.trial_seed_of_key ~campaign_seed:seed ~side:row.row_side
+      (Rng.fnv1a64 row.row_id)
   in
+  let checks = row.row_trial override res_seed in
   { res_id = row.row_id;
     res_section = row.row_section.sec_key;
     res_vendor = row.row_subject;
@@ -634,7 +598,7 @@ let run_row ~seed ~override row =
     res_checks = checks;
     res_pass = List.for_all (fun c -> c.ck_pass) checks }
 
-let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
+let run ?(executor = Executor.of_jobs 1) ?(seed = Campaign.default_seed)
     ?profile_override rows =
   let override =
     Option.map

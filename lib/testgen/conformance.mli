@@ -25,6 +25,15 @@
       5–8 and the ablations), each row running the paper's own testbed
       ({!Tcp_rig}, {!Gmp_rig}) via {!paper_row}.
 
+    Both catalogs' rows are one kind, run one way: a row is a function
+    of the profile override and its derived seed.  It builds its trial
+    on this domain's {!Arena} scratch — a vendor row through
+    {!Campaign.exec}, a paper row by passing the scratch to its rig —
+    and reads what it measures from {!collect}ors attached to the
+    scratch's trace before the trial is built.  No row stores its
+    trace, and a row is done reading its trial before it takes another
+    scratch.
+
     {!run} executes rows of either catalog on any {!Executor.t};
     per-row seeds are pure functions of the campaign seed and the row
     id, and results come back in catalog order, so the rendered report
@@ -97,9 +106,20 @@ val paper_row :
 (** A paper-catalog row with id ["KEY/SLUG"].  [subject] names what it
     runs against (a vendor, or a GMP test case) and [quirk] states the
     result in one line.  The function is the trial: given the derived
-    row seed, it builds its testbed, runs it and returns the checks. *)
+    row seed, it builds its testbed on {!Arena.scratch}, runs it and
+    returns the checks. *)
 
 (** {2 Trace measurement helpers} *)
+
+val collect :
+  Pfi_engine.Trace.t -> node:string -> tags:string list ->
+  string -> Pfi_engine.Trace.entry list
+(** [collect trace ~node ~tags] attaches a feed to [trace], of either
+    kind, that keeps [node]'s entries with one of [tags]; the returned
+    reader gives the entries with one tag, in recording order.
+    Attached before the trial is built, it sees every entry.  The one
+    collector of both catalogs; asking it for a tag not in [tags]
+    raises [Not_found]. *)
 
 val kv : string -> string -> string option
 (** [kv detail key]: the value of [key] in a ["k=v k=v"] trace detail. *)
@@ -129,11 +149,8 @@ type report = {
 val run :
   ?executor:Executor.t -> ?seed:int64 -> ?profile_override:string ->
   row list -> report
-(** Runs every row as an isolated trial — a vendor row as one
-    {!Campaign.exec} trial whose oracle reads the client's entries that
-    a feed attached before build collected, a paper row through its own
-    function — mapping rows through
-    the executor (default {!Executor.sequential}).  [seed] defaults to
+(** Runs every row as an isolated trial on its worker's arena, mapping
+    rows through the executor (default a fresh {!Executor.of_jobs}[ 1]).  [seed] defaults to
     {!Campaign.default_seed}.  [profile_override] builds every vendor
     harness with the named profile ({!Pfi_tcp.Profile.find} name or
     slug) {e while keeping each row's own expectations} — the wrong-knob

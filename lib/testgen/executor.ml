@@ -92,8 +92,6 @@ let make_sequential () =
     try_map = (fun f items -> sequential_map cell f items);
     stats_cell = cell }
 
-let sequential = make_sequential ()
-
 (* The shared work queue is just an atomic cursor over the input array:
    a worker claims a run of consecutive indexes per fetch-and-add and
    writes each result into its own slot, so the output order is the

@@ -60,12 +60,6 @@ type t = {
 val stats : t -> stats
 (** The executor's accumulated lifetime counters. *)
 
-val sequential : t
-(** The default: plain in-order [List.map] on the calling domain —
-    exactly the pre-executor campaign behaviour.  This is one shared
-    executor (its stats accumulate process-wide); {!of_jobs}[ 1] makes
-    a fresh one. *)
-
 val domains : ?jobs:int -> unit -> t
 (** A pool of [jobs] workers (the calling domain plus [jobs - 1]
     spawned domains) pulling trial indexes from a shared atomic cursor
@@ -95,9 +89,11 @@ val default_jobs : unit -> int
 
 val of_jobs : int -> t
 (** The conventional CLI mapping for [--jobs N]: [1] (or less) is a
-    fresh sequential executor, anything larger is [domains ~jobs:N ()].
-    Always a fresh executor, so its {!stats} cover exactly the maps the
-    caller runs through it. *)
+    fresh sequential executor (plain in-order [List.map] on the calling
+    domain), anything larger is [domains ~jobs:N ()].  Always a fresh
+    executor, so its {!stats} cover exactly the maps the caller runs
+    through it; no executor is shared process-wide.  [of_jobs 1] is the
+    default of every [?executor] argument. *)
 
 val name : t -> string
 

@@ -305,7 +305,7 @@ let batch = 16
 (* {!Shrink.minimize} re-runs per finding *)
 let shrink_budget = 150
 
-let run ?(executor = Executor.sequential) ?(seed = Campaign.default_seed)
+let run ?(executor = Executor.of_jobs 1) ?(seed = Campaign.default_seed)
     ?(budget = default_budget) (module H : Harness_intf.HARNESS) =
   let horizon = H.default_horizon in
   let spec = H.spec and target = H.target in

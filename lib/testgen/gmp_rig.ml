@@ -19,8 +19,8 @@ type t = {
 
 let name_of_id i = Printf.sprintf "compsun%d" i
 
-let make ?(n = 3) ?(config = Gmd.default_config) ?(seed = 77L) () =
-  let sim = Sim.create ~seed () in
+let make ?(n = 3) ?(config = Gmd.default_config) ?scratch ?(seed = 77L) () =
+  let sim = Sim.create ?scratch ~seed () in
   let net = Network.create sim in
   let blackboard = Blackboard.create () in
   let ids = List.init n (fun i -> (name_of_id (i + 1), i + 1)) in

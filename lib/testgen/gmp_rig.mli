@@ -22,7 +22,10 @@ type t = {
   node : string -> node;
 }
 
-val make : ?n:int -> ?config:Gmd.config -> ?seed:int64 -> unit -> t
+val make :
+  ?n:int -> ?config:Gmd.config -> ?scratch:Sim.scratch -> ?seed:int64 -> unit -> t
+(** [scratch] is forwarded to {!Sim.create}, as a harness's [build]
+    forwards it. *)
 
 val start : t -> ?names:string list -> stagger:Vtime.t -> unit -> unit
 (** Schedules [Gmd.start] for the named daemons (default: all),

@@ -100,7 +100,7 @@ let trajectory (module H : HARNESS) =
     replayed over its entries. *)
 let state_of_trace h trace =
   let feed, states = trajectory h in
-  Trace.iteri feed trace;
+  List.iteri feed (Trace.entries trace);
   states ()
 
 (** Attaches a live state feed to [trace], of either kind, and returns

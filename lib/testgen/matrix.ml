@@ -620,14 +620,14 @@ let expand ?limit m =
 (* Manifests                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_digest entries =
+let corpus_digest files =
   let buf = Buffer.create 4096 in
   List.iter
-    (fun e ->
-      Buffer.add_string buf e.e_file;
+    (fun (file, text) ->
+      Buffer.add_string buf file;
       Buffer.add_char buf '\n';
-      Buffer.add_string buf e.e_text)
-    entries;
+      Buffer.add_string buf text)
+    files;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let manifest_json ~spec_file ~spec_digest m entries =
@@ -640,7 +640,8 @@ let manifest_json ~spec_file ~spec_digest m entries =
       ("count", Repro.Json.Int (List.length entries));
       ("pass", Repro.Json.Int (count "pass"));
       ("xfail", Repro.Json.Int (count "xfail"));
-      ("corpus_digest", Repro.Json.Str (corpus_digest entries));
+      ( "corpus_digest",
+        Repro.Json.Str (corpus_digest (List.map (fun e -> (e.e_file, e.e_text)) entries)) );
       ( "scenarios",
         Repro.Json.List
           (List.map

@@ -134,9 +134,11 @@ val expand : ?limit:int -> t -> entry list
 
 (** {1 Manifests} *)
 
-val corpus_digest : entry list -> string
-(** MD5 hex over every entry's file name and canonical text — two
-    corpora agree on the digest iff they agree byte-for-byte. *)
+val corpus_digest : (string * string) list -> string
+(** MD5 hex over every [(file, text)] pair, file name then contents —
+    two corpora agree on the digest iff they agree byte-for-byte.  [gen]
+    digests the entries it writes ([e_file], [e_text]); [check
+    --manifest] the files its manifest lists, as read back. *)
 
 val manifest_json :
   spec_file:string -> spec_digest:string -> t -> entry list -> Repro.Json.t

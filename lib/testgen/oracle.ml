@@ -368,8 +368,10 @@ let replay oracle trace =
   (match m.tags with
    | Some [] -> ()
    | Some tags ->
-     Trace.iteri (fun i e -> if List.mem e.Trace.tag tags then m.feed i e) trace
-   | None -> Trace.iteri m.feed trace);
+     List.iteri
+       (fun i e -> if List.mem e.Trace.tag tags then m.feed i e)
+       (Trace.entries trace)
+   | None -> List.iteri m.feed (Trace.entries trace));
   m
 
 let eval oracle trace = verdict (replay oracle trace) trace

@@ -81,7 +81,8 @@ type verdict = {
       (** pointed diagnostic: which entry satisfied or violated the
           oracle, or why no entry could *)
   witness : int option;
-      (** recording index of the deciding entry ({!Trace.iteri}); the
+      (** recording index of the deciding entry (its position in
+          {!Pfi_engine.Trace.entries}); the
           satisfying match on pass, the violating or nearest-miss entry
           on failure when one exists *)
 }

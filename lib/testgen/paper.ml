@@ -26,6 +26,13 @@ let vendor_row ~section ?(suffix = "") ?(subject = "") ~quirk (p : Profile.t)
   Conformance.paper_row ~section ~slug:(Profile.slug p ^ suffix)
     ~subject:(p.Profile.name ^ subject) ~quirk (trial p)
 
+(* this domain's arena scratch for a row's rig, with a collector of
+   [node]'s [tags] entries attached to its trace before the rig is
+   built *)
+let logging_scratch ~node ~tags =
+  let scratch = Arena.scratch () in
+  (scratch, Conformance.collect (Sim.scratch_trace scratch) ~node ~tags)
+
 (* ------------------------------------------------------------------ *)
 (* Table 2 and Figure 4: RTO under delayed ACKs                       *)
 (* ------------------------------------------------------------------ *)
@@ -62,30 +69,35 @@ if {$dropping == 1} {
 }
 |}
 
+(* (seq, time) of each [log exp.drop <seq>] entry the x-Kernel's
+   filter wrote *)
+let logged_seqs entries =
+  List.filter_map
+    (fun e ->
+      Option.map
+        (fun seq -> (seq, e.Trace.time))
+        (int_of_string_opt (String.trim (Trace.detail e))))
+    entries
+
 (* Did the vendor send a RST as part of giving up the connection?
    (RSTs sent later, in reply to stray segments arriving at the closed
    port, do not count.) *)
-let rst_at_close rig =
-  let times tag =
-    List.map
-      (fun e -> e.Trace.time)
-      (Trace.find ~node:Tcp_rig.vendor_node ~tag (Sim.trace rig.Tcp_rig.sim))
-  in
+let rst_at_close vendor =
+  let times tag = List.map (fun e -> e.Trace.time) (vendor tag) in
   let closes = times "tcp.closed" in
   List.exists (fun t -> List.exists (Vtime.equal t) closes) (times "tcp.rst-sent")
 
 (* Fallback when the PFI drop log is empty (a connection that died
    before the drop phase began, as Solaris sometimes does): read the
    vendor's own retransmission trace. *)
-let vendor_rexmt_log rig =
+let vendor_rexmt_log vendor =
   List.filter_map
     (fun e ->
       (* detail looks like "port=P seq=N n=K rto=..." *)
       Conformance.kv (Trace.detail e) "seq"
       |> Fun.flip Option.bind int_of_string_opt
       |> Option.map (fun seq -> (seq, e.Trace.time)))
-    (Trace.find ~node:Tcp_rig.vendor_node ~tag:"tcp.retransmit"
-       (Sim.trace rig.Tcp_rig.sim))
+    (vendor "tcp.retransmit")
 
 type rexmt = {
   retransmissions : int;  (** of the stuck segment *)
@@ -94,7 +106,12 @@ type rexmt = {
 }
 
 let delayed_acks ~delay_sec p seed =
-  let rig = Tcp_rig.make ~profile:p ~seed () in
+  let scratch, logged = logging_scratch ~node:Tcp_rig.xk_node ~tags:[ "exp.drop" ] in
+  let vendor =
+    Conformance.collect (Sim.scratch_trace scratch) ~node:Tcp_rig.vendor_node
+      ~tags:[ "tcp.retransmit"; "tcp.closed"; "tcp.rst-sent" ]
+  in
+  let rig = Tcp_rig.make ~profile:p ~scratch ~seed () in
   let vconn, _xc = Tcp_rig.connect rig in
   Pfi_layer.set_send_filter rig.Tcp_rig.pfi (delay_acks_filter delay_sec);
   Pfi_layer.set_receive_filter rig.Tcp_rig.pfi drop_when_told;
@@ -105,15 +122,15 @@ let delayed_acks ~delay_sec p seed =
   let every = Vtime.of_sec_f (delay_sec +. 1.0) in
   Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every ~count:40;
   Sim.run ~until:(Vtime.hours 2) rig.Tcp_rig.sim;
-  let entries = Tcp_rig.drop_log rig ~tag:"exp.drop" in
+  let entries = logged_seqs (logged "exp.drop") in
   let from_pfi_log = entries <> [] in
-  let entries = if from_pfi_log then entries else vendor_rexmt_log rig in
+  let entries = if from_pfi_log then entries else vendor_rexmt_log vendor in
   let _seq, times = Tcp_rig.busiest_seq entries in
   { retransmissions =
       (if from_pfi_log then max 0 (List.length times - 1)
        else List.length times);
     intervals = Tcp_rig.intervals times;
-    rst_sent = rst_at_close rig }
+    rst_sent = rst_at_close vendor }
 
 (* the paper's adapted first-retransmission cells at a 3 s ACK delay *)
 let adapted_at_3s =
@@ -209,13 +226,14 @@ if {$delay_next_ack == 1 && [msg_type cur_msg] == "ACK"} {
 (* (retransmissions of m1 before its ACK arrived, retransmissions of m2
    before the connection died) *)
 let counter_probe p seed =
-  let rig = Tcp_rig.make ~profile:p ~seed () in
+  let scratch, logged = logging_scratch ~node:Tcp_rig.xk_node ~tags:[ "exp.drop" ] in
+  let rig = Tcp_rig.make ~profile:p ~scratch ~seed () in
   let vconn, _xc = Tcp_rig.connect rig in
   Pfi_layer.set_receive_filter rig.Tcp_rig.pfi global_counter_recv;
   Pfi_layer.set_send_filter rig.Tcp_rig.pfi global_counter_send;
   Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every:(Vtime.ms 400) ~count:32;
   Sim.run ~until:(Vtime.hours 1) rig.Tcp_rig.sim;
-  let entries = Tcp_rig.drop_log rig ~tag:"exp.drop" in
+  let entries = logged_seqs (logged "exp.drop") in
   (* two sequence numbers appear: m1 (only its retransmissions are
      logged; the original passed through) and m2 (original + rexmits) *)
   let count seq = List.length (List.filter (fun (s, _) -> s = seq) entries) in
@@ -257,16 +275,13 @@ let keepalive_acked_row p =
          (Vtime.to_string p.Profile.keepalive_idle))
     p
     (fun p seed ->
-      let rig = Tcp_rig.make ~profile:p ~seed () in
+      let scratch, logged = logging_scratch ~node:Tcp_rig.xk_node ~tags:[ "exp.ka" ] in
+      let rig = Tcp_rig.make ~profile:p ~scratch ~seed () in
       let vconn, _xc = Tcp_rig.connect rig in
       Pfi_layer.set_receive_filter rig.Tcp_rig.pfi log_only;
       Tcp.set_keepalive vconn true;
       Sim.run ~until:(Vtime.sec 120_000) rig.Tcp_rig.sim;
-      let probes =
-        List.map
-          (fun e -> e.Trace.time)
-          (Trace.find ~node:Tcp_rig.xk_node ~tag:"exp.ka" (Sim.trace rig.Tcp_rig.sim))
-      in
+      let probes = List.map (fun e -> e.Trace.time) (logged "exp.ka") in
       let intervals = Tcp_rig.intervals probes in
       let idle = p.Profile.keepalive_idle in
       let lo = List.fold_left Vtime.min Vtime.infinity intervals
@@ -312,7 +327,7 @@ if {[bb_get zwp_drop 0] == 1} { xDrop cur_msg }
    probes logged, and (unplug only) the probes in the 10 minutes after
    the replug. *)
 let zero_window ~unplug p seed =
-  let rig = Tcp_rig.make ~profile:p ~seed () in
+  let rig = Tcp_rig.make ~profile:p ~scratch:(Arena.scratch ()) ~seed () in
   let vconn, xc = Tcp_rig.connect rig in
   let sim = rig.Tcp_rig.sim in
   (* the driver layer does not reset the receive buffer space *)
@@ -400,7 +415,7 @@ let exp5_row p =
   vendor_row ~section:exp5
     ~quirk:"queues the early segment and delivers both in order" p
     (fun p seed ->
-      let rig = Tcp_rig.make ~profile:p ~seed () in
+      let rig = Tcp_rig.make ~profile:p ~scratch:(Arena.scratch ()) ~seed () in
       let vconn, xc = Tcp_rig.connect rig in
       let got = Buffer.create 16 in
       Tcp.on_data vconn (Buffer.add_string got);
@@ -472,7 +487,8 @@ if {[msg_type cur_msg] == "HEARTBEAT" && [msg_attr cur_msg net.dst] == $pfi_node
 
 let self_heartbeat_drop ~buggy seed =
   let config = config ~buggy { Gmd.no_bugs with Gmd.self_death = true } in
-  let rig = Gmp_rig.make ~n:3 ~config ~seed () in
+  let scratch, logged = logging_scratch ~node:"compsun3" ~tags:[ "gmp.singleton" ] in
+  let rig = Gmp_rig.make ~n:3 ~config ~scratch ~seed () in
   Gmp_rig.start rig ~stagger:(Vtime.sec 1) ();
   send_filter_at rig ~at:40 "compsun3" drop_self_heartbeats;
   Sim.run ~until:(Vtime.sec 180) rig.Gmp_rig.sim;
@@ -496,8 +512,7 @@ let self_heartbeat_drop ~buggy seed =
           (yes_no
              (List.exists
                 (fun e -> Vtime.(e.Trace.time > Vtime.sec 40))
-                (Trace.find ~node:"compsun3" ~tag:"gmp.singleton"
-                   (Sim.trace rig.Gmp_rig.sim))));
+                (logged "gmp.singleton")));
       stuck_check ]
 
 (* oscillate: ~35 s dropping outgoing heartbeats to others, ~35 s not *)
@@ -509,7 +524,7 @@ if {[msg_type cur_msg] == "HEARTBEAT" && [msg_attr cur_msg net.dst] != $pfi_node
 |}
 
 let kick_cycle seed =
-  let rig = Gmp_rig.make ~n:3 ~seed () in
+  let rig = Gmp_rig.make ~n:3 ~scratch:(Arena.scratch ()) ~seed () in
   Gmp_rig.start rig ~stagger:(Vtime.sec 1) ();
   send_filter_at rig ~at:20 "compsun3" oscillating_drop;
   Sim.run ~until:(Vtime.sec 400) rig.Gmp_rig.sim;
@@ -528,7 +543,7 @@ if {[msg_type cur_msg] == "ACK" && [msg_attr cur_msg net.src] == "compsun3"} {
 |}
 
 let mc_ack_drop seed =
-  let rig = Gmp_rig.make ~n:3 ~seed () in
+  let rig = Gmp_rig.make ~n:3 ~scratch:(Arena.scratch ()) ~seed () in
   (* the group leader's receive filter drops compsun3's ACKs *)
   Pfi_layer.set_receive_filter (node rig "compsun1").Gmp_rig.pfi
     drop_acks_from_compsun3;
@@ -545,7 +560,7 @@ if {[msg_type cur_msg] == "COMMIT"} { xDrop cur_msg }
 |}
 
 let commit_drop seed =
-  let rig = Gmp_rig.make ~n:3 ~seed () in
+  let rig = Gmp_rig.make ~n:3 ~scratch:(Arena.scratch ()) ~seed () in
   Pfi_layer.set_receive_filter (node rig "compsun3").Gmp_rig.pfi drop_commits;
   start_late_joiner rig;
   Sim.run ~until:(Vtime.sec 300) rig.Gmp_rig.sim;
@@ -582,7 +597,7 @@ if {[bb_get split 0] == 1} {
 |} (String.concat " " other_group)
 
 let partition_oscillation seed =
-  let rig = Gmp_rig.make ~n:5 ~seed () in
+  let rig = Gmp_rig.make ~n:5 ~scratch:(Arena.scratch ()) ~seed () in
   let group_a = [ "compsun1"; "compsun2"; "compsun3" ] in
   let group_b = [ "compsun4"; "compsun5" ] in
   let filter other name =
@@ -623,7 +638,7 @@ if {[msg_attr cur_msg net.dst] == "%s"} { xDrop cur_msg }
 |} dst
 
 let leader_crown_prince_separation seed =
-  let rig = Gmp_rig.make ~n:5 ~seed () in
+  let rig = Gmp_rig.make ~n:5 ~scratch:(Arena.scratch ()) ~seed () in
   Gmp_rig.start rig ~stagger:(Vtime.sec 1) ();
   (* at t=60 s, the leader and the crown prince stop talking *)
   send_filter_at rig ~at:60 "compsun1" (block_dst "compsun2");
@@ -653,7 +668,7 @@ let proclaim_forwarding ~buggy seed =
   let config =
     config ~buggy { Gmd.no_bugs with Gmd.proclaim_reply_to_sender = true }
   in
-  let rig = Gmp_rig.make ~n:3 ~config ~seed () in
+  let rig = Gmp_rig.make ~n:3 ~config ~scratch:(Arena.scratch ()) ~seed () in
   Pfi_layer.set_send_filter (node rig "compsun3").Gmp_rig.pfi
     drop_proclaims_to_leader;
   start_late_joiner rig;
@@ -692,7 +707,7 @@ let timer_test ~buggy seed =
   let config =
     config ~buggy { Gmd.no_bugs with Gmd.timer_unset_inverted = true }
   in
-  let rig = Gmp_rig.make ~n:3 ~config ~seed () in
+  let rig = Gmp_rig.make ~n:3 ~config ~scratch:(Arena.scratch ()) ~seed () in
   let victim = (node rig "compsun2").Gmp_rig.gmd in
   Pfi_layer.set_receive_filter (node rig "compsun2").Gmp_rig.pfi second_mc_drop;
   start_late_joiner rig;
@@ -745,7 +760,7 @@ let karn_srtt ~karn_sampling seed =
       Profile.rttvar_floor = Vtime.ms 10;
       Profile.rto_granule = Vtime.ms 10 }
   in
-  let rig = Tcp_rig.make ~profile ~seed () in
+  let rig = Tcp_rig.make ~profile ~scratch:(Arena.scratch ()) ~seed () in
   Pfi_netsim.Network.set_latency rig.Tcp_rig.net ~src:Tcp_rig.vendor_node
     ~dst:Tcp_rig.xk_node (Vtime.ms 100);
   Pfi_netsim.Network.set_latency rig.Tcp_rig.net ~src:Tcp_rig.xk_node

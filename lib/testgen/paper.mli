@@ -5,8 +5,14 @@
     Each row builds the paper's own testbed from its derived row seed —
     {!Tcp_rig} (Figure 3: PFI on the x-Kernel peer) or {!Gmp_rig}
     (Figure 5: PFI at every gmd's UDP boundary, one shared blackboard)
-    — installs the paper's filter scripts, and reads what the trace and
-    the protocol state (final srtt, view histories, armed timers) show.
+    — on this domain's {!Arena} scratch, installs the paper's filter
+    scripts, and reads what its filters logged and the protocol state
+    (final srtt, view histories, armed timers) show.  The log is read
+    through {!Conformance.collect}ors attached to the scratch's
+    counting trace before the rig is built, and per-[(node, tag)]
+    counts; no row stores its trace.  A row reads its rig before it
+    takes another scratch, so the Karn row's 50 sub-trials run one
+    after another.
 
     Sections, in report order: Table 2 with Figure 4's delayed-ACK
     series ([table2], 8 rows), the Solaris 35 s retry probe with global

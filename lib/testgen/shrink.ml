@@ -141,7 +141,7 @@ let rec split_at n = function
     (x :: taken, left)
   | l -> ([], l)
 
-let minimize ?(max_trials = 1000) ?(executor = Executor.sequential) ~spec ~run
+let minimize ?(max_trials = 1000) ?(executor = Executor.of_jobs 1) ~spec ~run
     st0 =
   match (run st0 : Campaign.outcome).Campaign.verdict with
   | Campaign.Tolerated ->

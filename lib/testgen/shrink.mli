@@ -71,7 +71,7 @@ val minimize :
     or [max_trials] (default 1000) re-runs have been spent.  [Error]
     if the starting state does not violate the oracle.
 
-    [executor] (default {!Executor.sequential}) evaluates the
+    [executor] (default a fresh {!Executor.of_jobs}[ 1]) evaluates the
     independent candidates of each descent round in parallel, in
     batches of its width; acceptance always goes to the first violating
     candidate in candidate order, and a batch is charged only the

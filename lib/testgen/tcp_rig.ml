@@ -16,8 +16,8 @@ let vendor_node = "vendor"
 let xk_node = "xkernel"
 let service_port = 7777
 
-let make ~profile ?(seed = 101L) () =
-  let sim = Sim.create ~seed () in
+let make ~profile ?scratch ?(seed = 101L) () =
+  let sim = Sim.create ?scratch ~seed () in
   let net = Network.create sim in
   (* vendor machine: TCP / IP / device *)
   let vendor_tcp = Tcp.create ~sim ~node:vendor_node ~profile () in
@@ -51,14 +51,6 @@ let feed_vendor t ~conn ~chunk ~every ~count =
       (Sim.schedule t.sim ~delay:(Vtime.mul every i) (fun () ->
            if Tcp.state conn = Tcp.Established then Tcp.send conn payload))
   done
-
-let drop_log t ~tag =
-  List.filter_map
-    (fun e ->
-      match int_of_string_opt (String.trim (Trace.detail e)) with
-      | Some seq -> Some (seq, e.Trace.time)
-      | None -> None)
-    (Trace.find ~node:xk_node ~tag (Sim.trace t.sim))
 
 let busiest_seq entries =
   let counts = Hashtbl.create 32 in

@@ -20,7 +20,10 @@ type t = {
 val vendor_node : string
 val xk_node : string
 
-val make : profile:Profile.t -> ?seed:int64 -> unit -> t
+val make : profile:Profile.t -> ?scratch:Sim.scratch -> ?seed:int64 -> unit -> t
+(** [scratch] is forwarded to {!Sim.create}, as a harness's [build]
+    forwards it: a paper row passes this domain's {!Arena} scratch, with
+    its collectors already attached to the scratch's trace. *)
 
 val connect : t -> Tcp.conn * Tcp.conn
 (** Opens the connection and runs the simulation until both sides are
@@ -35,10 +38,8 @@ val feed_vendor :
 (** {1 Drop-log analysis}
 
     Experiment scripts log packets with [log exp.drop <seq>] before
-    dropping them; these helpers reduce that log. *)
-
-val drop_log : t -> tag:string -> (int * Vtime.t) list
-(** (seq, time) pairs in order. *)
+    dropping them; these helpers reduce that log, read as (seq, time)
+    pairs in recording order. *)
 
 val busiest_seq : (int * Vtime.t) list -> int * Vtime.t list
 (** The sequence number observed most often and its timestamps — i.e.

@@ -71,7 +71,7 @@ let test_golden_reports () =
 
 let test_jobs_parity () =
   let rows = Conformance.catalog () in
-  let seq = Conformance.run ~executor:Executor.sequential rows in
+  let seq = Conformance.run ~executor:(Executor.of_jobs 1) rows in
   let par = Conformance.run ~executor:(Executor.of_jobs 4) rows in
   Alcotest.(check string)
     "markdown is byte-identical at jobs 1 and 4"
@@ -445,7 +445,7 @@ let prop_fsm_transitions =
           | _ ->
             QCheck.Test.fail_reportf "unparseable tcp.state detail %S"
               (Trace.detail e))
-        (Trace.find ~tag:"tcp.state" trace))
+        (Trace_lists.find ~tag:"tcp.state" trace))
 
 let suite =
   [ Alcotest.test_case "catalog covers 6 sections x 4 vendors" `Quick

@@ -375,7 +375,7 @@ let test_msg_log_records () =
   send a ~dst:"b" "D:one";
   send a ~dst:"b" "D:two";
   Sim.run sim;
-  let entries = Trace.find ~node:"b" ~tag:"tcp.packet" (Sim.trace sim) in
+  let entries = Trace_lists.find ~node:"b" ~tag:"tcp.packet" (Sim.trace sim) in
   Alcotest.(check int) "two log entries" 2 (List.length entries);
   match entries with
   | e :: _ ->
@@ -475,7 +475,7 @@ if {[msg_type cur_msg] == "ACK"} { xDrop cur_msg }
   send a ~dst:"b" "D:data";
   Sim.run sim;
   ignore (received_texts b);
-  match Trace.find ~node:"a" ~tag:"pfi.verdict" (Sim.trace sim) with
+  match Trace_lists.find ~node:"a" ~tag:"pfi.verdict" (Sim.trace sim) with
   | [ dropped; passed ] ->
     let field e k = Option.value (List.assoc_opt k e.Trace.fields) ~default:"?" in
     Alcotest.(check string) "dir" "send" (field dropped "dir");

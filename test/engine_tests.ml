@@ -451,12 +451,12 @@ let test_trace_fields_roundtrip () =
     ~fields:[ ("dst", "b"); ("len", "5") ]
     "a -> b";
   Trace.record tr ~time:(Vtime.sec 2) ~node:"a" ~tag:"plain" "no fields";
-  (match Trace.find ~tag:"net.send" tr with
+  (match Trace_lists.find ~tag:"net.send" tr with
    | [ e ] ->
      Alcotest.(check (list (pair string string)))
        "fields preserved" [ ("dst", "b"); ("len", "5") ] e.Trace.fields
    | _ -> Alcotest.fail "expected one net.send entry");
-  match Trace.find ~tag:"plain" tr with
+  match Trace_lists.find ~tag:"plain" tr with
   | [ e ] -> Alcotest.(check (list (pair string string))) "no fields" [] e.Trace.fields
   | _ -> Alcotest.fail "expected one plain entry"
 
@@ -480,8 +480,8 @@ let test_trace_jsonl () =
   Alcotest.(check string) "extra pairs after t_us"
     {|{"t_us":3,"run":"r1","node":"n","tag":"t","detail":"d"}|} with_extra
 
-(* [find] and the per-pair counts must agree with a naive filter of the
-   full log *)
+(* the per-pair counts must agree with a naive filter of the full
+   log *)
 let prop_trace_index_matches_scan =
   let gen_entry =
     QCheck.Gen.(
@@ -517,11 +517,8 @@ let prop_trace_index_matches_scan =
       in
       List.for_all
         (fun (node, tag) ->
-          let scanned = scan ?node ?tag () in
-          Trace.find ?node ?tag tr = scanned
-          &&
           match tag with
-          | Some tag -> Trace.count ?node ~tag tr = List.length scanned
+          | Some tag -> Trace.count ?node ~tag tr = List.length (scan ?node ~tag ())
           | None -> true)
         queries)
 
@@ -593,8 +590,6 @@ let test_counting_trace () =
       (match f () with () -> false | exception Invalid_argument _ -> true)
   in
   refuses "entries" (fun () -> ignore (Trace.entries counting));
-  refuses "find" (fun () -> ignore (Trace.find ~tag:"y" counting));
-  refuses "iteri" (fun () -> Trace.iteri (fun _ _ -> ()) counting);
   refuses "to_jsonl" (fun () -> ignore (Trace.to_jsonl counting));
   Trace.clear counting;
   record counting;

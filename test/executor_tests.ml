@@ -13,9 +13,9 @@ let items n = List.init n (fun i -> i)
 
 let test_sequential_in_order () =
   Alcotest.(check (list int)) "identity map" (items 10)
-    (Executor.map Executor.sequential (fun i -> i) (items 10));
+    (Executor.map (Executor.of_jobs 1) (fun i -> i) (items 10));
   Alcotest.(check (list int)) "empty input" []
-    (Executor.map Executor.sequential (fun i -> i) [])
+    (Executor.map (Executor.of_jobs 1) (fun i -> i) [])
 
 let test_domains_in_order () =
   let n = 64 in
@@ -41,7 +41,7 @@ let test_domains_match_sequential () =
   let f i = (i * 37) mod 11 in
   List.iter
     (fun n ->
-      let expected = Executor.map Executor.sequential f (items n) in
+      let expected = Executor.map (Executor.of_jobs 1) f (items n) in
       List.iter
         (fun jobs ->
           Alcotest.(check (list int))
@@ -155,7 +155,7 @@ let test_no_lost_trials_on_exception () =
               (i mod 3 = 1)
           | Error e -> raise e)
         results)
-    [ Executor.sequential; Executor.domains ~jobs:3 () ]
+    [ (Executor.of_jobs 1); Executor.domains ~jobs:3 () ]
 
 let test_map_reraises_first_by_index () =
   (* item 2 fails; on a pool, item 7's failure may complete first, but
@@ -171,7 +171,7 @@ let test_map_reraises_first_by_index () =
         Alcotest.(check int)
           (Executor.name executor ^ ": first error by index")
           2 i)
-    [ Executor.sequential; Executor.domains ~jobs:4 () ]
+    [ (Executor.of_jobs 1); Executor.domains ~jobs:4 () ]
 
 (* ------------------------------------------------------------------ *)
 (* CLI mapping and naming                                             *)
@@ -185,7 +185,7 @@ let test_of_jobs () =
   Alcotest.(check string) "jobs=4 is a domain pool" "domains(4)"
     (Executor.name (Executor.of_jobs 4));
   Alcotest.(check int) "width matches jobs" 4 (Executor.of_jobs 4).Executor.width;
-  Alcotest.(check int) "sequential width" 1 Executor.sequential.Executor.width;
+  Alcotest.(check int) "sequential width" 1 (Executor.of_jobs 1).Executor.width;
   Alcotest.(check bool) "default_jobs positive" true (Executor.default_jobs () >= 1)
 
 (* ------------------------------------------------------------------ *)
@@ -295,7 +295,7 @@ let test_shrink_executor_same_trajectory () =
     | Ok report -> report
     | Error e -> Alcotest.failf "minimize failed: %s" e
   in
-  let seq = minimize Executor.sequential in
+  let seq = minimize (Executor.of_jobs 1) in
   let par = minimize (Executor.domains ~jobs:4 ()) in
   Alcotest.(check bool) "same minimized state" true
     (seq.Shrink.minimized = par.Shrink.minimized);

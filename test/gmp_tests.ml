@@ -460,7 +460,7 @@ let test_lean_storm_trial () =
   Alcotest.(check int) "proclaim-fwd entries" 75_000
     (Trace.count ~tag:"gmp.proclaim-fwd" trace);
   Alcotest.(check bool) "a counting trace refuses reads" true
-    (match Trace.find ~tag:"gmp.proclaim-fwd" trace with
+    (match Trace_lists.find ~tag:"gmp.proclaim-fwd" trace with
      | _ -> false
      | exception Invalid_argument _ -> true);
   let words = Obj.reachable_words (Obj.repr trace) in

@@ -89,7 +89,7 @@ let entry_cite i (e : Trace.entry) =
 
 let matches_of p trace =
   let acc = ref [] in
-  Trace.iteri (fun i e -> if pattern_matches p e then acc := (i, e) :: !acc) trace;
+  Trace_lists.iteri (fun i e -> if pattern_matches p e then acc := (i, e) :: !acc) trace;
   List.rev !acc
 
 let compare_holds (cmp : Oracle.comparison) a b =

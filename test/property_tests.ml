@@ -50,7 +50,8 @@ let prop_expr_no_crash =
 (* ------------------------------------------------------------------ *)
 
 (* Each reader of an input format, the committed inputs it is fed, and
-   its documented failure: [Scenario.Parse_error] for the text formats,
+   its documented failure: [Scenario.Parse_error] for the scenario
+   formats, [Parser.Parse_error] for filter scripts and Tcl lists,
    [Error _] for the others.  Any other exception escapes the property
    and fails it. *)
 let input_readers =
@@ -66,6 +67,17 @@ let input_readers =
      let parses parse s =
        match parse s with _ -> () | exception Pfi_testgen.Scenario.Parse_error _ -> ()
      in
+     (* the scripts of the tclsh-recorded corpus *)
+     let tcl_scripts =
+       String.split_on_char '\n' (read "tcl/corpus.jsonl")
+       |> List.filter (fun l -> l <> "")
+       |> List.map (fun l ->
+              let case = Result.get_ok (Pfi_testgen.Repro.Json.parse l) in
+              Option.get
+                (Option.bind (Pfi_testgen.Repro.Json.member "script" case)
+                   Pfi_testgen.Repro.Json.to_str))
+     in
+     let tcl parse s = match parse s with _ -> () | exception Pfi_script.Parser.Parse_error _ -> () in
      let segment =
        Segment.encode
          (Segment.make ~payload:(Bytes.of_string "mutate me") ~src_port:1234 ~dst_port:80
@@ -79,7 +91,12 @@ let input_readers =
           fun s -> ignore (Pfi_testgen.Repro.of_string s : (_, string) result) );
         ( "Segment.decode",
           [ Bytes.to_string segment ],
-          fun s -> ignore (Segment.decode (Bytes.of_string s) : (_, string) result) ) |])
+          fun s -> ignore (Segment.decode (Bytes.of_string s) : (_, string) result) );
+        ( "Parser.parse, Tcl_list.to_list",
+          tcl_scripts,
+          fun s ->
+            tcl (fun s -> ignore (Pfi_script.Parser.parse s)) s;
+            tcl (fun s -> ignore (Pfi_script.Tcl_list.to_list s)) s ) |])
 
 (* one to four byte flips, inserts, deletes and block moves *)
 let mutate_gen src =
@@ -425,36 +442,22 @@ let trace_record_batch tr batch =
       Trace.record ~fields tr ~time:(Vtime.us t) ~node ~tag detail)
     batch
 
-(* [find], [iteri] and the per-pair counts, and the memo slots [record]
-   resolves pairs through, against a naive filter over [entries]: every
-   (node?, tag?) combination, including names that were never
-   recorded. *)
+(* The per-pair counts, and the memo slots [record] resolves pairs
+   through, against a naive filter over [entries]: every (node?, tag)
+   combination, including names that were never recorded. *)
 let trace_matches_naive tr =
   let all = Trace.entries tr in
-  let via_iteri = ref [] in
-  Trace.iteri (fun i e -> via_iteri := (i, e) :: !via_iteri) tr;
-  let opts a = None :: Some "absent" :: Array.to_list (Array.map Option.some a) in
   let keep node tag (e : Trace.entry) =
     (match node with Some n -> String.equal e.Trace.node n | None -> true)
-    && match tag with Some g -> String.equal e.Trace.tag g | None -> true
+    && String.equal e.Trace.tag tag
   in
-  List.compare_lengths !via_iteri all = 0
-  && List.for_all2 (fun (i, e) (j, e') -> i = j && e == e')
-       (List.rev !via_iteri) (List.mapi (fun i e -> (i, e)) all)
-  && List.for_all
-       (fun node ->
-         List.for_all
-           (fun tag ->
-             let naive = List.filter (keep node tag) all in
-             let found = Trace.find ?node ?tag tr in
-             List.compare_lengths found naive = 0
-             && List.for_all2 ( == ) found naive
-             &&
-             match tag with
-             | Some tag -> Trace.count ?node ~tag tr = List.length naive
-             | None -> true)
-           (opts trace_tags))
-       (opts trace_nodes)
+  List.for_all
+    (fun node ->
+      List.for_all
+        (fun tag ->
+          Trace.count ?node ~tag tr = List.length (List.filter (keep node tag) all))
+        ("absent" :: Array.to_list trace_tags))
+    (None :: Some "absent" :: Array.to_list (Array.map Option.some trace_nodes))
 
 let minor_words_of f =
   let w0 = Gc.minor_words () in
@@ -475,8 +478,8 @@ let prop_trace_clear_reuse =
       let same_queries =
         Array.for_all
           (fun node ->
-            List.length (Trace.find ~node reused)
-            = List.length (Trace.find ~node fresh)
+            List.length (Trace_lists.find ~node reused)
+            = List.length (Trace_lists.find ~node fresh)
             && Array.for_all
                  (fun tag ->
                    Trace.count ~node ~tag reused

@@ -192,7 +192,7 @@ let test_trace_get_iteri () =
   Alcotest.(check string) "get by recording index" "abp.retransmit"
     (Trace_lists.get t 2).Trace.tag;
   let seen = ref [] in
-  Trace.iteri
+  Trace_lists.iteri
     (fun i (e : Trace.entry) -> if e.tag = "abp.deliver" then seen := i :: !seen)
     t;
   Alcotest.(check (list int)) "iteri yields global indexes" [ 1; 3 ]

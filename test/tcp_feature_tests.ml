@@ -101,7 +101,7 @@ let ack_times sim ~node =
         String.length d >= 4 && String.sub d 0 4 = "ACK "
       in
       if is_pure_ack then Some e.Trace.time else None)
-    (Trace.find ~node ~tag:"tcp.out" (Sim.trace sim))
+    (Trace_lists.find ~node ~tag:"tcp.out" (Sim.trace sim))
 
 let test_delayed_ack_single_segment () =
   let server_profile =
@@ -190,20 +190,8 @@ let test_ip_discards_foreign () =
   Alcotest.(check int) "not for us: dropped" 0 !delivered
 
 (* ------------------------------------------------------------------ *)
-(* Stub registry, blackboard                                          *)
+(* Blackboard                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_stub_registry () =
-  Tcp_stub.register ();
-  Pfi_gmp.Gmp_stub.register ();
-  Alcotest.(check bool) "tcp registered" true (Stubs.find "tcp" <> None);
-  Alcotest.(check bool) "gmp registered" true (Stubs.find "gmp" <> None);
-  Alcotest.(check bool) "abp registered" true (Stubs.find "abp" <> None);
-  Alcotest.(check bool) "raw always present" true (Stubs.find "raw" <> None);
-  Alcotest.(check bool) "unknown absent" true (Stubs.find "nope" = None);
-  (match Stubs.find_exn "tcp" with
-   | stub -> Alcotest.(check string) "find_exn" "tcp" stub.Stubs.protocol
-   | exception _ -> Alcotest.fail "find_exn failed")
 
 let test_blackboard () =
   let bb = Blackboard.create () in
@@ -240,10 +228,10 @@ let probe_payload_len profile =
   Tcp.set_keepalive conn true;
   Sim.run ~until:(Vtime.sec 7300) sim;
   (* find the probe in the client's outbound trace: seq = snd_nxt - 1 *)
-  let entries = Trace.find ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
+  let entries = Trace_lists.find ~node:"client" ~tag:"tcp.keepalive-probe" (Sim.trace sim) in
   Alcotest.(check bool) "a probe was sent" true (entries <> []);
   (* read the probe length out of the tcp.out record that follows *)
-  let outs = Trace.find ~node:"client" ~tag:"tcp.out" (Sim.trace sim) in
+  let outs = Trace_lists.find ~node:"client" ~tag:"tcp.out" (Sim.trace sim) in
   let probe_time = (List.hd entries).Trace.time in
   let probe_out =
     List.find (fun e -> Vtime.equal e.Trace.time probe_time) outs
@@ -275,7 +263,6 @@ let suite =
       test_delayed_ack_every_second_segment;
     Alcotest.test_case "ip header roundtrip" `Quick test_ip_header_roundtrip;
     Alcotest.test_case "ip discards foreign packets" `Quick test_ip_discards_foreign;
-    Alcotest.test_case "stub registry" `Quick test_stub_registry;
     Alcotest.test_case "blackboard" `Quick test_blackboard;
     Alcotest.test_case "keep-alive probe formats" `Quick test_keepalive_formats;
   ]

@@ -4,8 +4,19 @@
 
 open Pfi_engine
 
+(* entries matching every given criterion, in recording order *)
+let find ?node ?tag t =
+  List.filter
+    (fun (e : Trace.entry) ->
+      (match node with Some n -> String.equal e.node n | None -> true)
+      && match tag with Some g -> String.equal e.tag g | None -> true)
+    (Trace.entries t)
+
+(* every entry with its recording index: what oracle witnesses cite *)
+let iteri f t = List.iteri f (Trace.entries t)
+
 let timestamps ?node ~tag t =
-  List.map (fun (e : Trace.entry) -> e.time) (Trace.find ?node ~tag t)
+  List.map (fun (e : Trace.entry) -> e.time) (find ?node ~tag t)
 
 (* successive differences of [timestamps]: the gaps between events *)
 let intervals ?node ~tag t =
@@ -16,7 +27,7 @@ let intervals ?node ~tag t =
   diffs (timestamps ?node ~tag t)
 
 let last ?node ?tag t =
-  match List.rev (Trace.find ?node ?tag t) with e :: _ -> Some e | [] -> None
+  match List.rev (find ?node ?tag t) with e :: _ -> Some e | [] -> None
 
 (* the entry a recording index (an oracle witness) names *)
 let get t i = List.nth (Trace.entries t) i
