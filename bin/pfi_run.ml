@@ -317,25 +317,25 @@ let trace_sink trace_out =
   fun export ->
     Option.iter
       (fun oc ->
-        export (fun extra trace -> Pfi_engine.Trace.output_jsonl ~extra oc trace);
+        export (fun extra trace -> Pfi_testgen.Json.output_trace ~extra oc trace);
         close_out oc)
       oc
 
-let json_str s = Pfi_testgen.Repro.Json.Str s
-let json_print tree = print_endline (Pfi_testgen.Repro.Json.to_string tree)
+let json_str s = Pfi_testgen.Json.Str s
+let json_print tree = print_endline (Pfi_testgen.Json.to_string tree)
 
 let list_ json =
   if json then begin
     List.iter
       (fun (name, desc, _) ->
         json_print
-          (Pfi_testgen.Repro.Json.Obj
+          (Pfi_testgen.Json.Obj
              [ ("catalog", json_str name); ("description", json_str desc) ]))
       catalogs;
     List.iter
       (fun entry ->
         json_print
-          (Pfi_testgen.Repro.Json.Obj
+          (Pfi_testgen.Json.Obj
              [ ("harness", json_str (Pfi_testgen.Harness_intf.name entry));
                ("description",
                 json_str (Pfi_testgen.Harness_intf.description entry)) ]))
@@ -454,7 +454,7 @@ if {$delay_next_ack == 1 && [msg_type cur_msg] == "ACK"} {
       (Pfi_netsim.Msc.events trace)
   in
   if json then
-    Trace.output_jsonl ~extra:[ ("artifact", "msc") ] ~tag:"msc" stdout trace
+    Json.output_trace ~extra:[ ("artifact", "msc") ] ~tag:"msc" stdout trace
   else begin
     print_endline
       "Message sequence chart: the Solaris global-error-counter discovery";
@@ -497,16 +497,16 @@ let mkdir_p dir =
 let verdict_json = function
   | Pfi_testgen.Campaign.Tolerated -> json_str "tolerated"
   | Pfi_testgen.Campaign.Violation reason ->
-    Pfi_testgen.Repro.Json.Obj [ ("violation", json_str reason) ]
+    Pfi_testgen.Json.Obj [ ("violation", json_str reason) ]
 
 let outcome_json (o : Pfi_testgen.Campaign.outcome) =
   let open Pfi_testgen in
-  Repro.Json.Obj
+  Json.Obj
     [ ("fault", Repro.fault_to_json o.Campaign.fault);
       ("desc", json_str (Generator.describe o.Campaign.fault));
       ("side", json_str (Campaign.side_name o.Campaign.side));
       ("seed", json_str (Int64.to_string o.Campaign.seed));
-      ("injected_events", Repro.Json.Int o.Campaign.injected_events);
+      ("injected_events", Json.Int o.Campaign.injected_events);
       ("verdict", verdict_json o.Campaign.verdict) ]
 
 (* --stats: scheduling and allocation counters, printed after (and
@@ -522,27 +522,27 @@ let exec_stats_json (st : Pfi_testgen.Executor.stats) ~alloc_words ~trials
   let workers =
     List.map
       (fun (w : Executor.worker_stat) ->
-        Repro.Json.Obj
-          [ ("claims", Repro.Json.Int w.Executor.ws_claims);
-            ("items", Repro.Json.Int w.Executor.ws_items);
-            ("busy_s", Repro.Json.Float w.Executor.ws_busy_s) ])
+        Json.Obj
+          [ ("claims", Json.Int w.Executor.ws_claims);
+            ("items", Json.Int w.Executor.ws_items);
+            ("busy_s", Json.Float w.Executor.ws_busy_s) ])
       st.Executor.st_workers
   in
-  Repro.Json.Obj
+  Json.Obj
     [ ("stats",
-       Repro.Json.Obj
+       Json.Obj
          [ ("executor", json_str st.Executor.st_exec);
-           ("maps", Repro.Json.Int st.Executor.st_maps);
-           ("items", Repro.Json.Int st.Executor.st_items);
-           ("domains_spawned", Repro.Json.Int st.Executor.st_spawned);
-           ("elapsed_s", Repro.Json.Float st.Executor.st_elapsed_s);
-           ("workers", Repro.Json.List workers);
-           ("alloc_words", Repro.Json.Float alloc_words);
+           ("maps", Json.Int st.Executor.st_maps);
+           ("items", Json.Int st.Executor.st_items);
+           ("domains_spawned", Json.Int st.Executor.st_spawned);
+           ("elapsed_s", Json.Float st.Executor.st_elapsed_s);
+           ("workers", Json.List workers);
+           ("alloc_words", Json.Float alloc_words);
            ("alloc_words_per_trial",
-            Repro.Json.Float
+            Json.Float
               (if trials > 0 then alloc_words /. float_of_int trials
                else 0.));
-           ("arena_recycled_trials", Repro.Json.Int arena_trials) ]) ]
+           ("arena_recycled_trials", Json.Int arena_trials) ]) ]
 
 let print_exec_stats (st : Pfi_testgen.Executor.stats) ~alloc_words ~trials
     ~arena_trials =
@@ -595,7 +595,7 @@ let campaign which trace_out repro_dir seed jobs json stats =
        error it is, not masquerade as a control-trial diagnosis *)
     if json then
       json_print
-        (Repro.Json.Obj [ ("control_failure", json_str reason) ])
+        (Json.Obj [ ("control_failure", json_str reason) ])
     else
       Printf.printf "the fault-free control trial already fails: %s\n" reason
   | summary ->
@@ -604,10 +604,10 @@ let campaign which trace_out repro_dir seed jobs json stats =
     if json then begin
       List.iter (fun o -> json_print (outcome_json o)) outcomes;
       json_print
-        (Repro.Json.Obj
-           [ ("trials", Repro.Json.Int (List.length outcomes));
+        (Json.Obj
+           [ ("trials", Json.Int (List.length outcomes));
              ("violations",
-              Repro.Json.Int (List.length (Campaign.violations outcomes)));
+              Json.Int (List.length (Campaign.violations outcomes)));
              ("executor", json_str (Executor.name executor)) ])
     end
     else print_string (Campaign.table outcomes);
@@ -645,7 +645,7 @@ let campaign which trace_out repro_dir seed jobs json stats =
            in
            Repro.save path artifact;
            if json then
-             json_print (Repro.Json.Obj [ ("repro", json_str path) ])
+             json_print (Json.Obj [ ("repro", json_str path) ])
            else Printf.printf "repro artifact: %s\n" path)
          bad;
        if bad = [] && not json then
@@ -704,7 +704,7 @@ let replay file trace_out seed json =
   let reproduced = outcome.Campaign.verdict = artifact.Repro.verdict in
   if json then
     json_print
-      (Repro.Json.Obj
+      (Json.Obj
          [ ("file", json_str file);
            ("harness", json_str artifact.Repro.harness);
            ("fault", Repro.fault_to_json artifact.Repro.fault);
@@ -712,7 +712,7 @@ let replay file trace_out seed json =
            ("seed", json_str (Int64.to_string seed));
            ("recorded", verdict_json artifact.Repro.verdict);
            ("observed", verdict_json outcome.Campaign.verdict);
-           ("reproduced", Repro.Json.Bool reproduced) ])
+           ("reproduced", Json.Bool reproduced) ])
   else begin
     Printf.printf "replay %s\n  harness:  %s\n  fault:    %s\n  side:     %s\n"
       file artifact.Repro.harness
@@ -785,22 +785,22 @@ let shrink file out max_trials seed jobs trace_out json =
       | None -> Filename.remove_extension file ^ ".min.json"
     in
     let step_json (step : Shrink.step) =
-      Repro.Json.Obj
+      Json.Obj
         [ ("fault", Repro.fault_to_json step.Shrink.state.Shrink.fault);
           ("desc", json_str (Generator.describe step.Shrink.state.Shrink.fault));
           ("side", json_str (Campaign.side_name step.Shrink.state.Shrink.side));
-          ("size", Repro.Json.Int step.Shrink.step_size);
+          ("size", Json.Int step.Shrink.step_size);
           ("reason", json_str step.Shrink.reason) ]
     in
     if json then
       json_print
-        (Repro.Json.Obj
+        (Json.Obj
            [ ("file", json_str file);
-             ("initial_size", Repro.Json.Int report.Shrink.initial_size);
-             ("steps", Repro.Json.List (List.map step_json report.Shrink.steps));
-             ("trials", Repro.Json.Int report.Shrink.trials);
+             ("initial_size", Json.Int report.Shrink.initial_size);
+             ("steps", Json.List (List.map step_json report.Shrink.steps));
+             ("trials", Json.Int report.Shrink.trials);
              ("minimized", Repro.fault_to_json minimized.Shrink.fault);
-             ("minimized_size", Repro.Json.Int (Shrink.size minimized));
+             ("minimized_size", Json.Int (Shrink.size minimized));
              ("executor", json_str (Executor.name executor));
              ("out", json_str out_path) ])
     else begin
@@ -886,21 +886,21 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
   let alloc_words = alloc_words_now () -. alloc0 in
   let finding_lines =
     List.map
-      (fun fd -> Repro.Json.to_line (Fuzz.finding_json ~harness:H.name fd))
+      (fun fd -> Json.to_line (Fuzz.finding_json ~harness:H.name fd))
       res.Fuzz.r_findings
   in
   if json then begin
     List.iter print_endline finding_lines;
     json_print
-      (Repro.Json.Obj
+      (Json.Obj
          [ ("harness", json_str H.name);
            ("seed", json_str (Int64.to_string fuzz_seed));
-           ("budget", Repro.Json.Int budget);
-           ("execs", Repro.Json.Int res.Fuzz.r_execs);
-           ("shrink_execs", Repro.Json.Int res.Fuzz.r_shrink_execs);
-           ("features", Repro.Json.Int res.Fuzz.r_features);
-           ("corpus", Repro.Json.Int (List.length res.Fuzz.r_corpus));
-           ("findings", Repro.Json.Int (List.length res.Fuzz.r_findings));
+           ("budget", Json.Int budget);
+           ("execs", Json.Int res.Fuzz.r_execs);
+           ("shrink_execs", Json.Int res.Fuzz.r_shrink_execs);
+           ("features", Json.Int res.Fuzz.r_features);
+           ("corpus", Json.Int (List.length res.Fuzz.r_corpus));
+           ("findings", Json.Int (List.length res.Fuzz.r_findings));
            ("executor", json_str (Executor.name executor)) ])
   end
   else begin
@@ -964,7 +964,7 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
           in
           Repro.save path artifact;
           if json then
-            json_print (Repro.Json.Obj [ ("repro", json_str path) ])
+            json_print (Json.Obj [ ("repro", json_str path) ])
           else Printf.printf "repro artifact: %s\n" path)
       res.Fuzz.r_findings;
     let coc = open_out_bin (Filename.concat dir "corpus.txt") in
@@ -998,19 +998,19 @@ let fuzz_cmd =
 
 let scenario_row_json (r : Pfi_testgen.Scenario.row) =
   let open Pfi_testgen in
-  Repro.Json.Obj
-    [ ("line", Repro.Json.Int r.Scenario.row_line);
+  Json.Obj
+    [ ("line", Json.Int r.Scenario.row_line);
       ("check", json_str r.Scenario.row_desc);
-      ("pass", Repro.Json.Bool r.Scenario.row_pass);
+      ("pass", Json.Bool r.Scenario.row_pass);
       ("reason", json_str r.Scenario.row_reason);
       ("witness",
        match r.Scenario.row_witness with
-       | Some i -> Repro.Json.Int i
-       | None -> Repro.Json.Null) ]
+       | Some i -> Json.Int i
+       | None -> Json.Null) ]
 
 let scenario_result_json ?(extra = []) file (r : Pfi_testgen.Scenario.result) =
   let open Pfi_testgen in
-  Repro.Json.Obj
+  Json.Obj
     ([ ("file", json_str file);
        ("scenario", json_str r.Scenario.res_scenario);
        ("harness", json_str r.Scenario.res_harness);
@@ -1021,8 +1021,8 @@ let scenario_result_json ?(extra = []) file (r : Pfi_testgen.Scenario.result) =
        ("xfail",
         (match r.Scenario.res_xfail with
          | Some s -> json_str s
-         | None -> Repro.Json.Null));
-       ("checks", Repro.Json.List (List.map scenario_row_json r.Scenario.res_rows)) ]
+         | None -> Json.Null));
+       ("checks", Json.List (List.map scenario_row_json r.Scenario.res_rows)) ]
     @ extra)
 
 let print_scenario_result file (r : Pfi_testgen.Scenario.result) =
@@ -1046,17 +1046,13 @@ let print_scenario_result file (r : Pfi_testgen.Scenario.result) =
           row.Scenario.row_desc row.Scenario.row_reason)
     r.Scenario.res_rows
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* a per-file error line: {"file", "error"} in JSON, [text] otherwise *)
 let file_error ~json file msg text =
   if json then
     json_print
-      (Pfi_testgen.Repro.Json.Obj [ ("file", json_str file); ("error", json_str msg) ])
+      (Pfi_testgen.Json.Obj [ ("file", json_str file); ("error", json_str msg) ])
   else print_string text
 
 (* Both check modes run every scenario file through Executor.of_jobs
@@ -1135,10 +1131,10 @@ let check_files files trace_out seed jobs json =
   in
   if json then
     json_print
-      (Repro.Json.Obj
-         [ ("scenarios", Repro.Json.Int (List.length files));
-           ("failed", Repro.Json.Int failed);
-           ("xfailed", Repro.Json.Int xfailed) ])
+      (Json.Obj
+         [ ("scenarios", Json.Int (List.length files));
+           ("failed", Json.Int failed);
+           ("xfailed", Json.Int xfailed) ])
   else
     Printf.printf "-- %d scenarios: %d passed, %d failed (%d expected failures)\n"
       (List.length files)
@@ -1173,7 +1169,7 @@ let check_manifest mpath trace_out seed jobs json =
   if digest <> mf.Matrix.mf_corpus_digest then begin
     if json then
       json_print
-        (Repro.Json.Obj
+        (Json.Obj
            [ ("manifest", json_str mpath);
              ("error", json_str "corpus digest mismatch");
              ("recorded", json_str mf.Matrix.mf_corpus_digest);
@@ -1197,7 +1193,7 @@ let check_manifest mpath trace_out seed jobs json =
     let outcome = Scenario.outcome_name r.Scenario.res_outcome in
     let matched = outcome = want in
     if not matched then incr mismatched;
-    ( [ ("expected", json_str want); ("matched", Repro.Json.Bool matched) ],
+    ( [ ("expected", json_str want); ("matched", Json.Bool matched) ],
       false,
       fun () ->
         if not (json || matched) then
@@ -1210,13 +1206,13 @@ let check_manifest mpath trace_out seed jobs json =
   let mismatched = !mismatched + errors in
   if json then
     json_print
-      (Repro.Json.Obj
+      (Json.Obj
          [ ("manifest", json_str mpath);
            ("matrix", json_str mf.Matrix.mf_matrix);
-           ("scenarios", Repro.Json.Int (List.length files));
-           ("failed", Repro.Json.Int failed);
-           ("xfailed", Repro.Json.Int xfailed);
-           ("mismatches", Repro.Json.Int mismatched);
+           ("scenarios", Json.Int (List.length files));
+           ("failed", Json.Int failed);
+           ("xfailed", Json.Int xfailed);
+           ("mismatches", Json.Int mismatched);
            ("corpus_digest", json_str digest) ])
   else
     Printf.printf
@@ -1299,7 +1295,7 @@ let gen spec_path out json limit =
       m entries
   in
   let moc = open_out_bin (Filename.concat out "manifest.json") in
-  output_string moc (Repro.Json.to_string manifest ^ "\n");
+  output_string moc (Json.to_string manifest ^ "\n");
   close_out moc;
   let count p =
     List.length
@@ -1311,13 +1307,13 @@ let gen spec_path out json limit =
   in
   if json then
     json_print
-      (Repro.Json.Obj
+      (Json.Obj
          [ ("spec", json_str spec_path);
            ("matrix", json_str m.Matrix.m_name);
            ("out", json_str out);
-           ("count", Repro.Json.Int (List.length entries));
-           ("pass", Repro.Json.Int (count "pass"));
-           ("xfail", Repro.Json.Int (count "xfail"));
+           ("count", Json.Int (List.length entries));
+           ("pass", Json.Int (count "pass"));
+           ("xfail", Json.Int (count "xfail"));
            ("corpus_digest", json_str digest) ])
   else
     Printf.printf

@@ -40,12 +40,14 @@ let decode data =
     end
   end
 
+(* the sender's retransmission timer period *)
+let retransmit_every = Vtime.ms 500
+
 type t = {
   sim : Sim.t;
   node : string;
   peer : string;
   bug_ignore_ack_bit : bool;
-  retransmit_every : Vtime.t;
   mutable the_layer : Layer.t option;
   mutable rexmt : Timer.t option;
   (* sender side *)
@@ -80,7 +82,7 @@ let start_next_frame t =
     Sim.record t.sim ~node:t.node ~tag:"abp.out"
       (Printf.sprintf "MSG bit=%d %s" t.send_bit next);
     transmit t ~kind:kind_msg ~bit:t.send_bit (Bytes.of_string next);
-    Timer.arm (timer t) ~delay:t.retransmit_every
+    Timer.arm (timer t) ~delay:retransmit_every
   | _ -> ()
 
 let handle_frame t (kind, bit, payload) =
@@ -104,10 +106,9 @@ let handle_frame t (kind, bit, payload) =
     end
   end
 
-let create ~sim ~node ~peer ?(retransmit_every = Vtime.ms 500)
-    ?(bug_ignore_ack_bit = false) () =
+let create ~sim ~node ~peer ?(bug_ignore_ack_bit = false) () =
   let t =
-    { sim; node; peer; bug_ignore_ack_bit; retransmit_every; the_layer = None;
+    { sim; node; peer; bug_ignore_ack_bit; the_layer = None;
       rexmt = None; queue = []; outstanding = None; send_bit = 0;
       expect_bit = 0; rev_delivered = [] }
   in

@@ -24,9 +24,9 @@ open Pfi_engine
 type t
 
 val create :
-  sim:Sim.t -> node:string -> peer:string ->
-  ?retransmit_every:Vtime.t -> ?bug_ignore_ack_bit:bool -> unit -> t
-(** One endpoint; it can both send and receive. *)
+  sim:Sim.t -> node:string -> peer:string -> ?bug_ignore_ack_bit:bool -> unit -> t
+(** One endpoint; it can both send and receive.  The sender retransmits
+    its outstanding frame every 500 ms until the matching ACK arrives. *)
 
 val layer : t -> Pfi_stack.Layer.t
 

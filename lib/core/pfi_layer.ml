@@ -565,7 +565,7 @@ let record_stats_snapshot t =
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let create ~sim ~node ?(name = "pfi") ?(stub = Stubs.raw) ?blackboard () =
+let create ~sim ~node ?(stub = Stubs.raw) ?blackboard () =
   let bb = match blackboard with Some bb -> bb | None -> Blackboard.create () in
   let t =
     { sim;
@@ -591,7 +591,7 @@ let create ~sim ~node ?(name = "pfi") ?(stub = Stubs.raw) ?blackboard () =
       trace_verdicts = false }
   in
   let the_layer =
-    Layer.create ~name ~node
+    Layer.create ~name:"pfi" ~node
       { on_push = (fun _ msg -> filter t Send msg);
         on_pop = (fun _ msg -> filter t Receive msg) }
   in

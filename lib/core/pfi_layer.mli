@@ -26,13 +26,12 @@ type t
 val create :
   sim:Sim.t ->
   node:string ->
-  ?name:string ->
   ?stub:Stubs.t ->
   ?blackboard:Blackboard.t ->
   unit ->
   t
-(** A fresh PFI layer with empty filters (everything passes).  [name]
-    defaults to ["pfi"], [stub] to {!Stubs.raw}; a private blackboard is
+(** A fresh PFI layer, named ["pfi"], with empty filters (everything
+    passes).  [stub] defaults to {!Stubs.raw}; a private blackboard is
     created unless one is shared in. *)
 
 val layer : t -> Layer.t
@@ -145,8 +144,8 @@ val total_filtered : t -> int
 
     Opt-in trace instrumentation on top of the per-direction counters.
     Both emitters attach typed key/value [fields] to the trace entries
-    they record, so {!Pfi_engine.Trace.to_jsonl} exports are
-    machine-readable without re-parsing detail strings. *)
+    they record, so JSONL trace exports are machine-readable without
+    re-parsing detail strings. *)
 
 val set_trace_verdicts : t -> bool -> unit
 (** When enabled, every filtered message records a trace entry with tag

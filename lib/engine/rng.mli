@@ -43,9 +43,12 @@ val exponential : t -> mean:float -> float
 
 (** {1 Hashing}
 
-    The two mixers every derived seed in the repo is built from: a
-    campaign's per-trial seeds, a matrix's per-scenario seeds, a
-    conformance row's seed, fault identity and fuzz coverage buckets. *)
+    The two mixers nearly every derived seed in the repo is built from:
+    a campaign's per-trial seeds, a matrix's per-scenario seeds, a
+    conformance row's seed, fault identity and fuzz coverage buckets.
+    The one other mixer is [Pfi_testgen.Fuzz]'s candidate-stream mixer
+    (MurmurHash3's fmix64), kept because it seeds every pinned fuzz
+    trajectory. *)
 
 val mix : int64 -> int64
 (** The splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014) that

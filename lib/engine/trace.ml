@@ -1,7 +1,7 @@
 (* An append-only entry store, a count per (node, tag) pair, and the
    attached feeds.  Nothing is indexed: verdicts are decided by feeds
-   while a run records, and the store is read back only whole, by
-   export and the MSC renderer. *)
+   while a run records, and the store is read back only whole, through
+   [entries]. *)
 
 type entry = {
   time : Vtime.t;
@@ -171,133 +171,9 @@ let fold_pairs f t init =
       if p.p_count = 0 then acc else f ~node:p.p_node ~tag:p.p_tag p.p_count acc)
     t.pairs init
 
-(* guards the two readers of the store: a counting trace has no
-   entries to give, and answering "no entries" would be a lie *)
-let stored t what =
-  if not t.stores then
-    invalid_arg ("Trace." ^ what ^ ": a counting trace stores no entries")
-
+(* a counting trace has no entries to give, and answering "no
+   entries" would be a lie *)
 let entries t =
-  stored t "entries";
+  if not t.stores then
+    invalid_arg "Trace.entries: a counting trace stores no entries";
   Array.to_list (Array.sub t.store 0 t.len)
-
-(* ------------------------------------------------------------------ *)
-(* JSONL export                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Length of the valid UTF-8 sequence starting at [i], or 0 if the byte
-   does not begin one (continuation byte, overlong encoding, surrogate,
-   or out-of-range lead).  Used to keep JSONL output valid UTF-8: trace
-   details can carry raw packet bytes. *)
-let utf8_seq_len s i =
-  let n = String.length s in
-  let b0 = Char.code s.[i] in
-  let cont j = j < n && Char.code s.[j] land 0xC0 = 0x80 in
-  if b0 < 0x80 then 1
-  else if b0 < 0xC2 then 0
-  else if b0 < 0xE0 then if cont (i + 1) then 2 else 0
-  else if b0 < 0xF0 then
-    if
-      cont (i + 1) && cont (i + 2)
-      && not (b0 = 0xE0 && Char.code s.[i + 1] < 0xA0)
-      && not (b0 = 0xED && Char.code s.[i + 1] >= 0xA0)
-    then 3
-    else 0
-  else if b0 < 0xF5 then
-    if
-      cont (i + 1) && cont (i + 2) && cont (i + 3)
-      && not (b0 = 0xF0 && Char.code s.[i + 1] < 0x90)
-      && not (b0 = 0xF4 && Char.code s.[i + 1] >= 0x90)
-    then 4
-    else 0
-  else 0
-
-(* Valid UTF-8 passes through untouched; a byte that is not part of a
-   valid sequence is escaped as [\u00XX] carrying the byte value, which
-   the artifact reader ({!Pfi_testgen.Repro}) maps back to the single
-   byte — so any byte string round-trips exactly while the emitted JSON
-   stays valid UTF-8. *)
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    (match c with
-     | '"' -> Buffer.add_string buf "\\\""; incr i
-     | '\\' -> Buffer.add_string buf "\\\\"; incr i
-     | '\n' -> Buffer.add_string buf "\\n"; incr i
-     | '\r' -> Buffer.add_string buf "\\r"; incr i
-     | '\t' -> Buffer.add_string buf "\\t"; incr i
-     | c when Char.code c < 0x20 ->
-       Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c));
-       incr i
-     | c when Char.code c < 0x80 -> Buffer.add_char buf c; incr i
-     | c ->
-       (match utf8_seq_len s !i with
-        | 0 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c));
-          incr i
-        | len -> Buffer.add_substring buf s !i len; i := !i + len))
-  done;
-  Buffer.add_char buf '"'
-
-let add_entry_json ?(extra = []) buf e =
-  Buffer.add_string buf "{\"t_us\":";
-  Buffer.add_string buf (Int64.to_string (Vtime.to_us e.time));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ',';
-      add_json_string buf k;
-      Buffer.add_char buf ':';
-      add_json_string buf v)
-    extra;
-  Buffer.add_string buf ",\"node\":";
-  add_json_string buf e.node;
-  Buffer.add_string buf ",\"tag\":";
-  add_json_string buf e.tag;
-  Buffer.add_string buf ",\"detail\":";
-  add_json_string buf (Lazy.force e.detail);
-  (match e.fields with
-   | [] -> ()
-   | fields ->
-     Buffer.add_string buf ",\"fields\":{";
-     List.iteri
-       (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         add_json_string buf k;
-         Buffer.add_char buf ':';
-         add_json_string buf v)
-       fields;
-     Buffer.add_char buf '}');
-  Buffer.add_char buf '}'
-
-let entry_to_json ?extra e =
-  let buf = Buffer.create 128 in
-  add_entry_json ?extra buf e;
-  Buffer.contents buf
-
-(* appends each entry with [tag] (every entry without one) to [buf] as
-   one line, calling [flush buf] after each *)
-let add_jsonl ?extra ?tag buf flush t =
-  stored t "to_jsonl";
-  for i = 0 to t.len - 1 do
-    let e = t.store.(i) in
-    if Option.fold tag ~none:true ~some:(String.equal e.tag) then begin
-      add_entry_json ?extra buf e;
-      Buffer.add_char buf '\n';
-      flush buf
-    end
-  done
-
-let to_jsonl ?extra t =
-  let buf = Buffer.create (256 * (t.len + 1)) in
-  add_jsonl ?extra buf ignore t;
-  Buffer.contents buf
-
-let output_jsonl ?extra ?tag oc t =
-  add_jsonl ?extra ?tag (Buffer.create 256)
-    (fun buf ->
-      Buffer.output_buffer oc buf;
-      Buffer.clear buf)
-    t

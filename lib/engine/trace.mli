@@ -6,19 +6,22 @@
     index.
 
     A trace comes in one of two kinds.
-    - A {e storing} trace ({!create}) keeps every entry, for the readers
-      of a whole log after its run: the JSONL export, and {!entries}.
-    - A {e counting} trace ({!create_counting}) stores no entry; both
-      readers raise [Invalid_argument] on it.  Every trial whose trace
-      is not exported records into one: what it needs from the trace is
-      decided while it is recorded, by {!attach}ed feeds.
+    - A {e storing} trace ({!create}) keeps every entry for {!entries},
+      the store's one reader: a whole log, read after its run by the
+      JSONL export ([Pfi_testgen.Json.output_trace]) and the MSC
+      renderer.
+    - A {e counting} trace ({!create_counting}) stores no entry, and
+      {!entries} raises [Invalid_argument] on it.  Every trial whose
+      trace is not exported records into one: what it needs from the
+      trace is decided while it is recorded, by {!attach}ed feeds.
 
     Both kinds keep the recording index ({!length}) and a count per
     [(node, tag)] pair ({!count}).
 
     Alongside the rendered [detail] string an entry may carry structured
-    key/value [fields], which the JSONL exporter preserves so campaign
-    artifacts can be compared mechanically. *)
+    key/value [fields], which the JSONL export preserves so campaign
+    artifacts can be compared mechanically.  This library knows no
+    JSON. *)
 
 type entry = {
   time : Vtime.t;
@@ -46,7 +49,7 @@ val create_counting : unit -> t
 (** An empty counting trace: it numbers and counts entries and feeds
     them to {!attach}ed feeds, but stores none.  {!length} and {!count}
     answer as on a storing trace that recorded the same entries;
-    {!entries} and the JSONL export raise [Invalid_argument]. *)
+    {!entries} raises [Invalid_argument]. *)
 
 val attach : t -> tags:string list option -> (int -> entry -> unit) -> unit
 (** [attach t ~tags feed] calls [feed i e] for each entry [e] recorded
@@ -76,7 +79,7 @@ val clear : t -> unit
     capacity (the entry store and the per-pair records), so a reused
     trace records without reallocating.  A cleared trace is
     observationally identical to a fresh one of its kind — same query
-    results, same {!to_jsonl} bytes for the same subsequent records —
+    results, same {!entries} for the same subsequent records —
     which is what lets trial arenas recycle one trace across trials. *)
 
 val length : t -> int
@@ -95,28 +98,3 @@ val fold_pairs : (node:string -> tag:string -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val entries : t -> entry list
 (** Every entry, in recording order: an entry's position is its
     recording index, what oracle verdicts cite as witnesses. *)
-
-(** {1 JSONL export}
-
-    One JSON object per entry, one per line:
-    [{"t_us":<int>, "node":"...", "tag":"...", "detail":"...",
-      "fields":{"k":"v", ...}}]
-    ["fields"] is omitted when the entry has none.  [extra] key/value
-    pairs (e.g. a run or artifact id) are spliced into every object,
-    right after ["t_us"].  Escaping is self-contained — no JSON library
-    is involved. *)
-
-val add_json_string : Buffer.t -> string -> unit
-(** Appends a quoted, escaped JSON string literal to [buf] — the same
-    escaper the exporter uses, shared so other JSON emitters in the
-    repo agree on escaping. *)
-
-val entry_to_json : ?extra:(string * string) list -> entry -> string
-
-val to_jsonl : ?extra:(string * string) list -> t -> string
-(** Every entry, each line terminated by ['\n']. *)
-
-val output_jsonl :
-  ?extra:(string * string) list -> ?tag:string -> out_channel -> t -> unit
-(** {!to_jsonl} of the entries with [tag] (default: every entry),
-    written to the channel. *)

@@ -18,11 +18,14 @@ type pending = {
   mutable tries : int;
 }
 
+(* a reliable send is retransmitted every [retry_interval], at most
+   [max_retries] times *)
+let retry_interval = Vtime.ms 500
+let max_retries = 3
+
 type t = {
   sim : Sim.t;
   node : string;
-  retry_interval : Vtime.t;
-  max_retries : int;
   mutable the_layer : Layer.t option;
   mutable next_seq : int;
   pending : pending Int_table.t;  (* by seq *)
@@ -100,7 +103,7 @@ let on_retry t seq =
   match Int_table.find t.pending seq with
   | exception Not_found -> ()
   | p ->
-    if p.tries >= t.max_retries then begin
+    if p.tries >= max_retries then begin
       (* best effort exhausted: silently give up, like the original *)
       Int_table.remove t.pending seq;
       t.gave_up <- t.gave_up + 1;
@@ -110,7 +113,7 @@ let on_retry t seq =
     else begin
       p.tries <- p.tries + 1;
       transmit t p;
-      Timer.arm p.timer ~delay:t.retry_interval
+      Timer.arm p.timer ~delay:retry_interval
     end
 
 let is_reliable msg =
@@ -141,7 +144,7 @@ let on_push t msg =
     in
     Int_table.replace t.pending seq p;
     transmit t p;
-    Timer.arm p.timer ~delay:t.retry_interval
+    Timer.arm p.timer ~delay:retry_interval
   end
 
 (* (src, seq) folded into one int: a per-layer id for the peer name
@@ -192,9 +195,9 @@ let on_pop t msg =
   end
   (* anything else is malformed or of an unknown kind: drop *)
 
-let create ~sim ~node ?(retry_interval = Vtime.ms 500) ?(max_retries = 3) () =
+let create ~sim ~node () =
   let t =
-    { sim; node; retry_interval; max_retries; the_layer = None; next_seq = 0;
+    { sim; node; the_layer = None; next_seq = 0;
       pending = Int_table.create 32; src_ids = String_table.create 8;
       seen = Int_table.create 256; gave_up = 0 }
   in

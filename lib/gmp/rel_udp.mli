@@ -22,10 +22,8 @@ val header_size : int
 
 type t
 
-val create :
-  sim:Sim.t -> node:string ->
-  ?retry_interval:Vtime.t -> ?max_retries:int -> unit -> t
-(** Defaults: 500 ms retry interval, 3 retries. *)
+val create : sim:Sim.t -> node:string -> unit -> t
+(** A reliable send is retransmitted every 500 ms, at most 3 times. *)
 
 val layer : t -> Pfi_stack.Layer.t
 (** Downward messages must carry {!Pfi_netsim.Network.dst_attr} and the

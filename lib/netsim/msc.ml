@@ -25,19 +25,20 @@ let parse_entry (e : Trace.entry) =
         label = Option.value (List.assoc_opt "label" e.Trace.fields) ~default:"" }
   | _ -> None
 
-let events ?between trace =
-  let all = List.filter_map parse_entry (Trace.entries trace) in
-  (* delivered transmissions are recorded when they land, so the raw
-     trace order is arrival order; the ladder reads in send order *)
-  let all = List.stable_sort (fun a b -> Vtime.compare a.time b.time) all in
-  match between with
-  | None -> all
-  | Some nodes ->
-    List.filter (fun e -> List.mem e.src nodes && List.mem e.dst nodes) all
+(* delivered transmissions are recorded when they land, so the raw
+   trace order is arrival order; the ladder reads in send order *)
+let events trace =
+  List.stable_sort
+    (fun a b -> Vtime.compare a.time b.time)
+    (List.filter_map parse_entry (Trace.entries trace))
 
-let truncate max s = if String.length s <= max then s else String.sub s 0 (max - 1) ^ "~"
+(* labels longer than this are cut, marked with a trailing '~' *)
+let max_label = 34
 
-let render ?(max_label = 34) ~nodes ppf evs =
+let truncate s =
+  if String.length s <= max_label then s else String.sub s 0 (max_label - 1) ^ "~"
+
+let render ~nodes ppf evs =
   match nodes with
   | [ left; right ] ->
     let width = max_label + 8 in
@@ -45,7 +46,7 @@ let render ?(max_label = 34) ~nodes ppf evs =
       (Printf.sprintf "%s %s %s" left (String.make (width - String.length left - String.length right - 2) ' ') right);
     List.iter
       (fun e ->
-        let label = truncate max_label e.label in
+        let label = truncate e.label in
         let pad = width - String.length label - 6 in
         let lpad = max 0 (pad / 2) and rpad = max 0 (pad - (pad / 2)) in
         let dashes n = String.make (max 1 n) '-' in
@@ -69,16 +70,5 @@ let render ?(max_label = 34) ~nodes ppf evs =
         Format.fprintf ppf "%10s  %-10s %s %-10s  %s@." (Vtime.to_string e.time)
           e.src
           (match e.arrival with Some _ -> "->" | None -> "-X")
-          e.dst (truncate max_label e.label))
+          e.dst (truncate e.label))
       evs
-
-let render_trace ?between trace ppf () =
-  let evs = events ?between trace in
-  let nodes =
-    match between with
-    | Some nodes -> nodes
-    | None ->
-      List.sort_uniq compare
-        (List.concat_map (fun e -> [ e.src; e.dst ]) evs)
-  in
-  render ~nodes ppf evs

@@ -19,15 +19,10 @@ type event = {
   label : string;
 }
 
-val events : ?between:string list -> Pfi_engine.Trace.t -> event list
+val events : Pfi_engine.Trace.t -> event list
 (** The [msc] entries of a storing trace ({!Pfi_engine.Trace.entries}),
-    in send order; [between] filters to messages whose endpoints are
-    both in the list. *)
+    in send order. *)
 
-val render :
-  ?max_label:int -> nodes:string list -> Format.formatter -> event list -> unit
-(** Two nodes: a ladder with arrows; more: one line per event. *)
-
-val render_trace :
-  ?between:string list -> Pfi_engine.Trace.t -> Format.formatter -> unit -> unit
-(** Convenience: {!events} + {!render} with nodes inferred. *)
+val render : nodes:string list -> Format.formatter -> event list -> unit
+(** Two nodes: a ladder with arrows; more: one line per event.  Labels
+    are cut to 34 characters. *)

@@ -7,11 +7,13 @@ let broadcast = "*"
 
 type link_key = string * string
 
+(* the latency of every link without its own *)
+let default_latency = Vtime.ms 1
+
 type t = {
   sim : Sim.t;
   rng : Rng.t;
   devices : Layer.t String_table.t;
-  default_latency : Vtime.t;
   latencies : (link_key, Vtime.t) Hashtbl.t;
   losses : (link_key, float) Hashtbl.t;
   blocked : (link_key, unit) Hashtbl.t;
@@ -23,11 +25,10 @@ type t = {
   mutable msc_enabled : bool;
 }
 
-let create ?(default_latency = Vtime.ms 1) sim =
+let create sim =
   { sim;
     rng = Rng.split (Sim.rng sim);
     devices = String_table.create 16;
-    default_latency;
     latencies = Hashtbl.create 16;
     losses = Hashtbl.create 16;
     blocked = Hashtbl.create 16;
@@ -108,7 +109,7 @@ let link_find tbl ~src ~dst =
 let latency t ~src ~dst =
   match link_find t.latencies ~src ~dst with
   | Some l -> l
-  | None -> t.default_latency
+  | None -> default_latency
 
 (* [sent_at] defaults to now; delivery-time drops pass the original send
    time so the MSC entry lines up with the transmission it records. *)

@@ -13,8 +13,9 @@
 
 type t
 
-val create : ?default_latency:Pfi_engine.Vtime.t -> Pfi_engine.Sim.t -> t
-(** [default_latency] defaults to 1 ms. *)
+val create : Pfi_engine.Sim.t -> t
+(** Every link has a 1 ms latency until {!set_latency} gives it its
+    own. *)
 
 val sim : t -> Pfi_engine.Sim.t
 

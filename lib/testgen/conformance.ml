@@ -719,7 +719,7 @@ let to_markdown rep =
   Buffer.contents b
 
 let to_json rep =
-  let open Repro.Json in
+  let open Json in
   let check_json c =
     Obj
       [ ("check", Str c.ck_label);

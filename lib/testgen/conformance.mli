@@ -173,7 +173,7 @@ val to_markdown : report -> string
     columns.  Deterministic — same report, same bytes — and independent
     of executor width. *)
 
-val to_json : report -> Repro.Json.t
+val to_json : report -> Json.t
 (** Machine-readable form (format ["pfi-conformance/1"]): campaign
     seed, optional profile override, and one record per row with its
     checks.  Deterministic like {!to_markdown}. *)

@@ -73,25 +73,6 @@ let note cell ~items ~spawned ~elapsed per_worker =
       st_elapsed_s = s.st_elapsed_s +. elapsed;
       st_workers = merge [] s.st_workers per_worker }
 
-let sequential_map cell f items =
-  match items with
-  | [] -> []
-  | _ ->
-    let t0 = now () in
-    let results = List.map (guarded f) items in
-    let dt = now () -. t0 in
-    let n = List.length results in
-    note cell ~items:n ~spawned:0 ~elapsed:dt
-      [ { ws_claims = 1; ws_items = n; ws_busy_s = dt } ];
-    results
-
-let make_sequential () =
-  let cell = ref (zero_stats "sequential") in
-  { exec_name = "sequential";
-    width = 1;
-    try_map = (fun f items -> sequential_map cell f items);
-    stats_cell = cell }
-
 (* The shared work queue is just an atomic cursor over the input array:
    a worker claims a run of consecutive indexes per fetch-and-add and
    writes each result into its own slot, so the output order is the
@@ -149,16 +130,21 @@ let pooled_map ~jobs cell f items =
     Array.to_list results
   end
 
-let domains ?jobs () =
-  let jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
-  let exec_name = Printf.sprintf "domains(%d)" jobs in
+let pool ~exec_name ~jobs =
   let cell = ref (zero_stats exec_name) in
   { exec_name;
     width = jobs;
     try_map = (fun f items -> pooled_map ~jobs cell f items);
     stats_cell = cell }
 
-let of_jobs jobs = if jobs <= 1 then make_sequential () else domains ~jobs ()
+let domains ?jobs () =
+  let jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
+  pool ~exec_name:(Printf.sprintf "domains(%d)" jobs) ~jobs
+
+(* at width 1 the calling domain claims every index and none is
+   spawned: the sequential executor is the pool at width 1 *)
+let of_jobs jobs =
+  if jobs <= 1 then pool ~exec_name:"sequential" ~jobs:1 else domains ~jobs ()
 
 let map t f items =
   List.map (function Ok v -> v | Error e -> raise e) (t.try_map f items)

@@ -4,10 +4,12 @@
     trial-runner closure: every trial builds its own fresh simulated
     system from its own derived seed ({!Campaign.trial_seed}), so
     trials share no state and their verdicts cannot depend on execution
-    order.  An executor decides only {e how} that list is mapped —
-    sequentially or across a pool of OCaml 5 domains — and always
-    yields results in input order, so campaign summaries and
-    trace exports are byte-identical for any worker count.
+    order.  An executor decides only {e how} that list is mapped — by
+    how many OCaml 5 domains, the calling one included — and always
+    yields results in input order, so campaign summaries and trace
+    exports are byte-identical for any worker count.  Both stock
+    executors are one pool ({!domains}); the sequential one is that
+    pool at width 1.
 
     The type is a first-class record of a polymorphic mapping function,
     not a closed variant: callers can plug in their own strategy
@@ -15,8 +17,8 @@
     {!Campaign}. *)
 
 exception Uninitialized
-(** Sentinel occupying pooled result slots before a worker writes
-    them; never escapes unless the cursor invariant is broken. *)
+(** Sentinel occupying result slots before a worker writes them; never
+    escapes unless the cursor invariant is broken. *)
 
 type worker_stat = {
   ws_claims : int;  (** cursor claims that yielded at least one item *)
@@ -89,8 +91,9 @@ val default_jobs : unit -> int
 
 val of_jobs : int -> t
 (** The conventional CLI mapping for [--jobs N]: [1] (or less) is a
-    fresh sequential executor (plain in-order [List.map] on the calling
-    domain), anything larger is [domains ~jobs:N ()].  Always a fresh
+    fresh executor named ["sequential"] — the {!domains} pool at width
+    1, whose calling domain claims every index in order and spawns
+    none — and anything larger is [domains ~jobs:N ()].  Always a fresh
     executor, so its {!stats} cover exactly the maps the caller runs
     through it; no executor is shared process-wide.  [of_jobs 1] is the
     default of every [?executor] argument. *)

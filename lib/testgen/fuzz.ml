@@ -25,7 +25,10 @@ let trial_seed ~fuzz_seed input =
   Campaign.trial_seed_of_key ~campaign_seed:fuzz_seed ~side:input.in_side
     (input_key input)
 
-(* splitmix64 finalizer for deriving per-candidate RNG streams *)
+(* MurmurHash3's 64-bit finalizer (fmix64), for deriving per-candidate
+   RNG streams: the repo's one mixer besides [Rng.mix] (splitmix64's
+   finalizer) and [Rng.fnv1a64].  It stays because it seeds every
+   pinned fuzz trajectory. *)
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
@@ -210,7 +213,7 @@ type finding = {
 }
 
 let finding_json ~harness fd =
-  let open Repro.Json in
+  let open Json in
   let input_json =
     Obj
       [ ("side", Str (Campaign.side_name fd.fd_input.in_side));

@@ -112,7 +112,7 @@ type finding = {
   fd_injected_events : int;
 }
 
-val finding_json : harness:string -> finding -> Repro.Json.t
+val finding_json : harness:string -> finding -> Json.t
 (** One findings-stream JSONL object (no trace, no wall-clock data —
     byte-stable across runs and executor widths). *)
 

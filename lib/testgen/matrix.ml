@@ -249,14 +249,7 @@ let parse src =
     m_seed = Option.value !m_seed ~default:default_seed;
     m_groups = List.rev !groups }
 
-let load path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse src
+let load path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Sweeps                                                             *)
@@ -632,27 +625,27 @@ let corpus_digest files =
 
 let manifest_json ~spec_file ~spec_digest m entries =
   let count p = List.length (List.filter (fun e -> e.e_expected = p) entries) in
-  Repro.Json.Obj
-    [ ("format", Repro.Json.Str "pfi-corpus/1");
-      ("matrix", Repro.Json.Str m.m_name);
-      ("spec", Repro.Json.Str spec_file);
-      ("spec_digest", Repro.Json.Str spec_digest);
-      ("count", Repro.Json.Int (List.length entries));
-      ("pass", Repro.Json.Int (count "pass"));
-      ("xfail", Repro.Json.Int (count "xfail"));
+  Json.Obj
+    [ ("format", Json.Str "pfi-corpus/1");
+      ("matrix", Json.Str m.m_name);
+      ("spec", Json.Str spec_file);
+      ("spec_digest", Json.Str spec_digest);
+      ("count", Json.Int (List.length entries));
+      ("pass", Json.Int (count "pass"));
+      ("xfail", Json.Int (count "xfail"));
       ( "corpus_digest",
-        Repro.Json.Str (corpus_digest (List.map (fun e -> (e.e_file, e.e_text)) entries)) );
+        Json.Str (corpus_digest (List.map (fun e -> (e.e_file, e.e_text)) entries)) );
       ( "scenarios",
-        Repro.Json.List
+        Json.List
           (List.map
              (fun e ->
-               Repro.Json.Obj
-                 [ ("file", Repro.Json.Str e.e_file);
-                   ("name", Repro.Json.Str e.e_name);
-                   ("group", Repro.Json.Str e.e_group);
-                   ("harness", Repro.Json.Str e.e_harness);
-                   ("seed", Repro.Json.Str (Int64.to_string e.e_seed));
-                   ("expected", Repro.Json.Str e.e_expected) ])
+               Json.Obj
+                 [ ("file", Json.Str e.e_file);
+                   ("name", Json.Str e.e_name);
+                   ("group", Json.Str e.e_group);
+                   ("harness", Json.Str e.e_harness);
+                   ("seed", Json.Str (Int64.to_string e.e_seed));
+                   ("expected", Json.Str e.e_expected) ])
              entries) ) ]
 
 type manifest_entry = {
@@ -676,68 +669,35 @@ type manifest = {
 }
 
 let manifest_of_json json =
-  let open Repro.Json in
   let ( let* ) = Result.bind in
-  let str field =
-    match Option.bind (member field json) to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "manifest: missing string field %S" field)
-  in
-  let int field =
-    match Option.bind (member field json) to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "manifest: missing integer field %S" field)
-  in
-  let* format = str "format" in
+  let* format = Json.field ~what:"manifest" Json.to_str "format" json in
   let* () =
     if format = "pfi-corpus/1" then Ok ()
     else Error (Printf.sprintf "manifest: unsupported format %S" format)
   in
-  let* mf_matrix = str "matrix" in
-  let* mf_spec = str "spec" in
-  let* mf_spec_digest = str "spec_digest" in
-  let* mf_count = int "count" in
-  let* mf_pass = int "pass" in
-  let* mf_xfail = int "xfail" in
-  let* mf_corpus_digest = str "corpus_digest" in
-  let* scenarios =
-    match member "scenarios" json with
-    | Some (List l) -> Ok l
-    | _ -> Error "manifest: missing scenarios list"
-  in
+  let* mf_matrix = Json.field ~what:"manifest" Json.to_str "matrix" json in
+  let* mf_spec = Json.field ~what:"manifest" Json.to_str "spec" json in
+  let* mf_spec_digest = Json.field ~what:"manifest" Json.to_str "spec_digest" json in
+  let* mf_count = Json.field ~what:"manifest" Json.to_int "count" json in
+  let* mf_pass = Json.field ~what:"manifest" Json.to_int "pass" json in
+  let* mf_xfail = Json.field ~what:"manifest" Json.to_int "xfail" json in
+  let* mf_corpus_digest = Json.field ~what:"manifest" Json.to_str "corpus_digest" json in
+  let* scenarios = Json.field ~what:"manifest" Json.to_list "scenarios" json in
   let entry_of j =
-    let field f =
-      match Option.bind (member f j) to_str with
-      | Some s -> Ok s
-      | None ->
-        Error (Printf.sprintf "manifest: scenario missing field %S" f)
-    in
-    let* me_file = field "file" in
-    let* me_name = field "name" in
-    let* me_group = field "group" in
-    let* me_harness = field "harness" in
-    let* seed_s = field "seed" in
-    let* me_seed =
-      match Int64.of_string_opt seed_s with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "manifest: bad seed %S" seed_s)
-    in
-    let* me_expected = field "expected" in
+    let what = "manifest scenario" in
+    let* me_file = Json.field ~what Json.to_str "file" j in
+    let* me_name = Json.field ~what Json.to_str "name" j in
+    let* me_group = Json.field ~what Json.to_str "group" j in
+    let* me_harness = Json.field ~what Json.to_str "harness" j in
+    let* me_seed = Json.int64_field ~what "seed" j in
+    let* me_expected = Json.field ~what Json.to_str "expected" j in
     let* () =
       if me_expected = "pass" || me_expected = "xfail" then Ok ()
       else Error (Printf.sprintf "manifest: bad expected verdict %S" me_expected)
     in
     Ok { me_file; me_name; me_group; me_harness; me_seed; me_expected }
   in
-  let* mf_entries =
-    List.fold_left
-      (fun acc j ->
-        let* acc = acc in
-        let* e = entry_of j in
-        Ok (e :: acc))
-      (Ok []) scenarios
-  in
-  let mf_entries = List.rev mf_entries in
+  let* mf_entries = Json.decode_list entry_of scenarios in
   let* () =
     if List.length mf_entries = mf_count then Ok ()
     else
@@ -774,14 +734,9 @@ let manifest_of_json json =
       mf_entries }
 
 let load_manifest path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | src ->
-    (match Repro.Json.parse src with
+    (match Json.parse src with
      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
      | Ok json -> manifest_of_json json)

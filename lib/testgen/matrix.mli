@@ -141,7 +141,7 @@ val corpus_digest : (string * string) list -> string
     --manifest] the files its manifest lists, as read back. *)
 
 val manifest_json :
-  spec_file:string -> spec_digest:string -> t -> entry list -> Repro.Json.t
+  spec_file:string -> spec_digest:string -> t -> entry list -> Json.t
 (** The corpus manifest ([format "pfi-corpus/1"]): matrix name, spec
     file and digest, scenario/pass/xfail counts, {!corpus_digest}, and
     one record per scenario (file, name, group, harness, seed as a
@@ -167,9 +167,12 @@ type manifest = {
   mf_entries : manifest_entry list;
 }
 
-val manifest_of_json : Repro.Json.t -> (manifest, string) result
+val manifest_of_json : Json.t -> (manifest, string) result
 (** Rejects unknown formats, missing fields, counts that disagree with
-    the entry list, and duplicate file or scenario names. *)
+    the entry list, and duplicate file or scenario names.  Fields are
+    read with the decoders repro artifacts use ({!Json.field}), so a
+    missing one reads ["manifest: missing or ill-typed \"count\""], or
+    ["manifest scenario: ..."] inside a scenario record. *)
 
 val load_manifest : string -> (manifest, string) result
 (** Reads and decodes a manifest file; [Error] covers I/O, JSON and

@@ -14,41 +14,17 @@
     artifact whose [script] is not the generated filter of its [fault];
     every artifact the tool writes has that script.
 
-    The JSON format is versioned ([version] field, currently 1) and
-    read back by a small self-contained parser ({!Json}) — no external
-    JSON library is involved.  64-bit values (seeds, the horizon in
+    The JSON format is versioned ([version] field, currently 1),
+    printed and read back by {!Pfi_testgen.Json}, whose field decoders
+    check every member's type.  64-bit values (seeds, the horizon in
     microseconds) are emitted as decimal strings because JSON numbers
     are doubles. *)
 
 open Pfi_engine
 
-(** Minimal JSON tree with a deterministic pretty-printer and a
-    recursive-descent parser.  Exposed for tests and for other emitters
-    that need to read structured artifacts back. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list  (** field order preserved *)
-
-  val to_string : t -> string
-  (** Deterministic: same tree, same bytes. *)
-
-  val to_line : t -> string
-  (** Compact single-line form of the same tree (no newlines or
-      indentation), for JSONL streams.  Equally deterministic. *)
-
-  val parse : string -> (t, string) result
-
-  val member : string -> t -> t option
-  val to_str : t -> string option
-  val to_int : t -> int option
-  val to_float : t -> float option
-end
+module Json = Json
+(** The codec that moved to {!Pfi_testgen.Json}, still reachable here
+    for the callers that name it [Repro.Json]. *)
 
 val fault_to_json : Generator.fault -> Json.t
 (** [{"kind", "mtype", …parameters}]: a fold over {!Generator.view},

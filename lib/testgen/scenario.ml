@@ -460,13 +460,7 @@ let parse ?(name = "scenario") src =
       sc_xfail = !xfail }
 
 let load path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse ~name:(Filename.basename path) src
+  parse ~name:(Filename.basename path) (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Printing: the inverse of [parse]                                   *)

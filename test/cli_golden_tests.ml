@@ -149,7 +149,7 @@ let test_bad_artifact_is_a_load_error () =
   let golden =
     read_file (Filename.concat (test_dir "golden") "tiny_abp_repro.expected.json")
   in
-  let open Pfi_testgen.Repro.Json in
+  let open Pfi_testgen.Json in
   List.iter
     (fun fault ->
       let artifact =
@@ -184,7 +184,7 @@ let test_shrink_refuses_edited_script () =
   let golden =
     read_file (Filename.concat (test_dir "golden") "tiny_abp_repro.expected.json")
   in
-  let open Pfi_testgen.Repro.Json in
+  let open Pfi_testgen.Json in
   let artifact =
     match parse golden with
     | Ok (Obj fields) ->
@@ -209,6 +209,10 @@ let test_shrink_refuses_edited_script () =
 (* `fuzz --trace-out` exports each finding's trial trace               *)
 (* ------------------------------------------------------------------ *)
 
+let check_pinned what ~bytes ~md5 text =
+  Alcotest.(check int) (what ^ ": bytes") bytes (String.length text);
+  Alcotest.(check string) (what ^ ": MD5") md5 (Digest.to_hex (Digest.string text))
+
 (* pinned by length and MD5: three combination findings (abp-buggy),
    and one minimized single-fault finding (gmp-buggy) *)
 let test_fuzz_trace_out_pinned () =
@@ -219,15 +223,47 @@ let test_fuzz_trace_out_pinned () =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           ignore (run_cli (("fuzz" :: args) @ [ "--trace-out"; path ]));
-          let text = read_file path in
-          let what = String.concat " " args in
-          Alcotest.(check int) (what ^ ": bytes") bytes (String.length text);
-          Alcotest.(check string) (what ^ ": MD5") md5
-            (Digest.to_hex (Digest.string text))))
+          check_pinned (String.concat " " args) ~bytes ~md5 (read_file path)))
     [ ([ "abp-buggy"; "--seed"; "1"; "--budget"; "120" ], 50_552,
        "89a691586c28d1a85d4c2a29cacc4bee");
       ([ "gmp-buggy"; "--seed"; "4"; "--budget"; "16" ], 196_409,
        "d9466c4a12798fb68a41dcb3bcddcd42") ]
+
+(* ------------------------------------------------------------------ *)
+(* Every other JSONL trace export, pinned the same way                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [--trace-out] of a campaign (control and every trial), a replay, the
+   committed scenario corpus and the ladder's one sim, and the [msc]
+   entries [msc --json] prints.  The committed repro fixture was
+   recorded from a three-message workload and the harness sends twenty,
+   so its replay exits 1 on the verdict mismatch, after writing the
+   trace. *)
+let test_trace_out_pinned () =
+  let scenarios =
+    Sys.readdir (test_dir "scenarios")
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".pfis")
+    |> List.sort String.compare
+    |> List.map (Filename.concat (test_dir "scenarios"))
+  in
+  List.iter
+    (fun (args, code, bytes, md5) ->
+      let path = Filename.temp_file "pfi_trace_out" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let what = String.concat " " (List.map Filename.basename args) in
+          let status, _ = run_cli_status (args @ [ "--trace-out"; path ]) in
+          Alcotest.(check int) (what ^ ": exit code") code status;
+          check_pinned what ~bytes ~md5 (read_file path)))
+    [ ([ "campaign"; "abp-buggy" ], 0, 326_802, "34e778f4b79e4dfe44347b9870b830aa");
+      ( [ "replay"; test_dir "golden/tiny_abp_repro.expected.json" ],
+        1, 39_748, "ea8a4e74b20f20c53eb6a811a01c9d0a" );
+      ("check" :: scenarios, 0, 787_995, "991af202b575a01b66525be5b9627e42");
+      ([ "msc" ], 0, 41_536, "219982ee0baa2ee15a0f99827c76c65e") ];
+  check_pinned "msc --json" ~bytes:19_720 ~md5:"9a7dea61ee86031e558ad1a7e38f6543"
+    (run_cli [ "msc"; "--json" ])
 
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
@@ -249,5 +285,7 @@ let suite =
       `Quick test_bad_artifact_is_a_load_error;
     Alcotest.test_case "shrink refuses an artifact whose script was edited"
       `Quick test_shrink_refuses_edited_script;
+    Alcotest.test_case "--trace-out and msc --json export pinned JSONL" `Quick
+      test_trace_out_pinned;
     Alcotest.test_case "fuzz --trace-out exports pinned finding traces" `Quick
       test_fuzz_trace_out_pinned ]

@@ -67,7 +67,7 @@ let test_golden_reports () =
   check_golden ~path:"golden/conformance_golden.md"
     (Conformance.to_markdown rep);
   check_golden ~path:"golden/conformance_golden.json"
-    (Repro.Json.to_string (Conformance.to_json rep) ^ "\n")
+    (Json.to_string (Conformance.to_json rep) ^ "\n")
 
 let test_jobs_parity () =
   let rows = Conformance.catalog () in
@@ -78,8 +78,8 @@ let test_jobs_parity () =
     (Conformance.to_markdown seq) (Conformance.to_markdown par);
   Alcotest.(check string)
     "json is byte-identical at jobs 1 and 4"
-    (Repro.Json.to_string (Conformance.to_json seq))
-    (Repro.Json.to_string (Conformance.to_json par))
+    (Json.to_string (Conformance.to_json seq))
+    (Json.to_string (Conformance.to_json par))
 
 (* both catalogs at the default seed, run once and shared *)
 let tcp_report = lazy (Conformance.run (Conformance.catalog ()))
@@ -338,7 +338,7 @@ let test_report_to_json () =
     ^ {|"rows":[{"id":"s/x","section":"s","vendor":"quote \" and \\ slash",|}
     ^ {|"quirk":"note\nwith newline","seed":"4758204728046338263","pass":false,|}
     ^ {|"checks":[{"check":"c","paper":"1","measured":"2","pass":false}]}]}|})
-    (Repro.Json.to_line (Conformance.to_json (Conformance.run ~seed:7L [ row ])))
+    (Json.to_line (Conformance.to_json (Conformance.run ~seed:7L [ row ])))
 
 (* the paper catalog regenerates byte-identically, sequentially and on
    four domains *)
@@ -350,8 +350,8 @@ let test_paper_regenerates () =
     (Conformance.to_markdown seq) (Conformance.to_markdown par);
   Alcotest.(check string)
     "json is byte-identical at jobs 1 and 4"
-    (Repro.Json.to_string (Conformance.to_json seq))
-    (Repro.Json.to_string (Conformance.to_json par))
+    (Json.to_string (Conformance.to_json seq))
+    (Json.to_string (Conformance.to_json par))
 
 let experiments_suite =
   Alcotest.test_case "report to_json" `Quick test_report_to_json

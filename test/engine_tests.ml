@@ -466,19 +466,17 @@ let test_trace_jsonl () =
   Trace.record tr ~time:(Vtime.ms 1) ~node:"n" ~tag:"t"
     ~fields:[ ("k", "v") ]
     "quote \" backslash \\ newline \n tab \t bell \x07 done";
-  let lines = String.split_on_char '\n' (Trace.to_jsonl tr) in
+  let lines = String.split_on_char '\n' (Trace_lists.jsonl tr) in
   Alcotest.(check (list string)) "exact serialisation"
     [ {|{"t_us":7,"node":"n","tag":"t","detail":"plain"}|};
       {|{"t_us":1000,"node":"n","tag":"t","detail":"quote \" backslash \\ newline \n tab \t bell \u0007 done","fields":{"k":"v"}}|};
       "" ]
     lines;
-  let with_extra =
-    Trace.entry_to_json ~extra:[ ("run", "r1") ]
-      { Trace.time = Vtime.us 3; node = "n"; tag = "t";
-        detail = Lazy.from_val "d"; fields = [] }
-  in
+  let one = Trace.create () in
+  Trace.record one ~time:(Vtime.us 3) ~node:"n" ~tag:"t" "d";
   Alcotest.(check string) "extra pairs after t_us"
-    {|{"t_us":3,"run":"r1","node":"n","tag":"t","detail":"d"}|} with_extra
+    ({|{"t_us":3,"run":"r1","node":"n","tag":"t","detail":"d"}|} ^ "\n")
+    (Trace_lists.jsonl ~extra:[ ("run", "r1") ] one)
 
 (* the per-pair counts must agree with a naive filter of the full
    log *)
@@ -590,7 +588,7 @@ let test_counting_trace () =
       (match f () with () -> false | exception Invalid_argument _ -> true)
   in
   refuses "entries" (fun () -> ignore (Trace.entries counting));
-  refuses "to_jsonl" (fun () -> ignore (Trace.to_jsonl counting));
+  refuses "Json.output_trace" (fun () -> ignore (Trace_lists.jsonl counting));
   Trace.clear counting;
   record counting;
   Alcotest.(check int) "recounted after clear" 3 (Trace.length counting);

@@ -35,13 +35,18 @@ let test_domains_slow_trial_no_reorder () =
   Alcotest.(check (list int)) "slow first trial lands in slot 0" (items 16)
     (Executor.map (Executor.domains ~jobs:4 ()) slow (items 16))
 
-(* guided claims at every width against the sequential map, over input
-   sizes below, at and well above the worker count *)
+(* guided claims at every width, [of_jobs 1] included, against the
+   stdlib's in-order map, over input sizes below, at and well above the
+   worker count *)
 let test_domains_match_sequential () =
   let f i = (i * 37) mod 11 in
   List.iter
     (fun n ->
-      let expected = Executor.map (Executor.of_jobs 1) f (items n) in
+      let expected = List.map f (items n) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "of_jobs 1 n=%d" n)
+        expected
+        (Executor.map (Executor.of_jobs 1) f (items n));
       List.iter
         (fun jobs ->
           Alcotest.(check (list int))
@@ -256,7 +261,7 @@ let test_campaign_traces_jobs_invariant () =
     List.map
       (fun (o : Campaign.outcome) ->
         match o.Campaign.trace with
-        | Some trace -> Pfi_engine.Trace.to_jsonl trace
+        | Some trace -> Trace_lists.jsonl trace
         | None -> Alcotest.fail "the observer left a trial untraced")
       (Campaign.run ~executor:(Executor.of_jobs jobs)
          ~observe:(Campaign.observe ~traces:true ())

@@ -230,7 +230,7 @@ let signatures r =
 let findings_jsonl harness_name (r : Fuzz.result) =
   String.concat "\n"
     (List.map
-       (fun f -> Repro.Json.to_line (Fuzz.finding_json ~harness:harness_name f))
+       (fun f -> Json.to_line (Fuzz.finding_json ~harness:harness_name f))
        r.Fuzz.r_findings)
 
 let test_fuzz_jobs_invariant () =
@@ -246,10 +246,10 @@ let test_fuzz_jobs_invariant () =
     (findings_jsonl "abp-buggy" par);
   List.iter
     (fun f ->
-      let line = Repro.Json.to_line (Fuzz.finding_json ~harness:"abp-buggy" f) in
+      let line = Json.to_line (Fuzz.finding_json ~harness:"abp-buggy" f) in
       Alcotest.(check bool) "finding is one line" false
         (String.contains line '\n');
-      match Repro.Json.parse line with
+      match Json.parse line with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "finding JSONL line does not parse: %s" e)
     seq.Fuzz.r_findings

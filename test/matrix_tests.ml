@@ -107,7 +107,7 @@ let test_manifest_round_trip () =
     Matrix.manifest_json ~spec_file:"tiny.pfim" ~spec_digest:"d" m entries
   in
   let reparsed =
-    match Repro.Json.parse (Repro.Json.to_string json) with
+    match Json.parse (Json.to_string json) with
     | Ok j -> j
     | Error e -> Alcotest.failf "manifest JSON does not re-parse: %s" e
   in

@@ -72,10 +72,10 @@ let input_readers =
        String.split_on_char '\n' (read "tcl/corpus.jsonl")
        |> List.filter (fun l -> l <> "")
        |> List.map (fun l ->
-              let case = Result.get_ok (Pfi_testgen.Repro.Json.parse l) in
+              let case = Result.get_ok (Pfi_testgen.Json.parse l) in
               Option.get
-                (Option.bind (Pfi_testgen.Repro.Json.member "script" case)
-                   Pfi_testgen.Repro.Json.to_str))
+                (Option.bind (Pfi_testgen.Json.member "script" case)
+                   Pfi_testgen.Json.to_str))
      in
      let tcl parse s = match parse s with _ -> () | exception Pfi_script.Parser.Parse_error _ -> () in
      let segment =
@@ -142,6 +142,61 @@ let prop_readers_total_on_mutations =
       let _, _, read = (Lazy.force input_readers).(r) in
       read s;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* The JSON codec                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module J = Pfi_testgen.Json
+
+(* trees of every kind: byte strings over all 256 values (keys too;
+   continuation bytes weighted up, so multi-byte sequences, valid and
+   not, are common), ints over the whole range, finite floats
+   (integral ones included), nested lists and objects *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte = frequency [ (3, char); (1, char_range '\x80' '\xbf') ] in
+  let bytes = string_size ~gen:byte (int_bound 12) in
+  let finite =
+    oneof
+      [ map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map Float.of_int small_signed_int;
+        map Float.of_int int ]
+  in
+  let scalar =
+    oneof
+      [ return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun i -> J.Int i) (oneof [ small_signed_int; int ]);
+        map (fun f -> J.Float f) finite;
+        map (fun s -> J.Str s) bytes ]
+  in
+  sized_size (int_bound 40)
+    (fix (fun self n ->
+         if n <= 1 then scalar
+         else
+           let items = list_size (int_bound 4) (self (n / 4)) in
+           frequency
+             [ (2, scalar);
+               (1, map (fun l -> J.List l) items);
+               (1, map (fun l -> J.Obj l) (list_size (int_bound 4) (pair bytes (self (n / 4))))) ]))
+
+(* [%.17g] prints an integral float below 1e17 in magnitude with no
+   point or exponent, so it reads back as that [Int] *)
+let rec json_read_back = function
+  | J.Float f when Float.is_integer f && Float.abs f < 1e17 -> J.Int (Float.to_int f)
+  | J.List l -> J.List (List.map json_read_back l)
+  | J.Obj fields -> J.Obj (List.map (fun (k, v) -> (k, json_read_back v)) fields)
+  | v -> v
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"every JSON tree reads back from both printers" ~count:1000
+    (QCheck.make ~print:J.to_line json_gen)
+    (fun v ->
+      let want = Ok (json_read_back v) in
+      List.for_all
+        (fun text -> String.is_valid_utf_8 text && J.parse text = want)
+        [ J.to_string v; J.to_line v ])
 
 (* ------------------------------------------------------------------ *)
 (* TCP end-to-end integrity under a byzantine channel                 *)
@@ -506,7 +561,7 @@ let prop_trace_clear_reuse =
       in
       let w1 = rerecord () in
       let w2 = rerecord () in
-      Trace.to_jsonl reused = Trace.to_jsonl fresh
+      Trace_lists.jsonl reused = Trace_lists.jsonl fresh
       && Trace.length reused = Trace.length fresh
       && same_queries && same_last
       && trace_matches_naive reused && trace_matches_naive fresh
@@ -1039,5 +1094,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
     QCheck_alcotest.to_alcotest prop_monitors_match_reference;
     QCheck_alcotest.to_alcotest prop_readers_total_on_mutations;
+    QCheck_alcotest.to_alcotest prop_json_round_trip;
     QCheck_alcotest.to_alcotest prop_live_features_match_stored;
   ]

@@ -107,13 +107,13 @@ let test_campaign_traces_deterministic () =
         (Campaign.plan (Abp_harness.harness ~bug_ignore_ack_bit:true ()))
     in
     (match summary.Campaign.s_control_trace with
-     | Some trace -> Trace.to_jsonl trace
+     | Some trace -> Trace_lists.jsonl trace
      | None -> Alcotest.fail "observer left the control trial untraced")
     ^ String.concat ""
         (List.map
            (fun o ->
              match o.Campaign.trace with
-             | Some trace -> Trace.to_jsonl trace
+             | Some trace -> Trace_lists.jsonl trace
              | None -> Alcotest.fail "observer left a trial untraced")
            summary.Campaign.s_outcomes)
   in
@@ -148,7 +148,7 @@ let test_side_permutation_leaves_verdicts () =
 (* ------------------------------------------------------------------ *)
 
 let test_json_roundtrip_escapes () =
-  let open Repro.Json in
+  let open Json in
   let tree =
     Obj
       [ ("text", Str "line\nbreak\ttab \"quoted\" back\\slash \001ctrl");
@@ -161,7 +161,7 @@ let test_json_roundtrip_escapes () =
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_json_parser_rejects_garbage () =
-  let open Repro.Json in
+  let open Json in
   List.iter
     (fun s ->
       match parse s with
@@ -170,7 +170,7 @@ let test_json_parser_rejects_garbage () =
     [ "{"; "tru"; "1 2"; ""; "{\"a\":}"; "[1,]"; "\"unterminated" ]
 
 let test_json_number_precision () =
-  let open Repro.Json in
+  let open Json in
   match parse (to_string (Float 0.1)) with
   | Ok (Float f) -> Alcotest.(check (float 0.)) "exact" 0.1 f
   | _ -> Alcotest.fail "float did not roundtrip"
@@ -249,10 +249,10 @@ let test_artifact_file_roundtrip () =
 
 (* the sample artifact's JSON with its fault object swapped out *)
 let artifact_with_fault fault =
-  match Repro.Json.parse (Repro.to_json (sample_artifact ())) with
-  | Ok (Repro.Json.Obj fields) ->
-    Repro.Json.to_string
-      (Repro.Json.Obj
+  match Json.parse (Repro.to_json (sample_artifact ())) with
+  | Ok (Json.Obj fields) ->
+    Json.to_string
+      (Json.Obj
          (List.map (fun (k, v) -> if k = "fault" then (k, fault) else (k, v)) fields))
   | _ -> Alcotest.fail "the sample artifact does not parse"
 
@@ -268,7 +268,7 @@ let test_artifact_rejects_bad_input () =
    | Ok _ -> Alcotest.fail "accepted garbage");
   (* out-of-range parameters and a message type the abp spec lacks are
      rejected where they are read, naming the field *)
-  let open Repro.Json in
+  let open Json in
   List.iter
     (fun (field, fault) ->
       match Repro.of_string (artifact_with_fault (Obj fault)) with
@@ -552,23 +552,23 @@ let test_jsonl_full_byte_range_roundtrip () =
   let tr = Trace.create () in
   Trace.record tr ~time:(Vtime.us 1) ~node:"n" ~tag:"t"
     ~fields:[ ("k", all) ] all;
-  let line = String.trim (Trace.to_jsonl tr) in
-  (match Repro.Json.parse line with
+  let line = String.trim (Trace_lists.jsonl tr) in
+  (match Json.parse line with
    | Error e -> Alcotest.failf "emitted JSONL does not parse back: %s" e
    | Ok json ->
      Alcotest.(check (option string)) "detail round-trips all 256 bytes"
        (Some all)
-       (Option.bind (Repro.Json.member "detail" json) Repro.Json.to_str);
+       (Option.bind (Json.member "detail" json) Json.to_str);
      Alcotest.(check (option string)) "field value round-trips too" (Some all)
        (Option.bind
-          (Option.bind (Repro.Json.member "fields" json)
-             (Repro.Json.member "k"))
-          Repro.Json.to_str));
+          (Option.bind (Json.member "fields" json)
+             (Json.member "k"))
+          Json.to_str));
   (* a real multi-byte sequence must pass through untouched, not be
      byte-escaped: the log stays human-readable for UTF-8 details *)
   let tr2 = Trace.create () in
   Trace.record tr2 ~time:(Vtime.us 2) ~node:"n" ~tag:"t" "caf\xc3\xa9";
-  let line2 = Trace.to_jsonl tr2 in
+  let line2 = Trace_lists.jsonl tr2 in
   let contains hay needle =
     let n = String.length needle and h = String.length hay in
     let rec scan i =
@@ -580,7 +580,7 @@ let test_jsonl_full_byte_range_roundtrip () =
     (contains line2 "caf\xc3\xa9");
   (* ...while a lone continuation byte is escaped as its byte value *)
   Alcotest.(check bool) "stray byte escaped as \\u00XX" true
-    (contains (String.trim (Trace.to_jsonl tr)) "\\u0080")
+    (contains (String.trim (Trace_lists.jsonl tr)) "\\u0080")
 
 let test_golden_repro_json () =
   match tiny_abp_outcomes () with

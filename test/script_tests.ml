@@ -428,7 +428,7 @@ if {$type == $ACK} {
    [Script_error] where Tcl failed.  A case marked as a divergence pins
    the subset's current answer instead of Tcl's. *)
 let test_tcl_corpus () =
-  let module Json = Pfi_testgen.Repro.Json in
+  let module Json = Pfi_testgen.Json in
   let path =
     Filename.concat (Filename.dirname Sys.executable_name) "tcl/corpus.jsonl"
   in

@@ -119,9 +119,7 @@ let test_msc_render_two_nodes () =
   Abp.send p.a "ping";
   Sim.run ~until:(Vtime.sec 5) p.sim;
   let out =
-    Format.asprintf "%a"
-      (fun ppf () -> Msc.render_trace ~between:[ "a"; "b" ] (Sim.trace p.sim) ppf ())
-      ()
+    Format.asprintf "%a" (Msc.render ~nodes:[ "a"; "b" ]) (Msc.events (Sim.trace p.sim))
   in
   Alcotest.(check bool) "ladder has arrows" true
     (String.exists (fun c -> c = '>') out && String.exists (fun c -> c = '|') out)

@@ -1,6 +1,6 @@
 (* List-level trace queries the tests read results through: each is a
    filter over a stored trace's entries, for the shapes [Trace] itself
-   does not offer. *)
+   does not offer; and the trace's JSONL export as a string. *)
 
 open Pfi_engine
 
@@ -31,3 +31,14 @@ let last ?node ?tag t =
 
 (* the entry a recording index (an oracle witness) names *)
 let get t i = List.nth (Trace.entries t) i
+
+(* the bytes [Json.output_trace] writes for a trace: what [--trace-out]
+   exports *)
+let jsonl ?extra t =
+  let path = Filename.temp_file "pfi_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Pfi_testgen.Json.output_trace ?extra oc t);
+      In_channel.with_open_bin path In_channel.input_all)
