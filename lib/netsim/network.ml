@@ -22,7 +22,6 @@ type t = {
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable msc_enabled : bool;
 }
 
 let create sim =
@@ -36,8 +35,7 @@ let create sim =
     unplugged = Hashtbl.create 8;
     sent = 0;
     delivered = 0;
-    dropped = 0;
-    msc_enabled = false }
+    dropped = 0 }
 
 let sim t = t.sim
 
@@ -58,11 +56,10 @@ let is_unplugged t node =
 let sent_count t = t.sent
 let delivered_count t = t.delivered
 let dropped_count t = t.dropped
-let set_msc_enabled t flag =
-  t.msc_enabled <- flag;
-  (* protocol layers only format msc.label decorations when a renderer
-     is listening (see Sim.set_want_labels) *)
-  Sim.set_want_labels t.sim flag
+(* protocol layers only format msc.label decorations when a renderer is
+   listening (see Sim.set_want_labels); the same flag turns on
+   [msc_record] *)
+let set_msc_enabled t flag = Sim.set_want_labels t.sim flag
 
 (* One entry per transmission, carrying everything the MSC renderer
    needs (see Msc.parse_entry for the format).  [time] is the send
@@ -71,7 +68,7 @@ let set_msc_enabled t flag =
    arrival), which is why the stamp is passed explicitly rather than
    read from the clock. *)
 let msc_record t ~time ~src ~dst ~arrival msg =
-  if t.msc_enabled then begin
+  if Sim.want_labels t.sim then begin
     let label =
       match Message.get_attr msg "msc.label" with
       | Some l -> l

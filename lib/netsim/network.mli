@@ -75,4 +75,6 @@ val dropped_count : t -> int
 val set_msc_enabled : t -> bool -> unit
 (** When on, every transmission records an [msc] trace entry for
     {!Msc.render} (labels come from the [msc.label] message
-    attribute). *)
+    attribute).  The flag is the simulation's
+    {!Pfi_engine.Sim.want_labels}, so protocol layers format those
+    labels exactly when the entries are recorded. *)

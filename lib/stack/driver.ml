@@ -5,7 +5,7 @@ type t = {
   mutable on_receive : Message.t -> unit;
 }
 
-let create ~node ?(on_receive = fun _ -> ()) () =
+let create ~node () =
   let t_ref = ref None in
   let layer =
     Layer.create ~name:"driver" ~node
@@ -19,7 +19,7 @@ let create ~node ?(on_receive = fun _ -> ()) () =
               t.on_receive msg
             | None -> ()) }
   in
-  let t = { layer; rev_received = []; count = 0; on_receive } in
+  let t = { layer; rev_received = []; count = 0; on_receive = ignore } in
   t_ref := Some t;
   t
 

@@ -8,7 +8,7 @@
 
 type t
 
-val create : node:string -> ?on_receive:(Message.t -> unit) -> unit -> t
+val create : node:string -> unit -> t
 
 val layer : t -> Layer.t
 (** To place at the top when wiring the stack. *)
@@ -19,6 +19,7 @@ val send : t -> Message.t -> unit
 val send_string : t -> string -> unit
 
 val set_on_receive : t -> (Message.t -> unit) -> unit
+(** Calls the function on every later delivery (none until set). *)
 
 val received : t -> Message.t list
 (** Messages delivered up to the driver, oldest first. *)

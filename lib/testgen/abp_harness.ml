@@ -12,7 +12,7 @@ type env = {
 
 let default_horizon = Vtime.sec 120
 
-let harness ?(message_count = 20) ?(bug_ignore_ack_bit = false) () :
+let harness ?(bug_ignore_ack_bit = false) () :
     Harness_intf.packed =
   (module struct
     type nonrec env = env
@@ -46,7 +46,7 @@ let harness ?(message_count = 20) ?(bug_ignore_ack_bit = false) () :
       in
       let dev_b = Network.attach net ~node:"bob" in
       Layer.stack [ Pfi_abp.Abp.layer receiver; dev_b ];
-      let expected = List.init message_count (Printf.sprintf "msg-%02d") in
+      let expected = List.init 20 (Printf.sprintf "msg-%02d") in
       { sim; pfi; sender; receiver; expected }
 
     let sim env = env.sim

@@ -1,14 +1,12 @@
 (** A ready-made campaign harness for the alternating-bit protocol.
 
     Topology: [alice] (sender, with the PFI layer under her ABP
-    endpoint) and [bob] (receiver).  Workload: [message_count]
-    application messages, one per second.  Oracle: bob delivered
-    exactly the sent sequence, in order, with no duplicates, and alice
-    has nothing left unacknowledged. *)
+    endpoint) and [bob] (receiver).  Workload: twenty application
+    messages, one per second.  Oracle: bob delivered exactly the sent
+    sequence, in order, with no duplicates, and alice has nothing left
+    unacknowledged. *)
 
-val harness :
-  ?message_count:int -> ?bug_ignore_ack_bit:bool -> unit ->
-  Harness_intf.packed
+val harness : ?bug_ignore_ack_bit:bool -> unit -> Harness_intf.packed
 (** A packed {!Harness_intf.HARNESS}: registry name ["abp"] (or
     ["abp-buggy"] with the bug implanted), spec {!Spec.abp}, target
     ["bob"]. *)

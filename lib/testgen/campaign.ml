@@ -76,9 +76,8 @@ let trial ?arm ?script ~seed ~side fault =
   { t_fault = fault; t_side = side; t_seed = seed; t_script = script;
     t_arm = arm }
 
-let plan ?(sides = all_sides) ?seed ?horizon (module H : Harness_intf.HARNESS) =
+let plan ?seed (module H : Harness_intf.HARNESS) =
   let seed = Option.value seed ~default:H.default_seed in
-  let horizon = Option.value horizon ~default:H.default_horizon in
   let faults = Generator.campaign ~target:H.target H.spec in
   (* compile each fault's filter once per campaign: the AST is immutable
      and shared by every (side, executor-domain) trial that runs it,
@@ -97,18 +96,18 @@ let plan ?(sides = all_sides) ?seed ?horizon (module H : Harness_intf.HARNESS) =
             trial ~script ~seed:(trial_seed ~campaign_seed:seed ~side fault)
               ~side fault)
           compiled)
-      sides
+      all_sides
   in
   { p_harness = (module H : Harness_intf.HARNESS);
     p_trials = trials;
-    p_horizon = horizon;
+    p_horizon = H.default_horizon;
     p_seed = seed;
     p_control = true }
 
-let plan_of_trials ?seed ?horizon ~trials (module H : Harness_intf.HARNESS) =
+let plan_of_trials ?seed ~trials (module H : Harness_intf.HARNESS) =
   { p_harness = (module H : Harness_intf.HARNESS);
     p_trials = trials;
-    p_horizon = Option.value horizon ~default:H.default_horizon;
+    p_horizon = H.default_horizon;
     p_seed = Option.value seed ~default:H.default_seed;
     p_control = false }
 

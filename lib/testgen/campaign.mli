@@ -129,24 +129,22 @@ type plan = {
       (** run the fault-free control trial before the faulted ones *)
 }
 
-val plan :
-  ?sides:side list -> ?seed:int64 -> ?horizon:Vtime.t ->
-  Harness_intf.packed -> plan
+val plan : ?seed:int64 -> Harness_intf.packed -> plan
 (** The stock campaign plan: every generated fault
     ({!Generator.campaign} over the harness spec and target) on every
-    requested side (default send, receive, both — the canonical order),
-    each with its derived {!trial_seed}, after a control trial.  Each
-    fault's filter script is compiled once and shared by every (side,
-    executor-domain) trial that runs it.  Defaults: the harness's
-    [default_seed] and [default_horizon].  Summaries, trace exports and
-    repro artifacts follow the plan's trial order regardless of which
-    executor ran the trials. *)
+    side (send, receive, both — the canonical order), each with its
+    derived {!trial_seed}, after a control trial.  Each fault's filter
+    script is compiled once and shared by every (side, executor-domain)
+    trial that runs it.  The seed defaults to the harness's
+    [default_seed]; the horizon is its [default_horizon].  Summaries,
+    trace exports and repro artifacts follow the plan's trial order
+    regardless of which executor ran the trials. *)
 
 val plan_of_trials :
-  ?seed:int64 -> ?horizon:Vtime.t -> trials:trial list ->
-  Harness_intf.packed -> plan
+  ?seed:int64 -> trials:trial list -> Harness_intf.packed -> plan
 (** A plan over an explicit trial list, such as a fuzz corpus (mutated
-    inputs are not the stock fault set).  It runs no control trial. *)
+    inputs are not the stock fault set), at the harness's
+    [default_horizon].  It runs no control trial. *)
 
 val trial :
   ?arm:(Sim.t -> Pfi_core.Pfi_layer.t -> unit) ->

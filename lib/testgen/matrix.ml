@@ -1,9 +1,9 @@
 (* Scenario-matrix specs (.pfim) and their expansion into .pfis
    corpora.  The expander assembles each scenario as scenario-language
    source text, parses it with Scenario.parse (remapping error lines
-   back to the matrix spec), then canonicalizes through
-   Scenario.to_string and re-parses — generation is a print→parse
-   round trip over the same AST, so a generated corpus is exactly as
+   back to the matrix spec), then prints it with Scenario.to_string,
+   which reads its own text back: generation is a print→parse round
+   trip over the same AST, so a generated corpus is exactly as
    checkable as a hand-written one. *)
 
 let err ~line ~token reason = Scenario.parse_error ~line ~token reason
@@ -41,44 +41,24 @@ let sides = [ "send"; "receive"; "both" ]
 (* Parsing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* mutable accumulator for the group being read *)
-type builder = {
-  b_line : int;
-  b_name : string;
-  mutable b_harnesses : string list;  (* reversed *)
-  mutable b_sides : string list;  (* reversed *)
-  mutable b_profiles : string list;  (* reversed *)
-  mutable b_phases : string list;  (* reversed *)
-  mutable b_seed : int64 option;
-  mutable b_horizon : string option;
-  mutable b_faults : (int * string list) list;  (* reversed *)
-  mutable b_templates : (int * string list) list;  (* reversed *)
-  mutable b_xfail : string option;
-}
-
 let parse src =
   let m_name = ref None in
   let m_seed = ref None in
   let groups = ref [] in  (* reversed *)
-  let cur = ref None in
-  let parse_seed ~line = function
-    | [ s ] ->
-      (match Int64.of_string_opt s with
-       | Some v -> v
-       | None -> err ~line ~token:s "expected a 64-bit integer seed")
-    | _ -> err ~line ~token:"seed" "usage: seed N"
-  in
+  (* the group being read, if any, after a top-level line *)
   let handle_top line = function
-    | [] -> ()
+    | [] -> None
     | "matrix" :: rest ->
       if rest = [] then err ~line ~token:"matrix" "missing matrix name";
       if !m_name <> None then
         err ~line ~token:"matrix" "duplicate matrix directive";
-      m_name := Some (String.concat " " rest)
+      m_name := Some (String.concat " " rest);
+      None
     | "seed" :: rest ->
       if !m_seed <> None then
         err ~line ~token:"seed" "duplicate matrix seed directive";
-      m_seed := Some (parse_seed ~line rest)
+      m_seed := Some (Scenario.seed_of_args ~line rest);
+      None
     | "group" :: rest ->
       let name =
         match rest with
@@ -87,99 +67,86 @@ let parse src =
       in
       if List.exists (fun g -> g.g_name = name) !groups then
         err ~line ~token:name "duplicate group name";
-      cur :=
-        Some
-          { b_line = line;
-            b_name = name;
-            b_harnesses = [];
-            b_sides = [];
-            b_profiles = [];
-            b_phases = [];
-            b_seed = None;
-            b_horizon = None;
-            b_faults = [];
-            b_templates = [];
-            b_xfail = None }
+      Some
+        { g_line = line;
+          g_name = name;
+          g_harnesses = [];
+          g_sides = [];
+          g_profiles = [];
+          g_phases = [];
+          g_seed = None;
+          g_horizon = None;
+          g_faults = [];
+          g_templates = [];
+          g_xfail = None }
     | "end" :: _ -> err ~line ~token:"end" "end outside a group"
     | tok :: _ ->
       err ~line ~token:tok
         "unknown matrix directive (expected matrix, seed or group)"
   in
-  let handle_group line b = function
-    | [] -> ()
+  (* an axis line: [values] then its tokens, each canonicalized by
+     [value], none repeated *)
+  let axis ~line kw ~usage value values = function
+    | [] -> err ~line ~token:kw ("usage: " ^ kw ^ " " ^ usage)
+    | toks ->
+      List.fold_left
+        (fun acc tok ->
+          let v = value tok in
+          if List.mem v acc then
+            err ~line ~token:tok ("duplicate " ^ kw ^ " in the group");
+          acc @ [ v ])
+        values toks
+  in
+  (* the group being read after a line of it; [None] after its [end] *)
+  let handle_group line g = function
+    | [] -> Some g
     | "harness" :: hs ->
-      if hs = [] then err ~line ~token:"harness" "usage: harness NAME...";
-      List.iter
-        (fun h ->
-          if Registry.find h = None then
-            err ~line ~token:h
-              (Printf.sprintf "unknown harness (expected one of %s)"
-                 (String.concat ", " Registry.names));
-          if List.mem h b.b_harnesses then
-            err ~line ~token:h "duplicate harness in the group";
-          b.b_harnesses <- h :: b.b_harnesses)
-        hs
+      let harness h = ignore (Scenario.harness_of_token ~line h); h in
+      Some
+        { g with
+          g_harnesses =
+            axis ~line "harness" ~usage:"NAME..." harness g.g_harnesses hs }
     | "side" :: ss ->
-      if ss = [] then err ~line ~token:"side" "usage: side send|receive|both...";
-      List.iter
-        (fun s ->
-          if not (List.mem s sides) then
-            err ~line ~token:s "side must be send, receive or both";
-          if List.mem s b.b_sides then
-            err ~line ~token:s "duplicate side in the group";
-          b.b_sides <- s :: b.b_sides)
-        ss
+      let side s =
+        if not (List.mem s sides) then
+          err ~line ~token:s "side must be send, receive or both";
+        s
+      in
+      Some
+        { g with
+          g_sides =
+            axis ~line "side" ~usage:"send|receive|both..." side g.g_sides ss }
     | "profile" :: ps ->
-      if ps = [] then err ~line ~token:"profile" "usage: profile VENDOR...";
-      List.iter
-        (fun p ->
-          match Pfi_tcp.Profile.find p with
-          | None ->
-            err ~line ~token:p
-              (Printf.sprintf "unknown vendor profile (expected one of %s)"
-                 (String.concat ", "
-                    (List.map Pfi_tcp.Profile.slug
-                       (Pfi_tcp.Profile.xkernel :: Pfi_tcp.Profile.all_vendors))))
-          | Some prof ->
-            let slug = Pfi_tcp.Profile.slug prof in
-            if List.mem slug b.b_profiles then
-              err ~line ~token:p "duplicate profile in the group";
-            b.b_profiles <- slug :: b.b_profiles)
-        ps
+      Some
+        { g with
+          g_profiles =
+            axis ~line "profile" ~usage:"VENDOR..."
+              (Scenario.profile_of_token ~line) g.g_profiles ps }
     | "phase" :: ps ->
-      if ps = [] then
-        err ~line ~token:"phase" "usage: phase handshake|stream|close...";
-      List.iter
-        (fun p ->
-          match Tcp_harness.phase_of_string p with
-          | None ->
-            err ~line ~token:p
-              "unknown phase (expected handshake, stream or close)"
-          | Some ph ->
-            let name = Tcp_harness.phase_name ph in
-            if List.mem name b.b_phases then
-              err ~line ~token:p "duplicate phase in the group";
-            b.b_phases <- name :: b.b_phases)
-        ps
+      Some
+        { g with
+          g_phases =
+            axis ~line "phase" ~usage:"handshake|stream|close..."
+              (Scenario.phase_of_token ~line) g.g_phases ps }
     | "seed" :: rest ->
-      if b.b_seed <> None then
+      if g.g_seed <> None then
         err ~line ~token:"seed" "duplicate group seed directive";
-      b.b_seed <- Some (parse_seed ~line rest)
+      Some { g with g_seed = Some (Scenario.seed_of_args ~line rest) }
     | "horizon" :: rest ->
       (match rest with
        | [ d ] ->
-         if b.b_horizon <> None then
+         if g.g_horizon <> None then
            err ~line ~token:"horizon" "duplicate horizon directive";
          ignore (Scenario.duration_of_token ~line d);
-         b.b_horizon <- Some d
+         Some { g with g_horizon = Some d }
        | _ -> err ~line ~token:"horizon" "usage: horizon DURATION")
     | "xfail" :: rest ->
       if rest = [] then
         err ~line ~token:"xfail"
           "usage: xfail SUBSTRING (of the expected diagnostic)";
-      if b.b_xfail <> None then
+      if g.g_xfail <> None then
         err ~line ~token:"xfail" "duplicate xfail directive";
-      b.b_xfail <- Some (String.concat " " rest)
+      Some { g with g_xfail = Some (String.concat " " rest) }
     | "fault" :: rest ->
       if rest = [] then err ~line ~token:"fault" "missing fault specification";
       (match rest with
@@ -188,55 +155,40 @@ let parse src =
            "fault alternatives must not name a side — the group's side \
             directive is the side axis"
        | _ -> ());
-      b.b_faults <- (line, rest) :: b.b_faults
+      Some { g with g_faults = g.g_faults @ [ (line, rest) ] }
     | "group" :: _ -> err ~line ~token:"group" "groups cannot nest"
     | "end" :: _ ->
-      if b.b_harnesses = [] then
+      if g.g_harnesses = [] then
         err ~line ~token:"end"
-          (Printf.sprintf "group %s declares no harness" b.b_name);
-      groups :=
-        { g_line = b.b_line;
-          g_name = b.b_name;
-          g_harnesses = List.rev b.b_harnesses;
-          g_sides =
-            (match List.rev b.b_sides with [] -> [ "both" ] | ss -> ss);
-          g_profiles = List.rev b.b_profiles;
-          g_phases = List.rev b.b_phases;
-          g_seed = b.b_seed;
-          g_horizon = b.b_horizon;
-          g_faults = List.rev b.b_faults;
-          g_templates = List.rev b.b_templates;
-          g_xfail = b.b_xfail }
-        :: !groups;
-      cur := None
-    | ("expect" :: _ | "inject" :: _) as toks ->
-      (match toks with
-       | "inject" :: _ ->
-         err ~line ~token:"inject"
-           "inject templates need an @TIME (or @sweep RANGE) prefix"
-       | _ -> ());
-      b.b_templates <- (line, toks) :: b.b_templates
-    | (tok :: _) as toks when tok.[0] = '@' ->
-      b.b_templates <- (line, toks) :: b.b_templates
+          (Printf.sprintf "group %s declares no harness" g.g_name);
+      let g_sides = match g.g_sides with [] -> [ "both" ] | ss -> ss in
+      groups := { g with g_sides } :: !groups;
+      None
+    | "inject" :: _ ->
+      err ~line ~token:"inject"
+        "inject templates need an @TIME (or @sweep RANGE) prefix"
+    | (tok :: _) as toks when tok = "expect" || tok.[0] = '@' ->
+      Some { g with g_templates = g.g_templates @ [ (line, toks) ] }
     | tok :: _ ->
       err ~line ~token:tok
         "unknown group directive (expected harness, side, profile, phase, \
          seed, horizon, fault, xfail, an @T/expect template, or end)"
   in
   let lines = String.split_on_char '\n' src in
+  let cur = ref None in
   List.iteri
     (fun i l ->
-      let line = i + 1 in
-      let toks = Scenario.tokens_of_line l in
-      match !cur with
-      | None -> handle_top line toks
-      | Some b -> handle_group line b toks)
+      let line = i + 1 and toks = Scenario.tokens_of_line l in
+      cur :=
+        match !cur with
+        | None -> handle_top line toks
+        | Some g -> handle_group line g toks)
     lines;
   let last = List.length lines in
   (match !cur with
-   | Some b ->
+   | Some g ->
      err ~line:last ~token:"end"
-       (Printf.sprintf "group %s is never closed (missing end)" b.b_name)
+       (Printf.sprintf "group %s is never closed (missing end)" g.g_name)
    | None -> ());
   let m_name =
     match !m_name with
@@ -572,19 +524,6 @@ let expand ?limit m =
                           err ~line:g.g_line ~token:name
                             ("generated scenario cannot be rendered: " ^ msg)
                       in
-                      let sc2 =
-                        try Scenario.parse text
-                        with Scenario.Parse_error e ->
-                          failwith
-                            ("Matrix.expand: canonical text does not \
-                              re-parse: "
-                            ^ Scenario.error_message e)
-                      in
-                      if not (Scenario.equal sc sc2) then
-                        failwith
-                          (Printf.sprintf
-                             "Matrix.expand: scenario %s does not round-trip"
-                             name);
                       entries :=
                         { e_index = !index;
                           e_file = file_of_name !index name;

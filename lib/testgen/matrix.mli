@@ -4,10 +4,14 @@
     A matrix spec states a family of scenarios as a cartesian product —
     harness set × filter side × fault axis × parameter/timing sweeps —
     and {!expand} multiplies it out into concrete {!Scenario} records,
-    each rendered through {!Scenario.to_string} so that generation is a
-    print→parse round trip over the same AST.  A generated corpus is
+    each rendered through {!Scenario.to_string}, which checks the
+    print→parse round trip itself: it reads its text back and raises
+    unless the result equals the record.  A generated corpus is
     therefore exactly as checkable as a hand-written one: every file is
-    canonical [.pfis] text that {!Scenario.load} accepts.
+    canonical [.pfis] text that {!Scenario.load} accepts.  A harness,
+    profile, phase or seed is checked by the scenario parser's own
+    functions ({!Scenario.harness_of_token} and its siblings), with its
+    messages.
 
     {2 Format}
 
@@ -125,12 +129,13 @@ type entry = {
 val expand : ?limit:int -> t -> entry list
 (** Multiplies the matrix out, in spec order (group, then harness,
     side, fault alternative, sweep values — leftmost slowest).  Every
-    entry's [e_text] has been parsed back and checked {!Scenario.equal}
-    to its AST.  [limit] keeps only the first [limit] entries {e after}
-    full expansion, so a limited corpus is a prefix of the full one.
+    entry's [e_text] is {!Scenario.to_string} of its [e_scenario], so it
+    reads back {!Scenario.equal} to it.  [limit] keeps only the first
+    [limit] entries {e after} full expansion, so a limited corpus is a
+    prefix of the full one.
     Raises {!Scenario.Parse_error} on expansion errors (sweep overflow,
     duplicate scenario names, template lines the scenario language
-    rejects). *)
+    rejects, a scenario whose text does not read back). *)
 
 (** {1 Manifests} *)
 

@@ -113,10 +113,8 @@ type t =
   | Within of pattern * Vtime.t * Vtime.t
   | Ordered of pattern list
   | Count of pattern * comparison * int
-  | All of t list
-  | Any of t list
 
-let rec describe = function
+let describe = function
   | Eventually p -> Printf.sprintf "eventually(%s)" (pattern_describe p)
   | Never p -> Printf.sprintf "never(%s)" (pattern_describe p)
   | Within (p, a, b) ->
@@ -129,8 +127,6 @@ let rec describe = function
   | Count (p, cmp, n) ->
     Printf.sprintf "count(%s) %s %d" (pattern_describe p)
       (comparison_name cmp) n
-  | All ts -> Printf.sprintf "all(%s)" (String.concat " ; " (List.map describe ts))
-  | Any ts -> Printf.sprintf "any(%s)" (String.concat " ; " (List.map describe ts))
 
 type verdict = {
   oracle : string;
@@ -154,10 +150,10 @@ let window_name a b =
 (* ------------------------------------------------------------------ *)
 
 (* A monitor is an oracle compiled to a closure fed one entry at a time,
-   in recording order, plus a finisher.  Each leaf keeps O(1) state:
-   the matches it must cite ([hit]s) and a count, never a list.  Entries
-   a leaf's pattern cannot match may be skipped ([tags]), since they
-   change no state. *)
+   in recording order, plus a finisher.  Each keeps O(1) state: the
+   matches it must cite ([hit]s) and a count, never a list.  Entries its
+   patterns cannot match may be skipped ([tags]), since they change no
+   state. *)
 
 (* a cited match: its recording index ([-1] before the first one) and
    its entry *)
@@ -178,7 +174,7 @@ let witness h = if found h then Some h.at else None
 
 type monitor = {
   tags : string list option;
-      (* the tags every leaf pattern pins exactly; [None]: any tag *)
+      (* the tags its patterns pin exactly; [None]: any tag *)
   feed : int -> Trace.entry -> unit;
   passes : unit -> bool;
   verdict : int -> verdict;  (* given the trace length *)
@@ -193,7 +189,7 @@ let union_tags tagss =
   if List.exists Option.is_none tagss then None
   else Some (List.sort_uniq String.compare (List.concat_map Option.get tagss))
 
-let rec monitor oracle =
+let monitor oracle =
   let verdict pass reason witness =
     { oracle = describe oracle; pass; reason; witness }
   in
@@ -312,44 +308,6 @@ let rec monitor oracle =
                  !n (comparison_name cmp) bound
                  (if found last then "; last match " ^ cite last else ""))
               (witness last)) }
-  | All ts ->
-    let ms = List.map monitor ts in
-    { tags = union_tags (List.map (fun m -> m.tags) ms);
-      feed = (fun i e -> List.iter (fun m -> m.feed i e) ms);
-      passes = (fun () -> List.for_all (fun m -> m.passes ()) ms);
-      verdict =
-        (fun length ->
-          match List.find_opt (fun m -> not (m.passes ())) ms with
-          | Some bad ->
-            let bad = bad.verdict length in
-            verdict false
-              (Printf.sprintf "sub-oracle %s failed: %s" bad.oracle bad.reason)
-              bad.witness
-          | None ->
-            verdict true
-              (Printf.sprintf "all %d sub-oracles hold" (List.length ms))
-              None) }
-  | Any ts ->
-    let ms = List.map monitor ts in
-    { tags = union_tags (List.map (fun m -> m.tags) ms);
-      feed = (fun i e -> List.iter (fun m -> m.feed i e) ms);
-      passes = (fun () -> List.exists (fun m -> m.passes ()) ms);
-      verdict =
-        (fun length ->
-          match List.find_opt (fun m -> m.passes ()) ms with
-          | Some good ->
-            let good = good.verdict length in
-            verdict true
-              (Printf.sprintf "sub-oracle %s holds: %s" good.oracle good.reason)
-              good.witness
-          | None ->
-            verdict false
-              (Printf.sprintf "none of the %d sub-oracles hold (first: %s)"
-                 (List.length ms)
-                 (match ms with
-                  | m :: _ -> (m.verdict length).reason
-                  | [] -> "empty any()"))
-              None) }
 
 let attach m trace = Trace.attach trace ~tags:m.tags m.feed
 let verdict m trace = m.verdict (Trace.length trace)

@@ -67,8 +67,6 @@ type t =
       (** matches occur in order, at strictly increasing indexes *)
   | Count of pattern * comparison * int
       (** the number of matches satisfies the bound *)
-  | All of t list
-  | Any of t list
 
 val describe : t -> string
 
@@ -92,11 +90,11 @@ type verdict = {
 type monitor
 (** An oracle compiled for online evaluation.  Whether each pattern
     value is exact, substring or glob is decided at compile time.  Each
-    leaf keeps O(1) state: [Eventually] its first match, [Never] its
+    monitor keeps O(1) state: [Eventually] its first match, [Never] its
     first match and a count, [Within] its first in-window match, its
     first match and a count, [Ordered] its current step and last
     witness, [Count] a count and its last match.  A monitor declares the
-    tags it can match — the exact tags when every leaf pattern pins
+    tags it can match — the exact tags when each of its patterns pins
     one, every tag otherwise — and is fed only entries with those tags.
     A detail pattern forces the detail of an entry whose node and tag
     already match, when the entry is fed. *)

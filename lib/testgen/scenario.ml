@@ -64,7 +64,7 @@ type t = {
 
 (* whitespace-split words; a word starting with '#' comments out the
    rest of the line *)
-let tokens_of line =
+let tokens_of_line line =
   let words =
     String.split_on_char ' ' line
     |> List.concat_map (String.split_on_char '\t')
@@ -77,7 +77,7 @@ let tokens_of line =
   in
   until_comment words
 
-let parse_duration ~line tok =
+let duration_of_token ~line tok =
   let n = String.length tok in
   let i = ref 0 in
   while !i < n && (match tok.[!i] with '0' .. '9' | '.' -> true | _ -> false) do
@@ -110,6 +110,40 @@ let parse_int ~line tok =
   match int_of_string_opt tok with
   | Some n when n >= 0 -> n
   | _ -> err line tok "expected a non-negative integer"
+
+let parse_error ~line ~token reason = err line token reason
+
+(* the directive values [.pfim] matrices share with scenarios *)
+
+let harness_of_token ~line h =
+  match Registry.find h with
+  | Some packed -> packed
+  | None ->
+    err line h
+      (Printf.sprintf "unknown harness (expected one of %s)"
+         (String.concat ", " Registry.names))
+
+let profile_of_token ~line p =
+  match Pfi_tcp.Profile.find p with
+  | Some prof -> Pfi_tcp.Profile.slug prof
+  | None ->
+    err line p
+      (Printf.sprintf "unknown vendor profile (expected one of %s)"
+         (String.concat ", "
+            (List.map Pfi_tcp.Profile.slug
+               (Pfi_tcp.Profile.xkernel :: Pfi_tcp.Profile.all_vendors))))
+
+let phase_of_token ~line p =
+  match Tcp_harness.phase_of_string p with
+  | Some ph -> Tcp_harness.phase_name ph
+  | None -> err line p "unknown phase (expected handshake, stream or close)"
+
+let seed_of_args ~line = function
+  | [ s ] ->
+    (match Int64.of_string_opt s with
+     | Some v -> v
+     | None -> err line s "expected a 64-bit integer seed")
+  | _ -> err line "seed" "usage: seed N"
 
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                           *)
@@ -221,7 +255,7 @@ let parse_expect ~line ~at toks =
     let toks = match toks with "eventually" :: r -> r | r -> r in
     let atoms, within =
       match List.rev toks with
-      | d :: "within" :: ratoms -> (List.rev ratoms, Some (parse_duration ~line d))
+      | d :: "within" :: ratoms -> (List.rev ratoms, Some (duration_of_token ~line d))
       | _ ->
         if List.mem "within" toks then
           err line "within"
@@ -268,9 +302,9 @@ let parse ?(name = "scenario") src =
           let t =
             if String.length body > 0 && body.[0] = '+' then
               Vtime.add !clock
-                (parse_duration ~line
+                (duration_of_token ~line
                    (String.sub body 1 (String.length body - 1)))
-            else parse_duration ~line body
+            else duration_of_token ~line body
           in
           clock := t;
           match rest with
@@ -292,25 +326,15 @@ let parse ?(name = "scenario") src =
          (match rest with
           | [ h ] ->
             if !harness <> None then err line h "duplicate run directive";
-            (match Registry.find h with
-             | Some packed -> harness := Some (h, packed)
-             | None ->
-               err line h
-                 (Printf.sprintf "unknown harness (expected one of %s)"
-                    (String.concat ", " Registry.names)))
+            harness := Some (h, harness_of_token ~line h)
           | _ -> err line "run" "usage: run HARNESS")
        | "seed" ->
          no_time ();
-         (match rest with
-          | [ s ] ->
-            (match Int64.of_string_opt s with
-             | Some v -> once line "seed" seed v
-             | None -> err line s "expected a 64-bit integer seed")
-          | _ -> err line "seed" "usage: seed N")
+         once line "seed" seed (seed_of_args ~line rest)
        | "horizon" ->
          no_time ();
          (match rest with
-          | [ d ] -> once line "horizon" horizon (parse_duration ~line d)
+          | [ d ] -> once line "horizon" horizon (duration_of_token ~line d)
           | _ -> err line "horizon" "usage: horizon DURATION")
        | "profile" ->
          no_time ();
@@ -319,16 +343,7 @@ let parse ?(name = "scenario") src =
             let hname, _ = need_harness line "profile" in
             if hname <> "tcp" then
               err line p "profile applies only to the tcp harness";
-            (match Pfi_tcp.Profile.find p with
-             | Some prof ->
-               once line "profile" profile (Pfi_tcp.Profile.slug prof)
-             | None ->
-               err line p
-                 (Printf.sprintf "unknown vendor profile (expected one of %s)"
-                    (String.concat ", "
-                       (List.map Pfi_tcp.Profile.slug
-                          (Pfi_tcp.Profile.xkernel
-                          :: Pfi_tcp.Profile.all_vendors)))))
+            once line "profile" profile (profile_of_token ~line p)
           | _ -> err line "profile" "usage: profile VENDOR")
        | "phase" ->
          no_time ();
@@ -337,10 +352,7 @@ let parse ?(name = "scenario") src =
             let hname, _ = need_harness line "phase" in
             if hname <> "tcp" then
               err line p "phase applies only to the tcp harness";
-            (match Tcp_harness.phase_of_string p with
-             | Some ph -> once line "phase" phase (Tcp_harness.phase_name ph)
-             | None ->
-               err line p "unknown phase (expected handshake, stream or close)")
+            once line "phase" phase (phase_of_token ~line p)
           | _ -> err line "phase" "usage: phase handshake|stream|close")
        | "xfail" ->
          no_time ();
@@ -443,7 +455,7 @@ let parse ?(name = "scenario") src =
             horizon, fault, inject, expect or xfail)")
   in
   let lines = String.split_on_char '\n' src in
-  List.iteri (fun i line -> handle (i + 1) (tokens_of line)) lines;
+  List.iteri (fun i line -> handle (i + 1) (tokens_of_line line)) lines;
   match !harness with
   | None ->
     err (List.length lines) "run" "scenario never names a harness (missing run directive)"
@@ -481,89 +493,33 @@ let duration_to_string t =
   else if us mod 1_000 = 0 then string_of_int (us / 1_000) ^ "ms"
   else string_of_int us ^ "us"
 
-(* a token the tokenizer will hand back unchanged *)
-let plain_token tok =
-  tok <> "" && tok <> ";" && tok <> "+"
-  && tok.[0] <> '@'
-  && String.for_all
-       (fun c ->
-         match c with ' ' | '\t' | '\n' | '\r' | '#' -> false | _ -> true)
-       tok
+let strip_lines sc =
+  { sc with
+    sc_injections = List.map (fun i -> { i with inj_line = 0 }) sc.sc_injections;
+    sc_checks = List.map (fun c -> { c with chk_line = 0 }) sc.sc_checks }
 
-let require_plain what tok =
-  if not (plain_token tok) then
-    invalid_arg
-      (Printf.sprintf "Scenario.to_string: %s %S is not a printable token"
-         what tok)
-
-(* words that survive the join-split round trip of [name]/[xfail] *)
-let require_plain_words what s =
-  let words = String.split_on_char ' ' s in
-  if words = [] || List.exists (fun w -> not (plain_token w)) words then
-    invalid_arg
-      (Printf.sprintf
-         "Scenario.to_string: %s %S does not tokenize back to itself" what s)
-
-let pattern_atoms ~what p =
-  match Oracle.pattern_describe p with
-  | "*" ->
-    invalid_arg
-      (Printf.sprintf
-         "Scenario.to_string: %s: an unconstrained pattern has no scenario \
-          syntax"
-         what)
-  | s ->
-    let atoms = String.split_on_char ' ' s in
-    List.iter (require_plain (what ^ " pattern atom")) atoms;
-    s
+let equal a b = strip_lines a = strip_lines b
 
 let check_to_line chk =
+  let atoms = Oracle.pattern_describe in
   match chk.chk_expect with
   | Service -> "expect service"
-  | Trace_oracle o ->
-    (match o with
-     | Oracle.Eventually p -> "expect " ^ pattern_atoms ~what:"expect" p
-     | Oracle.Never p -> "expect never " ^ pattern_atoms ~what:"never" p
-     | Oracle.Within (p, a, b) ->
-       let pat = pattern_atoms ~what:"expect" p in
-       if Vtime.equal b Vtime.infinity then
-         Printf.sprintf "@%s expect %s" (duration_to_string a) pat
-       else if Vtime.(b < a) then
-         invalid_arg "Scenario.to_string: Within window ends before it starts"
-       else if Vtime.equal a Vtime.zero then
-         Printf.sprintf "expect %s within %s" pat (duration_to_string b)
-       else
-         Printf.sprintf "@%s expect %s within %s" (duration_to_string a) pat
-           (duration_to_string (Vtime.sub b a))
-     | Oracle.Count (p, cmp, n) ->
-       if n < 0 then
-         invalid_arg "Scenario.to_string: negative count bound";
-       Printf.sprintf "expect count %s %s %d"
-         (pattern_atoms ~what:"count" p)
-         (Oracle.comparison_name cmp) n
-     | Oracle.Ordered ps ->
-       if ps = [] then
-         invalid_arg
-           "Scenario.to_string: an empty ordered() has no scenario syntax";
-       "expect ordered "
-       ^ String.concat " ; "
-           (List.map (pattern_atoms ~what:"ordered") ps)
-     | Oracle.All _ | Oracle.Any _ ->
-       invalid_arg "Scenario.to_string: all()/any() have no scenario syntax")
+  | Trace_oracle (Oracle.Eventually p) -> "expect " ^ atoms p
+  | Trace_oracle (Oracle.Never p) -> "expect never " ^ atoms p
+  | Trace_oracle (Oracle.Within (p, a, b)) ->
+    if Vtime.equal b Vtime.infinity then
+      Printf.sprintf "@%s expect %s" (duration_to_string a) (atoms p)
+    else if Vtime.equal a Vtime.zero then
+      Printf.sprintf "expect %s within %s" (atoms p) (duration_to_string b)
+    else
+      Printf.sprintf "@%s expect %s within %s" (duration_to_string a) (atoms p)
+        (duration_to_string (Vtime.sub b a))
+  | Trace_oracle (Oracle.Count (p, cmp, n)) ->
+    Printf.sprintf "expect count %s %s %d" (atoms p) (Oracle.comparison_name cmp) n
+  | Trace_oracle (Oracle.Ordered ps) ->
+    "expect ordered " ^ String.concat " ; " (List.map atoms ps)
 
 let injection_to_line inj =
-  List.iter
-    (fun (k, v) ->
-      if k = "" then
-        invalid_arg "Scenario.to_string: empty injection argument key";
-      require_plain "injection argument" (k ^ "=" ^ v);
-      if String.contains k '=' then
-        invalid_arg
-          (Printf.sprintf
-             "Scenario.to_string: injection argument key %S contains '='" k))
-    inj.inj_args;
-  require_plain "injection mtype" inj.inj_mtype;
-  require_plain "injection destination" inj.inj_dst;
   Printf.sprintf "@%s inject %s %s%s to %s"
     (duration_to_string inj.inj_at)
     (match inj.inj_side with `Send -> "send" | `Receive -> "receive")
@@ -572,72 +528,9 @@ let injection_to_line inj =
        (List.map (fun (k, v) -> " " ^ k ^ "=" ^ v) inj.inj_args))
     inj.inj_dst
 
+(* the parser is the one judge of what text is valid: the printed text
+   is returned only if it reads back as [sc] *)
 let to_string sc =
-  let packed =
-    match
-      Registry.find_configured ?profile:sc.sc_profile ?phase:sc.sc_phase
-        sc.sc_harness
-    with
-    | Some p -> p
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Scenario.to_string: unknown harness/profile/phase %S%s%s"
-           sc.sc_harness
-           (match sc.sc_profile with
-            | Some p -> Printf.sprintf " profile %S" p
-            | None -> "")
-           (match sc.sc_phase with
-            | Some p -> Printf.sprintf " phase %S" p
-            | None -> ""))
-  in
-  let spec = Harness_intf.spec packed in
-  Option.iter (require_plain "profile") sc.sc_profile;
-  Option.iter (require_plain "phase") sc.sc_phase;
-  require_plain_words "scenario name" sc.sc_name;
-  Option.iter (require_plain_words "xfail substring") sc.sc_xfail;
-  (* a fault prints only if it re-reads as itself: in range, and named
-     by this harness's spec *)
-  List.iter
-    (fun (_, fault) ->
-      (match Generator.of_view ~spec (Generator.view fault) with
-       | Ok f when f = fault -> ()
-       | Ok _ ->
-         invalid_arg
-           (Printf.sprintf
-              "Scenario.to_string: fault %S does not match the harness spec"
-              (Generator.describe fault))
-       | Error (field, reason) ->
-         invalid_arg
-           (Printf.sprintf "Scenario.to_string: fault %S: %s: %s"
-              (Generator.describe fault) field reason));
-      List.iter (require_plain "fault token") (Generator.tokens fault))
-    sc.sc_faults;
-  (* an injection only re-parses to the same record if its argument list
-     starts with the spec's generation arguments, in spec order — which
-     is exactly what [parse] produces *)
-  List.iter
-    (fun inj ->
-      match Spec.find_message spec inj.inj_mtype with
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Scenario.to_string: unknown message type %S"
-             inj.inj_mtype)
-      | Some m ->
-        let keys = List.map fst m.Spec.gen_args in
-        let rec prefix ks args =
-          match (ks, args) with
-          | [], _ -> true
-          | k :: ks', (k', _) :: args' -> k = k' && prefix ks' args'
-          | _ :: _, [] -> false
-        in
-        if not (prefix keys inj.inj_args) then
-          invalid_arg
-            (Printf.sprintf
-               "Scenario.to_string: injection arguments for %S must begin \
-                with the spec's generation arguments (%s)"
-               inj.inj_mtype (String.concat ", " keys)))
-    sc.sc_injections;
   let buf = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "name %s" sc.sc_name;
@@ -654,19 +547,11 @@ let to_string sc =
   List.iter (fun inj -> line "%s" (injection_to_line inj)) sc.sc_injections;
   List.iter (fun chk -> line "%s" (check_to_line chk)) sc.sc_checks;
   Option.iter (fun s -> line "xfail %s" s) sc.sc_xfail;
-  Buffer.contents buf
-
-let strip_lines sc =
-  { sc with
-    sc_injections = List.map (fun i -> { i with inj_line = 0 }) sc.sc_injections;
-    sc_checks = List.map (fun c -> { c with chk_line = 0 }) sc.sc_checks }
-
-let equal a b = strip_lines a = strip_lines b
-
-(* lexical helpers shared with the matrix expander *)
-let tokens_of_line = tokens_of
-let duration_of_token ~line tok = parse_duration ~line tok
-let parse_error ~line ~token reason = err line token reason
+  let text = Buffer.contents buf in
+  match parse text with
+  | read when equal read sc -> text
+  | _ -> invalid_arg "Scenario.to_string: the text does not read back as the scenario"
+  | exception Parse_error e -> invalid_arg ("Scenario.to_string: " ^ error_message e)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)

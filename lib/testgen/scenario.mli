@@ -144,20 +144,15 @@ val load : string -> t
 (** Reads and parses a file; the scenario name defaults to the file's
     basename.  Raises {!Parse_error} or [Sys_error]. *)
 
-(** {1 Printing}
-
-    {!to_string} is the inverse of {!parse}: it renders a scenario as
-    canonical [.pfis] text such that [parse (to_string sc)] is {!equal}
-    to [sc].  Generated corpora ({!Matrix}) are emitted through it, so
-    generation is a print→parse round trip over the same AST.  Raises
-    [Invalid_argument] for scenarios the concrete syntax cannot express:
-    unknown harnesses, faults {!Generator.of_view} rejects for the
-    harness spec, unconstrained or [All]/[Any] oracles, empty
-    [ordered] steps, tokens containing whitespace or [#], injection
-    argument lists that do not start with the spec's generation
-    arguments. *)
+(** {1 Printing} *)
 
 val to_string : t -> string
+(** The scenario as canonical [.pfis] text, which {!parse} reads back
+    {!equal} to it.  Generated corpora ({!Matrix}) are emitted through
+    it.  Raises [Invalid_argument] when its text does not read back as
+    the scenario: {!parse} is the one judge of valid text, so the
+    message is the parser's own, naming the line and token, or says that
+    the text reads back as a different scenario. *)
 
 val equal : t -> t -> bool
 (** Structural equality ignoring the recorded source-line numbers
@@ -170,10 +165,11 @@ val duration_to_string : Pfi_engine.Vtime.t -> string
     {!Pfi_engine.Vtime.t}.  Raises [Invalid_argument] on negative or
     infinite times. *)
 
-(** {1 Lexical helpers}
+(** {1 Lexical helpers and shared directive checks}
 
     Shared with the {!Matrix} expander so [.pfim] matrix specs follow
-    exactly the scenario language's lexical rules. *)
+    exactly the scenario language's lexical rules, and check a harness,
+    profile, phase or seed with the parser's own code and messages. *)
 
 val tokens_of_line : string -> string list
 (** Whitespace-split words; a word starting with [#] comments out the
@@ -186,6 +182,23 @@ val duration_of_token : line:int -> string -> Pfi_engine.Vtime.t
 val parse_error : line:int -> token:string -> string -> 'a
 (** Raises {!Parse_error} — for other parsers of this lexical family
     (the matrix expander) to report errors in the same format. *)
+
+val harness_of_token : line:int -> string -> Harness_intf.packed
+(** The {!Registry} harness of that name; otherwise raises
+    {!Parse_error} ["unknown harness (expected one of ...)"]. *)
+
+val profile_of_token : line:int -> string -> string
+(** The canonical {!Pfi_tcp.Profile.slug} of a vendor profile name;
+    otherwise raises ["unknown vendor profile (expected one of ...)"]. *)
+
+val phase_of_token : line:int -> string -> string
+(** The canonical phase name; otherwise raises ["unknown phase
+    (expected handshake, stream or close)"]. *)
+
+val seed_of_args : line:int -> string list -> int64
+(** The seed of a [seed N] directive, given the words after [seed].
+    Raises ["expected a 64-bit integer seed"] at [N], or ["usage: seed
+    N"] at [seed] unless there is exactly one word. *)
 
 (** {1 Execution} *)
 

@@ -121,6 +121,27 @@ let test_gen_tiny_deterministic () =
           (read_file (Filename.concat b f)))
     (Sys.readdir a |> Array.to_list |> List.sort String.compare)
 
+(* the standing demo spec, pinned by its scenario count, its manifest's
+   size and MD5 and its corpus digest *)
+let test_gen_registry_demo_pinned () =
+  let dir = fresh_dir "demo" in
+  let files () = Sys.readdir dir |> Array.to_list in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
+      Sys.rmdir dir)
+    (fun () ->
+      let out = run_cli [ "gen"; test_dir "matrix/registry_demo.pfim"; "-o"; dir ] in
+      Alcotest.(check int) "scenarios written" 168
+        (List.length (List.filter (fun f -> Filename.check_suffix f ".pfis") (files ())));
+      let manifest = read_file (Filename.concat dir "manifest.json") in
+      Alcotest.(check int) "manifest bytes" 42_141 (String.length manifest);
+      Alcotest.(check string) "manifest MD5" "2f4b3445c7db0a862984b214aeacde3c"
+        (Digest.to_hex (Digest.string manifest));
+      Alcotest.(check bool) "corpus digest" true
+        (String.ends_with
+           ~suffix:"  corpus digest 20cce11a95c2d76c0954639de67e142c\n" out))
+
 let test_check_manifest_jobs_parity () =
   let dir = gen_tiny "d" in
   let manifest = Filename.concat dir "manifest.json" in
@@ -233,12 +254,10 @@ let test_fuzz_trace_out_pinned () =
 (* Every other JSONL trace export, pinned the same way                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [--trace-out] of a campaign (control and every trial), a replay, the
-   committed scenario corpus and the ladder's one sim, and the [msc]
-   entries [msc --json] prints.  The committed repro fixture was
-   recorded from a three-message workload and the harness sends twenty,
-   so its replay exits 1 on the verdict mismatch, after writing the
-   trace. *)
+(* [--trace-out] of a campaign (control and every trial), a replay of
+   the committed repro fixture (its verdict reproduces, so it exits 0),
+   the committed scenario corpus and the ladder's one sim, and the
+   [msc] entries [msc --json] prints. *)
 let test_trace_out_pinned () =
   let scenarios =
     Sys.readdir (test_dir "scenarios")
@@ -259,7 +278,7 @@ let test_trace_out_pinned () =
           check_pinned what ~bytes ~md5 (read_file path)))
     [ ([ "campaign"; "abp-buggy" ], 0, 326_802, "34e778f4b79e4dfe44347b9870b830aa");
       ( [ "replay"; test_dir "golden/tiny_abp_repro.expected.json" ],
-        1, 39_748, "ea8a4e74b20f20c53eb6a811a01c9d0a" );
+        0, 39_748, "ea8a4e74b20f20c53eb6a811a01c9d0a" );
       ("check" :: scenarios, 0, 787_995, "991af202b575a01b66525be5b9627e42");
       ([ "msc" ], 0, 41_536, "219982ee0baa2ee15a0f99827c76c65e") ];
   check_pinned "msc --json" ~bytes:19_720 ~md5:"9a7dea61ee86031e558ad1a7e38f6543"
@@ -279,6 +298,8 @@ let suite =
       test_gen_tiny_golden;
     Alcotest.test_case "pfi_run gen is deterministic across runs" `Quick
       test_gen_tiny_deterministic;
+    Alcotest.test_case "pfi_run gen registry_demo matches its pinned digests"
+      `Quick test_gen_registry_demo_pinned;
     Alcotest.test_case "check --manifest output is jobs-invariant" `Slow
       test_check_manifest_jobs_parity;
     Alcotest.test_case "shrink/replay reject an out-of-range fault on load"

@@ -179,6 +179,55 @@ let test_parse_errors () =
     ~reason:"out of range"
     (group_src "horizon 99999999999999999999h")
 
+(* the checks [.pfim] shares with the scenario parser, pinned by their
+   full message as `pfi_run gen` prints it *)
+let test_shared_check_messages () =
+  let group body = "matrix m\ngroup g\n" ^ body ^ "\nend\n" in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) src expected
+        (match Matrix.expand (Matrix.parse src) with
+         | _ -> "no error"
+         | exception Scenario.Parse_error e ->
+           Scenario.error_message ~file:"m.pfim" e))
+    [ (group "harness nope",
+       "m.pfim:3: unknown harness (expected one of abp, abp-buggy, gmp, \
+        gmp-buggy, tcp) (at \"nope\")");
+      (group "harness abp abp",
+       "m.pfim:3: duplicate harness in the group (at \"abp\")");
+      (group "harness", "m.pfim:3: usage: harness NAME... (at \"harness\")");
+      (group "harness tcp\nprofile vax",
+       "m.pfim:4: unknown vendor profile (expected one of x-kernel, \
+        sunos-4.1.3, aix-3.2.3, next-mach, solaris-2.3) (at \"vax\")");
+      (group "harness tcp\nprofile sunos-4.1.3 SunOS-4.1.3",
+       "m.pfim:4: duplicate profile in the group (at \"SunOS-4.1.3\")");
+      (group "harness tcp\nphase teardown",
+       "m.pfim:4: unknown phase (expected handshake, stream or close) (at \
+        \"teardown\")");
+      (group "harness tcp\nphase close close",
+       "m.pfim:4: duplicate phase in the group (at \"close\")");
+      ("matrix m\nseed 1x\ngroup g\nharness abp\nend\n",
+       "m.pfim:2: expected a 64-bit integer seed (at \"1x\")");
+      ("matrix m\nseed 1 2\ngroup g\nharness abp\nend\n",
+       "m.pfim:2: usage: seed N (at \"seed\")");
+      ("matrix m\nseed 1\nseed 2\ngroup g\nharness abp\nend\n",
+       "m.pfim:3: duplicate matrix seed directive (at \"seed\")");
+      (group "harness abp\nseed 99999999999999999999",
+       "m.pfim:4: expected a 64-bit integer seed (at \
+        \"99999999999999999999\")");
+      (group "harness abp\nseed 1 2", "m.pfim:4: usage: seed N (at \"seed\")");
+      (group "harness abp\nseed 1\nseed 2",
+       "m.pfim:5: duplicate group seed directive (at \"seed\")");
+      (group "harness abp\nhorizon 10s\nhorizon 20s",
+       "m.pfim:5: duplicate horizon directive (at \"horizon\")");
+      (group "harness abp\nxfail a\nxfail b",
+       "m.pfim:5: duplicate xfail directive (at \"xfail\")");
+      (group "harness abp\nprofile sunos-4.1.3",
+       "m.pfim:2: profile applies only to the tcp harness (at \
+        \"sunos-4.1.3\")");
+      (group "harness gmp\nphase close",
+       "m.pfim:2: phase applies only to the tcp harness (at \"close\")") ]
+
 (* a wrong group line must surface at its .pfim line, not at a line of
    the assembled intermediate scenario text *)
 let test_expand_error_lines () =
@@ -253,6 +302,25 @@ let test_sweep_semantics () =
       | _ -> Alcotest.fail "expected exactly one injection")
     entries
     [ Vtime.ms 500; Vtime.sec 1; Vtime.ms 1500 ]
+
+(* what the parser reads back unchanged is generated: a '#' inside a
+   word and a standalone '+' are plain text outside a fault line *)
+let test_words_the_parser_accepts () =
+  match
+    Matrix.expand
+      (Matrix.parse
+         "matrix m\ngroup a#b\nharness abp\nexpect detail~x#y\nxfail a + b\nend\n")
+  with
+  | [ e ] ->
+    Alcotest.(check string) "name" "a#b/abp/both/baseline" e.Matrix.e_name;
+    Alcotest.(check string) "text"
+      (Printf.sprintf
+         "name a#b/abp/both/baseline\nrun abp\nseed %Ld\nexpect detail~x#y\nxfail a + b\n"
+         e.Matrix.e_seed)
+      e.Matrix.e_text;
+    Alcotest.(check bool) "reads back" true
+      (Scenario.equal e.Matrix.e_scenario (Scenario.parse e.Matrix.e_text))
+  | es -> Alcotest.failf "expected one scenario, got %d" (List.length es)
 
 let test_duplicate_names_rejected () =
   check_matrix_error ~line:2 ~token:"g/abp/both/drop_all-MSG"
@@ -528,4 +596,8 @@ let suite =
     Alcotest.test_case "expansion size is capped" `Quick test_expansion_cap;
     Alcotest.test_case "demo corpus: >= 150 scenarios, all on verdict" `Slow
       test_demo_corpus;
-    QCheck_alcotest.to_alcotest prop_round_trip ]
+    QCheck_alcotest.to_alcotest prop_round_trip;
+    Alcotest.test_case "shared token checks, full messages" `Quick
+      test_shared_check_messages;
+    Alcotest.test_case "words the parser reads back are generated" `Quick
+      test_words_the_parser_accepts ]

@@ -24,20 +24,16 @@ type t =
   | Within of pat * Vtime.t * Vtime.t
   | Ordered of pat list
   | Count of pat * Oracle.comparison * int
-  | All of t list
-  | Any of t list
 
 let to_pattern p =
   Oracle.pattern ?node:p.node ?tag:p.tag ?detail:p.detail ~fields:p.fields ()
 
-let rec to_oracle = function
+let to_oracle = function
   | Eventually p -> Oracle.Eventually (to_pattern p)
   | Never p -> Oracle.Never (to_pattern p)
   | Within (p, a, b) -> Oracle.Within (to_pattern p, a, b)
   | Ordered ps -> Oracle.Ordered (List.map to_pattern ps)
   | Count (p, c, n) -> Oracle.Count (to_pattern p, c, n)
-  | All ts -> Oracle.All (List.map to_oracle ts)
-  | Any ts -> Oracle.Any (List.map to_oracle ts)
 
 let pattern_describe p = Oracle.pattern_describe (to_pattern p)
 
@@ -101,7 +97,7 @@ let compare_holds (cmp : Oracle.comparison) a b =
   | Ge -> a >= b
   | Gt -> a > b
 
-let rec eval oracle trace : Oracle.verdict =
+let eval oracle trace : Oracle.verdict =
   let oracle_str = Oracle.describe (to_oracle oracle) in
   let verdict pass reason witness = { Oracle.oracle = oracle_str; pass; reason; witness } in
   match oracle with
@@ -188,24 +184,3 @@ let rec eval oracle trace : Oracle.verdict =
             | (i, e) :: _ -> "; last match " ^ entry_cite i e
             | [] -> ""))
         witness
-  | All ts ->
-    let sub = List.map (fun t -> eval t trace) ts in
-    (match List.find_opt (fun (v : Oracle.verdict) -> not v.pass) sub with
-     | Some bad ->
-       verdict false
-         (Printf.sprintf "sub-oracle %s failed: %s" bad.oracle bad.reason)
-         bad.witness
-     | None ->
-       verdict true (Printf.sprintf "all %d sub-oracles hold" (List.length sub)) None)
-  | Any ts ->
-    let sub = List.map (fun t -> eval t trace) ts in
-    (match List.find_opt (fun (v : Oracle.verdict) -> v.pass) sub with
-     | Some good ->
-       verdict true
-         (Printf.sprintf "sub-oracle %s holds: %s" good.oracle good.reason)
-         good.witness
-     | None ->
-       verdict false
-         (Printf.sprintf "none of the %d sub-oracles hold (first: %s)" (List.length sub)
-            (match sub with v :: _ -> v.reason | [] -> "empty any()"))
-         None)

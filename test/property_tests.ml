@@ -913,16 +913,15 @@ let prop_compiled_matches_reference =
 (* Oracle monitors: online, stored and reference evaluation agree      *)
 (* ------------------------------------------------------------------ *)
 
-(* Random oracles over all seven constructors (nested [All]/[Any]),
-   with exact and wildcard node/tag values, substring and glob details
-   and field atoms, judged over random traces (the empty one included)
-   three ways: by a monitor attached to a counting trace while the
-   entries are recorded, by a monitor attached to a storing trace, by
-   [Oracle.eval] on the stored trace — all against the tree-walking
-   reference evaluator.  Recording into the counting trace must force
-   no detail unless the oracle has a detail pattern.  The counting
-   trace is recycled across cases, so [Trace.clear] must also detach
-   the previous case's monitor. *)
+(* Random oracles over all five constructors, with exact and wildcard
+   node/tag values, substring and glob details and field atoms, judged
+   over random traces (the empty one included) three ways: by a monitor
+   attached to a counting trace while the entries are recorded, by a
+   monitor attached to a storing trace, by [Oracle.eval] on the stored
+   trace — all against the tree-walking reference evaluator.  Recording
+   into the counting trace must force no detail unless the oracle has a
+   detail pattern.  The counting trace is recycled across cases, so
+   [Trace.clear] must also detach the previous case's monitor. *)
 
 module Oracle = Pfi_testgen.Oracle
 
@@ -946,28 +945,18 @@ let oracle_gen =
                 (oneofa [| "0"; "1"; "*"; "ab" |]) ]))
   in
   let vtime = map Vtime.sec (int_bound 12) in
-  let leaf =
-    oneof
-      [ map (fun p -> Oracle_reference.Eventually p) pat;
-        map (fun p -> Oracle_reference.Never p) pat;
-        map3
-          (fun p a w ->
-            Oracle_reference.Within
-              (p, a, match w with None -> Vtime.infinity | Some w -> Vtime.add a w))
-          pat vtime (opt vtime);
-        map (fun ps -> Oracle_reference.Ordered ps) (list_size (int_bound 3) pat);
-        map3
-          (fun p c n -> Oracle_reference.Count (p, c, n))
-          pat (oneofl Oracle.[ Lt; Le; Eq; Ne; Ge; Gt ]) (int_bound 5) ]
-  in
-  sized_size (int_bound 3)
-    (fix (fun self depth ->
-         if depth = 0 then leaf
-         else
-           frequency
-             [ (3, leaf);
-               (1, map (fun ts -> Oracle_reference.All ts) (list_size (int_bound 3) (self (depth - 1))));
-               (1, map (fun ts -> Oracle_reference.Any ts) (list_size (int_bound 3) (self (depth - 1)))) ]))
+  oneof
+    [ map (fun p -> Oracle_reference.Eventually p) pat;
+      map (fun p -> Oracle_reference.Never p) pat;
+      map3
+        (fun p a w ->
+          Oracle_reference.Within
+            (p, a, match w with None -> Vtime.infinity | Some w -> Vtime.add a w))
+        pat vtime (opt vtime);
+      map (fun ps -> Oracle_reference.Ordered ps) (list_size (int_bound 3) pat);
+      map3
+        (fun p c n -> Oracle_reference.Count (p, c, n))
+        pat (oneofl Oracle.[ Lt; Le; Eq; Ne; Ge; Gt ]) (int_bound 5) ]
 
 let mon_trace_gen =
   QCheck.Gen.(
@@ -989,11 +978,10 @@ let mon_record tr entries =
          time)
        Vtime.zero entries)
 
-let rec reads_details = function
+let reads_details = function
   | Oracle_reference.Eventually p | Never p | Within (p, _, _) | Count (p, _, _) ->
     p.Oracle_reference.detail <> None
   | Ordered ps -> List.exists (fun p -> p.Oracle_reference.detail <> None) ps
-  | All ts | Any ts -> List.exists reads_details ts
 
 let recycled_counting = Trace.create_counting ()
 

@@ -55,7 +55,7 @@ let test_trial_seed_pure_and_sensitive () =
      <> seed Campaign.Send_filter)
 
 let test_outcome_records_seed () =
-  let h = Abp_harness.harness ~message_count:3 () in
+  let h = Abp_harness.harness () in
   let o =
     Campaign.run_trial h ~horizon:(Vtime.sec 30)
       (Campaign.trial ~seed:9876543210L ~side:Campaign.Send_filter
@@ -64,7 +64,7 @@ let test_outcome_records_seed () =
   Alcotest.(check int64) "seed recorded" 9876543210L o.Campaign.seed
 
 let test_run_trial_script_override () =
-  let h = Abp_harness.harness ~message_count:3 () in
+  let h = Abp_harness.harness () in
   let fault = Generator.Drop_all "MSG" in
   let seed = 11L in
   let with_fault =
@@ -123,9 +123,15 @@ let test_campaign_traces_deterministic () =
   Alcotest.(check bool) "byte-identical JSONL traces" true (first = second)
 
 let test_side_permutation_leaves_verdicts () =
-  let harness = Abp_harness.harness ~bug_ignore_ack_bit:true () in
+  let plan = Campaign.plan (Abp_harness.harness ~bug_ignore_ack_bit:true ()) in
   let run sides =
-    (Campaign.run (Campaign.plan ~sides harness)).Campaign.s_outcomes
+    let trials =
+      List.concat_map
+        (fun side ->
+          List.filter (fun t -> t.Campaign.t_side = side) plan.Campaign.p_trials)
+        sides
+    in
+    (Campaign.run { plan with Campaign.p_trials = trials }).Campaign.s_outcomes
   in
   let canon outcomes =
     List.sort compare
@@ -522,10 +528,11 @@ let check_golden ~path actual =
       "output differs from %s —\n--- expected ---\n%s\n--- actual ---\n%s" path
       expected actual
 
-(* a tiny fixed ABP scenario: three messages, three hand-picked faults,
-   seeds derived exactly as a campaign would derive them *)
+(* a tiny fixed ABP scenario: the stock abp-buggy harness under three
+   hand-picked faults, seeds derived exactly as a campaign would derive
+   them, so [pfi_run replay] reproduces the recorded violation *)
 let tiny_abp_outcomes () =
-  let h = Abp_harness.harness ~message_count:3 ~bug_ignore_ack_bit:true () in
+  let h = Abp_harness.harness ~bug_ignore_ack_bit:true () in
   let horizon = Vtime.sec 60 in
   let campaign_seed = 7L in
   List.map

@@ -103,15 +103,6 @@ let test_comparison_names () =
       | None -> Alcotest.fail "comparison name does not parse back")
     [ Oracle.Lt; Oracle.Le; Oracle.Eq; Oracle.Ne; Oracle.Ge; Oracle.Gt ]
 
-let test_all_any () =
-  let good = Oracle.Eventually deliver in
-  let bad = Oracle.Never (Oracle.pattern ~tag:"abp.bad-frame" ()) in
-  let v = Oracle.eval (Oracle.All [ good; bad ]) (sample_trace ()) in
-  Alcotest.(check bool) "all fails on one bad branch" false v.Oracle.pass;
-  Alcotest.(check (option int)) "all cites the bad branch" (Some 4) v.Oracle.witness;
-  let v = Oracle.eval (Oracle.Any [ bad; good ]) (sample_trace ()) in
-  Alcotest.(check bool) "any passes on one good branch" true v.Oracle.pass
-
 let test_pattern_fields_and_node () =
   Alcotest.(check (pair bool (option int)))
     "field subset match" (true, Some 3)
@@ -353,6 +344,146 @@ let test_parse_errors_extensions () =
   check_parse_error ~line:2 ~token:"wat"
     "run abp\n@+wat inject receive ACK bit=1"
 
+(* every check the parser shares with the matrix expander, pinned by
+   its full message as `pfi_run check` prints it *)
+let test_shared_check_messages () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) src expected
+        (match Scenario.parse src with
+         | _ -> "no error"
+         | exception Scenario.Parse_error e ->
+           Scenario.error_message ~file:"s.pfis" e))
+    [ ("run nope",
+       "s.pfis:1: unknown harness (expected one of abp, abp-buggy, gmp, \
+        gmp-buggy, tcp) (at \"nope\")");
+      ("run abp\nrun gmp", "s.pfis:2: duplicate run directive (at \"gmp\")");
+      ("run tcp\nprofile vax",
+       "s.pfis:2: unknown vendor profile (expected one of x-kernel, \
+        sunos-4.1.3, aix-3.2.3, next-mach, solaris-2.3) (at \"vax\")");
+      ("run tcp\nprofile sunos-4.1.3\nprofile aix-3.2.3",
+       "s.pfis:3: duplicate profile directive (at \"profile\")");
+      ("run tcp\nphase teardown",
+       "s.pfis:2: unknown phase (expected handshake, stream or close) (at \
+        \"teardown\")");
+      ("run tcp\nphase close\nphase stream",
+       "s.pfis:3: duplicate phase directive (at \"phase\")");
+      ("run abp\nseed 1x",
+       "s.pfis:2: expected a 64-bit integer seed (at \"1x\")");
+      ("run abp\nseed 1 2", "s.pfis:2: usage: seed N (at \"seed\")");
+      ("run abp\nseed", "s.pfis:2: usage: seed N (at \"seed\")");
+      ("run abp\nseed 1\nseed 2",
+       "s.pfis:3: duplicate seed directive (at \"seed\")");
+      ("run abp\nseed 1\nseed x",
+       "s.pfis:3: expected a 64-bit integer seed (at \"x\")");
+      ("run abp\nhorizon 1s\nhorizon 2s",
+       "s.pfis:3: duplicate horizon directive (at \"horizon\")");
+      ("run abp\nxfail a\nxfail b",
+       "s.pfis:3: duplicate xfail directive (at \"xfail\")");
+      ("run abp\nprofile sunos-4.1.3",
+       "s.pfis:2: profile applies only to the tcp harness (at \
+        \"sunos-4.1.3\")");
+      ("run abp\nphase close",
+       "s.pfis:2: phase applies only to the tcp harness (at \"close\")");
+      ("profile sunos-4.1.3\nrun tcp",
+       "s.pfis:1: run HARNESS must come before this directive (at \
+        \"profile\")") ]
+
+(* ------------------------------------------------------------------ *)
+(* Printing: the text either reads back as the scenario, or raises    *)
+(* ------------------------------------------------------------------ *)
+
+let base = Scenario.parse ~name:"base" "run abp\n"
+
+let expect o = { Scenario.chk_line = 0; chk_expect = Scenario.Trace_oracle o }
+
+let ack_inject =
+  List.hd (Scenario.parse "run abp\n@1s inject receive ACK bit=1\n").Scenario.sc_injections
+
+let tag = Oracle.pattern ~tag:"abp.deliver" ()
+
+(* (case, scenario, whether its text reads back) *)
+let print_cases =
+  let with_checks os = { base with Scenario.sc_checks = List.map expect os } in
+  let with_faults fs =
+    { base with Scenario.sc_faults = List.map (fun f -> (Campaign.Both_filters, f)) fs }
+  in
+  let with_inject f = { base with Scenario.sc_injections = [ f ack_inject ] } in
+  [ ("the base scenario", base, true);
+    ("a name word a#b", { base with Scenario.sc_name = "a#b c" }, true);
+    ("an xfail text a + b", { base with Scenario.sc_xfail = Some "a + b" }, true);
+    ("a detail a#b", with_checks [ Oracle.Eventually (Oracle.pattern ~detail:"a#b" ()) ], true);
+    ("a tcp profile and phase",
+     { base with
+       Scenario.sc_harness = "tcp"; sc_profile = Some "solaris-2.3"; sc_phase = Some "close" },
+     true);
+    ("a detail a b", with_checks [ Oracle.Eventually (Oracle.pattern ~detail:"a b" ()) ], false);
+    ("a repeated expect",
+     { base with
+       Scenario.sc_checks =
+         [ { Scenario.chk_line = 0; chk_expect = Scenario.Service };
+           { Scenario.chk_line = 0; chk_expect = Scenario.Service } ] },
+     false);
+    ("a name with two spaces", { base with Scenario.sc_name = "a  b" }, false);
+    ("a name on two lines", { base with Scenario.sc_name = "a\nexpect service" }, false);
+    ("an unknown harness", { base with Scenario.sc_harness = "nope" }, false);
+    ("profile on abp", { base with Scenario.sc_profile = Some "sunos-4.1.3" }, false);
+    ("a profile not in its canonical spelling",
+     { base with Scenario.sc_harness = "tcp"; sc_profile = Some "SunOS-4.1.3" },
+     false);
+    ("an out-of-range fault", with_faults [ Generator.Drop_nth ("MSG", 0) ], false);
+    ("an unknown fault message type", with_faults [ Generator.Drop_all "NACK" ], false);
+    ("an unknown injection message type",
+     with_inject (fun i -> { i with Scenario.inj_mtype = "NACK" }), false);
+    ("an unconstrained pattern", with_checks [ Oracle.Never (Oracle.pattern ()) ], false);
+    ("a negative count bound", with_checks [ Oracle.Count (tag, Oracle.Ge, -1) ], false);
+    ("an empty ordered", with_checks [ Oracle.Ordered [] ], false);
+    ("an ordered step with no atom",
+     with_checks [ Oracle.Ordered [ tag; Oracle.pattern () ] ], false);
+    ("a Within window that ends before it starts",
+     with_checks [ Oracle.Within (tag, Vtime.sec 5, Vtime.sec 2) ], false);
+    ("injection arguments out of spec order",
+     with_inject (fun i -> { i with Scenario.inj_args = [ ("bit", "1"); ("type", "ACK") ] }),
+     false);
+    ("an empty injection argument key",
+     with_inject (fun i -> { i with Scenario.inj_args = i.Scenario.inj_args @ [ ("", "x") ] }),
+     false);
+    ("an injection argument key holding =",
+     with_inject (fun i -> { i with Scenario.inj_args = i.Scenario.inj_args @ [ ("a=b", "c") ] }),
+     false);
+    ("a destination holding a space",
+     with_inject (fun i -> { i with Scenario.inj_dst = "bo b" }), false) ]
+
+let test_print_reads_back_or_raises () =
+  List.iter
+    (fun (what, sc, reads_back) ->
+      match Scenario.to_string sc with
+      | exception Invalid_argument msg ->
+        if reads_back then Alcotest.failf "%s: expected to print, raised %s" what msg
+      | text ->
+        (match Scenario.parse text with
+         | sc2 ->
+           if not (Scenario.equal sc sc2) then
+             Alcotest.failf "%s: the text reads back as another scenario:\n%s" what text
+         | exception Scenario.Parse_error e ->
+           Alcotest.failf "%s: the text does not read back (%s):\n%s" what
+             (Scenario.error_message e) text);
+        if not reads_back then
+          Alcotest.failf "%s: expected Invalid_argument, printed:\n%s" what text)
+    print_cases;
+  (* a rejected text is reported with the parser's own line and token *)
+  Alcotest.(check string) "the parser's message"
+    "Scenario.to_string: line 3: unrecognised pattern atom (expected node=, \
+     tag=, detail~ or f.KEY=VALUE) (at \"b\")"
+    (match
+       Scenario.to_string
+         { base with
+           Scenario.sc_checks =
+             [ expect (Oracle.Eventually (Oracle.pattern ~detail:"a b" ())) ] }
+     with
+     | text -> text
+     | exception Invalid_argument msg -> msg)
+
 (* ------------------------------------------------------------------ *)
 (* The checked-in corpus, exactly as `pfi_run check` runs it          *)
 (* ------------------------------------------------------------------ *)
@@ -482,7 +613,6 @@ let suite =
     Alcotest.test_case "oracle: count comparisons" `Quick test_count;
     Alcotest.test_case "oracle: comparison names roundtrip" `Quick
       test_comparison_names;
-    Alcotest.test_case "oracle: all/any propagate verdicts" `Quick test_all_any;
     Alcotest.test_case "oracle: wildcard values glob whole entries" `Quick
       test_wildcard_patterns;
     Alcotest.test_case "oracle: zero-width windows and final witnesses" `Quick
@@ -504,6 +634,10 @@ let suite =
       `Quick test_stream_syn_is_entry_zero;
     Alcotest.test_case "scenario: matrix-era syntax errors" `Quick
       test_parse_errors_extensions;
+    Alcotest.test_case "scenario: shared token checks, full messages" `Quick
+      test_shared_check_messages;
+    Alcotest.test_case "scenario: to_string reads back or raises" `Quick
+      test_print_reads_back_or_raises;
     Alcotest.test_case "corpus scenarios survive print→parse" `Quick
       test_corpus_print_round_trip;
     Alcotest.test_case "corpus: every scenario passes" `Slow test_corpus_green;
