@@ -159,8 +159,10 @@ module Copts = struct
          so mismatched rows are expected to FAIL.  Vendor-matrix \
          ($(b,tcp)) rows only: with $(b,paper) it exits 2." }
 
-  (* which subcommand carries which options — the single source the
-     Cmdliner terms and `pfi_run help <cmd>` are both generated from *)
+  (* which subcommand carries which options: the table `pfi_run help
+     [CMD]` prints.  Each `*_cmd` lists its Cmdliner terms by hand, built
+     from the same specs, so a verb's entry here and its term must name
+     the same options (the cli-golden suite checks that they do) *)
   let commands =
     [ ("list", "", "List the conformance catalogs and campaign harnesses.",
        [ json ]);
@@ -757,19 +759,17 @@ let shrink file out max_trials seed jobs trace_out json =
   let campaign_seed = Option.value seed ~default:artifact.Repro.campaign_seed in
   let executor = Executor.of_jobs jobs in
   let export_traces = trace_sink trace_out in
-  let trial_seed (st : Shrink.state) =
-    Campaign.trial_seed ~campaign_seed ~side:st.Shrink.side st.Shrink.fault
-  in
-  let run ?capture_trace (st : Shrink.state) =
+  (* every candidate runs as the stock single-fault trial, to the
+     artifact's horizon *)
+  let run ?capture_trace st =
     Campaign.run_trial ?capture_trace
       (module H : Harness_intf.HARNESS)
-      ~horizon:st.Shrink.horizon
-      (Campaign.trial ~seed:(trial_seed st) ~side:st.Shrink.side st.Shrink.fault)
+      ~horizon:artifact.Repro.horizon
+      (Shrink.trial ~campaign_seed st)
   in
+  let seed_of st = (Shrink.trial ~campaign_seed st).Campaign.t_seed in
   let st0 =
-    { Shrink.fault = artifact.Repro.fault;
-      Shrink.side = artifact.Repro.side;
-      Shrink.horizon = artifact.Repro.horizon }
+    { Shrink.fault = artifact.Repro.fault; Shrink.side = artifact.Repro.side }
   in
   match
     Shrink.minimize ~max_trials ~executor ~spec:H.spec ~run:(run ?capture_trace:None) st0
@@ -829,8 +829,7 @@ let shrink file out max_trials seed jobs trace_out json =
         (fun (step : Shrink.step) ->
           { Repro.step_fault = step.Shrink.state.Shrink.fault;
             Repro.step_side = step.Shrink.state.Shrink.side;
-            Repro.step_horizon = step.Shrink.state.Shrink.horizon;
-            Repro.step_seed = trial_seed step.Shrink.state;
+            Repro.step_seed = seed_of step.Shrink.state;
             Repro.step_size = step.Shrink.step_size;
             Repro.step_reason = step.Shrink.reason })
         report.Shrink.steps
@@ -839,8 +838,7 @@ let shrink file out max_trials seed jobs trace_out json =
       { artifact with
         Repro.fault = minimized.Shrink.fault;
         Repro.side = minimized.Shrink.side;
-        Repro.horizon = minimized.Shrink.horizon;
-        Repro.seed = trial_seed minimized;
+        Repro.seed = seed_of minimized;
         Repro.campaign_seed;
         Repro.script = Generator.script_of_fault minimized.Shrink.fault;
         Repro.verdict = Campaign.Violation report.Shrink.final_reason;

@@ -77,13 +77,7 @@ let client_tags =
   [ "tcp.retransmit"; "tcp.closed"; "tcp.rst-sent"; "tcp.keepalive-probe";
     "tcp.in"; "tcp.out"; "tcp.persist-probe"; "tcp.state" ]
 
-let gaps entries =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-      Vtime.sub b.Trace.time a.Trace.time :: go rest
-    | _ -> []
-  in
-  go entries
+let gaps entries = Tcp_rig.intervals (List.map (fun e -> e.Trace.time) entries)
 
 let monotone_nondecreasing vs =
   let rec go = function
@@ -95,24 +89,27 @@ let monotone_nondecreasing vs =
 let last = function [] -> None | l -> Some (List.nth l (List.length l - 1))
 
 (* "did the give-up send a RST?" — the engine records tcp.rst-sent at
-   the same timestamp as the terminal tcp.closed *)
+   the same timestamp as the terminal tcp.closed (RSTs sent later, in
+   reply to stray segments arriving at the closed port, do not count) *)
+let rst_at_close client =
+  match client "tcp.closed" with
+  | [] -> false
+  | closed :: _ ->
+    List.exists
+      (fun e -> Vtime.equal e.Trace.time closed.Trace.time)
+      (client "tcp.rst-sent")
+
+let rst_name b = if b then "RST" else "silent close"
+
 let failure_action client =
   match client "tcp.closed" with
   | [] -> "still open"
-  | closed :: _ ->
-    if
-      List.exists
-        (fun e -> Vtime.equal e.Trace.time closed.Trace.time)
-        (client "tcp.rst-sent")
-    then "RST"
-    else "silent close"
+  | _ -> rst_name (rst_at_close client)
 
 let close_reason client =
   match client "tcp.closed" with
   | [] -> "none"
   | e :: _ -> kv_exn e "reason"
-
-let rst_name b = if b then "RST" else "silent close"
 
 let service_measured = function
   | Campaign.Tolerated -> "intact"
@@ -336,14 +333,8 @@ let handshake_oracle (_ : Profile.t) verdict client =
    the 2MSL wait must expire on its own *)
 let teardown_oracle (_ : Profile.t) verdict client =
   let transitions =
-    List.map
-      (fun e ->
-        (* "port=N A -> B" *)
-        let d = Trace.detail e in
-        match String.index_opt d ' ' with
-        | Some i -> String.sub d (i + 1) (String.length d - i - 1)
-        | None -> d)
-      (client "tcp.state")
+    (* "port=N A -> B" *)
+    List.map (fun e -> Tcp_harness.strip_port (Trace.detail e)) (client "tcp.state")
   in
   let walk =
     match transitions with

@@ -126,6 +126,13 @@ val kv : string -> string -> string option
 
 val monotone_nondecreasing : Pfi_engine.Vtime.t list -> bool
 
+val rst_at_close : (string -> Pfi_engine.Trace.entry list) -> bool
+(** Over a {!collect} reader of a connection's [tcp.closed] and
+    [tcp.rst-sent] entries: whether it sent a RST as it gave the
+    connection up, at the time of its first [tcp.closed].  A RST sent
+    later, in reply to a stray segment at the closed port, does not
+    count. *)
+
 (** {1 Running} *)
 
 type result = {

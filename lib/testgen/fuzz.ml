@@ -320,29 +320,11 @@ let run ?(executor = Executor.of_jobs 1) ?(seed = Campaign.default_seed)
   let corpus = ref [] and corpus_n = ref 0 in
   let findings = ref [] in
   let execs = ref 0 and shrink_execs = ref 0 in
-  let run_state (st : Shrink.state) =
-    (* The horizon is frozen at the harness default: the oracles are
-       calibrated to it, and under a halved horizon even a correct
-       implementation misses its delivery target, so every
-       shrunk-horizon candidate would "still violate" and the descent
-       would wander into timeout artifacts. *)
-    if Vtime.compare st.Shrink.horizon horizon <> 0 then
-      { Campaign.fault = st.Shrink.fault;
-        Campaign.side = st.Shrink.side;
-        Campaign.seed = 0L;
-        Campaign.verdict = Campaign.Tolerated;
-        Campaign.injected_events = 0;
-        Campaign.sim_events = 0;
-        Campaign.trace = None }
-    else begin
-      incr shrink_execs;
-      Campaign.run_trial h ~horizon:st.Shrink.horizon
-        (Campaign.trial
-           ~seed:
-             (Campaign.trial_seed ~campaign_seed:seed ~side:st.Shrink.side
-                st.Shrink.fault)
-           ~side:st.Shrink.side st.Shrink.fault)
-    end
+  (* a Shrink state runs as the stock single-fault trial, at the
+     harness horizon the oracles are calibrated to *)
+  let run_state st =
+    incr shrink_execs;
+    Campaign.run_trial h ~horizon (Shrink.trial ~campaign_seed:seed st)
   in
   (* re-run one (possibly multi-fault) input on the calling domain *)
   let run_input input =
@@ -391,69 +373,51 @@ let run ?(executor = Executor.of_jobs 1) ?(seed = Campaign.default_seed)
         try_at 0
     in
     let input, reason = drop_one input reason in
-    let set_finding () =
-      let final = run_input input in
-      let fd_reason =
-        match final.Campaign.verdict with
-        | Campaign.Violation r -> r
-        | Campaign.Tolerated -> reason
-      in
-      { fd_signature =
-          signature_of ~side:input.in_side ~faults:input.in_faults
-            ~reason:fd_reason;
-        fd_input = input;
-        fd_exec = exec_at;
-        fd_fault = List.hd input.in_faults;
-        fd_side = input.in_side;
-        fd_horizon = horizon;
-        fd_seed = final.Campaign.seed;
-        fd_reason;
-        fd_minimized = false;
-        fd_shrink_trials = !set_trials;
-        fd_injected_events = final.Campaign.injected_events }
-    in
     (* the Shrink descent replays through the stock single-fault trial
-       machinery (Campaign.trial_seed), so re-probe the surviving fault
-       there before committing to that path *)
+       ({!Shrink.trial}), so re-probe the surviving fault there before
+       committing to that path *)
     let single_violating =
       match input.in_faults with
       | [ f ] when input.in_clear = None -> (
-          let st = { Shrink.fault = f; side = input.in_side; horizon } in
+          let st = { Shrink.fault = f; side = input.in_side } in
           match (run_state st).Campaign.verdict with
           | Campaign.Violation r -> Some (st, r)
           | Campaign.Tolerated -> None)
       | _ -> None
     in
-    match single_violating with
-    | None -> set_finding ()
-    | Some (st0, r0) ->
-        let st_min, r_min, trials =
-          match
-            Shrink.minimize ~max_trials:shrink_budget ~spec ~run:run_state st0
-          with
-          | Ok rep ->
-              (rep.Shrink.minimized, rep.Shrink.final_reason, rep.Shrink.trials)
-          | Error _ -> (st0, r0, 0)
-        in
-        let final = run_state st_min in
-        let fd_reason =
-          match final.Campaign.verdict with
-          | Campaign.Violation r -> r
-          | Campaign.Tolerated -> r_min
-        in
-        { fd_signature =
-            signature_of ~side:st_min.Shrink.side
-              ~faults:[ st_min.Shrink.fault ] ~reason:fd_reason;
-          fd_input = input;
-          fd_exec = exec_at;
-          fd_fault = st_min.Shrink.fault;
-          fd_side = st_min.Shrink.side;
-          fd_horizon = st_min.Shrink.horizon;
-          fd_seed = final.Campaign.seed;
-          fd_reason;
-          fd_minimized = true;
-          fd_shrink_trials = !set_trials + trials;
-          fd_injected_events = final.Campaign.injected_events }
+    (* the reported faults and side, the reason they were kept with,
+       the descent's trials and the final re-run *)
+    let faults, side, reason, trials, final =
+      match single_violating with
+      | None -> (input.in_faults, input.in_side, reason, 0, run_input input)
+      | Some (st0, r0) ->
+          let st_min, r_min, trials =
+            match
+              Shrink.minimize ~max_trials:shrink_budget ~spec ~run:run_state st0
+            with
+            | Ok rep ->
+                (rep.Shrink.minimized, rep.Shrink.final_reason, rep.Shrink.trials)
+            | Error _ -> (st0, r0, 0)
+          in
+          ([ st_min.Shrink.fault ], st_min.Shrink.side, r_min, trials,
+           run_state st_min)
+    in
+    let fd_reason =
+      match final.Campaign.verdict with
+      | Campaign.Violation r -> r
+      | Campaign.Tolerated -> reason
+    in
+    { fd_signature = signature_of ~side ~faults ~reason:fd_reason;
+      fd_input = input;
+      fd_exec = exec_at;
+      fd_fault = List.hd faults;
+      fd_side = side;
+      fd_horizon = horizon;
+      fd_seed = final.Campaign.seed;
+      fd_reason;
+      fd_minimized = Option.is_some single_violating;
+      fd_shrink_trials = !set_trials + trials;
+      fd_injected_events = final.Campaign.injected_events }
   in
   let process input (verdict, feats) =
     incr execs;

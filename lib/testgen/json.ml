@@ -47,9 +47,11 @@ let utf8_seq_len s i =
   else 0
 
 (* Valid UTF-8 passes through untouched; a byte that is not part of a
-   valid sequence is escaped as [\u00XX] carrying the byte value, which
+   valid sequence is escaped as the lone low surrogate [\udcXX]
+   carrying the byte value (Python's surrogateescape convention), which
    [parse] maps back to the single byte — so any byte string
-   round-trips exactly while the emitted JSON stays valid UTF-8. *)
+   round-trips exactly while the emitted JSON stays valid UTF-8, and a
+   standard JSON writer re-serializes it unchanged. *)
 let add_string buf s =
   Buffer.add_char buf '"';
   let n = String.length s in
@@ -69,7 +71,7 @@ let add_string buf s =
      | c ->
        (match utf8_seq_len s !i with
         | 0 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c));
+          Buffer.add_string buf (Printf.sprintf "\\udc%02x" (Char.code c));
           incr i
         | len -> Buffer.add_substring buf s !i len; i := !i + len))
   done;
@@ -151,6 +153,26 @@ let to_line v =
 
 exception Bad of string
 
+(* the UTF-8 bytes of code point [c] (not a surrogate) *)
+let add_utf8 buf c =
+  let byte b = Buffer.add_char buf (Char.chr b) in
+  if c < 0x80 then byte c
+  else if c < 0x800 then begin
+    byte (0xC0 lor (c lsr 6));
+    byte (0x80 lor (c land 0x3F))
+  end
+  else if c < 0x10000 then begin
+    byte (0xE0 lor (c lsr 12));
+    byte (0x80 lor ((c lsr 6) land 0x3F));
+    byte (0x80 lor (c land 0x3F))
+  end
+  else begin
+    byte (0xF0 lor (c lsr 18));
+    byte (0x80 lor ((c lsr 12) land 0x3F));
+    byte (0x80 lor ((c lsr 6) land 0x3F));
+    byte (0x80 lor (c land 0x3F))
+  end
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -175,6 +197,14 @@ let parse (s : string) : (t, string) result =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let hex = String.sub s !pos 4 in
+    pos := !pos + 4;
+    let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    if String.for_all is_hex hex then int_of_string ("0x" ^ hex)
+    else fail "bad \\u escape"
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -198,28 +228,21 @@ let parse (s : string) : (t, string) result =
          | 'r' -> Buffer.add_char buf '\r'
          | 't' -> Buffer.add_char buf '\t'
          | 'u' ->
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let hex = String.sub s !pos 4 in
-           pos := !pos + 4;
-           let code =
-             try int_of_string ("0x" ^ hex)
-             with _ -> fail "bad \\u escape"
-           in
-           (* the printer ([add_string]) emits [\u00XX] only for raw
-              bytes — control characters and bytes that are not valid
-              UTF-8 — so codes up to 0xFF decode back to the single
-              byte (exact round-trip); larger codes are the
-              BMP-as-UTF-8 cases *)
-           if code <= 0xFF then Buffer.add_char buf (Char.chr code)
-           else if code < 0x800 then begin
-             Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+           let code = hex4 () in
+           if code >= 0xD800 && code <= 0xDBFF then begin
+             (* a high surrogate must pair with a low one *)
+             if not (!pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+               fail "lone surrogate";
+             pos := !pos + 2;
+             let low = hex4 () in
+             if low < 0xDC00 || low > 0xDFFF then fail "lone surrogate";
+             add_utf8 buf (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00))
            end
-           else begin
-             Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-             Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-           end
+           else if code >= 0xDC80 && code <= 0xDCFF then
+             (* a byte the printer found outside valid UTF-8 *)
+             Buffer.add_char buf (Char.chr (code land 0xFF))
+           else if code >= 0xDC00 && code <= 0xDFFF then fail "lone surrogate"
+           else add_utf8 buf code
          | _ -> fail "unknown escape");
         go ()
       | c -> Buffer.add_char buf c; go ()

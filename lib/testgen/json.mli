@@ -6,11 +6,16 @@
     streams, [--json] output and [--trace-out] traces — is escaped and
     printed here; no JSON library is involved.
 
-    Strings are byte strings.  Valid UTF-8 passes through; a byte that
-    is not part of a valid sequence (or a control character) is written
-    as [\u00XX] carrying the byte value, which {!parse} maps back to the
-    single byte, so any byte string round-trips while the output stays
-    valid UTF-8. *)
+    Strings are byte strings.  Valid UTF-8 passes through and a control
+    character is written as [\u00XX]; a byte that is not part of a
+    valid sequence is written as the lone low surrogate [\udcXX]
+    carrying the byte value (Python's surrogateescape convention),
+    which {!parse} maps back to the single byte.  So any byte string
+    round-trips while the output stays valid UTF-8.  {!parse} reads
+    every other [\uXXXX] as its code point's UTF-8 bytes, a
+    surrogate pair as one 4-byte sequence, so a file a standard JSON
+    writer re-serialized reads back with the same bytes; any other
+    lone surrogate is a parse error. *)
 
 type t =
   | Null

@@ -49,6 +49,10 @@ val pattern_describe : pattern -> string
 (** E.g. ["node=bob tag=abp.deliver detail~msg-00"]; ["*"] when
     unconstrained. *)
 
+val contains_sub : string -> string -> bool
+(** [contains_sub s sub]: [sub] occurs in [s] (the empty string occurs
+    everywhere). *)
+
 (** {1 Oracles} *)
 
 type comparison = Lt | Le | Eq | Ne | Ge | Gt

@@ -79,14 +79,6 @@ let logged_seqs entries =
         (int_of_string_opt (String.trim (Trace.detail e))))
     entries
 
-(* Did the vendor send a RST as part of giving up the connection?
-   (RSTs sent later, in reply to stray segments arriving at the closed
-   port, do not count.) *)
-let rst_at_close vendor =
-  let times tag = List.map (fun e -> e.Trace.time) (vendor tag) in
-  let closes = times "tcp.closed" in
-  List.exists (fun t -> List.exists (Vtime.equal t) closes) (times "tcp.rst-sent")
-
 (* Fallback when the PFI drop log is empty (a connection that died
    before the drop phase began, as Solaris sometimes does): read the
    vendor's own retransmission trace. *)
@@ -130,7 +122,7 @@ let delayed_acks ~delay_sec p seed =
       (if from_pfi_log then max 0 (List.length times - 1)
        else List.length times);
     intervals = Tcp_rig.intervals times;
-    rst_sent = rst_at_close vendor }
+    rst_sent = Conformance.rst_at_close vendor }
 
 (* the paper's adapted first-retransmission cells at a 3 s ACK delay *)
 let adapted_at_3s =

@@ -58,7 +58,6 @@ let fault_of_json ~spec j =
 type shrink_step = {
   step_fault : Generator.fault;
   step_side : Campaign.side;
-  step_horizon : Vtime.t;
   step_seed : int64;
   step_size : int;
   step_reason : string;
@@ -122,7 +121,6 @@ let step_to_json s =
   Json.Obj
     [ ("fault", fault_to_json s.step_fault);
       ("side", Json.Str (Campaign.side_name s.step_side));
-      ("horizon_us", int64_str (Vtime.to_us s.step_horizon));
       ("seed", int64_str s.step_seed);
       ("size", Json.Int s.step_size);
       ("reason", Json.Str s.step_reason) ]
@@ -153,17 +151,17 @@ let side_of_member j key =
   | Some side -> Ok side
   | None -> Error (Printf.sprintf "artifact: unknown side %S" name)
 
+(* every step runs at the artifact's horizon: a step's [horizon_us],
+   which older artifacts carry, is ignored *)
 let step_of_json ~spec j =
   let* fault = Result.bind (Json.field ~what:"artifact" Option.some "fault" j) (fault_of_json ~spec) in
   let* side = side_of_member j "side" in
-  let* horizon_us = Json.int64_field ~what:"artifact" "horizon_us" j in
   let* seed = Json.int64_field ~what:"artifact" "seed" j in
   let* size = Json.field ~what:"artifact" Json.to_int "size" j in
   let* reason = Json.field ~what:"artifact" Json.to_str "reason" j in
   Ok
     { step_fault = fault;
       step_side = side;
-      step_horizon = Vtime.us (Int64.to_int horizon_us);
       step_seed = seed;
       step_size = size;
       step_reason = reason }

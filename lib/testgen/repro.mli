@@ -39,11 +39,12 @@ val fault_of_json : spec:Spec.t -> Json.t -> (Generator.fault, string) result
     least 1"]. *)
 
 (** One accepted step of a shrink run: the smaller state and the
-    violation that kept it. *)
+    violation that kept it.  Every step runs at the artifact's
+    [horizon]; the reader ignores a step's [horizon_us], which older
+    artifacts carry. *)
 type shrink_step = {
   step_fault : Generator.fault;
   step_side : Campaign.side;
-  step_horizon : Vtime.t;
   step_seed : int64;
   step_size : int;  (** {!Shrink.size} of the accepted state *)
   step_reason : string;  (** the oracle message of the accepting run *)

@@ -584,14 +584,6 @@ type result = {
   res_trace : Trace.t option;
 }
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  if m = 0 then true
-  else begin
-    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-    at 0
-  end
-
 (* the fabricate-and-introduce script for one inject directive, built
    from the same [msg_gen]/[inject_*] vocabulary generated campaign
    scripts use *)
@@ -692,7 +684,8 @@ let run ?seed ?(observe = Campaign.silent) sc =
     | Some sub, fs ->
       if
         List.exists
-          (fun r -> contains_sub r.row_reason sub || contains_sub r.row_desc sub)
+          (fun r ->
+            Oracle.contains_sub r.row_reason sub || Oracle.contains_sub r.row_desc sub)
           fs
       then Xfail
       else Fail

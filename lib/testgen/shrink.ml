@@ -1,27 +1,22 @@
-open Pfi_engine
-
 type state = {
   fault : Generator.fault;
   side : Campaign.side;
-  horizon : Vtime.t;
 }
 
-let min_horizon = Vtime.sec 1
 let min_probability = 0.01
 let min_delay = 0.001
 
 (* ------------------------------------------------------------------ *)
 (* The size metric.                                                   *)
 (*                                                                    *)
-(* size(state) = fault_cost + side_cost + horizon_cost, where         *)
+(* size(state) = fault_cost + side_cost, where                        *)
 (*   - probabilities and delays count in rounded permille,            *)
 (*   - counters (drop-after/first thresholds) count linearly,         *)
 (*   - Byzantine_mix pays a compound premium so decomposing it into a *)
 (*     constituent single fault is always a strict shrink,            *)
-(*   - side costs 2 for Both_filters, 1 otherwise,                    *)
-(*   - horizon costs its halvings-above-1s (floor log2 of seconds).   *)
+(*   - side costs 2 for Both_filters, 1 otherwise.                    *)
 (* Every candidate below reduces exactly one component and leaves the *)
-(* others untouched, so each accepted shrink step strictly decreases  *)
+(* other untouched, so each accepted shrink step strictly decreases   *)
 (* the total and the minimizer terminates.                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -44,12 +39,7 @@ let side_cost = function
   | Campaign.Both_filters -> 2
   | Campaign.Send_filter | Campaign.Receive_filter -> 1
 
-let horizon_cost h =
-  let secs = Int64.to_int (Int64.div (Vtime.to_us h) 1_000_000L) in
-  let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n / 2) in
-  log2 0 (max 1 secs)
-
-let size st = fault_cost st.fault + side_cost st.side + horizon_cost st.horizon
+let size st = fault_cost st.fault + side_cost st.side
 
 (* ------------------------------------------------------------------ *)
 (* The candidate lattice                                              *)
@@ -103,19 +93,19 @@ let side_candidates = function
   | Campaign.Both_filters -> [ Campaign.Send_filter; Campaign.Receive_filter ]
   | Campaign.Send_filter | Campaign.Receive_filter -> []
 
-let horizon_candidates h =
-  let h' = Vtime.div h 2 in
-  if Vtime.(h' >= min_horizon) then [ h' ] else []
-
 let candidates ~spec st =
-  let fault_side_horizon =
+  let fault_side =
     List.map (fun fault -> { st with fault }) (fault_candidates ~spec st.fault)
     @ List.map (fun side -> { st with side }) (side_candidates st.side)
-    @ List.map (fun horizon -> { st with horizon }) (horizon_candidates st.horizon)
   in
   (* every candidate is strictly smaller by construction; try the
      smallest first so greedy acceptance takes the biggest step *)
-  List.stable_sort (fun a b -> compare (size a) (size b)) fault_side_horizon
+  List.stable_sort (fun a b -> compare (size a) (size b)) fault_side
+
+let trial ~campaign_seed st =
+  Campaign.trial
+    ~seed:(Campaign.trial_seed ~campaign_seed ~side:st.side st.fault)
+    ~side:st.side st.fault
 
 (* ------------------------------------------------------------------ *)
 (* Greedy minimization                                                *)

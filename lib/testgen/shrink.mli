@@ -1,21 +1,25 @@
 (** Counterexample shrinking for campaign violations.
 
-    Given a violating trial (a fault, a filter side and a horizon), the
-    minimizer walks the fault's parameter lattice downward — re-running
-    a fresh deterministic trial for every candidate — and keeps the
-    smallest state that still trips the oracle.  "Smaller" is the
-    documented {!size} metric:
+    Given a violating trial (a fault and a filter side), the minimizer
+    walks the fault's parameter lattice downward — re-running a fresh
+    deterministic trial for every candidate — and keeps the smallest
+    state that still trips the oracle.  "Smaller" is the documented
+    {!size} metric:
 
-    {v size(state) = fault_cost + side_cost + horizon_cost v}
+    {v size(state) = fault_cost + side_cost v}
 
     where probabilities and delays count in rounded permille, counters
     count linearly, [Byzantine_mix] pays a compound premium (10 + 2p‰)
     so decomposing it into a constituent single fault is always a
-    strict shrink, [Both_filters] costs 2 against 1 for a single side,
-    and the horizon costs its number of halvings above one second
-    (floor log2 of its seconds).  Every candidate strictly reduces
-    exactly one component, so each accepted step strictly decreases
-    the total and minimization terminates.
+    strict shrink, and [Both_filters] costs 2 against 1 for a single
+    side.  Every candidate strictly reduces exactly one component, so
+    each accepted step strictly decreases the total and minimization
+    terminates.
+
+    Every trial runs to its source's horizon: the harness checks judge
+    the end state a full-length workload reaches, so a shorter run
+    fails on correct code too and would shrink into a repro that names
+    no defect.
 
     The lattice, per the fault classes of {!Generator.fault}:
     - [Drop_after n] / [Drop_first n]: [n/2] and [n - 1]
@@ -26,15 +30,11 @@
       half) and [Duplicate t] per spec message type (the duplication
       half) — then [Byzantine_mix (p/2)]
     - [Both_filters]: each single side
-    - horizon: halve, floored at 1 s
     - [Drop_all] / [Duplicate] / [Reorder] / [Inject_spurious]: atomic. *)
-
-open Pfi_engine
 
 type state = {
   fault : Generator.fault;
   side : Campaign.side;
-  horizon : Vtime.t;
 }
 
 val size : state -> int
@@ -44,6 +44,12 @@ val candidates : spec:Spec.t -> state -> state list
 (** All one-step reductions of [state], each strictly smaller by
     {!size}, sorted smallest-first so greedy acceptance takes the
     biggest step available. *)
+
+val trial : campaign_seed:int64 -> state -> Campaign.trial
+(** The stock single-fault trial a state runs as: its fault's generated
+    filter on its side, seeded by {!Campaign.trial_seed}.  [pfi_run
+    shrink] and the fuzzer's reduction both run their states through
+    it. *)
 
 type step = {
   state : state;
@@ -65,11 +71,11 @@ val minimize :
   ?max_trials:int -> ?executor:Executor.t -> spec:Spec.t ->
   run:(state -> Campaign.outcome) -> state -> (report, string) Stdlib.result
 (** Greedy descent: re-runs candidates (via [run], which must be a
-    deterministic trial runner, e.g. {!Campaign.run_trial} with a
-    {!Campaign.trial_seed}-derived seed) and repeatedly accepts the
-    first — smallest — candidate that still violates, until none does
-    or [max_trials] (default 1000) re-runs have been spent.  [Error]
-    if the starting state does not violate the oracle.
+    deterministic trial runner, e.g. {!Campaign.run_trial} of {!trial}
+    at a fixed horizon) and repeatedly accepts the first — smallest —
+    candidate that still violates, until none does or [max_trials]
+    (default 1000) re-runs have been spent.  [Error] if the starting
+    state does not violate the oracle.
 
     [executor] (default a fresh {!Executor.of_jobs}[ 1]) evaluates the
     independent candidates of each descent round in parallel, in

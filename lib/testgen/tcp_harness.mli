@@ -34,6 +34,10 @@ val phase_name : phase -> string
 
 val phase_of_string : string -> phase option
 
+val strip_port : string -> string
+(** ["port=N rest"] → ["rest"]: a client trace detail without its
+    ephemeral port. *)
+
 type env
 
 val harness :

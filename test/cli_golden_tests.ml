@@ -79,6 +79,54 @@ let test_every_verb_help () =
   Alcotest.(check bool) "help lists matrix" true (List.mem "matrix" verbs);
   List.iter (fun verb -> ignore (run_cli [ verb; "--help=plain" ])) ("help" :: verbs)
 
+(* `pfi_run help VERB` prints a hand-kept table, and each verb's
+   Cmdliner term lists its options by hand too: for every verb the
+   table lists, the two must name the same long options (the man page
+   adds only --help and --version) *)
+let test_help_table_matches_terms () =
+  let words line = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+  let lines args = String.split_on_char '\n' (run_cli args) in
+  let verbs =
+    List.filter_map
+      (fun line -> match words line with "pfi_run" :: verb :: _ -> Some verb | _ -> None)
+      (lines [ "help" ])
+  in
+  Alcotest.(check bool) "help lists shrink" true (List.mem "shrink" verbs);
+  (* "--name" with any "=VALUE" or "[=FMT]" suffix cut off *)
+  let long_flag w =
+    if String.starts_with ~prefix:"--" w then
+      Some (List.hd (String.split_on_char '=' (List.hd (String.split_on_char '[' w))))
+    else None
+  in
+  let sorted = List.sort_uniq String.compare in
+  List.iter
+    (fun verb ->
+      let table =
+        List.filter_map
+          (fun line ->
+            if String.starts_with ~prefix:"    --" line then
+              long_flag (List.hd (words line))
+            else None)
+          (lines [ "help"; verb ])
+      in
+      (* option lines of the man page are indented 7 columns:
+         "       -o OUT, --output=OUT" *)
+      let man =
+        List.concat_map
+          (fun line ->
+            if String.starts_with ~prefix:"       -" line then
+              List.filter_map
+                (fun part -> long_flag (List.hd (words part)))
+                (String.split_on_char ',' line)
+            else [])
+          (lines [ verb; "--help=plain" ])
+        |> List.filter (fun f -> f <> "--help" && f <> "--version")
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "pfi_run help %s names the options its term takes" verb)
+        (sorted man) (sorted table))
+    verbs
+
 let test_dir path = Filename.concat (Filename.dirname Sys.executable_name) path
 
 let fresh_dir tag =
@@ -309,4 +357,6 @@ let suite =
     Alcotest.test_case "--trace-out and msc --json export pinned JSONL" `Quick
       test_trace_out_pinned;
     Alcotest.test_case "fuzz --trace-out exports pinned finding traces" `Quick
-      test_fuzz_trace_out_pinned ]
+      test_fuzz_trace_out_pinned;
+    Alcotest.test_case "pfi_run help VERB names the options of VERB's term" `Quick
+      test_help_table_matches_terms ]

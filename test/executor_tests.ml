@@ -276,9 +276,7 @@ let test_campaign_traces_jobs_invariant () =
    binding, so batched evaluation may only change the trial count) *)
 let test_shrink_executor_same_trajectory () =
   let st0 =
-    { Shrink.fault = Generator.Byzantine_mix 0.25;
-      Shrink.side = Campaign.Both_filters;
-      Shrink.horizon = Pfi_engine.Vtime.sec 120 }
+    { Shrink.fault = Generator.Byzantine_mix 0.25; Shrink.side = Campaign.Both_filters }
   in
   let run (st : Shrink.state) =
     { Campaign.fault = st.Shrink.fault;
@@ -313,20 +311,17 @@ let test_shrink_executor_same_trajectory () =
    when the budget binds mid-descent *)
 let test_shrink_charges_sequential_trials () =
   let st0 =
-    { Shrink.fault = Generator.Byzantine_mix 0.25;
-      Shrink.side = Campaign.Both_filters;
-      Shrink.horizon = Pfi_engine.Vtime.sec 120 }
+    { Shrink.fault = Generator.Byzantine_mix 0.25; Shrink.side = Campaign.Both_filters }
   in
-  (* violates while the fault keeps an omission component and the
-     horizon stays above 8 s, so accepts and rejects interleave *)
+  (* violates while the fault keeps a byzantine or omission component
+     with p of at least 0.05, so accepts and rejects interleave *)
   let run (st : Shrink.state) =
     { Campaign.fault = st.Shrink.fault;
       Campaign.side = st.Shrink.side;
       Campaign.seed = 0L;
       Campaign.verdict =
         (match st.Shrink.fault with
-         | (Generator.Byzantine_mix _ | Generator.Omission_all _)
-           when Pfi_engine.Vtime.(st.Shrink.horizon > sec 8) ->
+         | Generator.Byzantine_mix p | Generator.Omission_all p when p >= 0.05 ->
            Campaign.Violation "synthetic"
          | _ -> Campaign.Tolerated);
       Campaign.injected_events = 0;

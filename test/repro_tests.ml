@@ -181,6 +181,29 @@ let test_json_number_precision () =
   | Ok (Float f) -> Alcotest.(check (float 0.)) "exact" 0.1 f
   | _ -> Alcotest.fail "float did not roundtrip"
 
+(* [\uXXXX] reads as its code point's UTF-8, a surrogate pair as one
+   4-byte sequence, and the printer's [\udcXX] as byte XX, so text a
+   standard JSON writer re-escaped reads back with the bytes it had *)
+let test_json_unicode_escapes () =
+  let reads text want =
+    Alcotest.(check (result string string)) text (Ok want)
+      (Result.map (fun v -> Option.value (Json.to_str v) ~default:"?") (Json.parse text))
+  in
+  reads {|"caf\u00e9"|} "caf\xc3\xa9";
+  reads {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+  reads {|"\udce9"|} "\xe9";
+  reads {|"\u0007"|} "\x07";
+  Alcotest.(check string) "a stray byte prints as \\udcXX" {|"caf\udce9"|}
+    (Json.to_string (Json.Str "caf\xe9"));
+  Alcotest.(check string) "a control character keeps \\u00XX" {|"\u0007"|}
+    (Json.to_string (Json.Str "\x07"));
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error _ -> ())
+    [ {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|}; {|"\ude00"|}; {|"\udc41"|} ]
+
 (* ------------------------------------------------------------------ *)
 (* Repro artifacts                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -229,7 +252,6 @@ let sample_artifact () =
     Repro.shrink_trajectory =
       [ { Repro.step_fault = Generator.Duplicate "MSG";
           Repro.step_side = Campaign.Send_filter;
-          Repro.step_horizon = Vtime.sec 60;
           Repro.step_seed =
             Campaign.trial_seed ~campaign_seed:31L ~side:Campaign.Send_filter
               (Generator.Duplicate "MSG");
@@ -238,9 +260,22 @@ let sample_artifact () =
 
 let test_artifact_roundtrip () =
   let a = sample_artifact () in
-  match Repro.of_string (Repro.to_json a) with
-  | Ok a' -> Alcotest.(check bool) "roundtrips" true (a = a')
-  | Error e -> Alcotest.failf "artifact does not roundtrip: %s" e
+  (match Repro.of_string (Repro.to_json a) with
+   | Ok a' -> Alcotest.(check bool) "roundtrips" true (a = a')
+   | Error e -> Alcotest.failf "artifact does not roundtrip: %s" e);
+  (* older artifacts give each shrink step a [horizon_us]; it is ignored *)
+  let old_step = function
+    | "shrink_trajectory", Json.List [ Json.Obj step ] ->
+      let step = step @ [ ("horizon_us", Json.Str "60000000") ] in
+      ("shrink_trajectory", Json.List [ Json.Obj step ])
+    | kv -> kv
+  in
+  match Json.parse (Repro.to_json a) with
+  | Ok (Json.Obj fields) ->
+    (match Repro.of_string (Json.to_string (Json.Obj (List.map old_step fields))) with
+     | Ok a' -> Alcotest.(check bool) "a step's horizon_us is ignored" true (a = a')
+     | Error e -> Alcotest.failf "an older artifact does not load: %s" e)
+  | _ -> Alcotest.fail "the sample artifact does not parse"
 
 let test_artifact_file_roundtrip () =
   let a = sample_artifact () in
@@ -310,7 +345,7 @@ let test_candidates_strictly_smaller () =
         (fun fault ->
           List.iter
             (fun side ->
-              let st = { Shrink.fault; side; horizon = Vtime.sec 120 } in
+              let st = { Shrink.fault; side } in
               List.iter
                 (fun cand ->
                   if Shrink.size cand >= Shrink.size st then
@@ -326,9 +361,7 @@ let test_candidates_strictly_smaller () =
 
 let test_byzantine_decomposes () =
   let st =
-    { Shrink.fault = Generator.Byzantine_mix 0.25;
-      side = Campaign.Both_filters;
-      horizon = Vtime.sec 120 }
+    { Shrink.fault = Generator.Byzantine_mix 0.25; side = Campaign.Both_filters }
   in
   let cands = Shrink.candidates ~spec:Spec.abp st in
   let has f = List.exists (fun c -> c.Shrink.fault = f) cands in
@@ -342,7 +375,7 @@ let test_byzantine_decomposes () =
     (has (Generator.Byzantine_mix 0.125))
 
 let test_shrink_floors () =
-  let mk fault = { Shrink.fault; side = Campaign.Send_filter; horizon = Vtime.sec 1 } in
+  let mk fault = { Shrink.fault; side = Campaign.Send_filter } in
   (* at every floor, no candidate remains *)
   Alcotest.(check int) "probability floor" 0
     (List.length (Shrink.candidates ~spec:Spec.abp (mk (Generator.Drop_fraction ("MSG", 0.01)))));
@@ -351,14 +384,7 @@ let test_shrink_floors () =
   Alcotest.(check int) "drop-first floor" 0
     (List.length (Shrink.candidates ~spec:Spec.abp (mk (Generator.Drop_first ("MSG", 1)))));
   Alcotest.(check int) "atomic faults have no candidates" 0
-    (List.length (Shrink.candidates ~spec:Spec.abp (mk (Generator.Reorder "MSG"))));
-  (* horizon never shrinks below one second *)
-  let st =
-    { Shrink.fault = Generator.Reorder "MSG"; side = Campaign.Send_filter;
-      horizon = Vtime.ms 1500 }
-  in
-  Alcotest.(check int) "horizon floor" 0
-    (List.length (Shrink.candidates ~spec:Spec.abp st))
+    (List.length (Shrink.candidates ~spec:Spec.abp (mk (Generator.Reorder "MSG"))))
 
 let synthetic_outcome verdict st =
   { Campaign.fault = st.Shrink.fault;
@@ -371,9 +397,7 @@ let synthetic_outcome verdict st =
 
 let test_minimize_always_violating () =
   let st0 =
-    { Shrink.fault = Generator.Byzantine_mix 0.25;
-      side = Campaign.Both_filters;
-      horizon = Vtime.sec 120 }
+    { Shrink.fault = Generator.Byzantine_mix 0.25; side = Campaign.Both_filters }
   in
   match
     Shrink.minimize ~spec:Spec.abp
@@ -383,7 +407,7 @@ let test_minimize_always_violating () =
   | Error e -> Alcotest.failf "minimize failed: %s" e
   | Ok report ->
     (* everything violates, so greedy descent must reach the global
-       minimum: an atomic fault (1) on one side (1) within 1 s (0) *)
+       minimum: an atomic fault (1) on one side (1) *)
     Alcotest.(check int) "global minimum reached" 2
       (Shrink.size report.Shrink.minimized);
     Alcotest.(check bool) "trajectory recorded" true
@@ -399,8 +423,7 @@ let test_minimize_always_violating () =
 let test_minimize_never_violating () =
   let st0 =
     { Shrink.fault = Generator.Drop_fraction ("MSG", 0.4);
-      side = Campaign.Send_filter;
-      horizon = Vtime.sec 120 }
+      side = Campaign.Send_filter }
   in
   match
     Shrink.minimize ~spec:Spec.abp ~run:(synthetic_outcome Campaign.Tolerated) st0
@@ -410,9 +433,7 @@ let test_minimize_never_violating () =
 
 let test_minimize_respects_budget () =
   let st0 =
-    { Shrink.fault = Generator.Byzantine_mix 0.25;
-      side = Campaign.Both_filters;
-      horizon = Vtime.sec 120 }
+    { Shrink.fault = Generator.Byzantine_mix 0.25; side = Campaign.Both_filters }
   in
   match
     Shrink.minimize ~max_trials:3 ~spec:Spec.abp
@@ -449,39 +470,25 @@ let registry_exn name =
   | Some e -> e
   | None -> Alcotest.failf "no registry entry %S" name
 
-let shrink_via_registry (module H : Harness_intf.HARNESS) st0 =
-  let run (st : Shrink.state) =
-    Campaign.run_trial
-      (module H : Harness_intf.HARNESS)
-      ~horizon:st.Shrink.horizon
-      (Campaign.trial
-         ~seed:
-           (Campaign.trial_seed ~campaign_seed:H.default_seed
-              ~side:st.Shrink.side st.Shrink.fault)
-         ~side:st.Shrink.side st.Shrink.fault)
-  in
-  Shrink.minimize ~spec:H.spec ~run st0
+(* a shrink state's trial as [pfi_run shrink] runs it: the stock
+   single-fault trial at the campaign seed, to the harness horizon *)
+let run_state h st =
+  Campaign.run_trial h ~horizon:(Harness_intf.default_horizon h)
+    (Shrink.trial ~campaign_seed:(Harness_intf.default_seed h) st)
 
-let check_shrinks_and_replays ~name st0 =
-  let (module H : Harness_intf.HARNESS) = registry_exn name in
-  match shrink_via_registry (module H : Harness_intf.HARNESS) st0 with
+(* A minimized repro counts only if it names a defect: it must still
+   violate on the buggy harness and be tolerated by the [correct] one,
+   at the same horizon. *)
+let check_shrinks_and_replays ~name ~correct st0 =
+  let h = registry_exn name in
+  match Shrink.minimize ~spec:(Harness_intf.spec h) ~run:(run_state h) st0 with
   | Error e -> Alcotest.failf "shrink of the %s violation failed: %s" name e
   | Ok report ->
     Alcotest.(check bool) "strictly smaller" true
       (Shrink.size report.Shrink.minimized < Shrink.size st0);
     (* the minimized trial still violates, deterministically: re-run it
        twice from its derived seed and require identical outcomes *)
-    let st = report.Shrink.minimized in
-    let seed =
-      Campaign.trial_seed ~campaign_seed:H.default_seed ~side:st.Shrink.side
-        st.Shrink.fault
-    in
-    let replay () =
-      Campaign.run_trial
-        (module H : Harness_intf.HARNESS)
-        ~horizon:st.Shrink.horizon
-        (Campaign.trial ~seed ~side:st.Shrink.side st.Shrink.fault)
-    in
+    let replay () = run_state h report.Shrink.minimized in
     let first = replay () in
     let second = replay () in
     (match first.Campaign.verdict with
@@ -489,23 +496,35 @@ let check_shrinks_and_replays ~name st0 =
        Alcotest.(check string) "replay reproduces the recorded reason"
          report.Shrink.final_reason reason
      | Campaign.Tolerated -> Alcotest.fail "minimized trial no longer violates");
-    Alcotest.(check bool) "replay is deterministic" true (first = second)
+    Alcotest.(check bool) "replay is deterministic" true (first = second);
+    match (run_state (registry_exn correct) report.Shrink.minimized).Campaign.verdict with
+    | Campaign.Tolerated -> ()
+    | Campaign.Violation r ->
+      Alcotest.failf "%s fails the minimized %s too: %s" correct
+        (Generator.describe report.Shrink.minimized.Shrink.fault) r
 
 let test_shrink_abp_buggy_end_to_end () =
-  (* the abp-buggy campaign's one violation: the byzantine channel on
-     both sides (see EXPERIMENTS.md) *)
-  check_shrinks_and_replays ~name:"abp-buggy"
-    { Shrink.fault = Generator.Byzantine_mix 0.25;
-      side = Campaign.Both_filters;
-      horizon = Abp_harness.default_horizon }
+  (* a byzantine channel on both sides strong enough that a weaker one
+     still loses messages: p=0.40 halves to 0.20.  (The campaign's own
+     p=0.25 violation is already minimal: none of its six candidates
+     violates.) *)
+  check_shrinks_and_replays ~name:"abp-buggy" ~correct:"abp"
+    { Shrink.fault = Generator.Byzantine_mix 0.4; side = Campaign.Both_filters }
 
 let test_shrink_gmp_buggy_end_to_end () =
   (* a violation the gmp-buggy campaign reliably finds: probabilistic
      heartbeat loss through both filters *)
-  check_shrinks_and_replays ~name:"gmp-buggy"
+  check_shrinks_and_replays ~name:"gmp-buggy" ~correct:"gmp"
     { Shrink.fault = Generator.Drop_fraction ("HEARTBEAT", 0.4);
-      side = Campaign.Both_filters;
-      horizon = Gmp_harness.default_horizon }
+      side = Campaign.Both_filters }
+
+(* the gmp-buggy campaign's send-side drop-the-first-5-HEARTBEAT repro:
+   a shorter horizon would shrink it into a run that gmp fails with no
+   fault at all (view [1] at 1.76 s) *)
+let test_shrunk_repro_spares_correct_code () =
+  check_shrinks_and_replays ~name:"gmp-buggy" ~correct:"gmp"
+    { Shrink.fault = Generator.Drop_first ("HEARTBEAT", 5);
+      side = Campaign.Send_filter }
 
 (* ------------------------------------------------------------------ *)
 (* Golden files (test/golden/)                                        *)
@@ -552,7 +571,7 @@ let test_golden_summary () =
 
 (* the JSONL escaping fix, end to end: a trace detail (and field value)
    carrying every byte 0x00-0xFF must emit parseable JSON — valid
-   UTF-8 sequences pass through raw, stray bytes become \u00XX — and
+   UTF-8 sequences pass through raw, stray bytes become \udcXX — and
    the artifact reader must map it back to the identical byte string. *)
 let test_jsonl_full_byte_range_roundtrip () =
   let all = String.init 256 Char.chr in
@@ -586,8 +605,8 @@ let test_jsonl_full_byte_range_roundtrip () =
   Alcotest.(check bool) "UTF-8 sequence emitted raw" true
     (contains line2 "caf\xc3\xa9");
   (* ...while a lone continuation byte is escaped as its byte value *)
-  Alcotest.(check bool) "stray byte escaped as \\u00XX" true
-    (contains (String.trim (Trace_lists.jsonl tr)) "\\u0080")
+  Alcotest.(check bool) "stray byte escaped as \\udcXX" true
+    (contains (String.trim (Trace_lists.jsonl tr)) "\\udc80")
 
 let test_golden_repro_json () =
   match tiny_abp_outcomes () with
@@ -651,4 +670,8 @@ let suite =
     Alcotest.test_case "jsonl round-trips every byte value" `Quick
       test_jsonl_full_byte_range_roundtrip;
     Alcotest.test_case "golden: repro artifact json" `Quick
-      test_golden_repro_json ]
+      test_golden_repro_json;
+    Alcotest.test_case "a minimized repro is tolerated by the correct harness"
+      `Slow test_shrunk_repro_spares_correct_code;
+    Alcotest.test_case "json \\u escapes read as UTF-8, \\udcXX as a byte" `Quick
+      test_json_unicode_escapes ]
