@@ -834,14 +834,13 @@ let shrink file out max_trials seed jobs trace_out json =
             Repro.step_reason = step.Shrink.reason })
         report.Shrink.steps
     in
+    (* the accepting run is the minimized trial: its seed, verdict and
+       injected events are the artifact's *)
     let shrunk =
-      { artifact with
-        Repro.fault = minimized.Shrink.fault;
-        Repro.side = minimized.Shrink.side;
-        Repro.seed = seed_of minimized;
-        Repro.campaign_seed;
-        Repro.script = Generator.script_of_fault minimized.Shrink.fault;
-        Repro.verdict = Campaign.Violation report.Shrink.final_reason;
+      { (Repro.of_outcome ~harness:artifact.Repro.harness
+           ~protocol:artifact.Repro.protocol ~target:artifact.Repro.target
+           ~horizon:artifact.Repro.horizon ~campaign_seed report.Shrink.outcome)
+        with
         Repro.shrink_trajectory = trajectory }
     in
     Repro.save out_path shrunk;

@@ -22,11 +22,9 @@ let run_under_model model =
   Layer.stack [ Driver.layer receiver; Pfi_layer.layer pfi_r; dev_r ];
   (* the faulty behaviour covers the whole path: outgoing faults act at
      the sender's PFI layer, incoming ones at the receiver's *)
-  (match model with
-   | Some m ->
-     Failure_models.apply pfi m;
-     Failure_models.apply pfi_r m
-   | None -> ());
+  let models = Option.to_list model in
+  Failure_models.apply pfi models;
+  Failure_models.apply pfi_r models;
   (* 200 messages, one every 100 ms *)
   for i = 0 to 199 do
     ignore

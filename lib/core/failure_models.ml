@@ -1,5 +1,4 @@
 open Pfi_engine
-open Pfi_stack
 
 type t =
   | Process_crash of { at : Vtime.t }
@@ -34,46 +33,35 @@ let describe = function
     Printf.sprintf "byzantine corrupt=%.2f reorder=%.2f duplicate=%.2f" corrupt_p
       reorder_p duplicate_p
 
-let apply pfi model =
-  let sim = Pfi_layer.sim pfi in
-  let rng = Rng.split (Sim.rng sim) in
-  match model with
-  | Process_crash { at } ->
-    let crashed () = Vtime.(Sim.now sim >= at) in
-    let filter _msg : Pfi_layer.native_action = if crashed () then Drop else Pass in
-    Pfi_layer.add_native_send pfi filter;
-    Pfi_layer.add_native_receive pfi filter
-  | Link_crash { at } ->
-    let filter _msg : Pfi_layer.native_action =
-      if Vtime.(Sim.now sim >= at) then Drop else Pass
-    in
-    Pfi_layer.add_native_send pfi filter
-  | Send_omission { p } ->
-    Pfi_layer.add_native_send pfi (fun _ ->
-        if Rng.bernoulli rng ~p then Pfi_layer.Drop else Pfi_layer.Pass)
-  | Receive_omission { p } ->
-    Pfi_layer.add_native_receive pfi (fun _ ->
-        if Rng.bernoulli rng ~p then Pfi_layer.Drop else Pfi_layer.Pass)
-  | General_omission { p_send; p_recv } ->
-    Pfi_layer.add_native_send pfi (fun _ ->
-        if Rng.bernoulli rng ~p:p_send then Pfi_layer.Drop else Pfi_layer.Pass);
-    Pfi_layer.add_native_receive pfi (fun _ ->
-        if Rng.bernoulli rng ~p:p_recv then Pfi_layer.Drop else Pfi_layer.Pass)
-  | Timing { mean; std } ->
-    let delayed () =
-      let d = Rng.normal rng ~mean ~std in
-      Vtime.of_sec_f (Float.max 0.0 d)
-    in
-    Pfi_layer.add_native_send pfi (fun _ -> Pfi_layer.Delay (delayed ()));
-    Pfi_layer.add_native_receive pfi (fun _ -> Pfi_layer.Delay (delayed ()))
+(* Numbers print with %.17g, which the filter commands read back as the
+   same float. *)
+let drop_from at =
+  Printf.sprintf "if {[now_us] >= %Ld} { xDrop cur_msg }\n" (Vtime.to_us at)
+
+let drop_on p = Printf.sprintf "if {[chance %.17g]} { xDrop cur_msg }\n" p
+
+let delay_normal mean std =
+  Printf.sprintf "xDelay cur_msg [expr {max(0, [dst_normal %.17g %.17g])}]\n" mean std
+
+(* the model's send and receive filter text, "" where it adds none *)
+let scripts = function
+  | Process_crash { at } -> (drop_from at, drop_from at)
+  | Link_crash { at } -> (drop_from at, "")
+  | Send_omission { p } -> (drop_on p, "")
+  | Receive_omission { p } -> ("", drop_on p)
+  | General_omission { p_send; p_recv } -> (drop_on p_send, drop_on p_recv)
+  | Timing { mean; std } -> (delay_normal mean std, delay_normal mean std)
   | Byzantine { corrupt_p; reorder_p; duplicate_p } ->
-    Pfi_layer.add_native_send pfi (fun msg ->
-        if Rng.bernoulli rng ~p:corrupt_p && Message.length msg > 0 then
-          ignore
-            (Message.corrupt_byte msg ~offset:(Rng.int rng (Message.length msg)));
-        if Rng.bernoulli rng ~p:duplicate_p then
-          Pfi_layer.inject_down pfi (Message.copy msg);
-        if Rng.bernoulli rng ~p:reorder_p then
-          (* push the message behind its successors *)
-          Pfi_layer.Delay (Vtime.of_sec_f (Rng.float rng 0.05))
-        else Pfi_layer.Pass)
+    ( Printf.sprintf
+        "if {[chance %.17g]} { xCorrupt cur_msg }\n\
+         if {[chance %.17g]} { xDup cur_msg }\n\
+         if {[chance %.17g]} { xDelay cur_msg [dst_uniform 0 0.05] }\n"
+        corrupt_p duplicate_p reorder_p,
+      "" )
+
+let apply pfi models =
+  let sends, recvs = List.split (List.map scripts models) in
+  let install set clear = function "" -> clear pfi | src -> set pfi src in
+  install Pfi_layer.set_send_filter Pfi_layer.clear_send_filter (String.concat "" sends);
+  install Pfi_layer.set_receive_filter Pfi_layer.clear_receive_filter
+    (String.concat "" recvs)

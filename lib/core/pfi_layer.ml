@@ -2,11 +2,6 @@ open Pfi_engine
 open Pfi_stack
 open Pfi_script
 
-type native_action =
-  | Pass
-  | Drop
-  | Delay of Vtime.t
-
 type stats = {
   mutable passed : int;
   mutable dropped : int;
@@ -48,8 +43,6 @@ type t = {
   recv_interp : Interp.t;
   mutable send_script : Ast.script option;
   mutable recv_script : Ast.script option;
-  mutable native_send : (Message.t -> native_action) list;
-  mutable native_recv : (Message.t -> native_action) list;
   handles : (string, Message.t) Hashtbl.t;
   mutable next_handle : int;
   holds : (string, (Message.t * direction) Queue.t) Hashtbl.t;
@@ -102,9 +95,6 @@ let inject t dir ?(delay = Vtime.zero) msg =
   if Vtime.equal delay Vtime.zero then continue t dir msg
   else ignore (Sim.schedule t.sim ~delay (fun () -> continue t dir msg))
 
-let inject_down t ?delay msg = inject t Send ?delay msg
-let inject_up t ?delay msg = inject t Receive ?delay msg
-
 let hold_queue t name =
   match Hashtbl.find_opt t.holds name with
   | Some q -> q
@@ -119,8 +109,6 @@ let release t ?(reverse = false) name =
   Queue.clear q;
   let held = if reverse then List.rev held else held in
   List.iter (fun (msg, dir) -> continue t dir msg) held
-
-let held_count t name = Queue.length (hold_queue t name)
 
 (* ------------------------------------------------------------------ *)
 (* Script command bindings                                            *)
@@ -296,7 +284,7 @@ let bind_commands t interp dir =
       | _ -> script_error "usage: xRelease ?-reverse? queueName");
   r "xHeldCount" (fun _ args ->
       match args with
-      | [ qname ] -> string_of_int (held_count t qname)
+      | [ qname ] -> string_of_int (Queue.length (hold_queue t qname))
       | _ -> script_error "usage: xHeldCount queueName");
   (* --- injection ---------------------------------------------------- *)
   let inject_cmd inj_dir name _ args =
@@ -439,14 +427,6 @@ let bind_commands t interp dir =
 (* Filter execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec run_native filters msg =
-  match filters with
-  | [] -> Pass
-  | filter :: rest ->
-    (match filter msg with
-     | Pass -> run_native rest msg
-     | verdict -> verdict)
-
 let run_script t dir msg =
   let interp, script =
     match dir with
@@ -500,43 +480,33 @@ let trace_verdict t dir msg verdict dups =
 
 let filter t dir msg =
   let stats = stats_for t dir in
-  let native = match dir with Send -> t.native_send | Receive -> t.native_recv in
-  match run_native native msg with
-  | Drop ->
-    stats.dropped <- stats.dropped + 1;
-    trace_verdict t dir msg V_drop 0
-  | Delay d ->
-    stats.delayed <- stats.delayed + 1;
-    trace_verdict t dir msg (V_delay d) 0;
-    ignore (Sim.schedule t.sim ~delay:d (fun () -> continue t dir msg))
-  | Pass ->
-    let verdict, dups = run_script t dir msg in
-    (* Copies are snapshotted before the original continues (downstream
-       layers may mutate it in place), but sent onward only after the
-       verdict is applied, so the original is always the first arrival
-       and a dropped original never travels disguised as its copy. *)
-    let copies =
-      if dups > 0 then begin
-        stats.duplicated <- stats.duplicated + dups;
-        List.init dups (fun _ -> Message.copy msg)
-      end
-      else []
-    in
-    trace_verdict t dir msg verdict dups;
-    (match verdict with
-     | V_pass ->
-       stats.passed <- stats.passed + 1;
-       continue t dir msg
-     | V_drop ->
-       stats.dropped <- stats.dropped + 1;
-       if dups > 0 then stats.dup_orphans <- stats.dup_orphans + dups
-     | V_delay d ->
-       stats.delayed <- stats.delayed + 1;
-       ignore (Sim.schedule t.sim ~delay:d (fun () -> continue t dir msg))
-     | V_hold qname ->
-       stats.held <- stats.held + 1;
-       Queue.add (msg, dir) (hold_queue t qname));
-    if dups > 0 then List.iter (continue t dir) copies
+  let verdict, dups = run_script t dir msg in
+  (* Copies are snapshotted before the original continues (downstream
+     layers may mutate it in place), but sent onward only after the
+     verdict is applied, so the original is always the first arrival
+     and a dropped original never travels disguised as its copy. *)
+  let copies =
+    if dups > 0 then begin
+      stats.duplicated <- stats.duplicated + dups;
+      List.init dups (fun _ -> Message.copy msg)
+    end
+    else []
+  in
+  trace_verdict t dir msg verdict dups;
+  (match verdict with
+   | V_pass ->
+     stats.passed <- stats.passed + 1;
+     continue t dir msg
+   | V_drop ->
+     stats.dropped <- stats.dropped + 1;
+     if dups > 0 then stats.dup_orphans <- stats.dup_orphans + dups
+   | V_delay d ->
+     stats.delayed <- stats.delayed + 1;
+     ignore (Sim.schedule t.sim ~delay:d (fun () -> continue t dir msg))
+   | V_hold qname ->
+     stats.held <- stats.held + 1;
+     Queue.add (msg, dir) (hold_queue t qname));
+  if dups > 0 then List.iter (continue t dir) copies
 
 (* ------------------------------------------------------------------ *)
 (* Stats snapshot                                                     *)
@@ -577,8 +547,6 @@ let create ~sim ~node ?(stub = Stubs.raw) ?blackboard () =
       recv_interp = Script.create ();
       send_script = None;
       recv_script = None;
-      native_send = [];
-      native_recv = [];
       handles = Hashtbl.create 16;
       next_handle = 0;
       holds = Hashtbl.create 8;
@@ -616,10 +584,3 @@ let clear_receive_filter t = t.recv_script <- None
 let eval_in t side src =
   let interp = match side with `Send -> t.send_interp | `Receive -> t.recv_interp in
   Interp.eval interp src
-
-let add_native_send t filter = t.native_send <- t.native_send @ [ filter ]
-let add_native_receive t filter = t.native_recv <- t.native_recv @ [ filter ]
-
-let clear_native_filters t =
-  t.native_send <- [];
-  t.native_recv <- []

@@ -5,7 +5,7 @@
     down through it runs the {e send filter}; each message popped up
     through it runs the {e receive filter}.  Filters are scripts
     evaluated in persistent interpreters (state survives across
-    messages) or native OCaml functions, and may:
+    messages), and may:
 
     - {b filter}: inspect type/fields via the packet stub;
     - {b manipulate}: drop, delay, reorder (hold/release), duplicate or
@@ -80,43 +80,15 @@ val set_receive_filter_compiled : t -> Pfi_script.Ast.script -> unit
 
 val clear_send_filter : t -> unit
 val clear_receive_filter : t -> unit
+(** Remove the direction's filter: from then on its messages pass.
+    Interpreter state and hold queues survive. *)
 
 val eval_in : t -> [ `Send | `Receive ] -> string -> string
 (** Evaluates a script in one of the filter interpreters outside any
-    message context — for test setup ("set dropping 1") and probing. *)
-
-(** {1 Native filters}
-
-    OCaml-coded filters, the analogue of the paper's user-defined C
-    procedures.  They run before the script; the first non-[Pass]
-    verdict short-circuits. *)
-
-type native_action =
-  | Pass
-  | Drop
-  | Delay of Vtime.t
-
-val add_native_send : t -> (Message.t -> native_action) -> unit
-val add_native_receive : t -> (Message.t -> native_action) -> unit
-val clear_native_filters : t -> unit
-
-(** {1 Host-side injection} *)
-
-val inject_down : t -> ?delay:Vtime.t -> Message.t -> unit
-(** Introduces a message below the layer (continues toward the wire)
-    without running filters. *)
-
-val inject_up : t -> ?delay:Vtime.t -> Message.t -> unit
-(** Introduces a message above the layer (continues toward the target
-    protocol) without running filters. *)
-
-(** {1 Hold queues (reordering)} *)
-
-val release : t -> ?reverse:bool -> string -> unit
-(** Sends every message held in the named queue onward in its original
-    direction, FIFO (or LIFO with [reverse]). *)
-
-val held_count : t -> string -> int
+    message context — for test setup ("set dropping 1"), probing, and
+    the host's own actions through the same commands a filter has:
+    [inject_down]/[inject_up] a [msg_gen] handle, [xRelease] or
+    [xHeldCount] a hold queue. *)
 
 (** {1 Statistics} *)
 

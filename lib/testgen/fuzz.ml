@@ -395,9 +395,13 @@ let run ?(executor = Executor.of_jobs 1) ?(seed = Campaign.default_seed)
             match
               Shrink.minimize ~max_trials:shrink_budget ~spec ~run:run_state st0
             with
-            | Ok rep ->
-                (rep.Shrink.minimized, rep.Shrink.final_reason, rep.Shrink.trials)
-            | Error _ -> (st0, r0, 0)
+            | Ok
+                { Shrink.minimized;
+                  outcome = { Campaign.verdict = Campaign.Violation r; _ };
+                  trials;
+                  _ } ->
+                (minimized, r, trials)
+            | Ok _ | Error _ -> (st0, r0, 0)
           in
           ([ st_min.Shrink.fault ], st_min.Shrink.side, r_min, trials,
            run_state st_min)

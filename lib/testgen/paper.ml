@@ -760,7 +760,7 @@ let karn_srtt ~karn_sampling seed =
   let vconn, _xc = Tcp_rig.connect rig in
   (* 25% loss on the data path, injected as a receive-omission failure
      model on the x-Kernel PFI layer *)
-  Failure_models.apply rig.Tcp_rig.pfi (Failure_models.Receive_omission { p = 0.25 });
+  Failure_models.apply rig.Tcp_rig.pfi [ Failure_models.Receive_omission { p = 0.25 } ];
   (* spaced sends so each segment is individually timed *)
   for i = 1 to 60 do
     ignore

@@ -119,7 +119,7 @@ type step = {
 
 type report = {
   minimized : state;
-  final_reason : string;
+  outcome : Campaign.outcome;
   initial_size : int;
   steps : step list;  (** accepted states, in order *)
   trials : int;  (** re-runs spent, accepted or not *)
@@ -133,10 +133,11 @@ let rec split_at n = function
 
 let minimize ?(max_trials = 1000) ?(executor = Executor.of_jobs 1) ~spec ~run
     st0 =
-  match (run st0 : Campaign.outcome).Campaign.verdict with
+  let outcome0 : Campaign.outcome = run st0 in
+  match outcome0.Campaign.verdict with
   | Campaign.Tolerated ->
     Error "the starting state does not violate the oracle — nothing to shrink"
-  | Campaign.Violation reason0 ->
+  | Campaign.Violation _ ->
     let trials = ref 1 in
     let steps = ref [] in
     (* One descent round: scan the ordered candidate list in batches of
@@ -156,24 +157,24 @@ let minimize ?(max_trials = 1000) ?(executor = Executor.of_jobs 1) ~spec ~run
             | [] -> (k, None)
             | (cand, (o : Campaign.outcome)) :: more -> (
               match o.Campaign.verdict with
-              | Campaign.Violation r -> (k + 1, Some (cand, r))
+              | Campaign.Violation r -> (k + 1, Some (cand, r, o))
               | Campaign.Tolerated -> first (k + 1) more)
           in
           let charged, hit = first 0 (List.combine batch outcomes) in
           trials := !trials + charged;
           (match hit with Some _ -> hit | None -> scan rest)
     in
-    let rec go st reason =
+    let rec go st outcome =
       match scan (candidates ~spec st) with
-      | None -> (st, reason)
-      | Some (st', reason') ->
-        steps := { state = st'; step_size = size st'; reason = reason' } :: !steps;
-        go st' reason'
+      | None -> (st, outcome)
+      | Some (st', reason, outcome') ->
+        steps := { state = st'; step_size = size st'; reason } :: !steps;
+        go st' outcome'
     in
-    let minimized, final_reason = go st0 reason0 in
+    let minimized, outcome = go st0 outcome0 in
     Ok
       { minimized;
-        final_reason;
+        outcome;
         initial_size = size st0;
         steps = List.rev !steps;
         trials = !trials }

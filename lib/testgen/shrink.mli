@@ -59,7 +59,10 @@ type step = {
 
 type report = {
   minimized : state;
-  final_reason : string;  (** oracle message of the minimized state *)
+  outcome : Campaign.outcome;
+      (** the run that accepted [minimized] (the first run if no step
+          was accepted): its seed, violation and injected events are
+          the minimized trial's *)
   initial_size : int;
   steps : step list;  (** accepted states, in order *)
   trials : int;

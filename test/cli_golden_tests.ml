@@ -332,6 +332,56 @@ let test_trace_out_pinned () =
   check_pinned "msc --json" ~bytes:19_720 ~md5:"9a7dea61ee86031e558ad1a7e38f6543"
     (run_cli [ "msc"; "--json" ])
 
+(* ------------------------------------------------------------------ *)
+(* A minimized artifact counts its own trial's injected events         *)
+(* ------------------------------------------------------------------ *)
+
+(* the [testgen.fault] and [pfi.log] entries of a JSONL trace: what a
+   trial's [injected_events] counts *)
+let injected_entries jsonl =
+  let open Pfi_testgen.Json in
+  String.split_on_char '\n' jsonl
+  |> List.filter (fun line ->
+         match Result.map (member "tag") (parse line) with
+         | Ok (Some (Str ("testgen.fault" | "pfi.log"))) -> true
+         | _ -> false)
+  |> List.length
+
+(* gmp-buggy's receive-side delay of every JOIN at campaign seed 57
+   shrinks to a weaker delay whose trial logs a different number of
+   faulted messages than the source's *)
+let test_shrunk_artifact_counts_its_events () =
+  let open Pfi_testgen in
+  let h = Option.get (Registry.find "gmp-buggy") in
+  let horizon = Harness_intf.default_horizon h in
+  let campaign_seed = 57L in
+  let source =
+    Campaign.run_trial h ~horizon
+      (Shrink.trial ~campaign_seed
+         { Shrink.fault = Generator.Delay_each ("JOIN", 1.5);
+           side = Campaign.Receive_filter })
+    |> Repro.of_outcome ~harness:"gmp-buggy"
+         ~protocol:(Harness_intf.spec h).Spec.protocol
+         ~target:(Harness_intf.target h) ~horizon ~campaign_seed
+  in
+  let src = Filename.temp_file "pfi_shrink_src" ".json" in
+  let min = Filename.temp_file "pfi_shrink_min" ".json" in
+  let trace = Filename.temp_file "pfi_shrink_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; min; trace ])
+    (fun () ->
+      Repro.save src source;
+      ignore (run_cli [ "shrink"; src; "-o"; min ]);
+      ignore (run_cli [ "replay"; min; "--trace-out"; trace ]);
+      match Repro.load min with
+      | Error e -> Alcotest.failf "the minimized artifact does not load: %s" e
+      | Ok shrunk ->
+        Alcotest.(check bool) "the shrink moved the fault" true
+          (shrunk.Repro.fault <> source.Repro.fault);
+        Alcotest.(check int) "injected_events counts the replayed trial"
+          (injected_entries (read_file trace))
+          shrunk.Repro.injected_events)
+
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
     Alcotest.test_case "pfi_run help matches the golden table" `Quick
@@ -354,6 +404,8 @@ let suite =
       `Quick test_bad_artifact_is_a_load_error;
     Alcotest.test_case "shrink refuses an artifact whose script was edited"
       `Quick test_shrink_refuses_edited_script;
+    Alcotest.test_case "a minimized artifact counts its own injected events"
+      `Quick test_shrunk_artifact_counts_its_events;
     Alcotest.test_case "--trace-out and msc --json export pinned JSONL" `Quick
       test_trace_out_pinned;
     Alcotest.test_case "fuzz --trace-out exports pinned finding traces" `Quick

@@ -230,8 +230,8 @@ if {$n <= 2} { xHold cur_msg q }
   send a ~dst:"b" "first";
   send a ~dst:"b" "second";
   Sim.run sim;
-  Alcotest.(check int) "both held" 2 (Pfi_layer.held_count a.pfi "q");
-  Pfi_layer.release a.pfi ~reverse:true "q";
+  Alcotest.(check string) "both held" "2" (Pfi_layer.eval_in a.pfi `Send "xHeldCount q");
+  ignore (Pfi_layer.eval_in a.pfi `Send "xRelease -reverse q");
   Sim.run sim;
   Alcotest.(check (list string)) "released LIFO" [ "second"; "first" ]
     (received_texts b)
@@ -261,7 +261,7 @@ if {[msg_type cur_msg] == "DATA"} {
 
 let test_inject_up_host () =
   let sim, _net, _a, b = setup () in
-  Pfi_layer.inject_up b.pfi (Message.of_string "spoofed");
+  ignore (Pfi_layer.eval_in b.pfi `Receive "inject_up [msg_gen data spoofed]");
   Sim.run sim;
   Alcotest.(check (list string)) "delivered to driver above" [ "spoofed" ]
     (received_texts b)
@@ -270,9 +270,9 @@ let test_inject_delayed () =
   let sim, _net, a, b = setup () in
   let arrival = ref Vtime.zero in
   Driver.set_on_receive b.driver (fun _ -> arrival := Sim.now sim);
-  let msg = Message.of_string "later" in
-  Message.set_attr msg Network.dst_attr "b";
-  Pfi_layer.inject_down a.pfi ~delay:(Vtime.sec 5) msg;
+  ignore
+    (Pfi_layer.eval_in a.pfi `Send
+       "set m [msg_gen data later]\nmsg_set_attr $m net.dst b\ninject_down $m 5");
   Sim.run sim;
   Alcotest.(check bool) "arrives after 5s"
     true (Vtime.equal !arrival (Vtime.add (Vtime.sec 5) (Vtime.ms 1)))
@@ -384,32 +384,12 @@ let test_msg_log_records () =
   | [] -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Native filters and failure models                                  *)
+(* Failure models                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let test_native_filter () =
-  let sim, _net, a, b = setup () in
-  Pfi_layer.add_native_send a.pfi (fun msg ->
-      if String.length (Message.to_string msg) > 3 then Pfi_layer.Drop
-      else Pfi_layer.Pass);
-  send a ~dst:"b" "ok";
-  send a ~dst:"b" "too long";
-  Sim.run sim;
-  Alcotest.(check (list string)) "native filter applied" [ "ok" ] (received_texts b)
-
-let test_native_short_circuits_script () =
-  let sim, _net, a, b = setup () in
-  Pfi_layer.add_native_send a.pfi (fun _ -> Pfi_layer.Drop);
-  (* script would corrupt, but native drop wins first *)
-  Pfi_layer.set_send_filter a.pfi "xCorrupt cur_msg 0";
-  send a ~dst:"b" "x";
-  Sim.run sim;
-  Alcotest.(check (list string)) "dropped before script" [] (received_texts b);
-  Alcotest.(check int) "not modified" 0 (Pfi_layer.send_stats a.pfi).Pfi_layer.modified
 
 let test_crash_model () =
   let sim, _net, a, b = setup () in
-  Failure_models.apply a.pfi (Failure_models.Process_crash { at = Vtime.sec 10 });
+  Failure_models.apply a.pfi [ Failure_models.Process_crash { at = Vtime.sec 10 } ];
   send a ~dst:"b" "before crash";
   ignore (Sim.schedule sim ~delay:(Vtime.sec 20) (fun () -> send a ~dst:"b" "after"));
   ignore (Sim.schedule sim ~delay:(Vtime.sec 20) (fun () -> send b ~dst:"a" "to dead"));
@@ -420,7 +400,7 @@ let test_crash_model () =
 
 let test_send_omission_model () =
   let sim, _net, a, b = setup () in
-  Failure_models.apply a.pfi (Failure_models.Send_omission { p = 0.5 });
+  Failure_models.apply a.pfi [ Failure_models.Send_omission { p = 0.5 } ];
   for _ = 1 to 400 do
     send a ~dst:"b" "x"
   done;
@@ -430,7 +410,7 @@ let test_send_omission_model () =
 
 let test_timing_model () =
   let sim, _net, a, b = setup () in
-  Failure_models.apply a.pfi (Failure_models.Timing { mean = 2.0; std = 0.0 });
+  Failure_models.apply a.pfi [ Failure_models.Timing { mean = 2.0; std = 0.0 } ];
   let arrival = ref Vtime.zero in
   Driver.set_on_receive b.driver (fun _ -> arrival := Sim.now sim);
   send a ~dst:"b" "x";
@@ -441,10 +421,43 @@ let test_timing_model () =
 let test_byzantine_duplicates () =
   let sim, _net, a, b = setup () in
   Failure_models.apply a.pfi
-    (Failure_models.Byzantine { corrupt_p = 0.0; reorder_p = 0.0; duplicate_p = 1.0 });
+    [ Failure_models.Byzantine { corrupt_p = 0.0; reorder_p = 0.0; duplicate_p = 1.0 } ];
   send a ~dst:"b" "dup me";
   Sim.run sim;
   Alcotest.(check int) "duplicated" 2 (List.length (received_texts b))
+
+(* A model is a filter script like any generated fault, so clearing the
+   filters heals it: each model is fully active at 20 s unless cleared. *)
+let test_models_heal_on_clear () =
+  let open Failure_models in
+  List.iter
+    (fun model ->
+      let sim, _net, a, b = setup () in
+      Failure_models.apply a.pfi [ model ];
+      Failure_models.apply b.pfi [ model ];
+      ignore
+        (Sim.schedule sim ~delay:(Vtime.sec 10) (fun () ->
+             List.iter
+               (fun pfi ->
+                 Pfi_layer.clear_send_filter pfi;
+                 Pfi_layer.clear_receive_filter pfi)
+               [ a.pfi; b.pfi ]));
+      let arrivals = ref [] in
+      Driver.set_on_receive b.driver (fun msg ->
+          arrivals := (Sim.now sim, Message.to_string msg) :: !arrivals);
+      ignore (Sim.schedule sim ~delay:(Vtime.sec 20) (fun () -> send a ~dst:"b" "x"));
+      Sim.run sim;
+      Alcotest.(check (list (pair int64 string)))
+        (describe model ^ ": one unmodified arrival 1 ms after the send")
+        [ (Vtime.to_us (Vtime.add (Vtime.sec 20) (Vtime.ms 1)), "x") ]
+        (List.rev_map (fun (at, text) -> (Vtime.to_us at, text)) !arrivals))
+    [ Process_crash { at = Vtime.sec 5 };
+      Link_crash { at = Vtime.sec 5 };
+      Send_omission { p = 1.0 };
+      Receive_omission { p = 1.0 };
+      General_omission { p_send = 1.0; p_recv = 1.0 };
+      Timing { mean = 2.0; std = 0.0 };
+      Byzantine { corrupt_p = 1.0; reorder_p = 1.0; duplicate_p = 1.0 } ]
 
 let test_severity_order () =
   let open Failure_models in
@@ -568,12 +581,11 @@ let suite =
     Alcotest.test_case "script timer" `Quick test_script_timer;
     Alcotest.test_case "now command" `Quick test_now_command;
     Alcotest.test_case "msg_log records" `Quick test_msg_log_records;
-    Alcotest.test_case "native filter" `Quick test_native_filter;
-    Alcotest.test_case "native short-circuits script" `Quick test_native_short_circuits_script;
     Alcotest.test_case "crash model" `Quick test_crash_model;
     Alcotest.test_case "send omission model" `Quick test_send_omission_model;
     Alcotest.test_case "timing model" `Quick test_timing_model;
     Alcotest.test_case "byzantine duplicates" `Quick test_byzantine_duplicates;
+    Alcotest.test_case "failure models heal on clear" `Quick test_models_heal_on_clear;
     Alcotest.test_case "severity order" `Quick test_severity_order;
     Alcotest.test_case "verdict tracing" `Quick test_verdict_tracing;
     Alcotest.test_case "stats snapshot" `Quick test_stats_snapshot;

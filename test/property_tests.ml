@@ -225,8 +225,8 @@ let tcp_integrity_run ~seed =
   (* byzantine channel on the client's PFI layer: corruption, loss and
      duplication of outgoing segments *)
   Failure_models.apply c_pfi
-    (Failure_models.Byzantine { corrupt_p = 0.15; reorder_p = 0.1; duplicate_p = 0.15 });
-  Failure_models.apply c_pfi (Failure_models.Send_omission { p = 0.15 });
+    [ Failure_models.Byzantine { corrupt_p = 0.15; reorder_p = 0.1; duplicate_p = 0.15 };
+      Failure_models.Send_omission { p = 0.15 } ];
   let sent = Buffer.create 4096 in
   let rng = Rng.create ~seed:(Int64.add seed 1L) in
   for i = 0 to 19 do
@@ -240,7 +240,7 @@ let tcp_integrity_run ~seed =
   (* clear the faults near the end so recovery can finish *)
   ignore
     (Sim.schedule sim ~delay:(Vtime.sec 60) (fun () ->
-         Pfi_layer.clear_native_filters c_pfi));
+         Pfi_layer.clear_send_filter c_pfi));
   Sim.run ~until:(Vtime.minutes 20) sim;
   (Buffer.contents sent, Buffer.contents got, Tcp.state conn)
 
@@ -285,10 +285,10 @@ let gmp_agreement_run ~seed =
   ignore victim_name;
   ignore
     (Sim.schedule sim ~delay:(Vtime.sec 40) (fun () ->
-         Failure_models.apply victim_pfi (Failure_models.Send_omission { p })));
+         Failure_models.apply victim_pfi [ Failure_models.Send_omission { p } ]));
   ignore
     (Sim.schedule sim ~delay:(Vtime.sec 100) (fun () ->
-         Pfi_layer.clear_native_filters victim_pfi));
+         Pfi_layer.clear_send_filter victim_pfi));
   (* long quiescence after healing *)
   Sim.run ~until:(Vtime.sec 400) sim;
   List.map (fun (_, (gmd, _)) -> Gmd.view gmd) nodes

@@ -34,18 +34,20 @@ let setup_with_pfi ?(client_profile = Profile.xkernel)
 (* Fast retransmit                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* drop exactly the first outgoing DATA segment *)
+let drop_first_data =
+  {|
+if {[msg_type cur_msg] == "DATA" && ![info exists dropped]} {
+  set dropped 1
+  xDrop cur_msg
+}
+|}
+
 let test_fast_retransmit () =
   let sim, _net, pfi, conn, sconn = setup_with_pfi () in
   let got = Buffer.create 1024 in
   Tcp.on_data sconn (Buffer.add_string got);
-  (* drop exactly the first outgoing DATA segment *)
-  let dropped = ref false in
-  Pfi_layer.add_native_send pfi (fun msg ->
-      match Segment.of_message msg with
-      | Ok seg when Segment.len seg > 0 && not !dropped ->
-        dropped := true;
-        Pfi_layer.Drop
-      | _ -> Pfi_layer.Pass);
+  Pfi_layer.set_send_filter pfi drop_first_data;
   let t0 = Sim.now sim in
   for _ = 1 to 6 do
     Tcp.send conn (String.make 100 'x')
@@ -63,17 +65,13 @@ let test_fast_retransmit_disabled () =
   let sim, _net, pfi, conn, sconn = setup_with_pfi ~client_profile:profile () in
   let got = Buffer.create 1024 in
   Tcp.on_data sconn (Buffer.add_string got);
-  let dropped = ref false in
-  Pfi_layer.add_native_send pfi (fun msg ->
-      match Segment.of_message msg with
-      | Ok seg when Segment.len seg > 0 && not !dropped ->
-        dropped := true;
-        Pfi_layer.Drop
-      | _ -> Pfi_layer.Pass);
+  Pfi_layer.set_send_filter pfi drop_first_data;
   for _ = 1 to 6 do
     Tcp.send conn (String.make 100 'x')
   done;
   Sim.run sim;
+  Alcotest.(check int) "one DATA segment dropped" 1
+    (Pfi_layer.send_stats pfi).Pfi_layer.dropped;
   Alcotest.(check int) "recovered by the timer instead" 600 (Buffer.length got);
   Alcotest.(check int) "no fast retransmit" 0
     (Trace.count ~node:"client" ~tag:"tcp.fast-retransmit" (Sim.trace sim))
