@@ -9,6 +9,14 @@ open Pfi_stack
 open Pfi_netsim
 open Pfi_core
 
+type outcome = {
+  delivered : int;  (* distinct messages that arrived intact *)
+  duplicates : int;  (* intact copies after a message's first *)
+  corrupted : int;  (* arrivals whose payload no message was sent with *)
+  in_order : bool;  (* judged on each message's first intact arrival *)
+  ends : float;  (* when the run drained, in seconds *)
+}
+
 let run_under_model model =
   let sim = Sim.create ~seed:7L () in
   let net = Network.create sim in
@@ -26,25 +34,37 @@ let run_under_model model =
   Failure_models.apply pfi models;
   Failure_models.apply pfi_r models;
   (* 200 messages, one every 100 ms *)
-  for i = 0 to 199 do
-    ignore
-      (Sim.schedule sim ~delay:(Vtime.ms (100 * i)) (fun () ->
-           let msg = Message.of_string (Printf.sprintf "m%03d" i) in
-           Message.set_attr msg Network.dst_attr "receiver";
-           Driver.send sender msg))
-  done;
+  let sent = List.init 200 (Printf.sprintf "m%03d") in
+  List.iteri
+    (fun i text ->
+      ignore
+        (Sim.schedule sim ~delay:(Vtime.ms (100 * i)) (fun () ->
+             let msg = Message.of_string text in
+             Message.set_attr msg Network.dst_attr "receiver";
+             Driver.send sender msg)))
+    sent;
   Sim.run sim;
-  let received = Driver.received receiver in
-  let in_order =
-    let texts = List.map Message.to_string received in
-    List.sort_uniq compare texts = texts
-  in
-  let last_arrival =
-    match List.rev received with
-    | _ :: _ -> Vtime.to_sec_f (Sim.now sim)
-    | [] -> 0.0
-  in
-  (List.length received, in_order, last_arrival)
+  (* each message counts once, on its first intact arrival; a later
+     intact copy is a duplicate, and a payload no message was sent with
+     is a corrupted arrival *)
+  let first = Hashtbl.create 200 in
+  let firsts = ref [] and duplicates = ref 0 and corrupted = ref 0 in
+  List.iter
+    (fun msg ->
+      let text = Message.to_string msg in
+      if not (List.mem text sent) then incr corrupted
+      else if Hashtbl.mem first text then incr duplicates
+      else begin
+        Hashtbl.add first text ();
+        firsts := text :: !firsts
+      end)
+    (Driver.received receiver);
+  let firsts = List.rev !firsts in
+  { delivered = List.length firsts;
+    duplicates = !duplicates;
+    corrupted = !corrupted;
+    in_order = List.sort compare firsts = firsts;
+    ends = Vtime.to_sec_f (Sim.now sim) }
 
 let () =
   let open Failure_models in
@@ -60,13 +80,17 @@ let () =
       ( "byzantine (corrupt/reorder/dup)",
         Some (Byzantine { corrupt_p = 0.2; reorder_p = 0.3; duplicate_p = 0.2 }) ) ]
   in
-  Printf.printf "%-34s %10s %9s %10s\n" "failure model" "delivered" "in-order"
-    "run ends";
-  List.iter
-    (fun (label, model) ->
-      let delivered, in_order, ends = run_under_model model in
-      Printf.printf "%-34s %7d/200 %9b %9.1fs\n" label delivered in_order ends)
-    models;
+  Printf.printf "%-34s %10s %5s %8s %9s %10s\n" "failure model" "delivered" "dup"
+    "corrupt" "in-order" "run ends";
+  let outcomes =
+    List.map
+      (fun (label, model) ->
+        let o = run_under_model model in
+        Printf.printf "%-34s %7d/200 %5d %8d %9b %9.1fs\n" label o.delivered o.duplicates
+          o.corrupted o.in_order o.ends;
+        o)
+      models
+  in
   print_newline ();
   print_endline "severity order (each tolerates everything before it):";
   let chain =
@@ -78,4 +102,11 @@ let () =
       Timing { mean = 0.1; std = 0.1 };
       Byzantine { corrupt_p = 0.1; reorder_p = 0.1; duplicate_p = 0.1 } ]
   in
-  List.iter (fun m -> Printf.printf "  %d. %s\n" (severity m) (describe m)) chain
+  List.iter (fun m -> Printf.printf "  %d. %s\n" (severity m) (describe m)) chain;
+  (* without a failure model every message arrives once, intact and in
+     order *)
+  match outcomes with
+  | { delivered = 200; duplicates = 0; corrupted = 0; in_order = true; _ } :: _ -> ()
+  | _ ->
+    prerr_endline "failure_models: the baseline lost, repeated, corrupted or reordered a message";
+    exit 1

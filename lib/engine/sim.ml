@@ -52,8 +52,8 @@ let events t = t.events
 let record ?fields t ~node ~tag detail =
   Trace.record ?fields t.trace ~time:t.clock ~node ~tag detail
 
-let record_lazy ?fields t ~node ~tag detail =
-  Trace.record_lazy ?fields t.trace ~time:t.clock ~node ~tag detail
+let record_with ?fields t ~node ~tag render x =
+  Trace.record_with ?fields t.trace ~time:t.clock ~node ~tag render x
 
 let set_want_labels t flag = t.want_labels <- flag
 let want_labels t = t.want_labels

@@ -56,11 +56,12 @@ val record :
     [fields] attaches structured key/values alongside the detail
     string (see {!Trace.record}). *)
 
-val record_lazy :
+val record_with :
   ?fields:(string * string) list ->
-  t -> node:string -> tag:string -> string Lazy.t -> unit
-(** {!record} with a deferred detail string — see {!Trace.record_lazy}
-    for when to use it and what the thunk may capture. *)
+  t -> node:string -> tag:string -> ('a -> string) -> 'a -> unit
+(** {!record} with the detail [render x], rendered only when read and
+    built only when an entry is — see {!Trace.record_with} for when to
+    use it and what [render] and [x] may be. *)
 
 val set_want_labels : t -> bool -> unit
 (** Tells protocol layers whether any attached renderer consumes

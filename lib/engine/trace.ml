@@ -124,33 +124,48 @@ let attach t ~tags feed =
   t.m_used <- 0;
   t.m_next <- 0
 
-let record_lazy ?(fields = []) t ~time ~node ~tag detail =
+(* Counts one entry of [(node, tag)] and returns its pair record. *)
+let count_entry t ~node ~tag =
   let p = pair t node tag 0 in
-  let i = t.len in
-  t.len <- i + 1;
+  t.len <- t.len + 1;
   p.p_count <- p.p_count + 1;
-  let feeds = p.p_feeds in
-  (* a counting trace builds the entry only for the feeds that want it *)
-  if t.stores || Array.length feeds > 0 then begin
-    let e = { time; node = p.p_node; tag = p.p_tag; detail; fields } in
-    if t.stores then begin
-      if i >= Array.length t.store then begin
-        let store = Array.make (Stdlib.max 64 (Array.length t.store * 2)) inert in
-        Array.blit t.store 0 store 0 i;
-        t.store <- store
-      end;
-      t.store.(i) <- e
+  p
+
+(* A counting trace builds the entry only for the feeds that want it. *)
+let wants_entry t p = t.stores || Array.length p.p_feeds > 0
+
+(* Stores and feeds [e], the entry just counted. *)
+let add_entry t p e =
+  let i = t.len - 1 in
+  if t.stores then begin
+    if i >= Array.length t.store then begin
+      let store = Array.make (Stdlib.max 64 (Array.length t.store * 2)) inert in
+      Array.blit t.store 0 store 0 i;
+      t.store <- store
     end;
-    for k = 0 to Array.length feeds - 1 do
-      feeds.(k) i e
-    done
-  end
+    t.store.(i) <- e
+  end;
+  let feeds = p.p_feeds in
+  for k = 0 to Array.length feeds - 1 do
+    feeds.(k) i e
+  done
 
 (* [Lazy.from_val] on a string returns the string itself (no wrapper
-   block), so the strict path costs nothing over storing a plain
-   [string] field. *)
-let record ?fields t ~time ~node ~tag detail =
-  record_lazy ?fields t ~time ~node ~tag (Lazy.from_val detail)
+   block), so a stored detail costs nothing over a plain [string]
+   field. *)
+let record ?(fields = []) t ~time ~node ~tag detail =
+  let p = count_entry t ~node ~tag in
+  if wants_entry t p then
+    add_entry t p
+      { time; node = p.p_node; tag = p.p_tag; detail = Lazy.from_val detail; fields }
+
+(* The deferred detail is built with the entry, so an entry nothing
+   builds allocates nothing for its detail. *)
+let record_with ?(fields = []) t ~time ~node ~tag render x =
+  let p = count_entry t ~node ~tag in
+  if wants_entry t p then
+    add_entry t p
+      { time; node = p.p_node; tag = p.p_tag; detail = lazy (render x); fields }
 
 let length t = t.len
 

@@ -29,7 +29,7 @@ type entry = {
   tag : string;   (** category, e.g. ["tcp.retransmit"] or ["gmp.commit"] *)
   detail : string Lazy.t;
       (** rendered description; possibly deferred — read it with
-          {!detail}.  Hot protocol paths record via {!record_lazy} so
+          {!detail}.  Hot protocol paths record via {!record_with} so
           the formatting cost is only paid if something actually reads
           the string (JSONL export, oracle detail matching, pretty
           printing). *)
@@ -64,15 +64,18 @@ val record :
   t -> time:Vtime.t -> node:string -> tag:string -> string -> unit
 (** Appends an entry.  [fields] defaults to none. *)
 
-val record_lazy :
+val record_with :
   ?fields:(string * string) list ->
-  t -> time:Vtime.t -> node:string -> tag:string -> string Lazy.t -> unit
-(** Like {!record}, but the detail string is only rendered when first
-    read.  For per-message recording on protocol hot paths, where a
+  t -> time:Vtime.t -> node:string -> tag:string -> ('a -> string) -> 'a -> unit
+(** [record_with t ~time ~node ~tag render x] is {!record} with the
+    detail [render x], rendered only when first read.  The deferred
+    detail is built only with the entry, when [t] stores entries or a
+    feed wants [tag]; otherwise the call counts the entry and allocates
+    nothing.  For per-message recording on protocol hot paths, where a
     campaign trial records thousands of entries whose details nothing
-    ever inspects.  The thunk must be pure and must capture only
-    immutable data: it may be forced long after the simulation step
-    that recorded it (or never). *)
+    ever inspects.  [render] must be pure and [x] immutable: the detail
+    may be rendered long after the simulation step that recorded it (or
+    never). *)
 
 val clear : t -> unit
 (** Empties the trace and detaches its feeds while keeping its grown

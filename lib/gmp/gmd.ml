@@ -53,11 +53,21 @@ type detail_memo = {
   mutable m_text : string;  (* "" until first use *)
 }
 
+(* What every message to one id carries, built once: its [gmp.send]
+   detail renderer and its attribute lists, raw and reliable, as
+   successive [Message.set_attr] calls would leave them (newest first:
+   destination, [proto=gmp], then the reliability request). *)
+type peer = {
+  render_send : Gmp_msg.t -> string;
+  raw_attrs : (string * string) list;
+  rel_attrs : (string * string) list;
+}
+
 type t = {
   sim : Sim.t;
   node_name : string;
   self_id : int;
-  names : string Int_table.t;
+  peers : peer Int_table.t;
   universe : int list;  (* every potential member, sorted, includes self *)
   config : config;
   mutable the_layer : Layer.t option;
@@ -192,8 +202,14 @@ let unset_expect_timers t =
 let proto_attr = ("proto", "gmp")
 let reliable_attr = (Rel_udp.reliable_attr, "1")
 
+let peer name =
+  let raw_attrs = [ proto_attr; (Pfi_netsim.Network.dst_attr, name) ] in
+  { render_send = (fun msg -> Printf.sprintf "to=%s %s" name (Gmp_msg.describe msg));
+    raw_attrs;
+    rel_attrs = reliable_attr :: raw_attrs }
+
 let send t ?(reliable = true) ~dst_id (msg : Gmp_msg.t) =
-  match Int_table.find t.names dst_id with
+  match Int_table.find t.peers dst_id with
   | exception Not_found ->
     (* a message referenced an id outside the known universe (possible
        under byzantine corruption): log and drop rather than crash *)
@@ -202,17 +218,15 @@ let send t ?(reliable = true) ~dst_id (msg : Gmp_msg.t) =
     (* per-message = the campaign hot path: defer the describe/sprintf
        cost until something actually reads the entry, and only decorate
        the wire message when an MSC renderer is listening *)
-    Sim.record_lazy t.sim ~node:t.node_name ~tag:"gmp.send"
-      (lazy (Printf.sprintf "to=%s %s" dst (Gmp_msg.describe msg)));
-    (* built in one list, newest first, as successive [Message.set_attr]
-       calls would leave them: destination, [proto=gmp], then the
-       optional label and reliability request *)
-    let attrs = proto_attr :: [ (Pfi_netsim.Network.dst_attr, dst) ] in
+    Sim.record_with t.sim ~node:t.node_name ~tag:"gmp.send" dst.render_send msg;
     let attrs =
-      if Sim.want_labels t.sim then ("msc.label", Gmp_msg.describe msg) :: attrs
-      else attrs
+      if Sim.want_labels t.sim then begin
+        let attrs = ("msc.label", Gmp_msg.describe msg) :: dst.raw_attrs in
+        if reliable then reliable_attr :: attrs else attrs
+      end
+      else if reliable then dst.rel_attrs
+      else dst.raw_attrs
     in
-    let attrs = if reliable then reliable_attr :: attrs else attrs in
     Layer.send_down (layer t) (Message.create ~attrs (Gmp_msg.encode msg))
 
 let fresh_gid t =
@@ -287,13 +301,13 @@ and form_singleton t =
 
 and heartbeat_tick t =
   (* a node that believes itself dead stops heartbeating (buggy state) *)
-  if t.ph = Normal && not t.self_down then
-    List.iter
-      (fun m ->
-        send t ~reliable:false ~dst_id:m
-          (Gmp_msg.make ~mtype:Gmp_msg.Heartbeat ~origin:t.self_id
-             ~sender:t.self_id ~group_id:t.current.group_id ()))
-      t.current.members;
+  if t.ph = Normal && not t.self_down then begin
+    let heartbeat =
+      Gmp_msg.make ~mtype:Gmp_msg.Heartbeat ~origin:t.self_id ~sender:t.self_id
+        ~group_id:t.current.group_id ()
+    in
+    List.iter (fun m -> send t ~reliable:false ~dst_id:m heartbeat) t.current.members
+  end;
   if t.ph = Normal then
     set_timer t "hb_send" ~delay:t.config.hb_interval (fun () -> heartbeat_tick t)
 
@@ -589,15 +603,15 @@ and handle_message t (m : Gmp_msg.t) =
 (* ------------------------------------------------------------------ *)
 
 let create ~sim ~node ~id ~peers ?(config = default_config) () =
-  let names = Int_table.create 8 in
-  Int_table.replace names id node;
-  List.iter (fun (name, peer_id) -> Int_table.replace names peer_id name) peers;
+  let by_id = Int_table.create 8 in
+  Int_table.replace by_id id (peer node);
+  List.iter (fun (name, peer_id) -> Int_table.replace by_id peer_id (peer name)) peers;
   let universe = List.sort_uniq compare (id :: List.map snd peers) in
   let t =
     { sim;
       node_name = node;
       self_id = id;
-      names;
+      peers = by_id;
       universe;
       config;
       the_layer = None;

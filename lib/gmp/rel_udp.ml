@@ -12,10 +12,17 @@ type pending = {
   seq : int;
   dst : string;
   wire : Bytes.t;  (* encoded rel-data packet, ready to resend *)
-  wire_attrs : (string * string) list;
-      (* the attributes every transmitted copy carries, built once *)
-  timer : Timer.t;
+  attrs : (string * string) list;  (* the sender's, on every copy *)
+  mutable retry_handle : Sim.handle;
+  mutable retry : unit -> unit;  (* set once, right after creation *)
   mutable tries : int;
+}
+
+(* A peer this layer has received data from: a small id for [seen],
+   and the attribute list of every ACK sent back to it. *)
+type peer = {
+  id : int;
+  ack_attrs : (string * string) list;
 }
 
 (* a reliable send is retransmitted every [retry_interval], at most
@@ -29,7 +36,7 @@ type t = {
   mutable the_layer : Layer.t option;
   mutable next_seq : int;
   pending : pending Int_table.t;  (* by seq *)
-  src_ids : int String_table.t;  (* peer name -> small id, for [seen] *)
+  peers : peer String_table.t;  (* by name *)
   seen : unit Int_table.t;  (* dedup of (src, seq), keyed by [seen_key] *)
   mutable gave_up : int;
 }
@@ -89,32 +96,24 @@ let inspect data =
 
 let wrap_raw payload = wrap ~kind:kind_raw ~seq:0 payload
 
-(* What [Message.set_attr] applied to each of [attrs] in turn, then to
-   the destination, would leave on a fresh message. *)
-let wire_attrs ~dst attrs =
-  Message.with_attr
-    (List.fold_left Message.with_attr [] attrs)
-    (Pfi_netsim.Network.dst_attr, dst)
-
 let transmit t p =
-  Layer.send_down (layer t) (Message.create ~attrs:p.wire_attrs (Bytes.copy p.wire))
+  Layer.send_down (layer t) (Message.create ~attrs:p.attrs (Bytes.copy p.wire))
 
-let on_retry t seq =
-  match Int_table.find t.pending seq with
-  | exception Not_found -> ()
-  | p ->
-    if p.tries >= max_retries then begin
-      (* best effort exhausted: silently give up, like the original *)
-      Int_table.remove t.pending seq;
-      t.gave_up <- t.gave_up + 1;
-      Sim.record t.sim ~node:t.node ~tag:"rel.give-up"
-        (Printf.sprintf "seq=%d dst=%s" p.seq p.dst)
-    end
-    else begin
-      p.tries <- p.tries + 1;
-      transmit t p;
-      Timer.arm p.timer ~delay:retry_interval
-    end
+let arm_retry t p = p.retry_handle <- Sim.schedule t.sim ~delay:retry_interval p.retry
+
+let on_retry t p =
+  if p.tries >= max_retries then begin
+    (* best effort exhausted: silently give up, like the original *)
+    Int_table.remove t.pending p.seq;
+    t.gave_up <- t.gave_up + 1;
+    Sim.record t.sim ~node:t.node ~tag:"rel.give-up"
+      (Printf.sprintf "seq=%d dst=%s" p.seq p.dst)
+  end
+  else begin
+    p.tries <- p.tries + 1;
+    transmit t p;
+    arm_retry t p
+  end
 
 let is_reliable msg =
   match Message.find_attr msg reliable_attr with
@@ -138,27 +137,31 @@ let on_push t msg =
       { seq;
         dst;
         wire = wrap ~kind:kind_data ~seq (Message.payload msg);
-        wire_attrs = wire_attrs ~dst (Message.attrs msg);
-        timer = Timer.create t.sim ~callback:(fun () -> on_retry t seq);
+        attrs = Message.attrs msg;
+        retry_handle = Sim.null_handle;
+        retry = ignore;
         tries = 0 }
     in
+    p.retry <- (fun () -> on_retry t p);
     Int_table.replace t.pending seq p;
     transmit t p;
-    Timer.arm p.timer ~delay:retry_interval
+    arm_retry t p
   end
 
-(* (src, seq) folded into one int: a per-layer id for the peer name
-   above the 32-bit sequence number. *)
-let seen_key t src seq =
-  let id =
-    match String_table.find t.src_ids src with
-    | id -> id
-    | exception Not_found ->
-      let id = String_table.length t.src_ids in
-      String_table.add t.src_ids src id;
-      id
-  in
-  (id lsl 32) lor seq
+let peer t src =
+  match String_table.find t.peers src with
+  | peer -> peer
+  | exception Not_found ->
+    let peer =
+      { id = String_table.length t.peers;
+        ack_attrs = [ (Pfi_netsim.Network.dst_attr, src) ] }
+    in
+    String_table.add t.peers src peer;
+    peer
+
+(* (src, seq) folded into one int: the peer's id above the 32-bit
+   sequence number. *)
+let seen_key peer seq = (peer.id lsl 32) lor seq
 
 let on_pop t msg =
   let data = Message.payload msg in
@@ -171,7 +174,7 @@ let on_pop t msg =
     let seq = header_seq data in
     match Int_table.find t.pending seq with
     | p ->
-      Timer.disarm p.timer;
+      Sim.cancel t.sim p.retry_handle;
       Int_table.remove t.pending seq
     | exception Not_found -> ()
   end
@@ -182,11 +185,11 @@ let on_pop t msg =
       | s -> s
       | exception Not_found -> "?"
     in
+    let peer = peer t src in
     (* always (re-)acknowledge, deliver only the first copy *)
     Layer.send_down (layer t)
-      (Message.create ~attrs:[ (Pfi_netsim.Network.dst_attr, src) ]
-         (wrap ~kind:kind_ack ~seq Bytes.empty));
-    let key = seen_key t src seq in
+      (Message.create ~attrs:peer.ack_attrs (wrap ~kind:kind_ack ~seq Bytes.empty));
+    let key = seen_key peer seq in
     if not (Int_table.mem t.seen key) then begin
       Int_table.replace t.seen key ();
       Message.set_payload msg (inner data);
@@ -198,7 +201,7 @@ let on_pop t msg =
 let create ~sim ~node () =
   let t =
     { sim; node; the_layer = None; next_seq = 0;
-      pending = Int_table.create 32; src_ids = String_table.create 8;
+      pending = Int_table.create 32; peers = String_table.create 8;
       seen = Int_table.create 256; gave_up = 0 }
   in
   let l =

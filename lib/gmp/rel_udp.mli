@@ -23,7 +23,9 @@ val header_size : int
 type t
 
 val create : sim:Sim.t -> node:string -> unit -> t
-(** A reliable send is retransmitted every 500 ms, at most 3 times. *)
+(** A reliable send is retransmitted every 500 ms, at most 3 times.
+    Every copy carries the attribute list of the message pushed down,
+    and the send's ACK cancels its pending retransmission. *)
 
 val layer : t -> Pfi_stack.Layer.t
 (** Downward messages must carry {!Pfi_netsim.Network.dst_attr} and the

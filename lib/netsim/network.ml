@@ -10,10 +10,30 @@ type link_key = string * string
 (* the latency of every link without its own *)
 let default_latency = Vtime.ms 1
 
+(* One record per directed link that has carried a copy: what a
+   delivery needs, fixed for the record's lifetime, and the link's
+   in-flight copies in a ring, oldest first.  Every copy waits the same
+   [delay], so copies arrive in ring order, and two copies due at one
+   instant fire in transmit order; the one [deliver] callback each copy
+   schedules therefore pops the ring's head. *)
+type link = {
+  dst : string;
+  device : Layer.t;
+  delay : Vtime.t;
+  src_binding : string * string;  (* (net.src, the link's source) *)
+  mutable msgs : Message.t array;
+  mutable sent_ats : Vtime.t array;
+  mutable head : int;
+  mutable size : int;
+  mutable deliver : unit -> unit;
+}
+
 type t = {
   sim : Sim.t;
   rng : Rng.t;
   devices : Layer.t String_table.t;
+  links : link String_table.t String_table.t;
+      (* by source, then destination; [set_latency] retires a record *)
   latencies : (link_key, Vtime.t) Hashtbl.t;
   losses : (link_key, float) Hashtbl.t;
   blocked : (link_key, unit) Hashtbl.t;
@@ -28,6 +48,7 @@ let create sim =
   { sim;
     rng = Rng.split (Sim.rng sim);
     devices = String_table.create 16;
+    links = String_table.create 16;
     latencies = Hashtbl.create 16;
     losses = Hashtbl.create 16;
     blocked = Hashtbl.create 16;
@@ -42,7 +63,13 @@ let sim t = t.sim
 let nodes t =
   List.sort String.compare (String_table.fold (fun k _ acc -> k :: acc) t.devices [])
 
-let set_latency t ~src ~dst l = Hashtbl.replace t.latencies (src, dst) l
+(* Copies already in flight drain from the retired record, at the
+   latency they were sent with. *)
+let set_latency t ~src ~dst l =
+  Hashtbl.replace t.latencies (src, dst) l;
+  match String_table.find t.links src with
+  | links -> String_table.remove links dst
+  | exception Not_found -> ()
 let set_loss t ~src ~dst rate = Hashtbl.replace t.losses (src, dst) rate
 let block t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
 let unblock t ~src ~dst = Hashtbl.remove t.blocked (src, dst)
@@ -115,8 +142,69 @@ let drop ?sent_at t ~src ~dst msg =
   let sent_at = match sent_at with Some time -> time | None -> Sim.now t.sim in
   msc_record t ~time:sent_at ~src ~dst ~arrival:None msg
 
-(* Transmit one copy of [msg] from [src] to the single node [dst]. *)
-let transmit t ~src ~dst msg =
+(* a popped ring slot holds this, so it keeps no message alive *)
+let vacant = Message.create Bytes.empty
+
+let deliver t l =
+  let i = l.head in
+  let msg = l.msgs.(i) and sent_at = l.sent_ats.(i) in
+  l.msgs.(i) <- vacant;
+  l.head <- (if i + 1 = Array.length l.msgs then 0 else i + 1);
+  l.size <- l.size - 1;
+  let src = snd l.src_binding and dst = l.dst in
+  (* the destination may have been unplugged in flight; the MSC entry
+     is only recorded here, once the outcome is known, so dropped
+     deliveries never render an arrow *)
+  if is_unplugged t dst then drop t ~sent_at ~src ~dst msg
+  else begin
+    t.delivered <- t.delivered + 1;
+    if Sim.want_labels t.sim then
+      msc_record t ~time:sent_at ~src ~dst
+        ~arrival:(Some (Vtime.add sent_at l.delay)) msg;
+    Message.set_binding msg l.src_binding;
+    Layer.deliver_up l.device msg
+  end
+
+let new_link t ~src ~dst device =
+  let l =
+    { dst;
+      device;
+      delay = latency t ~src ~dst;
+      src_binding = (src_attr, src);
+      msgs = [| vacant |];
+      sent_ats = [| Vtime.zero |];
+      head = 0;
+      size = 0;
+      deliver = ignore }
+  in
+  l.deliver <- (fun () -> deliver t l);
+  l
+
+(* Doubles a full ring, unrolling it to start at slot 0. *)
+let grow l =
+  let n = Array.length l.msgs in
+  let msgs = Array.make (2 * n) vacant and sent_ats = Array.make (2 * n) Vtime.zero in
+  let first = n - l.head in
+  Array.blit l.msgs l.head msgs 0 first;
+  Array.blit l.msgs 0 msgs first l.head;
+  Array.blit l.sent_ats l.head sent_ats 0 first;
+  Array.blit l.sent_ats 0 sent_ats first l.head;
+  l.msgs <- msgs;
+  l.sent_ats <- sent_ats;
+  l.head <- 0
+
+let send_on t l msg =
+  if l.size = Array.length l.msgs then grow l;
+  let n = Array.length l.msgs and i = l.head + l.size in
+  let i = if i >= n then i - n else i in
+  l.msgs.(i) <- msg;
+  l.sent_ats.(i) <- Sim.now t.sim;
+  l.size <- l.size + 1;
+  ignore (Sim.schedule t.sim ~delay:l.delay l.deliver)
+
+(* Transmit one copy of [msg] from [src] to the single node [dst];
+   [links] is [src]'s link records, by destination. *)
+let transmit t links ~src ~dst msg =
   t.sent <- t.sent + 1;
   if is_unplugged t src || is_unplugged t dst then drop t ~src ~dst msg
   else if Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (src, dst) then drop t ~src ~dst msg
@@ -129,29 +217,22 @@ let transmit t ~src ~dst msg =
     in
     if lossy then drop t ~src ~dst msg
     else
-      match String_table.find t.devices dst with
-      | exception Not_found -> drop t ~src ~dst msg
-      | device ->
-        let delay = latency t ~src ~dst in
-        let sent_at = Sim.now t.sim in
-        let arrival = Vtime.add sent_at delay in
-        ignore
-          (Sim.schedule t.sim ~delay (fun () ->
-               (* the destination may have been unplugged in flight; the
-                  MSC entry is only recorded here, once the outcome is
-                  known, so dropped deliveries never render an arrow *)
-               if is_unplugged t dst then drop t ~sent_at ~src ~dst msg
-               else begin
-                 t.delivered <- t.delivered + 1;
-                 msc_record t ~time:sent_at ~src ~dst ~arrival:(Some arrival) msg;
-                 Message.set_attr msg src_attr src;
-                 Layer.deliver_up device msg
-               end))
+      match String_table.find links dst with
+      | l -> send_on t l msg
+      | exception Not_found ->
+        match String_table.find t.devices dst with
+        | exception Not_found -> drop t ~src ~dst msg
+        | device ->
+          let l = new_link t ~src ~dst device in
+          String_table.replace links dst l;
+          send_on t l msg
   end
 
 let attach t ~node =
   if String_table.mem t.devices node then
     failwith (Printf.sprintf "network: node %s already attached" node);
+  let links = String_table.create 8 in
+  String_table.replace t.links node links;
   let device =
     Layer.create ~name:"device" ~node
       { on_push =
@@ -165,9 +246,9 @@ let attach t ~node =
               List.iter
                 (fun peer ->
                   if not (String.equal peer node) then
-                    transmit t ~src:node ~dst:peer (Message.copy msg))
+                    transmit t links ~src:node ~dst:peer (Message.copy msg))
                 (nodes t)
-            else transmit t ~src:node ~dst msg);
+            else transmit t links ~src:node ~dst msg);
         on_pop = (fun _ _ -> failwith "network device layer: nothing below") }
   in
   String_table.replace t.devices node device;

@@ -40,6 +40,10 @@ val broadcast : string
 (** {1 Link properties} *)
 
 val set_latency : t -> src:string -> dst:string -> Pfi_engine.Vtime.t -> unit
+(** Applies to copies sent afterwards: a copy already in flight
+    arrives at the latency it was sent with.  Copies due at the same
+    instant arrive in the order they were sent, over one link or
+    several. *)
 
 val set_loss : t -> src:string -> dst:string -> float -> unit
 (** Probabilistic loss rate in [0, 1] for the directed link. *)

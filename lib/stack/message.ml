@@ -48,13 +48,12 @@ let get_attr t key = match assoc key t.attrs with v -> Some v | exception Not_fo
 let find_attr t key = assoc key t.attrs
 
 (* [remove] copies the list even when the key is absent, which is the
-   common case on the per-message path (a fresh wire message gaining its
-   destination, a delivery gaining its source), so the copy is made only
-   when there is something to remove. *)
-let with_attr attrs ((key, _) as kv) =
-  kv :: (if mem key attrs then remove key attrs else attrs)
+   common case on the per-message path (a delivery gaining its source),
+   so the copy is made only when there is something to remove. *)
+let set_binding t ((key, _) as kv) =
+  t.attrs <- kv :: (if mem key t.attrs then remove key t.attrs else t.attrs)
 
-let set_attr t key value = t.attrs <- with_attr t.attrs (key, value)
+let set_attr t key value = set_binding t (key, value)
 
 let remove_attr t key = t.attrs <- remove key t.attrs
 

@@ -41,12 +41,10 @@ val set_attr : t -> string -> string -> unit
 val remove_attr : t -> string -> unit
 val attrs : t -> (string * string) list
 
-val with_attr : (string * string) list -> string * string -> (string * string) list
-(** [with_attr attrs (key, value)] is the attribute list {!set_attr}
-    would leave on a message carrying [attrs]: the pair itself in front
-    of [attrs] without its previous binding of [key].  Lets a layer
-    build a list once and hand it to {!create} for every copy it
-    sends. *)
+val set_binding : t -> string * string -> unit
+(** [set_binding t (key, value)] is [set_attr t key value] keeping the
+    pair itself: a layer that stamps one binding on every message it
+    handles builds the pair once. *)
 
 (** {1 Fault-injection helpers} *)
 

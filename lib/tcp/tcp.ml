@@ -121,8 +121,7 @@ let emit c seg =
   let t = c.tcp in
   (* per-segment = the hot path: defer the describe cost until the
      entry is read, and only decorate for an attached MSC renderer *)
-  Sim.record_lazy t.sim ~node:t.node_name ~tag:"tcp.out"
-    (lazy (Segment.describe seg));
+  Sim.record_with t.sim ~node:t.node_name ~tag:"tcp.out" Segment.describe seg;
   let msg = Segment.to_message seg ~dst:c.remote_node in
   if Sim.want_labels t.sim then
     Message.set_attr msg "msc.label" (Segment.describe seg);

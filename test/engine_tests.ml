@@ -546,8 +546,8 @@ let test_trace_clear_releases_entries () =
     collected_after_clear
       ~hold:(fun v ->
         Trace.record tr ~time:Vtime.zero ~node:"n" ~tag:"before" "x";
-        Trace.record_lazy tr ~time:Vtime.zero ~node:"n" ~tag:"t"
-          (lazy (string_of_int (Bytes.length v))))
+        Trace.record_with tr ~time:Vtime.zero ~node:"n" ~tag:"t"
+          (fun v -> string_of_int (Bytes.length v)) v)
       ~clear:(fun () -> Trace.clear tr)
   in
   Alcotest.(check bool) "held before the clear" true held;
@@ -563,8 +563,8 @@ let test_counting_trace () =
   let forced = ref false in
   let record tr =
     Trace.record tr ~time:(Vtime.sec 1) ~node:"a" ~tag:"x" "one";
-    Trace.record_lazy tr ~time:(Vtime.sec 2) ~node:"b" ~tag:"y"
-      (lazy (forced := true; "two"));
+    Trace.record_with tr ~time:(Vtime.sec 2) ~node:"b" ~tag:"y"
+      (fun s -> forced := true; s) "two";
     Trace.record tr ~time:(Vtime.sec 3) ~node:"a" ~tag:"y" "three"
   in
   let stored = Trace.create () and counting = Trace.create_counting () in
@@ -606,6 +606,39 @@ let test_counting_trace () =
   Alcotest.(check bool) "feed collected after the clear" false after;
   (* the trace itself stayed reachable throughout *)
   Alcotest.(check int) "cleared" 0 (Trace.length counting)
+
+(* [record_with] builds its deferred detail only with an entry, and
+   renders it only when it is read: a counting trace with no feed on
+   the pair counts the entry without calling [render] or allocating,
+   and a storing trace reads back the detail [render x] gives, as
+   [record] would have stored it. *)
+let test_record_with () =
+  let calls = ref 0 in
+  let render n = incr calls; Printf.sprintf "n=%d" n in
+  let counting = Trace.create_counting () in
+  Trace.attach counting ~tags:(Some [ "other" ]) (fun _ _ -> ());
+  let round () =
+    for i = 1 to 1_000 do
+      Trace.record_with counting ~time:(Vtime.us i) ~node:"a" ~tag:"t" render i
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "counted" 2_000 (Trace.count ~tag:"t" counting);
+  Alcotest.(check int) "render never called" 0 !calls;
+  Alcotest.(check (float 0.)) "minor words" 0. words;
+  let lazily = Trace.create () and eagerly = Trace.create () in
+  List.iter
+    (fun i ->
+      Trace.record_with lazily ~time:(Vtime.us i) ~node:"a" ~tag:"t" render i;
+      Trace.record eagerly ~time:(Vtime.us i) ~node:"a" ~tag:"t" (Printf.sprintf "n=%d" i))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "not rendered until read" 0 !calls;
+  Alcotest.(check string) "same export as record" (Trace_lists.jsonl eagerly)
+    (Trace_lists.jsonl lazily);
+  Alcotest.(check int) "rendered once per entry" 3 !calls
 
 let test_queue_clear_releases_entries () =
   List.iter
@@ -669,5 +702,6 @@ let suite =
     Alcotest.test_case "trace clear releases entries" `Quick test_trace_clear_releases_entries;
     Alcotest.test_case "counting trace counts, feeds and refuses reads" `Quick
       test_counting_trace;
+    Alcotest.test_case "record_with renders only read details" `Quick test_record_with;
     QCheck_alcotest.to_alcotest prop_trace_index_matches_scan;
   ]

@@ -88,6 +88,16 @@ let test_rel_basic () =
     [ "reliable hello"; "raw hello" ] (rel_received b);
   Alcotest.(check int) "nothing pending" 0 (Rel_udp.pending_count a.rel)
 
+(* An ACK cancels its send's retransmission outright: a run without a
+   horizon drains at the ACK's arrival, with no retry left queued. *)
+let test_rel_ack_cancels_retry () =
+  let sim, _net, a, b = rel_setup () in
+  rel_send a ~dst:"b" "once";
+  Sim.run sim;
+  Alcotest.(check (list string)) "delivered" [ "once" ] (rel_received b);
+  Alcotest.(check int) "ends at the ACK's arrival" (Vtime.ms 2) (Sim.now sim);
+  Alcotest.(check int) "nothing pending" 0 (Rel_udp.pending_count a.rel)
+
 let test_rel_retransmits_through_loss () =
   let sim, net, a, b = rel_setup () in
   (* block the forward path briefly: the retry must get through *)
@@ -406,10 +416,10 @@ let test_gmp_stub_generate () =
    runs twice: capturing its trace, as [--trace-out] does, and as a
    plain campaign trial does, counting entries without storing them
    while gmp's monitors decide the verdict.  Each ceiling is 10% above
-   the words/event measured in the dev profile (captured 86.6, lean
-   83.6; the release profile allocates about 4% less). *)
-let storm_words_per_event_ceiling = 95.2
-let lean_storm_words_per_event_ceiling = 91.9
+   the words/event measured in the dev profile (captured 47.9, lean
+   41.4; the release profile allocates about 4 words/event less). *)
+let storm_words_per_event_ceiling = 52.7
+let lean_storm_words_per_event_ceiling = 45.5
 
 (* the verdict both runs must reach, byte for byte: the recording index
    a counting trace cites is the one the stored trace holds *)
@@ -473,6 +483,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
     Alcotest.test_case "rel basic" `Quick test_rel_basic;
+    Alcotest.test_case "rel ACK cancels the retry" `Quick test_rel_ack_cancels_retry;
     Alcotest.test_case "rel retransmits" `Quick test_rel_retransmits_through_loss;
     Alcotest.test_case "rel dedups" `Quick test_rel_dedups;
     Alcotest.test_case "rel gives up" `Quick test_rel_gives_up;

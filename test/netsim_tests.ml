@@ -42,6 +42,41 @@ let test_latency () =
   Sim.run sim;
   Alcotest.(check bool) "arrives at 250ms" true (Vtime.equal !arrival (Vtime.ms 250))
 
+(* Arrivals at [dst], as (text, time). *)
+let arrivals sim ep =
+  let got = ref [] in
+  Driver.set_on_receive ep.driver (fun m -> got := (Message.to_string m, Sim.now sim) :: !got);
+  fun () -> List.rev !got
+
+let check_arrivals = Alcotest.(check (list (pair string int)))
+
+(* A latency change applies to copies sent after it: a copy already in
+   flight keeps the latency it was sent with, even when a later copy
+   on the same link overtakes it. *)
+let test_latency_change_in_flight () =
+  let sim, net, ep = setup () in
+  let got = arrivals sim (ep "b") in
+  Network.set_latency net ~src:"a" ~dst:"b" (Vtime.ms 100);
+  send (ep "a") ~dst:"b" "m1";
+  ignore
+    (Sim.schedule sim ~delay:(Vtime.ms 10) (fun () ->
+         Network.set_latency net ~src:"a" ~dst:"b" (Vtime.ms 20);
+         send (ep "a") ~dst:"b" "m2"));
+  Sim.run sim;
+  check_arrivals "m2 overtakes m1" [ ("m2", Vtime.ms 30); ("m1", Vtime.ms 100) ] (got ())
+
+(* Copies due at one instant over two links into one node arrive in
+   the order they were transmitted, interleaved across the links. *)
+let test_same_instant_links () =
+  let sim, _net, ep = setup () in
+  let got = arrivals sim (ep "c") in
+  List.iter (fun (src, text) -> send (ep src) ~dst:"c" text)
+    [ ("a", "a1"); ("b", "b1"); ("a", "a2"); ("b", "b2"); ("b", "b3"); ("a", "a3") ];
+  Sim.run sim;
+  check_arrivals "transmit order"
+    (List.map (fun text -> (text, Vtime.ms 1)) [ "a1"; "b1"; "a2"; "b2"; "b3"; "a3" ])
+    (got ())
+
 let test_fifo_order () =
   let sim, _net, ep = setup () in
   for i = 1 to 10 do
@@ -201,6 +236,9 @@ let suite =
   [
     Alcotest.test_case "basic delivery" `Quick test_basic_delivery;
     Alcotest.test_case "latency" `Quick test_latency;
+    Alcotest.test_case "latency change keeps in-flight copies" `Quick
+      test_latency_change_in_flight;
+    Alcotest.test_case "same-instant arrivals over two links" `Quick test_same_instant_links;
     Alcotest.test_case "fifo order" `Quick test_fifo_order;
     Alcotest.test_case "src attr stamped" `Quick test_src_attr_stamped;
     Alcotest.test_case "broadcast" `Quick test_broadcast;

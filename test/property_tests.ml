@@ -438,6 +438,140 @@ let prop_event_queue_model =
     interpret
 
 (* ------------------------------------------------------------------ *)
+(* Network deliveries vs a model                                      *)
+(* ------------------------------------------------------------------ *)
+
+type net_op =
+  | Send of int * int  (* src, dst *)
+  | Latency of int * int * Vtime.t
+  | Unplug of int
+  | Replug of int
+
+(* Each op with its instant.  Sends happen at even milliseconds and
+   every latency is even (links start at 2 ms), so arrivals land on
+   even milliseconds too, while latency changes, unplugs and replugs
+   happen at odd ones: no arrival shares an instant with them. *)
+let net_ops_gen =
+  QCheck.Gen.(
+    list_size (int_bound 40)
+      (map2
+         (fun k op ->
+           match op with
+           | Send _ -> (Vtime.ms (2 * k), op)
+           | _ -> (Vtime.ms ((2 * k) + 1), op))
+         (int_bound 20)
+         (frequency
+            [ (6, map2 (fun s d -> Send (s, d)) (int_bound 2) (int_bound 2));
+              ( 2,
+                map3 (fun s d l -> Latency (s, d, Vtime.ms (2 * l)))
+                  (int_bound 2) (int_bound 2) (int_bound 10) );
+              (1, map (fun n -> Unplug n) (int_bound 2));
+              (1, map (fun n -> Replug n) (int_bound 2)) ])))
+
+let net_nodes = [| "a"; "b"; "c" |]
+
+let print_net_op (time, op) =
+  let at = Vtime.to_string time in
+  match op with
+  | Send (s, d) -> Printf.sprintf "%s send %d->%d" at s d
+  | Latency (s, d, l) -> Printf.sprintf "%s latency %d->%d %s" at s d (Vtime.to_string l)
+  | Unplug n -> Printf.sprintf "%s unplug %d" at n
+  | Replug n -> Printf.sprintf "%s replug %d" at n
+
+(* The network: the ops, scheduled in list order, over three nodes;
+   each copy's payload is its op's index. *)
+let net_run ops =
+  let sim = Sim.create () in
+  let net = Network.create sim in
+  let got = ref [] in
+  let drivers =
+    Array.map
+      (fun dst ->
+        let driver = Driver.create ~node:dst () in
+        Layer.stack [ Driver.layer driver; Network.attach net ~node:dst ];
+        Driver.set_on_receive driver (fun m ->
+            let src = Option.get (Message.get_attr m Network.src_attr) in
+            got := (Sim.now sim, src, dst, Message.to_string m) :: !got);
+        driver)
+      net_nodes
+  in
+  Array.iter
+    (fun src ->
+      Array.iter (fun dst -> Network.set_latency net ~src ~dst (Vtime.ms 2)) net_nodes)
+    net_nodes;
+  List.iteri
+    (fun i (time, op) ->
+      ignore
+        (Sim.schedule_at sim ~time (fun () ->
+             match op with
+             | Send (s, d) ->
+               let msg = Message.of_string (string_of_int i) in
+               Message.set_attr msg Network.dst_attr net_nodes.(d);
+               Driver.send drivers.(s) msg
+             | Latency (s, d, l) ->
+               Network.set_latency net ~src:net_nodes.(s) ~dst:net_nodes.(d) l
+             | Unplug n -> Network.unplug net net_nodes.(n)
+             | Replug n -> Network.replug net net_nodes.(n))))
+    ops;
+  Sim.run sim;
+  (List.rev !got, Network.dropped_count net)
+
+(* The model: a copy arrives at its send time plus the latency in force
+   when it was sent, copies due at one instant arrive in transmit
+   order, and a copy is dropped when its source or destination is
+   unplugged at its send, or its destination at its arrival. *)
+let net_model ops =
+  (* the sim fires ops due at one instant in scheduling (list) order *)
+  let ops =
+    List.stable_sort
+      (fun (t1, _) (t2, _) -> Vtime.compare t1 t2)
+      (List.mapi (fun i (time, op) -> (time, (i, op))) ops)
+  in
+  let unplugged_at n time =
+    List.fold_left
+      (fun down (t, (_, op)) ->
+        if Vtime.compare t time >= 0 then down
+        else match op with
+          | Unplug m when m = n -> true
+          | Replug m when m = n -> false
+          | _ -> down)
+      false ops
+  in
+  let latency = Hashtbl.create 9 and dropped = ref 0 and sent = ref [] in
+  List.iter
+    (fun (time, (i, op)) ->
+      match op with
+      | Send (s, d) ->
+        if unplugged_at s time || unplugged_at d time then incr dropped
+        else begin
+          let l = Option.value (Hashtbl.find_opt latency (s, d)) ~default:(Vtime.ms 2) in
+          sent := (Vtime.add time l, s, d, i) :: !sent
+        end
+      | Latency (s, d, l) -> Hashtbl.replace latency (s, d) l
+      | Unplug _ | Replug _ -> ())
+    ops;
+  (* [!sent] is in transmit order once reversed; the sort is stable *)
+  let arriving =
+    List.stable_sort (fun (t1, _, _, _) (t2, _, _, _) -> Vtime.compare t1 t2) (List.rev !sent)
+  in
+  let delivered =
+    List.filter_map
+      (fun (time, s, d, i) ->
+        if unplugged_at d time then (incr dropped; None)
+        else Some (time, net_nodes.(s), net_nodes.(d), string_of_int i))
+      arriving
+  in
+  (delivered, !dropped)
+
+let prop_network_model =
+  QCheck.Test.make ~name:"network deliveries and drops match a latency model"
+    ~count:500 ~long_factor:20
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map print_net_op ops))
+       net_ops_gen)
+    (fun ops -> net_run ops = net_model ops)
+
+(* ------------------------------------------------------------------ *)
 (* Rng.int uniformity                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -973,8 +1107,8 @@ let mon_record tr entries =
          let time = Vtime.add time (Vtime.sec dt) in
          let detail = mon_details.(di) in
          let fields = match bit with Some b -> [ ("bit", string_of_int b) ] | None -> [] in
-         Trace.record_lazy ~fields tr ~time ~node:mon_nodes.(ni mod 3) ~tag:mon_tags.(ti)
-           (lazy (incr mon_forced; detail));
+         Trace.record_with ~fields tr ~time ~node:mon_nodes.(ni mod 3) ~tag:mon_tags.(ti)
+           (fun detail -> incr mon_forced; detail) detail;
          time)
        Vtime.zero entries)
 
@@ -1075,6 +1209,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gmp_agreement;
     QCheck_alcotest.to_alcotest prop_abp_integrity;
     QCheck_alcotest.to_alcotest prop_event_queue_model;
+    QCheck_alcotest.to_alcotest prop_network_model;
     QCheck_alcotest.to_alcotest prop_rng_int_uniform;
     QCheck_alcotest.to_alcotest prop_trace_clear_reuse;
     QCheck_alcotest.to_alcotest prop_encoders_match_reference;
