@@ -6,11 +6,12 @@
    - `pfi-run msc`                 the paper's Section 4.1 ladder diagram
    - `pfi-run campaign <target>`   generated fault campaigns
                                    (abp | abp-buggy | gmp | gmp-buggy);
-                                   --repro-dir writes an artifact per violation,
-                                   --jobs N runs trials on N domains
-   - `pfi-run shrink <file>`       minimize a violating repro artifact
-   - `pfi-run replay <file>`       deterministically re-execute an artifact
+                                   --repro-dir writes a .pfis repro per
+                                   violation, --jobs N runs trials on N
+                                   domains
+   - `pfi-run shrink <file>`       minimize a violating .pfis repro
    - `pfi-run check <file>...`     run *.pfis scenario conformance scripts
+                                   and repros
                                    (--jobs N runs scenarios on N domains;
                                    output is byte-identical for any N);
                                    --manifest runs a generated corpus and
@@ -50,10 +51,10 @@ module Copts = struct
       doc =
         "Root RNG seed.  For $(b,campaign) and $(b,matrix) this is the \
          campaign seed per-trial and per-row seeds are derived from; for \
-         $(b,replay) and $(b,shrink) it overrides the artifact's recorded \
-         seed; for $(b,check) it overrides each scenario's seed; for \
-         $(b,fuzz) it seeds the fuzzer; for $(b,repl) it seeds the \
-         REPL's simulator." }
+         $(b,shrink) it is the campaign seed every shrink trial's seed \
+         derives from (default: the harness's, as for $(b,campaign)); for \
+         $(b,check) it overrides each scenario's seed; for $(b,fuzz) it \
+         seeds the fuzzer; for $(b,repl) it seeds the REPL's simulator." }
 
   let trace_out =
     { flag = "trace-out";
@@ -80,17 +81,17 @@ module Copts = struct
     { flag = "repro-dir";
       docv = "DIR";
       doc =
-        "Write one JSON repro artifact per violating trial into $(docv) \
-         (created if missing).  Each artifact is self-contained: `pfi_run \
-         replay` re-executes it deterministically and `pfi_run shrink` \
-         minimizes it." }
+        "Write one .pfis repro scenario per violating trial into $(docv) \
+         (created if missing).  Each is self-contained: `pfi_run check` \
+         replays it deterministically, as an expected failure with its \
+         recorded reason, and `pfi_run shrink` minimizes it." }
 
   let output =
     { flag = "output";
       docv = "OUT";
       doc =
-        "Output path: the minimized artifact for $(b,shrink), the corpus \
-         directory for $(b,gen)." }
+        "Output path: the minimized .pfis repro for $(b,shrink), the \
+         corpus directory for $(b,gen)." }
 
   let max_trials =
     { flag = "max-trials";
@@ -128,9 +129,10 @@ module Copts = struct
       docv = "DIR";
       doc =
         "Write the fuzzing outputs into $(docv) (created if missing): \
-         findings.jsonl (the deduplicated findings stream), one replayable \
-         repro artifact per minimized finding, and corpus.txt listing \
-         every coverage-increasing input in discovery order." }
+         findings.jsonl (the deduplicated findings stream), one .pfis \
+         repro scenario per finding that `pfi_run check` replays, and \
+         corpus.txt listing every coverage-increasing input in discovery \
+         order." }
 
   let stats =
     { flag = "stats";
@@ -172,10 +174,8 @@ module Copts = struct
        [ trace_out; json ]);
       ("campaign", "TARGET", "Run a generated fault-injection campaign.",
        [ seed; trace_out; json; jobs; repro_dir; stats ]);
-      ("shrink", "FILE", "Minimize a violating repro artifact.",
+      ("shrink", "FILE", "Minimize a violating .pfis repro.",
        [ seed; trace_out; json; jobs; output; max_trials ]);
-      ("replay", "FILE", "Deterministically re-execute a repro artifact.",
-       [ seed; trace_out; json ]);
       ("check", "FILE...",
        "Run packetdrill-style scenario conformance scripts (*.pfis).",
        [ seed; trace_out; json; jobs; manifest ]);
@@ -476,7 +476,7 @@ let msc_cmd =
     Term.(const msc $ Copts.trace_out_term $ Copts.json_term)
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injection campaigns, repro artifacts, shrinking and replay   *)
+(* Fault-injection campaigns, repros and shrinking                    *)
 (* ------------------------------------------------------------------ *)
 
 let registry_entry which : (module Pfi_testgen.Harness_intf.HARNESS) =
@@ -504,7 +504,7 @@ let verdict_json = function
 let outcome_json (o : Pfi_testgen.Campaign.outcome) =
   let open Pfi_testgen in
   Json.Obj
-    [ ("fault", Repro.fault_to_json o.Campaign.fault);
+    [ ("fault", Generator.fault_to_json o.Campaign.fault);
       ("desc", json_str (Generator.describe o.Campaign.fault));
       ("side", json_str (Campaign.side_name o.Campaign.side));
       ("seed", json_str (Int64.to_string o.Campaign.seed));
@@ -573,11 +573,25 @@ let print_exec_stats (st : Pfi_testgen.Executor.stats) ~alloc_words ~trials
     (if trials > 0 then alloc_words /. float_of_int trials else 0.)
     arena_trials
 
+(* a repro per violation: DIR/<stem>.pfis, its stem its scenario name,
+   and the path printed *)
+let save_repros ~json ~dir ~verb ~seed repros =
+  mkdir_p dir;
+  List.iteri
+    (fun i (side, fault, injected_events, scenario) ->
+      let name = Pfi_testgen.Scenario.repro_stem ~index:(i + 1) side fault in
+      let path = Filename.concat dir (name ^ ".pfis") in
+      Pfi_testgen.Scenario.save_repro path ~verb ~seed ~injected_events
+        (scenario ~name);
+      if json then json_print (Pfi_testgen.Json.Obj [ ("repro", json_str path) ])
+      else Printf.printf "repro artifact: %s\n" path)
+    repros
+
 (* fault-injection campaigns from generated scripts; every violation
-   can be written out as a self-contained, replayable repro artifact.
-   Trials run through Executor.of_jobs: outcomes (and hence the summary,
-   the JSONL trace export, and the artifacts) come back in canonical
-   plan order for any worker count. *)
+   can be written out as a self-contained .pfis repro that `check`
+   replays.  Trials run through Executor.of_jobs: outcomes (and hence
+   the summary, the JSONL trace export, and the repros) come back in
+   canonical plan order for any worker count. *)
 let campaign which trace_out repro_dir seed jobs json stats =
   let open Pfi_testgen in
   let (module H : Harness_intf.HARNESS) = registry_entry which in
@@ -633,32 +647,31 @@ let campaign which trace_out repro_dir seed jobs json stats =
     (match repro_dir with
      | None -> ()
      | Some dir ->
-       mkdir_p dir;
-       let bad = Campaign.violations outcomes in
-       List.iteri
-         (fun i outcome ->
-           let artifact =
-             Repro.of_outcome ~harness:H.name ~protocol:H.spec.Spec.protocol
-               ~target:H.target ~horizon:H.default_horizon ~campaign_seed
-               outcome
-           in
-           let path =
-             Filename.concat dir (Repro.filename ~index:(i + 1) artifact)
-           in
-           Repro.save path artifact;
-           if json then
-             json_print (Json.Obj [ ("repro", json_str path) ])
-           else Printf.printf "repro artifact: %s\n" path)
-         bad;
+       let bad =
+         List.filter_map
+           (fun (o : Campaign.outcome) ->
+             match o.verdict with
+             | Campaign.Tolerated -> None
+             | Campaign.Violation reason ->
+               Some
+                 ( o.side,
+                   o.fault,
+                   o.injected_events,
+                   fun ~name ->
+                     Scenario.repro ~name ~harness:H.name ~seed:o.seed
+                       ~horizon:H.default_horizon ~side:o.side ~reason [ o.fault ] ))
+           outcomes
+       in
+       save_repros ~json ~dir ~verb:"campaign" ~seed:campaign_seed bad;
        if bad = [] && not json then
          Printf.printf "no violations — no repro artifacts written\n")
 
 let campaign_cmd =
   let doc =
     "Run a generated fault-injection campaign (abp | abp-buggy | gmp | \
-     gmp-buggy), optionally writing a replayable repro artifact per \
-     violation.  With $(b,--jobs) N the independent trials execute on N \
-     domains; summaries, traces and artifacts are byte-identical for any N."
+     gmp-buggy), optionally writing a .pfis repro per violation.  With \
+     $(b,--jobs) N the independent trials execute on N domains; summaries, \
+     traces and repros are byte-identical for any N."
   in
   let which = Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET") in
   Cmd.v (Cmd.info "campaign" ~doc)
@@ -667,130 +680,69 @@ let campaign_cmd =
       $ Copts.seed_term $ Copts.jobs_term $ Copts.json_term
       $ Copts.stats_term)
 
-let load_artifact file =
-  match Pfi_testgen.Repro.load file with
-  | Ok artifact -> artifact
-  | Error reason ->
-    Printf.eprintf "cannot load repro artifact %s: %s\n" file reason;
-    exit 1
-
-let pp_verdict = function
-  | Pfi_testgen.Campaign.Tolerated -> "tolerated"
-  | Pfi_testgen.Campaign.Violation reason -> "VIOLATION: " ^ reason
-
-(* deterministic re-execution of a recorded trial: rebuild the recorded
-   harness with the recorded seed, install the recorded script bytes,
-   run to the recorded horizon, and require the recorded verdict.
-   --seed swaps in another per-trial seed (a quick seed-robustness
-   probe); a changed verdict then still exits 1. *)
-let replay file trace_out seed json =
-  let open Pfi_testgen in
-  let artifact = load_artifact file in
-  let (module H : Harness_intf.HARNESS) =
-    registry_entry artifact.Repro.harness
-  in
-  let seed = Option.value seed ~default:artifact.Repro.seed in
-  let export_traces = trace_sink trace_out in
-  let outcome =
-    Campaign.run_trial ~capture_trace:(trace_out <> None)
-      (module H : Harness_intf.HARNESS)
-      ~horizon:artifact.Repro.horizon
-      (Campaign.trial
-         ~script:(Pfi_script.Interp.compile artifact.Repro.script)
-         ~seed ~side:artifact.Repro.side artifact.Repro.fault)
-  in
-  export_traces (fun write ->
-      Option.iter
-        (write [ ("replay", Filename.basename file); ("sim", "0") ])
-        outcome.Campaign.trace);
-  let reproduced = outcome.Campaign.verdict = artifact.Repro.verdict in
-  if json then
-    json_print
-      (Json.Obj
-         [ ("file", json_str file);
-           ("harness", json_str artifact.Repro.harness);
-           ("fault", Repro.fault_to_json artifact.Repro.fault);
-           ("side", json_str (Campaign.side_name artifact.Repro.side));
-           ("seed", json_str (Int64.to_string seed));
-           ("recorded", verdict_json artifact.Repro.verdict);
-           ("observed", verdict_json outcome.Campaign.verdict);
-           ("reproduced", Json.Bool reproduced) ])
-  else begin
-    Printf.printf "replay %s\n  harness:  %s\n  fault:    %s\n  side:     %s\n"
-      file artifact.Repro.harness
-      (Generator.describe artifact.Repro.fault)
-      (Campaign.side_name artifact.Repro.side);
-    Printf.printf "  recorded: %s\n  observed: %s\n"
-      (pp_verdict artifact.Repro.verdict)
-      (pp_verdict outcome.Campaign.verdict);
-    if reproduced then print_endline "  verdict reproduced"
-    else print_endline "  VERDICT MISMATCH — the trial did not reproduce"
-  end;
-  if not reproduced then exit 1
-
-let replay_cmd =
-  let doc =
-    "Deterministically re-execute a repro artifact and check that the \
-     recorded verdict reproduces (exit 1 on mismatch)."
-  in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  Cmd.v (Cmd.info "replay" ~doc)
-    Term.(
-      const replay $ file $ Copts.trace_out_term $ Copts.seed_term
-      $ Copts.json_term)
-
 (* delta-debug a recorded violation down its parameter lattice and
-   write the minimized trial as a fresh artifact; --jobs evaluates the
+   write the minimized trial as a fresh repro; --jobs evaluates the
    independent candidates of each descent round in parallel *)
 let shrink file out max_trials seed jobs trace_out json =
   let open Pfi_testgen in
-  let artifact = load_artifact file in
-  (* shrinking minimizes [fault] and runs each candidate's generated
-     filter, so an artifact whose script is anything else would shrink
-     into trials that do not reproduce it *)
-  if artifact.Repro.script <> Generator.script_of_fault artifact.Repro.fault then begin
-    Printf.eprintf
-      "cannot shrink %s: its script is not the generated filter of its fault\n" file;
+  let refuse reason =
+    Printf.eprintf "cannot shrink %s\n" reason;
     exit 1
-  end;
-  let (module H : Harness_intf.HARNESS) =
-    registry_entry artifact.Repro.harness
   in
-  let campaign_seed = Option.value seed ~default:artifact.Repro.campaign_seed in
+  let sc =
+    try Scenario.load ~single_fault:true file with
+    | Scenario.Parse_error e -> refuse (Scenario.error_message ~file e)
+    | Sys_error m -> refuse m
+  in
+  let (module H : Harness_intf.HARNESS) = registry_entry sc.Scenario.sc_harness in
+  let side, fault = List.hd sc.Scenario.sc_faults in
+  let campaign_seed = Option.value seed ~default:H.default_seed in
+  let horizon = Option.value sc.Scenario.sc_horizon ~default:H.default_horizon in
+  (* every shrink trial is seeded from the campaign seed, so the file's
+     own trial must be the one that seed derives *)
+  let derived = Campaign.trial_seed ~campaign_seed ~side fault in
+  if sc.Scenario.sc_seed <> Some derived then
+    refuse
+      (Printf.sprintf
+         "%s: its seed is not %Ld, the trial seed --seed %Ld derives for its \
+          fault and side; pass the campaign seed it was recorded with as --seed"
+         file derived campaign_seed);
   let executor = Executor.of_jobs jobs in
   let export_traces = trace_sink trace_out in
   (* every candidate runs as the stock single-fault trial, to the
-     artifact's horizon *)
+     file's horizon *)
   let run ?capture_trace st =
     Campaign.run_trial ?capture_trace
       (module H : Harness_intf.HARNESS)
-      ~horizon:artifact.Repro.horizon
+      ~horizon
       (Shrink.trial ~campaign_seed st)
   in
-  let seed_of st = (Shrink.trial ~campaign_seed st).Campaign.t_seed in
-  let st0 =
-    { Shrink.fault = artifact.Repro.fault; Shrink.side = artifact.Repro.side }
-  in
+  let st0 = { Shrink.fault; side } in
   match
     Shrink.minimize ~max_trials ~executor ~spec:H.spec ~run:(run ?capture_trace:None) st0
   with
-  | Error reason ->
-    Printf.eprintf "cannot shrink %s: %s\n" file reason;
-    exit 1
+  | Error reason -> refuse (Printf.sprintf "%s: %s" file reason)
   | Ok report ->
     let minimized = report.Shrink.minimized in
+    let stem path =
+      Option.value (Filename.chop_suffix_opt ~suffix:".pfis" path) ~default:path
+    in
     let out_path =
-      match out with
-      | Some p -> p
-      | None -> Filename.remove_extension file ^ ".min.json"
+      match out with Some p -> p | None -> stem file ^ ".min.pfis"
     in
     let step_json (step : Shrink.step) =
       Json.Obj
-        [ ("fault", Repro.fault_to_json step.Shrink.state.Shrink.fault);
+        [ ("fault", Generator.fault_to_json step.Shrink.state.Shrink.fault);
           ("desc", json_str (Generator.describe step.Shrink.state.Shrink.fault));
           ("side", json_str (Campaign.side_name step.Shrink.state.Shrink.side));
           ("size", Json.Int step.Shrink.step_size);
           ("reason", json_str step.Shrink.reason) ]
+    in
+    let step_line (step : Shrink.step) =
+      Printf.sprintf "%-44s %-8s size %d  (%s)"
+        (Generator.describe step.Shrink.state.Shrink.fault)
+        (Campaign.side_name step.Shrink.state.Shrink.side)
+        step.Shrink.step_size step.Shrink.reason
     in
     if json then
       json_print
@@ -799,21 +751,16 @@ let shrink file out max_trials seed jobs trace_out json =
              ("initial_size", Json.Int report.Shrink.initial_size);
              ("steps", Json.List (List.map step_json report.Shrink.steps));
              ("trials", Json.Int report.Shrink.trials);
-             ("minimized", Repro.fault_to_json minimized.Shrink.fault);
+             ("minimized", Generator.fault_to_json minimized.Shrink.fault);
              ("minimized_size", Json.Int (Shrink.size minimized));
              ("executor", json_str (Executor.name executor));
              ("out", json_str out_path) ])
     else begin
       Printf.printf "shrink %s\n  start:     %-44s %-8s size %d\n" file
-        (Generator.describe artifact.Repro.fault)
-        (Campaign.side_name artifact.Repro.side)
+        (Generator.describe fault) (Campaign.side_name side)
         report.Shrink.initial_size;
       List.iter
-        (fun (step : Shrink.step) ->
-          Printf.printf "  shrunk to: %-44s %-8s size %d  (%s)\n"
-            (Generator.describe step.Shrink.state.Shrink.fault)
-            (Campaign.side_name step.Shrink.state.Shrink.side)
-            step.Shrink.step_size step.Shrink.reason)
+        (fun step -> Printf.printf "  shrunk to: %s\n" (step_line step))
         report.Shrink.steps;
       Printf.printf "  %d accepted steps, %d trials\n"
         (List.length report.Shrink.steps)
@@ -824,33 +771,28 @@ let shrink file out max_trials seed jobs trace_out json =
         Option.iter
           (write [ ("shrink", Filename.basename file); ("sim", "0") ])
           (run ~capture_trace:true minimized).Campaign.trace);
-    let trajectory =
-      List.map
-        (fun (step : Shrink.step) ->
-          { Repro.step_fault = step.Shrink.state.Shrink.fault;
-            Repro.step_side = step.Shrink.state.Shrink.side;
-            Repro.step_seed = seed_of step.Shrink.state;
-            Repro.step_size = step.Shrink.step_size;
-            Repro.step_reason = step.Shrink.reason })
-        report.Shrink.steps
+    (* the accepting run is the minimized trial: its seed, violation and
+       injected events are the repro's *)
+    let o = report.Shrink.outcome in
+    let reason =
+      match o.Campaign.verdict with
+      | Campaign.Violation r -> r
+      | Campaign.Tolerated -> refuse (file ^ ": the minimized trial is tolerated")
     in
-    (* the accepting run is the minimized trial: its seed, verdict and
-       injected events are the artifact's *)
-    let shrunk =
-      { (Repro.of_outcome ~harness:artifact.Repro.harness
-           ~protocol:artifact.Repro.protocol ~target:artifact.Repro.target
-           ~horizon:artifact.Repro.horizon ~campaign_seed report.Shrink.outcome)
-        with
-        Repro.shrink_trajectory = trajectory }
-    in
-    Repro.save out_path shrunk;
-    if not json then Printf.printf "  minimized artifact: %s\n" out_path
+    Scenario.save_repro out_path ~verb:"shrink" ~seed:campaign_seed
+      ~injected_events:o.Campaign.injected_events
+      ~notes:(List.map (fun step -> "shrunk to: " ^ step_line step) report.Shrink.steps)
+      (Scenario.repro ~name:(stem sc.Scenario.sc_name ^ ".min") ~harness:H.name
+         ~seed:o.Campaign.seed ~horizon ~side:minimized.Shrink.side ~reason
+         [ minimized.Shrink.fault ]);
+    if not json then Printf.printf "  minimized repro: %s\n" out_path
 
 let shrink_cmd =
   let doc =
-    "Minimize a violating repro artifact by delta-debugging its fault down \
+    "Minimize a violating .pfis repro (one fault line, its trials seeded \
+     from the campaign seed $(b,--seed)) by delta-debugging its fault down \
      the parameter lattice; writes the smallest still-violating trial as a \
-     new artifact (FILE with a .min.json suffix unless $(b,-o) is given)."
+     new repro (FILE.min.pfis unless $(b,-o) is given)."
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v (Cmd.info "shrink" ~doc)
@@ -926,7 +868,8 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
       json_print (exec_stats_json st ~alloc_words ~trials ~arena_trials)
     else print_exec_stats st ~alloc_words ~trials ~arena_trials
   end;
-  (* findings keep no trace: each finding's trial runs once more *)
+  (* findings keep no trace: each finding's scenario runs once more *)
+  let scenario fd ~name = Fuzz.finding_scenario ~harness:H.name ~name fd in
   export_traces (fun write ->
       List.iteri
         (fun i (fd : Fuzz.finding) ->
@@ -935,10 +878,9 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
                [ ("fuzz", H.name);
                  ("finding", fd.Fuzz.fd_signature);
                  ("sim", string_of_int i) ])
-            (Campaign.run_trial ~capture_trace:true
-               (module H : Harness_intf.HARNESS)
-               ~horizon:fd.Fuzz.fd_horizon (Fuzz.finding_trial fd))
-              .Campaign.trace)
+            (Scenario.run ~observe:(Campaign.observe ~traces:true ())
+               (scenario fd ~name:fd.Fuzz.fd_signature))
+              .Scenario.res_trace)
         res.Fuzz.r_findings);
   match corpus_dir with
   | None -> ()
@@ -947,23 +889,11 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
     let foc = open_out_bin (Filename.concat dir "findings.jsonl") in
     List.iter (fun l -> output_string foc (l ^ "\n")) finding_lines;
     close_out foc;
-    List.iteri
-      (fun i fd ->
-        match
-          Fuzz.repro_of_finding ~harness:H.name
-            ~protocol:H.spec.Spec.protocol ~target:H.target
-            ~campaign_seed:fuzz_seed fd
-        with
-        | None -> ()
-        | Some artifact ->
-          let path =
-            Filename.concat dir (Repro.filename ~index:(i + 1) artifact)
-          in
-          Repro.save path artifact;
-          if json then
-            json_print (Json.Obj [ ("repro", json_str path) ])
-          else Printf.printf "repro artifact: %s\n" path)
-      res.Fuzz.r_findings;
+    save_repros ~json ~dir ~verb:"fuzz" ~seed:fuzz_seed
+      (List.map
+         (fun (fd : Fuzz.finding) ->
+           (fd.Fuzz.fd_side, fd.Fuzz.fd_fault, fd.Fuzz.fd_injected_events, scenario fd))
+         res.Fuzz.r_findings);
     let coc = open_out_bin (Filename.concat dir "corpus.txt") in
     List.iter
       (fun input -> output_string coc (Fuzz.canonical input ^ "\n"))
@@ -1017,7 +947,7 @@ let scenario_result_json ?(extra = []) file (r : Pfi_testgen.Scenario.result) =
        ("outcome", json_str (Scenario.outcome_name r.Scenario.res_outcome));
        ("xfail",
         (match r.Scenario.res_xfail with
-         | Some s -> json_str s
+         | Some (Scenario.Contains text | Scenario.Equals text) -> json_str text
          | None -> Json.Null));
        ("checks", Json.List (List.map scenario_row_json r.Scenario.res_rows)) ]
     @ extra)
@@ -1407,5 +1337,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ list_cmd; repl_cmd; msc_cmd; campaign_cmd; shrink_cmd;
-            replay_cmd; check_cmd; gen_cmd; fuzz_cmd; matrix_cmd; help_cmd ]))
+          [ list_cmd; repl_cmd; msc_cmd; campaign_cmd; shrink_cmd; check_cmd;
+            gen_cmd; fuzz_cmd; matrix_cmd; help_cmd ]))

@@ -15,8 +15,8 @@
     and the filter side ({!trial_seed}), never of the trial's position
     in the run.  Adding, removing or permuting faults or sides
     therefore cannot change any other trial's verdict, a single trial
-    can be re-executed byte-for-byte from a recorded {!Repro.t}
-    artifact, and — because trials share no state — the whole campaign
+    can be re-executed byte-for-byte from its [.pfis] repro
+    ({!Scenario.repro}), and — because trials share no state — the whole campaign
     can be executed by any {!Executor.t} (including the multicore
     domain pool) with byte-identical results: outcomes always come
     back in canonical {!plan} order, whatever the worker count.
@@ -24,8 +24,8 @@
     There is one entrypoint for a whole campaign: build a {!plan}
     (either the stock generated fault set via {!plan}, or an explicit
     trial list via {!plan_of_trials}), choose what to observe with an
-    {!observer}, and {!run} it.  The shrinker and [replay] run their
-    trials one by one through {!run_trial}.  Every harness trial in
+    {!observer}, and {!run} it.  The shrinker runs its trials one by
+    one through {!run_trial}.  Every harness trial in
     the library — campaign, control, fuzz, scenario and vendor-row —
     is built by one function, {!exec}. *)
 
@@ -137,7 +137,7 @@ val plan : ?seed:int64 -> Harness_intf.packed -> plan
     script is compiled once and shared by every (side, executor-domain)
     trial that runs it.  The seed defaults to the harness's
     [default_seed]; the horizon is its [default_horizon].  Summaries,
-    trace exports and repro artifacts follow the plan's trial order
+    trace exports and repros follow the plan's trial order
     regardless of which executor ran the trials. *)
 
 val plan_of_trials :

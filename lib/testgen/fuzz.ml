@@ -217,7 +217,7 @@ let finding_json ~harness fd =
   let input_json =
     Obj
       [ ("side", Str (Campaign.side_name fd.fd_input.in_side));
-        ("faults", List (List.map Repro.fault_to_json fd.fd_input.in_faults));
+        ("faults", List (List.map Generator.fault_to_json fd.fd_input.in_faults));
         ( "clear_us",
           match fd.fd_input.in_clear with
           | None -> Null
@@ -228,7 +228,7 @@ let finding_json ~harness fd =
       ("signature", Str fd.fd_signature);
       ("exec", Int fd.fd_exec);
       ("input", input_json);
-      ("fault", Repro.fault_to_json fd.fd_fault);
+      ("fault", Generator.fault_to_json fd.fd_fault);
       ("side", Str (Campaign.side_name fd.fd_side));
       ("horizon_us", Str (Int64.to_string (Vtime.to_us fd.fd_horizon)));
       ("seed", Str (Int64.to_string fd.fd_seed));
@@ -237,23 +237,13 @@ let finding_json ~harness fd =
       ("shrink_trials", Int fd.fd_shrink_trials);
       ("injected_events", Int fd.fd_injected_events) ]
 
-let repro_of_finding ~harness ~protocol ~target ~campaign_seed fd =
-  if not fd.fd_minimized then None
-  else
-    Some
-      { Repro.version = Repro.current_version;
-        harness;
-        protocol;
-        target;
-        fault = fd.fd_fault;
-        side = fd.fd_side;
-        horizon = fd.fd_horizon;
-        seed = fd.fd_seed;
-        campaign_seed;
-        script = Generator.script_of_fault fd.fd_fault;
-        verdict = Campaign.Violation fd.fd_reason;
-        injected_events = fd.fd_injected_events;
-        shrink_trajectory = [] }
+let finding_scenario ~harness ~name fd =
+  let faults, heal =
+    if fd.fd_minimized then ([ fd.fd_fault ], None)
+    else (fd.fd_input.in_faults, fd.fd_input.in_clear)
+  in
+  Scenario.repro ?heal ~name ~harness ~seed:fd.fd_seed ~horizon:fd.fd_horizon
+    ~side:fd.fd_side ~reason:fd.fd_reason faults
 
 (* --- the loop --------------------------------------------------------- *)
 
@@ -294,12 +284,6 @@ let execute h (tr : Campaign.trial) =
     ~filters:[ (tr.t_side, tr.t_script) ] ?arm:tr.t_arm (fun trace ->
       let states = Harness_intf.attach_states h trace in
       fun verdict _ -> (verdict, Coverage.features_of_trace ~states:(states ()) trace))
-
-let finding_trial fd =
-  trial_of ~seed:fd.fd_seed
-    (if fd.fd_minimized then
-       { in_side = fd.fd_side; in_faults = [ fd.fd_fault ]; in_clear = None }
-     else fd.fd_input)
 
 (* candidates per generation: part of input identity derivation, not
    of scheduling, so the executor width never changes a result *)

@@ -116,18 +116,12 @@ val finding_json : harness:string -> finding -> Json.t
 (** One findings-stream JSONL object (no trace, no wall-clock data —
     byte-stable across runs and executor widths). *)
 
-val repro_of_finding :
-  harness:string -> protocol:string -> target:string ->
-  campaign_seed:int64 -> finding -> Repro.t option
-(** A replayable {!Repro} artifact for a minimized finding ([None] when
-    [fd_minimized] is false: multi-fault windowed inputs are carried in
-    the findings stream only). *)
-
-val finding_trial : finding -> Campaign.trial
-(** The trial a finding reports, run to [fd_horizon]: its minimized
-    single fault, or else its reduced input, window included, with
-    [fd_seed].  Findings keep no trace: [pfi_run fuzz --trace-out]
-    re-runs this trial with a storing trace to export one. *)
+val finding_scenario : harness:string -> name:string -> finding -> Scenario.t
+(** The {!Scenario.repro} a finding replays as, run to [fd_horizon]
+    with [fd_seed]: its minimized single fault, or else its reduced
+    input, its clear window as [@T heal].  [pfi_run fuzz --corpus]
+    writes one per finding, and findings keep no trace: [pfi_run fuzz
+    --trace-out] re-runs this scenario with a storing trace. *)
 
 (** {1 Running} *)
 

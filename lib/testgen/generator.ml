@@ -54,6 +54,24 @@ let view fault =
     { (v "inject_spurious" (Some m.Spec.mtype) [ Dst dst ]) with
       fabricated = Some m }
 
+let fault_to_json fault =
+  let v = view fault in
+  let param = function
+    | Count n -> Json.Int n
+    | Probability x | Seconds x -> Json.Float x
+    | Dst d -> Json.Str d
+  in
+  Json.Obj
+    ((("kind", Json.Str v.kind)
+     :: List.map (fun t -> ("mtype", Json.Str t)) (Option.to_list v.mtype))
+    @ (match v.fabricated with
+       | None -> []
+       | Some m ->
+         [ ("stateless", Json.Bool m.Spec.stateless);
+           ( "gen_args",
+             Json.Obj (List.map (fun (k, a) -> (k, Json.Str a)) m.Spec.gen_args) ) ])
+    @ List.map (fun p -> (param_key p, param p)) v.params)
+
 (* each kind's syntax, in the order error messages list them *)
 let shapes =
   [ ("drop_all", (true, []));

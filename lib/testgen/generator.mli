@@ -38,11 +38,11 @@ type fault =
     its parameters in canonical order.  Each encoding of a fault is one
     fold over that view — the identity string {!canonical} (and with it
     {!fault_key} and every trial seed), the [.pfis]/[.pfim] words
-    {!tokens}, the repro-artifact JSON fields ([Repro.fault_to_json]) and
-    the fuzz signature slug — and every reader builds its fault through
-    the one validating constructor {!of_view}.  So [.pfis], [.pfim] and
-    repro JSON accept exactly the same faults, and reject an
-    out-of-range one where they read it. *)
+    {!tokens}, the JSON object {!fault_to_json} and the fuzz signature
+    slug — and the one reader, {!of_tokens}, builds its fault through
+    the one validating constructor {!of_view}.  So [.pfis] and [.pfim]
+    accept exactly the same faults, and reject an out-of-range one
+    where they read it.  JSON is written, never read. *)
 
 type param =
   | Count of int
@@ -54,9 +54,6 @@ type param =
           {!Pfi_engine.Vtime.infinity} once converted to microseconds *)
   | Dst of string
       (** ["dst"]: the node a fabricated message is addressed to *)
-
-val param_key : param -> string
-(** The parameter's JSON key: ["n"], ["p"], ["seconds"] or ["dst"]. *)
 
 type view = {
   kind : string;
@@ -73,9 +70,12 @@ type view = {
 
 val view : fault -> view
 
-val shape : string -> (bool * string list) option
-(** A kind's syntax: whether it names a message type, and its
-    parameters' keys in canonical order.  [None] for an unknown kind. *)
+val fault_to_json : fault -> Json.t
+(** [{"kind", "mtype", …parameters}]: a fold over {!view}, each
+    parameter under its JSON key.  An [inject_spurious] fault also
+    writes its message's ["stateless"] and ["gen_args"] (before
+    ["dst"]).  Campaign [--json], [findings.jsonl] and [shrink --json]
+    print it. *)
 
 val of_view : spec:Spec.t -> view -> (fault, string * string) result
 (** The one validating constructor.  It checks the message type against

@@ -1,7 +1,7 @@
 open Pfi_engine
 
 (* A minimal JSON tree, its two printers, its parser, the field
-   decoders artifact readers share and the trace JSONL writer.
+   decoders of the manifest reader and the trace JSONL writer.
    Deliberately small: objects keep field order (assoc list), numbers
    split into Int and Float so 64-bit-safe values can round-trip as
    decimal strings where needed, and no JSON library is involved. *)
@@ -339,11 +339,6 @@ let member key = function
 let to_str = function Str s -> Some s | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 let to_list = function List items -> Some items | _ -> None
-
-let to_float = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None
 
 let field ~what conv key j =
   match Option.bind (member key j) conv with

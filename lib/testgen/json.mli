@@ -1,10 +1,10 @@
 (** The repo's one JSON codec: a minimal tree, a deterministic
     pretty-printer and a compact single-line printer, a
-    recursive-descent parser, the field decoders artifact and manifest
-    readers share, and the JSONL writer of a trace.  Every JSON
-    byte the tool writes — repro artifacts, corpus manifests, findings
-    streams, [--json] output and [--trace-out] traces — is escaped and
-    printed here; no JSON library is involved.
+    recursive-descent parser, the field decoders of the corpus manifest
+    reader, and the JSONL writer of a trace.  Every JSON byte the tool
+    writes — corpus manifests, findings streams, [--json] output and
+    [--trace-out] traces — is escaped and printed here; no JSON library
+    is involved.
 
     Strings are byte strings.  Valid UTF-8 passes through and a control
     character is written as [\u00XX]; a byte that is not part of a
@@ -44,9 +44,6 @@ val member : string -> t -> t option
 val to_str : t -> string option
 val to_int : t -> int option
 val to_list : t -> t list option
-
-val to_float : t -> float option
-(** A [Float], or an [Int] read as one. *)
 
 (** {1 Field decoders}
 

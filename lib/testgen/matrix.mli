@@ -175,7 +175,7 @@ type manifest = {
 val manifest_of_json : Json.t -> (manifest, string) result
 (** Rejects unknown formats, missing fields, counts that disagree with
     the entry list, and duplicate file or scenario names.  Fields are
-    read with the decoders repro artifacts use ({!Json.field}), so a
+    read with the shared field decoders ({!Json.field}), so a
     missing one reads ["manifest: missing or ill-typed \"count\""], or
     ["manifest scenario: ..."] inside a scenario record. *)
 

@@ -1,8 +1,8 @@
 (** The stock campaign harnesses, addressable by name.
 
-    Repro artifacts ({!Repro.t}) record which harness a trial ran
-    against as a string; this registry maps that string back to a
-    runnable packed {!Harness_intf.HARNESS} so `pfi_run replay`,
+    A scenario's [run HARNESS] line, repros included, names the harness
+    a trial runs against; this registry maps that name back to a
+    runnable packed {!Harness_intf.HARNESS} so `pfi_run check`,
     `pfi_run shrink` and `pfi_run campaign` can rebuild the exact
     system and hand the module straight to {!Campaign.run} /
     {!Campaign.run_trial} — no per-call-site wrapping. *)

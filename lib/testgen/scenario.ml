@@ -45,6 +45,10 @@ type check = {
   chk_expect : expectation;
 }
 
+type xfail =
+  | Contains of string
+  | Equals of string
+
 type t = {
   sc_name : string;
   sc_harness : string;
@@ -53,9 +57,11 @@ type t = {
   sc_seed : int64 option;
   sc_horizon : Vtime.t option;
   sc_faults : (Campaign.side * Generator.fault) list;
+  sc_filters : (Campaign.side * string) list;
+  sc_heal : Vtime.t option;
   sc_injections : injection list;
   sc_checks : check list;
-  sc_xfail : string option;
+  sc_xfail : xfail option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -273,12 +279,24 @@ let parse_expect ~line ~at toks =
 (* The parser                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let parse ?(name = "scenario") src =
+(* [xfail = REASON]: the reason is the rest of the raw line after "= ",
+   byte for byte, so '#' and runs of spaces are part of it.  The line's
+   first '=' is that word's: the keyword before it holds none. *)
+let exact_reason ~line raw =
+  let eq = String.index raw '=' in
+  let n = String.length raw in
+  if eq + 2 < n && raw.[eq + 1] = ' ' then String.sub raw (eq + 2) (n - eq - 2)
+  else err line "=" "usage: xfail = REASON (the rest of the line after \"= \")"
+
+let parse ?(single_fault = false) ?(name = "scenario") src =
   let sc_name = ref name in
   let harness = ref None (* (name, packed) *) in
   let seed = ref None and horizon = ref None and xfail = ref None in
-  let profile = ref None and phase = ref None in
-  let faults = ref [] and injections = ref [] and checks = ref [] in
+  let profile = ref None and phase = ref None and heal = ref None in
+  let faults = ref [] and filters = ref [] and injections = ref [] in
+  let checks = ref [] in
+  (* an open [filter] block: its side and its lines so far, reversed *)
+  let block = ref None in
   (* the relative-time clock: [@+DUR] means DUR after the previous
      [@]-prefixed directive's time (zero before any) *)
   let clock = ref Vtime.zero in
@@ -292,7 +310,15 @@ let parse ?(name = "scenario") src =
     | Some _ -> err line tok ("duplicate " ^ tok ^ " directive")
     | None -> r := Some v
   in
-  let handle line toks =
+  (* what [pfi_run shrink] reads: one fault, and nothing its minimized
+     trial could not carry *)
+  let unshrinkable line tok =
+    if single_fault then
+      err line tok
+        "a file to shrink holds one fault line with one fault, and no \
+         inject, filter, heal, profile or phase line"
+  in
+  let handle line raw toks =
     match toks with
     | [] -> ()
     | first :: rest ->
@@ -338,6 +364,7 @@ let parse ?(name = "scenario") src =
           | _ -> err line "horizon" "usage: horizon DURATION")
        | "profile" ->
          no_time ();
+         unshrinkable line "profile";
          (match rest with
           | [ p ] ->
             let hname, _ = need_harness line "profile" in
@@ -347,6 +374,7 @@ let parse ?(name = "scenario") src =
           | _ -> err line "profile" "usage: profile VENDOR")
        | "phase" ->
          no_time ();
+         unshrinkable line "phase";
          (match rest with
           | [ p ] ->
             let hname, _ = need_harness line "phase" in
@@ -356,11 +384,37 @@ let parse ?(name = "scenario") src =
           | _ -> err line "phase" "usage: phase handshake|stream|close")
        | "xfail" ->
          no_time ();
-         if rest = [] then
-           err line "xfail" "usage: xfail SUBSTRING (of the expected diagnostic)";
-         once line "xfail" xfail (String.concat " " rest)
+         once line "xfail" xfail
+           (match rest with
+            | [] ->
+              err line "xfail"
+                "usage: xfail SUBSTRING (of the expected diagnostic) or xfail = REASON"
+            | "=" :: _ -> Equals (exact_reason ~line raw)
+            | words -> Contains (String.concat " " words))
+       | "heal" ->
+         let at =
+           match at with
+           | Some t -> t
+           | None -> err line "heal" "heal requires an @TIME prefix"
+         in
+         unshrinkable line "heal";
+         (match rest with
+          | [] -> once line "heal" heal at
+          | tok :: _ -> err line tok "heal takes no arguments: it clears both sides' filters")
+       | "filter" ->
+         no_time ();
+         unshrinkable line "filter";
+         (match rest with
+          | [ s ] ->
+            (match Campaign.side_of_name s with
+             | Some side -> block := Some (line, side, [])
+             | None -> err line s "filter side must be send, receive or both")
+          | _ ->
+            err line "filter"
+              "usage: filter send|receive|both, then the script's lines, then end")
        | "fault" ->
          no_time ();
+         if !faults <> [] then unshrinkable line "fault";
          let _, packed = need_harness line "fault" in
          let spec = Harness_intf.spec packed in
          let side, ftoks =
@@ -373,6 +427,7 @@ let parse ?(name = "scenario") src =
          let groups =
            if List.mem "+" ftoks then split_on_plus ~line ftoks else [ ftoks ]
          in
+         if List.length groups > 1 then unshrinkable line "+";
          List.iter
            (fun g ->
              match Generator.of_tokens ~spec g with
@@ -385,6 +440,7 @@ let parse ?(name = "scenario") src =
            | Some t -> t
            | None -> err line "inject" "inject requires an @TIME prefix"
          in
+         unshrinkable line "inject";
          let _, packed = need_harness line "inject" in
          let spec = Harness_intf.spec packed in
          (match rest with
@@ -452,10 +508,27 @@ let parse ?(name = "scenario") src =
        | _ ->
          err line keyword
            "unknown directive (expected name, run, profile, phase, seed, \
-            horizon, fault, inject, expect or xfail)")
+            horizon, fault, filter, heal, inject, expect or xfail)")
   in
   let lines = String.split_on_char '\n' src in
-  List.iteri (fun i line -> handle (i + 1) (tokens_of_line line)) lines;
+  (* a filter block's lines are script text, kept verbatim up to the
+     line that is just [end] *)
+  List.iteri
+    (fun i raw ->
+      match !block with
+      | None -> handle (i + 1) raw (tokens_of_line raw)
+      | Some (start, side, body) ->
+        if String.trim raw = "end" then begin
+          filters := (side, String.concat "\n" (List.rev body)) :: !filters;
+          block := None
+        end
+        else block := Some (start, side, raw :: body))
+    lines;
+  Option.iter
+    (fun (start, _, _) -> err start "filter" "filter block never ends (no end line)")
+    !block;
+  if single_fault && !faults = [] then
+    err (List.length lines) "fault" "a file to shrink needs a fault line";
   match !harness with
   | None ->
     err (List.length lines) "run" "scenario never names a harness (missing run directive)"
@@ -467,12 +540,15 @@ let parse ?(name = "scenario") src =
       sc_seed = !seed;
       sc_horizon = !horizon;
       sc_faults = List.rev !faults;
+      sc_filters = List.rev !filters;
+      sc_heal = !heal;
       sc_injections = List.rev !injections;
       sc_checks = List.rev !checks;
       sc_xfail = !xfail }
 
-let load path =
-  parse ~name:(Filename.basename path) (In_channel.with_open_bin path In_channel.input_all)
+let load ?single_fault path =
+  parse ?single_fault ~name:(Filename.basename path)
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Printing: the inverse of [parse]                                   *)
@@ -530,9 +606,10 @@ let injection_to_line inj =
 
 (* the parser is the one judge of what text is valid: the printed text
    is returned only if it reads back as [sc] *)
-let to_string sc =
+let to_string ?(comments = []) sc =
   let buf = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  List.iter (fun c -> line "# %s" c) comments;
   line "name %s" sc.sc_name;
   line "run %s" sc.sc_harness;
   Option.iter (fun p -> line "profile %s" p) sc.sc_profile;
@@ -544,14 +621,57 @@ let to_string sc =
       line "fault %s %s" (Campaign.side_name side)
         (String.concat " " (Generator.tokens fault)))
     sc.sc_faults;
+  List.iter
+    (fun (side, script) -> line "filter %s\n%s\nend" (Campaign.side_name side) script)
+    sc.sc_filters;
+  Option.iter (fun t -> line "@%s heal" (duration_to_string t)) sc.sc_heal;
   List.iter (fun inj -> line "%s" (injection_to_line inj)) sc.sc_injections;
   List.iter (fun chk -> line "%s" (check_to_line chk)) sc.sc_checks;
-  Option.iter (fun s -> line "xfail %s" s) sc.sc_xfail;
+  Option.iter
+    (function Contains s -> line "xfail %s" s | Equals r -> line "xfail = %s" r)
+    sc.sc_xfail;
   let text = Buffer.contents buf in
   match parse text with
   | read when equal read sc -> text
   | _ -> invalid_arg "Scenario.to_string: the text does not read back as the scenario"
   | exception Parse_error e -> invalid_arg ("Scenario.to_string: " ^ error_message e)
+
+(* ------------------------------------------------------------------ *)
+(* Repros: the one form in which the tool writes a trial              *)
+(* ------------------------------------------------------------------ *)
+
+let repro ?heal ~name ~harness ~seed ~horizon ~side ~reason faults =
+  { sc_name = name;
+    sc_harness = harness;
+    sc_profile = None;
+    sc_phase = None;
+    sc_seed = Some seed;
+    sc_horizon = Some horizon;
+    sc_faults = List.map (fun f -> (side, f)) faults;
+    sc_filters = [];
+    sc_heal = heal;
+    sc_injections = [];
+    sc_checks = [ { chk_line = 0; chk_expect = Service } ];
+    sc_xfail = Some (Equals reason) }
+
+let repro_stem ~index side fault =
+  let slug =
+    String.map
+      (function ('a' .. 'z' | '0' .. '9' | '-' | '.') as c -> c | _ -> '-')
+      (String.lowercase_ascii (Generator.describe fault))
+  in
+  Printf.sprintf "repro-%03d-%s-%s" index (Campaign.side_name side) slug
+
+let save_repro path ~verb ~seed ~injected_events ?(notes = []) sc =
+  let text =
+    to_string
+      ~comments:
+        (Printf.sprintf "origin: %s %s --seed %Ld" verb sc.sc_harness seed
+        :: Printf.sprintf "injected events: %d" injected_events
+        :: notes)
+      sc
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
@@ -579,7 +699,7 @@ type result = {
   res_seed : int64;
   res_horizon : Vtime.t;
   res_rows : row list;
-  res_xfail : string option;
+  res_xfail : xfail option;
   res_outcome : outcome;
   res_trace : Trace.t option;
 }
@@ -622,13 +742,29 @@ let run ?seed ?(observe = Campaign.silent) sc =
     | None -> Option.value sc.sc_seed ~default:H.default_seed
   in
   let horizon = Option.value sc.sc_horizon ~default:H.default_horizon in
+  (* a side's filter: its fault scripts, then its filter blocks (folded
+     only when there are any, so a scenario without one allocates
+     nothing for them) *)
   let filters =
     List.filter_map
       (fun side ->
-        sc.sc_faults
-        |> List.filter (fun (s, _) -> s = side || s = Campaign.Both_filters)
-        |> List.map (fun (_, f) -> Generator.script_of_fault f)
-        |> function
+        let blocks =
+          match sc.sc_filters with
+          | [] -> []
+          | fs ->
+            List.fold_right
+              (fun (s, text) acc ->
+                if s = side || s = Campaign.Both_filters then text :: acc else acc)
+              fs []
+        in
+        match
+          List.fold_right
+            (fun (s, f) acc ->
+              if s = side || s = Campaign.Both_filters then
+                Generator.script_of_fault f :: acc
+              else acc)
+            sc.sc_faults blocks
+        with
         | [] -> None
         | scripts ->
           Some (side, Pfi_script.Interp.compile (String.concat "\n" scripts)))
@@ -642,7 +778,14 @@ let run ?seed ?(observe = Campaign.silent) sc =
                ignore
                  (Pfi_core.Pfi_layer.eval_in pfi inj.inj_side
                     (injection_script inj)))))
-      sc.sc_injections
+      sc.sc_injections;
+    match sc.sc_heal with
+    | None -> ()
+    | Some time ->
+      ignore
+        (Sim.schedule_at sim ~time (fun () ->
+             Pfi_core.Pfi_layer.clear_send_filter pfi;
+             Pfi_core.Pfi_layer.clear_receive_filter pfi))
   in
   let row chk desc pass reason witness =
     { row_line = chk.chk_line; row_desc = desc; row_pass = pass;
@@ -676,19 +819,17 @@ let run ?seed ?(observe = Campaign.silent) sc =
             if observe.Campaign.obs_traces then Some (Sim.trace sim) else None ))
   in
   let failures = List.filter (fun r -> not r.row_pass) rows in
+  let expected r = function
+    | Contains sub ->
+      Oracle.contains_sub r.row_reason sub || Oracle.contains_sub r.row_desc sub
+    | Equals reason -> String.equal r.row_reason reason
+  in
   let res_outcome =
     match (sc.sc_xfail, failures) with
     | None, [] -> Pass
     | None, _ -> Fail
     | Some _, [] -> Xpass
-    | Some sub, fs ->
-      if
-        List.exists
-          (fun r ->
-            Oracle.contains_sub r.row_reason sub || Oracle.contains_sub r.row_desc sub)
-          fs
-      then Xfail
-      else Fail
+    | Some x, fs -> if List.exists (fun r -> expected r x) fs then Xfail else Fail
   in
   { res_scenario = sc.sc_name;
     res_harness = H.name;

@@ -5,7 +5,10 @@
     layer, which packets to fabricate at which virtual times, and which
     {!Oracle} predicates the resulting trace must satisfy.  One text
     file therefore captures the whole shape of a paper experiment —
-    inject, then judge the reaction against the spec.
+    inject, then judge the reaction against the spec.  It is also the
+    one form in which the tool writes a trial down: every campaign
+    repro, minimized repro and fuzz finding is a [.pfis] file
+    ({!repro}) that [pfi_run check] replays.
 
     {2 Format}
 
@@ -52,10 +55,16 @@
       spec (a stateless one for [inject_spurious]); a count [N] is at
       least 0 (at least 1 for [drop_nth]); a probability [P] is in
       \[0, 1\]; [SECONDS] is at least 0 and below
-      {!Pfi_engine.Vtime.infinity} once in microseconds.  [.pfis],
-      [.pfim] and repro JSON share this one validator
-      ({!Generator.of_view}), so a fault out of range is an error naming
-      its line and word.
+      {!Pfi_engine.Vtime.infinity} once in microseconds.  [.pfis] and
+      [.pfim] share this one validator ({!Generator.of_view}), so a
+      fault out of range is an error naming its line and word.
+    - [filter send|receive|both], then script lines, then a line that
+      is just [end] — a hand-written filter script.  Its lines are kept
+      verbatim (a [#] in them is Tcl's, not a comment here) and run
+      after that side's [fault] scripts, in file order.  So a script
+      can hold no line that is just [end].
+    - [@T heal] — clears both sides' filters at virtual time [T]: the
+      fault window of a fuzz input.
     - [@T inject send|receive MTYPE [k=v ...] [to NODE]] — fabricate a
       stateless message through the harness stub at virtual time [T] and
       introduce it below ([send], addressed to [NODE], default the
@@ -78,6 +87,10 @@
       fail with a diagnostic containing the (space-joined) substring:
       conformance tests for the [*-buggy] harnesses stay green while
       still pinning the pointed failure they must produce.
+    - [xfail = REASON] — expected to fail with exactly [REASON]: the
+      rest of the line after ["= "], byte for byte, [#] and runs of
+      spaces included.  A failing row's reason must equal it.  Repros
+      pin their recorded violation this way.
 
     Syntax errors raise {!Parse_error} naming the line and token. *)
 
@@ -118,6 +131,10 @@ type check = {
   chk_expect : expectation;
 }
 
+type xfail =
+  | Contains of string  (** [xfail SUBSTRING] *)
+  | Equals of string  (** [xfail = REASON] *)
+
 type t = {
   sc_name : string;
   sc_harness : string;
@@ -131,24 +148,32 @@ type t = {
   sc_seed : int64 option;
   sc_horizon : Vtime.t option;
   sc_faults : (Campaign.side * Generator.fault) list;
+  sc_filters : (Campaign.side * string) list;
+      (** [filter] blocks, in file order: each side and script text *)
+  sc_heal : Vtime.t option;  (** [@T heal] *)
   sc_injections : injection list;
   sc_checks : check list;
-  sc_xfail : string option;
+  sc_xfail : xfail option;
 }
 
-val parse : ?name:string -> string -> t
+val parse : ?single_fault:bool -> ?name:string -> string -> t
 (** Parses scenario text; [name] defaults to ["scenario"] and is
-    overridden by a [name] directive.  Raises {!Parse_error}. *)
+    overridden by a [name] directive.  Raises {!Parse_error}.
+    [single_fault] (default false) reads a file to shrink: it must hold
+    one [fault] line with one fault, and a second fault or an
+    [inject], [filter], [heal], [profile] or [phase] line is an error
+    naming its line. *)
 
-val load : string -> t
+val load : ?single_fault:bool -> string -> t
 (** Reads and parses a file; the scenario name defaults to the file's
     basename.  Raises {!Parse_error} or [Sys_error]. *)
 
 (** {1 Printing} *)
 
-val to_string : t -> string
+val to_string : ?comments:string list -> t -> string
 (** The scenario as canonical [.pfis] text, which {!parse} reads back
-    {!equal} to it.  Generated corpora ({!Matrix}) are emitted through
+    {!equal} to it, after one [# ] line per [comments] entry.  Generated
+    corpora ({!Matrix}) and repros ({!save_repro}) are emitted through
     it.  Raises [Invalid_argument] when its text does not read back as
     the scenario: {!parse} is the one judge of valid text, so the
     message is the parser's own, naming the line and token, or says that
@@ -164,6 +189,31 @@ val duration_to_string : Pfi_engine.Vtime.t -> string
     that divides the time exactly, guaranteed to re-parse to the same
     {!Pfi_engine.Vtime.t}.  Raises [Invalid_argument] on negative or
     infinite times. *)
+
+(** {1 Repros} *)
+
+val repro :
+  ?heal:Vtime.t -> name:string -> harness:string -> seed:int64 ->
+  horizon:Vtime.t -> side:Campaign.side -> reason:string ->
+  Generator.fault list -> t
+(** The scenario a violating trial replays as: its faults on [side],
+    healed at [heal], run with its trial [seed] to [horizon], with
+    [expect service] and [xfail = reason].  {!run} judges it an expected
+    failure exactly when the trial still violates with [reason]. *)
+
+val repro_stem : index:int -> Campaign.side -> Generator.fault -> string
+(** ["repro-<index>-<side>-<fault slug>"]: stable and filesystem-safe.
+    Campaign and fuzz repros are named [<stem>.pfis], with the stem as
+    their scenario name, so [pfi_run check] takes a whole directory. *)
+
+val save_repro :
+  string -> verb:string -> seed:int64 -> injected_events:int ->
+  ?notes:string list -> t -> unit
+(** Writes {!to_string} of the repro to the path, after comment lines
+    that no reader parses: ["origin: <verb> <harness> --seed <seed>"]
+    (the campaign or fuzz seed), ["injected events: <n>"] (the
+    [testgen.fault] plus [pfi.log] entries of its trial), then one line
+    per [notes] entry. *)
 
 (** {1 Lexical helpers and shared directive checks}
 
@@ -224,7 +274,7 @@ type result = {
   res_seed : int64;
   res_horizon : Vtime.t;
   res_rows : row list;  (** one per [expect], in file order *)
-  res_xfail : string option;
+  res_xfail : xfail option;
   res_outcome : outcome;
   res_trace : Trace.t option;
       (** kept when run with an observer asking for traces *)
@@ -233,9 +283,9 @@ type result = {
 val run : ?seed:int64 -> ?observe:Campaign.observer -> t -> result
 (** Runs the scenario as one {!Campaign.exec} trial (seed priority:
     argument, then the scenario's [seed] directive, then the harness
-    default): each side's fault scripts installed as one filter, the
-    injections scheduled by its arming hook, the workload run to the
-    horizon.  Every trace [expect] is an {!Oracle.monitor} attached
+    default): each side's fault scripts and filter blocks installed as
+    one filter, the injections and the heal scheduled by its arming
+    hook, the workload run to the horizon.  Every trace [expect] is an {!Oracle.monitor} attached
     before the harness is built, so it judges every entry the trial
     records; [expect service] reads the harness's [check].
     Deterministic: the result is a pure function of (scenario, seed).

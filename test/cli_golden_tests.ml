@@ -214,65 +214,140 @@ let run_cli_status args =
   Sys.remove out;
   (code, text)
 
-let test_bad_artifact_is_a_load_error () =
-  let golden =
-    read_file (Filename.concat (test_dir "golden") "tiny_abp_repro.expected.json")
-  in
-  let open Pfi_testgen.Json in
-  List.iter
-    (fun fault ->
-      let artifact =
-        match parse golden with
-        | Ok (Obj fields) ->
-          Obj (List.map (fun (k, v) -> if k = "fault" then (k, Obj fault) else (k, v)) fields)
-        | _ -> Alcotest.fail "the golden repro artifact does not parse"
-      in
-      let path = Filename.temp_file "pfi_bad_repro" ".json" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let oc = open_out_bin path in
-          output_string oc (to_string artifact);
-          close_out oc;
-          List.iter
-            (fun verb ->
-              let code, text = run_cli_status [ verb; path ] in
-              Alcotest.(check int) (verb ^ " exits 1") 1 code;
-              let prefix = "cannot load repro artifact " ^ path in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s names the load error: %S" verb text)
-                true
-                (String.starts_with ~prefix text))
-            [ "shrink"; "replay" ]))
-    [ [ ("kind", Str "drop_nth"); ("mtype", Str "MSG"); ("n", Int 0) ];
-      [ ("kind", Str "delay_each"); ("mtype", Str "MSG"); ("seconds", Float 1e13) ] ]
+let tiny_repro () = read_file (test_dir "golden/tiny_abp_repro.expected.pfis")
 
-(* [replay] runs an artifact's script but [shrink] regenerates it from the
-   fault, so [shrink] refuses an artifact whose script was edited *)
-let test_shrink_refuses_edited_script () =
-  let golden =
-    read_file (Filename.concat (test_dir "golden") "tiny_abp_repro.expected.json")
-  in
-  let open Pfi_testgen.Json in
-  let artifact =
-    match parse golden with
-    | Ok (Obj fields) ->
-      Obj (List.map (fun (k, v) -> if k = "script" then (k, Str "error boom") else (k, v)) fields)
-    | _ -> Alcotest.fail "the golden repro artifact does not parse"
-  in
-  let path = Filename.temp_file "pfi_edited_repro" ".json" in
+(* [text] as a scratch .pfis file for [f] *)
+let with_pfis tag text f =
+  let path = Filename.temp_file tag ".pfis" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out_bin path in
-      output_string oc (to_string artifact);
-      close_out oc;
-      let code, text = run_cli_status [ "shrink"; path ] in
-      Alcotest.(check int) "shrink exits 1" 1 code;
-      Alcotest.(check string) "shrink names the mismatch"
-        (Printf.sprintf
-           "cannot shrink %s: its script is not the generated filter of its fault\n" path)
-        text)
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+(* the tiny repro with its lines rewritten by [edit] *)
+let edited_repro edit =
+  String.concat "\n" (List.concat_map edit (String.split_on_char '\n' (tiny_repro ())))
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let line_of text prefix =
+  let rec go i = function
+    | [] -> Alcotest.failf "no line starting %S" prefix
+    | l :: rest -> if String.starts_with ~prefix l then i else go (i + 1) rest
+  in
+  go 1 (String.split_on_char '\n' text)
+
+(* shrink and check both read .pfis through the parser, so an
+   out-of-range fault is its line-and-word error *)
+let test_bad_fault_is_a_load_error () =
+  List.iter
+    (fun (fault, token, reason) ->
+      let text =
+        edited_repro (fun l ->
+            if String.starts_with ~prefix:"fault " l then [ "fault both " ^ fault ] else [ l ])
+      in
+      with_pfis "pfi_bad_repro" text (fun path ->
+          let where =
+            Printf.sprintf "%s:%d: %s (at %S)" path (line_of text "fault ") reason token
+          in
+          let code, out = run_cli_status [ "shrink"; path ] in
+          Alcotest.(check int) "shrink exits 1" 1 code;
+          Alcotest.(check string) "shrink names the line and word"
+            ("cannot shrink " ^ where ^ "\n") out;
+          let code, out = run_cli_status [ "check"; path ] in
+          Alcotest.(check int) "check exits 1" 1 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "check names the line and word: %S" out)
+            true
+            (String.starts_with ~prefix:(path ^ ": PARSE ERROR\n  " ^ where ^ "\n") out)))
+    [ ("drop_nth MSG 0", "0", "drop_nth period must be at least 1");
+      ("delay_each MSG 1e13", "1e13", "delay out of range") ]
+
+(* shrink exits 1 on the tiny repro rewritten by [edit], and its
+   message holds [needle path text] *)
+let check_shrink_refuses (what, edit, args, needle) =
+  let text = edited_repro edit in
+  with_pfis "pfi_refused_repro" text (fun path ->
+      let code, out = run_cli_status ([ "shrink"; path ] @ args) in
+      let needle = needle path text in
+      Alcotest.(check int) (what ^ ": shrink exits 1") 1 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" what out needle)
+        true (contains out needle))
+
+let after_fault extra l = if String.starts_with ~prefix:"fault " l then l :: extra else [ l ]
+
+(* the refusal names the line that starts with [prefix] *)
+let at_line prefix path text = Printf.sprintf "%s:%d: " path (line_of text prefix)
+
+(* shrink minimizes one generated fault, so it refuses a repro that
+   carries a hand-written filter block, naming the block's line *)
+let test_shrink_refuses_edited_script () =
+  check_shrink_refuses
+    ("a filter block", after_fault [ "filter both"; "error boom"; "end" ], [], at_line "filter")
+
+(* what else shrink cannot carry: a second fault, a heal line, and a
+   seed that --seed does not derive for the file's fault and side *)
+let test_shrink_refusals () =
+  List.iter check_shrink_refuses
+    [ ("two faults", after_fault [ "fault send duplicate ACK" ], [], at_line "fault send");
+      ("a heal line", after_fault [ "@30s heal" ], [], at_line "@30s heal");
+      ( "a seed not derived from --seed",
+        (fun l -> [ l ]),
+        [ "--seed"; "8" ],
+        fun _ _ -> "pass the campaign seed it was recorded with as --seed" ) ]
+
+(* [xfail = REASON] pins the violation byte for byte: a repro whose
+   recorded witness index is one off does not check as expected *)
+let test_exact_reason_off_by_one () =
+  let open Pfi_testgen in
+  let h = Option.get (Registry.find "gmp-buggy") in
+  let fault = Generator.Delay_each ("PROCLAIM", 1.5) and side = Campaign.Receive_filter in
+  let o =
+    Campaign.run_trial h ~horizon:(Harness_intf.default_horizon h)
+      (Shrink.trial ~campaign_seed:(Harness_intf.default_seed h) { Shrink.fault; side })
+  in
+  let reason =
+    match o.Campaign.verdict with
+    | Campaign.Violation r -> r
+    | Campaign.Tolerated -> Alcotest.fail "the PROCLAIM delay no longer violates"
+  in
+  let repro reason =
+    Scenario.to_string
+      (Scenario.repro ~name:"proclaim" ~harness:"gmp-buggy" ~seed:o.Campaign.seed
+         ~horizon:(Harness_intf.default_horizon h) ~side ~reason [ fault ])
+  in
+  let outcome text =
+    with_pfis "pfi_exact_reason" text (fun path ->
+        let code, out = run_cli_status [ "check"; "--json"; path ] in
+        match
+          List.find_opt
+            (fun o -> contains out (Printf.sprintf "\"outcome\": %S" o))
+            [ "pass"; "fail"; "xfail"; "xpass" ]
+        with
+        | Some o -> (o, code)
+        | None -> Alcotest.failf "check printed no outcome: %S" out)
+  in
+  let split = String.split_on_char '#' reason in
+  Alcotest.(check bool) "the reason cites witness #227796" true
+    (List.exists (String.starts_with ~prefix:"227796 ") split);
+  Alcotest.(check (pair string int)) "the recorded reason checks as xfail" ("xfail", 0)
+    (outcome (repro reason));
+  let off_by_one =
+    String.concat "#"
+      (List.map
+         (fun w ->
+           if String.starts_with ~prefix:"227796 " w then
+             "227797" ^ String.sub w 6 (String.length w - 6)
+           else w)
+         split)
+  in
+  Alcotest.(check (pair string int)) "witness #227797 checks as fail" ("fail", 1)
+    (outcome (repro off_by_one))
 
 (* ------------------------------------------------------------------ *)
 (* `fuzz --trace-out` exports each finding's trial trace               *)
@@ -302,8 +377,8 @@ let test_fuzz_trace_out_pinned () =
 (* Every other JSONL trace export, pinned the same way                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [--trace-out] of a campaign (control and every trial), a replay of
-   the committed repro fixture (its verdict reproduces, so it exits 0),
+(* [--trace-out] of a campaign (control and every trial), a check of
+   the committed repro fixture (an expected failure, so it exits 0),
    the committed scenario corpus and the ladder's one sim, and the
    [msc] entries [msc --json] prints. *)
 let test_trace_out_pinned () =
@@ -325,8 +400,8 @@ let test_trace_out_pinned () =
           Alcotest.(check int) (what ^ ": exit code") code status;
           check_pinned what ~bytes ~md5 (read_file path)))
     [ ([ "campaign"; "abp-buggy" ], 0, 326_802, "34e778f4b79e4dfe44347b9870b830aa");
-      ( [ "replay"; test_dir "golden/tiny_abp_repro.expected.json" ],
-        0, 39_748, "ea8a4e74b20f20c53eb6a811a01c9d0a" );
+      ( [ "check"; test_dir "golden/tiny_abp_repro.expected.pfis" ],
+        0, 39_990, "d79ce26288de7de53d496dd4a3655acc" );
       ("check" :: scenarios, 0, 787_995, "991af202b575a01b66525be5b9627e42");
       ([ "msc" ], 0, 41_536, "219982ee0baa2ee15a0f99827c76c65e") ];
   check_pinned "msc --json" ~bytes:19_720 ~md5:"9a7dea61ee86031e558ad1a7e38f6543"
@@ -355,32 +430,36 @@ let test_shrunk_artifact_counts_its_events () =
   let h = Option.get (Registry.find "gmp-buggy") in
   let horizon = Harness_intf.default_horizon h in
   let campaign_seed = 57L in
-  let source =
-    Campaign.run_trial h ~horizon
-      (Shrink.trial ~campaign_seed
-         { Shrink.fault = Generator.Delay_each ("JOIN", 1.5);
-           side = Campaign.Receive_filter })
-    |> Repro.of_outcome ~harness:"gmp-buggy"
-         ~protocol:(Harness_intf.spec h).Spec.protocol
-         ~target:(Harness_intf.target h) ~horizon ~campaign_seed
+  let st = { Shrink.fault = Generator.Delay_each ("JOIN", 1.5); side = Campaign.Receive_filter } in
+  let o = Campaign.run_trial h ~horizon (Shrink.trial ~campaign_seed st) in
+  let reason =
+    match o.Campaign.verdict with
+    | Campaign.Violation r -> r
+    | Campaign.Tolerated -> Alcotest.fail "the JOIN delay no longer violates"
   in
-  let src = Filename.temp_file "pfi_shrink_src" ".json" in
-  let min = Filename.temp_file "pfi_shrink_min" ".json" in
+  let src = Filename.temp_file "pfi_shrink_src" ".pfis" in
+  let min = Filename.temp_file "pfi_shrink_min" ".pfis" in
   let trace = Filename.temp_file "pfi_shrink_trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ src; min; trace ])
     (fun () ->
-      Repro.save src source;
-      ignore (run_cli [ "shrink"; src; "-o"; min ]);
-      ignore (run_cli [ "replay"; min; "--trace-out"; trace ]);
-      match Repro.load min with
-      | Error e -> Alcotest.failf "the minimized artifact does not load: %s" e
-      | Ok shrunk ->
-        Alcotest.(check bool) "the shrink moved the fault" true
-          (shrunk.Repro.fault <> source.Repro.fault);
-        Alcotest.(check int) "injected_events counts the replayed trial"
-          (injected_entries (read_file trace))
-          shrunk.Repro.injected_events)
+      Scenario.save_repro src ~verb:"campaign" ~seed:campaign_seed
+        ~injected_events:o.Campaign.injected_events
+        (Scenario.repro ~name:"join" ~harness:"gmp-buggy" ~seed:o.Campaign.seed ~horizon
+           ~side:st.Shrink.side ~reason [ st.Shrink.fault ]);
+      ignore (run_cli [ "shrink"; src; "-o"; min; "--seed"; "57" ]);
+      ignore (run_cli [ "check"; min; "--trace-out"; trace ]);
+      let text = read_file min in
+      let recorded =
+        List.find_map
+          (fun l -> Scanf.sscanf_opt l "# injected events: %d%!" Fun.id)
+          (String.split_on_char '\n' text)
+      in
+      Alcotest.(check bool) "the shrink moved the fault" true
+        ((Scenario.parse text).Scenario.sc_faults <> [ (st.Shrink.side, st.Shrink.fault) ]);
+      Alcotest.(check (option int)) "its injected events are its own trial's"
+        (Some (injected_entries (read_file trace)))
+        recorded)
 
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
@@ -400,10 +479,14 @@ let suite =
       `Quick test_gen_registry_demo_pinned;
     Alcotest.test_case "check --manifest output is jobs-invariant" `Slow
       test_check_manifest_jobs_parity;
-    Alcotest.test_case "shrink/replay reject an out-of-range fault on load"
-      `Quick test_bad_artifact_is_a_load_error;
+    Alcotest.test_case "shrink/check reject an out-of-range fault on load"
+      `Quick test_bad_fault_is_a_load_error;
     Alcotest.test_case "shrink refuses an artifact whose script was edited"
       `Quick test_shrink_refuses_edited_script;
+    Alcotest.test_case "shrink refuses a second fault, a heal and an underived seed"
+      `Quick test_shrink_refusals;
+    Alcotest.test_case "check fails a repro whose exact reason is one witness off"
+      `Quick test_exact_reason_off_by_one;
     Alcotest.test_case "a minimized artifact counts its own injected events"
       `Quick test_shrunk_artifact_counts_its_events;
     Alcotest.test_case "--trace-out and msc --json export pinned JSONL" `Quick

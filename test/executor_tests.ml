@@ -203,16 +203,19 @@ let campaign_bytes (module H : Harness_intf.HARNESS) jobs =
        (Campaign.plan (module H : Harness_intf.HARNESS)))
       .Campaign.s_outcomes
   in
-  let artifacts =
-    List.map
-      (fun o ->
-        Repro.to_json
-          (Repro.of_outcome ~harness:H.name ~protocol:H.spec.Spec.protocol
-             ~target:H.target ~horizon:H.default_horizon
-             ~campaign_seed:H.default_seed o))
-      (Campaign.violations outcomes)
+  let repros =
+    List.filter_map
+      (fun (o : Campaign.outcome) ->
+        match o.verdict with
+        | Campaign.Violation reason ->
+          Some
+            (Scenario.to_string
+               (Scenario.repro ~name:"repro" ~harness:H.name ~seed:o.seed
+                  ~horizon:H.default_horizon ~side:o.side ~reason [ o.fault ]))
+        | Campaign.Tolerated -> None)
+      outcomes
   in
-  Campaign.table outcomes ^ String.concat "\n" artifacts
+  Campaign.table outcomes ^ String.concat "\n" repros
 
 let check_jobs_invariant name =
   let entry =

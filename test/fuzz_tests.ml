@@ -296,33 +296,38 @@ let test_fuzz_rediscovers_gmp_bug () =
       Alcotest.(check bool) "reason blames the membership view" true
         (f.Fuzz.fd_reason <> "")
 
-let test_repro_artifact_for_minimized_finding () =
-  let buggy = Lazy.force gmp_buggy_result in
-  let minimized =
-    List.filter (fun f -> f.Fuzz.fd_minimized) buggy.Fuzz.r_findings
+(* the corpus files [pfi_run fuzz --corpus] writes: one .pfis per
+   finding, combination findings included, each an expected failure
+   with exactly its finding's reason *)
+let test_every_finding_writes_a_repro () =
+  let r = Lazy.force abp_buggy_result in
+  let dir = Filename.temp_dir "pfi_fuzz_corpus" "" in
+  let paths =
+    List.mapi
+      (fun i (fd : Fuzz.finding) ->
+        let name = Scenario.repro_stem ~index:(i + 1) fd.Fuzz.fd_side fd.Fuzz.fd_fault in
+        let path = Filename.concat dir (name ^ ".pfis") in
+        Scenario.save_repro path ~verb:"fuzz" ~seed:r.Fuzz.r_seed
+          ~injected_events:fd.Fuzz.fd_injected_events
+          (Fuzz.finding_scenario ~harness:"abp-buggy" ~name fd);
+        path)
+      r.Fuzz.r_findings
   in
-  Alcotest.(check bool) "gmp-buggy yields minimized findings" true
-    (minimized <> []);
-  List.iter
-    (fun f ->
-      match
-        Fuzz.repro_of_finding ~harness:"gmp-buggy" ~protocol:"gmp"
-          ~target:"daemons" ~campaign_seed:1L f
-      with
-      | None -> Alcotest.fail "minimized finding produced no repro artifact"
-      | Some r ->
-          Alcotest.(check bool) "repro carries the minimized fault" true
-            (r.Repro.fault = f.Fuzz.fd_fault))
-    minimized;
-  (* and un-minimized (combination) findings stay in the stream only *)
-  List.iter
-    (fun f ->
-      if not f.Fuzz.fd_minimized then
-        Alcotest.(check bool) "combination finding has no repro artifact" true
-          (Fuzz.repro_of_finding ~harness:"gmp-buggy" ~protocol:"gmp"
-             ~target:"daemons" ~campaign_seed:1L f
-          = None))
-    buggy.Fuzz.r_findings
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove paths; Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check int) "one file per finding" 3 (List.length paths);
+      Alcotest.(check bool) "combination findings included" true
+        (List.exists (fun f -> not f.Fuzz.fd_minimized) r.Fuzz.r_findings);
+      List.iter2
+        (fun path (fd : Fuzz.finding) ->
+          let res = Scenario.run (Scenario.load path) in
+          Alcotest.(check string) (path ^ " is an expected failure") "xfail"
+            (Scenario.outcome_name res.Scenario.res_outcome);
+          Alcotest.(check (list string)) (path ^ " fails with the finding's reason")
+            [ fd.Fuzz.fd_reason ]
+            (List.map (fun row -> row.Scenario.row_reason) res.Scenario.res_rows))
+        paths r.Fuzz.r_findings)
 
 let suite =
   [ Alcotest.test_case "hash64 matches FNV-1a test vectors" `Quick
@@ -357,5 +362,5 @@ let suite =
       test_fuzz_rediscovers_abp_bug;
     Alcotest.test_case "fuzzer rediscovers the implanted gmp bug" `Slow
       test_fuzz_rediscovers_gmp_bug;
-    Alcotest.test_case "minimized findings replay as repro artifacts" `Slow
-      test_repro_artifact_for_minimized_finding ]
+    Alcotest.test_case "every finding writes a .pfis repro that checks as xfail"
+      `Slow test_every_finding_writes_a_repro ]

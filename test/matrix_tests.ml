@@ -482,6 +482,24 @@ let gen_scenario =
       (oneofl [ "bob"; "carol" ])
   in
   let name = map (String.concat " ") (list_size (int_range 1 3) word) in
+  (* [xfail = REASON] keeps its text byte for byte: '#', '=' and runs
+     of spaces included *)
+  let xfail =
+    oneof
+      [ map (fun n -> Scenario.Contains n) name;
+        map
+          (fun r -> Scenario.Equals r)
+          (string_size ~gen:(oneofl [ 'a'; '#'; ' '; '='; '7'; '"' ]) (int_range 1 12)) ]
+  in
+  (* filter-block scripts: verbatim lines, none of them just [end] *)
+  let script =
+    map
+      (fun lines ->
+        String.concat "\n"
+          (List.map (fun l -> if String.trim l = "end" then l ^ ";" else l) lines))
+      (list_size (int_range 0 3)
+         (string_size ~gen:(oneofl [ 'e'; 'n'; 'd'; 'x'; ' '; '#'; '{'; '$' ]) (int_range 0 8)))
+  in
   (* tcp variant: keep the same structural skeleton but rebase it on the
      tcp spec so the profile/phase directives round-trip too *)
   let tcp_cfg =
@@ -523,7 +541,7 @@ let gen_scenario =
           sc.Scenario.sc_injections }
   in
   map
-    (fun ((name, seed, horizon, faults, injections, checks, xfail), tcp_cfg) ->
+    (fun (((name, seed, horizon, faults, injections, checks, xfail), tcp_cfg), (filters, heal)) ->
       (* identical expect directives are a parse error by design, so the
          generator dedups the check list *)
       let checks =
@@ -541,6 +559,8 @@ let gen_scenario =
           sc_seed = Option.map Int64.of_int seed;
           sc_horizon = horizon;
           sc_faults = faults;
+          sc_filters = filters;
+          sc_heal = heal;
           sc_injections = injections;
           sc_checks = checks;
           sc_xfail = xfail }
@@ -549,14 +569,16 @@ let gen_scenario =
       | None -> sc
       | Some pp -> rebase_tcp pp sc)
     (pair
-       (tup7 name
-          (opt (int_range (-1000) 1000))
-          (opt vtime)
-          (list_size (int_range 0 3) (pair side gen_fault))
-          (list_size (int_range 0 3) injection)
-          (list_size (int_range 0 5) check)
-          (opt name))
-       tcp_cfg)
+       (pair
+          (tup7 name
+             (opt (int_range (-1000) 1000))
+             (opt vtime)
+             (list_size (int_range 0 3) (pair side gen_fault))
+             (list_size (int_range 0 3) injection)
+             (list_size (int_range 0 5) check)
+             (opt xfail))
+          tcp_cfg)
+       (pair (list_size (int_range 0 2) (pair side script)) (opt vtime)))
 
 let prop_round_trip =
   QCheck.Test.make

@@ -86,9 +86,13 @@ let input_readers =
      in
      [| ("Scenario.parse", files "scenarios" ".pfis", parses (fun s -> Pfi_testgen.Scenario.parse s));
         ("Matrix.parse", files "matrix" ".pfim", parses Pfi_testgen.Matrix.parse);
-        ( "Repro.of_string",
-          [ read "golden/tiny_abp_repro.expected.json" ],
-          fun s -> ignore (Pfi_testgen.Repro.of_string s : (_, string) result) );
+        (* repros: an exact xfail, a heal, and a filter block *)
+        ( "Scenario.parse (repros)",
+          [ read "golden/tiny_abp_repro.expected.pfis";
+            read "golden/gmp_buggy_windowed_finding.pfis";
+            read "golden/tiny_abp_repro.expected.pfis"
+            ^ "filter both\n  if {[chance 0.5]} { xDrop cur_msg }\nend\n" ],
+          parses (fun s -> Pfi_testgen.Scenario.parse s) );
         ( "Segment.decode",
           [ Bytes.to_string segment ],
           fun s -> ignore (Segment.decode (Bytes.of_string s) : (_, string) result) );

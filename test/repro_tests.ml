@@ -1,6 +1,6 @@
-(* Tests for the shrinking + replay subsystem: per-trial seed
-   derivation, campaign determinism, JSON repro artifacts, the
-   delta-debugging minimizer, and the harness registry. *)
+(* Tests for the shrinking + repro subsystem: per-trial seed
+   derivation, campaign determinism, the JSON codec, .pfis repro files,
+   the delta-debugging minimizer, and the harness registry. *)
 
 open Pfi_engine
 open Pfi_testgen
@@ -85,7 +85,7 @@ let test_run_trial_script_override () =
     (overridden.Campaign.verdict = Campaign.Tolerated)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism regressions (what replay depends on)                   *)
+(* Determinism regressions (what a repro's replay depends on)         *)
 (* ------------------------------------------------------------------ *)
 
 let test_campaign_summary_deterministic () =
@@ -205,134 +205,99 @@ let test_json_unicode_escapes () =
     [ {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|}; {|"\ude00"|}; {|"\udc41"|} ]
 
 (* ------------------------------------------------------------------ *)
-(* Repro artifacts                                                    *)
+(* Repro files                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_fault_json_roundtrip () =
-  let roundtrip spec fault =
-    match Repro.fault_of_json ~spec (Repro.fault_to_json fault) with
-    | Ok fault' ->
+(* every fault, written as a repro's [fault] line, reads back as itself:
+   [Scenario.to_string] raises unless its text parses back equal *)
+let test_fault_pfis_roundtrip () =
+  let roundtrip harness fault =
+    let sc =
+      Scenario.repro ~name:"r" ~harness ~seed:1L ~horizon:(Vtime.sec 1)
+        ~side:Campaign.Send_filter ~reason:"r" [ fault ]
+    in
+    match Scenario.parse (Scenario.to_string sc) with
+    | sc' ->
       Alcotest.(check bool)
         (Printf.sprintf "roundtrip %s" (Generator.describe fault))
-        true (fault = fault')
-    | Error e ->
-      Alcotest.failf "fault %S does not roundtrip: %s"
-        (Generator.describe fault) e
+        true (sc'.Scenario.sc_faults = sc.Scenario.sc_faults)
+    | exception Invalid_argument e ->
+      Alcotest.failf "fault %S does not roundtrip: %s" (Generator.describe fault) e
   in
   List.iter
-    (fun spec -> List.iter (roundtrip spec) (Generator.campaign spec))
-    [ Spec.abp; Spec.tcp; Spec.gmp ];
+    (fun (harness, spec) -> List.iter (roundtrip harness) (Generator.campaign spec))
+    [ ("abp", Spec.abp); ("tcp", Spec.tcp); ("gmp", Spec.gmp) ];
   (* the stock campaigns never use drop_all, drop_after or drop_nth:
      every kind comes from the scenario round-trip's fault generator *)
   let faults =
     QCheck.Gen.generate ~rand:(Random.State.make [| 20 |]) ~n:300
       Matrix_tests.gen_fault
   in
-  List.iter (roundtrip Spec.abp) faults;
+  List.iter (roundtrip "abp") faults;
   Alcotest.(check int) "every kind round-tripped" 12
     (List.length
        (List.sort_uniq compare
           (List.map (fun f -> (Generator.view f).Generator.kind) faults)))
 
-let sample_artifact () =
+let sample_repro () =
   let fault = Generator.Byzantine_mix 0.25 in
   let side = Campaign.Both_filters in
-  { Repro.version = Repro.current_version;
-    Repro.harness = "abp-buggy";
-    Repro.protocol = "abp";
-    Repro.target = "bob";
-    Repro.fault;
-    Repro.side;
-    Repro.horizon = Vtime.sec 120;
-    Repro.seed = Campaign.trial_seed ~campaign_seed:31L ~side fault;
-    Repro.campaign_seed = 31L;
-    Repro.script = Generator.script_of_fault fault;
-    Repro.verdict = Campaign.Violation "delivered 18/20 messages";
-    Repro.injected_events = 39;
-    Repro.shrink_trajectory =
-      [ { Repro.step_fault = Generator.Duplicate "MSG";
-          Repro.step_side = Campaign.Send_filter;
-          Repro.step_seed =
-            Campaign.trial_seed ~campaign_seed:31L ~side:Campaign.Send_filter
-              (Generator.Duplicate "MSG");
-          Repro.step_size = 4;
-          Repro.step_reason = "delivered 8/20 messages" } ] }
-
-let test_artifact_roundtrip () =
-  let a = sample_artifact () in
-  (match Repro.of_string (Repro.to_json a) with
-   | Ok a' -> Alcotest.(check bool) "roundtrips" true (a = a')
-   | Error e -> Alcotest.failf "artifact does not roundtrip: %s" e);
-  (* older artifacts give each shrink step a [horizon_us]; it is ignored *)
-  let old_step = function
-    | "shrink_trajectory", Json.List [ Json.Obj step ] ->
-      let step = step @ [ ("horizon_us", Json.Str "60000000") ] in
-      ("shrink_trajectory", Json.List [ Json.Obj step ])
-    | kv -> kv
-  in
-  match Json.parse (Repro.to_json a) with
-  | Ok (Json.Obj fields) ->
-    (match Repro.of_string (Json.to_string (Json.Obj (List.map old_step fields))) with
-     | Ok a' -> Alcotest.(check bool) "a step's horizon_us is ignored" true (a = a')
-     | Error e -> Alcotest.failf "an older artifact does not load: %s" e)
-  | _ -> Alcotest.fail "the sample artifact does not parse"
+  Scenario.repro
+    ~name:(Scenario.repro_stem ~index:7 side fault)
+    ~harness:"abp-buggy"
+    ~seed:(Campaign.trial_seed ~campaign_seed:31L ~side fault)
+    ~horizon:(Vtime.sec 120) ~side ~reason:"delivered 18/20 messages  #3" [ fault ]
 
 let test_artifact_file_roundtrip () =
-  let a = sample_artifact () in
-  let path = Filename.temp_file "pfi-repro" ".json" in
+  let sc = sample_repro () in
+  let path = Filename.temp_file "pfi-repro" ".pfis" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Repro.save path a;
-      match Repro.load path with
-      | Ok a' -> Alcotest.(check bool) "file roundtrip" true (a = a')
-      | Error e -> Alcotest.failf "load failed: %s" e)
+      Scenario.save_repro path ~verb:"campaign" ~seed:31L ~injected_events:39
+        ~notes:[ "a note" ] sc;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check (list string)) "comment lines first"
+        [ "# origin: campaign abp-buggy --seed 31"; "# injected events: 39"; "# a note" ]
+        (List.filteri (fun i _ -> i < 3) (String.split_on_char '\n' text));
+      Alcotest.(check bool) "file roundtrip" true (Scenario.equal sc (Scenario.load path)))
 
-(* the sample artifact's JSON with its fault object swapped out *)
-let artifact_with_fault fault =
-  match Json.parse (Repro.to_json (sample_artifact ())) with
-  | Ok (Json.Obj fields) ->
-    Json.to_string
-      (Json.Obj
-         (List.map (fun (k, v) -> if k = "fault" then (k, fault) else (k, v)) fields))
-  | _ -> Alcotest.fail "the sample artifact does not parse"
-
+(* a repro is judged by the parser that reads every scenario: bad input
+   is a [Parse_error] naming its line and word *)
 let test_artifact_rejects_bad_input () =
-  (match Repro.of_string "{\"version\": 999}" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "accepted an artifact from the future");
-  (match Repro.of_string "{\"harness\": \"abp\"}" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "accepted an artifact without a version");
-  (match Repro.of_string "not json at all" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "accepted garbage");
-  (* out-of-range parameters and a message type the abp spec lacks are
-     rejected where they are read, naming the field *)
-  let open Json in
+  let rejects (src, (line, token)) =
+    match Scenario.parse src with
+    | _ -> Alcotest.failf "accepted %S" src
+    | exception Scenario.Parse_error e ->
+      Alcotest.(check (pair int string)) src (line, token)
+        (e.Scenario.err_line, e.Scenario.err_token)
+  in
   List.iter
-    (fun (field, fault) ->
-      match Repro.of_string (artifact_with_fault (Obj fault)) with
-      | Ok _ -> Alcotest.failf "accepted a fault with a bad %s" field
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%S names %s" e field)
-          true
-          (String.starts_with ~prefix:field e))
-    [ ("fault.n", [ ("kind", Str "drop_nth"); ("mtype", Str "MSG"); ("n", Int 0) ]);
-      ("fault.n", [ ("kind", Str "drop_after"); ("mtype", Str "MSG"); ("n", Int (-5)) ]);
-      ( "fault.seconds",
-        [ ("kind", Str "delay_each"); ("mtype", Str "MSG"); ("seconds", Float 1e13) ] );
-      ( "fault.p",
-        [ ("kind", Str "drop_fraction"); ("mtype", Str "MSG"); ("p", Float 7.5) ] );
-      ("fault.mtype", [ ("kind", Str "drop_all"); ("mtype", Str "DATA") ]) ]
+    rejects
+    [ ("not a scenario at all", (1, "not"));
+      ("seed 1\nhorizon 2m\n", (3, "run"));
+      ("run abp\nxfail =", (2, "="));
+      ("run abp\nxfail = ", (2, "="));
+      ("run abp\nheal", (2, "heal"));
+      ("run abp\n@5s heal send", (2, "send"));
+      ("run abp\n@5s heal\n@6s heal", (3, "heal"));
+      ("run abp\nfilter\nend", (2, "filter"));
+      ("run abp\nfilter up\nend", (2, "up"));
+      ("run abp\nfilter both\nxDrop cur_msg\n", (2, "filter"));
+      ("run abp\nfault both drop_nth MSG 0", (2, "0"));
+      ("run abp\nfault both drop_after MSG -5", (2, "-5"));
+      ("run abp\nfault both delay_each MSG 1e13", (2, "1e13"));
+      ("run abp\nfault both drop_fraction MSG 7.5", (2, "7.5"));
+      ("run abp\nfault both drop_all DATA", (2, "DATA")) ]
 
 let test_artifact_filename () =
-  let a = sample_artifact () in
-  let name = Repro.filename ~index:7 a in
+  let fault = Generator.Byzantine_mix 0.25 in
   Alcotest.(check string) "stable slug"
-    "repro-007-both-byzantine-channel--drop-duplicate-p-0.25-each--all-types-.json"
-    name
+    "repro-007-both-byzantine-channel--drop-duplicate-p-0.25-each--all-types-"
+    (Scenario.repro_stem ~index:7 Campaign.Both_filters fault);
+  Alcotest.(check string) "the stem names the scenario"
+    (Scenario.repro_stem ~index:7 Campaign.Both_filters fault)
+    (sample_repro ()).Scenario.sc_name
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                          *)
@@ -549,7 +514,7 @@ let check_golden ~path actual =
 
 (* a tiny fixed ABP scenario: the stock abp-buggy harness under three
    hand-picked faults, seeds derived exactly as a campaign would derive
-   them, so [pfi_run replay] reproduces the recorded violation *)
+   them, so [pfi_run check] of its repro reproduces the violation *)
 let tiny_abp_outcomes () =
   let h = Abp_harness.harness ~bug_ignore_ack_bit:true () in
   let horizon = Vtime.sec 60 in
@@ -608,15 +573,20 @@ let test_jsonl_full_byte_range_roundtrip () =
   Alcotest.(check bool) "stray byte escaped as \\udcXX" true
     (contains (String.trim (Trace_lists.jsonl tr)) "\\udc80")
 
-let test_golden_repro_json () =
+let test_golden_repro_pfis () =
   match tiny_abp_outcomes () with
-  | [ _; _; violation ] ->
-    let artifact =
-      Repro.of_outcome ~harness:"abp-buggy" ~protocol:"abp" ~target:"bob"
-        ~horizon:(Vtime.sec 60) ~campaign_seed:7L violation
-    in
-    check_golden ~path:"golden/tiny_abp_repro.expected.json"
-      (Repro.to_json artifact)
+  | [ _; _; ({ Campaign.verdict = Campaign.Violation reason; _ } as o) ] ->
+    let name = Scenario.repro_stem ~index:1 o.Campaign.side o.Campaign.fault in
+    let path = Filename.temp_file "pfi-tiny-repro" ".pfis" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Scenario.save_repro path ~verb:"campaign" ~seed:7L
+          ~injected_events:o.Campaign.injected_events
+          (Scenario.repro ~name ~harness:"abp-buggy" ~seed:o.Campaign.seed
+             ~horizon:(Vtime.sec 60) ~side:o.Campaign.side ~reason
+             [ o.Campaign.fault ]);
+        check_golden ~path:"golden/tiny_abp_repro.expected.pfis" (read_file path))
   | _ -> Alcotest.fail "tiny scenario shape changed"
 
 let suite =
@@ -640,10 +610,8 @@ let suite =
     Alcotest.test_case "json parser rejects garbage" `Quick
       test_json_parser_rejects_garbage;
     Alcotest.test_case "json float precision" `Quick test_json_number_precision;
-    Alcotest.test_case "every campaign fault roundtrips through json" `Quick
-      test_fault_json_roundtrip;
-    Alcotest.test_case "artifact roundtrips through json" `Quick
-      test_artifact_roundtrip;
+    Alcotest.test_case "every campaign fault roundtrips through a .pfis repro"
+      `Quick test_fault_pfis_roundtrip;
     Alcotest.test_case "artifact roundtrips through a file" `Quick
       test_artifact_file_roundtrip;
     Alcotest.test_case "artifact rejects bad input" `Quick
@@ -669,8 +637,8 @@ let suite =
       test_golden_summary;
     Alcotest.test_case "jsonl round-trips every byte value" `Quick
       test_jsonl_full_byte_range_roundtrip;
-    Alcotest.test_case "golden: repro artifact json" `Quick
-      test_golden_repro_json;
+    Alcotest.test_case "golden: repro artifact .pfis" `Quick
+      test_golden_repro_pfis;
     Alcotest.test_case "a minimized repro is tolerated by the correct harness"
       `Slow test_shrunk_repro_spares_correct_code;
     Alcotest.test_case "json \\u escapes read as UTF-8, \\udcXX as a byte" `Quick

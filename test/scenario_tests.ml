@@ -243,8 +243,8 @@ let test_parse_example () =
      Alcotest.(check bool) "@10s ... within 30s is [10s, 40s]" true
        (lo = Vtime.sec 10 && hi = Vtime.sec 40)
    | _ -> Alcotest.fail "@T expect ... within D did not become Within");
-  Alcotest.(check (option string)) "xfail" (Some "not really")
-    sc.Scenario.sc_xfail
+  Alcotest.(check bool) "xfail" true
+    (sc.Scenario.sc_xfail = Some (Scenario.Contains "not really"))
 
 let check_parse_error ~line ~token src =
   match Scenario.parse src with
@@ -291,7 +291,8 @@ let test_parse_errors () =
   check_parse_error ~line:2 ~token:"run" "name no harness\nexpect service";
   Alcotest.(check string) "error message names file, line and token"
     "demo.pfis:2: unknown directive (expected name, run, profile, phase, \
-     seed, horizon, fault, inject, expect or xfail) (at \"exepct\")"
+     seed, horizon, fault, filter, heal, inject, expect or xfail) (at \
+     \"exepct\")"
     (match Scenario.parse "run abp\nexepct service" with
      | _ -> "no error"
      | exception Scenario.Parse_error e ->
@@ -411,7 +412,26 @@ let print_cases =
   let with_inject f = { base with Scenario.sc_injections = [ f ack_inject ] } in
   [ ("the base scenario", base, true);
     ("a name word a#b", { base with Scenario.sc_name = "a#b c" }, true);
-    ("an xfail text a + b", { base with Scenario.sc_xfail = Some "a + b" }, true);
+    ("an xfail text a + b", { base with Scenario.sc_xfail = Some (Scenario.Contains "a + b") }, true);
+    ("an exact xfail with # words and double spaces",
+     { base with
+       Scenario.sc_xfail = Some (Scenario.Equals "last match #227796  @1s \"loop\"  ") },
+     true);
+    ("a heal", { base with Scenario.sc_heal = Some (Vtime.ms 1500) }, true);
+    ("a filter block",
+     { base with
+       Scenario.sc_filters =
+         [ (Campaign.Both_filters, "  if {[chance 0.5]} { xDrop cur_msg }\n# Tcl's\n\nxPass");
+           (Campaign.Send_filter, "") ] },
+     true);
+    ("a filter block holding a line end",
+     { base with Scenario.sc_filters = [ (Campaign.Send_filter, "set x 1\n end\nset y 2") ] },
+     false);
+    ("an empty exact xfail", { base with Scenario.sc_xfail = Some (Scenario.Equals "") }, false);
+    ("an exact xfail on two lines",
+     { base with Scenario.sc_xfail = Some (Scenario.Equals "a\nexpect service") }, false);
+    ("a substring xfail that reads as an exact one",
+     { base with Scenario.sc_xfail = Some (Scenario.Contains "= a") }, false);
     ("a detail a#b", with_checks [ Oracle.Eventually (Oracle.pattern ~detail:"a#b" ()) ], true);
     ("a tcp profile and phase",
      { base with
@@ -483,6 +503,28 @@ let test_print_reads_back_or_raises () =
      with
      | text -> text
      | exception Invalid_argument msg -> msg)
+
+(* the repro forms at run time: a filter block filters, [@T heal] clears
+   both filters, and [xfail = REASON] takes the reason exactly.  The
+   committed windowed fuzz finding replays as its expected failure. *)
+let test_repro_forms_run () =
+  let outcome sc = Scenario.outcome_name (Scenario.run sc).Scenario.res_outcome in
+  let drop_all = "run abp\nfilter send\nxDrop cur_msg\nend\nexpect service\n" in
+  let check what want extra =
+    Alcotest.(check string) what want (outcome (Scenario.parse (drop_all ^ extra)))
+  in
+  check "a filter block runs" "fail" "";
+  check "a heal clears it" "pass" "@10s heal\n";
+  check "the exact reason" "xfail" "xfail = delivered 0/20 messages\n";
+  check "a prefix of the reason" "fail" "xfail = delivered 0/20\n";
+  check "a substring xfail" "xfail" "xfail delivered 0/20\n";
+  let finding =
+    Scenario.load
+      (Filename.concat (Filename.dirname Sys.executable_name)
+         "golden/gmp_buggy_windowed_finding.pfis")
+  in
+  Alcotest.(check bool) "the finding heals" true (finding.Scenario.sc_heal <> None);
+  Alcotest.(check string) "the finding replays" "xfail" (outcome finding)
 
 (* ------------------------------------------------------------------ *)
 (* The checked-in corpus, exactly as `pfi_run check` runs it          *)
@@ -636,6 +678,8 @@ let suite =
       test_parse_errors_extensions;
     Alcotest.test_case "scenario: shared token checks, full messages" `Quick
       test_shared_check_messages;
+    Alcotest.test_case "scenario: filter, heal and exact xfail run as written"
+      `Quick test_repro_forms_run;
     Alcotest.test_case "scenario: to_string reads back or raises" `Quick
       test_print_reads_back_or_raises;
     Alcotest.test_case "corpus scenarios survive print→parse" `Quick

@@ -142,8 +142,8 @@ let test_generated_scripts_parse () =
 (* Property: every fault the generator can emit for a spec produces a
    script that not only parses but *installs* — compiles into a fresh
    PFI layer carrying the protocol's stub — on both filter sides,
-   without raising.  This is what `replay` relies on: any recorded
-   fault can always be re-armed. *)
+   without raising.  This is what a repro's replay relies on: any
+   recorded fault can always be re-armed. *)
 let check_scripts_install ~stub spec =
   List.iter
     (fun fault ->
