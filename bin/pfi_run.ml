@@ -302,26 +302,37 @@ let catalogs =
       ablations (EXPERIMENTS_paper.md)",
      Pfi_testgen.Paper.catalog) ]
 
-(* --trace-out FILE, for every verb that takes it: the file opens
-   before anything runs (or the verb exits 1), and the returned
-   exporter later hands [write] each trace to keep, in a deterministic
-   order, with the origin key/values stamped on its JSONL lines *)
-let trace_sink trace_out =
-  let oc =
-    Option.map
-      (fun path ->
-        try open_out path
-        with Sys_error m ->
-          Printf.eprintf "cannot open trace output: %s\n" m;
-          exit 1)
-      trace_out
-  in
-  fun export ->
-    Option.iter
-      (fun oc ->
-        export (fun extra trace -> Pfi_testgen.Json.output_trace ~extra oc trace);
-        close_out oc)
-      oc
+(* Every path a verb writes goes through [Out]: a directory option is
+   created before its verb runs anything, and a path that cannot be
+   written exits 1 with one "cannot write PATH: REASON" line. *)
+module Out = struct
+  let write path f =
+    try f ()
+    with Sys_error msg ->
+      (* the message names its path first *)
+      let n = if String.starts_with ~prefix:(path ^ ": ") msg then String.length path + 2 else 0 in
+      Printf.eprintf "cannot write %s: %s\n" path (String.sub msg n (String.length msg - n));
+      exit 1
+
+  let file path text =
+    write path (fun () -> Out_channel.with_open_bin path (fun oc -> output_string oc text))
+
+  let dir path =
+    let rec make d =
+      if not (Sys.file_exists d) then (make (Filename.dirname d); Sys.mkdir d 0o755)
+    in
+    write path (fun () ->
+        make path;
+        if not (Sys.is_directory path) then raise (Sys_error "Not a directory"));
+    path
+
+  (* --trace-out FILE: opened before the verb runs, closed (so flushed) however it exits *)
+  let trace_out =
+    Option.map (fun path ->
+        let oc = write path (fun () -> open_out_bin path) in
+        at_exit (fun () -> close_out oc);
+        Pfi_testgen.Trace_out.create oc)
+end
 
 let json_str s = Pfi_testgen.Json.Str s
 let json_print tree = print_endline (Pfi_testgen.Json.to_string tree)
@@ -366,7 +377,7 @@ let list_cmd =
 let repl seed =
   let open Pfi_engine in
   let open Pfi_stack in
-  let sim = Sim.create ?seed () in
+  let sim = Sim.create ~scratch:(Sim.scratch ()) ?seed () in
   let pfi =
     Pfi_core.Pfi_layer.create ~sim ~node:"repl" ~stub:Pfi_tcp.Tcp_stub.stub ()
   in
@@ -418,14 +429,20 @@ let repl_cmd =
 
 (* Re-runs the Solaris global-error-counter experiment with MSC
    recording on and prints the ladder diagram the paper draws in §4.1
-   (m1 retransmitted six times, its delayed ACK, then m2 three times).
-   [--trace-out] exports the run's one simulation. *)
+   (m1 retransmitted six times, its delayed ACK, then m2 three times)
+   from a collector; [--trace-out] exports the run's one simulation and
+   [--json] prints its [msc] entries, all three feeds attached first. *)
 let msc trace_out json =
   let open Pfi_engine in
   let open Pfi_core in
   let open Pfi_testgen in
-  let export_traces = trace_sink trace_out in
-  let rig = Tcp_rig.make ~profile:Pfi_tcp.Profile.solaris_23 () in
+  let scratch = Sim.scratch () in
+  let trace = Sim.scratch_trace scratch in
+  let attach out = Trace_out.attach (Some (Trace_out.label [ ("artifact", "msc") ] out)) trace in
+  Option.iter (fun out -> attach (Trace_out.label [ ("sim", "0") ] out)) (Out.trace_out trace_out);
+  if json then attach (Trace_out.create ~tag:"msc" stdout);
+  let events = Pfi_netsim.Msc.collect trace in
+  let rig = Tcp_rig.make ~scratch ~profile:Pfi_tcp.Profile.solaris_23 () in
   Pfi_netsim.Network.set_msc_enabled rig.Tcp_rig.net true;
   let vconn, _xc = Tcp_rig.connect rig in
   Pfi_layer.set_receive_filter rig.Tcp_rig.pfi
@@ -447,26 +464,17 @@ if {$delay_next_ack == 1 && [msg_type cur_msg] == "ACK"} {
   Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every:(Vtime.ms 400)
     ~count:32;
   Sim.run ~until:(Vtime.hours 1) rig.Tcp_rig.sim;
-  let trace = Sim.trace rig.Tcp_rig.sim in
-  (* show only the interesting tail: from shortly before the drop phase *)
-  let events =
-    List.filter
-      (fun e ->
-        Vtime.(e.Pfi_netsim.Msc.time >= Vtime.add t_filter (Vtime.sec 12)))
-      (Pfi_netsim.Msc.events trace)
-  in
-  if json then
-    Json.output_trace ~extra:[ ("artifact", "msc") ] ~tag:"msc" stdout trace
-  else begin
+  if not json then begin
     print_endline
       "Message sequence chart: the Solaris global-error-counter discovery";
     print_endline
       "(m1's ACK delayed 35 s; X marks messages the PFI layer or network \
        dropped)\n";
+    (* show only the interesting tail: from shortly before the drop phase *)
+    let tail e = Vtime.(e.Pfi_netsim.Msc.time >= Vtime.add t_filter (Vtime.sec 12)) in
     Pfi_netsim.Msc.render ~nodes:[ Tcp_rig.vendor_node; Tcp_rig.xk_node ]
-      Format.std_formatter events
-  end;
-  export_traces (fun write -> write [ ("artifact", "msc"); ("sim", "0") ] trace)
+      Format.std_formatter (List.filter tail (events ()))
+  end
 
 let msc_cmd =
   let doc =
@@ -486,15 +494,6 @@ let registry_entry which : (module Pfi_testgen.Harness_intf.HARNESS) =
     Printf.eprintf "unknown harness %S (try one of: %s)\n" which
       (String.concat ", " Pfi_testgen.Registry.names);
     exit 1
-
-let mkdir_p dir =
-  let rec go dir =
-    if not (Sys.file_exists dir) then begin
-      go (Filename.dirname dir);
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-    end
-  in
-  go dir
 
 let verdict_json = function
   | Pfi_testgen.Campaign.Tolerated -> json_str "tolerated"
@@ -574,15 +573,15 @@ let print_exec_stats (st : Pfi_testgen.Executor.stats) ~alloc_words ~trials
     arena_trials
 
 (* a repro per violation: DIR/<stem>.pfis, its stem its scenario name,
-   and the path printed *)
+   and the path printed; [dir] is made by [Out.dir] before the run *)
 let save_repros ~json ~dir ~verb ~seed repros =
-  mkdir_p dir;
   List.iteri
     (fun i (side, fault, injected_events, scenario) ->
       let name = Pfi_testgen.Scenario.repro_stem ~index:(i + 1) side fault in
       let path = Filename.concat dir (name ^ ".pfis") in
-      Pfi_testgen.Scenario.save_repro path ~verb ~seed ~injected_events
-        (scenario ~name);
+      Out.write path (fun () ->
+          Pfi_testgen.Scenario.save_repro path ~verb ~seed ~injected_events
+            (scenario ~name));
       if json then json_print (Pfi_testgen.Json.Obj [ ("repro", json_str path) ])
       else Printf.printf "repro artifact: %s\n" path)
     repros
@@ -590,19 +589,19 @@ let save_repros ~json ~dir ~verb ~seed repros =
 (* fault-injection campaigns from generated scripts; every violation
    can be written out as a self-contained .pfis repro that `check`
    replays.  Trials run through Executor.of_jobs: outcomes (and hence
-   the summary, the JSONL trace export, and the repros) come back in
-   canonical plan order for any worker count. *)
+   the summary, the streamed JSONL trace export, and the repros) come
+   in canonical plan order for any worker count. *)
 let campaign which trace_out repro_dir seed jobs json stats =
   let open Pfi_testgen in
   let (module H : Harness_intf.HARNESS) = registry_entry which in
   let campaign_seed = Option.value seed ~default:H.default_seed in
   let executor = Executor.of_jobs jobs in
-  let export_traces = trace_sink trace_out in
+  let trace_out = Out.trace_out trace_out in
+  let repro_dir = Option.map Out.dir repro_dir in
   let arena0 = Arena.trials_served () in
   let alloc0 = alloc_words_now () in
   match
-    Campaign.run ~executor
-      ~observe:(Campaign.observe ~traces:(trace_out <> None) ())
+    Campaign.run ~executor ~observe:(Campaign.observe ?trace_out ())
       (Campaign.plan ~seed:campaign_seed (module H : Harness_intf.HARNESS))
   with
   | exception Campaign.Control_failure reason ->
@@ -635,15 +634,6 @@ let campaign which trace_out repro_dir seed jobs json stats =
         json_print (exec_stats_json st ~alloc_words ~trials ~arena_trials)
       else print_exec_stats st ~alloc_words ~trials ~arena_trials
     end;
-    (* the trace export walks control + trials in canonical order, so
-       the JSONL bytes are independent of the worker count too *)
-    export_traces (fun write ->
-        let extra i = [ ("campaign", which); ("sim", string_of_int i) ] in
-        Option.iter (write (extra 0)) summary.Campaign.s_control_trace;
-        List.iteri
-          (fun i (o : Campaign.outcome) ->
-            Option.iter (write (extra (i + 1))) o.Campaign.trace)
-          outcomes);
     (match repro_dir with
      | None -> ()
      | Some dir ->
@@ -708,18 +698,18 @@ let shrink file out max_trials seed jobs trace_out json =
           fault and side; pass the campaign seed it was recorded with as --seed"
          file derived campaign_seed);
   let executor = Executor.of_jobs jobs in
-  let export_traces = trace_sink trace_out in
+  let trace_out = Out.trace_out trace_out in
   (* every candidate runs as the stock single-fault trial, to the
      file's horizon *)
-  let run ?capture_trace st =
-    Campaign.run_trial ?capture_trace
+  let run ?trace_out st =
+    Campaign.run_trial ?trace_out
       (module H : Harness_intf.HARNESS)
       ~horizon
       (Shrink.trial ~campaign_seed st)
   in
   let st0 = { Shrink.fault; side } in
   match
-    Shrink.minimize ~max_trials ~executor ~spec:H.spec ~run:(run ?capture_trace:None) st0
+    Shrink.minimize ~max_trials ~executor ~spec:H.spec ~run:(run ?trace_out:None) st0
   with
   | Error reason -> refuse (Printf.sprintf "%s: %s" file reason)
   | Ok report ->
@@ -767,10 +757,8 @@ let shrink file out max_trials seed jobs trace_out json =
         report.Shrink.trials
     end;
     (* the minimized trial's own trace, re-executed once more *)
-    export_traces (fun write ->
-        Option.iter
-          (write [ ("shrink", Filename.basename file); ("sim", "0") ])
-          (run ~capture_trace:true minimized).Campaign.trace);
+    let label = Trace_out.label [ ("shrink", Filename.basename file); ("sim", "0") ] in
+    Option.iter (fun out -> ignore (run ~trace_out:(label out) minimized)) trace_out;
     (* the accepting run is the minimized trial: its seed, violation and
        injected events are the repro's *)
     let o = report.Shrink.outcome in
@@ -779,12 +767,13 @@ let shrink file out max_trials seed jobs trace_out json =
       | Campaign.Violation r -> r
       | Campaign.Tolerated -> refuse (file ^ ": the minimized trial is tolerated")
     in
-    Scenario.save_repro out_path ~verb:"shrink" ~seed:campaign_seed
-      ~injected_events:o.Campaign.injected_events
-      ~notes:(List.map (fun step -> "shrunk to: " ^ step_line step) report.Shrink.steps)
-      (Scenario.repro ~name:(stem sc.Scenario.sc_name ^ ".min") ~harness:H.name
-         ~seed:o.Campaign.seed ~horizon ~side:minimized.Shrink.side ~reason
-         [ minimized.Shrink.fault ]);
+    Out.write out_path (fun () ->
+        Scenario.save_repro out_path ~verb:"shrink" ~seed:campaign_seed
+          ~injected_events:o.Campaign.injected_events
+          ~notes:(List.map (fun step -> "shrunk to: " ^ step_line step) report.Shrink.steps)
+          (Scenario.repro ~name:(stem sc.Scenario.sc_name ^ ".min") ~harness:H.name
+             ~seed:o.Campaign.seed ~horizon ~side:minimized.Shrink.side ~reason
+             [ minimized.Shrink.fault ]));
     if not json then Printf.printf "  minimized repro: %s\n" out_path
 
 let shrink_cmd =
@@ -815,7 +804,8 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
   let fuzz_seed = Option.value seed ~default:Campaign.default_seed in
   let budget = Option.value budget ~default:Fuzz.default_budget in
   let executor = Executor.of_jobs jobs in
-  let export_traces = trace_sink trace_out in
+  let trace_out = Out.trace_out trace_out in
+  let corpus_dir = Option.map Out.dir corpus_dir in
   let arena0 = Arena.trials_served () in
   let alloc0 = alloc_words_now () in
   let res =
@@ -868,37 +858,28 @@ let fuzz which seed budget corpus_dir trace_out jobs json stats =
       json_print (exec_stats_json st ~alloc_words ~trials ~arena_trials)
     else print_exec_stats st ~alloc_words ~trials ~arena_trials
   end;
-  (* findings keep no trace: each finding's scenario runs once more *)
+  (* findings keep no trace: each finding's scenario runs once more,
+     streaming to the export *)
   let scenario fd ~name = Fuzz.finding_scenario ~harness:H.name ~name fd in
-  export_traces (fun write ->
-      List.iteri
-        (fun i (fd : Fuzz.finding) ->
-          Option.iter
-            (write
-               [ ("fuzz", H.name);
-                 ("finding", fd.Fuzz.fd_signature);
-                 ("sim", string_of_int i) ])
-            (Scenario.run ~observe:(Campaign.observe ~traces:true ())
-               (scenario fd ~name:fd.Fuzz.fd_signature))
-              .Scenario.res_trace)
-        res.Fuzz.r_findings);
+  let rerun out (fd : Fuzz.finding) =
+    let label = Trace_out.label [ ("fuzz", H.name); ("finding", fd.Fuzz.fd_signature) ] in
+    let observe = Campaign.observe ?trace_out:(Option.map label out) () in
+    ignore (Scenario.run ~observe (scenario fd ~name:fd.Fuzz.fd_signature))
+  in
+  if Option.is_some trace_out then
+    ignore (Trace_out.map trace_out (Executor.of_jobs jobs) rerun res.Fuzz.r_findings);
   match corpus_dir with
   | None -> ()
   | Some dir ->
-    mkdir_p dir;
-    let foc = open_out_bin (Filename.concat dir "findings.jsonl") in
-    List.iter (fun l -> output_string foc (l ^ "\n")) finding_lines;
-    close_out foc;
+    let lines l = String.concat "" (List.map (fun l -> l ^ "\n") l) in
+    Out.file (Filename.concat dir "findings.jsonl") (lines finding_lines);
     save_repros ~json ~dir ~verb:"fuzz" ~seed:fuzz_seed
       (List.map
          (fun (fd : Fuzz.finding) ->
            (fd.Fuzz.fd_side, fd.Fuzz.fd_fault, fd.Fuzz.fd_injected_events, scenario fd))
          res.Fuzz.r_findings);
-    let coc = open_out_bin (Filename.concat dir "corpus.txt") in
-    List.iter
-      (fun input -> output_string coc (Fuzz.canonical input ^ "\n"))
-      res.Fuzz.r_corpus;
-    close_out coc
+    Out.file (Filename.concat dir "corpus.txt")
+      (lines (List.map Fuzz.canonical res.Fuzz.r_corpus))
 
 let fuzz_cmd =
   let doc =
@@ -982,21 +963,21 @@ let file_error ~json file msg text =
       (Pfi_testgen.Json.Obj [ ("file", json_str file); ("error", json_str msg) ])
   else print_string text
 
-(* Both check modes run every scenario file through Executor.of_jobs
-   (results come back in input order, so the output is byte-identical
-   at any width) and share this per-result loop.  [judge file r] is a
-   mode's own verdict on a loaded result: extra JSON fields, whether it
-   fails the run whatever its outcome, and what to print after it.
-   Returns (failed, xfailed, load errors). *)
+(* Both check modes run every scenario file through Trace_out.map
+   (results and export lines come in input order, so the output is
+   byte-identical at any width) and share this per-result loop.
+   [judge file r] is a mode's own verdict on a loaded result: extra
+   JSON fields, whether it fails the run whatever its outcome, and what
+   to print after it.  Returns (failed, xfailed, load errors). *)
 let report_scenarios ~json ~trace_out ~jobs ?seed ~judge files =
   let open Pfi_testgen in
-  let observe = Campaign.observe ~traces:(trace_out <> None) () in
-  let export_traces = trace_sink trace_out in
   let results =
-    Executor.map (Executor.of_jobs jobs)
-      (fun file ->
+    Trace_out.map (Out.trace_out trace_out) (Executor.of_jobs jobs)
+      (fun out file ->
         match Scenario.load file with
-        | sc -> Ok (Scenario.run ?seed ~observe sc)
+        | sc ->
+          let trace_out = Option.map (Trace_out.label [ ("scenario", sc.Scenario.sc_name) ]) out in
+          Ok (Scenario.run ?seed ~observe:(Campaign.observe ?trace_out ()) sc)
         | exception Scenario.Parse_error e ->
           Error (Scenario.error_message ~file e)
         | exception Sys_error m -> Error m)
@@ -1019,16 +1000,6 @@ let report_scenarios ~json ~trace_out ~jobs ?seed ~judge files =
         else print_scenario_result file r;
         after ())
     files results;
-  export_traces (fun write ->
-      List.iteri
-        (fun i res ->
-          match res with
-          | Ok ({ Scenario.res_trace = Some trace; _ } as r) ->
-            write
-              [ ("scenario", r.Scenario.res_scenario); ("sim", string_of_int i) ]
-              trace
-          | _ -> ())
-        results);
   (!failed, !xfailed, !errors)
 
 let check_files files trace_out seed jobs json =
@@ -1189,7 +1160,7 @@ let gen spec_path out json limit =
   let open Pfi_testgen in
   let out =
     match out with
-    | Some dir -> dir
+    | Some dir -> Out.dir dir
     | None ->
       Printf.eprintf "gen: no output directory (give -o DIR)\n";
       exit 2
@@ -1208,12 +1179,9 @@ let gen spec_path out json limit =
       Printf.eprintf "%s\n" (Scenario.error_message ~file:spec_path e);
       exit 1
   in
-  mkdir_p out;
   List.iter
     (fun (e : Matrix.entry) ->
-      let oc = open_out_bin (Filename.concat out e.Matrix.e_file) in
-      output_string oc e.Matrix.e_text;
-      close_out oc)
+      Out.file (Filename.concat out e.Matrix.e_file) e.Matrix.e_text)
     entries;
   let manifest =
     Matrix.manifest_json
@@ -1221,9 +1189,7 @@ let gen spec_path out json limit =
       ~spec_digest:(Digest.to_hex (Digest.string src))
       m entries
   in
-  let moc = open_out_bin (Filename.concat out "manifest.json") in
-  output_string moc (Json.to_string manifest ^ "\n");
-  close_out moc;
+  Out.file (Filename.concat out "manifest.json") (Json.to_string manifest ^ "\n");
   let count p =
     List.length
       (List.filter (fun (e : Matrix.entry) -> e.Matrix.e_expected = p) entries)
@@ -1278,17 +1244,7 @@ let matrix catalog seed jobs json report profile =
       exit 2
   in
   let md = Conformance.to_markdown rep in
-  (match report with
-   | None -> ()
-   | Some path ->
-     let oc =
-       try open_out_bin path
-       with Sys_error m ->
-         Printf.eprintf "cannot open report output: %s\n" m;
-         exit 1
-     in
-     output_string oc md;
-     close_out oc);
+  Option.iter (fun path -> Out.file path md) report;
   let rows_passed = Conformance.passed rep in
   let rows_total = Conformance.total rep in
   if json then json_print (Conformance.to_json rep)

@@ -19,7 +19,7 @@ type scratch
 
 val scratch : ?stores:bool -> unit -> scratch
 (** An empty scratch: its trace stores entries when [stores], and only
-    counts them ({!Trace.create_counting}) by default. *)
+    counts them ({!Trace.create_counting}) by default (see {!Trace}). *)
 
 val scratch_trace : scratch -> Trace.t
 (** The trace a sim over the scratch will record into: feeds attached

@@ -6,14 +6,13 @@
     index.
 
     A trace comes in one of two kinds.
-    - A {e storing} trace ({!create}) keeps every entry for {!entries},
-      the store's one reader: a whole log, read after its run by the
-      JSONL export ([Pfi_testgen.Json.output_trace]) and the MSC
-      renderer.
     - A {e counting} trace ({!create_counting}) stores no entry, and
-      {!entries} raises [Invalid_argument] on it.  Every trial whose
-      trace is not exported records into one: what it needs from the
-      trace is decided while it is recorded, by {!attach}ed feeds.
+      {!entries} raises [Invalid_argument] on it.  Every trial the tool
+      runs records into one: verdicts, coverage and exports are read
+      while it records, by {!attach}ed feeds.
+    - A {e storing} trace ({!create}) keeps every entry for {!entries},
+      the store's one reader.  No verb builds one; only tests and the
+      [perf/] benchmark's replays read stored entries.
 
     Both kinds keep the recording index ({!length}) and a count per
     [(node, tag)] pair ({!count}).

@@ -8,29 +8,21 @@ type event = {
   label : string;
 }
 
-let parse_arrival = function
-  | Some "-" | None -> None
-  | Some us -> Option.map Vtime.us (int_of_string_opt us)
-
 (* [Network.msc_record] stores a transmission's data as structured
-   fields; its detail string is for human readers *)
-let parse_entry (e : Trace.entry) =
-  match List.assoc_opt "dst" e.Trace.fields with
-  | Some dst when String.equal e.Trace.tag "msc" ->
-    Some
-      { time = e.Trace.time;
-        arrival = parse_arrival (List.assoc_opt "arrival" e.Trace.fields);
-        src = e.Trace.node;
-        dst;
-        label = Option.value (List.assoc_opt "label" e.Trace.fields) ~default:"" }
-  | _ -> None
-
-(* delivered transmissions are recorded when they land, so the raw
-   trace order is arrival order; the ladder reads in send order *)
-let events trace =
-  List.stable_sort
-    (fun a b -> Vtime.compare a.time b.time)
-    (List.filter_map parse_entry (Trace.entries trace))
+   fields; its detail string is for human readers.  Delivered
+   transmissions are recorded when they land, so the recording order is
+   arrival order; the ladder reads in send order. *)
+let collect trace =
+  let seen = ref [] in
+  Trace.attach trace ~tags:(Some [ "msc" ]) (fun _ (e : Trace.entry) ->
+      let field key = List.assoc_opt key e.fields in
+      Option.iter
+        (fun dst ->
+          let arrival = Option.map Vtime.us (Option.bind (field "arrival") int_of_string_opt) in
+          let label = Option.value (field "label") ~default:"" in
+          seen := { time = e.time; arrival; src = e.node; dst; label } :: !seen)
+        (field "dst"));
+  fun () -> List.stable_sort (fun a b -> Vtime.compare a.time b.time) (List.rev !seen)
 
 (* labels longer than this are cut, marked with a trailing '~' *)
 let max_label = 34

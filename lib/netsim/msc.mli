@@ -8,8 +8,7 @@
     and a label (protocols may set the ["msc.label"] message attribute;
     otherwise the payload size is shown); {!render} lays the entries
     out as a two-column ladder, or as "src -> dst" event lines for
-    wider topologies.  It reads a storing trace after the run: the
-    ladder is an export of the whole log. *)
+    wider topologies, from the entries a feed ({!collect}) saw. *)
 
 type event = {
   time : Pfi_engine.Vtime.t;  (** transmission time *)
@@ -19,9 +18,10 @@ type event = {
   label : string;
 }
 
-val events : Pfi_engine.Trace.t -> event list
-(** The [msc] entries of a storing trace ({!Pfi_engine.Trace.entries}),
-    in send order. *)
+val collect : Pfi_engine.Trace.t -> unit -> event list
+(** Attaches a feed that keeps every [msc] entry the trace records
+    from now on, and returns the reader of those events, in send
+    order. *)
 
 val render : nodes:string list -> Format.formatter -> event list -> unit
 (** Two nodes: a ladder with arrows; more: one line per event.  Labels

@@ -14,8 +14,8 @@
     The arena is keyed on one process-global [Domain.DLS] key, so
     concurrent executor workers each get their own scratch and never
     contend.  {!Campaign.exec}, the one harness-trial runner, adopts it
-    for every trial whose trace is not exported, and reads every
-    verdict off it before returning; each paper-catalog row
+    for every trial, exported or not (an export is one more feed), and
+    reads every verdict off it before returning; each paper-catalog row
     ({!Paper}) passes it to its testbed and reads the testbed before
     it takes the next one.
 

@@ -13,7 +13,6 @@ type outcome = {
   verdict : verdict;
   injected_events : int;
   sim_events : int;
-  trace : Trace.t option;
 }
 
 type trial = {
@@ -53,11 +52,13 @@ let trial_seed_of_key ~campaign_seed ~side key =
 let trial_seed ~campaign_seed ~side fault =
   trial_seed_of_key ~campaign_seed ~side (Generator.fault_key fault)
 
-type observer = { obs_traces : bool }
+type observer = {
+  obs_traces : bool;
+  obs_trace_out : Trace_out.t option;
+}
 
-let observe ?(traces = false) () = { obs_traces = traces }
-
-let silent = observe ()
+let observe ?(traces = false) ?trace_out () =
+  { obs_traces = traces; obs_trace_out = trace_out }
 
 type plan = {
   p_harness : Harness_intf.packed;
@@ -121,7 +122,7 @@ let install pfi (side, script) =
 
 let exec ?(capture_trace = false) ?arm (module H : Harness_intf.HARNESS)
     ~horizon ~seed ~filters feed =
-  (* an exported trace escapes the trial, so it must store its entries;
+  (* a captured trace escapes the trial, so it must store its entries;
      any other trial records into this domain's arena, which the next
      trial here clears, so its reader runs before this returns *)
   let scratch =
@@ -139,49 +140,43 @@ let exec ?(capture_trace = false) ?arm (module H : Harness_intf.HARNESS)
   in
   read verdict sim
 
-let run_trial ?(capture_trace = false) h ~horizon tr =
+let trial_outcome ~capture_trace ?trace_out h ~horizon tr =
   exec ~capture_trace ?arm:tr.t_arm h ~horizon ~seed:tr.t_seed
     ~filters:[ (tr.t_side, tr.t_script) ]
-    (fun _ verdict sim ->
-      let trace = Sim.trace sim in
-      { fault = tr.t_fault;
-        side = tr.t_side;
-        seed = tr.t_seed;
-        verdict;
-        injected_events =
-          Trace.count ~tag:"testgen.fault" trace + Trace.count ~tag:"pfi.log" trace;
-        sim_events = Sim.events sim;
-        trace = (if capture_trace then Some trace else None) })
+    (fun trace ->
+      Trace_out.attach trace_out trace;
+      fun verdict sim ->
+        { fault = tr.t_fault; side = tr.t_side; seed = tr.t_seed; verdict;
+          injected_events =
+            Trace.count ~tag:"testgen.fault" trace + Trace.count ~tag:"pfi.log" trace;
+          sim_events = Sim.events sim })
+
+let run_trial ?trace_out h ~horizon tr =
+  trial_outcome ~capture_trace:false ?trace_out h ~horizon tr
 
 type summary = {
   s_outcomes : outcome list;
-  s_control_trace : Trace.t option;
   s_exec : Executor.stats;
 }
 
-let control_trial h ~observer ~horizon ~seed =
-  let capture_trace = observer.obs_traces in
-  exec ~capture_trace h ~horizon ~seed ~filters:[] (fun _ verdict sim ->
-      match verdict with
-      | Tolerated -> if capture_trace then Some (Sim.trace sim) else None
-      | Violation reason -> raise (Control_failure reason))
-
-let run ?(executor = Executor.of_jobs 1) ?(observe = silent) plan =
-  let control_trace =
-    if plan.p_control then
-      control_trial plan.p_harness ~observer:observe ~horizon:plan.p_horizon
-        ~seed:plan.p_seed
-    else None
-  in
+let run ?(executor = Executor.of_jobs 1) ?observe:(observer = observe ()) plan =
+  let capture_trace = observer.obs_traces and horizon = plan.p_horizon in
+  let labelled = Trace_out.label [ ("campaign", Harness_intf.name plan.p_harness) ] in
+  (* the control is sim 0 and the plan's trial i is sim i + 1 *)
+  if plan.p_control then
+    exec ~capture_trace plan.p_harness ~horizon ~seed:plan.p_seed ~filters:[] (fun trace ->
+        let sim0 out = labelled (Trace_out.label [ ("sim", "0") ] out) in
+        Trace_out.attach (Option.map sim0 observer.obs_trace_out) trace;
+        fun verdict _ ->
+          match verdict with Tolerated -> () | Violation reason -> raise (Control_failure reason));
   let outcomes =
-    Executor.map executor
-      (run_trial ~capture_trace:observe.obs_traces plan.p_harness
-         ~horizon:plan.p_horizon)
+    Trace_out.map ~sim:1 observer.obs_trace_out executor
+      (fun out ->
+        trial_outcome ~capture_trace ?trace_out:(Option.map labelled out) plan.p_harness
+          ~horizon)
       plan.p_trials
   in
-  { s_outcomes = outcomes;
-    s_control_trace = control_trace;
-    s_exec = Executor.stats executor }
+  { s_outcomes = outcomes; s_exec = Executor.stats executor }
 
 let table outcomes =
   let buf = Buffer.create 1024 in

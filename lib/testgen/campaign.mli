@@ -48,9 +48,6 @@ type outcome = {
   sim_events : int;
       (** simulator callbacks fired by the trial ({!Sim.events}) — the
           engine benchmark's events/sec numerator *)
-  trace : Trace.t option;
-      (** the trial sim's full trace, kept when the observer asked for
-          traces; [None] otherwise *)
 }
 
 type trial = {
@@ -102,21 +99,18 @@ val trial_seed_of_key : campaign_seed:int64 -> side:side -> int64 -> int64
     optional arguments.  The CLI's [--trace-out] and the scenario runner
     consume the same record.  The verdict itself is always the
     harness's [check]: every trace-derived part of it is a monitor the
-    harness attached at build, so whether traces are kept never changes
-    a verdict. *)
+    harness attached at build, so an export never changes a verdict. *)
 
 type observer = {
   obs_traces : bool;
-      (** keep each trial sim's stored {!Trace.t} on its outcome (and
-          the control trial's trace on the summary).  Off, trials
-          record into counting traces that store no entry. *)
+      (** build each trial on a storing trace ({!exec}'s [capture_trace])
+          that nothing reads: only [perf/] sets it, to time that kind *)
+  obs_trace_out : Trace_out.t option;
+      (** the sink each trial's entries stream to as they are recorded *)
 }
 
-val observe : ?traces:bool -> unit -> observer
-(** Observer constructor; [traces] defaults to off. *)
-
-val silent : observer
-(** [observe ()] — no traces.  The default for {!run}. *)
+val observe : ?traces:bool -> ?trace_out:Trace_out.t -> unit -> observer
+(** Observer constructor; off and no export by default, as {!run}'s. *)
 
 (** {1 Plans} *)
 
@@ -161,30 +155,27 @@ val exec :
   filters:(side * Pfi_script.Ast.script) list ->
   (Trace.t -> verdict -> Sim.t -> 'a) -> 'a
 (** The one function that builds a harness trial.  It takes this
-    domain's {!Arena} scratch (a fresh storing one when [capture_trace],
-    default false, asks for a trace to export) and calls [feed] on its
-    trace before [build] records anything — tcp's [build] records the
-    client's SYN as entry #0.  It then builds the harness with [seed],
-    installs each filter on its side, runs [arm] and the workload to
-    [horizon], and returns what the reader [feed] returned makes of the
-    harness's [check] and the finished sim.  The reader runs before
-    [exec] returns, so every verdict comes off this trial's trace before
-    the domain's next trial clears the arena; it may return the trace
-    itself only when [capture_trace]. *)
+    domain's {!Arena} scratch and calls [feed] on its trace before
+    [build] records anything — tcp's [build] records the client's SYN
+    as entry #0 — so monitors and {!Trace_out} exports see it.  It then
+    builds the harness with [seed], installs each filter on its side,
+    runs [arm] and the workload to [horizon], and returns what the
+    reader [feed] returned makes of the harness's [check] and the
+    finished sim.  The reader runs before [exec] returns, so every
+    verdict comes off this trial's trace before the domain's next trial
+    clears the arena.  [capture_trace] (default false; only tests and
+    [obs_traces] set it) uses a fresh storing scratch instead, so the
+    reader may return the trace itself. *)
 
 val run_trial :
-  ?capture_trace:bool -> Harness_intf.packed -> horizon:Vtime.t -> trial ->
+  ?trace_out:Trace_out.t -> Harness_intf.packed -> horizon:Vtime.t -> trial ->
   outcome
 (** One trial through {!exec}: its script on its side, its arming hook,
-    its seed.  [injected_events] is read with {!Trace.count}.
-    [capture_trace] keeps the stored {!Trace.t} on the outcome (default
-    false); the verdict and counts are identical either way. *)
+    its seed, its entries streaming to [trace_out].  [injected_events]
+    is read with {!Trace.count}. *)
 
 type summary = {
   s_outcomes : outcome list;  (** in plan order *)
-  s_control_trace : Trace.t option;
-      (** the control trial's trace, when the plan ran a control and
-          the observer asked for traces *)
   s_exec : Executor.stats;
       (** the executor's accumulated scheduling counters, snapshotted
           after the trials ran — purely observational (never part of
@@ -198,11 +189,13 @@ val run :
     [p_control]) on the calling domain seeded with the campaign seed —
     raising {!Control_failure} if the harness check rejects the
     fault-free system — then every planned trial
-    through the executor (default a fresh {!Executor.of_jobs}[ 1]).  Outcomes
-    come back in plan order for any executor.  A trial whose runner raised
-    re-raises after every other trial has completed.  Every trial, the
-    control included, records into per-domain scratch unless the
-    observer keeps traces (see {!exec}). *)
+    through the executor (default a fresh {!Executor.of_jobs}[ 1]) by
+    {!Trace_out.map}.  Outcomes, and the observer's export (labelled
+    [campaign], the harness name, and [sim], 0 for the control and
+    [i + 1] for trial [i]), come in plan order for any executor.  A
+    trial whose runner raised re-raises after every other trial has
+    completed.  Every trial, the control included, records into
+    per-domain scratch (see {!exec}). *)
 
 val table : outcome list -> string
 (** Human-readable table of outcomes. *)

@@ -121,7 +121,7 @@ val finding_scenario : harness:string -> name:string -> finding -> Scenario.t
     with [fd_seed]: its minimized single fault, or else its reduced
     input, its clear window as [@T heal].  [pfi_run fuzz --corpus]
     writes one per finding, and findings keep no trace: [pfi_run fuzz
-    --trace-out] re-runs this scenario with a storing trace. *)
+    --trace-out] re-runs this scenario, streaming its entries. *)
 
 (** {1 Running} *)
 

@@ -40,8 +40,7 @@ module type HARNESS = sig
       with the given per-trial RNG seed.  Must not capture or mutate
       state shared with other trials.  [scratch] is the backing storage
       for the sim's event queue and trace ({!Campaign.exec} passes this
-      domain's {!Arena} scratch, or a storing one when the trace is
-      exported); implementations forward it to
+      domain's {!Arena} scratch); implementations forward it to
       [Sim.create ?scratch ~seed ()].  Its trace may be a counting one
       ({!Trace.create_counting}), so every trace-derived part of
       {!check} must be an {!Oracle.monitor} that [build] attaches to
@@ -97,7 +96,7 @@ let trajectory (module H : HARNESS) =
   (feed, fun () -> List.rev !labels)
 
 (** The state trajectory a storing trace recorded: {!HARNESS.state_label}
-    replayed over its entries. *)
+    replayed over its entries, for tests and [perf/]. *)
 let state_of_trace h trace =
   let feed, states = trajectory h in
   List.iteri feed (Trace.entries trace);

@@ -1,7 +1,7 @@
 open Pfi_engine
 
 (* A minimal JSON tree, its two printers, its parser, the field
-   decoders of the manifest reader and the trace JSONL writer.
+   decoders of the manifest reader and a trace entry's JSONL line.
    Deliberately small: objects keep field order (assoc list), numbers
    split into Int and Float so 64-bit-safe values can round-trip as
    decimal strings where needed, and no JSON library is involved. *)
@@ -55,26 +55,27 @@ let utf8_seq_len s i =
 let add_string buf s =
   Buffer.add_char buf '"';
   let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    (match c with
-     | '"' -> Buffer.add_string buf "\\\""; incr i
-     | '\\' -> Buffer.add_string buf "\\\\"; incr i
-     | '\n' -> Buffer.add_string buf "\\n"; incr i
-     | '\r' -> Buffer.add_string buf "\\r"; incr i
-     | '\t' -> Buffer.add_string buf "\\t"; incr i
-     | c when Char.code c < 0x20 ->
-       Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c));
-       incr i
-     | c when Char.code c < 0x80 -> Buffer.add_char buf c; incr i
-     | c ->
-       (match utf8_seq_len s !i with
-        | 0 ->
-          Buffer.add_string buf (Printf.sprintf "\\udc%02x" (Char.code c));
-          incr i
-        | len -> Buffer.add_substring buf s !i len; i := !i + len))
-  done;
+  (* [s.[start .. i - 1]] prints as itself: it is added as one run *)
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match String.unsafe_get s i with
+      | '\032' .. '\127' as c when c <> '"' && c <> '\\' -> go start (i + 1)
+      | '\128' .. '\255' when utf8_seq_len s i > 0 -> go start (i + utf8_seq_len s i)
+      | c ->
+        Buffer.add_substring buf s start (i - start);
+        Buffer.add_string buf
+          (match c with
+           | '"' -> "\\\""
+           | '\\' -> "\\\\"
+           | '\n' -> "\\n"
+           | '\r' -> "\\r"
+           | '\t' -> "\\t"
+           | c when c < ' ' -> Printf.sprintf "\\u%04x" (Char.code c)
+           | c -> Printf.sprintf "\\udc%02x" (Char.code c));
+        go (i + 1) (i + 1)
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 let rec write buf indent v =
@@ -389,15 +390,3 @@ let add_entry ~extra buf (e : Trace.entry) =
      List.iteri (fun i kv -> if i > 0 then Buffer.add_char buf ','; add_pair buf kv) fields;
      Buffer.add_char buf '}');
   Buffer.add_string buf "}\n"
-
-let output_trace ?(extra = []) ?tag oc trace =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (e : Trace.entry) ->
-      match tag with
-      | Some tag when not (String.equal e.tag tag) -> ()
-      | _ ->
-        add_entry ~extra buf e;
-        Buffer.output_buffer oc buf;
-        Buffer.clear buf)
-    (Trace.entries trace)

@@ -1,7 +1,7 @@
 (** The repo's one JSON codec: a minimal tree, a deterministic
     pretty-printer and a compact single-line printer, a
     recursive-descent parser, the field decoders of the corpus manifest
-    reader, and the JSONL writer of a trace.  Every JSON byte the tool
+    reader, and a trace entry's JSONL line.  Every JSON byte the tool
     writes — corpus manifests, findings streams, [--json] output and
     [--trace-out] traces — is escaped and printed here; no JSON library
     is involved.
@@ -63,12 +63,10 @@ val decode_list : ('a -> ('b, string) result) -> 'a list -> ('b list, string) re
 
 (** {1 Trace export} *)
 
-val output_trace :
-  ?extra:(string * string) list -> ?tag:string -> out_channel -> Pfi_engine.Trace.t -> unit
-(** Writes every entry with [tag] (default: every entry), in recording
-    order, as one JSONL line:
+val add_entry :
+  extra:(string * string) list -> Buffer.t -> Pfi_engine.Trace.entry -> unit
+(** Appends one entry's JSONL line, newline included:
     [{"t_us":<int>, <extra>, "node":"...", "tag":"...", "detail":"...",
-      "fields":{"k":"v", ...}}].  The [extra] pairs (e.g. a run id) come
-    right after ["t_us"]; ["fields"] is omitted when the entry has none.
-    Reads {!Pfi_engine.Trace.entries}, so a counting trace raises
-    [Invalid_argument] before anything is written. *)
+      "fields":{"k":"v", ...}}].  The [extra] pairs (a {!Trace_out}
+    sink's labels) come right after ["t_us"]; ["fields"] is omitted
+    when the entry has none. *)

@@ -13,7 +13,7 @@
     {!attach}ed to a trace before its first entry decides the oracle
     while the run records, so the trace need not store the entries
     (see {!Pfi_engine.Trace.create_counting}); {!eval} and {!check} feed
-    a stored trace's entries to the same monitor.
+    a stored trace's entries to the same monitor, for tests and [perf/].
 
     Oracles are plain constructors, so scenario files ({!Scenario}),
     campaign harnesses and ad-hoc tests can all state expectations in

@@ -701,7 +701,6 @@ type result = {
   res_rows : row list;
   res_xfail : xfail option;
   res_outcome : outcome;
-  res_trace : Trace.t option;
 }
 
 (* the fabricate-and-introduce script for one inject directive, built
@@ -726,7 +725,7 @@ let injection_script inj =
        inject_up $probe"
       args inj.inj_mtype
 
-let run ?seed ?(observe = Campaign.silent) sc =
+let run ?seed ?observe:(observer = Campaign.observe ()) sc =
   let packed =
     match
       Registry.find_configured ?profile:sc.sc_profile ?phase:sc.sc_phase
@@ -791,12 +790,13 @@ let run ?seed ?(observe = Campaign.silent) sc =
     { row_line = chk.chk_line; row_desc = desc; row_pass = pass;
       row_reason = reason; row_witness = witness }
   in
-  (* each [expect] oracle is a monitor attached before build, so it
-     judges every entry the trial records, #0 included; the rows are
-     read before the arena serves another trial *)
-  let rows, res_trace =
-    Campaign.exec ~capture_trace:observe.Campaign.obs_traces ~arm packed
+  (* each [expect] oracle is a monitor, and the export a feed, attached
+     before build, so they see every entry the trial records, #0
+     included; the rows are read before the arena serves another trial *)
+  let rows =
+    Campaign.exec ~capture_trace:observer.Campaign.obs_traces ~arm packed
       ~horizon ~seed ~filters (fun trace ->
+        Trace_out.attach observer.Campaign.obs_trace_out trace;
         let judges =
           List.map
             (fun chk ->
@@ -814,9 +814,7 @@ let run ?seed ?(observe = Campaign.silent) sc =
                 | Campaign.Violation reason -> row chk "service" false reason None))
             sc.sc_checks
         in
-        fun service sim ->
-          ( List.map (fun judge -> judge service) judges,
-            if observe.Campaign.obs_traces then Some (Sim.trace sim) else None ))
+        fun service _ -> List.map (fun judge -> judge service) judges)
   in
   let failures = List.filter (fun r -> not r.row_pass) rows in
   let expected r = function
@@ -837,7 +835,6 @@ let run ?seed ?(observe = Campaign.silent) sc =
     res_horizon = horizon;
     res_rows = rows;
     res_xfail = sc.sc_xfail;
-    res_outcome;
-    res_trace }
+    res_outcome }
 
 let passed r = match r.res_outcome with Pass | Xfail -> true | Fail | Xpass -> false

@@ -276,8 +276,6 @@ type result = {
   res_rows : row list;  (** one per [expect], in file order *)
   res_xfail : xfail option;
   res_outcome : outcome;
-  res_trace : Trace.t option;
-      (** kept when run with an observer asking for traces *)
 }
 
 val run : ?seed:int64 -> ?observe:Campaign.observer -> t -> result
@@ -290,10 +288,10 @@ val run : ?seed:int64 -> ?observe:Campaign.observer -> t -> result
     records; [expect service] reads the harness's [check].
     Deterministic: the result is a pure function of (scenario, seed).
 
-    [observe] (default {!Campaign.silent}) is the same observer record
-    campaigns consume: [obs_traces] keeps the run's stored trace on
-    [res_trace].  Without it the run records into this domain's arena
-    counting trace, and every row is the same. *)
+    [observe] (default: no export) is the same observer record
+    campaigns consume: its [obs_trace_out] sink is attached before the
+    build, as the monitors are, and gets every entry with its own
+    labels.  Every row is the same with or without an export. *)
 
 val passed : result -> bool
 (** True for {!Pass} and {!Xfail}. *)

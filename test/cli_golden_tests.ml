@@ -380,7 +380,9 @@ let test_fuzz_trace_out_pinned () =
 (* [--trace-out] of a campaign (control and every trial), a check of
    the committed repro fixture (an expected failure, so it exits 0),
    the committed scenario corpus and the ladder's one sim, and the
-   [msc] entries [msc --json] prints. *)
+   [msc] entries [msc --json] prints.  The campaign and the corpus
+   stream the same bytes at --jobs 2 and 4, where the trials of a
+   window past its first wait in buffers. *)
 let test_trace_out_pinned () =
   let scenarios =
     Sys.readdir (test_dir "scenarios")
@@ -399,11 +401,14 @@ let test_trace_out_pinned () =
           let status, _ = run_cli_status (args @ [ "--trace-out"; path ]) in
           Alcotest.(check int) (what ^ ": exit code") code status;
           check_pinned what ~bytes ~md5 (read_file path)))
-    [ ([ "campaign"; "abp-buggy" ], 0, 326_802, "34e778f4b79e4dfe44347b9870b830aa");
-      ( [ "check"; test_dir "golden/tiny_abp_repro.expected.pfis" ],
-        0, 39_990, "d79ce26288de7de53d496dd4a3655acc" );
-      ("check" :: scenarios, 0, 787_995, "991af202b575a01b66525be5b9627e42");
-      ([ "msc" ], 0, 41_536, "219982ee0baa2ee15a0f99827c76c65e") ];
+    (List.concat_map
+       (fun jobs ->
+         [ ([ "campaign"; "abp-buggy" ] @ jobs, 0, 326_802, "34e778f4b79e4dfe44347b9870b830aa");
+           (("check" :: scenarios) @ jobs, 0, 787_995, "991af202b575a01b66525be5b9627e42") ])
+       [ []; [ "--jobs"; "2" ]; [ "--jobs"; "4" ] ]
+    @ [ ( [ "check"; test_dir "golden/tiny_abp_repro.expected.pfis" ],
+          0, 39_990, "d79ce26288de7de53d496dd4a3655acc" );
+        ([ "msc" ], 0, 41_536, "219982ee0baa2ee15a0f99827c76c65e") ]);
   check_pinned "msc --json" ~bytes:19_720 ~md5:"9a7dea61ee86031e558ad1a7e38f6543"
     (run_cli [ "msc"; "--json" ])
 
@@ -461,6 +466,42 @@ let test_shrunk_artifact_counts_its_events () =
         (Some (injected_entries (read_file trace)))
         recorded)
 
+(* ------------------------------------------------------------------ *)
+(* An output path that cannot be written exits 1 with one line         *)
+(* ------------------------------------------------------------------ *)
+
+(* every option a verb writes to, pointed under a regular file: each
+   exits 1 with one "cannot write PATH: REASON" line, and a directory
+   option before its verb runs anything, so that line is all it
+   prints.  A file option's verb has run by then (shrink prints its
+   report first). *)
+let test_unwritable_outputs () =
+  let file = Filename.temp_file "pfi_not_a_dir" "" in
+  let under name = Filename.concat file name in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun (args, path, directory) ->
+          let what = String.concat " " (List.map Filename.basename args) in
+          let code, out = run_cli_status args in
+          let line = Printf.sprintf "cannot write %s: Not a directory" path in
+          Alcotest.(check int) (what ^ ": exit code") 1 code;
+          if directory then
+            Alcotest.(check string) (what ^ ": the one line, before any run") (line ^ "\n") out
+          else
+            Alcotest.(check bool) (what ^ ": says which path") true
+              (List.mem line (String.split_on_char '\n' out)))
+        [ ([ "campaign"; "abp-buggy"; "--repro-dir"; under "sub" ], under "sub", true);
+          ( [ "fuzz"; "abp-buggy"; "--seed"; "1"; "--budget"; "8"; "--corpus"; under "sub" ],
+            under "sub", true );
+          ([ "gen"; test_dir "matrix/tiny.pfim"; "-o"; under "sub" ], under "sub", true);
+          ([ "campaign"; "abp-buggy"; "--trace-out"; under "t.jsonl" ], under "t.jsonl", true);
+          ( [ "shrink"; test_dir "golden/tiny_abp_repro.expected.pfis"; "--seed"; "7"; "-o";
+              under "m.pfis" ],
+            under "m.pfis", false );
+          ([ "matrix"; "--report"; under "r.md" ], under "r.md", false) ])
+
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
     Alcotest.test_case "pfi_run help matches the golden table" `Quick
@@ -494,4 +535,6 @@ let suite =
     Alcotest.test_case "fuzz --trace-out exports pinned finding traces" `Quick
       test_fuzz_trace_out_pinned;
     Alcotest.test_case "pfi_run help VERB names the options of VERB's term" `Quick
-      test_help_table_matches_terms ]
+      test_help_table_matches_terms;
+    Alcotest.test_case "an output path under a regular file exits 1 with one line"
+      `Quick test_unwritable_outputs ]

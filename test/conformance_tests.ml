@@ -423,15 +423,12 @@ let prop_fsm_transitions =
       let harness =
         Tcp_harness.harness ~chunk_count:6 ~profile ~phase:fsm_phases.(p) ()
       in
-      let outcome =
-        Campaign.run_trial ~capture_trace:true harness
+      let _, trace =
+        Trace_lists.stored_trial harness
           ~horizon:(Vtime.minutes 10)
           (Campaign.trial
              ~seed:(Int64.of_int (1000 + seed))
              ~side:fsm_sides.(s) fsm_faults.(f))
-      in
-      let trace =
-        match outcome.Campaign.trace with Some t -> t | None -> assert false
       in
       List.for_all
         (fun e ->

@@ -588,7 +588,7 @@ let test_counting_trace () =
       (match f () with () -> false | exception Invalid_argument _ -> true)
   in
   refuses "entries" (fun () -> ignore (Trace.entries counting));
-  refuses "Json.output_trace" (fun () -> ignore (Trace_lists.jsonl counting));
+  refuses "Trace_lists.jsonl" (fun () -> ignore (Trace_lists.jsonl counting));
   Trace.clear counting;
   record counting;
   Alcotest.(check int) "recounted after clear" 3 (Trace.length counting);

@@ -257,22 +257,26 @@ let test_campaign_arena_invisible () =
   Alcotest.(check string) "fresh-build bytes == reused-arena bytes"
     (table (Campaign.observe ~traces:true ())) reused
 
-(* parallel trace capture: the per-outcome traces must also be
-   independent of the worker count *)
+(* parallel trace export: the streamed lines of every trial must also
+   be independent of the worker count, window buffering included *)
 let test_campaign_traces_jobs_invariant () =
+  let plan = Campaign.plan (Abp_harness.harness ~bug_ignore_ack_bit:true ()) in
   let traces jobs =
-    List.map
-      (fun (o : Campaign.outcome) ->
-        match o.Campaign.trace with
-        | Some trace -> Trace_lists.jsonl trace
-        | None -> Alcotest.fail "the observer left a trial untraced")
-      (Campaign.run ~executor:(Executor.of_jobs jobs)
-         ~observe:(Campaign.observe ~traces:true ())
-         (Campaign.plan (Abp_harness.harness ~bug_ignore_ack_bit:true ())))
-        .Campaign.s_outcomes
+    Trace_lists.streamed (fun sink ->
+        ignore
+          (Campaign.run ~executor:(Executor.of_jobs jobs)
+             ~observe:(Campaign.observe ~trace_out:sink ()) plan))
   in
-  Alcotest.(check (list string)) "per-trial traces identical at jobs=4"
-    (traces 1) (traces 4)
+  let sequential = traces 1 in
+  Alcotest.(check (list string)) "every trial exported"
+    (List.init (List.length plan.Campaign.p_trials + 1) string_of_int)
+    (Trace_lists.sims sequential);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "per-trial traces identical at jobs=%d" jobs)
+        true (traces jobs = sequential))
+    [ 2; 4 ]
 
 (* shrink through a parallel executor: same minimized state and same
    accepted trajectory as the sequential scan (the budget is not
@@ -293,8 +297,7 @@ let test_shrink_executor_same_trajectory () =
            Campaign.Violation "synthetic"
          | _ -> Campaign.Tolerated);
       Campaign.injected_events = 0;
-      Campaign.sim_events = 0;
-      Campaign.trace = None }
+      Campaign.sim_events = 0 }
   in
   let minimize executor =
     match Shrink.minimize ~executor ~spec:Spec.abp ~run st0 with
@@ -328,8 +331,7 @@ let test_shrink_charges_sequential_trials () =
            Campaign.Violation "synthetic"
          | _ -> Campaign.Tolerated);
       Campaign.injected_events = 0;
-      Campaign.sim_events = 0;
-      Campaign.trace = None }
+      Campaign.sim_events = 0 }
   in
   let minimize ~max_trials jobs =
     match
@@ -353,6 +355,33 @@ let test_shrink_charges_sequential_trials () =
         (minimize ~max_trials jobs = seq)
     done
   done
+
+(* the export's ordered map keeps [Executor.map]'s contract at every
+   width: every item runs, the first error is re-raised after the last
+   item, and every item's lines, a raising one's included, come in
+   list order *)
+let test_trace_out_map_contract () =
+  List.iter
+    (fun jobs ->
+      let ran = Array.make 5 false in
+      let run out i =
+        let trace = Pfi_engine.Trace.create_counting () in
+        Trace_out.attach out trace;
+        Pfi_engine.Trace.record trace ~time:Pfi_engine.Vtime.zero ~node:"n" ~tag:"t" "entry";
+        ran.(i) <- true;
+        if i mod 2 = 1 then failwith (string_of_int i)
+      in
+      let text =
+        Trace_lists.streamed (fun sink ->
+            match Trace_out.map (Some sink) (Executor.of_jobs jobs) run (items 5) with
+            | _ -> Alcotest.fail "items 1 and 3 raise"
+            | exception Failure first -> Alcotest.(check string) "first error" "1" first)
+      in
+      Alcotest.(check bool) (Printf.sprintf "jobs=%d: every item ran" jobs) true
+        (Array.for_all Fun.id ran);
+      Alcotest.(check (list string)) (Printf.sprintf "jobs=%d: lines in order" jobs)
+        [ "0"; "1"; "2"; "3"; "4" ] (Trace_lists.sims text))
+    [ 1; 2; 3 ]
 
 let suite =
   [ Alcotest.test_case "sequential maps in order" `Quick test_sequential_in_order;
@@ -385,4 +414,6 @@ let suite =
     Alcotest.test_case "parallel shrink keeps the sequential trajectory" `Quick
       test_shrink_executor_same_trajectory;
     Alcotest.test_case "shrink charges the same trials at every width" `Quick
-      test_shrink_charges_sequential_trials ]
+      test_shrink_charges_sequential_trials;
+    Alcotest.test_case "the export's ordered map runs every item, in order" `Quick
+      test_trace_out_map_contract ]

@@ -164,12 +164,13 @@ let test_msc_in_flight_unplug_marks_lost () =
      unplugged while it was on the wire — the delivery outcome is only
      known when the wire event fires *)
   let sim, net, ep = setup () in
+  let events = Msc.collect (Sim.trace sim) in
   Network.set_msc_enabled net true;
   Network.set_latency net ~src:"a" ~dst:"b" (Vtime.ms 100);
   send (ep "a") ~dst:"b" "doomed";
   ignore (Sim.schedule sim ~delay:(Vtime.ms 50) (fun () -> Network.unplug net "b"));
   Sim.run sim;
-  match Msc.events (Sim.trace sim) with
+  match events () with
   | [ e ] ->
     Alcotest.(check string) "src" "a" e.Msc.src;
     Alcotest.(check string) "dst" "b" e.Msc.dst;
@@ -182,6 +183,7 @@ let test_msc_events_in_send_order () =
   (* deliveries are recorded when they land; the ladder must still read
      in send order even when a later message overtakes an earlier one *)
   let sim, net, ep = setup () in
+  let events = Msc.collect (Sim.trace sim) in
   Network.set_msc_enabled net true;
   Network.set_latency net ~src:"a" ~dst:"b" (Vtime.ms 100);
   Network.set_latency net ~src:"a" ~dst:"c" (Vtime.ms 10);
@@ -189,7 +191,7 @@ let test_msc_events_in_send_order () =
   ignore
     (Sim.schedule sim ~delay:(Vtime.ms 20) (fun () -> send (ep "a") ~dst:"c" "fast"));
   Sim.run sim;
-  match Msc.events (Sim.trace sim) with
+  match events () with
   | [ e1; e2 ] ->
     Alcotest.(check string) "first by send time" "b" e1.Msc.dst;
     Alcotest.(check string) "second by send time" "c" e2.Msc.dst;

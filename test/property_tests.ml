@@ -1193,16 +1193,86 @@ let prop_live_features_match_stored =
       let h, input = input_of case in
       let tr = Fuzz.trial ~fuzz_seed:31L input in
       let live_verdict, live = Fuzz.execute h tr in
-      let captured =
-        Campaign.run_trial ~capture_trace:true h
-          ~horizon:(Harness_intf.default_horizon h) tr
+      let captured, t =
+        Trace_lists.stored_trial h ~horizon:(Harness_intf.default_horizon h) tr
       in
-      let t = Option.get captured.Campaign.trace in
       let stored =
         Coverage.features_of_trace ~states:(Harness_intf.state_of_trace h t) t
       in
       live_verdict = captured.Campaign.verdict
       && Coverage.feature_list live = Coverage.feature_list stored)
+
+(* ------------------------------------------------------------------ *)
+(* Trace export: the streamed lines equal the stored trace's JSONL     *)
+(* ------------------------------------------------------------------ *)
+
+(* [--trace-out] streams each entry through a feed as it is recorded,
+   in plan order at any executor width (windows of buffered trials
+   above width 1).  The reference is the same trials, control included,
+   run on storing traces and written after the run. *)
+let prop_streamed_export_matches_stored =
+  let open Pfi_testgen in
+  let harnesses = Array.of_list Registry.entries in
+  let sides = [| Campaign.Send_filter; Campaign.Receive_filter; Campaign.Both_filters |] in
+  let plan_of (hi, picks) =
+    let h = harnesses.(hi) in
+    let faults =
+      Array.of_list
+        (Generator.campaign ~target:(Harness_intf.target h) (Harness_intf.spec h))
+    in
+    let seed = Harness_intf.default_seed h in
+    let trials =
+      List.map
+        (fun (f, s) ->
+          let fault = faults.(f mod Array.length faults) and side = sides.(s) in
+          Campaign.trial ~seed:(Campaign.trial_seed ~campaign_seed:seed ~side fault)
+            ~side fault)
+        picks
+    in
+    { (Campaign.plan_of_trials ~seed ~trials h) with Campaign.p_control = true }
+  in
+  let print case =
+    let plan = plan_of case in
+    String.concat "; "
+      (Harness_intf.name plan.Campaign.p_harness
+      :: List.map
+           (fun (tr : Campaign.trial) ->
+             Generator.describe tr.t_fault ^ " " ^ Campaign.side_name tr.t_side)
+           plan.Campaign.p_trials)
+  in
+  QCheck.Test.make ~name:"streamed trace export equals the stored trace's JSONL"
+    ~count:12
+    (QCheck.make ~print
+       QCheck.Gen.(
+         pair
+           (int_bound (Array.length harnesses - 1))
+           (list_size (int_range 1 3) (pair (int_bound 1000) (int_bound 2)))))
+    (fun case ->
+      let plan = plan_of case in
+      let h = plan.Campaign.p_harness and horizon = plan.Campaign.p_horizon in
+      let labels sim = [ ("campaign", Harness_intf.name h); ("sim", string_of_int sim) ] in
+      let control =
+        Campaign.exec ~capture_trace:true h ~horizon ~seed:plan.Campaign.p_seed
+          ~filters:[] (fun _ _ sim -> Sim.trace sim)
+      in
+      let reference =
+        Trace_lists.jsonl ~extra:(labels 0) control
+        ^ String.concat ""
+            (List.mapi
+               (fun i tr ->
+                 Trace_lists.jsonl ~extra:(labels (i + 1))
+                   (snd (Trace_lists.stored_trial h ~horizon tr)))
+               plan.Campaign.p_trials)
+      in
+      List.for_all
+        (fun jobs ->
+          Trace_lists.streamed (fun sink ->
+              ignore
+                (Campaign.run ~executor:(Executor.of_jobs jobs)
+                   ~observe:(Campaign.observe ~trace_out:sink ()) plan))
+          = reference
+          || QCheck.Test.fail_reportf "the export at jobs=%d differs" jobs)
+        [ 1; 2; 3 ])
 
 let suite =
   [
@@ -1223,4 +1293,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_readers_total_on_mutations;
     QCheck_alcotest.to_alcotest prop_json_round_trip;
     QCheck_alcotest.to_alcotest prop_live_features_match_stored;
+    QCheck_alcotest.to_alcotest prop_streamed_export_matches_stored;
   ]

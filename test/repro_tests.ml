@@ -97,28 +97,19 @@ let test_campaign_summary_deterministic () =
   Alcotest.(check string) "byte-identical summaries" (run ()) (run ())
 
 let test_campaign_traces_deterministic () =
-  (* per-trial trace capture (outcome.trace), the parallel-safe
-     replacement for the old process-wide create hook: control trace
-     first, then every trial trace in canonical plan order *)
+  (* the streamed export ([Campaign.observe ~trace_out]), the
+     parallel-safe replacement for the old process-wide create hook:
+     the control trial first, then every trial in canonical plan order *)
+  let plan = Campaign.plan (Abp_harness.harness ~bug_ignore_ack_bit:true ()) in
   let capture () =
-    let summary =
-      Campaign.run
-        ~observe:(Campaign.observe ~traces:true ())
-        (Campaign.plan (Abp_harness.harness ~bug_ignore_ack_bit:true ()))
-    in
-    (match summary.Campaign.s_control_trace with
-     | Some trace -> Trace_lists.jsonl trace
-     | None -> Alcotest.fail "observer left the control trial untraced")
-    ^ String.concat ""
-        (List.map
-           (fun o ->
-             match o.Campaign.trace with
-             | Some trace -> Trace_lists.jsonl trace
-             | None -> Alcotest.fail "observer left a trial untraced")
-           summary.Campaign.s_outcomes)
+    Trace_lists.streamed (fun sink ->
+        ignore (Campaign.run ~observe:(Campaign.observe ~trace_out:sink ()) plan))
   in
   let first = capture () in
   let second = capture () in
+  Alcotest.(check (list string)) "the control, then every trial, each exported"
+    (List.init (List.length plan.Campaign.p_trials + 1) string_of_int)
+    (Trace_lists.sims first);
   Alcotest.(check bool) "traces non-empty" true (String.length first > 0);
   Alcotest.(check bool) "byte-identical JSONL traces" true (first = second)
 
@@ -357,8 +348,7 @@ let synthetic_outcome verdict st =
     Campaign.seed = 0L;
     Campaign.verdict;
     Campaign.injected_events = 0;
-    Campaign.sim_events = 0;
-    Campaign.trace = None }
+    Campaign.sim_events = 0 }
 
 let test_minimize_always_violating () =
   let st0 =

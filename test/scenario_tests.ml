@@ -608,8 +608,7 @@ let test_scenario_run_deterministic () =
       (corpus ())
   in
   let sc = Scenario.load file in
-  let strip r = { r with Scenario.res_trace = None } in
-  let r1 = strip (Scenario.run sc) and r2 = strip (Scenario.run sc) in
+  let r1 = Scenario.run sc and r2 = Scenario.run sc in
   Alcotest.(check bool) "two runs, identical results" true (r1 = r2);
   (* an explicit seed overrides the scenario's own *)
   let r3 = Scenario.run ~seed:99L sc in
@@ -617,8 +616,9 @@ let test_scenario_run_deterministic () =
 
 (* tcp's stream-phase build opens the connection, so the client's SYN
    is recorded as entry #0 before [build] returns: an [expect] monitor
-   judges it only if it was attached before build.  Whether the trace
-   is stored or only counted must not change a row. *)
+   judges it, and a [--trace-out] export writes it, only if attached
+   before build.  Whether the trace is stored, only counted or exported
+   must not change a row. *)
 let test_stream_syn_is_entry_zero () =
   let sc =
     Scenario.parse ~name:"stream syn"
@@ -626,6 +626,13 @@ let test_stream_syn_is_entry_zero () =
   in
   let counted = Scenario.run sc in
   let stored = Scenario.run ~observe:(Campaign.observe ~traces:true ()) sc in
+  let exported = ref [] in
+  let export =
+    Trace_lists.streamed (fun sink ->
+        let trace_out = Pfi_testgen.Trace_out.label [ ("scenario", "stream syn") ] sink in
+        exported :=
+          (Scenario.run ~observe:(Campaign.observe ~trace_out ()) sc).Scenario.res_rows)
+  in
   (match counted.Scenario.res_rows with
    | [ row ] ->
      Alcotest.(check bool) "row passes" true row.Scenario.row_pass;
@@ -636,16 +643,19 @@ let test_stream_syn_is_entry_zero () =
         seq=64000 ack=0 win=4096 len=0\""
        row.Scenario.row_reason
    | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
-  Alcotest.(check bool) "no trace kept by default" true
-    (counted.Scenario.res_trace = None);
   Alcotest.(check bool) "same rows with the trace stored" true
     (counted.Scenario.res_rows = stored.Scenario.res_rows);
-  match stored.Scenario.res_trace with
-  | Some trace ->
-    let first = List.hd (Trace.entries trace) in
-    Alcotest.(check string) "stored entry #0 is the client's SYN"
-      "client tcp.out" (first.Trace.node ^ " " ^ first.Trace.tag)
-  | None -> Alcotest.fail "observer kept no trace"
+  Alcotest.(check bool) "same rows with the trace exported" true
+    (counted.Scenario.res_rows = !exported);
+  let first = List.hd (String.split_on_char '\n' export) in
+  let field key =
+    match Result.map (Pfi_testgen.Json.member key) (Pfi_testgen.Json.parse first) with
+    | Ok (Some (Pfi_testgen.Json.Str v)) -> v
+    | _ -> Alcotest.failf "exported line without %S: %s" key first
+  in
+  Alcotest.(check (list string)) "exported entry #0 is the client's SYN"
+    [ "stream syn"; "client"; "tcp.out" ]
+    (List.map field [ "scenario"; "node"; "tag" ])
 
 let suite =
   [ Alcotest.test_case "oracle: eventually" `Quick test_eventually;

@@ -88,10 +88,11 @@ let test_abp_stub () =
 
 let test_msc_events () =
   let p = abp_pair () in
+  let events = Msc.collect (Sim.trace p.sim) in
   Network.set_msc_enabled p.net true;
   Abp.send p.a "hello";
   Sim.run ~until:(Vtime.sec 10) p.sim;
-  let events = Msc.events (Sim.trace p.sim) in
+  let events = events () in
   Alcotest.(check bool) "events recorded" true (List.length events >= 2);
   (match events with
    | first :: _ ->
@@ -104,23 +105,23 @@ let test_msc_events () =
 
 let test_msc_drop_marked () =
   let p = abp_pair () in
+  let events = Msc.collect (Sim.trace p.sim) in
   Network.set_msc_enabled p.net true;
   Network.block p.net ~src:"a" ~dst:"b";
   Abp.send p.a "lost";
   Sim.run ~until:(Vtime.ms 100) p.sim;
-  match Msc.events (Sim.trace p.sim) with
+  match events () with
   | first :: _ ->
     Alcotest.(check bool) "drop has no arrival" true (first.Msc.arrival = None)
   | [] -> Alcotest.fail "no events"
 
 let test_msc_render_two_nodes () =
   let p = abp_pair () in
+  let events = Msc.collect (Sim.trace p.sim) in
   Network.set_msc_enabled p.net true;
   Abp.send p.a "ping";
   Sim.run ~until:(Vtime.sec 5) p.sim;
-  let out =
-    Format.asprintf "%a" (Msc.render ~nodes:[ "a"; "b" ]) (Msc.events (Sim.trace p.sim))
-  in
+  let out = Format.asprintf "%a" (Msc.render ~nodes:[ "a"; "b" ]) (events ()) in
   Alcotest.(check bool) "ladder has arrows" true
     (String.exists (fun c -> c = '>') out && String.exists (fun c -> c = '|') out)
 
