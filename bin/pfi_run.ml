@@ -4,20 +4,18 @@
    - `pfi-run repl`                interactive script REPL (the filter
                                    language, with a sample TCP segment bound)
    - `pfi-run msc`                 the paper's Section 4.1 ladder diagram
-   - `pfi-run campaign <target>`   generated fault campaigns
-                                   (abp | abp-buggy | gmp | gmp-buggy);
-                                   --repro-dir writes a .pfis repro per
-                                   violation, --jobs N runs trials on N
+   - `pfi-run campaign <target>`   generated fault campaigns against a
+                                   registry harness (`pfi-run list` names
+                                   them); --repro-dir writes a .pfis repro
+                                   per violation, --jobs N runs trials on N
                                    domains
    - `pfi-run shrink <file>`       minimize a violating .pfis repro
-   - `pfi-run check <file>...`     run *.pfis scenario conformance scripts
-                                   and repros
+   - `pfi-run check <file>...`     run *.pfis scenario conformance scripts,
+                                   repros and generated corpora
                                    (--jobs N runs scenarios on N domains;
-                                   output is byte-identical for any N);
-                                   --manifest runs a generated corpus and
-                                   diffs outcomes against its manifest
+                                   output is byte-identical for any N)
    - `pfi-run gen <spec> -o DIR`   expand a *.pfim scenario-matrix spec
-                                   into a .pfis corpus + JSON manifest
+                                   into a corpus of .pfis scenarios
    - `pfi-run fuzz <harness>`      coverage-guided fault fuzzing:
                                    mutate fault scripts/schedules, keep
                                    coverage-increasing inputs, shrink and
@@ -26,268 +24,119 @@
                                    checks one paper result (--report
                                    writes EXPERIMENTS_tcp.md or
                                    EXPERIMENTS_paper.md)
-   - `pfi-run help [<cmd>]`        the normalized option table
 
-   Every subcommand draws its flags from one option-spec table (Copts
+   Every subcommand draws its options from one set of terms (Copts
    below), so `--seed`, `--trace-out`, `--json` and `--jobs` mean the
-   same thing everywhere they appear. *)
+   same thing everywhere they appear; `pfi-run VERB --help` lists a
+   verb's. *)
 
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
-(* The common option-spec table                                       *)
+(* The common options                                                 *)
 (* ------------------------------------------------------------------ *)
 
 module Copts = struct
-  type spec = {
-    flag : string;  (** canonical long name *)
-    docv : string;  (** metavariable, or "" for booleans *)
-    doc : string;  (** one uniform meaning, whatever the subcommand *)
-  }
+  let opt_term ?(short = []) cv ~name ~docv doc =
+    Arg.(value & opt (some cv) None & info (short @ [ name ]) ~docv ~doc)
 
-  let seed =
-    { flag = "seed";
-      docv = "SEED";
-      doc =
-        "Root RNG seed.  For $(b,campaign) and $(b,matrix) this is the \
-         campaign seed per-trial and per-row seeds are derived from; for \
-         $(b,shrink) it is the campaign seed every shrink trial's seed \
-         derives from (default: the harness's, as for $(b,campaign)); for \
-         $(b,check) it overrides each scenario's seed; for $(b,fuzz) it \
-         seeds the fuzzer; for $(b,repl) it seeds the REPL's simulator." }
+  (* a count: a negative one is a usage error, as a non-number is *)
+  let count =
+    Arg.conv ~docv:"N"
+      ( Arg.parser_of_kind_of_string ~kind:"a non-negative integer" (fun s ->
+            Option.bind (int_of_string_opt s) (fun n -> if n >= 0 then Some n else None)),
+        Format.pp_print_int )
 
-  let trace_out =
-    { flag = "trace-out";
-      docv = "FILE";
-      doc =
-        "Write the full simulation trace of every run as JSON Lines to \
-         $(docv): one object per trace entry, tagged with its origin and a \
-         deterministic sim index." }
+  let seed_term =
+    opt_term Arg.int64 ~name:"seed" ~docv:"SEED"
+      "Root RNG seed.  For $(b,campaign) and $(b,matrix) this is the \
+       campaign seed per-trial and per-row seeds are derived from; for \
+       $(b,shrink) it is the campaign seed every shrink trial's seed \
+       derives from (default: the harness's, as for $(b,campaign)); for \
+       $(b,check) it overrides each scenario's seed; for $(b,fuzz) it \
+       seeds the fuzzer; for $(b,repl) it seeds the REPL's simulator."
 
-  let json =
-    { flag = "json";
-      docv = "";
-      doc = "Print machine-readable JSON objects instead of ASCII output." }
+  let trace_out_term =
+    opt_term Arg.string ~name:"trace-out" ~docv:"FILE"
+      "Write the full simulation trace of every run as JSON Lines to \
+       $(docv): one object per trace entry, tagged with its origin and a \
+       deterministic sim index."
 
-  let jobs =
-    { flag = "jobs";
-      docv = "N";
-      doc =
-        "Execute independent trials on $(docv) worker domains \
-         (Executor.domains).  Output is byte-identical for any $(docv); \
-         the default 1 is the sequential executor." }
-
-  let repro_dir =
-    { flag = "repro-dir";
-      docv = "DIR";
-      doc =
-        "Write one .pfis repro scenario per violating trial into $(docv) \
-         (created if missing).  Each is self-contained: `pfi_run check` \
-         replays it deterministically, as an expected failure with its \
-         recorded reason, and `pfi_run shrink` minimizes it." }
-
-  let output =
-    { flag = "output";
-      docv = "OUT";
-      doc =
-        "Output path: the minimized .pfis repro for $(b,shrink), the \
-         corpus directory for $(b,gen)." }
-
-  let max_trials =
-    { flag = "max-trials";
-      docv = "N";
-      doc = "Re-run budget for the minimizer (default 1000)." }
-
-  let limit =
-    { flag = "limit";
-      docv = "N";
-      doc =
-        "Keep only the first $(docv) scenarios of the expansion — a prefix \
-         of the full corpus, so a limited run is a cheap smoke test of the \
-         same matrix." }
-
-  let manifest =
-    { flag = "manifest";
-      docv = "FILE";
-      doc =
-        "Run the generated corpus recorded in $(docv) (written by \
-         $(b,gen)): verify the corpus digest, execute every scenario in \
-         manifest order, and diff each outcome against its recorded \
-         expected verdict.  Mutually exclusive with positional files; exit \
-         1 on any mismatch." }
-
-  let budget =
-    { flag = "budget";
-      docv = "N";
-      doc =
-        "Mutation budget: total fuzz-loop executions (mutated trial runs) \
-         to spend (default 200).  Minimization re-runs per finding are \
-         accounted separately." }
-
-  let corpus =
-    { flag = "corpus";
-      docv = "DIR";
-      doc =
-        "Write the fuzzing outputs into $(docv) (created if missing): \
-         findings.jsonl (the deduplicated findings stream), one .pfis \
-         repro scenario per finding that `pfi_run check` replays, and \
-         corpus.txt listing every coverage-increasing input in discovery \
-         order." }
-
-  let stats =
-    { flag = "stats";
-      docv = "";
-      doc =
-        "Print scheduling and allocation counters after the run: per-worker \
-         executor utilization (claims, trials, busy fraction) plus GC words \
-         allocated on the calling domain and arena-recycled trials.  Purely \
-         observational — the numbers vary with $(b,--jobs) and machine \
-         load, while the results stay byte-identical." }
-
-  let report =
-    { flag = "report";
-      docv = "FILE";
-      doc =
-        "Write the markdown conformance report to $(docv) instead of \
-         stdout.  The bytes are independent of $(b,--jobs); the one-line \
-         summary still goes to stdout." }
-
-  let profile =
-    { flag = "profile";
-      docv = "VENDOR";
-      doc =
-        "Build every trial with the $(docv) profile while keeping each \
-         row's own vendor expectations — the wrong-knob negative control, \
-         so mismatched rows are expected to FAIL.  Vendor-matrix \
-         ($(b,tcp)) rows only: with $(b,paper) it exits 2." }
-
-  (* which subcommand carries which options: the table `pfi_run help
-     [CMD]` prints.  Each `*_cmd` lists its Cmdliner terms by hand, built
-     from the same specs, so a verb's entry here and its term must name
-     the same options (the cli-golden suite checks that they do) *)
-  let commands =
-    [ ("list", "", "List the conformance catalogs and campaign harnesses.",
-       [ json ]);
-      ("repl", "", "Interactive REPL over the filter scripting language.",
-       [ seed ]);
-      ("msc", "", "Print the paper's global-error-counter ladder diagram.",
-       [ trace_out; json ]);
-      ("campaign", "TARGET", "Run a generated fault-injection campaign.",
-       [ seed; trace_out; json; jobs; repro_dir; stats ]);
-      ("shrink", "FILE", "Minimize a violating .pfis repro.",
-       [ seed; trace_out; json; jobs; output; max_trials ]);
-      ("check", "FILE...",
-       "Run packetdrill-style scenario conformance scripts (*.pfis).",
-       [ seed; trace_out; json; jobs; manifest ]);
-      ("gen", "SPEC",
-       "Expand a *.pfim scenario-matrix spec into a .pfis corpus with a \
-        JSON manifest.",
-       [ output; json; limit ]);
-      ("fuzz", "HARNESS",
-       "Coverage-guided fault fuzzing: mutate fault scripts and injection \
-        schedules, keep inputs that reach new trace coverage, minimize and \
-        deduplicate every violation into a findings stream.",
-       [ seed; trace_out; json; jobs; budget; corpus; stats ]);
-      ("matrix", "[CATALOG]",
-       "Run a conformance catalog, $(b,tcp) (default: the vendor matrix \
-        that re-discovers the paper's TCP quirk tables from traces) or \
-        $(b,paper) (every other paper result).",
-       [ seed; json; jobs; report; profile ]) ]
-
-  (* Cmdliner terms, generated from the specs *)
-  let flag_term spec = Arg.(value & flag & info [ spec.flag ] ~doc:spec.doc)
-
-  let opt_term cv spec =
+  let json_term =
     Arg.(
-      value
-      & opt (some cv) None
-      & info [ spec.flag ] ~docv:spec.docv ~doc:spec.doc)
+      value & flag
+      & info [ "json" ] ~doc:"Print machine-readable JSON objects instead of ASCII output.")
 
-  let seed_term = opt_term Arg.int64 seed
-  let trace_out_term = opt_term Arg.string trace_out
-  let json_term = flag_term json
-  let repro_dir_term = opt_term Arg.string repro_dir
+  let jobs_term =
+    Arg.(
+      value & opt int 1
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:
+            "Execute independent trials on $(docv) worker domains \
+             (Executor.domains).  Output is byte-identical for any $(docv); \
+             the default 1 is the sequential executor.")
+
+  let repro_dir_term =
+    opt_term Arg.string ~name:"repro-dir" ~docv:"DIR"
+      "Write one .pfis repro scenario per violating trial into $(docv) \
+       (created if missing).  Each is self-contained: `pfi_run check` \
+       replays it deterministically, as an expected failure with its \
+       recorded reason, and `pfi_run shrink` minimizes it."
+
   let output_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; output.flag ] ~docv:output.docv ~doc:output.doc)
+    opt_term ~short:[ "o" ] Arg.string ~name:"output" ~docv:"OUT"
+      "Output path: the minimized .pfis repro for $(b,shrink), the \
+       corpus directory for $(b,gen)."
+
   let max_trials_term =
     Arg.(
-      value
-      & opt int 1000
-      & info [ max_trials.flag ] ~docv:max_trials.docv ~doc:max_trials.doc)
-  let jobs_term =
-    Arg.(value & opt int 1 & info [ jobs.flag ] ~docv:jobs.docv ~doc:jobs.doc)
-  let limit_term = opt_term Arg.int limit
-  let manifest_term = opt_term Arg.string manifest
-  let budget_term = opt_term Arg.int budget
-  let corpus_term = opt_term Arg.string corpus
-  let stats_term = flag_term stats
-  let report_term = opt_term Arg.string report
-  let profile_term = opt_term Arg.string profile
+      value & opt count 1000
+      & info [ "max-trials" ] ~docv:"N" ~doc:"Re-run budget for the minimizer (default 1000).")
+
+  let limit_term =
+    opt_term count ~name:"limit" ~docv:"N"
+      "Keep only the first $(docv) scenarios of the expansion — a prefix \
+       of the full corpus, so a limited run is a cheap smoke test of the \
+       same matrix."
+
+  let budget_term =
+    opt_term count ~name:"budget" ~docv:"N"
+      "Mutation budget: total fuzz-loop executions (mutated trial runs) \
+       to spend (default 200).  Minimization re-runs per finding are \
+       accounted separately."
+
+  let corpus_term =
+    opt_term Arg.string ~name:"corpus" ~docv:"DIR"
+      "Write the fuzzing outputs into $(docv) (created if missing): \
+       findings.jsonl (the deduplicated findings stream), one .pfis \
+       repro scenario per finding that `pfi_run check` replays, and \
+       corpus.txt listing every coverage-increasing input in discovery \
+       order."
+
+  let stats_term =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Print scheduling and allocation counters after the run: per-worker \
+             executor utilization (claims, trials, busy fraction) plus GC words \
+             allocated on the calling domain and arena-recycled trials.  Purely \
+             observational — the numbers vary with $(b,--jobs) and machine \
+             load, while the results stay byte-identical.")
+
+  let report_term =
+    opt_term Arg.string ~name:"report" ~docv:"FILE"
+      "Write the markdown conformance report to $(docv) instead of \
+       stdout.  The bytes are independent of $(b,--jobs); the one-line \
+       summary still goes to stdout."
+
+  let profile_term =
+    opt_term Arg.string ~name:"profile" ~docv:"VENDOR"
+      "Build every trial with the $(docv) profile while keeping each \
+       row's own vendor expectations — the wrong-knob negative control, \
+       so mismatched rows are expected to FAIL.  Vendor-matrix \
+       ($(b,tcp)) rows only: with $(b,paper) it exits 2."
 end
-
-(* `pfi_run help [CMD]`: print the normalized option table *)
-let help_table cmd =
-  (* strip the Cmdliner markup used in the spec docs: $(b,X)/$(i,X)
-     become X, $(docv) becomes the option's metavariable *)
-  let plain ?(docv = "") doc =
-    let buf = Buffer.create (String.length doc) in
-    let n = String.length doc in
-    let rec go i =
-      if i < n then
-        if i + 1 < n && doc.[i] = '$' && doc.[i + 1] = '(' then begin
-          let stop =
-            match String.index_from_opt doc (i + 2) ')' with
-            | Some j -> j
-            | None -> n
-          in
-          let body = String.sub doc (i + 2) (max 0 (stop - i - 2)) in
-          let body =
-            match String.index_opt body ',' with
-            | Some k -> String.sub body (k + 1) (String.length body - k - 1)
-            | None -> if body = "docv" then docv else body
-          in
-          Buffer.add_string buf body;
-          go (stop + 1)
-        end
-        else begin
-          Buffer.add_char buf doc.[i];
-          go (i + 1)
-        end
-    in
-    go 0;
-    Buffer.contents buf
-  in
-  let print_one (name, args, doc, opts) =
-    let usage = if args = "" then name else name ^ " " ^ args in
-    Printf.printf "pfi_run %s\n  %s\n" usage (plain doc);
-    List.iter
-      (fun (o : Copts.spec) ->
-        let lhs =
-          if o.docv = "" then Printf.sprintf "--%s" o.flag
-          else Printf.sprintf "--%s %s" o.flag o.docv
-        in
-        Printf.printf "    %-22s %s\n" lhs (plain ~docv:o.docv o.doc))
-      opts;
-    print_newline ()
-  in
-  match cmd with
-  | None -> List.iter print_one Copts.commands
-  | Some name ->
-    (match
-       List.find_opt (fun (n, _, _, _) -> n = name) Copts.commands
-     with
-     | Some entry -> print_one entry
-     | None ->
-       Printf.eprintf "unknown command %S (try `pfi_run help`)\n" name;
-       exit 1)
-
-let help_cmd =
-  let doc = "Print the normalized option table (all commands or one)." in
-  let cmd = Arg.(value & pos 0 (some string) None & info [] ~docv:"CMD") in
-  Cmd.v (Cmd.info "help" ~doc) Term.(const help_table $ cmd)
 
 (* ------------------------------------------------------------------ *)
 (* Conformance catalogs and the inventory                             *)
@@ -658,10 +507,11 @@ let campaign which trace_out repro_dir seed jobs json stats =
 
 let campaign_cmd =
   let doc =
-    "Run a generated fault-injection campaign (abp | abp-buggy | gmp | \
-     gmp-buggy), optionally writing a .pfis repro per violation.  With \
-     $(b,--jobs) N the independent trials execute on N domains; summaries, \
-     traces and repros are byte-identical for any N."
+    "Run a generated fault-injection campaign against TARGET, a registry \
+     harness ($(b,pfi_run list) names them), optionally writing a .pfis \
+     repro per violation.  With $(b,--jobs) N the independent trials \
+     execute on N domains; summaries, traces and repros are \
+     byte-identical for any N."
   in
   let which = Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET") in
   Cmd.v (Cmd.info "campaign" ~doc)
@@ -916,22 +766,21 @@ let scenario_row_json (r : Pfi_testgen.Scenario.row) =
        | Some i -> Json.Int i
        | None -> Json.Null) ]
 
-let scenario_result_json ?(extra = []) file (r : Pfi_testgen.Scenario.result) =
+let scenario_result_json file (r : Pfi_testgen.Scenario.result) =
   let open Pfi_testgen in
   Json.Obj
-    ([ ("file", json_str file);
-       ("scenario", json_str r.Scenario.res_scenario);
-       ("harness", json_str r.Scenario.res_harness);
-       ("seed", json_str (Int64.to_string r.Scenario.res_seed));
-       ("horizon_us",
-        json_str (Int64.to_string (Pfi_engine.Vtime.to_us r.Scenario.res_horizon)));
-       ("outcome", json_str (Scenario.outcome_name r.Scenario.res_outcome));
-       ("xfail",
-        (match r.Scenario.res_xfail with
-         | Some (Scenario.Contains text | Scenario.Equals text) -> json_str text
-         | None -> Json.Null));
-       ("checks", Json.List (List.map scenario_row_json r.Scenario.res_rows)) ]
-    @ extra)
+    [ ("file", json_str file);
+      ("scenario", json_str r.Scenario.res_scenario);
+      ("harness", json_str r.Scenario.res_harness);
+      ("seed", json_str (Int64.to_string r.Scenario.res_seed));
+      ("horizon_us",
+       json_str (Int64.to_string (Pfi_engine.Vtime.to_us r.Scenario.res_horizon)));
+      ("outcome", json_str (Scenario.outcome_name r.Scenario.res_outcome));
+      ("xfail",
+       (match r.Scenario.res_xfail with
+        | Some (Scenario.Contains text | Scenario.Equals text) -> json_str text
+        | None -> Json.Null));
+      ("checks", Json.List (List.map scenario_row_json r.Scenario.res_rows)) ]
 
 let print_scenario_result file (r : Pfi_testgen.Scenario.result) =
   let open Pfi_testgen in
@@ -954,8 +803,6 @@ let print_scenario_result file (r : Pfi_testgen.Scenario.result) =
           row.Scenario.row_desc row.Scenario.row_reason)
     r.Scenario.res_rows
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 (* a per-file error line: {"file", "error"} in JSON, [text] otherwise *)
 let file_error ~json file msg text =
   if json then
@@ -963,14 +810,16 @@ let file_error ~json file msg text =
       (Pfi_testgen.Json.Obj [ ("file", json_str file); ("error", json_str msg) ])
   else print_string text
 
-(* Both check modes run every scenario file through Trace_out.map
-   (results and export lines come in input order, so the output is
-   byte-identical at any width) and share this per-result loop.
-   [judge file r] is a mode's own verdict on a loaded result: extra
-   JSON fields, whether it fails the run whatever its outcome, and what
-   to print after it.  Returns (failed, xfailed, load errors). *)
-let report_scenarios ~json ~trace_out ~jobs ?seed ~judge files =
+(* Every scenario file runs through Trace_out.map: results and export
+   lines come in input order, so the output is byte-identical at any
+   width.  A corpus must not shadow a scenario: two files carrying the
+   same scenario name is an error even when both pass. *)
+let check files trace_out seed jobs json =
   let open Pfi_testgen in
+  if files = [] then begin
+    Printf.eprintf "check: no scenario files (give FILE...)\n";
+    exit 2
+  end;
   let results =
     Trace_out.map (Out.trace_out trace_out) (Executor.of_jobs jobs)
       (fun out file ->
@@ -983,50 +832,34 @@ let report_scenarios ~json ~trace_out ~jobs ?seed ~judge files =
         | exception Sys_error m -> Error m)
       files
   in
-  let failed = ref 0 and xfailed = ref 0 and errors = ref 0 in
+  let names = Hashtbl.create 16 in
+  let failed = ref 0 and xfailed = ref 0 in
   List.iter2
     (fun file res ->
       match res with
       | Error msg ->
         incr failed;
-        incr errors;
         file_error ~json file msg
           (Printf.sprintf "%s: PARSE ERROR\n  %s\n" file msg)
       | Ok r ->
-        let extra, fails, after = judge file r in
-        if fails || not (Scenario.passed r) then incr failed;
+        let name = r.Scenario.res_scenario in
+        let prior = Hashtbl.find_opt names name in
+        if prior = None then Hashtbl.add names name file;
+        if prior <> None || not (Scenario.passed r) then incr failed;
         if r.Scenario.res_outcome = Scenario.Xfail then incr xfailed;
-        if json then json_print (scenario_result_json ~extra file r)
+        if json then json_print (scenario_result_json file r)
         else print_scenario_result file r;
-        after ())
+        Option.iter
+          (fun prior ->
+            file_error ~json file
+              (Printf.sprintf "duplicate scenario name %S (already used by %s)"
+                 name prior)
+              (Printf.sprintf
+                 "%s: DUPLICATE scenario name %S (already used by %s)\n" file
+                 name prior))
+          prior)
     files results;
-  (!failed, !xfailed, !errors)
-
-let check_files files trace_out seed jobs json =
-  let open Pfi_testgen in
-  (* a corpus must not shadow a scenario: two files carrying the same
-     scenario name is an error even when both pass *)
-  let names = Hashtbl.create 16 in
-  let judge file (r : Scenario.result) =
-    let name = r.Scenario.res_scenario in
-    match Hashtbl.find_opt names name with
-    | None ->
-      Hashtbl.add names name file;
-      ([], false, ignore)
-    | Some prior ->
-      ( [],
-        true,
-        fun () ->
-          file_error ~json file
-            (Printf.sprintf "duplicate scenario name %S (already used by %s)"
-               name prior)
-            (Printf.sprintf
-               "%s: DUPLICATE scenario name %S (already used by %s)\n" file
-               name prior) )
-  in
-  let failed, xfailed, _ =
-    report_scenarios ~json ~trace_out ~jobs ?seed ~judge files
-  in
+  let failed = !failed and xfailed = !xfailed in
   if json then
     json_print
       (Json.Obj
@@ -1040,109 +873,15 @@ let check_files files trace_out seed jobs json =
       failed xfailed;
   if failed > 0 then exit 1
 
-(* run a generated corpus against its manifest: verify the corpus bytes
-   first (the digest pins them), then require every scenario to land on
-   its recorded expected verdict *)
-let check_manifest mpath trace_out seed jobs json =
-  let open Pfi_testgen in
-  let mf =
-    match Matrix.load_manifest mpath with
-    | Ok mf -> mf
-    | Error msg ->
-      Printf.eprintf "cannot load manifest %s: %s\n" mpath msg;
-      exit 1
-  in
-  let dir = Filename.dirname mpath in
-  let digest =
-    Matrix.corpus_digest
-      (List.map
-         (fun (me : Matrix.manifest_entry) ->
-           match read_file (Filename.concat dir me.Matrix.me_file) with
-           | text -> (me.Matrix.me_file, text)
-           | exception Sys_error m ->
-             Printf.eprintf "cannot read corpus file: %s\n" m;
-             exit 1)
-         mf.Matrix.mf_entries)
-  in
-  if digest <> mf.Matrix.mf_corpus_digest then begin
-    if json then
-      json_print
-        (Json.Obj
-           [ ("manifest", json_str mpath);
-             ("error", json_str "corpus digest mismatch");
-             ("recorded", json_str mf.Matrix.mf_corpus_digest);
-             ("observed", json_str digest) ])
-    else
-      Printf.printf
-        "%s: CORPUS DIGEST MISMATCH\n  recorded %s\n  observed %s\n  (the \
-         .pfis files changed since `pfi_run gen` wrote them)\n"
-        mpath mf.Matrix.mf_corpus_digest digest;
-    exit 1
-  end;
-  let files =
-    List.map
-      (fun (me : Matrix.manifest_entry) -> Filename.concat dir me.Matrix.me_file)
-      mf.Matrix.mf_entries
-  in
-  let entries = List.combine files mf.Matrix.mf_entries in
-  let mismatched = ref 0 in
-  let judge file (r : Scenario.result) =
-    let want = (List.assoc file entries).Matrix.me_expected in
-    let outcome = Scenario.outcome_name r.Scenario.res_outcome in
-    let matched = outcome = want in
-    if not matched then incr mismatched;
-    ( [ ("expected", json_str want); ("matched", Json.Bool matched) ],
-      false,
-      fun () ->
-        if not (json || matched) then
-          Printf.printf "  MISMATCH: manifest expects %s, got %s\n" want
-            outcome )
-  in
-  let failed, xfailed, errors =
-    report_scenarios ~json ~trace_out ~jobs ?seed ~judge files
-  in
-  let mismatched = !mismatched + errors in
-  if json then
-    json_print
-      (Json.Obj
-         [ ("manifest", json_str mpath);
-           ("matrix", json_str mf.Matrix.mf_matrix);
-           ("scenarios", Json.Int (List.length files));
-           ("failed", Json.Int failed);
-           ("xfailed", Json.Int xfailed);
-           ("mismatches", Json.Int mismatched);
-           ("corpus_digest", json_str digest) ])
-  else
-    Printf.printf
-      "-- corpus %s: %d scenarios: %d passed, %d failed (%d expected \
-       failures), %d manifest mismatches\n"
-      mf.Matrix.mf_matrix (List.length files)
-      (List.length files - failed)
-      failed xfailed mismatched;
-  if failed > 0 || mismatched > 0 then exit 1
-
-let check files trace_out seed jobs json manifest =
-  match (manifest, files) with
-  | Some _, _ :: _ ->
-    Printf.eprintf
-      "check: --manifest and positional scenario files are mutually \
-       exclusive\n";
-    exit 2
-  | Some mpath, [] -> check_manifest mpath trace_out seed jobs json
-  | None, [] ->
-    Printf.eprintf "check: no scenario files (give FILE... or --manifest)\n";
-    exit 2
-  | None, files -> check_files files trace_out seed jobs json
-
 let check_cmd =
   let doc =
     "Run packetdrill-style scenario conformance scripts (*.pfis): build the \
      named harness, install the scripted faults and injections, run to the \
      horizon and judge the trace against every $(b,expect) oracle.  Exit 1 \
      if any scenario fails.  With $(b,--jobs) N independent scenarios \
-     execute on N domains with byte-identical output; with $(b,--manifest) \
-     the corpus recorded by $(b,gen) is verified and every outcome diffed \
-     against its expected verdict."
+     execute on N domains with byte-identical output.  A corpus that \
+     $(b,gen) wrote is checked the same way, as DIR/*.pfis: each file \
+     declares its own expected failure."
   in
   let files =
     Arg.(value & pos_all file [] & info [] ~docv:"FILE")
@@ -1150,7 +889,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const check $ files $ Copts.trace_out_term $ Copts.seed_term
-      $ Copts.jobs_term $ Copts.json_term $ Copts.manifest_term)
+      $ Copts.jobs_term $ Copts.json_term)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario-matrix generation                                         *)
@@ -1165,31 +904,22 @@ let gen spec_path out json limit =
       Printf.eprintf "gen: no output directory (give -o DIR)\n";
       exit 2
   in
-  let src =
-    try read_file spec_path
-    with Sys_error m ->
-      Printf.eprintf "cannot read matrix spec: %s\n" m;
-      exit 1
-  in
   let m, entries =
     try
-      let m = Matrix.parse src in
+      let m = Matrix.load spec_path in
       (m, Matrix.expand ?limit m)
-    with Scenario.Parse_error e ->
+    with
+    | Scenario.Parse_error e ->
       Printf.eprintf "%s\n" (Scenario.error_message ~file:spec_path e);
+      exit 1
+    | Sys_error m ->
+      Printf.eprintf "cannot read matrix spec: %s\n" m;
       exit 1
   in
   List.iter
     (fun (e : Matrix.entry) ->
       Out.file (Filename.concat out e.Matrix.e_file) e.Matrix.e_text)
     entries;
-  let manifest =
-    Matrix.manifest_json
-      ~spec_file:(Filename.basename spec_path)
-      ~spec_digest:(Digest.to_hex (Digest.string src))
-      m entries
-  in
-  Out.file (Filename.concat out "manifest.json") (Json.to_string manifest ^ "\n");
   let count p =
     List.length
       (List.filter (fun (e : Matrix.entry) -> e.Matrix.e_expected = p) entries)
@@ -1217,10 +947,11 @@ let gen spec_path out json limit =
 let gen_cmd =
   let doc =
     "Expand a *.pfim scenario-matrix spec (harness set × side × fault axis \
-     × parameter sweeps) into a corpus of canonical *.pfis scenarios plus \
-     a JSON manifest recording each scenario's seed and expected verdict.  \
-     Generation is deterministic: the same spec yields byte-identical \
-     files and manifest on every run."
+     × parameter sweeps) into a corpus of canonical *.pfis scenarios in \
+     OUT, each stating its own seed and expected failure, so \
+     $(b,pfi_run check) OUT/*.pfis checks it.  Generation is \
+     deterministic: the same spec yields byte-identical files on every \
+     run, so a fresh $(b,gen) and $(b,diff -r) verify a corpus directory."
   in
   let spec = Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC") in
   Cmd.v (Cmd.info "gen" ~doc)
@@ -1294,4 +1025,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [ list_cmd; repl_cmd; msc_cmd; campaign_cmd; shrink_cmd; check_cmd;
-            gen_cmd; fuzz_cmd; matrix_cmd; help_cmd ]))
+            gen_cmd; fuzz_cmd; matrix_cmd ]))

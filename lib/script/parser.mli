@@ -17,7 +17,12 @@
     Parsing never evaluates anything; see {!Interp}. *)
 
 exception Parse_error of string
-(** Raised on malformed input (unbalanced braces, brackets or quotes). *)
+(** Raised on malformed input (unbalanced braces, brackets or quotes).
+    From {!parse} the message is always [line N: REASON (at "EXCERPT")]:
+    [N] counts from the script's first line, [REASON] holds no [(], and
+    the excerpt, quoted as by [%S], is up to 12 bytes of the line from
+    where the bad construct starts.  [Scenario.parse] reads it back to
+    report a filter block's error at its file line. *)
 
 val parse : string -> Ast.script
 (** Splits a whole script into commands.  Nested parts (bodies, [expr]

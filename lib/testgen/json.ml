@@ -1,10 +1,10 @@
 open Pfi_engine
 
-(* A minimal JSON tree, its two printers, its parser, the field
-   decoders of the manifest reader and a trace entry's JSONL line.
-   Deliberately small: objects keep field order (assoc list), numbers
-   split into Int and Float so 64-bit-safe values can round-trip as
-   decimal strings where needed, and no JSON library is involved. *)
+(* A minimal JSON tree, its two printers, its parser and a trace
+   entry's JSONL line.  Deliberately small: objects keep field order
+   (assoc list), numbers split into Int and Float so 64-bit-safe values
+   can round-trip as decimal strings where needed, and no JSON library
+   is involved. *)
 
 type t =
   | Null
@@ -330,7 +330,7 @@ let parse (s : string) : (t, string) result =
   | exception Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Accessors and field decoders                                       *)
+(* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let member key = function
@@ -338,29 +338,6 @@ let member key = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-let to_int = function Int i -> Some i | _ -> None
-let to_list = function List items -> Some items | _ -> None
-
-let field ~what conv key j =
-  match Option.bind (member key j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing or ill-typed %S" what key)
-
-let int64_field ~what key j =
-  match member key j with
-  | Some (Str s) ->
-    (match Int64.of_string_opt s with
-     | Some v -> Ok v
-     | None -> Error (Printf.sprintf "%s: %S is not a 64-bit decimal" what key))
-  | Some (Int i) -> Ok (Int64.of_int i)
-  | _ -> Error (Printf.sprintf "%s: missing or ill-typed %S" what key)
-
-let decode_list decode items =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> Result.bind (decode x) (fun y -> go (y :: acc) rest)
-  in
-  go [] items
 
 (* ------------------------------------------------------------------ *)
 (* Trace export                                                       *)

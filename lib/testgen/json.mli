@@ -1,10 +1,10 @@
 (** The repo's one JSON codec: a minimal tree, a deterministic
     pretty-printer and a compact single-line printer, a
-    recursive-descent parser, the field decoders of the corpus manifest
-    reader, and a trace entry's JSONL line.  Every JSON byte the tool
-    writes — corpus manifests, findings streams, [--json] output and
-    [--trace-out] traces — is escaped and printed here; no JSON library
-    is involved.
+    recursive-descent parser (the tests read the tool's output back with
+    it, and [perf/] its benchmark declaration), and a trace entry's
+    JSONL line.  Every JSON byte the tool writes — findings streams,
+    [--json] output and [--trace-out] traces — is escaped and printed
+    here; no JSON library is involved.
 
     Strings are byte strings.  Valid UTF-8 passes through and a control
     character is written as [\u00XX]; a byte that is not part of a
@@ -42,24 +42,6 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 val to_str : t -> string option
-val to_int : t -> int option
-val to_list : t -> t list option
-
-(** {1 Field decoders}
-
-    [what] names the record being decoded; it prefixes every error. *)
-
-val field : what:string -> (t -> 'a option) -> string -> t -> ('a, string) result
-(** [field ~what conv key j] is [conv] of [j]'s member [key], or the
-    error ["<what>: missing or ill-typed \"<key>\""]. *)
-
-val int64_field : what:string -> string -> t -> (int64, string) result
-(** A 64-bit member, carried as a decimal string (JSON numbers are
-    doubles, and a derived seed does not fit in 53 bits) or as a small
-    [Int]. *)
-
-val decode_list : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
-(** Decodes every item in order; the first error is the result. *)
 
 (** {1 Trace export} *)
 

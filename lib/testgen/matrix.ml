@@ -362,7 +362,6 @@ type entry = {
   e_index : int;
   e_file : string;
   e_name : string;
-  e_group : string;
   e_harness : string;
   e_seed : int64;
   e_expected : string;
@@ -528,7 +527,6 @@ let expand ?limit m =
                         { e_index = !index;
                           e_file = file_of_name !index name;
                           e_name = name;
-                          e_group = g.g_name;
                           e_harness = h;
                           e_seed = seed;
                           e_expected =
@@ -545,11 +543,11 @@ let expand ?limit m =
     m.m_groups;
   let all = List.rev !entries in
   match limit with
-  | Some n when n >= 0 -> List.filteri (fun i _ -> i < n) all
-  | _ -> all
+  | Some n -> List.filteri (fun i _ -> i < n) all
+  | None -> all
 
 (* ------------------------------------------------------------------ *)
-(* Manifests                                                          *)
+(* Corpus digest                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let corpus_digest files =
@@ -561,121 +559,3 @@ let corpus_digest files =
       Buffer.add_string buf text)
     files;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let manifest_json ~spec_file ~spec_digest m entries =
-  let count p = List.length (List.filter (fun e -> e.e_expected = p) entries) in
-  Json.Obj
-    [ ("format", Json.Str "pfi-corpus/1");
-      ("matrix", Json.Str m.m_name);
-      ("spec", Json.Str spec_file);
-      ("spec_digest", Json.Str spec_digest);
-      ("count", Json.Int (List.length entries));
-      ("pass", Json.Int (count "pass"));
-      ("xfail", Json.Int (count "xfail"));
-      ( "corpus_digest",
-        Json.Str (corpus_digest (List.map (fun e -> (e.e_file, e.e_text)) entries)) );
-      ( "scenarios",
-        Json.List
-          (List.map
-             (fun e ->
-               Json.Obj
-                 [ ("file", Json.Str e.e_file);
-                   ("name", Json.Str e.e_name);
-                   ("group", Json.Str e.e_group);
-                   ("harness", Json.Str e.e_harness);
-                   ("seed", Json.Str (Int64.to_string e.e_seed));
-                   ("expected", Json.Str e.e_expected) ])
-             entries) ) ]
-
-type manifest_entry = {
-  me_file : string;
-  me_name : string;
-  me_group : string;
-  me_harness : string;
-  me_seed : int64;
-  me_expected : string;
-}
-
-type manifest = {
-  mf_matrix : string;
-  mf_spec : string;
-  mf_spec_digest : string;
-  mf_count : int;
-  mf_pass : int;
-  mf_xfail : int;
-  mf_corpus_digest : string;
-  mf_entries : manifest_entry list;
-}
-
-let manifest_of_json json =
-  let ( let* ) = Result.bind in
-  let* format = Json.field ~what:"manifest" Json.to_str "format" json in
-  let* () =
-    if format = "pfi-corpus/1" then Ok ()
-    else Error (Printf.sprintf "manifest: unsupported format %S" format)
-  in
-  let* mf_matrix = Json.field ~what:"manifest" Json.to_str "matrix" json in
-  let* mf_spec = Json.field ~what:"manifest" Json.to_str "spec" json in
-  let* mf_spec_digest = Json.field ~what:"manifest" Json.to_str "spec_digest" json in
-  let* mf_count = Json.field ~what:"manifest" Json.to_int "count" json in
-  let* mf_pass = Json.field ~what:"manifest" Json.to_int "pass" json in
-  let* mf_xfail = Json.field ~what:"manifest" Json.to_int "xfail" json in
-  let* mf_corpus_digest = Json.field ~what:"manifest" Json.to_str "corpus_digest" json in
-  let* scenarios = Json.field ~what:"manifest" Json.to_list "scenarios" json in
-  let entry_of j =
-    let what = "manifest scenario" in
-    let* me_file = Json.field ~what Json.to_str "file" j in
-    let* me_name = Json.field ~what Json.to_str "name" j in
-    let* me_group = Json.field ~what Json.to_str "group" j in
-    let* me_harness = Json.field ~what Json.to_str "harness" j in
-    let* me_seed = Json.int64_field ~what "seed" j in
-    let* me_expected = Json.field ~what Json.to_str "expected" j in
-    let* () =
-      if me_expected = "pass" || me_expected = "xfail" then Ok ()
-      else Error (Printf.sprintf "manifest: bad expected verdict %S" me_expected)
-    in
-    Ok { me_file; me_name; me_group; me_harness; me_seed; me_expected }
-  in
-  let* mf_entries = Json.decode_list entry_of scenarios in
-  let* () =
-    if List.length mf_entries = mf_count then Ok ()
-    else
-      Error
-        (Printf.sprintf "manifest: count %d disagrees with %d scenarios"
-           mf_count (List.length mf_entries))
-  in
-  let* () =
-    let dup proj what =
-      let tbl = Hashtbl.create 64 in
-      List.fold_left
-        (fun acc e ->
-          let* () = acc in
-          let k = proj e in
-          if Hashtbl.mem tbl k then
-            Error (Printf.sprintf "manifest: duplicate %s %S" what k)
-          else begin
-            Hashtbl.add tbl k ();
-            Ok ()
-          end)
-        (Ok ()) mf_entries
-    in
-    let* () = dup (fun e -> e.me_file) "file" in
-    dup (fun e -> e.me_name) "scenario name"
-  in
-  Ok
-    { mf_matrix;
-      mf_spec;
-      mf_spec_digest;
-      mf_count;
-      mf_pass;
-      mf_xfail;
-      mf_corpus_digest;
-      mf_entries }
-
-let load_manifest path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | src ->
-    (match Json.parse src with
-     | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-     | Ok json -> manifest_of_json json)

@@ -8,10 +8,12 @@
     print→parse round trip itself: it reads its text back and raises
     unless the result equals the record.  A generated corpus is
     therefore exactly as checkable as a hand-written one: every file is
-    canonical [.pfis] text that {!Scenario.load} accepts.  A harness,
-    profile, phase or seed is checked by the scenario parser's own
-    functions ({!Scenario.harness_of_token} and its siblings), with its
-    messages.
+    canonical [.pfis] text that {!Scenario.load} accepts, and states its
+    own name, harness, seed and expected failure ([xfail]), so
+    [pfi_run check DIR/*.pfis] checks a corpus with no side file.  A
+    harness, profile, phase or seed is checked by the scenario parser's
+    own functions ({!Scenario.harness_of_token} and its siblings), with
+    its messages.
 
     {2 Format}
 
@@ -34,8 +36,8 @@
     v}
 
     Top level:
-    - [matrix NAME...] — required once; names the corpus in the
-      manifest.
+    - [matrix NAME...] — required once; names the corpus in [gen]'s
+      output.
     - [seed N] — base seed scenarios derive their per-scenario seeds
       from (default 31).
     - [group NAME ... end] — one scenario family; group names are
@@ -118,7 +120,6 @@ type entry = {
   e_index : int;  (** 1-based corpus position *)
   e_file : string;  (** relative corpus file name, ["001-....pfis"] *)
   e_name : string;  (** the scenario's [name] directive *)
-  e_group : string;
   e_harness : string;
   e_seed : int64;  (** the seed written into the scenario *)
   e_expected : string;  (** ["pass"] or ["xfail"] *)
@@ -137,48 +138,9 @@ val expand : ?limit:int -> t -> entry list
     duplicate scenario names, template lines the scenario language
     rejects, a scenario whose text does not read back). *)
 
-(** {1 Manifests} *)
+(** {1 Corpus digest} *)
 
 val corpus_digest : (string * string) list -> string
 (** MD5 hex over every [(file, text)] pair, file name then contents —
     two corpora agree on the digest iff they agree byte-for-byte.  [gen]
-    digests the entries it writes ([e_file], [e_text]); [check
-    --manifest] the files its manifest lists, as read back. *)
-
-val manifest_json :
-  spec_file:string -> spec_digest:string -> t -> entry list -> Json.t
-(** The corpus manifest ([format "pfi-corpus/1"]): matrix name, spec
-    file and digest, scenario/pass/xfail counts, {!corpus_digest}, and
-    one record per scenario (file, name, group, harness, seed as a
-    decimal string, expected verdict) in corpus order. *)
-
-type manifest_entry = {
-  me_file : string;
-  me_name : string;
-  me_group : string;
-  me_harness : string;
-  me_seed : int64;
-  me_expected : string;
-}
-
-type manifest = {
-  mf_matrix : string;
-  mf_spec : string;
-  mf_spec_digest : string;
-  mf_count : int;
-  mf_pass : int;
-  mf_xfail : int;
-  mf_corpus_digest : string;
-  mf_entries : manifest_entry list;
-}
-
-val manifest_of_json : Json.t -> (manifest, string) result
-(** Rejects unknown formats, missing fields, counts that disagree with
-    the entry list, and duplicate file or scenario names.  Fields are
-    read with the shared field decoders ({!Json.field}), so a
-    missing one reads ["manifest: missing or ill-typed \"count\""], or
-    ["manifest scenario: ..."] inside a scenario record. *)
-
-val load_manifest : string -> (manifest, string) result
-(** Reads and decodes a manifest file; [Error] covers I/O, JSON and
-    validation failures. *)
+    prints the digest of the entries it writes ([e_file], [e_text]). *)

@@ -288,6 +288,17 @@ let exact_reason ~line raw =
   if eq + 2 < n && raw.[eq + 1] = ' ' then String.sub raw (eq + 2) (n - eq - 2)
   else err line "=" "usage: xfail = REASON (the rest of the line after \"= \")"
 
+(* a filter block's script is parsed when its [end] is read, so a
+   syntax error is the file's, at the line that holds it.  The script
+   parser says "line N: REASON (at "EXCERPT")", N counted from the
+   block's first line. *)
+let parse_block ~start script =
+  match Pfi_script.Parser.parse script with
+  | _ -> ()
+  | exception Pfi_script.Parser.Parse_error msg ->
+    Scanf.sscanf msg "line %d: %s@(at %S)" (fun n reason excerpt ->
+        err (start + n) excerpt (String.trim reason))
+
 let parse ?(single_fault = false) ?(name = "scenario") src =
   let sc_name = ref name in
   let harness = ref None (* (name, packed) *) in
@@ -519,7 +530,9 @@ let parse ?(single_fault = false) ?(name = "scenario") src =
       | None -> handle (i + 1) raw (tokens_of_line raw)
       | Some (start, side, body) ->
         if String.trim raw = "end" then begin
-          filters := (side, String.concat "\n" (List.rev body)) :: !filters;
+          let script = String.concat "\n" (List.rev body) in
+          parse_block ~start script;
+          filters := (side, script) :: !filters;
           block := None
         end
         else block := Some (start, side, raw :: body))

@@ -62,7 +62,10 @@
       is just [end] — a hand-written filter script.  Its lines are kept
       verbatim (a [#] in them is Tcl's, not a comment here) and run
       after that side's [fault] scripts, in file order.  So a script
-      can hold no line that is just [end].
+      can hold no line that is just [end].  The script is parsed
+      ({!Pfi_script.Parser.parse}) when its [end] is read: a syntax
+      error is a {!Parse_error} at the file line of the script's line,
+      with the parser's reason and excerpt.
     - [@T heal] — clears both sides' filters at virtual time [T]: the
       fault window of a fuzz input.
     - [@T inject send|receive MTYPE [k=v ...] [to NODE]] — fabricate a

@@ -1,7 +1,6 @@
-(* Golden-file tests over the pfi_run binary itself: `pfi_run msc` and
-   `pfi_run help CMD` output is pinned byte-for-byte, so accidental
-   drift in the ladder diagram or the normalized option table shows up
-   as a diff, not as silent churn. *)
+(* Tests over the pfi_run binary itself: `pfi_run msc` output and the
+   corpus `pfi_run gen` writes are pinned byte-for-byte, so accidental
+   drift shows up as a diff, not as silent churn. *)
 
 let exe () =
   Filename.concat
@@ -40,165 +39,101 @@ let check_golden ~path actual =
 
 let test_msc () = check_golden ~path:"golden/msc.expected" (run_cli [ "msc" ])
 
-let test_help_all () =
-  check_golden ~path:"golden/help.expected" (run_cli [ "help" ])
-
-let test_help_check () =
-  check_golden ~path:"golden/help_check.expected" (run_cli [ "help"; "check" ])
-
-let test_help_campaign () =
-  check_golden ~path:"golden/help_campaign.expected"
-    (run_cli [ "help"; "campaign" ])
-
-let test_help_gen () =
-  check_golden ~path:"golden/help_gen.expected" (run_cli [ "help"; "gen" ])
-
-let test_help_fuzz () =
-  check_golden ~path:"golden/help_fuzz.expected" (run_cli [ "help"; "fuzz" ])
-
-let test_help_matrix () =
-  check_golden ~path:"golden/help_matrix.expected"
-    (run_cli [ "help"; "matrix" ])
+(* every verb renders its own man page.  The verbs are read off the
+   COMMANDS section of `pfi_run --help=plain`, where each is a line
+   indented 7 columns ("       campaign [OPTION]… TARGET") and its doc
+   is indented deeper, so a new verb is covered without editing this
+   list. *)
+let test_every_verb_help () =
+  let verb line =
+    if String.length line > 7 && String.sub line 0 7 = "       " && line.[7] <> ' ' then
+      Some (List.hd (String.split_on_char ' ' (String.trim line)))
+    else None
+  in
+  let rec commands = function
+    | "COMMANDS" :: rest -> section rest
+    | _ :: rest -> commands rest
+    | [] -> []
+  (* the section ends at the next unindented heading *)
+  and section = function
+    | line :: rest when line = "" || line.[0] = ' ' -> Option.to_list (verb line) @ section rest
+    | _ -> []
+  in
+  let verbs = commands (String.split_on_char '\n' (run_cli [ "--help=plain" ])) in
+  Alcotest.(check bool) "COMMANDS lists matrix and shrink" true
+    (List.mem "matrix" verbs && List.mem "shrink" verbs);
+  List.iter (fun verb -> ignore (run_cli [ verb; "--help=plain" ])) verbs
 
 (* ------------------------------------------------------------------ *)
 (* `pfi_run gen` on the tiny fixed matrix: the generated file set and  *)
-(* manifest are pinned byte-for-byte, and generation is deterministic  *)
+(* corpus digest are pinned, and generation is deterministic           *)
 (* ------------------------------------------------------------------ *)
-
-(* every verb renders its own man page.  The verbs are read off
-   `pfi_run help`, so a new one is covered without editing this list. *)
-let test_every_verb_help () =
-  let verbs =
-    List.filter_map
-      (fun line ->
-        match String.split_on_char ' ' line with
-        | "pfi_run" :: verb :: _ -> Some verb
-        | _ -> None)
-      (String.split_on_char '\n' (run_cli [ "help" ]))
-  in
-  Alcotest.(check bool) "help lists matrix" true (List.mem "matrix" verbs);
-  List.iter (fun verb -> ignore (run_cli [ verb; "--help=plain" ])) ("help" :: verbs)
-
-(* `pfi_run help VERB` prints a hand-kept table, and each verb's
-   Cmdliner term lists its options by hand too: for every verb the
-   table lists, the two must name the same long options (the man page
-   adds only --help and --version) *)
-let test_help_table_matches_terms () =
-  let words line = List.filter (( <> ) "") (String.split_on_char ' ' line) in
-  let lines args = String.split_on_char '\n' (run_cli args) in
-  let verbs =
-    List.filter_map
-      (fun line -> match words line with "pfi_run" :: verb :: _ -> Some verb | _ -> None)
-      (lines [ "help" ])
-  in
-  Alcotest.(check bool) "help lists shrink" true (List.mem "shrink" verbs);
-  (* "--name" with any "=VALUE" or "[=FMT]" suffix cut off *)
-  let long_flag w =
-    if String.starts_with ~prefix:"--" w then
-      Some (List.hd (String.split_on_char '=' (List.hd (String.split_on_char '[' w))))
-    else None
-  in
-  let sorted = List.sort_uniq String.compare in
-  List.iter
-    (fun verb ->
-      let table =
-        List.filter_map
-          (fun line ->
-            if String.starts_with ~prefix:"    --" line then
-              long_flag (List.hd (words line))
-            else None)
-          (lines [ "help"; verb ])
-      in
-      (* option lines of the man page are indented 7 columns:
-         "       -o OUT, --output=OUT" *)
-      let man =
-        List.concat_map
-          (fun line ->
-            if String.starts_with ~prefix:"       -" line then
-              List.filter_map
-                (fun part -> long_flag (List.hd (words part)))
-                (String.split_on_char ',' line)
-            else [])
-          (lines [ verb; "--help=plain" ])
-        |> List.filter (fun f -> f <> "--help" && f <> "--version")
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "pfi_run help %s names the options its term takes" verb)
-        (sorted man) (sorted table))
-    verbs
 
 let test_dir path = Filename.concat (Filename.dirname Sys.executable_name) path
 
-let fresh_dir tag =
+(* [f] on a fresh directory, removed with its files afterwards *)
+let with_dir tag f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "pfi_gen_%s_%d" tag (Unix.getpid ()))
   in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir)
-  else Sys.mkdir dir 0o755;
-  dir
+  let clear () = Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir) in
+  if Sys.file_exists dir then clear () else Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> clear (); Sys.rmdir dir) (fun () -> f dir)
 
-let gen_tiny tag =
-  let dir = fresh_dir tag in
-  let _ = run_cli [ "gen"; test_dir "matrix/tiny.pfim"; "-o"; dir ] in
-  dir
+(* [f dir out]: the tiny corpus gen wrote into [dir], and what it printed *)
+let gen_tiny tag f =
+  with_dir tag (fun dir -> f dir (run_cli [ "gen"; test_dir "matrix/tiny.pfim"; "-o"; dir ]))
 
+let pfis_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pfis")
+  |> List.sort String.compare
+  |> List.map (Filename.concat dir)
+
+(* gen writes the .pfis files and nothing else; their bytes are pinned
+   by the digest gen prints *)
 let test_gen_tiny_golden () =
-  let dir = gen_tiny "a" in
-  let files = Sys.readdir dir |> Array.to_list |> List.sort String.compare in
-  check_golden ~path:"golden/tiny_corpus_files.expected"
-    (String.concat "\n" files ^ "\n");
-  check_golden ~path:"golden/tiny_manifest.expected.json"
-    (read_file (Filename.concat dir "manifest.json"))
+  gen_tiny "a" (fun dir out ->
+      let files = Sys.readdir dir |> Array.to_list |> List.sort String.compare in
+      check_golden ~path:"golden/tiny_corpus_files.expected"
+        (String.concat "\n" files ^ "\n");
+      Alcotest.(check bool) "corpus digest" true
+        (String.ends_with ~suffix:"  corpus digest 15c9d0c4da6a9eb67613dfda2cd67c80\n" out))
 
 let test_gen_tiny_deterministic () =
-  let a = gen_tiny "b" and b = gen_tiny "c" in
-  let manifest d = read_file (Filename.concat d "manifest.json") in
-  Alcotest.(check string)
-    "manifest is byte-identical across two gen runs" (manifest a) (manifest b);
-  List.iter
-    (fun f ->
-      if Filename.check_suffix f ".pfis" then
-        Alcotest.(check string)
-          (f ^ " is byte-identical across two gen runs")
-          (read_file (Filename.concat a f))
-          (read_file (Filename.concat b f)))
-    (Sys.readdir a |> Array.to_list |> List.sort String.compare)
+  gen_tiny "b" (fun a _ ->
+      gen_tiny "c" (fun b _ ->
+          List.iter
+            (fun f ->
+              Alcotest.(check string)
+                (f ^ " is byte-identical across two gen runs")
+                (read_file (Filename.concat a f))
+                (read_file (Filename.concat b f)))
+            (Sys.readdir a |> Array.to_list |> List.sort String.compare)))
 
-(* the standing demo spec, pinned by its scenario count, its manifest's
-   size and MD5 and its corpus digest *)
+(* the standing demo spec, pinned by its scenario count and its corpus
+   digest *)
 let test_gen_registry_demo_pinned () =
-  let dir = fresh_dir "demo" in
-  let files () = Sys.readdir dir |> Array.to_list in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
-      Sys.rmdir dir)
-    (fun () ->
+  with_dir "demo" (fun dir ->
       let out = run_cli [ "gen"; test_dir "matrix/registry_demo.pfim"; "-o"; dir ] in
-      Alcotest.(check int) "scenarios written" 168
-        (List.length (List.filter (fun f -> Filename.check_suffix f ".pfis") (files ())));
-      let manifest = read_file (Filename.concat dir "manifest.json") in
-      Alcotest.(check int) "manifest bytes" 42_141 (String.length manifest);
-      Alcotest.(check string) "manifest MD5" "2f4b3445c7db0a862984b214aeacde3c"
-        (Digest.to_hex (Digest.string manifest));
+      Alcotest.(check int) "files written" 168 (Array.length (Sys.readdir dir));
+      Alcotest.(check int) "scenarios written" 168 (List.length (pfis_files dir));
       Alcotest.(check bool) "corpus digest" true
         (String.ends_with
            ~suffix:"  corpus digest 20cce11a95c2d76c0954639de67e142c\n" out))
 
-let test_check_manifest_jobs_parity () =
-  let dir = gen_tiny "d" in
-  let manifest = Filename.concat dir "manifest.json" in
-  let run jobs =
-    run_cli [ "check"; "--manifest"; manifest; "--jobs"; jobs; "--json" ]
-  in
-  Alcotest.(check string)
-    "check --manifest --json is byte-identical at --jobs 1 and 4" (run "1")
-    (run "4")
+(* a generated corpus is checked like any other .pfis directory: each
+   file's own xfail states its expected failure *)
+let test_check_corpus_jobs_parity () =
+  gen_tiny "d" (fun dir _ ->
+      let run jobs = run_cli (("check" :: pfis_files dir) @ [ "--jobs"; jobs; "--json" ]) in
+      let j1 = run "1" in
+      Alcotest.(check bool) "7 scenarios, 0 failed, 1 expected failure" true
+        (String.ends_with ~suffix:"\"scenarios\": 7,\n  \"failed\": 0,\n  \"xfailed\": 1\n}\n" j1);
+      Alcotest.(check string)
+        "check DIR/*.pfis --json is byte-identical at --jobs 1 and 4" j1 (run "4"))
 
 (* ------------------------------------------------------------------ *)
 (* Artifacts whose fault is out of range fail where they are read      *)
@@ -266,6 +201,58 @@ let test_bad_fault_is_a_load_error () =
             (String.starts_with ~prefix:(path ^ ": PARSE ERROR\n  " ^ where ^ "\n") out)))
     [ ("drop_nth MSG 0", "0", "drop_nth period must be at least 1");
       ("delay_each MSG 1e13", "1e13", "delay out of range") ]
+
+(* a filter block is parsed when its end is read: a syntax error is
+   the file's read error, at the file line of the script's line, and
+   the other files on the command line still run *)
+let test_unparsable_filter_block () =
+  let text =
+    edited_repro (fun l ->
+        if String.starts_with ~prefix:"fault " l then
+          [ "filter both"; {|if {[msg_type cur_msg] == "MSG"|}; "end" ]
+        else [ l ])
+  in
+  with_pfis "pfi_brace" text (fun path ->
+      let where =
+        Printf.sprintf "%s:%d: unterminated {...} word (at %S)" path (line_of text "if {")
+          "{[msg_type c"
+      in
+      let error = path ^ ": PARSE ERROR\n  " ^ where ^ "\n" in
+      let code, out = run_cli_status [ "check"; path ] in
+      Alcotest.(check (pair int string)) "alone: exit 1 and the one error line"
+        (1, error ^ "-- 1 scenarios: 0 passed, 1 failed (0 expected failures)\n")
+        (code, out);
+      let scenarios = pfis_files (test_dir "scenarios") in
+      let code, out = run_cli_status (("check" :: scenarios) @ [ path ]) in
+      Alcotest.(check int) "after the corpus: exit 1" 1 code;
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) (f ^ "'s result is printed") true
+            (contains out (f ^ ": pass  [") || contains out (f ^ ": xfail (failed as declared)  [")))
+        scenarios;
+      Alcotest.(check bool) "after the corpus: the error line and the summary" true
+        (String.ends_with
+           ~suffix:(error ^ "-- 12 scenarios: 11 passed, 1 failed (3 expected failures)\n") out);
+      let code, out = run_cli_status [ "check"; "--json"; path ] in
+      let open Pfi_testgen.Json in
+      Alcotest.(check (pair int bool)) "--json: exit 1 and its {file, error} object" (1, true)
+        (code, String.starts_with ~prefix:(to_string (Obj [ ("file", Str path); ("error", Str where) ])) out))
+
+(* a count is a non-negative integer: a negative one is a usage error,
+   as a non-number is, before the verb runs *)
+let test_negative_count () =
+  let never = Filename.concat (Filename.get_temp_dir_name ()) "pfi_negative_limit" in
+  List.iter
+    (fun (args, value) ->
+      let what = String.concat " " (List.map Filename.basename args) in
+      let code, out = run_cli_status args in
+      Alcotest.(check int) (what ^ ": exit code") 124 code;
+      Alcotest.(check bool) (what ^ ": names the value") true
+        (contains out (Printf.sprintf "invalid value '%s', expected a non-negative" value)))
+    [ ([ "fuzz"; "abp"; "--budget=-3" ], "-3");
+      ([ "gen"; test_dir "matrix/tiny.pfim"; "-o"; never; "--limit=-1" ], "-1");
+      ([ "shrink"; test_dir "golden/tiny_abp_repro.expected.pfis"; "--max-trials=-1" ], "-1") ];
+  Alcotest.(check bool) "gen wrote nothing" false (Sys.file_exists never)
 
 (* shrink exits 1 on the tiny repro rewritten by [edit], and its
    message holds [needle path text] *)
@@ -384,13 +371,7 @@ let test_fuzz_trace_out_pinned () =
    stream the same bytes at --jobs 2 and 4, where the trials of a
    window past its first wait in buffers. *)
 let test_trace_out_pinned () =
-  let scenarios =
-    Sys.readdir (test_dir "scenarios")
-    |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".pfis")
-    |> List.sort String.compare
-    |> List.map (Filename.concat (test_dir "scenarios"))
-  in
+  let scenarios = pfis_files (test_dir "scenarios") in
   List.iter
     (fun (args, code, bytes, md5) ->
       let path = Filename.temp_file "pfi_trace_out" ".jsonl" in
@@ -504,13 +485,6 @@ let test_unwritable_outputs () =
 
 let suite =
   [ Alcotest.test_case "pfi_run msc matches the golden ladder" `Slow test_msc;
-    Alcotest.test_case "pfi_run help matches the golden table" `Quick
-      test_help_all;
-    Alcotest.test_case "pfi_run help check golden" `Quick test_help_check;
-    Alcotest.test_case "pfi_run help campaign golden" `Quick test_help_campaign;
-    Alcotest.test_case "pfi_run help gen golden" `Quick test_help_gen;
-    Alcotest.test_case "pfi_run help fuzz golden" `Quick test_help_fuzz;
-    Alcotest.test_case "pfi_run help matrix golden" `Quick test_help_matrix;
     Alcotest.test_case "every verb's --help=plain exits 0" `Quick test_every_verb_help;
     Alcotest.test_case "pfi_run gen tiny corpus matches the goldens" `Quick
       test_gen_tiny_golden;
@@ -518,10 +492,13 @@ let suite =
       test_gen_tiny_deterministic;
     Alcotest.test_case "pfi_run gen registry_demo matches its pinned digests"
       `Quick test_gen_registry_demo_pinned;
-    Alcotest.test_case "check --manifest output is jobs-invariant" `Slow
-      test_check_manifest_jobs_parity;
+    Alcotest.test_case "check of a generated corpus is jobs-invariant" `Slow
+      test_check_corpus_jobs_parity;
     Alcotest.test_case "shrink/check reject an out-of-range fault on load"
       `Quick test_bad_fault_is_a_load_error;
+    Alcotest.test_case "check reports an unparsable filter block and runs the rest"
+      `Quick test_unparsable_filter_block;
+    Alcotest.test_case "a negative count is a usage error" `Quick test_negative_count;
     Alcotest.test_case "shrink refuses an artifact whose script was edited"
       `Quick test_shrink_refuses_edited_script;
     Alcotest.test_case "shrink refuses a second fault, a heal and an underived seed"
@@ -534,7 +511,5 @@ let suite =
       test_trace_out_pinned;
     Alcotest.test_case "fuzz --trace-out exports pinned finding traces" `Quick
       test_fuzz_trace_out_pinned;
-    Alcotest.test_case "pfi_run help VERB names the options of VERB's term" `Quick
-      test_help_table_matches_terms;
     Alcotest.test_case "an output path under a regular file exits 1 with one line"
       `Quick test_unwritable_outputs ]

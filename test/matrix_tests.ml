@@ -1,7 +1,7 @@
-(* Scenario-matrix expansion (.pfim): grammar, sweeps, determinism,
-   manifests — plus the print→parse round-trip property the whole
-   generator rests on: Scenario.parse (Scenario.to_string sc) must be
-   Scenario.equal to sc for every expressible scenario. *)
+(* Scenario-matrix expansion (.pfim): grammar, sweeps, determinism —
+   plus the print→parse round-trip property the whole generator rests
+   on: Scenario.parse (Scenario.to_string sc) must be Scenario.equal to
+   sc for every expressible scenario. *)
 
 open Pfi_engine
 open Pfi_testgen
@@ -100,35 +100,26 @@ let test_expand_limit () =
     three
     (List.filteri (fun i _ -> i < 3) full)
 
-let test_manifest_round_trip () =
-  let m = tiny () in
-  let entries = Matrix.expand m in
-  let json =
-    Matrix.manifest_json ~spec_file:"tiny.pfim" ~spec_digest:"d" m entries
-  in
-  let reparsed =
-    match Json.parse (Json.to_string json) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "manifest JSON does not re-parse: %s" e
-  in
-  match Matrix.manifest_of_json reparsed with
-  | Error e -> Alcotest.failf "manifest does not decode: %s" e
-  | Ok mf ->
-    Alcotest.(check string) "matrix name" m.Matrix.m_name mf.Matrix.mf_matrix;
-    Alcotest.(check int) "count" (List.length entries) mf.Matrix.mf_count;
-    Alcotest.(check int) "pass count" 6 mf.Matrix.mf_pass;
-    Alcotest.(check int) "xfail count" 1 mf.Matrix.mf_xfail;
-    Alcotest.(check string) "corpus digest"
-      (Matrix.corpus_digest (corpus_files entries))
-      mf.Matrix.mf_corpus_digest;
-    List.iter2
-      (fun e me ->
-        Alcotest.(check string) "entry file" e.Matrix.e_file me.Matrix.me_file;
-        Alcotest.(check string) "entry name" e.Matrix.e_name me.Matrix.me_name;
-        Alcotest.(check int64) "entry seed" e.Matrix.e_seed me.Matrix.me_seed;
-        Alcotest.(check string) "entry expected" e.Matrix.e_expected
-          me.Matrix.me_expected)
-      entries mf.Matrix.mf_entries
+(* a generated file is its own record: its text alone names the
+   scenario and harness and carries the seed and expected verdict *)
+let test_files_state_seed_and_xfail () =
+  let entries = Matrix.expand (tiny ()) in
+  List.iter
+    (fun e ->
+      let sc = Scenario.parse e.Matrix.e_text in
+      Alcotest.(check string) "name" e.Matrix.e_name sc.Scenario.sc_name;
+      Alcotest.(check string) "harness" e.Matrix.e_harness
+        sc.Scenario.sc_harness;
+      Alcotest.(check (option int64)) "seed" (Some e.Matrix.e_seed)
+        sc.Scenario.sc_seed;
+      Alcotest.(check string) "expected verdict" e.Matrix.e_expected
+        (if sc.Scenario.sc_xfail = None then "pass" else "xfail"))
+    entries;
+  Alcotest.(check int) "one file declares xfail" 1
+    (List.length
+       (List.filter
+          (fun e -> (Scenario.parse e.Matrix.e_text).Scenario.sc_xfail <> None)
+          entries))
 
 (* ------------------------------------------------------------------ *)
 (* Grammar and expansion errors                                       *)
@@ -352,7 +343,7 @@ let test_demo_corpus () =
       Alcotest.(check bool) (h ^ " is covered") true
         (List.exists (fun e -> e.Matrix.e_harness = h) entries))
     Registry.names;
-  (* the corpus runs to exactly the verdicts the manifest promises *)
+  (* the corpus runs to exactly the verdicts its xfail lines declare *)
   List.iter
     (fun e ->
       let r = Scenario.run e.Matrix.e_scenario in
@@ -491,14 +482,18 @@ let gen_scenario =
           (fun r -> Scenario.Equals r)
           (string_size ~gen:(oneofl [ 'a'; '#'; ' '; '='; '7'; '"' ]) (int_range 1 12)) ]
   in
-  (* filter-block scripts: verbatim lines, none of them just [end] *)
+  (* filter-block scripts: verbatim lines, none of them just [end],
+     that the script parser reads (a block is parsed when it is read),
+     so braces come in balanced pairs *)
   let script =
     map
       (fun lines ->
         String.concat "\n"
           (List.map (fun l -> if String.trim l = "end" then l ^ ";" else l) lines))
       (list_size (int_range 0 3)
-         (string_size ~gen:(oneofl [ 'e'; 'n'; 'd'; 'x'; ' '; '#'; '{'; '$' ]) (int_range 0 8)))
+         (map (String.concat "")
+            (list_size (int_range 0 6)
+               (oneofl [ "e"; "n"; "d"; "x"; " "; "#"; "$"; "{}"; "{e #}"; "{$x {n}}" ]))))
   in
   (* tcp variant: keep the same structural skeleton but rebase it on the
      tcp spec so the profile/phase directives round-trip too *)
@@ -604,8 +599,8 @@ let suite =
       test_expand_deterministic;
     Alcotest.test_case "limit keeps a prefix of the corpus" `Quick
       test_expand_limit;
-    Alcotest.test_case "manifest JSON round-trips" `Quick
-      test_manifest_round_trip;
+    Alcotest.test_case "generated files state their own seed and xfail"
+      `Quick test_files_state_seed_and_xfail;
     Alcotest.test_case "matrix grammar errors name line and token" `Quick
       test_parse_errors;
     Alcotest.test_case "expansion errors map to .pfim lines" `Quick

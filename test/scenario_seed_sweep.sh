@@ -16,7 +16,7 @@ echo "# scenario outcome seeds (of $seeds)"
 for s in $(seq 1 "$seeds"); do
   # a FAIL or XPASS exits 1; the sweep counts it instead
   "$run" check test/scenarios/*.pfis --seed "$s" --json || true
-  "$run" check --manifest "$corpus/manifest.json" --seed "$s" --json || true
+  "$run" check "$corpus"/*.pfis --seed "$s" --json || true
 done | awk '
   /^  "file": / { f = $2; gsub(/[",]/, "", f); sub(/.*\//, "", f); sub(/\.pfis$/, "", f) }
   /^  "outcome": / { o = $2; gsub(/[",]/, "", o); n[f " " o]++ }
