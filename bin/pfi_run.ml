@@ -40,12 +40,19 @@ module Copts = struct
   let opt_term ?(short = []) cv ~name ~docv doc =
     Arg.(value & opt (some cv) None & info (short @ [ name ]) ~docv ~doc)
 
-  (* a count: a negative one is a usage error, as a non-number is *)
-  let count =
+  (* an integer from [lo] to [hi]: one outside is a usage error that
+     names it, as a non-number is *)
+  let int_in ~kind lo hi =
     Arg.conv ~docv:"N"
-      ( Arg.parser_of_kind_of_string ~kind:"a non-negative integer" (fun s ->
-            Option.bind (int_of_string_opt s) (fun n -> if n >= 0 then Some n else None)),
+      ( Arg.parser_of_kind_of_string ~kind (fun s ->
+            Option.bind (int_of_string_opt s) (fun n -> if n >= lo && n <= hi then Some n else None)),
         Format.pp_print_int )
+
+  let count = int_in ~kind:"a non-negative integer" 0 max_int
+
+  (* the calling domain plus up to 127 spawned ones: OCaml 5 runs at
+     most 128 domains *)
+  let workers = int_in ~kind:"a worker count from 1 to 128" 1 128
 
   let seed_term =
     opt_term Arg.int64 ~name:"seed" ~docv:"SEED"
@@ -69,11 +76,11 @@ module Copts = struct
 
   let jobs_term =
     Arg.(
-      value & opt int 1
+      value & opt workers 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Execute independent trials on $(docv) worker domains \
-             (Executor.domains).  Output is byte-identical for any $(docv); \
+            "Execute independent trials on $(docv) worker domains, 1 to 128 \
+             (Executor.of_jobs).  Output is byte-identical for any $(docv); \
              the default 1 is the sequential executor.")
 
   let repro_dir_term =
@@ -83,21 +90,11 @@ module Copts = struct
        replays it deterministically, as an expected failure with its \
        recorded reason, and `pfi_run shrink` minimizes it."
 
-  let output_term =
-    opt_term ~short:[ "o" ] Arg.string ~name:"output" ~docv:"OUT"
-      "Output path: the minimized .pfis repro for $(b,shrink), the \
-       corpus directory for $(b,gen)."
-
-  let max_trials_term =
-    Arg.(
-      value & opt count 1000
-      & info [ "max-trials" ] ~docv:"N" ~doc:"Re-run budget for the minimizer (default 1000).")
-
-  let limit_term =
-    opt_term count ~name:"limit" ~docv:"N"
-      "Keep only the first $(docv) scenarios of the expansion — a prefix \
-       of the full corpus, so a limited run is a cheap smoke test of the \
-       same matrix."
+  let output_info =
+    Arg.info [ "o"; "output" ] ~docv:"OUT"
+      ~doc:
+        "Output path: the minimized .pfis repro for $(b,shrink), the corpus \
+         directory for $(b,gen)."
 
   let budget_term =
     opt_term count ~name:"budget" ~docv:"N"
@@ -520,10 +517,9 @@ let campaign_cmd =
       $ Copts.seed_term $ Copts.jobs_term $ Copts.json_term
       $ Copts.stats_term)
 
-(* delta-debug a recorded violation down its parameter lattice and
-   write the minimized trial as a fresh repro; --jobs evaluates the
-   independent candidates of each descent round in parallel *)
-let shrink file out max_trials seed jobs trace_out json =
+(* delta-debug a recorded violation down its parameter lattice, one
+   candidate at a time, and write the minimized trial as a fresh repro *)
+let shrink file out seed trace_out json =
   let open Pfi_testgen in
   let refuse reason =
     Printf.eprintf "cannot shrink %s\n" reason;
@@ -547,7 +543,6 @@ let shrink file out max_trials seed jobs trace_out json =
          "%s: its seed is not %Ld, the trial seed --seed %Ld derives for its \
           fault and side; pass the campaign seed it was recorded with as --seed"
          file derived campaign_seed);
-  let executor = Executor.of_jobs jobs in
   let trace_out = Out.trace_out trace_out in
   (* every candidate runs as the stock single-fault trial, to the
      file's horizon *)
@@ -558,9 +553,7 @@ let shrink file out max_trials seed jobs trace_out json =
       (Shrink.trial ~campaign_seed st)
   in
   let st0 = { Shrink.fault; side } in
-  match
-    Shrink.minimize ~max_trials ~executor ~spec:H.spec ~run:(run ?trace_out:None) st0
-  with
+  match Shrink.minimize ~spec:H.spec ~run:(run ?trace_out:None) st0 with
   | Error reason -> refuse (Printf.sprintf "%s: %s" file reason)
   | Ok report ->
     let minimized = report.Shrink.minimized in
@@ -593,7 +586,6 @@ let shrink file out max_trials seed jobs trace_out json =
              ("trials", Json.Int report.Shrink.trials);
              ("minimized", Generator.fault_to_json minimized.Shrink.fault);
              ("minimized_size", Json.Int (Shrink.size minimized));
-             ("executor", json_str (Executor.name executor));
              ("out", json_str out_path) ])
     else begin
       Printf.printf "shrink %s\n  start:     %-44s %-8s size %d\n" file
@@ -634,10 +626,10 @@ let shrink_cmd =
      new repro (FILE.min.pfis unless $(b,-o) is given)."
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
+  let out = Arg.(value & opt (some string) None & Copts.output_info) in
   Cmd.v (Cmd.info "shrink" ~doc)
     Term.(
-      const shrink $ file $ Copts.output_term $ Copts.max_trials_term
-      $ Copts.seed_term $ Copts.jobs_term $ Copts.trace_out_term
+      const shrink $ file $ out $ Copts.seed_term $ Copts.trace_out_term
       $ Copts.json_term)
 
 (* ------------------------------------------------------------------ *)
@@ -816,10 +808,6 @@ let file_error ~json file msg text =
    same scenario name is an error even when both pass. *)
 let check files trace_out seed jobs json =
   let open Pfi_testgen in
-  if files = [] then begin
-    Printf.eprintf "check: no scenario files (give FILE...)\n";
-    exit 2
-  end;
   let results =
     Trace_out.map (Out.trace_out trace_out) (Executor.of_jobs jobs)
       (fun out file ->
@@ -883,9 +871,7 @@ let check_cmd =
      $(b,gen) wrote is checked the same way, as DIR/*.pfis: each file \
      declares its own expected failure."
   in
-  let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"FILE")
-  in
+  let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const check $ files $ Copts.trace_out_term $ Copts.seed_term
@@ -895,19 +881,13 @@ let check_cmd =
 (* Scenario-matrix generation                                         *)
 (* ------------------------------------------------------------------ *)
 
-let gen spec_path out json limit =
+let gen spec_path out json =
   let open Pfi_testgen in
-  let out =
-    match out with
-    | Some dir -> Out.dir dir
-    | None ->
-      Printf.eprintf "gen: no output directory (give -o DIR)\n";
-      exit 2
-  in
+  let out = Out.dir out in
   let m, entries =
     try
       let m = Matrix.load spec_path in
-      (m, Matrix.expand ?limit m)
+      (m, Matrix.expand m)
     with
     | Scenario.Parse_error e ->
       Printf.eprintf "%s\n" (Scenario.error_message ~file:spec_path e);
@@ -954,10 +934,8 @@ let gen_cmd =
      run, so a fresh $(b,gen) and $(b,diff -r) verify a corpus directory."
   in
   let spec = Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC") in
-  Cmd.v (Cmd.info "gen" ~doc)
-    Term.(
-      const gen $ spec $ Copts.output_term $ Copts.json_term
-      $ Copts.limit_term)
+  let out = Arg.(required & opt (some string) None & Copts.output_info) in
+  Cmd.v (Cmd.info "gen" ~doc) Term.(const gen $ spec $ out $ Copts.json_term)
 
 (* ------------------------------------------------------------------ *)
 (* Vendor conformance matrix                                          *)

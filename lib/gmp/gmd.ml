@@ -13,22 +13,11 @@ let no_bugs =
 let all_bugs =
   { self_death = true; proclaim_reply_to_sender = true; timer_unset_inverted = true }
 
-type config = {
-  hb_interval : Vtime.t;
-  hb_timeout : Vtime.t;
-  proclaim_interval : Vtime.t;
-  mc_collect : Vtime.t;
-  mc_timeout : Vtime.t;
-  bugs : bugs;
-}
-
-let default_config =
-  { hb_interval = Vtime.sec 2;
-    hb_timeout = Vtime.sec 7;
-    proclaim_interval = Vtime.sec 8;
-    mc_collect = Vtime.sec 3;
-    mc_timeout = Vtime.sec 15;
-    bugs = no_bugs }
+let hb_interval = Vtime.sec 2  (* heartbeat period *)
+let hb_timeout = Vtime.sec 7  (* heartbeat-expect deadline *)
+let proclaim_interval = Vtime.sec 8  (* proclaim period when seeking a group *)
+let mc_collect = Vtime.sec 3  (* leader's ACK-collection timeout *)
+let mc_timeout = Vtime.sec 15  (* member's wait-for-COMMIT timeout *)
 
 type view = {
   group_id : int;
@@ -69,7 +58,7 @@ type t = {
   self_id : int;
   peers : peer Int_table.t;
   universe : int list;  (* every potential member, sorted, includes self *)
-  config : config;
+  bugs : bugs;
   mutable the_layer : Layer.t option;
   mutable current : view;
   mutable ph : phase;
@@ -188,7 +177,7 @@ let unset_expect_timers t =
       (fun name -> String.length name > 7 && String.sub name 0 7 = "expect_")
       (armed_timers t)
   in
-  if t.config.bugs.timer_unset_inverted then begin
+  if t.bugs.timer_unset_inverted then begin
     match armed_expects with
     | first :: _rest -> disarm_timer t first  (* the bug: the rest stay armed *)
     | [] -> ()
@@ -258,7 +247,7 @@ let rec adopt_view t ~group_id ~members =
   (* heartbeat machinery: send periodically, expect from every member;
      expect timers of departed members are disarmed so they cannot fire
      stale *)
-  set_timer t "hb_send" ~delay:t.config.hb_interval (fun () -> heartbeat_tick t);
+  set_timer t "hb_send" ~delay:hb_interval (fun () -> heartbeat_tick t);
   String_table.iter
     (fun name timer ->
       if String.length name > 7 && String.sub name 0 7 = "expect_" then
@@ -268,13 +257,13 @@ let rec adopt_view t ~group_id ~members =
     t.timers;
   List.iter
     (fun m ->
-      set_timer t (expect_timer_name t m) ~delay:t.config.hb_timeout (fun () ->
+      set_timer t (expect_timer_name t m) ~delay:hb_timeout (fun () ->
           expect_expired t m))
     members;
   (* keep proclaiming while there is someone to court (see
      [proclaim_targets]) *)
   if proclaim_targets t <> [] then
-    set_timer t "proclaim" ~delay:t.config.proclaim_interval (fun () ->
+    set_timer t "proclaim" ~delay:proclaim_interval (fun () ->
         proclaim_tick t)
   else disarm_timer t "proclaim"
 
@@ -309,7 +298,7 @@ and heartbeat_tick t =
     List.iter (fun m -> send t ~reliable:false ~dst_id:m heartbeat) t.current.members
   end;
   if t.ph = Normal then
-    set_timer t "hb_send" ~delay:t.config.hb_interval (fun () -> heartbeat_tick t)
+    set_timer t "hb_send" ~delay:hb_interval (fun () -> heartbeat_tick t)
 
 and expect_expired t peer_id =
   if t.ph = In_transition then begin
@@ -317,7 +306,7 @@ and expect_expired t peer_id =
        Table 8 bug in action *)
     record t "gmp.spurious-timeout"
       (Printf.sprintf "expect_%d fired while IN_TRANSITION" peer_id);
-    if t.config.bugs.timer_unset_inverted then
+    if t.bugs.timer_unset_inverted then
       (* the buggy code treats it as a real death and reports it *)
       if t.current.leader <> t.self_id then
         send t ~dst_id:t.current.leader
@@ -360,7 +349,7 @@ and expect_expired t peer_id =
   end
 
 and self_death t =
-  if t.config.bugs.self_death then begin
+  if t.bugs.self_death then begin
     (* the bug: announce our own death, mark ourselves down, but stay in
        the old group instead of forming a singleton *)
     record t "gmp.self-dead"
@@ -404,7 +393,7 @@ and initiate_mc t ~proposed =
     disarm_timer t "hb_send";
     disarm_timer t "proclaim";
     unset_expect_timers t;
-    set_timer t "mc_collect" ~delay:t.config.mc_collect (fun () -> finish_collect t);
+    set_timer t "mc_collect" ~delay:mc_collect (fun () -> finish_collect t);
     List.iter
       (fun m ->
         if m <> t.self_id then
@@ -444,7 +433,7 @@ and proclaim_tick t =
           (Gmp_msg.make ~mtype:Gmp_msg.Proclaim ~origin:t.self_id
              ~sender:t.self_id ~group_id:t.current.group_id ()))
       targets;
-    set_timer t "proclaim" ~delay:t.config.proclaim_interval (fun () ->
+    set_timer t "proclaim" ~delay:proclaim_interval (fun () ->
         proclaim_tick t)
 
 and handle_proclaim t (m : Gmp_msg.t) =
@@ -455,7 +444,7 @@ and handle_proclaim t (m : Gmp_msg.t) =
     record t "gmp.fwd-dropped"
       (Printf.sprintf "proclaim from %d lost in broken forwarding" originator)
   else if is_leader t then begin
-    let buggy = t.config.bugs.proclaim_reply_to_sender in
+    let buggy = t.bugs.proclaim_reply_to_sender in
     if (not buggy) && List.mem originator t.current.members then ()
     else if originator < t.self_id && originator <> t.self_id then
       (* the originator outranks us: offer to join them *)
@@ -489,7 +478,7 @@ and handle_proclaim t (m : Gmp_msg.t) =
     else begin
       (* a proclaim from our own leader: the buggy forwarder bounces it
          straight back (the vicious cycle); sane code ignores it *)
-      if t.config.bugs.proclaim_reply_to_sender then begin
+      if t.bugs.proclaim_reply_to_sender then begin
         record t "gmp.proclaim-fwd"
           (memo_detail t.loop_memo ~origin:originator ~leader:t.current.leader
              loop_detail);
@@ -529,9 +518,9 @@ and handle_message t (m : Gmp_msg.t) =
          the closure allocation and the two table writes *)
       match String_table.find_opt t.timers name with
       | Some timer when String_table.mem t.callbacks name ->
-        Timer.arm timer ~delay:t.config.hb_timeout
+        Timer.arm timer ~delay:hb_timeout
       | _ ->
-        set_timer t name ~delay:t.config.hb_timeout
+        set_timer t name ~delay:hb_timeout
           (fun () -> expect_expired t sender)
     end
   | Gmp_msg.Proclaim -> handle_proclaim t m
@@ -559,7 +548,7 @@ and handle_message t (m : Gmp_msg.t) =
       disarm_timer t "proclaim";
       disarm_timer t "mc_collect";
       unset_expect_timers t;
-      set_timer t "mc_wait" ~delay:t.config.mc_timeout (fun () ->
+      set_timer t "mc_wait" ~delay:mc_timeout (fun () ->
           record t "gmp.mc-timeout" "no COMMIT arrived; reverting to singleton";
           form_singleton t);
       send t ~dst_id:m.Gmp_msg.sender
@@ -602,7 +591,7 @@ and handle_message t (m : Gmp_msg.t) =
 (* Construction and lifecycle                                         *)
 (* ------------------------------------------------------------------ *)
 
-let create ~sim ~node ~id ~peers ?(config = default_config) () =
+let create ~sim ~node ~id ~peers ?(bugs = no_bugs) () =
   let by_id = Int_table.create 8 in
   Int_table.replace by_id id (peer node);
   List.iter (fun (name, peer_id) -> Int_table.replace by_id peer_id (peer name)) peers;
@@ -613,7 +602,7 @@ let create ~sim ~node ~id ~peers ?(config = default_config) () =
       self_id = id;
       peers = by_id;
       universe;
-      config;
+      bugs;
       the_layer = None;
       current = { group_id = 0; members = [ id ]; leader = id };
       ph = Normal;

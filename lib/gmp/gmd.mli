@@ -38,17 +38,6 @@ type bugs = {
 val no_bugs : bugs
 val all_bugs : bugs
 
-type config = {
-  hb_interval : Vtime.t;  (** heartbeat period (default 2 s) *)
-  hb_timeout : Vtime.t;  (** expect-timer deadline (default 7 s) *)
-  proclaim_interval : Vtime.t;  (** proclaim period when seeking a group (8 s) *)
-  mc_collect : Vtime.t;  (** leader's ACK-collection timeout (3 s) *)
-  mc_timeout : Vtime.t;  (** member's wait-for-COMMIT timeout (15 s) *)
-  bugs : bugs;
-}
-
-val default_config : config
-
 type view = {
   group_id : int;
   members : int list;  (** sorted ascending; the head is the leader *)
@@ -61,9 +50,12 @@ type t
 
 val create :
   sim:Sim.t -> node:string -> id:int -> peers:(string * int) list ->
-  ?config:config -> unit -> t
+  ?bugs:bugs -> unit -> t
 (** [peers] maps every other node's name to its id (the "potential
-    members" universe). *)
+    members" universe); [bugs] defaults to {!no_bugs}.  Every daemon
+    heartbeats each member every 2 s and declares it dead after 7 s
+    without one, proclaims every 8 s while seeking a group, and waits
+    3 s for ACKs as leader or 15 s for a COMMIT as member. *)
 
 val layer : t -> Pfi_stack.Layer.t
 (** Top of the daemon's stack; place a reliable layer (and a PFI layer)

@@ -6,8 +6,6 @@ type keepalive_probe_schedule =
 
 type t = {
   name : string;
-  mss : int;
-  rcv_buffer : int;
   rto_min : Vtime.t;
   rto_max : Vtime.t;
   rto_initial : Vtime.t;
@@ -16,9 +14,7 @@ type t = {
   use_jacobson : bool;
   karn_sampling : bool;
   karn_backoff_retention : bool;
-  congestion_control : bool;
   fast_retransmit : bool;
-  delayed_ack : Vtime.t option;
   max_data_retries : int;
   rst_on_timeout : bool;
   global_error_counter : bool;
@@ -34,8 +30,6 @@ type t = {
    in the keep-alive probe format. *)
 let bsd_base =
   { name = "bsd";
-    mss = 512;
-    rcv_buffer = 4096;
     rto_min = Vtime.sec 1;
     rto_max = Vtime.sec 64;
     rto_initial = Vtime.sec 6;
@@ -44,9 +38,7 @@ let bsd_base =
     use_jacobson = true;
     karn_sampling = true;
     karn_backoff_retention = true;
-    congestion_control = true;
     fast_retransmit = true;
-    delayed_ack = None;
     max_data_retries = 12;
     rst_on_timeout = true;
     global_error_counter = false;
@@ -77,8 +69,6 @@ let next_mach =
 
 let solaris_23 =
   { name = "Solaris 2.3";
-    mss = 512;
-    rcv_buffer = 4096;
     rto_min = Vtime.ms 330;
     rto_max = Vtime.sec 60;
     rto_initial = Vtime.ms 330;
@@ -88,9 +78,7 @@ let solaris_23 =
     use_jacobson = false;
     karn_sampling = true;
     karn_backoff_retention = false;
-    congestion_control = true;
     fast_retransmit = false;
-    delayed_ack = None;
     max_data_retries = 9;
     rst_on_timeout = false;
     global_error_counter = true;

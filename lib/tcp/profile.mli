@@ -18,7 +18,13 @@
       Jacobson/Karn backoff retention); keep-alive first probe at
       6752 s with exponential backoff and 7 retries, no RST;
       zero-window ceiling 56 s — the 6752/7200 = 56/60 clock-scaling
-      anomaly the paper highlights. *)
+      anomaly the paper highlights.
+
+    What every profile shares is not a parameter: all segment at
+    {!Tcp}'s 512-byte MSS into a 4096-byte receive buffer, acknowledge
+    in-order data at once (the experiments measure ACK timing, so the
+    instrumented x-Kernel peer must not add delays of its own), and run
+    Van Jacobson slow start and congestion avoidance. *)
 
 open Pfi_engine
 
@@ -31,8 +37,6 @@ type keepalive_probe_schedule =
 
 type t = {
   name : string;
-  mss : int;  (** maximum segment size (payload bytes) *)
-  rcv_buffer : int;  (** receive buffer = maximum advertised window *)
   (* --- retransmission ------------------------------------------- *)
   rto_min : Vtime.t;
   rto_max : Vtime.t;  (** backoff ceiling (the 64 s plateau) *)
@@ -52,21 +56,10 @@ type t = {
   karn_backoff_retention : bool;
       (** true: a backed-off RTO carries over to new segments until an
           unambiguous sample arrives (Karn's algorithm, part 2) *)
-  congestion_control : bool;
-      (** Van Jacobson slow start and congestion avoidance: a congestion
-          window opens one MSS per acked segment up to ssthresh, then
-          one MSS per window; a retransmission timeout halves ssthresh
-          and collapses the window to one MSS *)
   fast_retransmit : bool;
       (** Reno-style: three duplicate ACKs retransmit the missing
           segment without waiting for the timer (BSD-derived stacks;
           not Solaris 2.3) *)
-  delayed_ack : Vtime.t option;
-      (** RFC 1122 delayed ACKs: in-order data is acknowledged after
-          this delay or on every second segment, whichever first.
-          [None] (all shipped profiles) acknowledges immediately —
-          the experiments measure ACK timing, so the instrumented
-          x-Kernel peer must not add its own delays. *)
   max_data_retries : int;
   rst_on_timeout : bool;  (** send RST when giving up on a connection *)
   global_error_counter : bool;

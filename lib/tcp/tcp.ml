@@ -66,8 +66,6 @@ type conn = {
   mutable cwnd : int;
   mutable ssthresh : int;
   mutable dup_acks : int;
-  (* delayed-ACK state *)
-  mutable delack_pending : int;  (* in-order segments not yet acked *)
   (* RTT estimation (microseconds) *)
   mutable srtt : float;
   mutable rttvar : float;
@@ -77,7 +75,6 @@ type conn = {
   (* timers *)
   rexmt_timer : Timer.t;
   persist_timer : Timer.t;
-  delack_timer : Timer.t;
   keepalive_timer : Timer.t;
   time_wait_timer : Timer.t;
   mutable persist_shift : int;
@@ -108,6 +105,11 @@ and t = {
 
 let layer t = match t.the_layer with Some l -> l | None -> assert false
 
+(* every vendor profile segments at the same MSS (payload bytes) into
+   the same receive buffer, the maximum advertised window *)
+let mss = 512
+let rcv_buffer = 4096
+
 let record t tag detail = Sim.record t.sim ~node:t.node_name ~tag detail
 
 (* ------------------------------------------------------------------ *)
@@ -115,7 +117,7 @@ let record t tag detail = Sim.record t.sim ~node:t.node_name ~tag detail
 (* ------------------------------------------------------------------ *)
 
 let rcv_window c =
-  max 0 (c.tcp.prof.Profile.rcv_buffer - String.length c.recvq)
+  max 0 (rcv_buffer - String.length c.recvq)
 
 let emit c seg =
   let t = c.tcp in
@@ -128,8 +130,6 @@ let emit c seg =
   Layer.send_down (layer t) msg
 
 let send_pure_ack c =
-  c.delack_pending <- 0;
-  Timer.disarm c.delack_timer;
   let seg =
     Segment.make ~src_port:c.local_port ~dst_port:c.remote_port ~seq:c.snd_nxt
       ~ack:c.rcv_nxt ~flags:Segment.flag_ack ~window:(rcv_window c) ()
@@ -214,7 +214,6 @@ let set_state c s =
 
 let stop_all_timers c =
   Timer.disarm c.rexmt_timer;
-  Timer.disarm c.delack_timer;
   Timer.disarm c.persist_timer;
   Timer.disarm c.keepalive_timer;
   Timer.disarm c.time_wait_timer
@@ -268,18 +267,14 @@ let transmit_inflight c (s : inflight) ~retransmission =
 
 (* move queued bytes into segments while the peer's window allows *)
 let rec try_output c =
-  let p = c.tcp.prof in
   let in_flight_span = Seq32.diff c.snd_nxt c.snd_una in
-  let send_window =
-    if p.Profile.congestion_control then min c.snd_wnd c.cwnd else c.snd_wnd
-  in
-  let usable = send_window - in_flight_span in
+  let usable = min c.snd_wnd c.cwnd - in_flight_span in
   let queued = String.length c.sendq in
   if c.state = Established || c.state = Close_wait || c.state = Syn_rcvd
      || c.state = Fin_wait_1 || c.state = Last_ack || c.state = Closing
   then begin
     if queued > 0 && usable > 0 then begin
-      let n = min (min p.Profile.mss usable) queued in
+      let n = min (min mss usable) queued in
       let payload = Bytes.of_string (String.sub c.sendq 0 n) in
       c.sendq <- String.sub c.sendq n (queued - n);
       let s = { if_seq = c.snd_nxt; if_payload = payload; if_syn = false;
@@ -335,12 +330,10 @@ let on_rexmt_timeout c =
       drop_connection c ~reason:"rexmt-exhausted" ~send_rst:p.Profile.rst_on_timeout
     else begin
       c.backoff <- c.backoff + 1;
-      if p.Profile.congestion_control then begin
-        (* Van Jacobson: halve the pipe estimate, restart slow start *)
-        let in_flight = Seq32.diff c.snd_nxt c.snd_una in
-        c.ssthresh <- max (2 * p.Profile.mss) (in_flight / 2);
-        c.cwnd <- p.Profile.mss
-      end;
+      (* Van Jacobson: halve the pipe estimate, restart slow start *)
+      let in_flight = Seq32.diff c.snd_nxt c.snd_una in
+      c.ssthresh <- max (2 * mss) (in_flight / 2);
+      c.cwnd <- mss;
       transmit_inflight c earliest ~retransmission:true;
       arm_rexmt c
     end
@@ -363,9 +356,6 @@ let on_persist_timeout c =
     c.persist_shift <- c.persist_shift + 1;
     Timer.arm c.persist_timer ~delay:(persist_interval c)
   end
-
-let on_delack_timeout c =
-  if c.delack_pending > 0 then send_pure_ack c
 
 let keepalive_probe_interval c =
   let p = c.tcp.prof in
@@ -442,10 +432,9 @@ let make_conn t ~local_port ~remote_node ~remote_port ~state =
       snd_wnd = 0;
       sendq = "";
       inflight = [];
-      cwnd = t.prof.Profile.mss;
+      cwnd = mss;
       ssthresh = 65535;
       dup_acks = 0;
-      delack_pending = 0;
       fin_pending = false;
       fin_seq = None;
       irs = 0;
@@ -460,7 +449,6 @@ let make_conn t ~local_port ~remote_node ~remote_port ~state =
       timing = None;
       rexmt_timer = Timer.create t.sim ~callback:(with_conn on_rexmt_timeout);
       persist_timer = Timer.create t.sim ~callback:(with_conn on_persist_timeout);
-      delack_timer = Timer.create t.sim ~callback:(with_conn on_delack_timeout);
       keepalive_timer = Timer.create t.sim ~callback:(with_conn on_keepalive_timeout);
       time_wait_timer =
         Timer.create t.sim
@@ -505,12 +493,9 @@ let process_ack c (seg : Segment.t) =
     c.snd_una <- ack;
     c.dup_acks <- 0;
     (* congestion window: slow start below ssthresh, additive above *)
-    if c.tcp.prof.Profile.congestion_control then begin
-      let mss = c.tcp.prof.Profile.mss in
-      if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + mss
-      else c.cwnd <- c.cwnd + max 1 (mss * mss / c.cwnd);
-      c.cwnd <- min c.cwnd 1_048_576
-    end;
+    if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + mss
+    else c.cwnd <- c.cwnd + max 1 (mss * mss / c.cwnd);
+    c.cwnd <- min c.cwnd 1_048_576;
     (* RTT sample per Karn: only from a timed, never-retransmitted range *)
     (match c.timing with
      | Some (end_seq, started) when Seq32.ge ack end_seq ->
@@ -547,11 +532,9 @@ let process_ack c (seg : Segment.t) =
         | earliest :: _ ->
           record c.tcp "tcp.fast-retransmit"
             (Printf.sprintf "port=%d seq=%d" c.local_port earliest.if_seq);
-          if c.tcp.prof.Profile.congestion_control then begin
-            let in_flight = Seq32.diff c.snd_nxt c.snd_una in
-            c.ssthresh <- max (2 * c.tcp.prof.Profile.mss) (in_flight / 2);
-            c.cwnd <- c.ssthresh
-          end;
+          let in_flight = Seq32.diff c.snd_nxt c.snd_una in
+          c.ssthresh <- max (2 * mss) (in_flight / 2);
+          c.cwnd <- c.ssthresh;
           transmit_inflight c earliest ~retransmission:true;
           arm_rexmt c
         | [] -> ())
@@ -667,30 +650,14 @@ let handle_established c (seg : Segment.t) =
     let before_rcv_nxt = c.rcv_nxt in
     let had_payload = process_payload c seg in
     let had_fin = process_fin c seg in
-    (* acknowledge anything that consumed sequence space or probed us;
-       an out-of-sequence segment (e.g. a keep-alive probe at
+    (* acknowledge at once anything that consumed sequence space or
+       probed us; an out-of-sequence segment (e.g. a keep-alive probe at
        SND.NXT-1) elicits a duplicate ACK even when empty *)
     let out_of_sequence =
       not (Seq32.of_int seg.Segment.seq = Seq32.of_int before_rcv_nxt)
     in
-    let in_order_data =
-      had_payload && not out_of_sequence
-      && Seq32.gt c.rcv_nxt before_rcv_nxt
-    in
-    if had_fin || seg.Segment.flags.Segment.syn || out_of_sequence
-       || (had_payload && not in_order_data)
+    if had_fin || seg.Segment.flags.Segment.syn || had_payload || out_of_sequence
     then send_pure_ack c
-    else if in_order_data then begin
-      match c.tcp.prof.Profile.delayed_ack with
-      | None -> send_pure_ack c
-      | Some delay ->
-        (* RFC 1122: ack at least every second segment, or after the
-           delay, whichever comes first *)
-        c.delack_pending <- c.delack_pending + 1;
-        if c.delack_pending >= 2 then send_pure_ack c
-        else if not (Timer.is_armed c.delack_timer) then
-          Timer.arm c.delack_timer ~delay
-    end
   end
 
 let handle_syn_sent c (seg : Segment.t) =

@@ -432,14 +432,14 @@ let vendor_sections =
 let plural n = if n = 1 then "" else "s"
 
 (* A vendor row: one {!Campaign.exec} trial of a tcp harness built with
-   the override (or [p]), whose oracle reads the client's collected
-   entries.  [script] overrides the fault's filter; [arm] installs a
-   send filter at a virtual time — the delayed fault window keep-alive
-   rows need (the harness heals filters at 3 min, so a probe-drop must
-   arrive later). *)
+   the override (or [p]), with [filter] as its [side] filter script and
+   an oracle that reads the client's collected entries.  [arm] installs
+   a send filter at a virtual time — the delayed fault window
+   keep-alive rows need (the harness heals filters at 3 min, so a
+   probe-drop must arrive later). *)
 let mk ~section ~(p : Profile.t) ~quirk ?(phase = Tcp_harness.Stream)
     ?(chunks = 12) ?(keepalive = false) ?(server_reads = true) ?(heal = true)
-    ?(side = Campaign.Send_filter) ?script ?arm ~horizon ~oracle fault =
+    ?(side = Campaign.Send_filter) ?arm ~horizon ~oracle filter =
   let trial override seed =
     let profile = Option.value override ~default:p in
     let harness =
@@ -454,10 +454,7 @@ let mk ~section ~(p : Profile.t) ~quirk ?(phase = Tcp_harness.Stream)
                  Pfi_core.Pfi_layer.set_send_filter pfi src)))
         arm
     in
-    let script =
-      Pfi_script.Interp.compile
-        (Option.value script ~default:(Generator.script_of_fault fault))
-    in
+    let script = Pfi_script.Interp.compile filter in
     Campaign.exec ?arm harness ~horizon ~seed ~filters:[ (side, script) ]
       (fun trace ->
         let client = collect trace ~node:"client" ~tags:client_tags in
@@ -480,7 +477,7 @@ let rexmt_row (p : Profile.t) =
          (Vtime.to_string p.Profile.rto_max)
          (if p.Profile.rst_on_timeout then "RST" else "silent close"))
     ~chunks:1 ~heal:false ~horizon:(Vtime.minutes 30) ~oracle:rexmt_oracle
-    (Generator.Drop_all "DATA")
+    (Generator.script_of_fault (Generator.Drop_all "DATA"))
 
 let counter_row (p : Profile.t) =
   mk ~section:"counter" ~p
@@ -489,9 +486,8 @@ let counter_row (p : Profile.t) =
          "one global error counter; a second stalled message inherits the \
           first one's failures"
        else "per-message retry accounting; every ACK resets the count")
-    ~heal:false ~side:Campaign.Receive_filter ~script:counter_script
-    ~horizon:(Vtime.minutes 30) ~oracle:counter_oracle
-    (Generator.Drop_all "DATA")
+    ~heal:false ~side:Campaign.Receive_filter ~horizon:(Vtime.minutes 30)
+    ~oracle:counter_oracle counter_script
 
 let keepalive_row (p : Profile.t) =
   mk ~section:"keepalive" ~p
@@ -502,10 +498,8 @@ let keepalive_row (p : Profile.t) =
             ", probes padded with a garbage byte"
           else "")
          (if p.Profile.keepalive_rst_on_fail then "RST" else "silent close"))
-    ~chunks:2 ~keepalive:true ~script:""
-    ~arm:(Vtime.minutes 5, "xDrop cur_msg")
-    ~horizon:(Vtime.hours 3) ~oracle:keepalive_oracle
-    (Generator.Drop_all "DATA")
+    ~chunks:2 ~keepalive:true ~arm:(Vtime.minutes 5, "xDrop cur_msg")
+    ~horizon:(Vtime.hours 3) ~oracle:keepalive_oracle ""
 
 let zerowin_row (p : Profile.t) =
   mk ~section:"zerowin" ~p
@@ -513,8 +507,8 @@ let zerowin_row (p : Profile.t) =
       (Printf.sprintf "persist probes back off to a %s ceiling and never \
                        give up"
          (Vtime.to_string p.Profile.persist_max))
-    ~chunks:60 ~server_reads:false ~script:"" ~horizon:(Vtime.minutes 30)
-    ~oracle:zerowin_oracle (Generator.Drop_all "DATA")
+    ~chunks:60 ~server_reads:false ~horizon:(Vtime.minutes 30)
+    ~oracle:zerowin_oracle ""
 
 let handshake_row (p : Profile.t) =
   mk ~section:"handshake" ~p
@@ -522,14 +516,14 @@ let handshake_row (p : Profile.t) =
             handshake still completes"
     ~phase:Tcp_harness.Handshake ~chunks:4 ~horizon:(Vtime.minutes 10)
     ~oracle:handshake_oracle
-    (Generator.Drop_first ("SYN", 2))
+    (Generator.script_of_fault (Generator.Drop_first ("SYN", 2)))
 
 let teardown_row (p : Profile.t) =
   mk ~section:"teardown" ~p
     ~quirk:"a duplicated FIN does not derail orderly release; TIME_WAIT \
             expires after 2MSL"
     ~phase:Tcp_harness.Close ~horizon:(Vtime.minutes 10)
-    ~oracle:teardown_oracle (Generator.Duplicate "FIN")
+    ~oracle:teardown_oracle (Generator.script_of_fault (Generator.Duplicate "FIN"))
 
 let catalog () =
   List.concat_map

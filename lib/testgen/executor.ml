@@ -41,8 +41,6 @@ type t = {
 let name t = t.exec_name
 let stats t = !(t.stats_cell)
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 let guarded f x = try Ok (f x) with e -> Error e
 
 let now = Unix.gettimeofday
@@ -130,21 +128,16 @@ let pooled_map ~jobs cell f items =
     Array.to_list results
   end
 
-let pool ~exec_name ~jobs =
+(* at width 1 the calling domain claims every index and none is
+   spawned: the sequential executor is the pool at width 1 *)
+let of_jobs jobs =
+  let jobs = max 1 jobs in
+  let exec_name = if jobs = 1 then "sequential" else Printf.sprintf "domains(%d)" jobs in
   let cell = ref (zero_stats exec_name) in
   { exec_name;
     width = jobs;
     try_map = (fun f items -> pooled_map ~jobs cell f items);
     stats_cell = cell }
-
-let domains ?jobs () =
-  let jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
-  pool ~exec_name:(Printf.sprintf "domains(%d)" jobs) ~jobs
-
-(* at width 1 the calling domain claims every index and none is
-   spawned: the sequential executor is the pool at width 1 *)
-let of_jobs jobs =
-  if jobs <= 1 then pool ~exec_name:"sequential" ~jobs:1 else domains ~jobs ()
 
 let map t f items =
   List.map (function Ok v -> v | Error e -> raise e) (t.try_map f items)

@@ -7,9 +7,9 @@
     order.  An executor decides only {e how} that list is mapped — by
     how many OCaml 5 domains, the calling one included — and always
     yields results in input order, so campaign summaries and trace
-    exports are byte-identical for any worker count.  Both stock
-    executors are one pool ({!domains}); the sequential one is that
-    pool at width 1.
+    exports are byte-identical for any worker count.  {!of_jobs} builds
+    every stock executor: one pool, whose width 1 is the sequential
+    executor.
 
     The type is a first-class record of a polymorphic mapping function,
     not a closed variant: callers can plug in their own strategy
@@ -48,8 +48,8 @@ type stats = {
 type t = {
   exec_name : string;  (** e.g. ["sequential"], ["domains(4)"] *)
   width : int;
-      (** degree of parallelism; batch-oriented consumers (e.g.
-          {!Shrink.minimize}) dispatch work in groups of [width] *)
+      (** degree of parallelism; {!Trace_out.map} exports in windows of
+          [width] items *)
   try_map : 'a 'b. (('a -> 'b) -> 'a list -> ('b, exn) result list);
       (** Maps the runner over the items, returning per-item results in
           input order.  An item whose runner raises yields [Error exn]
@@ -62,17 +62,18 @@ type t = {
 val stats : t -> stats
 (** The executor's accumulated lifetime counters. *)
 
-val domains : ?jobs:int -> unit -> t
-(** A pool of [jobs] workers (the calling domain plus [jobs - 1]
-    spawned domains) pulling trial indexes from a shared atomic cursor
-    with {e guided self-scheduling}: each claim takes
-    [max 1 (remaining / (2 * jobs))] consecutive indexes, so early
-    claims are large (amortizing the atomic operation over many
-    trials) and claims shrink toward 1 near the tail (no worker is
-    left holding a big chunk while the others idle).  Results land in
-    a per-index slot, so completion order — which is
-    scheduling-dependent — never reorders outcomes.  [jobs] defaults
-    to {!default_jobs} and is clamped to at least 1.
+val of_jobs : int -> t
+(** The executor for [--jobs N]: a pool of [N] workers (the calling
+    domain plus [N - 1] spawned domains), named ["sequential"] at width
+    1 and ["domains(N)"] above; [N] is clamped to at least 1.  Workers
+    pull trial indexes from a shared atomic cursor with {e guided
+    self-scheduling}: each claim takes [max 1 (remaining / (2 * N))]
+    consecutive indexes, so early claims are large (amortizing the
+    atomic operation over many trials) and claims shrink toward 1 near
+    the tail (no worker is left holding a big chunk while the others
+    idle).  At width 1 the calling domain claims every index in order
+    and spawns none.  Results land in a per-index slot, so completion
+    order — which is scheduling-dependent — never reorders outcomes.
 
     Each [try_map] call additionally clamps its worker count to the
     item count, so an executor requested wider than the input never
@@ -83,20 +84,10 @@ val domains : ?jobs:int -> unit -> t
     Safe because each trial builds its own fresh [Sim]/stack from its
     descriptor seed: workers share only the read-only runner closure,
     the input array and the atomic cursor.  Runners must not write
-    process-global state. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the runtime's estimate of
-    useful parallelism on this machine. *)
-
-val of_jobs : int -> t
-(** The conventional CLI mapping for [--jobs N]: [1] (or less) is a
-    fresh executor named ["sequential"] — the {!domains} pool at width
-    1, whose calling domain claims every index in order and spawns
-    none — and anything larger is [domains ~jobs:N ()].  Always a fresh
-    executor, so its {!stats} cover exactly the maps the caller runs
-    through it; no executor is shared process-wide.  [of_jobs 1] is the
-    default of every [?executor] argument. *)
+    process-global state.  Always a fresh executor, so its {!stats}
+    cover exactly the maps the caller runs through it; no executor is
+    shared process-wide.  [of_jobs 1] is the default of every
+    [?executor] argument. *)
 
 val name : t -> string
 

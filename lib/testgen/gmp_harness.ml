@@ -54,7 +54,6 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
     let default_seed = default_seed
 
     let n = 3
-    let config = { Gmd.default_config with Gmd.bugs }
 
     let build ?scratch ~seed () =
       let sim = Sim.create ?scratch ~seed () in
@@ -68,7 +67,7 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
         List.map
           (fun (name, node_id) ->
             let peers = List.filter (fun (m, _) -> m <> name) names in
-            let gmd = Gmd.create ~sim ~node:name ~id:node_id ~peers ~config () in
+            let gmd = Gmd.create ~sim ~node:name ~id:node_id ~peers ~bugs () in
             let rel = Rel_udp.create ~sim ~node:name () in
             let device = Network.attach net ~node:name in
             if node_id = 1 then begin

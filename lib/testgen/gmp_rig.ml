@@ -19,7 +19,7 @@ type t = {
 
 let name_of_id i = Printf.sprintf "compsun%d" i
 
-let make ?(n = 3) ?(config = Gmd.default_config) ?scratch ?(seed = 77L) () =
+let make ?(n = 3) ?bugs ?scratch ?(seed = 77L) () =
   let sim = Sim.create ?scratch ~seed () in
   let net = Network.create sim in
   let blackboard = Blackboard.create () in
@@ -28,7 +28,7 @@ let make ?(n = 3) ?(config = Gmd.default_config) ?scratch ?(seed = 77L) () =
     List.map
       (fun (name, node_id) ->
         let peers = List.filter (fun (m, _) -> m <> name) ids in
-        let gmd = Gmd.create ~sim ~node:name ~id:node_id ~peers ~config () in
+        let gmd = Gmd.create ~sim ~node:name ~id:node_id ~peers ?bugs () in
         let pfi =
           Pfi_layer.create ~sim ~node:name ~stub:Gmp_stub.stub ~blackboard ()
         in

@@ -23,7 +23,7 @@ type t = {
 }
 
 val make :
-  ?n:int -> ?config:Gmd.config -> ?scratch:Sim.scratch -> ?seed:int64 -> unit -> t
+  ?n:int -> ?bugs:Gmd.bugs -> ?scratch:Sim.scratch -> ?seed:int64 -> unit -> t
 (** [scratch] is forwarded to {!Sim.create}, as a harness's [build]
     forwards it. *)
 

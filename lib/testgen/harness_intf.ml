@@ -12,7 +12,7 @@
     {!Campaign.run} / {!Campaign.exec} with no per-call-site
     re-wrapping.  [build] must return a completely fresh system (new
     [Sim], network, stacks) sharing nothing with sibling trials —
-    that isolation is what lets {!Executor.domains} run trials on
+    that isolation is what lets an {!Executor.of_jobs} pool run trials on
     concurrent domains. *)
 
 open Pfi_engine

@@ -391,7 +391,7 @@ let rec line_combos = function
       (fun (ts, vs) -> List.map (fun t -> (line, ts, vs) :: t) tails)
       alts
 
-let expand ?limit m =
+let expand m =
   let seen = Hashtbl.create 64 in
   let entries = ref [] in
   let index = ref 0 in
@@ -541,10 +541,7 @@ let expand ?limit m =
             g.g_sides)
         g.g_harnesses)
     m.m_groups;
-  let all = List.rev !entries in
-  match limit with
-  | Some n -> List.filteri (fun i _ -> i < n) all
-  | None -> all
+  List.rev !entries
 
 (* ------------------------------------------------------------------ *)
 (* Corpus digest                                                      *)

@@ -127,13 +127,11 @@ type entry = {
   e_text : string;  (** canonical [.pfis] text ({!Scenario.to_string}) *)
 }
 
-val expand : ?limit:int -> t -> entry list
+val expand : t -> entry list
 (** Multiplies the matrix out, in spec order (group, then harness,
     side, fault alternative, sweep values — leftmost slowest).  Every
     entry's [e_text] is {!Scenario.to_string} of its [e_scenario], so it
-    reads back {!Scenario.equal} to it.  [limit] keeps only the first
-    [limit] entries {e after} full expansion, so a limited corpus is a
-    prefix of the full one.
+    reads back {!Scenario.equal} to it.
     Raises {!Scenario.Parse_error} on expansion errors (sweep overflow,
     duplicate scenario names, template lines the scenario language
     rejects, a scenario whose text does not read back). *)

@@ -425,8 +425,7 @@ let exp5_row p =
 (* ------------------------------------------------------------------ *)
 
 (* [bug] re-implanted in the buggy row, no bugs in the fixed one *)
-let config ~buggy bug =
-  { Gmd.default_config with Gmd.bugs = (if buggy then bug else Gmd.no_bugs) }
+let bugs ~buggy bug = if buggy then bug else Gmd.no_bugs
 
 let node rig name = rig.Gmp_rig.node name
 let history rig name = Gmd.view_history (node rig name).Gmp_rig.gmd
@@ -478,9 +477,9 @@ if {[msg_type cur_msg] == "HEARTBEAT" && [msg_attr cur_msg net.dst] == $pfi_node
 |}
 
 let self_heartbeat_drop ~buggy seed =
-  let config = config ~buggy { Gmd.no_bugs with Gmd.self_death = true } in
+  let bugs = bugs ~buggy { Gmd.no_bugs with Gmd.self_death = true } in
   let scratch, logged = logging_scratch ~node:"compsun3" ~tags:[ "gmp.singleton" ] in
-  let rig = Gmp_rig.make ~n:3 ~config ~scratch ~seed () in
+  let rig = Gmp_rig.make ~n:3 ~bugs ~scratch ~seed () in
   Gmp_rig.start rig ~stagger:(Vtime.sec 1) ();
   send_filter_at rig ~at:40 "compsun3" drop_self_heartbeats;
   Sim.run ~until:(Vtime.sec 180) rig.Gmp_rig.sim;
@@ -657,10 +656,8 @@ if {[msg_type cur_msg] == "PROCLAIM" && [msg_attr cur_msg net.dst] == "compsun1"
 |}
 
 let proclaim_forwarding ~buggy seed =
-  let config =
-    config ~buggy { Gmd.no_bugs with Gmd.proclaim_reply_to_sender = true }
-  in
-  let rig = Gmp_rig.make ~n:3 ~config ~scratch:(Arena.scratch ()) ~seed () in
+  let bugs = bugs ~buggy { Gmd.no_bugs with Gmd.proclaim_reply_to_sender = true } in
+  let rig = Gmp_rig.make ~n:3 ~bugs ~scratch:(Arena.scratch ()) ~seed () in
   Pfi_layer.set_send_filter (node rig "compsun3").Gmp_rig.pfi
     drop_proclaims_to_leader;
   start_late_joiner rig;
@@ -696,10 +693,8 @@ if {[bb_get dropping 0] == 1 && ($t == "COMMIT" || $t == "HEARTBEAT")} {
 |}
 
 let timer_test ~buggy seed =
-  let config =
-    config ~buggy { Gmd.no_bugs with Gmd.timer_unset_inverted = true }
-  in
-  let rig = Gmp_rig.make ~n:3 ~config ~scratch:(Arena.scratch ()) ~seed () in
+  let bugs = bugs ~buggy { Gmd.no_bugs with Gmd.timer_unset_inverted = true } in
+  let rig = Gmp_rig.make ~n:3 ~bugs ~scratch:(Arena.scratch ()) ~seed () in
   let victim = (node rig "compsun2").Gmp_rig.gmd in
   Pfi_layer.set_receive_filter (node rig "compsun2").Gmp_rig.pfi second_mc_drop;
   start_late_joiner rig;

@@ -125,14 +125,7 @@ type report = {
   trials : int;  (** re-runs spent, accepted or not *)
 }
 
-let rec split_at n = function
-  | x :: rest when n > 0 ->
-    let taken, left = split_at (n - 1) rest in
-    (x :: taken, left)
-  | l -> ([], l)
-
-let minimize ?(max_trials = 1000) ?(executor = Executor.of_jobs 1) ~spec ~run
-    st0 =
+let minimize ?(max_trials = 1000) ~spec ~run st0 =
   let outcome0 : Campaign.outcome = run st0 in
   match outcome0.Campaign.verdict with
   | Campaign.Tolerated ->
@@ -140,29 +133,16 @@ let minimize ?(max_trials = 1000) ?(executor = Executor.of_jobs 1) ~spec ~run
   | Campaign.Violation _ ->
     let trials = ref 1 in
     let steps = ref [] in
-    (* One descent round: scan the ordered candidate list in batches of
-       the executor's width, accepting the first candidate — in
-       candidate order, not completion order — that still violates.  A
-       batch is charged only up to and including that candidate: what
-       the one-at-a-time scan would have run.  So the trial count, and
-       with it where the budget binds, is the same at every width. *)
-    let rec scan cands =
-      if !trials >= max_trials then None
-      else
-        match split_at (min executor.Executor.width (max_trials - !trials)) cands with
-        | [], _ -> None
-        | batch, rest ->
-          let outcomes = Executor.map executor run batch in
-          let rec first k = function
-            | [] -> (k, None)
-            | (cand, (o : Campaign.outcome)) :: more -> (
-              match o.Campaign.verdict with
-              | Campaign.Violation r -> (k + 1, Some (cand, r, o))
-              | Campaign.Tolerated -> first (k + 1) more)
-          in
-          let charged, hit = first 0 (List.combine batch outcomes) in
-          trials := !trials + charged;
-          (match hit with Some _ -> hit | None -> scan rest)
+    (* One descent round: run the ordered candidates one at a time and
+       accept the first that still violates, charging every run. *)
+    let rec scan = function
+      | cand :: rest when !trials < max_trials -> (
+        let o : Campaign.outcome = run cand in
+        incr trials;
+        match o.Campaign.verdict with
+        | Campaign.Violation r -> Some (cand, r, o)
+        | Campaign.Tolerated -> scan rest)
+      | _ -> None
     in
     let rec go st outcome =
       match scan (candidates ~spec st) with

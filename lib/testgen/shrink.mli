@@ -65,26 +65,20 @@ type report = {
           the minimized trial's *)
   initial_size : int;
   steps : step list;  (** accepted states, in order *)
-  trials : int;
-      (** re-runs charged, accepted or not: the ones a sequential scan
-          makes *)
+  trials : int;  (** runs made, accepted or not, the first included *)
 }
 
 val minimize :
-  ?max_trials:int -> ?executor:Executor.t -> spec:Spec.t ->
-  run:(state -> Campaign.outcome) -> state -> (report, string) Stdlib.result
-(** Greedy descent: re-runs candidates (via [run], which must be a
-    deterministic trial runner, e.g. {!Campaign.run_trial} of {!trial}
-    at a fixed horizon) and repeatedly accepts the first — smallest —
-    candidate that still violates, until none does or [max_trials]
-    (default 1000) re-runs have been spent.  [Error] if the starting
-    state does not violate the oracle.
+  ?max_trials:int -> spec:Spec.t -> run:(state -> Campaign.outcome) -> state ->
+  (report, string) Stdlib.result
+(** Greedy descent: runs the candidates one at a time (via [run], which
+    must be a deterministic trial runner, e.g. {!Campaign.run_trial} of
+    {!trial} at a fixed horizon) and repeatedly accepts the first —
+    smallest — candidate that still violates, until none does or
+    [max_trials] (default 1000) runs have been made.  [Error] if the
+    starting state does not violate the oracle.
 
-    [executor] (default a fresh {!Executor.of_jobs}[ 1]) evaluates the
-    independent candidates of each descent round in parallel, in
-    batches of its width; acceptance always goes to the first violating
-    candidate in candidate order, and a batch is charged only the
-    candidates up to and including it — the ones a sequential scan
-    would have run.  So the accepted trajectory, the minimized state
-    and [trials] are the same for any worker count, whether or not the
-    budget binds. *)
+    The scan is sequential on purpose: a round often has one candidate
+    (a one-sided [Delay_each] halves its delay, and nothing else), so
+    running a round's candidates in parallel did not make the stock
+    repros shrink faster on a 2-core host. *)

@@ -238,21 +238,22 @@ let test_unparsable_filter_block () =
       Alcotest.(check (pair int bool)) "--json: exit 1 and its {file, error} object" (1, true)
         (code, String.starts_with ~prefix:(to_string (Obj [ ("file", Str path); ("error", Str where) ])) out))
 
-(* a count is a non-negative integer: a negative one is a usage error,
-   as a non-number is, before the verb runs *)
+(* a count is a non-negative integer and --jobs a worker count from 1
+   to 128: a value outside is a usage error that names it, as a
+   non-number is, before the verb runs; so is a missing input *)
 let test_negative_count () =
-  let never = Filename.concat (Filename.get_temp_dir_name ()) "pfi_negative_limit" in
   List.iter
-    (fun (args, value) ->
+    (fun (args, says) ->
       let what = String.concat " " (List.map Filename.basename args) in
       let code, out = run_cli_status args in
       Alcotest.(check int) (what ^ ": exit code") 124 code;
-      Alcotest.(check bool) (what ^ ": names the value") true
-        (contains out (Printf.sprintf "invalid value '%s', expected a non-negative" value)))
-    [ ([ "fuzz"; "abp"; "--budget=-3" ], "-3");
-      ([ "gen"; test_dir "matrix/tiny.pfim"; "-o"; never; "--limit=-1" ], "-1");
-      ([ "shrink"; test_dir "golden/tiny_abp_repro.expected.pfis"; "--max-trials=-1" ], "-1") ];
-  Alcotest.(check bool) "gen wrote nothing" false (Sys.file_exists never)
+      Alcotest.(check bool) (Printf.sprintf "%s: says %S" what says) true (contains out says))
+    [ ([ "fuzz"; "abp"; "--budget=-3" ], "invalid value '-3', expected a non-negative");
+      ([ "campaign"; "abp"; "--jobs=-3"; "--json" ], "invalid value '-3', expected a worker count");
+      ([ "campaign"; "abp"; "--jobs"; "0" ], "invalid value '0', expected a worker count");
+      ([ "campaign"; "abp"; "--jobs"; "129" ], "invalid value '129', expected a worker count");
+      ([ "check" ], "required argument FILE is missing");
+      ([ "gen"; test_dir "matrix/tiny.pfim" ], "required option --output is missing") ]
 
 (* shrink exits 1 on the tiny repro rewritten by [edit], and its
    message holds [needle path text] *)
@@ -344,6 +345,11 @@ let check_pinned what ~bytes ~md5 text =
   Alcotest.(check int) (what ^ ": bytes") bytes (String.length text);
   Alcotest.(check string) (what ^ ": MD5") md5 (Digest.to_hex (Digest.string text))
 
+(* the same for a file, which is not read into memory *)
+let check_pinned_file what ~bytes ~md5 path =
+  Alcotest.(check int) (what ^ ": bytes") bytes (Unix.stat path).Unix.st_size;
+  Alcotest.(check string) (what ^ ": MD5") md5 (Digest.to_hex (Digest.file path))
+
 (* pinned by length and MD5: three combination findings (abp-buggy),
    and one minimized single-fault finding (gmp-buggy) *)
 let test_fuzz_trace_out_pinned () =
@@ -354,7 +360,7 @@ let test_fuzz_trace_out_pinned () =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           ignore (run_cli (("fuzz" :: args) @ [ "--trace-out"; path ]));
-          check_pinned (String.concat " " args) ~bytes ~md5 (read_file path)))
+          check_pinned_file (String.concat " " args) ~bytes ~md5 path))
     [ ([ "abp-buggy"; "--seed"; "1"; "--budget"; "120" ], 50_552,
        "89a691586c28d1a85d4c2a29cacc4bee");
       ([ "gmp-buggy"; "--seed"; "4"; "--budget"; "16" ], 196_409,
@@ -364,14 +370,25 @@ let test_fuzz_trace_out_pinned () =
 (* Every other JSONL trace export, pinned the same way                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [--trace-out] of a campaign (control and every trial), a check of
-   the committed repro fixture (an expected failure, so it exits 0),
-   the committed scenario corpus and the ladder's one sim, and the
-   [msc] entries [msc --json] prints.  The campaign and the corpus
-   stream the same bytes at --jobs 2 and 4, where the trials of a
-   window past its first wait in buffers. *)
+(* "HARNESS BYTES MD5" per line: each stock campaign's export, which
+   CI also checks for gmp-buggy (134 MB) *)
+let campaign_pins () =
+  String.split_on_char '\n' (read_file (test_dir "golden/campaign_trace_out.expected"))
+  |> List.filter_map (fun l -> Scanf.sscanf_opt l "%s %d %s%!" (fun h bytes md5 -> (h, (bytes, md5))))
+
+(* [--trace-out] of the stock campaigns (control and every trial), a
+   check of the committed repro fixture (an expected failure, so it
+   exits 0), the committed scenario corpus and the ladder's one sim,
+   and the [msc] entries [msc --json] prints.  The campaigns and the
+   corpus stream the same bytes at --jobs 2 (and the corpus at 4),
+   where the trials of a window past its first wait in buffers. *)
 let test_trace_out_pinned () =
   let scenarios = pfis_files (test_dir "scenarios") in
+  let pins = campaign_pins () in
+  let campaign h jobs =
+    let bytes, md5 = List.assoc h pins in
+    ([ "campaign"; h; "--jobs"; jobs ], 0, bytes, md5)
+  in
   List.iter
     (fun (args, code, bytes, md5) ->
       let path = Filename.temp_file "pfi_trace_out" ".jsonl" in
@@ -381,12 +398,13 @@ let test_trace_out_pinned () =
           let what = String.concat " " (List.map Filename.basename args) in
           let status, _ = run_cli_status (args @ [ "--trace-out"; path ]) in
           Alcotest.(check int) (what ^ ": exit code") code status;
-          check_pinned what ~bytes ~md5 (read_file path)))
+          check_pinned_file what ~bytes ~md5 path))
     (List.concat_map
-       (fun jobs ->
-         [ ([ "campaign"; "abp-buggy" ] @ jobs, 0, 326_802, "34e778f4b79e4dfe44347b9870b830aa");
-           (("check" :: scenarios) @ jobs, 0, 787_995, "991af202b575a01b66525be5b9627e42") ])
-       [ []; [ "--jobs"; "2" ]; [ "--jobs"; "4" ] ]
+       (fun jobs -> List.map (fun h -> campaign h jobs) [ "abp"; "abp-buggy"; "tcp"; "gmp" ])
+       [ "1"; "2" ]
+    @ List.map
+        (fun jobs -> (("check" :: scenarios) @ jobs, 0, 787_995, "991af202b575a01b66525be5b9627e42"))
+        [ []; [ "--jobs"; "2" ]; [ "--jobs"; "4" ] ]
     @ [ ( [ "check"; test_dir "golden/tiny_abp_repro.expected.pfis" ],
           0, 39_990, "d79ce26288de7de53d496dd4a3655acc" );
         ([ "msc" ], 0, 41_536, "219982ee0baa2ee15a0f99827c76c65e") ]);

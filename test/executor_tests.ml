@@ -21,7 +21,7 @@ let test_domains_in_order () =
   let n = 64 in
   Alcotest.(check (list int)) "results in input order"
     (List.map (fun i -> i * i) (items n))
-    (Executor.map (Executor.domains ~jobs:4 ()) (fun i -> i * i) (items n))
+    (Executor.map (Executor.of_jobs 4) (fun i -> i * i) (items n))
 
 (* a deliberately slow early trial: item 0 sleeps long enough that on a
    multicore host every other worker finishes first, so any
@@ -33,7 +33,7 @@ let test_domains_slow_trial_no_reorder () =
     i
   in
   Alcotest.(check (list int)) "slow first trial lands in slot 0" (items 16)
-    (Executor.map (Executor.domains ~jobs:4 ()) slow (items 16))
+    (Executor.map (Executor.of_jobs 4) slow (items 16))
 
 (* guided claims at every width, [of_jobs 1] included, against the
    stdlib's in-order map, over input sizes below, at and well above the
@@ -43,29 +43,25 @@ let test_domains_match_sequential () =
   List.iter
     (fun n ->
       let expected = List.map f (items n) in
-      Alcotest.(check (list int))
-        (Printf.sprintf "of_jobs 1 n=%d" n)
-        expected
-        (Executor.map (Executor.of_jobs 1) f (items n));
       List.iter
         (fun jobs ->
           Alcotest.(check (list int))
-            (Printf.sprintf "domains jobs=%d n=%d" jobs n)
+            (Printf.sprintf "of_jobs %d n=%d" jobs n)
             expected
-            (Executor.map (Executor.domains ~jobs ()) f (items n)))
+            (Executor.map (Executor.of_jobs jobs) f (items n)))
         [ 1; 2; 4; 8 ])
     [ 0; 1; 7; 33; 100 ]
 
 let test_more_jobs_than_items () =
   Alcotest.(check (list int)) "jobs > items" (items 3)
-    (Executor.map (Executor.domains ~jobs:8 ()) (fun i -> i) (items 3))
+    (Executor.map (Executor.of_jobs 8) (fun i -> i) (items 3))
 
 (* the oversubscription fix: a map over fewer items than workers must
    not spawn idle domains.  Three items through an 8-wide pool may
    touch at most three distinct domains, while [exec_name]/[width]
    keep reporting the requested figure (the next map may be larger). *)
 let test_clamp_no_oversubscription () =
-  let executor = Executor.domains ~jobs:8 () in
+  let executor = Executor.of_jobs 8 in
   Alcotest.(check string) "name reports the requested width" "domains(8)"
     (Executor.name executor);
   Alcotest.(check int) "width reports the requested figure" 8
@@ -98,7 +94,7 @@ let test_clamp_no_oversubscription () =
 (* an empty map must not pay for the pool at all: no domain spawns, no
    stats entry — and the executor keeps working afterwards *)
 let test_empty_map_spawns_nothing () =
-  let executor = Executor.domains ~jobs:4 () in
+  let executor = Executor.of_jobs 4 in
   Alcotest.(check (list int)) "empty map is empty" []
     (Executor.map executor (fun i -> i) []);
   let st = Executor.stats executor in
@@ -117,7 +113,7 @@ let test_stats_accounting () =
   Alcotest.(check int) "sequential maps" 2 st.Executor.st_maps;
   Alcotest.(check int) "sequential items" 15 st.Executor.st_items;
   Alcotest.(check int) "sequential never spawns" 0 st.Executor.st_spawned;
-  let pool = Executor.domains ~jobs:4 () in
+  let pool = Executor.of_jobs 4 in
   ignore (Executor.map pool (fun i -> i * i) (items 64));
   let st = Executor.stats pool in
   Alcotest.(check int) "pool items" 64 st.Executor.st_items;
@@ -160,7 +156,7 @@ let test_no_lost_trials_on_exception () =
               (i mod 3 = 1)
           | Error e -> raise e)
         results)
-    [ (Executor.of_jobs 1); Executor.domains ~jobs:3 () ]
+    [ Executor.of_jobs 1; Executor.of_jobs 3 ]
 
 let test_map_reraises_first_by_index () =
   (* item 2 fails; on a pool, item 7's failure may complete first, but
@@ -176,7 +172,7 @@ let test_map_reraises_first_by_index () =
         Alcotest.(check int)
           (Executor.name executor ^ ": first error by index")
           2 i)
-    [ (Executor.of_jobs 1); Executor.domains ~jobs:4 () ]
+    [ Executor.of_jobs 1; Executor.of_jobs 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* CLI mapping and naming                                             *)
@@ -190,8 +186,7 @@ let test_of_jobs () =
   Alcotest.(check string) "jobs=4 is a domain pool" "domains(4)"
     (Executor.name (Executor.of_jobs 4));
   Alcotest.(check int) "width matches jobs" 4 (Executor.of_jobs 4).Executor.width;
-  Alcotest.(check int) "sequential width" 1 (Executor.of_jobs 1).Executor.width;
-  Alcotest.(check bool) "default_jobs positive" true (Executor.default_jobs () >= 1)
+  Alcotest.(check int) "sequential width" 1 (Executor.of_jobs 1).Executor.width
 
 (* ------------------------------------------------------------------ *)
 (* Campaigns: byte-identical output for any worker count              *)
@@ -278,50 +273,18 @@ let test_campaign_traces_jobs_invariant () =
         true (traces jobs = sequential))
     [ 2; 4 ]
 
-(* shrink through a parallel executor: same minimized state and same
-   accepted trajectory as the sequential scan (the budget is not
-   binding, so batched evaluation may only change the trial count) *)
-let test_shrink_executor_same_trajectory () =
-  let st0 =
-    { Shrink.fault = Generator.Byzantine_mix 0.25; Shrink.side = Campaign.Both_filters }
-  in
-  let run (st : Shrink.state) =
-    { Campaign.fault = st.Shrink.fault;
-      Campaign.side = st.Shrink.side;
-      Campaign.seed = 0L;
-      Campaign.verdict =
-        (* violate only while the fault keeps a byzantine or omission
-           component, so the descent has real accept/reject structure *)
-        (match st.Shrink.fault with
-         | Generator.Byzantine_mix _ | Generator.Omission_all _ ->
-           Campaign.Violation "synthetic"
-         | _ -> Campaign.Tolerated);
-      Campaign.injected_events = 0;
-      Campaign.sim_events = 0 }
-  in
-  let minimize executor =
-    match Shrink.minimize ~executor ~spec:Spec.abp ~run st0 with
-    | Ok report -> report
-    | Error e -> Alcotest.failf "minimize failed: %s" e
-  in
-  let seq = minimize (Executor.of_jobs 1) in
-  let par = minimize (Executor.domains ~jobs:4 ()) in
-  Alcotest.(check bool) "same minimized state" true
-    (seq.Shrink.minimized = par.Shrink.minimized);
-  Alcotest.(check bool) "same accepted trajectory" true
-    (List.map (fun s -> s.Shrink.state) seq.Shrink.steps
-    = List.map (fun s -> s.Shrink.state) par.Shrink.steps)
-
-(* a batch is charged only up to its first violating candidate, so the
-   report — trial count included — is the same at every width, also
-   when the budget binds mid-descent *)
+(* the scan runs one candidate at a time, so the report charges
+   exactly the runs it made, and stays within the budget also when it
+   binds mid-descent *)
 let test_shrink_charges_sequential_trials () =
   let st0 =
     { Shrink.fault = Generator.Byzantine_mix 0.25; Shrink.side = Campaign.Both_filters }
   in
+  let runs = ref 0 in
   (* violates while the fault keeps a byzantine or omission component
      with p of at least 0.05, so accepts and rejects interleave *)
   let run (st : Shrink.state) =
+    incr runs;
     { Campaign.fault = st.Shrink.fault;
       Campaign.side = st.Shrink.side;
       Campaign.seed = 0L;
@@ -333,27 +296,23 @@ let test_shrink_charges_sequential_trials () =
       Campaign.injected_events = 0;
       Campaign.sim_events = 0 }
   in
-  let minimize ~max_trials jobs =
-    match
-      Shrink.minimize ~max_trials ~executor:(Executor.of_jobs jobs)
-        ~spec:Spec.abp ~run st0
-    with
-    | Ok r -> (r.Shrink.minimized, List.map (fun s -> s.Shrink.state) r.Shrink.steps, r.Shrink.trials)
+  let trials ~max_trials =
+    runs := 0;
+    match Shrink.minimize ~max_trials ~spec:Spec.abp ~run st0 with
+    | Ok r ->
+      Alcotest.(check int)
+        (Printf.sprintf "budget %d: trials are the runs made" max_trials)
+        !runs r.Shrink.trials;
+      r.Shrink.trials
     | Error e -> Alcotest.failf "minimize failed: %s" e
   in
-  let _, _, unbounded = minimize ~max_trials:1000 1 in
+  let unbounded = trials ~max_trials:1000 in
   Alcotest.(check bool) "the descent rejects candidates" true (unbounded > 8);
   for max_trials = 1 to unbounded do
-    let ((_, _, trials) as seq) = minimize ~max_trials 1 in
     Alcotest.(check bool)
       (Printf.sprintf "budget %d holds" max_trials)
-      true (trials <= max_trials);
-    for jobs = 2 to 4 do
-      Alcotest.(check bool)
-        (Printf.sprintf "budget %d: jobs %d reports what jobs 1 does" max_trials jobs)
-        true
-        (minimize ~max_trials jobs = seq)
-    done
+      true
+      (trials ~max_trials <= max_trials)
   done
 
 (* the export's ordered map keeps [Executor.map]'s contract at every
@@ -411,9 +370,7 @@ let suite =
       test_campaign_arena_invisible;
     Alcotest.test_case "per-trial traces byte-identical at jobs 4" `Slow
       test_campaign_traces_jobs_invariant;
-    Alcotest.test_case "parallel shrink keeps the sequential trajectory" `Quick
-      test_shrink_executor_same_trajectory;
-    Alcotest.test_case "shrink charges the same trials at every width" `Quick
+    Alcotest.test_case "shrink charges the same trials at every budget as it runs" `Quick
       test_shrink_charges_sequential_trials;
     Alcotest.test_case "the export's ordered map runs every item, in order" `Quick
       test_trace_out_map_contract ]

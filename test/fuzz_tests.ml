@@ -235,7 +235,7 @@ let findings_jsonl harness_name (r : Fuzz.result) =
 
 let test_fuzz_jobs_invariant () =
   let seq = Lazy.force abp_buggy_result in
-  let par = fuzz ~executor:(Executor.domains ~jobs:4 ()) "abp-buggy" in
+  let par = fuzz ~executor:(Executor.of_jobs 4) "abp-buggy" in
   Alcotest.(check int) "same executions" seq.Fuzz.r_execs par.Fuzz.r_execs;
   Alcotest.(check int) "same coverage" seq.Fuzz.r_features par.Fuzz.r_features;
   Alcotest.(check (list string)) "same corpus"

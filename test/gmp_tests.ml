@@ -133,7 +133,7 @@ let test_rel_gives_up () =
 
 type gnode = { gmd : Gmd.t; pfi : Pfi_layer.t }
 
-let cluster ?(n = 3) ?(config = Gmd.default_config) ?(seed = 21L) () =
+let cluster ?(n = 3) ?bugs ?(seed = 21L) () =
   let sim = Sim.create ~seed () in
   let net = Network.create sim in
   let bb = Blackboard.create () in
@@ -142,7 +142,7 @@ let cluster ?(n = 3) ?(config = Gmd.default_config) ?(seed = 21L) () =
     List.map
       (fun (name, node_id) ->
         let peers = List.filter (fun (m, _) -> m <> name) names in
-        let gmd = Gmd.create ~sim ~node:name ~id:node_id ~peers ~config () in
+        let gmd = Gmd.create ~sim ~node:name ~id:node_id ~peers ?bugs () in
         let pfi =
           Pfi_layer.create ~sim ~node:name ~stub:Gmp_stub.stub ~blackboard:bb ()
         in
@@ -245,14 +245,11 @@ let test_suspend_resume_like_timeout () =
 
 (* --- bug reproductions ------------------------------------------- *)
 
-let buggy base = { base with Gmd.bugs = Gmd.all_bugs }
-
 let test_self_death_bug () =
   (* drop compsun3's heartbeats to itself: the buggy daemon announces
      its own death, stays in the group marked down, and breaks
      proclaim forwarding *)
-  let config = buggy Gmd.default_config in
-  let sim, _net, node = cluster ~n:3 ~config () in
+  let sim, _net, node = cluster ~n:3 ~bugs:Gmd.all_bugs () in
   start_all sim node [ "compsun1"; "compsun2"; "compsun3" ] ~stagger:(Vtime.sec 1);
   ignore
     (Sim.schedule sim ~delay:(Vtime.sec 40) (fun () ->
@@ -291,8 +288,8 @@ if {[msg_type cur_msg] == "HEARTBEAT" && [msg_attr cur_msg net.dst] == "compsun3
     (Trace.count ~node:"compsun3" ~tag:"gmp.singleton" (Sim.trace sim) >= 2)
 
 let test_proclaim_forwarding_bug_loops () =
-  let config = { Gmd.default_config with Gmd.bugs = { Gmd.no_bugs with Gmd.proclaim_reply_to_sender = true } } in
-  let sim, _net, node = cluster ~n:3 ~config () in
+  let bugs = { Gmd.no_bugs with Gmd.proclaim_reply_to_sender = true } in
+  let sim, _net, node = cluster ~n:3 ~bugs () in
   (* form a group of 1 and 2 first; compsun3 arrives later and its
      proclaims to the leader are dropped, so only the crown prince
      forwards them *)
@@ -344,8 +341,8 @@ if {[bb_get dropping 0] == 1 && ($t == "COMMIT" || $t == "HEARTBEAT")} {
 |}
 
 let test_timer_unset_bug () =
-  let config = { Gmd.default_config with Gmd.bugs = { Gmd.no_bugs with Gmd.timer_unset_inverted = true } } in
-  let sim, _net, node = cluster ~n:3 ~config () in
+  let bugs = { Gmd.no_bugs with Gmd.timer_unset_inverted = true } in
+  let sim, _net, node = cluster ~n:3 ~bugs () in
   (* compsun2 joins one group; on the second membership change it drops
      COMMIT and heartbeats: with the bug, a heartbeat-expect timer fires
      while in transition *)

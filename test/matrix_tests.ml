@@ -89,17 +89,6 @@ let test_expand_deterministic () =
         y.Matrix.e_text)
     a b
 
-let test_expand_limit () =
-  let full = Matrix.expand (tiny ()) in
-  let three = Matrix.expand ~limit:3 (tiny ()) in
-  Alcotest.(check int) "limit keeps a prefix" 3 (List.length three);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check string) "prefix entries are the full corpus's"
-        a.Matrix.e_file b.Matrix.e_file)
-    three
-    (List.filteri (fun i _ -> i < 3) full)
-
 (* a generated file is its own record: its text alone names the
    scenario and harness and carries the seed and expected verdict *)
 let test_files_state_seed_and_xfail () =
@@ -597,12 +586,12 @@ let suite =
       test_expand_tiny;
     Alcotest.test_case "expansion is deterministic" `Quick
       test_expand_deterministic;
-    Alcotest.test_case "limit keeps a prefix of the corpus" `Quick
-      test_expand_limit;
     Alcotest.test_case "generated files state their own seed and xfail"
       `Quick test_files_state_seed_and_xfail;
     Alcotest.test_case "matrix grammar errors name line and token" `Quick
       test_parse_errors;
+    Alcotest.test_case "shared token checks, full messages" `Quick
+      test_shared_check_messages;
     Alcotest.test_case "expansion errors map to .pfim lines" `Quick
       test_expand_error_lines;
     Alcotest.test_case "sweep range errors" `Quick test_sweep_errors;
@@ -614,7 +603,5 @@ let suite =
     Alcotest.test_case "demo corpus: >= 150 scenarios, all on verdict" `Slow
       test_demo_corpus;
     QCheck_alcotest.to_alcotest prop_round_trip;
-    Alcotest.test_case "shared token checks, full messages" `Quick
-      test_shared_check_messages;
     Alcotest.test_case "words the parser reads back are generated" `Quick
       test_words_the_parser_accepts ]

@@ -1,5 +1,4 @@
-(* Tests for the Reno-era TCP features (fast retransmit, delayed ACKs)
-   and direct coverage of smaller pieces the bigger suites only exercise
+(* Tests for the Reno-era TCP feature (fast retransmit) and direct coverage of smaller pieces the bigger suites only exercise
    indirectly: the IP-lite layer, the stub registry, the blackboard, and
    vendor keep-alive probe formats. *)
 
@@ -10,8 +9,7 @@ open Pfi_core
 open Pfi_tcp
 
 (* a client whose stack includes a PFI layer, so segments can be faulted *)
-let setup_with_pfi ?(client_profile = Profile.xkernel)
-    ?(server_profile = Profile.xkernel) () =
+let setup_with_pfi ?(client_profile = Profile.xkernel) () =
   let sim = Sim.create ~seed:23L () in
   let net = Network.create sim in
   let client = Tcp.create ~sim ~node:"client" ~profile:client_profile () in
@@ -19,7 +17,7 @@ let setup_with_pfi ?(client_profile = Profile.xkernel)
   let c_ip = Ip_lite.create ~node:"client" in
   let c_dev = Network.attach net ~node:"client" in
   Layer.stack [ Tcp.layer client; Pfi_layer.layer pfi; c_ip; c_dev ];
-  let server = Tcp.create ~sim ~node:"server" ~profile:server_profile () in
+  let server = Tcp.create ~sim ~node:"server" ~profile:Profile.xkernel () in
   let s_ip = Ip_lite.create ~node:"server" in
   let s_dev = Network.attach net ~node:"server" in
   Layer.stack [ Tcp.layer server; s_ip; s_dev ];
@@ -86,52 +84,6 @@ let test_zero_window_acks_dont_trigger_fr () =
   Sim.run ~until:(Vtime.add (Sim.now sim) (Vtime.minutes 10)) sim;
   Alcotest.(check int) "no fast retransmit from probe ACKs" 0
     (Trace.count ~node:"client" ~tag:"tcp.fast-retransmit" (Sim.trace sim))
-
-(* ------------------------------------------------------------------ *)
-(* Delayed ACKs                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let ack_times sim ~node =
-  List.filter_map
-    (fun e ->
-      let is_pure_ack =
-        let d = Trace.detail e in
-        String.length d >= 4 && String.sub d 0 4 = "ACK "
-      in
-      if is_pure_ack then Some e.Trace.time else None)
-    (Trace_lists.find ~node ~tag:"tcp.out" (Sim.trace sim))
-
-let test_delayed_ack_single_segment () =
-  let server_profile =
-    { Profile.xkernel with Profile.delayed_ack = Some (Vtime.ms 200) }
-  in
-  let sim, _net, _pfi, conn, _sconn = setup_with_pfi ~server_profile () in
-  let before = List.length (ack_times sim ~node:"server") in
-  let t0 = Sim.now sim in
-  Tcp.send conn "one chunk";
-  Sim.run ~until:(Vtime.add t0 (Vtime.sec 2)) sim;
-  let acks = ack_times sim ~node:"server" in
-  Alcotest.(check int) "exactly one new ack" (before + 1) (List.length acks);
-  (match List.rev acks with
-   | last :: _ ->
-     (* 1 ms flight + ~200 ms delack *)
-     Alcotest.(check bool) "delayed ~200ms" true
-       Vtime.(Vtime.sub last t0 >= Vtime.ms 200 && Vtime.sub last t0 < Vtime.ms 250)
-   | [] -> Alcotest.fail "no ack")
-
-let test_delayed_ack_every_second_segment () =
-  let server_profile =
-    { Profile.xkernel with Profile.delayed_ack = Some (Vtime.ms 200) }
-  in
-  let sim, _net, _pfi, conn, _sconn = setup_with_pfi ~server_profile () in
-  let t0 = Sim.now sim in
-  Tcp.send conn "first";
-  (* the second segment must force an immediate ACK *)
-  ignore (Sim.schedule sim ~delay:(Vtime.ms 50) (fun () -> Tcp.send conn "second"));
-  Sim.run ~until:(Vtime.add t0 (Vtime.ms 120)) sim;
-  let acks = List.filter (fun t -> Vtime.(t >= t0)) (ack_times sim ~node:"server") in
-  Alcotest.(check int) "acked on the second segment, before the delay" 1
-    (List.length acks)
 
 (* ------------------------------------------------------------------ *)
 (* IP-lite                                                            *)
@@ -256,9 +208,6 @@ let suite =
     Alcotest.test_case "fast retransmit disabled" `Quick test_fast_retransmit_disabled;
     Alcotest.test_case "probe ACKs don't trigger FR" `Quick
       test_zero_window_acks_dont_trigger_fr;
-    Alcotest.test_case "delayed ack single segment" `Quick test_delayed_ack_single_segment;
-    Alcotest.test_case "delayed ack every 2nd segment" `Quick
-      test_delayed_ack_every_second_segment;
     Alcotest.test_case "ip header roundtrip" `Quick test_ip_header_roundtrip;
     Alcotest.test_case "ip discards foreign packets" `Quick test_ip_discards_foreign;
     Alcotest.test_case "blackboard" `Quick test_blackboard;

@@ -506,23 +506,12 @@ let test_timeout_collapses_cwnd () =
     (Tcp.slow_start_threshold conn < grown)
 
 let test_cwnd_limits_first_flight () =
-  (* with cc on, a big burst leaves in flight only cwnd bytes at t=0 *)
+  (* slow start: a big burst leaves in flight only cwnd bytes at t=0 *)
   let sim, _net, _client, _server, conn, sconn = establish () in
   ignore sconn;
   Tcp.send conn (String.make 4000 'x');
   (* before any ACK returns, at most one MSS is outstanding *)
   Alcotest.(check int) "one MSS in flight" 512
-    (Seq32.diff (Tcp.snd_nxt conn) (Tcp.snd_una conn));
-  Sim.run sim
-
-let test_cc_disabled_bursts () =
-  let profile = { Profile.xkernel with Profile.congestion_control = false } in
-  let sim, _net, _client, _server, conn, sconn =
-    establish ~client_profile:profile ()
-  in
-  ignore sconn;
-  Tcp.send conn (String.make 4000 'x');
-  Alcotest.(check int) "whole burst in flight (limited by rcv window)" 4000
     (Seq32.diff (Tcp.snd_nxt conn) (Tcp.snd_una conn));
   Sim.run sim
 
@@ -596,7 +585,6 @@ let suite =
     Alcotest.test_case "slow start growth" `Quick test_slow_start_growth;
     Alcotest.test_case "timeout collapses cwnd" `Quick test_timeout_collapses_cwnd;
     Alcotest.test_case "cwnd limits first flight" `Quick test_cwnd_limits_first_flight;
-    Alcotest.test_case "cc disabled bursts" `Quick test_cc_disabled_bursts;
     Alcotest.test_case "stub recognition" `Quick test_stub_recognition;
     Alcotest.test_case "stub set_field re-encodes" `Quick test_stub_set_field_reencodes;
     Alcotest.test_case "stub generates spurious ACK" `Quick test_stub_generate_spurious_ack;
